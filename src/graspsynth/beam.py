@@ -18,9 +18,11 @@ stable equilibrium at travel dy is
 
 On the d1 >= 0 branch the loads are f_o = -4.8618 y_o, p_o = -9.8837 (the
 constant is the fixed-guided buckling scale, ~pi^2).  Otherwise p_o is the
-real root, continuous with p_o = 0 at dy = 0, of a cubic in p with
-coefficients k1..k4 built from (t, x_o, y_o), and f_o follows from a rational
-expression in that root.  The shuttle-direction actuation force is
+unique real root of a cubic in p with coefficients k1..k4 built from
+(t, x_o, y_o), cross-checked against the closed-form Cardano expression, and
+f_o follows from a rational expression in that root.  On reachable d1 < 0
+states the cubic has exactly one real root; a cubic with more is refused.
+The shuttle-direction actuation force is
 
     F = -(4 E I f_o / L^2 cos(theta) + 4 E I p_o / L^2 sin(theta)).
 
@@ -34,7 +36,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -44,9 +46,6 @@ log = logging.getLogger(__name__)
 
 BISTABLE_FO_SLOPE = -4.8618
 BISTABLE_PO = -9.8837
-
-# Continuation steps used when solving the cubic branch for a single state.
-_HOMOTOPY_STEPS = 64
 
 # Default number of sweep samples; resolves the ~1.1 mm branch crossover of
 # Table-scale geometry at 0.01 mm resolution over a 5 mm travel.
@@ -126,11 +125,11 @@ class MonostableIntermediates:
     """Cubic coefficients and closed-form root data for the d1 < 0 branch.
 
     k1..k4 are the cubic coefficients in p; c1, c2 the nested radicals of the
-    closed-form (Cardano) solution; p1 the closed-form real root that the
-    force expression consumes.  c2 is complex when the cubic has three real
-    roots (the casus irreducibilis); p1 is always the real root on the branch.
-    The generating state (t, x_o, y_o) is kept so the continuation solver can
-    rescale the deflection.
+    closed-form (Cardano) solution; p1 the closed-form real root, against
+    which solve_monostable_cubic checks its root.  c2 and p1 are NaN when the
+    cubic has three real roots (the casus irreducibilis), which
+    solve_monostable_cubic refuses.  The generating state (t, x_o, y_o) is
+    kept for reference; x_o = y_o = k4 = 0 marks the undeformed state.
     """
 
     k1: float
@@ -138,7 +137,7 @@ class MonostableIntermediates:
     k3: float
     k4: float
     c1: float
-    c2: Union[float, complex]
+    c2: float
     p1: float
     t: float = 0.0
     x_o: float = 0.0
@@ -242,9 +241,10 @@ def bistability_margin(geom: VBeamGeometry, delta_y: float) -> Tuple[float, bool
     """Evaluate the necessary bistability criterion d1 at a travel.
 
     Returns (d1, satisfied) with satisfied <=> d1 >= 0.  d1 is affine in
-    delta_y with a strictly negative value at delta_y = 0.
+    delta_y with a strictly negative value at delta_y = 0.  delta_y may be an
+    array, in which case d1 and satisfied are arrays of its shape.
     """
-    if delta_y < 0:
+    if np.less(delta_y, 0).any():
         raise ValidationError("delta_y must be non-negative")
     L = geom.length_L
     th = geom.tilt_theta
@@ -269,12 +269,35 @@ def bistable_crossover(geom: VBeamGeometry) -> float:
     return -b / a
 
 
-def _k_coefficients(t: float, x_o: float, y_o: float):
+def _k_coefficients(t, x_o, y_o):
     k1 = 4.0 * t ** 2 / 675.0 + y_o ** 2 / 42000.0
     k2 = 16.0 * t ** 2 / 45.0 - 17.0 * y_o ** 2 / 2100.0 - 8.0 * x_o / 225.0
     k3 = 16.0 * t ** 2 / 3.0 - 96.0 * y_o ** 2 / 175.0 - 32.0 * x_o / 15.0
     k4 = -48.0 * y_o ** 2 / 5.0 - 32.0 * x_o
     return k1, k2, k3, k4
+
+
+def _unique_root(k1, k2, k3, k4):
+    """The single real root of k1 p^3 + k2 p^2 + k3 p + k4, k1 > 0.
+
+    Coefficients are scalars or arrays of one shape.  With p = q - b/3 the
+    cubic becomes q^3 + pp q + qq, whose real root is the Cardano sum of two
+    real cube roots wherever the discriminant (qq/2)^2 + (pp/3)^3 is
+    positive.  A discriminant <= 0 means three real roots (or a repeated
+    one), which the monostable branch never reaches; it raises.
+    """
+    b = k2 / k1
+    c = k3 / k1
+    d = k4 / k1
+    pp = c - b * b / 3.0
+    qq = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
+    disc = (qq / 2.0) ** 2 + (pp / 3.0) ** 3
+    if not np.greater(disc, 0.0).all():
+        raise NumericalError(
+            f"cubic discriminant {np.min(disc):.3e} is not positive: the "
+            f"cubic has more than one real root")
+    s = np.sqrt(disc)
+    return np.cbrt(-qq / 2.0 + s) + np.cbrt(-qq / 2.0 - s) - b / 3.0
 
 
 def _cardano_root(k1, k2, k3, k4):
@@ -283,52 +306,17 @@ def _cardano_root(k1, k2, k3, k4):
     Uses the resolvent c1 = -k2^2 + 3 k1 k3 and the cube-root term
     c2 = cbrt(-2 k2^3 + 9 k1 k2 k3 - 27 k1^2 k4 + sqrt(4 c1^3 + (...)^2));
     the root is -k2/(3 k1) - cbrt(2) c1 / (3 k1 c2) + c2 / (3 cbrt(2) k1).
-    When the inner square root turns negative (three real roots) c2 is
-    complex and the expression is evaluated in complex arithmetic; its real
-    part is then an exact real root.
+    The radicand equals 2916 k1^6 times the discriminant of _unique_root, so
+    it is positive wherever that kernel returns; elsewhere c2 and the root
+    are NaN.  Coefficients are scalars or arrays of one shape.
     """
     c1 = -k2 ** 2 + 3.0 * k1 * k3
     inner = -2.0 * k2 ** 3 + 9.0 * k1 * k2 * k3 - 27.0 * k1 ** 2 * k4
-    rad = 4.0 * c1 ** 3 + inner ** 2
+    c2 = np.cbrt(inner + np.sqrt(4.0 * c1 ** 3 + inner ** 2))
     cbrt2 = 2.0 ** (1.0 / 3.0)
-    if rad >= 0.0:
-        c2 = float(np.cbrt(inner + math.sqrt(rad)))
-        if c2 == 0.0:
-            # c1 = inner = 0: triple root.
-            return -k2 / (3.0 * k1), c1, c2
-        root = -k2 / (3.0 * k1) - cbrt2 * c1 / (3.0 * k1 * c2) \
-            + c2 / (3.0 * cbrt2 * k1)
-        return root, c1, c2
-    c2 = (inner + complex(0.0, math.sqrt(-rad))) ** (1.0 / 3.0)
-    root = (-k2 / (3.0 * k1) - cbrt2 * c1 / (3.0 * k1 * c2)
-            + c2 / (3.0 * cbrt2 * k1))
-    return root.real, c1, c2
-
-
-def _real_cubic_roots(k1, k2, k3, k4):
-    """All real roots of k1 p^3 + k2 p^2 + k3 p + k4, k1 != 0."""
-    b = k2 / k1
-    c = k3 / k1
-    d = k4 / k1
-    # depressed form q^3 + pp q + qq with p = q - b/3
-    pp = c - b * b / 3.0
-    qq = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
-    shift = -b / 3.0
-    disc = (qq / 2.0) ** 2 + (pp / 3.0) ** 3
-    if disc > 0.0:
-        s = math.sqrt(disc)
-        u = np.cbrt(-qq / 2.0 + s)
-        v = np.cbrt(-qq / 2.0 - s)
-        return [float(u + v + shift)]
-    if pp == 0.0:
-        return [float(np.cbrt(-qq) + shift)]
-    m = 2.0 * math.sqrt(-pp / 3.0)
-    arg = 3.0 * qq / (pp * m)
-    arg = min(1.0, max(-1.0, arg))
-    phi = math.acos(arg) / 3.0
-    return sorted(
-        float(m * math.cos(phi - 2.0 * math.pi * k / 3.0) + shift)
-        for k in range(3))
+    root = -k2 / (3.0 * k1) - cbrt2 * c1 / (3.0 * k1 * c2) \
+        + c2 / (3.0 * cbrt2 * k1)
+    return root, c1, c2
 
 
 def monostable_intermediates(nd: NormalizedDeflection) -> MonostableIntermediates:
@@ -336,45 +324,24 @@ def monostable_intermediates(nd: NormalizedDeflection) -> MonostableIntermediate
     k1, k2, k3, k4 = _k_coefficients(nd.t, nd.x_o, nd.y_o)
     p1, c1, c2 = _cardano_root(k1, k2, k3, k4)
     return MonostableIntermediates(
-        k1=k1, k2=k2, k3=k3, k4=k4, c1=c1, c2=c2, p1=p1,
+        k1=k1, k2=k2, k3=k3, k4=k4, c1=c1, c2=float(c2), p1=float(p1),
         t=nd.t, x_o=nd.x_o, y_o=nd.y_o)
 
 
-def _consistent_with_state(inter: MonostableIntermediates) -> bool:
-    ks = _k_coefficients(inter.t, inter.x_o, inter.y_o)
-    ref = max(1.0, abs(inter.k4))
-    return all(abs(a - b) <= 1e-12 * ref
-               for a, b in zip(ks, (inter.k1, inter.k2, inter.k3, inter.k4)))
-
-
 def solve_monostable_cubic(inter: MonostableIntermediates) -> float:
-    """Real root of the cubic on the branch continuous with p = 0 at rest.
+    """Real root of the cubic on the d1 < 0 branch.
 
-    The branch is tracked by continuation: the deflection (x_o, y_o) is
-    scaled from zero to its target in small steps and at each step the real
-    root nearest the previous one is kept.  For intermediates built by hand
-    (no generating state) the constant term k4 is ramped instead; both ramps
-    start at the p = 0 root.  The result is checked against the closed-form
-    root p1; a disagreement above 1e-6 relative is logged as a warning.
-
-    In the physically reachable monostable domain the cubic has exactly one
-    real root, so the tracking never faces an ambiguous choice there.
+    On that branch the cubic has exactly one real root, continuous with
+    p = 0 at rest.  It is taken from _unique_root, polished by one Newton
+    step on the exact coefficients, held to a residual bound and compared
+    with the closed-form root p1; a disagreement above 1e-6 relative is
+    logged as a warning.  A cubic with more than one real root raises
+    NumericalError.
     """
     if inter.x_o == 0.0 and inter.y_o == 0.0 and inter.k4 == 0.0:
         return 0.0
 
-    p = 0.0
-    if _consistent_with_state(inter):
-        for i in range(1, _HOMOTOPY_STEPS + 1):
-            s = i / _HOMOTOPY_STEPS
-            ks = _k_coefficients(inter.t, s * inter.x_o, s * inter.y_o)
-            roots = _real_cubic_roots(*ks)
-            p = min(roots, key=lambda r: abs(r - p))
-    else:
-        for i in range(1, _HOMOTOPY_STEPS + 1):
-            s = i / _HOMOTOPY_STEPS
-            roots = _real_cubic_roots(inter.k1, inter.k2, inter.k3, s * inter.k4)
-            p = min(roots, key=lambda r: abs(r - p))
+    p = float(_unique_root(inter.k1, inter.k2, inter.k3, inter.k4))
 
     # one Newton polish on the exact coefficients
     deriv = (3.0 * inter.k1 * p + 2.0 * inter.k2) * p + inter.k3
@@ -389,17 +356,21 @@ def solve_monostable_cubic(inter: MonostableIntermediates) -> float:
     scale = max(abs(p), abs(inter.p1))
     if scale > 1e-9 and abs(p - inter.p1) > 1e-6 * scale:
         log.warning(
-            "closed-form cubic root %.9g disagrees with continuation root %.9g",
+            "closed-form cubic root %.9g disagrees with the real root %.9g",
             inter.p1, p)
     return p
 
 
-def _rational_fo(y_o: float, p1: float) -> float:
-    """Transverse load from the axial root on the cubic branch."""
+def _rational_fo(y_o, p1):
+    """Transverse load from the axial root on the cubic branch.
+
+    y_o and p1 are scalars or arrays of one shape.
+    """
     den = 4.0 + 2.0 * p1 / 15.0 - 11.0 * p1 ** 2 / 6300.0
-    if abs(den) < 1e-9:
+    if np.less(np.abs(den), 1e-9).any():
         raise SingularityError(
-            f"force expression denominator {den:.3e} is numerically singular")
+            f"force expression denominator {np.min(np.abs(den)):.3e} is "
+            f"numerically singular")
     num = (-6.0 - p1 / 10.0 + p1 ** 2 / 1400.0) ** 2
     return y_o / 2.0 * ((12.0 + 6.0 * p1 / 5.0 + p1 ** 2 / 700.0) - num / den)
 
@@ -433,9 +404,9 @@ def force_curve(geom: VBeamGeometry, mat: MaterialModel, travel_max: float,
                 n_samples: int = DEFAULT_CURVE_SAMPLES) -> ForceDisplacementCurve:
     """Uniformly sampled force-displacement curve over (0, travel_max].
 
-    The cubic-branch root is tracked across the ascending samples, which for
-    a fixed geometry follows the same scaled-deflection path as the per-state
-    continuation and therefore yields identical roots.
+    One array pass: monostable samples take the unique real cubic root (the
+    root solve_monostable_cubic polishes), cross-checked against the
+    closed-form Cardano root; a deviation above 1e-6 relative is logged.
     """
     if not travel_max > 0:
         raise ValidationError("travel_max must be positive")
@@ -449,39 +420,33 @@ def force_curve(geom: VBeamGeometry, mat: MaterialModel, travel_max: float,
     t = 2.0 * geom.thickness_T / L
 
     dys = travel_max * np.arange(1, n_samples + 1) / n_samples
-    f_o = np.empty(n_samples)
-    p_o = np.empty(n_samples)
-    branches = []
-    p_prev = 0.0
-    worst_cardano = 0.0
-    for i, dy in enumerate(dys):
-        d1, satisfied = bistability_margin(geom, float(dy))
-        x_o = -2.0 * dy * sin_t / L
-        y_o = -2.0 * dy * cos_t / L
-        if satisfied:
-            f_o[i] = BISTABLE_FO_SLOPE * y_o
-            p_o[i] = BISTABLE_PO
-            branches.append(Branch.BISTABLE)
-        else:
-            ks = _k_coefficients(t, x_o, y_o)
-            roots = _real_cubic_roots(*ks)
-            p_prev = min(roots, key=lambda r: abs(r - p_prev))
-            closed, _, _ = _cardano_root(*ks)
-            scale = max(abs(p_prev), abs(closed))
-            if scale > 1e-9:
-                worst_cardano = max(worst_cardano,
-                                    abs(p_prev - closed) / scale)
-            f_o[i] = _rational_fo(y_o, p_prev)
-            p_o[i] = p_prev
-            branches.append(Branch.MONOSTABLE)
+    _, bistable = bistability_margin(geom, dys)
+    mono = ~bistable
+    x_o = -2.0 * dys * sin_t / L
+    y_o = -2.0 * dys * cos_t / L
+
+    ks = _k_coefficients(t, x_o[mono], y_o[mono])
+    p_mono = _unique_root(*ks)
+    closed, _, _ = _cardano_root(*ks)
+    scale = np.maximum(np.abs(p_mono), np.abs(closed))
+    checked = scale > 1e-9
+    worst_cardano = np.max(
+        np.abs(p_mono - closed)[checked] / scale[checked], initial=0.0)
     if worst_cardano > 1e-6:
         log.warning(
-            "closed-form cubic roots deviate from the tracked branch by up "
+            "closed-form cubic roots deviate from the real root by up "
             "to %.3g relative over the sweep", worst_cardano)
+
+    f_o = BISTABLE_FO_SLOPE * y_o
+    f_o[mono] = _rational_fo(y_o[mono], p_mono)
+    p_o = np.full(n_samples, BISTABLE_PO)
+    p_o[mono] = p_mono
     force = -(stiff * f_o * cos_t + stiff * p_o * sin_t)
+    branches = tuple(Branch.BISTABLE if b else Branch.MONOSTABLE
+                     for b in bistable)
     return ForceDisplacementCurve(
         delta_y=dys, force=force, f_o=f_o, p_o=p_o,
-        branches=tuple(branches), geometry=geom, material=mat)
+        branches=branches, geometry=geom, material=mat)
 
 
 def peak_force(curve: ForceDisplacementCurve) -> Tuple[float, float]:

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage, 2 configuration error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -29,17 +28,6 @@ VERIFY_CSV_HEADER = ("comparison,rms_rel,max_rel,peak_force_rel_diff,"
 # Verification gates for the closed-form versus frame-solver cross-check.
 VERIFY_RMS_LIMIT = 0.20
 VERIFY_PEAK_LOCATION_LIMIT = 0.5
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("GRASPSYNTH_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"GRASPSYNTH_THREADS must be an integer, got {raw!r}")
-    if cap <= 0:
-        return os.cpu_count() or 1
-    return cap
 
 
 def write_curve_csv(curve: ForceDisplacementCurve, destination,
@@ -117,9 +105,7 @@ def _cmd_design(args) -> int:
     if config.design is None:
         raise ConfigError("config has no 'design' block")
     out = _out_dir(args, config)
-    workers = _thread_cap()
-    ranked = grid_search(config.design.spec, config.design.grid_density,
-                         n_workers=workers)
+    ranked = grid_search(config.design.spec, config.design.grid_density)
     _say(args, f"grid search ranked {len(ranked)} candidates")
     if ranked:
         best = refine(config.design.spec, ranked[0],

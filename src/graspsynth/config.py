@@ -104,7 +104,13 @@ def _need(obj: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{path}' must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"'{path}' must be finite")
+    return number
 
 
 def _integer(value, path: str) -> int:

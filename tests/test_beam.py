@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from graspsynth import (Branch, MaterialModel, MonostableIntermediates,
-                        ValidationError, VBeamGeometry,
+                        NumericalError, ValidationError, VBeamGeometry,
                         actuation_force, bistability_margin,
                         bistable_crossover, branch_loads, force_curve,
                         monostable_intermediates, normalize_deflection,
@@ -213,6 +213,15 @@ def test_cubic_trivial_root_at_origin():
     assert solve_monostable_cubic(inter) == 0.0
 
 
+def test_cubic_with_three_real_roots_is_refused():
+    # p^3 - 3p + 1 has three real roots; x_o = y_o = 0 with k4 != 0 keeps
+    # the undeformed-state early return out of play
+    inter = MonostableIntermediates(k1=1.0, k2=0.0, k3=-3.0, k4=1.0,
+                                    c1=9.0, c2=0.0, p1=0.0)
+    with pytest.raises(NumericalError, match="more than one real root"):
+        solve_monostable_cubic(inter)
+
+
 def test_cubic_root_approaches_bistable_constant_at_crossover():
     dy = bistable_crossover(GEOM) * 0.999
     nd = normalize_deflection(GEOM, dy)
@@ -238,7 +247,7 @@ def test_cubic_vs_independent_rootfinder_random():
 
 def test_closed_form_root_matches_continuation():
     # the closed-form expression stored in the intermediates is the same
-    # branch the continuation tracks
+    # root the solver returns
     for geom, dy in random_monostable_states(100, seed=23):
         nd = normalize_deflection(geom, dy)
         inter = monostable_intermediates(nd)
@@ -347,13 +356,20 @@ def test_curve_determinism():
 
 
 def test_curve_matches_pointwise_chain():
-    curve = force_curve(GEOM, MAT, 5.0, 50)
-    for i in (0, 10, 25, 49):
-        dy = float(curve.delta_y[i])
-        st = branch_loads(GEOM, dy)
-        assert curve.p_o[i] == pytest.approx(st.p_o, rel=1e-9, abs=1e-12)
-        assert curve.force[i] == pytest.approx(
-            actuation_force(GEOM, MAT, dy), rel=1e-9, abs=1e-12)
+    # the array pass of force_curve against the scalar per-state chain: the
+    # tilted reference beam crosses both branches, the untilted beam and the
+    # random states stay on the monostable branch
+    cases = [(GEOM, 5.0), (VBeamGeometry.from_degrees(40, 1.2, 5, 0), 5.0)]
+    cases += random_monostable_states(20, seed=29)
+    for geom, travel in cases:
+        curve = force_curve(geom, MAT, travel, 50)
+        for i in (0, 10, 25, 49):
+            dy = float(curve.delta_y[i])
+            st = branch_loads(geom, dy)
+            assert curve.branches[i] is st.branch
+            assert curve.p_o[i] == pytest.approx(st.p_o, rel=1e-9, abs=1e-12)
+            assert curve.force[i] == pytest.approx(
+                actuation_force(geom, MAT, dy), rel=1e-9, abs=1e-12)
 
 
 def test_curve_validation():

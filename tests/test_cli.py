@@ -87,6 +87,20 @@ def test_parse_rejects_unknown_keys():
         parse_config(json.dumps(doc))
 
 
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN",
+                                   "1" + "0" * 400],
+                         ids=["inf", "-inf", "nan", "huge-int"])
+def test_parse_rejects_non_finite_numbers(value):
+    # json.dumps cannot write these tokens, so splice them into the text;
+    # the last one is an integer beyond the float range
+    doc = minimal_doc()
+    doc["material"]["youngs_modulus_E"] = "@"
+    text = json.dumps(doc).replace('"@"', value)
+    with pytest.raises(ConfigError,
+                       match="'material.youngs_modulus_E' must be finite"):
+        parse_config(text)
+
+
 def test_parse_type_errors_name_the_path():
     doc = minimal_doc()
     doc["mechanism"]["n_beams"] = 11.5
@@ -138,6 +152,18 @@ def test_invalid_config_is_config_error(tmp_path, capsys):
     assert rc == 2
 
 
+def test_non_finite_config_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "inf.json"
+    text = TABLE1_JSON.read_text()
+    assert '"youngs_modulus_E": 1800' in text
+    bad.write_text(text.replace('"youngs_modulus_E": 1800',
+                                '"youngs_modulus_E": Infinity'))
+    rc = run_command(["curve", "--config", str(bad), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "curve.csv").exists()
+
+
 def test_curve_command_csv_contract(tmp_path):
     out = tmp_path / "o"
     rc = run_command(["curve", "--config", str(TABLE1_JSON),
@@ -159,13 +185,16 @@ def test_curve_command_csv_contract(tmp_path):
     assert float(first[5]) == pytest.approx(12 * float(first[4]), rel=1e-9)
 
 
-def test_curve_command_deterministic_bytes(tmp_path):
+@pytest.mark.parametrize("command", ["curve", "d1", "grasper", "design"])
+def test_curve_command_deterministic_bytes(tmp_path, command):
+    csv_name = ("design_candidates.csv" if command == "design"
+                else f"{command}.csv")
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     for out in (out_a, out_b):
-        assert run_command(["curve", "--config", str(TABLE1_JSON),
+        assert run_command([command, "--config", str(TABLE1_JSON),
                             "--out", str(out), "--quiet"]) == 0
-    assert (out_a / "curve.csv").read_bytes() == (out_b / "curve.csv").read_bytes()
+    assert (out_a / csv_name).read_bytes() == (out_b / csv_name).read_bytes()
 
 
 def test_curve_two_sample_file(tmp_path):
@@ -203,8 +232,7 @@ def test_grasper_command(tmp_path):
     assert last[4] == "StressedLatched"
 
 
-def test_design_command(tmp_path, monkeypatch):
-    monkeypatch.setenv("GRASPSYNTH_THREADS", "2")
+def test_design_command(tmp_path):
     rc = run_command(["design", "--config", str(TABLE1_JSON),
                       "--out", str(tmp_path), "--quiet"])
     assert rc == 0
@@ -242,10 +270,3 @@ def test_verify_command_reports_and_fails_on_disagreement(tmp_path, capsys):
     assert float(halved[1]) > 0.9            # the factor-two disagreement
     assert float(unhalved[1]) < 0.05         # unhalved closed form agrees
     assert (tmp_path / "fe_path.csv").exists()
-
-
-def test_env_var_validation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GRASPSYNTH_THREADS", "many")
-    rc = run_command(["design", "--config", str(TABLE1_JSON),
-                      "--out", str(tmp_path)])
-    assert rc == 2
