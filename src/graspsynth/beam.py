@@ -4,7 +4,7 @@ A V-beam is a straight slender flexure of length L, in-plane thickness T and
 out-of-plane width W, inclined at angle theta to the direction normal to the
 shuttle travel.  One end is clamped; the other (guided) end translates with
 the shuttle, rotation suppressed.  For a shuttle travel dy the guided-end
-deflections and loads are expressed through the non-dimensional quantities
+deflections and loads are expressed through the non-dimensional variables
 
     x_o = -2 dy sin(theta) / L      (axial deflection)
     y_o = -2 dy cos(theta) / L      (transverse deflection)
@@ -450,7 +450,7 @@ def force_curve(geom: VBeamGeometry, mat: MaterialModel, travel_max: float,
 
 
 def peak_force(curve: ForceDisplacementCurve) -> Tuple[float, float]:
-    """(delta_y, force) of the maximal-force sample; ties take the smaller travel."""
+    """(delta_y, force) of the maximal-force sample; equal forces take the smaller travel."""
     if len(curve) == 0:
         raise ValidationError("curve is empty")
     i = int(np.argmax(curve.force))

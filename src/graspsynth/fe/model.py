@@ -35,16 +35,14 @@ class FrameModel:
     """Mesh, constraints and drive pattern of a planar frame.
 
     fixed marks constrained freedoms per node; prescribed maps (node, dof)
-    to the displacement applied per unit of the control parameter; ties make
-    a slave freedom share the equation of a master freedom; point_springs
-    couple two freedoms through a linear spring.
+    to the displacement applied per unit of the control parameter;
+    point_springs couple two freedoms through a linear spring.
     """
 
     nodes: np.ndarray
     elements: List[BeamElement]
     fixed: np.ndarray
     prescribed: Dict[Tuple[int, int], float] = field(default_factory=dict)
-    ties: List[Tuple[Tuple[int, int], Tuple[int, int]]] = field(default_factory=list)
     point_springs: List[Tuple[int, int, int, int, float]] = field(default_factory=list)
 
     def __post_init__(self):
@@ -86,7 +84,7 @@ def build_vbeam_mesh(geom: VBeamGeometry,
     The guided end keeps rotation and cross-shuttle translation fixed and is
     flagged for unit prescribed motion along the shuttle axis.  Elements get
     a unit modulus unless youngs_modulus_E is given (reactions scale linearly
-    with it; see also with_material).
+    with it).
     """
     if n_elements < 4:
         raise ValidationError("n_elements must be at least 4")
@@ -109,66 +107,24 @@ def build_vbeam_mesh(geom: VBeamGeometry,
                       prescribed=prescribed)
 
 
-def with_material(model: FrameModel, youngs_modulus: float) -> FrameModel:
-    """Copy of the model with every element's modulus replaced."""
-    elements = [BeamElement(e.node_i, e.node_j, youngs_modulus, e.A, e.I)
-                for e in model.elements]
-    return FrameModel(nodes=model.nodes.copy(), elements=elements,
-                      fixed=model.fixed.copy(),
-                      prescribed=dict(model.prescribed),
-                      ties=list(model.ties),
-                      point_springs=list(model.point_springs))
-
-
 def build_multibeam_assembly(config: MechanismConfig,
                              n_elements: int = DEFAULT_ELEMENTS_PER_BEAM) -> FrameModel:
-    """N beams in parallel on a common shuttle, driven through a series spring.
+    """N identical beams on a common shuttle, driven through a series spring.
 
-    Every beam's guided end is tied to the first beam's guided freedom along
-    the shuttle axis (the shuttle), and a separate ring node connects to the
-    shuttle through the series stiffness.  The ring freedom carries the unit
-    prescribed motion.
+    The beams share the shuttle travel, so they carry equal forces, and at
+    fixed geometry every reaction of the corotational model is linear in the
+    modulus: one beam at N times the modulus stands for all N.  Its guided
+    end (node n_elements) is the shuttle; a ring node, joined to it by the
+    series stiffness at the shuttle's position, carries the unit prescribed
+    motion.
     """
-    geom = config.beam_geometry
-    E = config.material.youngs_modulus_E
-    n_per = n_elements + 1
-    spacing = geom.length_L * np.cos(geom.tilt_theta) + 10.0
-
-    nodes = []
-    elements = []
-    direction = np.array([np.cos(geom.tilt_theta), np.sin(geom.tilt_theta)])
-    s = np.linspace(0.0, geom.length_L, n_per)
-    for b in range(config.n_beams):
-        offset = np.array([b * spacing, 0.0])
-        base = b * n_per
-        nodes.append(np.outer(s, direction) + offset)
-        elements.extend(
-            BeamElement(base + i, base + i + 1, E, geom.area, geom.second_moment)
-            for i in range(n_elements))
-    nodes = np.vstack(nodes)
-
-    ring = nodes.shape[0]
-    nodes = np.vstack([nodes, [[-spacing, 0.0]]])
-
-    n_total = nodes.shape[0]
-    fixed = np.zeros((n_total, 3), dtype=bool)
-    ties = []
-    shuttle_dof = None
-    for b in range(config.n_beams):
-        base = b * n_per
-        guided = base + n_per - 1
-        fixed[base, :] = True
-        fixed[guided, UX] = True
-        fixed[guided, ROT] = True
-        if shuttle_dof is None:
-            shuttle_dof = (guided, UY)
-        else:
-            ties.append(((guided, UY), shuttle_dof))
-    fixed[ring, UX] = True
-    fixed[ring, ROT] = True
-
-    springs = [(ring, UY, shuttle_dof[0], shuttle_dof[1],
-                config.series_stiffness_ks)]
-    prescribed = {(ring, UY): -1.0}
-    return FrameModel(nodes=nodes, elements=elements, fixed=fixed,
-                      prescribed=prescribed, ties=ties, point_springs=springs)
+    model = build_vbeam_mesh(
+        config.beam_geometry, n_elements,
+        youngs_modulus_E=config.n_beams * config.material.youngs_modulus_E)
+    shuttle = n_elements
+    ring = shuttle + 1
+    springs = [(ring, UY, shuttle, UY, config.series_stiffness_ks)]
+    return FrameModel(nodes=np.vstack([model.nodes, model.nodes[shuttle]]),
+                      elements=model.elements,
+                      fixed=np.vstack([model.fixed, [True, False, True]]),
+                      prescribed={(ring, UY): -1.0}, point_springs=springs)

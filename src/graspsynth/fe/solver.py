@@ -126,23 +126,8 @@ class _System:
         self.model = model
         n = model.n_nodes
         eq = -np.ones((n, 3), dtype=int)
-        master = {}
-        for (snode, sdof), (mnode, mdof) in model.ties:
-            master[(snode, sdof)] = (mnode, mdof)
-        count = 0
-        for node in range(n):
-            for dof in range(3):
-                if model.fixed[node, dof]:
-                    continue
-                if (node, dof) in master:
-                    continue
-                eq[node, dof] = count
-                count += 1
-        for (snode, sdof), (mnode, mdof) in model.ties:
-            if model.fixed[snode, sdof]:
-                raise ValidationError(
-                    f"tied freedom ({snode}, {sdof}) must not be fixed")
-            eq[snode, sdof] = eq[mnode, mdof]
+        count = int(np.count_nonzero(~model.fixed))
+        eq[~model.fixed] = np.arange(count)
         self.eq = eq
         self.n_eq = count
         self.prescribed_eqs = np.array(
@@ -388,8 +373,10 @@ def solve_multibeam_assembly(config: MechanismConfig, ring_disp: float,
                              tol: float = DEFAULT_TOLERANCE) -> Tuple[float, float]:
     """(shuttle displacement, ring reaction) at a prescribed ring displacement.
 
-    The beams act in parallel on a common shuttle freedom; the ring couples
-    to the shuttle through the configured series stiffness.
+    The identical beams act in parallel on a common shuttle, condensed into
+    one beam at n_beams times the modulus (build_multibeam_assembly); the
+    ring couples to the shuttle through the configured series stiffness and
+    is swept to ring_disp in n_steps.
     """
     if ring_disp < 0:
         raise ValidationError("ring_disp must be non-negative")
@@ -398,9 +385,7 @@ def solve_multibeam_assembly(config: MechanismConfig, ring_disp: float,
     model = build_multibeam_assembly(config, n_elements)
     path = solve_guided_sweep(model, ring_disp, n_steps=n_steps, tol=tol)
     last = path.last
-    n_per = n_elements + 1
-    shuttle_node = n_per - 1
-    shuttle_disp = -float(last.displacements[shuttle_node, UY])
+    shuttle_disp = -float(last.displacements[n_elements, UY])
     return shuttle_disp, float(last.reaction)
 
 

@@ -163,7 +163,7 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
     """Exhaustively evaluate a Cartesian grid and rank the candidates.
 
     Feasible candidates rank by objective, then infeasible ones by total
-    violation; remaining ties break lexicographically on
+    violation; equal keys are ordered lexicographically on
     (L, T, theta, W, n_beams), so the ranking is a deterministic total order
     regardless of worker count.
     """

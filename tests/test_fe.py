@@ -280,11 +280,32 @@ def test_multibeam_rigid_link_limit():
 
 def test_multibeam_assembly_structure():
     model = build_multibeam_assembly(make_config(n_beams=3), n_elements=8)
-    # 3 beams of 9 nodes plus the ring node
-    assert model.n_nodes == 3 * 9 + 1
-    assert len(model.ties) == 2
+    # one beam of 9 nodes standing for all 3, plus the ring node
+    assert model.n_nodes == 8 + 2
+    assert len(model.elements) == 8
+    assert all(el.E == 3 * 1800.0 for el in model.elements)
     assert len(model.point_springs) == 1
     assert list(model.prescribed) == [(model.n_nodes - 1, 1)]
+
+
+# (config, ring mm, n_steps, shuttle, reaction) from the assembly that meshed
+# and tied all N beams; the 2-beam case stays on its branch only if the
+# condensed model follows the same ring-controlled path.
+TIED_REFERENCE = [
+    (make_config(), 1.5, 8, 0.2661153609026359, 12.338846390973641),
+    (make_config(beam_geometry=VBeamGeometry.from_degrees(
+        45.6372, 1.0602, 4.3125, 9.7371), n_beams=2),
+     2.9835, 20, 2.544198070520147, 4.39301929479853),
+]
+
+
+@pytest.mark.parametrize("config,ring,n_steps,shuttle,reaction", TIED_REFERENCE)
+def test_multibeam_matches_tied_reference(config, ring, n_steps, shuttle,
+                                          reaction):
+    s, r = solve_multibeam_assembly(config, ring, n_steps=n_steps)
+    assert s == pytest.approx(shuttle, rel=1e-9)
+    assert r == pytest.approx(reaction, rel=1e-9)
+    assert r == pytest.approx(config.series_stiffness_ks * (ring - s), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
