@@ -33,7 +33,8 @@ from .fe import (CurveComparison, EquilibriumPath, FrameModel,
 from .mechanism import (CantileverSection, GrasperResponse, LatchPhase,
                         LatchState, MechanismConfig, PressTrigger, PullRing,
                         aggregate_ring_force, cantilever_stress,
-                        grasper_response, jaw_opening, latch_step,
+                        grasper_response, grasper_sweep, jaw_opening,
+                        latch_step,
                         shuttle_transfer_ratio, single_beam_force)
 from .search import (Candidate, DesignSpec, evaluate_candidate, grid_search,
                      refine, write_candidates_csv)
@@ -49,7 +50,7 @@ __all__ = [
     "MechanismConfig", "CantileverSection", "LatchPhase", "LatchState",
     "PullRing", "PressTrigger", "GrasperResponse", "aggregate_ring_force",
     "single_beam_force", "shuttle_transfer_ratio", "jaw_opening",
-    "cantilever_stress", "latch_step", "grasper_response",
+    "cantilever_stress", "latch_step", "grasper_response", "grasper_sweep",
     "FrameModel", "build_vbeam_mesh", "build_multibeam_assembly",
     "EquilibriumPath", "solve_guided_sweep", "solve_vbeam_sweep",
     "solve_multibeam_assembly", "sweep_to_curve", "write_path_csv",

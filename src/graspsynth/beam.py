@@ -26,6 +26,9 @@ The shuttle-direction actuation force is
 
     F = -(4 E I f_o / L^2 cos(theta) + 4 E I p_o / L^2 sin(theta)).
 
+force_curve, branch_loads and actuation_force wrap one array kernel, _loads;
+solve_monostable_cubic and the scalar chain before it are its reference.
+
 All lengths are mm, forces N, moduli MPa (= N/mm^2); angles are radians
 internally and degrees only at interface boundaries.
 """
@@ -57,6 +60,12 @@ class Branch(Enum):
 
     BISTABLE = "Bistable"
     MONOSTABLE = "Monostable"
+
+    @classmethod
+    def tags(cls, bistable: np.ndarray) -> Tuple["Branch", ...]:
+        """Branch per sample of a boolean bistability mask."""
+        return tuple(map((cls.MONOSTABLE, cls.BISTABLE).__getitem__,
+                         bistable.tolist()))
 
 
 @dataclass(frozen=True)
@@ -264,9 +273,7 @@ def bistable_crossover(geom: VBeamGeometry) -> float:
     th = geom.tilt_theta
     a = -4.652 * math.cos(th) ** 2 / L ** 2 + 6.514 * math.sin(th) / L
     b = -21.46 * geom.thickness_T ** 2 / L ** 2
-    if a <= 0:
-        return math.inf
-    return -b / a
+    return -b / a if a > 0 else math.inf
 
 
 def _k_coefficients(t, x_o, y_o):
@@ -286,9 +293,7 @@ def _unique_root(k1, k2, k3, k4):
     positive.  A discriminant <= 0 means three real roots (or a repeated
     one), which the monostable branch never reaches; it raises.
     """
-    b = k2 / k1
-    c = k3 / k1
-    d = k4 / k1
+    b, c, d = k2 / k1, k3 / k1, k4 / k1
     pp = c - b * b / 3.0
     qq = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
     disc = (qq / 2.0) ** 2 + (pp / 3.0) ** 3
@@ -331,12 +336,12 @@ def monostable_intermediates(nd: NormalizedDeflection) -> MonostableIntermediate
 def solve_monostable_cubic(inter: MonostableIntermediates) -> float:
     """Real root of the cubic on the d1 < 0 branch.
 
-    On that branch the cubic has exactly one real root, continuous with
-    p = 0 at rest.  It is taken from _unique_root, polished by one Newton
-    step on the exact coefficients, held to a residual bound and compared
-    with the closed-form root p1; a disagreement above 1e-6 relative is
-    logged as a warning.  A cubic with more than one real root raises
-    NumericalError.
+    The scalar reference for the load kernel (_loads), which no evaluation
+    path calls.  On that branch the cubic has exactly one real root,
+    continuous with p = 0 at rest.  It is taken from _unique_root, polished
+    by one Newton step on the exact coefficients, then held to the residual
+    bound and compared with the closed-form root p1 (_check_roots).  A cubic
+    with more than one real root raises NumericalError.
     """
     if inter.x_o == 0.0 and inter.y_o == 0.0 and inter.k4 == 0.0:
         return 0.0
@@ -348,17 +353,29 @@ def solve_monostable_cubic(inter: MonostableIntermediates) -> float:
     if deriv != 0.0:
         p -= inter.cubic(p) / deriv
 
-    bound = 1e-9 * max(1.0, abs(inter.k4))
-    if abs(inter.cubic(p)) >= bound:
-        raise NumericalError(
-            f"cubic residual {inter.cubic(p):.3e} exceeds bound {bound:.3e}")
-
-    scale = max(abs(p), abs(inter.p1))
-    if scale > 1e-9 and abs(p - inter.p1) > 1e-6 * scale:
-        log.warning(
-            "closed-form cubic root %.9g disagrees with the real root %.9g",
-            inter.p1, p)
+    _check_roots((inter.k1, inter.k2, inter.k3, inter.k4), np.array([p]),
+                 np.array([inter.p1]))
     return p
+
+
+def _check_roots(ks, p, closed):
+    """Hold real cubic roots p to their residual bound and the closed form.
+
+    A residual of the cubics ks at or above 1e-9 max(1, |k4|) raises; a
+    closed-form root more than 1e-6 relative off p is logged.
+    """
+    k1, k2, k3, k4 = ks
+    residual = np.abs(((k1 * p + k2) * p + k3) * p + k4)
+    bound = 1e-9 * np.maximum(1.0, np.abs(k4))
+    if not np.all(residual < bound):
+        raise NumericalError(f"cubic residual {np.max(residual):.3e} exceeds "
+                             f"its bound 1e-9 max(1, |k4|)")
+    scale = np.maximum(np.abs(p), np.abs(closed))
+    checked = scale > 1e-9
+    worst = np.max(np.abs(p - closed)[checked] / scale[checked], initial=0.0)
+    if worst > 1e-6:
+        log.warning("closed-form cubic roots deviate from the real root by up "
+                    "to %.3g relative", worst)
 
 
 def _rational_fo(y_o, p1):
@@ -375,78 +392,68 @@ def _rational_fo(y_o, p1):
     return y_o / 2.0 * ((12.0 + 6.0 * p1 / 5.0 + p1 ** 2 / 700.0) - num / den)
 
 
+def _loads(geom: VBeamGeometry, dys: np.ndarray):
+    """Normalized loads (f_o, p_o) and the bistable mask at travels dys >= 0.
+
+    The one evaluator of the model.  Bistable samples take the constant
+    axial-load branch and zero travel the unloaded state; every other sample
+    takes the unique real cubic root (no polish), checked by _check_roots
+    against the residual bound and the closed-form Cardano root.
+    """
+    _, bistable = bistability_margin(geom, dys)
+    L = geom.length_L
+    x_o = -2.0 * dys * math.sin(geom.tilt_theta) / L
+    y_o = -2.0 * dys * math.cos(geom.tilt_theta) / L
+    mono = ~bistable & (dys != 0.0)
+
+    ks = _k_coefficients(2.0 * geom.thickness_T / L, x_o[mono], y_o[mono])
+    p_mono = _unique_root(*ks)
+    _check_roots(ks, p_mono, _cardano_root(*ks)[0])
+    f_o = BISTABLE_FO_SLOPE * y_o
+    f_o[mono] = _rational_fo(y_o[mono], p_mono)
+    p_o = np.where(bistable, BISTABLE_PO, 0.0)
+    p_o[mono] = p_mono
+    return f_o, p_o, bistable
+
+
+def _shuttle_force(geom: VBeamGeometry, mat: MaterialModel, f_o, p_o):
+    stiff = 4.0 * mat.youngs_modulus_E * geom.second_moment / geom.length_L ** 2
+    return -(stiff * f_o * math.cos(geom.tilt_theta)
+             + stiff * p_o * math.sin(geom.tilt_theta))
+
+
 def branch_loads(geom: VBeamGeometry, delta_y: float) -> BeamLoadState:
     """Guided-end normalized loads at a travel, with branch selection."""
-    d1, satisfied = bistability_margin(geom, delta_y)
-    if delta_y == 0.0:
-        return BeamLoadState(f_o=0.0, p_o=0.0, branch=Branch.MONOSTABLE,
-                             d1_value=d1)
-    nd = normalize_deflection(geom, delta_y)
-    if satisfied:
-        return BeamLoadState(f_o=BISTABLE_FO_SLOPE * nd.y_o, p_o=BISTABLE_PO,
-                             branch=Branch.BISTABLE, d1_value=d1)
-    inter = monostable_intermediates(nd)
-    p_o = solve_monostable_cubic(inter)
-    return BeamLoadState(f_o=_rational_fo(nd.y_o, p_o), p_o=p_o,
-                         branch=Branch.MONOSTABLE, d1_value=d1)
+    d1, _ = bistability_margin(geom, delta_y)
+    f_o, p_o, bistable = _loads(geom, np.array([delta_y], dtype=float))
+    return BeamLoadState(f_o=f_o.item(), p_o=p_o.item(),
+                         branch=Branch.tags(bistable)[0], d1_value=d1)
 
 
-def actuation_force(geom: VBeamGeometry, mat: MaterialModel,
-                    delta_y: float) -> float:
-    """Shuttle-direction force of the symmetric double V-beam at a travel [N]."""
-    state = branch_loads(geom, delta_y)
-    stiff = 4.0 * mat.youngs_modulus_E * geom.second_moment / geom.length_L ** 2
-    return -(stiff * state.f_o * math.cos(geom.tilt_theta)
-             + stiff * state.p_o * math.sin(geom.tilt_theta))
+def actuation_force(geom: VBeamGeometry, mat: MaterialModel, delta_y):
+    """Shuttle-direction force of the symmetric double V-beam at a travel [N].
+
+    delta_y may be an array, in which case the force is an array of its
+    shape.
+    """
+    dys = np.array(delta_y, dtype=float, ndmin=1)
+    f_o, p_o, _ = _loads(geom, dys)
+    force = _shuttle_force(geom, mat, f_o, p_o)
+    return force if np.ndim(delta_y) else force.item()
 
 
 def force_curve(geom: VBeamGeometry, mat: MaterialModel, travel_max: float,
                 n_samples: int = DEFAULT_CURVE_SAMPLES) -> ForceDisplacementCurve:
-    """Uniformly sampled force-displacement curve over (0, travel_max].
-
-    One array pass: monostable samples take the unique real cubic root (the
-    root solve_monostable_cubic polishes), cross-checked against the
-    closed-form Cardano root; a deviation above 1e-6 relative is logged.
-    """
+    """Uniformly sampled force-displacement curve over (0, travel_max]."""
     if not travel_max > 0:
         raise ValidationError("travel_max must be positive")
     if n_samples < 2:
         raise ValidationError("n_samples must be at least 2")
-
-    th = geom.tilt_theta
-    L = geom.length_L
-    stiff = 4.0 * mat.youngs_modulus_E * geom.second_moment / L ** 2
-    cos_t, sin_t = math.cos(th), math.sin(th)
-    t = 2.0 * geom.thickness_T / L
-
     dys = travel_max * np.arange(1, n_samples + 1) / n_samples
-    _, bistable = bistability_margin(geom, dys)
-    mono = ~bistable
-    x_o = -2.0 * dys * sin_t / L
-    y_o = -2.0 * dys * cos_t / L
-
-    ks = _k_coefficients(t, x_o[mono], y_o[mono])
-    p_mono = _unique_root(*ks)
-    closed, _, _ = _cardano_root(*ks)
-    scale = np.maximum(np.abs(p_mono), np.abs(closed))
-    checked = scale > 1e-9
-    worst_cardano = np.max(
-        np.abs(p_mono - closed)[checked] / scale[checked], initial=0.0)
-    if worst_cardano > 1e-6:
-        log.warning(
-            "closed-form cubic roots deviate from the real root by up "
-            "to %.3g relative over the sweep", worst_cardano)
-
-    f_o = BISTABLE_FO_SLOPE * y_o
-    f_o[mono] = _rational_fo(y_o[mono], p_mono)
-    p_o = np.full(n_samples, BISTABLE_PO)
-    p_o[mono] = p_mono
-    force = -(stiff * f_o * cos_t + stiff * p_o * sin_t)
-    branches = tuple(Branch.BISTABLE if b else Branch.MONOSTABLE
-                     for b in bistable)
+    f_o, p_o, bistable = _loads(geom, dys)
     return ForceDisplacementCurve(
-        delta_y=dys, force=force, f_o=f_o, p_o=p_o,
-        branches=branches, geometry=geom, material=mat)
+        delta_y=dys, force=_shuttle_force(geom, mat, f_o, p_o), f_o=f_o,
+        p_o=p_o, branches=Branch.tags(bistable), geometry=geom, material=mat)
 
 
 def peak_force(curve: ForceDisplacementCurve) -> Tuple[float, float]:

@@ -11,11 +11,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .beam import ForceDisplacementCurve, bistability_margin, force_curve
 from .config import RunConfig, SweepSettings, parse_config
 from .errors import ConfigError, NumericalError, ValidationError
 from .fe import compare_curves, solve_vbeam_sweep, sweep_to_curve, write_path_csv
-from .mechanism import aggregate_ring_force, grasper_response
+from .mechanism import aggregate_ring_force, grasper_sweep, halved_ring_force
 from .search import grid_search, refine, write_candidates_csv
 
 CURVE_CSV_HEADER = "delta_y_mm,branch,f_o,p_o,force_single_N,force_ring_N"
@@ -37,11 +39,12 @@ def write_curve_csv(curve: ForceDisplacementCurve, destination,
     Values carry 9 significant digits; line endings are LF.
     """
     lines = [CURVE_CSV_HEADER]
-    ring = curve.force / 2.0 * n_beams
-    for sample, ring_force in zip(curve.samples, ring):
+    single = halved_ring_force(curve.force, 1)
+    ring = halved_ring_force(curve.force, n_beams)
+    for sample, single_force, ring_force in zip(curve.samples, single, ring):
         lines.append(
             f"{sample.delta_y:.9g},{sample.branch.value},{sample.f_o:.9g},"
-            f"{sample.p_o:.9g},{sample.force / 2.0:.9g},{ring_force:.9g}")
+            f"{sample.p_o:.9g},{single_force:.9g},{ring_force:.9g}")
     with open(destination, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -53,10 +56,9 @@ def _load_config(args) -> RunConfig:
     config = parse_config(path.read_text(encoding="utf-8"))
     if args.travel is not None or args.samples is not None:
         sweep = config.sweep
-        sweep = SweepSettings(
+        config = replace(config, sweep=SweepSettings(
             travel_max=args.travel if args.travel is not None else sweep.travel_max,
-            n_samples=args.samples if args.samples is not None else sweep.n_samples)
-        config = replace(config, sweep=sweep)
+            n_samples=args.samples if args.samples is not None else sweep.n_samples))
     return config
 
 
@@ -69,6 +71,12 @@ def _out_dir(args, config: RunConfig) -> Path:
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
+
+
+def _emit(args, dest: Path, lines) -> None:
+    with open(dest, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    _say(args, f"wrote {dest}")
 
 
 def _cmd_curve(args) -> int:
@@ -85,18 +93,13 @@ def _cmd_curve(args) -> int:
 def _cmd_d1(args) -> int:
     config = _load_config(args)
     out = _out_dir(args, config)
-    geom = config.mechanism.beam_geometry
     n = config.sweep.n_samples
-    travel = config.sweep.travel_max
-    lines = [D1_CSV_HEADER]
-    for i in range(1, n + 1):
-        dy = travel * i / n
-        d1, satisfied = bistability_margin(geom, dy)
-        lines.append(f"{dy:.9g},{d1:.9g},{str(satisfied).lower()}")
-    dest = out / "d1.csv"
-    with open(dest, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _say(args, f"wrote {dest}")
+    dys = config.sweep.travel_max * np.arange(1, n + 1) / n
+    d1, satisfied = bistability_margin(config.mechanism.beam_geometry, dys)
+    lines = [D1_CSV_HEADER] + [
+        f"{dy:.9g},{d:.9g},{str(ok).lower()}"
+        for dy, d, ok in zip(dys.tolist(), d1.tolist(), satisfied.tolist())]
+    _emit(args, out / "d1.csv", lines)
     return 0
 
 
@@ -110,9 +113,7 @@ def _cmd_design(args) -> int:
     if ranked:
         best = refine(config.design.spec, ranked[0],
                       config.design.refine_max_evals)
-        merged = sorted(set(ranked) | {best},
-                        key=lambda c: c.sort_key())
-        ranked = merged
+        ranked = sorted(set(ranked) | {best}, key=lambda c: c.sort_key())
     dest = out / "design_candidates.csv"
     write_candidates_csv(ranked, dest)
     _say(args, f"wrote {dest}")
@@ -125,17 +126,13 @@ def _cmd_grasper(args) -> int:
     mech = config.mechanism
     top = min(mech.latch_travel, mech.jaw_calibration[-1][0])
     n = config.sweep.n_samples
+    ring = (top * np.arange(1, n + 1) / n).tolist()
     lines = [GRASPER_CSV_HEADER]
-    for i in range(1, n + 1):
-        d = top * i / n
-        r = grasper_response(mech, d)
+    for d, r in zip(ring, grasper_sweep(mech, ring)):
         lines.append(
             f"{d:.9g},{r.ring_force:.9g},{r.shuttle_displacement:.9g},"
             f"{r.jaw_opening:.9g},{r.latch.phase.value},{r.jaw_root_stress:.9g}")
-    dest = out / "grasper.csv"
-    with open(dest, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _say(args, f"wrote {dest}")
+    _emit(args, out / "grasper.csv", lines)
     return 0
 
 
@@ -164,9 +161,7 @@ def _cmd_verify(args) -> int:
                      f"{cmp_.peak_force_rel_diff:.9g},"
                      f"{cmp_.peak_location_diff:.9g}")
     dest = out / "verify_report.csv"
-    with open(dest, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _say(args, f"wrote {dest}")
+    _emit(args, dest, lines)
 
     ok = (halved.rms_rel <= VERIFY_RMS_LIMIT
           and halved.peak_location_diff <= VERIFY_PEAK_LOCATION_LIMIT)

@@ -119,6 +119,22 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _boolean(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"'{path}' must be a boolean")
+    return value
+
+
+_REQUIRED = object()
+
+
+def _field(obj: dict, path: str, key: str, default=_REQUIRED, parse=_number):
+    """obj[key] via parse, errors naming path.key; required without default."""
+    value = (_need(obj, key, path) if default is _REQUIRED
+             else obj.get(key, default))
+    return parse(value, f"{path}.{key}")
+
+
 def degrees_exact(radians: float) -> float:
     """Degree value whose radian conversion reproduces the input bit-exactly.
 
@@ -156,30 +172,23 @@ def parse_config(text: str) -> RunConfig:
     try:
         beam = doc["beam"]
         _reject_unknown(beam, _SCHEMA["beam"], "beam")
-        geometry = VBeamGeometry.from_degrees(
-            _number(_need(beam, "length_L", "beam"), "beam.length_L"),
-            _number(_need(beam, "thickness_T", "beam"), "beam.thickness_T"),
-            _number(_need(beam, "width_W", "beam"), "beam.width_W"),
-            _number(_need(beam, "tilt_theta_deg", "beam"), "beam.tilt_theta_deg"))
+        geometry = VBeamGeometry.from_degrees(*(
+            _field(beam, "beam", key) for key in
+            ("length_L", "thickness_T", "width_W", "tilt_theta_deg")))
 
         mat_doc = doc["material"]
         _reject_unknown(mat_doc, _SCHEMA["material"], "material")
         material = MaterialModel(
-            _number(_need(mat_doc, "youngs_modulus_E", "material"),
-                    "material.youngs_modulus_E"),
-            _number(mat_doc.get("poisson_ratio", 0.3), "material.poisson_ratio"))
+            _field(mat_doc, "material", "youngs_modulus_E"),
+            _field(mat_doc, "material", "poisson_ratio", 0.3))
 
         mech_doc = doc["mechanism"]
         _reject_unknown(mech_doc, _SCHEMA["mechanism"], "mechanism")
         sec_doc = _need(mech_doc, "jaw_section", "mechanism")
         _reject_unknown(sec_doc, _SCHEMA["jaw_section"], "mechanism.jaw_section")
-        section = CantileverSection(
-            _number(_need(sec_doc, "out_of_plane_b", "mechanism.jaw_section"),
-                    "mechanism.jaw_section.out_of_plane_b"),
-            _number(_need(sec_doc, "in_plane_h", "mechanism.jaw_section"),
-                    "mechanism.jaw_section.in_plane_h"),
-            _number(_need(sec_doc, "jaw_length", "mechanism.jaw_section"),
-                    "mechanism.jaw_section.jaw_length"))
+        section = CantileverSection(*(
+            _field(sec_doc, "mechanism.jaw_section", key)
+            for key in ("out_of_plane_b", "in_plane_h", "jaw_length")))
         calibration = _need(mech_doc, "jaw_calibration", "mechanism")
         if (not isinstance(calibration, list) or not calibration
                 or not all(isinstance(a, list) and len(a) == 2 for a in calibration)):
@@ -191,30 +200,24 @@ def parse_config(text: str) -> RunConfig:
              _number(a[1], "mechanism.jaw_calibration")) for a in calibration)
         mechanism = MechanismConfig(
             beam_geometry=geometry,
-            n_beams=_integer(_need(mech_doc, "n_beams", "mechanism"),
-                             "mechanism.n_beams"),
+            n_beams=_field(mech_doc, "mechanism", "n_beams", parse=_integer),
             material=material,
-            latch_travel=_number(_need(mech_doc, "latch_travel", "mechanism"),
-                                 "mechanism.latch_travel"),
+            latch_travel=_field(mech_doc, "mechanism", "latch_travel"),
             jaw_calibration=anchors,
             jaw_section=section,
-            series_stiffness_ks=_number(
-                mech_doc.get("series_stiffness_ks", 10.0),
-                "mechanism.series_stiffness_ks"),
-            overall_length_budget=_number(
-                mech_doc.get("overall_length_budget", 200.0),
-                "mechanism.overall_length_budget"),
-            latch_ramp_factor=_number(
-                mech_doc.get("latch_ramp_factor", 1.5),
-                "mechanism.latch_ramp_factor"))
+            series_stiffness_ks=_field(
+                mech_doc, "mechanism", "series_stiffness_ks", 10.0),
+            overall_length_budget=_field(
+                mech_doc, "mechanism", "overall_length_budget", 200.0),
+            latch_ramp_factor=_field(
+                mech_doc, "mechanism", "latch_ramp_factor", 1.5))
 
         sweep_doc = doc["sweep"]
         _reject_unknown(sweep_doc, _SCHEMA["sweep"], "sweep")
         sweep = SweepSettings(
-            travel_max=_number(_need(sweep_doc, "travel_max", "sweep"),
-                               "sweep.travel_max"),
-            n_samples=_integer(sweep_doc.get("n_samples", DEFAULT_CURVE_SAMPLES),
-                               "sweep.n_samples"))
+            travel_max=_field(sweep_doc, "sweep", "travel_max"),
+            n_samples=_field(sweep_doc, "sweep", "n_samples",
+                             DEFAULT_CURVE_SAMPLES, _integer))
 
         design = None
         if "design" in doc:
@@ -225,9 +228,9 @@ def parse_config(text: str) -> RunConfig:
             fe_doc = doc["fe"]
             _reject_unknown(fe_doc, _SCHEMA["fe"], "fe")
             fe = FESettings(
-                n_elements=_integer(fe_doc.get("n_elements", 16), "fe.n_elements"),
-                n_steps=_integer(fe_doc.get("n_steps", 100), "fe.n_steps"),
-                tolerance=_number(fe_doc.get("tolerance", 1e-8), "fe.tolerance"))
+                n_elements=_field(fe_doc, "fe", "n_elements", 16, _integer),
+                n_steps=_field(fe_doc, "fe", "n_steps", 100, _integer),
+                tolerance=_field(fe_doc, "fe", "tolerance", 1e-8))
 
         output_dir = doc.get("output_dir", "out")
         if not isinstance(output_dir, str):
@@ -255,20 +258,17 @@ def _parse_design(doc, material: MaterialModel) -> DesignSettings:
             lo, hi = math.radians(lo), math.radians(hi)
         bounds[name] = (lo, hi)
     spec = DesignSpec(
-        target_force=_number(_need(doc, "target_force", "design"),
-                             "design.target_force"),
-        target_travel=_number(_need(doc, "target_travel", "design"),
-                              "design.target_travel"),
+        target_force=_field(doc, "design", "target_force"),
+        target_travel=_field(doc, "design", "target_travel"),
         bounds=bounds,
         material=material,
-        stress_limit=_number(doc.get("stress_limit", DEFAULT_STRESS_LIMIT),
-                             "design.stress_limit"),
-        length_budget=_number(doc.get("length_budget", DEFAULT_LENGTH_BUDGET),
-                              "design.length_budget"),
-        require_non_bistable_at_travel=bool(
-            doc.get("require_non_bistable_at_travel", False)),
-        fixture_allowance=_number(doc.get("fixture_allowance", 0.0),
-                                  "design.fixture_allowance"))
+        stress_limit=_field(doc, "design", "stress_limit",
+                            DEFAULT_STRESS_LIMIT),
+        length_budget=_field(doc, "design", "length_budget",
+                             DEFAULT_LENGTH_BUDGET),
+        require_non_bistable_at_travel=_field(
+            doc, "design", "require_non_bistable_at_travel", False, _boolean),
+        fixture_allowance=_field(doc, "design", "fixture_allowance", 0.0))
     density_doc = doc.get("grid_density", {})
     density = {}
     for key, value in density_doc.items():
@@ -280,8 +280,8 @@ def _parse_design(doc, material: MaterialModel) -> DesignSettings:
         density.setdefault(name, 5)
     return DesignSettings(
         spec=spec, grid_density=density,
-        refine_max_evals=_integer(doc.get("refine_max_evals", 200),
-                                  "design.refine_max_evals"))
+        refine_max_evals=_field(doc, "design", "refine_max_evals", 200,
+                                _integer))
 
 
 def serialize_config(config: RunConfig) -> str:
@@ -321,14 +321,11 @@ def serialize_config(config: RunConfig) -> str:
     if config.design is not None:
         d = config.design
         s = d.spec
-        lo_t, hi_t = s.bounds["tilt_theta"]
-        bounds = {
-            "length_L": list(s.bounds["length_L"]),
-            "thickness_T": list(s.bounds["thickness_T"]),
-            "width_W": list(s.bounds["width_W"]),
-            "tilt_theta_deg": [degrees_exact(lo_t), degrees_exact(hi_t)],
-            "n_beams": list(s.bounds["n_beams"]),
-        }
+        bounds = {name: list(s.bounds[name])
+                  for name in ("length_L", "thickness_T", "width_W")}
+        bounds["tilt_theta_deg"] = [degrees_exact(v)
+                                    for v in s.bounds["tilt_theta"]]
+        bounds["n_beams"] = list(s.bounds["n_beams"])
         density = {("tilt_theta_deg" if k == "tilt_theta" else k): v
                    for k, v in d.grid_density.items()}
         doc["design"] = {

@@ -151,12 +151,12 @@ class _System:
         full[mask] = u_eq[self.eq[mask]]
         return full
 
-    def assemble(self, u_eq: np.ndarray, need_tangent: bool = True):
+    def assemble(self, u_eq: np.ndarray):
         """Raw internal force per freedom, equation residual, tangent, energy."""
         model = self.model
         full = self.expand(u_eq)
         f_raw = np.zeros((model.n_nodes, 3))
-        K = np.zeros((self.n_eq, self.n_eq)) if need_tangent else None
+        K = np.zeros((self.n_eq, self.n_eq))
         energy = 0.0
         for e, el_eq in zip(model.elements, self._el_eq):
             d = np.concatenate([full[e.node_i], full[e.node_j]])
@@ -165,10 +165,9 @@ class _System:
             energy += ee
             f_raw[e.node_i] += fe[:3]
             f_raw[e.node_j] += fe[3:]
-            if need_tangent:
-                live = el_eq >= 0
-                idx = el_eq[live]
-                K[np.ix_(idx, idx)] += Ke[np.ix_(live, live)]
+            live = el_eq >= 0
+            idx = el_eq[live]
+            K[np.ix_(idx, idx)] += Ke[np.ix_(live, live)]
         for (na, da, nb, db, k) in model.point_springs:
             ua = full[na, da]
             ub = full[nb, db]
@@ -176,14 +175,11 @@ class _System:
             energy += 0.5 * k * (ua - ub) ** 2
             f_raw[na, da] += fs
             f_raw[nb, db] -= fs
-            if need_tangent:
-                ea, eb = self.eq[na, da], self.eq[nb, db]
-                for (ei, si) in ((ea, 1.0), (eb, -1.0)):
-                    if ei < 0:
-                        continue
-                    for (ej, sj) in ((ea, 1.0), (eb, -1.0)):
-                        if ej >= 0:
-                            K[ei, ej] += k * si * sj
+            live = [(e, sign) for e, sign in ((self.eq[na, da], 1.0),
+                                              (self.eq[nb, db], -1.0)) if e >= 0]
+            for ei, si in live:
+                for ej, sj in live:
+                    K[ei, ej] += k * si * sj
         r_eq = np.zeros(self.n_eq)
         mask = self.eq >= 0
         np.add.at(r_eq, self.eq[mask], f_raw[mask])
@@ -208,24 +204,28 @@ class _System:
 
 
 def _newton(system: _System, u_eq, control, tol, max_iters):
-    """Newton iteration at a fixed control value; returns (u, iters, residual)."""
+    """Newton iteration at a fixed control; (u, iters, res, f_raw, energy).
+
+    f_raw and energy come from the converged assembly; on failure u, f_raw
+    and energy are None.
+    """
     u = u_eq.copy()
     u[system.prescribed_eqs] = (
         control * system.prescribed_amp[system.prescribed_eqs])
     res = math.inf
     for it in range(1, max_iters + 1):
-        _, r_eq, K, _ = system.assemble(u)
+        f_raw, r_eq, K, energy = system.assemble(u)
         r = r_eq[system.free_idx]
         res = float(np.linalg.norm(r))
         if res < tol:
-            return u, it, res
+            return u, it, res, f_raw, energy
         Kff = K[np.ix_(system.free_idx, system.free_idx)]
         try:
             du = np.linalg.solve(Kff, -r)
         except np.linalg.LinAlgError:
-            return None, it, res
+            return None, it, res, None, None
         u[system.free_idx] += du
-    return None, max_iters, res
+    return None, max_iters, res, None, None
 
 
 def _arc_length(system: _System, u_eq, control_from, control_to, tol,
@@ -234,7 +234,7 @@ def _arc_length(system: _System, u_eq, control_from, control_to, tol,
 
     The control parameter joins the unknowns; each increment is constrained
     to a fixed generalized length and corrected with Newton iterations.
-    Returns the state at control_to, or None.
+    Returns _newton's result at control_to, or None.
     """
     u = u_eq.copy()
     lam = control_from
@@ -293,14 +293,13 @@ def _arc_length(system: _System, u_eq, control_from, control_to, tol,
         if abs(lam - control_to) <= 1e-9 * max(1.0, abs(control_to)):
             break
     # land exactly on the requested control with a plain Newton polish
-    u_final, it, res = _newton(system, u, control_to, tol, max_iters)
-    if u_final is None:
-        return None
-    return u_final, it, res
+    result = _newton(system, u, control_to, tol, max_iters)
+    return result if result[0] is not None else None
 
 
-def _record(system: _System, u_eq, control, iters, res, path: EquilibriumPath):
-    f_raw, _, _, energy = system.assemble(u_eq, need_tangent=False)
+def _record(system: _System, path: EquilibriumPath, control, converged):
+    """Append the state _newton converged to as the step at control."""
+    u_eq, iters, res, f_raw, energy = converged
     path.steps.append(PathStep(
         control=float(control),
         displacements=system.expand(u_eq),
@@ -329,12 +328,12 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
     u = np.zeros(system.n_eq)
 
     if travel_max == 0.0:
-        _record(system, u, 0.0, 0, 0.0, path)
+        f_raw, _, _, energy = system.assemble(u)
+        _record(system, path, 0.0, (u, 0, 0.0, f_raw, energy))
         return path
 
     floor = travel_max / BISECTION_FLOOR_DIV
     control = 0.0
-    iters, res = 0, 0.0
     for k in range(1, n_steps + 1):
         target = travel_max * k / n_steps
         while control < target - 1e-12 * travel_max:
@@ -342,10 +341,9 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
             attempt = step
             advanced = False
             while True:
-                u_try, iters, res = _newton(system, u, control + attempt,
-                                            tol, max_iters)
-                if u_try is not None:
-                    u = u_try
+                trial = _newton(system, u, control + attempt, tol, max_iters)
+                if trial[0] is not None:
+                    converged, u = trial, trial[0]
                     control += attempt
                     advanced = True
                     break
@@ -356,14 +354,14 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
                 fallback = _arc_length(system, u, control, control + step,
                                        tol, max_iters)
                 if fallback is not None:
-                    u, iters, res = fallback
+                    converged, u = fallback, fallback[0]
                     control += step
                 else:
                     raise ConvergenceError(
                         f"no equilibrium between control {control:.6g} and "
                         f"{control + step:.6g} mm after bisection and "
                         f"arc-length fallback", last_step=path.last, path=path)
-        _record(system, u, target, iters, res, path)
+        _record(system, path, target, converged)
     return path
 
 
@@ -406,20 +404,14 @@ def sweep_to_curve(path: EquilibriumPath, geom: VBeamGeometry,
     tr = np.array([-math.sin(th), math.cos(th)])
     scale = geom.length_L ** 2 / (4.0 * mat.youngs_modulus_E * geom.second_moment)
 
-    dys, forces, fos, pos, branches = [], [], [], [], []
-    for s in steps:
-        r_vec = np.array([s.reactions.get((node, UX), 0.0),
-                          s.reactions.get((node, UY), 0.0)])
-        dys.append(s.control)
-        forces.append(s.reaction)
-        fos.append(float(r_vec @ tr) * scale)
-        pos.append(float(r_vec @ ax) * scale)
-        _, sat = bistability_margin(geom, s.control)
-        branches.append(Branch.BISTABLE if sat else Branch.MONOSTABLE)
+    end_loads = np.array([[s.reactions.get((node, UX), 0.0),
+                           s.reactions.get((node, UY), 0.0)] for s in steps])
+    dys = np.array([s.control for s in steps])
+    _, bistable = bistability_margin(geom, dys)
     return ForceDisplacementCurve(
-        delta_y=np.array(dys), force=np.array(forces),
-        f_o=np.array(fos), p_o=np.array(pos), branches=tuple(branches),
-        geometry=geom, material=mat)
+        delta_y=dys, force=np.array([s.reaction for s in steps]),
+        f_o=end_loads @ tr * scale, p_o=end_loads @ ax * scale,
+        branches=Branch.tags(bistable), geometry=geom, material=mat)
 
 
 def solve_vbeam_sweep(geom: VBeamGeometry, mat: MaterialModel,

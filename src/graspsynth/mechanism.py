@@ -4,7 +4,8 @@ The closed-form model reports the symmetric double V-beam force; the device
 uses single V-beams, so the per-beam force is taken as half of that value and
 the ring-level force as the halved force times the beam count.  This halving
 is the device-level approximation the finite-element oracle is meant to
-falsify, and it is kept in this one place so it stays testable.
+falsify, and it is kept in this one place, halved_ring_force, so it stays
+testable.  Every function taking a travel also takes an array of them.
 """
 
 from __future__ import annotations
@@ -134,6 +135,11 @@ class GrasperResponse:
             raise ValidationError("jaw_opening must be non-negative")
 
 
+def halved_ring_force(double_beam_force, n_beams: int):
+    """Ring-level force: half the double V-beam force times the beam count."""
+    return double_beam_force / 2.0 * n_beams
+
+
 def aggregate_ring_force(double_beam_curve: ForceDisplacementCurve,
                          n_beams: int) -> ForceDisplacementCurve:
     """Ring-level curve: halve the double-beam force, times the beam count."""
@@ -142,34 +148,34 @@ def aggregate_ring_force(double_beam_curve: ForceDisplacementCurve,
     if len(double_beam_curve) == 0:
         raise ValidationError("curve is empty")
     return double_beam_curve.with_force(
-        double_beam_curve.force / 2.0 * n_beams)
+        halved_ring_force(double_beam_curve.force, n_beams))
 
 
-def single_beam_force(geom: VBeamGeometry, mat: MaterialModel,
-                      delta_y: float) -> float:
+def single_beam_force(geom: VBeamGeometry, mat: MaterialModel, delta_y):
     """Per-beam shuttle-direction force, half the double V-beam value [N]."""
-    return actuation_force(geom, mat, delta_y) / 2.0
+    return halved_ring_force(actuation_force(geom, mat, delta_y), 1)
 
 
-def beam_tangent_stiffness(config: MechanismConfig, delta_y: float) -> float:
+def beam_tangent_stiffness(config: MechanismConfig, delta_y):
     """Single-beam tangent stiffness dF/d(dy), clamped to >= 0 [N/mm].
 
     Central finite difference with a fixed step; the lower point is clamped
     at zero travel.  Negative tangents (the snap region) count as zero
-    resistance for displacement-transfer purposes.
+    resistance for displacement-transfer purposes.  Both points of every
+    travel go through one kernel pass.
     """
     h = STIFFNESS_FD_STEP
-    lo = max(0.0, delta_y - h)
-    hi = delta_y + h
-    f_lo = single_beam_force(config.beam_geometry, config.material, lo)
-    f_hi = single_beam_force(config.beam_geometry, config.material, hi)
+    lo = np.maximum(0.0, np.subtract(delta_y, h))
+    hi = np.add(delta_y, h)
+    f_lo, f_hi = single_beam_force(config.beam_geometry, config.material,
+                                   np.stack([lo, hi]))
     k = (f_hi - f_lo) / (hi - lo)
-    if not math.isfinite(k):
+    if not np.isfinite(k).all():
         raise NumericalError("tangent stiffness is not finite")
-    return max(0.0, k)
+    return np.maximum(0.0, k)
 
 
-def shuttle_transfer_ratio(config: MechanismConfig, delta_y: float) -> float:
+def shuttle_transfer_ratio(config: MechanismConfig, delta_y):
     """Fraction of ring displacement reaching the shuttle, in (0, 1].
 
     Series-spring split: ratio = ks / (ks + n k_b) with k_b the clamped
@@ -180,7 +186,7 @@ def shuttle_transfer_ratio(config: MechanismConfig, delta_y: float) -> float:
     return ks / (ks + config.n_beams * k_b)
 
 
-def jaw_opening(config: MechanismConfig, trigger_disp: float) -> float:
+def jaw_opening(config: MechanismConfig, trigger_disp):
     """Jaw opening from trigger displacement by calibrated interpolation [mm].
 
     Piecewise linear through (0, 0) and the calibration anchors; evaluation
@@ -188,13 +194,14 @@ def jaw_opening(config: MechanismConfig, trigger_disp: float) -> float:
     any calibration there.
     """
     t_max = config.jaw_calibration[-1][0]
-    if not (0.0 <= trigger_disp <= t_max):
+    disp = np.asarray(trigger_disp, dtype=float)
+    inside = (0.0 <= disp) & (disp <= t_max)
+    if not np.all(inside):
         raise ValidationError(
-            f"trigger_disp {trigger_disp:g} outside the calibrated span "
-            f"[0, {t_max:g}] mm")
-    ts = [0.0] + [t for t, _ in config.jaw_calibration]
-    js = [0.0] + [j for _, j in config.jaw_calibration]
-    return float(np.interp(trigger_disp, ts, js))
+            f"trigger_disp {disp.flat[np.argmin(inside)]:g} outside the "
+            f"calibrated span [0, {t_max:g}] mm")
+    ts, js = zip((0.0, 0.0), *config.jaw_calibration)
+    return np.interp(disp, ts, js)
 
 
 def cantilever_stress(moment: float, section: CantileverSection) -> float:
@@ -227,41 +234,35 @@ def latch_step(state: LatchState, event: LatchEvent,
     raise ValidationError(f"unknown latch event {event!r}")
 
 
-def _latch_ramp(config: MechanismConfig, ring_disp: float) -> float:
+def _latch_ramp(config: MechanismConfig, ring_disp):
     """Smooth force multiplier over the final span of the latch travel."""
     start = (1.0 - LATCH_RAMP_SPAN) * config.latch_travel
-    z = (ring_disp - start) / (LATCH_RAMP_SPAN * config.latch_travel)
-    z = min(1.0, max(0.0, z))
+    z = np.clip((ring_disp - start) / (LATCH_RAMP_SPAN * config.latch_travel),
+                0.0, 1.0)
     smooth = z * z * (3.0 - 2.0 * z)
     return 1.0 + (config.latch_ramp_factor - 1.0) * smooth
 
 
-def grasper_response(config: MechanismConfig, ring_disp: float) -> GrasperResponse:
-    """Full response of the grasper at one ring displacement.
+def grasper_sweep(config: MechanismConfig,
+                  ring_disps) -> Tuple[GrasperResponse, ...]:
+    """Full response of the grasper at each ring displacement of a sequence.
 
     The ring displacement splits between beam travel and handle compliance
     through the transfer ratio evaluated at the ring displacement itself; the
     exact split is not pinned down by the device description, so this is a
     declared simplification.  The jaw responds to the ring displacement per
     the calibration, and the jaw root stress follows from the linear
-    cantilever tip relation (small-deflection only).
+    cantilever tip relation (small-deflection only).  Two passes of the load
+    kernel (tangent stiffness, then shuttle force) serve the whole sweep.
     """
-    if ring_disp < 0:
+    ring = np.array(ring_disps, dtype=float, ndmin=1)
+    if not np.all(ring >= 0.0):
         raise ValidationError("ring_disp must be non-negative")
-    if ring_disp == 0.0:
-        return GrasperResponse(
-            ring_force=0.0, shuttle_displacement=0.0, jaw_opening=0.0,
-            latch=LatchState(LatchPhase.UNSTRESSED, 0.0), jaw_root_stress=0.0)
-
-    ratio = shuttle_transfer_ratio(config, ring_disp)
-    shuttle = ratio * ring_disp
-    base = config.n_beams * single_beam_force(
-        config.beam_geometry, config.material, shuttle)
-    ring_force = base * _latch_ramp(config, ring_disp)
-
-    opening = jaw_opening(config, ring_disp)
-    latch = latch_step(LatchState(LatchPhase.UNSTRESSED, 0.0),
-                       PullRing(ring_disp), config.latch_travel)
+    shuttle = shuttle_transfer_ratio(config, ring) * ring
+    ring_force = halved_ring_force(
+        actuation_force(config.beam_geometry, config.material, shuttle),
+        config.n_beams) * _latch_ramp(config, ring)
+    opening = jaw_opening(config, ring)
 
     sec = config.jaw_section
     i_jaw = sec.out_of_plane_b * sec.in_plane_h ** 3 / 12.0
@@ -269,6 +270,14 @@ def grasper_response(config: MechanismConfig, ring_disp: float) -> GrasperRespon
                  / sec.jaw_length ** 3)
     stress = cantilever_stress(tip_force * sec.jaw_length, sec)
 
-    return GrasperResponse(
-        ring_force=ring_force, shuttle_displacement=shuttle,
-        jaw_opening=opening, latch=latch, jaw_root_stress=stress)
+    rest = LatchState(LatchPhase.UNSTRESSED, 0.0)
+    columns = (ring, ring_force, shuttle, opening, stress)
+    return tuple(
+        GrasperResponse(f, s, j, latch_step(rest, PullRing(d),
+                                            config.latch_travel), st)
+        for d, f, s, j, st in zip(*(c.tolist() for c in columns)))
+
+
+def grasper_response(config: MechanismConfig, ring_disp: float) -> GrasperResponse:
+    """grasper_sweep at one ring displacement."""
+    return grasper_sweep(config, [ring_disp])[0]

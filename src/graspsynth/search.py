@@ -21,6 +21,7 @@ import numpy as np
 from .beam import (DEFAULT_CURVE_SAMPLES, MaterialModel, VBeamGeometry,
                    bistability_margin, force_curve)
 from .errors import ValidationError
+from .mechanism import halved_ring_force
 
 PARAM_NAMES = ("length_L", "thickness_T", "width_W", "tilt_theta", "n_beams")
 
@@ -121,7 +122,7 @@ def evaluate_candidate(spec: DesignSpec, geom: VBeamGeometry,
 
     curve = force_curve(geom, spec.material, spec.target_travel,
                         spec.sweep_samples)
-    ring = curve.force / 2.0 * n_beams
+    ring = halved_ring_force(curve.force, n_beams)
     peak = float(np.max(ring))
     objective = abs(peak - spec.target_force) / spec.target_force
 
@@ -150,8 +151,6 @@ def evaluate_candidate(spec: DesignSpec, geom: VBeamGeometry,
 
 
 def _grid_axis(lo: float, hi: float, count: int) -> np.ndarray:
-    if count < 1:
-        raise ValidationError("grid density must be at least 1")
     if count == 1 or lo == hi:
         return np.array([(lo + hi) / 2.0]) if count == 1 else np.array([lo])
     return np.linspace(lo, hi, count)
@@ -171,6 +170,8 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
     for name in PARAM_NAMES:
         lo, hi = spec.bounds[name]
         count = int(grid_density.get(name, 1))
+        if count < 1:
+            raise ValidationError("grid density must be at least 1")
         if name == "n_beams":
             raw = np.linspace(lo, hi, count) if count > 1 else [lo]
             levels = sorted({int(round(v)) for v in raw})
@@ -178,9 +179,7 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
         else:
             axes[name] = list(_grid_axis(lo, hi, count))
 
-    total = 1
-    for vals in axes.values():
-        total *= len(vals)
+    total = math.prod(len(vals) for vals in axes.values())
     if total > cap:
         raise ValidationError(
             f"grid holds {total} points, above the cap of {cap}; "
@@ -215,10 +214,8 @@ def refine(spec: DesignSpec, start: Candidate,
     best = start
     evals = 0
 
-    steps = {}
-    for name in ("length_L", "thickness_T", "width_W", "tilt_theta"):
-        lo, hi = spec.bounds[name]
-        steps[name] = (hi - lo) / 8.0
+    steps = {name: (spec.bounds[name][1] - spec.bounds[name][0]) / 8.0
+             for name in ("length_L", "thickness_T", "width_W", "tilt_theta")}
 
     def values_of(c: Candidate):
         g = c.geometry

@@ -355,21 +355,82 @@ def test_curve_determinism():
     assert a.branches == b.branches
 
 
+def reference_loads(geom, dy):
+    """(branch, f_o, p_o) from the public scalar reference chain.
+
+    normalize_deflection -> monostable_intermediates -> solve_monostable_cubic
+    (with its Newton polish), then the rational f_o relation written out
+    here; the bistable branch takes its two constants.
+    """
+    nd = normalize_deflection(geom, dy)
+    if bistability_margin(geom, dy)[1]:
+        return Branch.BISTABLE, -4.8618 * nd.y_o, -9.8837
+    p = solve_monostable_cubic(monostable_intermediates(nd))
+    num = (-6.0 - p / 10.0 + p * p / 1400.0) ** 2
+    den = 4.0 + 2.0 * p / 15.0 - 11.0 * p * p / 6300.0
+    f_o = nd.y_o / 2.0 * ((12.0 + 6.0 * p / 5.0 + p * p / 700.0) - num / den)
+    return Branch.MONOSTABLE, f_o, p
+
+
 def test_curve_matches_pointwise_chain():
-    # the array pass of force_curve against the scalar per-state chain: the
-    # tilted reference beam crosses both branches, the untilted beam and the
-    # random states stay on the monostable branch
+    # the array kernel behind force_curve against the scalar reference chain:
+    # the tilted reference beam crosses both branches, the untilted beam and
+    # the random states stay on the monostable branch
     cases = [(GEOM, 5.0), (VBeamGeometry.from_degrees(40, 1.2, 5, 0), 5.0)]
     cases += random_monostable_states(20, seed=29)
     for geom, travel in cases:
         curve = force_curve(geom, MAT, travel, 50)
+        stiff = 4 * MAT.youngs_modulus_E * geom.second_moment / geom.length_L ** 2
         for i in (0, 10, 25, 49):
-            dy = float(curve.delta_y[i])
-            st = branch_loads(geom, dy)
-            assert curve.branches[i] is st.branch
-            assert curve.p_o[i] == pytest.approx(st.p_o, rel=1e-9, abs=1e-12)
-            assert curve.force[i] == pytest.approx(
-                actuation_force(geom, MAT, dy), rel=1e-9, abs=1e-12)
+            branch, f_o, p_o = reference_loads(geom, float(curve.delta_y[i]))
+            force = -stiff * (f_o * math.cos(geom.tilt_theta)
+                              + p_o * math.sin(geom.tilt_theta))
+            assert curve.branches[i] is branch
+            assert curve.p_o[i] == pytest.approx(p_o, rel=1e-9, abs=1e-12)
+            assert curve.f_o[i] == pytest.approx(f_o, rel=1e-9, abs=1e-12)
+            assert curve.force[i] == pytest.approx(force, rel=1e-9, abs=1e-12)
+
+
+def test_actuation_force_accepts_arrays():
+    curve = force_curve(GEOM, MAT, 5.0, 200)
+    forces = actuation_force(GEOM, MAT, curve.delta_y)
+    assert isinstance(forces, np.ndarray) and forces.shape == (200,)
+    assert np.array_equal(forces, curve.force)            # bit-identical
+    for dy, f in zip(curve.delta_y[::20], forces[::20]):
+        assert actuation_force(GEOM, MAT, float(dy)) == f
+    with_rest = actuation_force(GEOM, MAT, np.array([0.0, 1.0, 5.0]))
+    assert with_rest[0] == 0.0
+    assert with_rest[1] == actuation_force(GEOM, MAT, 1.0)
+    with pytest.raises(ValidationError):
+        actuation_force(GEOM, MAT, np.array([1.0, -0.1]))
+
+
+def test_kernel_checks_its_roots(monkeypatch, caplog):
+    # a root off its cubic is refused; a closed form off the root is logged
+    import graspsynth.beam as beam
+    unique_root, cardano_root = beam._unique_root, beam._cardano_root
+    monkeypatch.setattr(beam, "_cardano_root", lambda *ks: (
+        cardano_root(*ks)[0] * (1 + 1e-5),) + cardano_root(*ks)[1:])
+    with caplog.at_level("WARNING", logger="graspsynth.beam"):
+        actuation_force(GEOM, MAT, np.array([0.5, 1.0]))
+    assert "closed-form cubic roots deviate" in caplog.text
+    monkeypatch.setattr(beam, "_unique_root",
+                        lambda *ks: unique_root(*ks) * (1 + 1e-6))
+    with pytest.raises(NumericalError, match="cubic residual"):
+        actuation_force(GEOM, MAT, 1.0)
+
+
+def test_kernel_accepts_every_state_of_the_domain():
+    # 20,000 states, L 10-80 mm, T 0.2-4 mm, tilt 0-30 deg, travel 0-15 mm
+    # with zero travel in every batch: the unpolished root holds the
+    # residual bound and the discriminant stays positive throughout
+    rng = np.random.default_rng(41)
+    for _ in range(2000):
+        geom = VBeamGeometry.from_degrees(rng.uniform(10.0, 80.0),
+                                          rng.uniform(0.2, 4.0), 5.0,
+                                          rng.uniform(0.0, 30.0))
+        dys = np.append(rng.uniform(0.0, 15.0, 9), 0.0)
+        assert np.all(np.isfinite(actuation_force(geom, MAT, dys)))
 
 
 def test_curve_validation():

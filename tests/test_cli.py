@@ -108,6 +108,21 @@ def test_parse_type_errors_name_the_path():
         parse_config(json.dumps(doc))
 
 
+@pytest.mark.parametrize("value", ["no", 0, 1, None])
+def test_parse_requires_boolean_non_bistable_flag(value, tmp_path, capsys):
+    doc = json.loads(TABLE1_JSON.read_text())
+    doc["design"]["require_non_bistable_at_travel"] = value
+    with pytest.raises(ConfigError,
+                       match="'design.require_non_bistable_at_travel' must "
+                             "be a boolean"):
+        parse_config(json.dumps(doc))
+    cfg = tmp_path / "flag.json"
+    cfg.write_text(json.dumps(doc))
+    rc = run_command(["design", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "require_non_bistable_at_travel" in capsys.readouterr().err
+
+
 def test_roundtrip_exact_for_parsed_configs():
     for source in (json.dumps(MINIMAL), TABLE1_JSON.read_text()):
         config = parse_config(source)
@@ -230,6 +245,28 @@ def test_grasper_command(tmp_path):
     assert float(last[0]) == 8.0
     assert float(last[3]) == pytest.approx(20.52)
     assert last[4] == "StressedLatched"
+
+
+def test_grasper_model_evaluations_do_not_depend_on_samples(tmp_path,
+                                                            monkeypatch):
+    import graspsynth.beam as beam
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1].size)
+        return kernel(*args)
+
+    kernel = beam._loads
+    monkeypatch.setattr(beam, "_loads", counted)
+    passes = {}
+    for samples in (5, 40, 400):
+        calls.clear()
+        assert run_command(["grasper", "--config", str(TABLE1_JSON),
+                            "--out", str(tmp_path / str(samples)),
+                            "--samples", str(samples), "--quiet"]) == 0
+        passes[samples] = list(calls)
+    # the tangent pass takes two points per sample, the force pass one
+    assert passes == {n: [2 * n, n] for n in (5, 40, 400)}
 
 
 def test_design_command(tmp_path):

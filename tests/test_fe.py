@@ -184,14 +184,30 @@ def test_convergence_error_carries_path():
     assert err.last_step is err.path.last
 
 
+def test_sweep_assembles_each_newton_iteration_once(monkeypatch):
+    # a converged state is recorded from its last Newton assembly, so a
+    # sweep without bisection assembles exactly once per iteration
+    count = [0]
+    assemble = _System.assemble
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        return assemble(self, *args, **kwargs)
+
+    monkeypatch.setattr(_System, "assemble", counted)
+    path = solve_vbeam_sweep(GEOM, MAT, 2.0, n_steps=20, n_elements=8)
+    assert len(path.steps) == 20
+    assert count[0] == sum(s.iterations for s in path.steps)
+
+
 def test_arc_length_reproduces_newton_path():
     model = build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0)
     system = _System(model)
     u0 = np.zeros(system.n_eq)
-    newton_u, _, _ = _newton(system, u0, 1.0, 1e-10, 25)
+    newton_u = _newton(system, u0, 1.0, 1e-10, 25)[0]
     arc = _arc_length(system, u0, 0.0, 1.0, 1e-10, 25)
     assert arc is not None
-    arc_u, _, _ = arc
+    arc_u = arc[0]
     assert np.allclose(arc_u, newton_u, atol=1e-8)
 
 

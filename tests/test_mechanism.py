@@ -9,8 +9,10 @@ from graspsynth import (CantileverSection, LatchPhase, LatchState,
                         MaterialModel, MechanismConfig, PressTrigger,
                         PullRing, ValidationError, VBeamGeometry,
                         aggregate_ring_force, cantilever_stress, force_curve,
-                        grasper_response, jaw_opening, latch_step, peak_force,
-                        shuttle_transfer_ratio, single_beam_force)
+                        grasper_response, grasper_sweep, jaw_opening,
+                        latch_step, peak_force, shuttle_transfer_ratio,
+                        single_beam_force)
+from graspsynth.mechanism import beam_tangent_stiffness
 
 GEOM = VBeamGeometry.from_degrees(40, 1.2, 5, 7)
 MAT = MaterialModel(youngs_modulus_E=1800)
@@ -300,3 +302,33 @@ def test_response_latch_ramp_exceeds_local_slope_prediction():
 def test_response_rejects_negative_input():
     with pytest.raises(ValidationError):
         grasper_response(make_config(), -1.0)
+
+
+def test_sweep_rows_equal_single_responses():
+    # the rest state, the rising and declining branches and the latch ramp
+    config = make_config()
+    ring = [0.0, 1e-4] + list(np.linspace(0.05, 8.0, 37))
+    rows = grasper_sweep(config, ring)
+    assert len(rows) == len(ring)
+    for d, row in zip(ring, rows):
+        assert row == grasper_response(config, float(d))
+    assert grasper_sweep(config, []) == ()
+
+
+def test_sweep_rejects_negative_input():
+    with pytest.raises(ValidationError, match="non-negative"):
+        grasper_sweep(make_config(), [1.0, -0.5])
+
+
+def test_mechanism_functions_accept_arrays():
+    config = make_config()
+    dys = np.array([0.0, 0.3, 1.1, 2.5, 6.0])
+    for fn in (lambda d: single_beam_force(GEOM, MAT, d),
+               lambda d: beam_tangent_stiffness(config, d),
+               lambda d: shuttle_transfer_ratio(config, d),
+               lambda d: jaw_opening(config, d)):
+        values = fn(dys)
+        assert values.shape == dys.shape
+        assert [fn(float(d)) for d in dys] == values.tolist()
+    with pytest.raises(ValidationError, match=r"trigger_disp 8.5 outside"):
+        jaw_opening(config, np.array([1.0, 8.5]))

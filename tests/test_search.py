@@ -147,6 +147,13 @@ def test_single_point_grid():
     assert ranked[0].n_beams == 12
 
 
+@pytest.mark.parametrize("name", ["n_beams", "length_L"])
+@pytest.mark.parametrize("count", [0, -2])
+def test_grid_density_below_one_is_refused(name, count):
+    with pytest.raises(ValidationError, match="grid density must be at least 1"):
+        grid_search(make_spec(), dict(DENSITY, **{name: count}))
+
+
 def test_grid_cap_enforced():
     with pytest.raises(ValidationError, match="cap"):
         grid_search(make_spec(), DENSITY, cap=10)
