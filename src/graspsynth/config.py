@@ -87,7 +87,10 @@ _TOP_KEYS = {"beam", "material", "mechanism", "sweep", "design", "fe",
 _REQUIRED_TOP = ("beam", "material", "mechanism", "sweep")
 
 
-def _reject_unknown(obj: dict, allowed: set, path: str) -> None:
+def _reject_unknown(obj, allowed: set, path: str) -> None:
+    """Refuse a section that is not an object or holds an unknown key."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"'{path}' must be an object")
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"unknown key '{path}.{key}'" if path
@@ -270,10 +273,9 @@ def _parse_design(doc, material: MaterialModel) -> DesignSettings:
             doc, "design", "require_non_bistable_at_travel", False, _boolean),
         fixture_allowance=_field(doc, "design", "fixture_allowance", 0.0))
     density_doc = doc.get("grid_density", {})
+    _reject_unknown(density_doc, _BOUND_KEYS, "design.grid_density")
     density = {}
     for key, value in density_doc.items():
-        if key not in _BOUND_KEYS:
-            raise ConfigError(f"unknown key 'design.grid_density.{key}'")
         name = "tilt_theta" if key == "tilt_theta_deg" else key
         density[name] = _integer(value, f"design.grid_density.{key}")
     for name in PARAM_NAMES:

@@ -7,10 +7,19 @@ Hermitian bending stiffness plus a linear axial bar; shear deformation is
 neglected, which is appropriate for the slender flexures this solver
 verifies (T/L of order 0.03).
 
+Assembly is one array pass over all elements: chord geometry, the
+strain-displacement rows, local forces, internal forces, tangents and
+energies are (n_el, ...) arrays, and np.bincount scatters them and the
+point springs into the force table and the equation tangent over flat
+indices computed once per model.
+
 Equilibrium paths are traversed under displacement control with Newton
 iteration.  A step that fails to converge is bisected down to a floor and,
 failing that, handed to a spherical arc-length corrector; if everything
-fails a diagnostic error carries the partial path.
+fails a diagnostic error carries the partial path.  Each converged step
+records whether its free-free tangent is positive definite (one Cholesky
+attempt on the tangent Newton assembled last); a step that is not lies on
+an unstable branch, which the sweep reports but does not correct.
 
 A solver run mutates only local state; independent solves may run
 concurrently.
@@ -28,7 +37,7 @@ from ..beam import (Branch, ForceDisplacementCurve, MaterialModel,
                     VBeamGeometry, bistability_margin)
 from ..errors import ConvergenceError, ValidationError
 from ..mechanism import MechanismConfig
-from .model import (DEFAULT_ELEMENTS_PER_BEAM, UX, UY, FrameModel,
+from .model import (DEFAULT_ELEMENTS_PER_BEAM, ROT, UX, UY, FrameModel,
                     build_multibeam_assembly, build_vbeam_mesh)
 
 PATH_CSV_HEADER = "step,control_mm,reaction_N,iters,residual"
@@ -36,11 +45,18 @@ PATH_CSV_HEADER = "step,control_mm,reaction_N,iters,residual"
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_MAX_ITERS = 25
 BISECTION_FLOOR_DIV = 4096
+# turns a chord direction (c, s), reversed to (s, c), into its normal (-s, c)
+_TURN = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
 class PathStep:
-    """One converged equilibrium state along a control sweep."""
+    """One converged equilibrium state along a control sweep.
+
+    stable is True when the converged free-free tangent is positive
+    definite (stability index 0); False marks a state on an unstable
+    branch.
+    """
 
     control: float
     displacements: np.ndarray
@@ -49,6 +65,7 @@ class PathStep:
     iterations: int
     residual: float
     strain_energy: float
+    stable: bool
 
 
 @dataclass
@@ -69,58 +86,27 @@ class EquilibriumPath:
         return self.steps[-1] if self.steps else None
 
 
-def _element_response(xi, xj, d, E, A, I):
-    """Internal force, tangent and strain energy of one corotational element.
+def _live_pairs(eqs: np.ndarray, n_eq: int):
+    """Live entries of per-member equation numbers eqs (m, k); -1 is fixed.
 
-    d holds (u_i, v_i, r_i, u_j, v_j, r_j).  The local state is the chord
-    stretch and the end rotations measured from the rotated chord; rigid
-    motion therefore produces an exactly zero local state.
+    Returns the flat positions of the live entries in an (m, k, k) stack
+    and their flat (row, column) positions in the n_eq x n_eq matrix.
     """
-    dx0 = xj[0] - xi[0]
-    dy0 = xj[1] - xi[1]
-    L0 = math.hypot(dx0, dy0)
-    beta0 = math.atan2(dy0, dx0)
-
-    dx = dx0 + d[3] - d[0]
-    dy = dy0 + d[4] - d[1]
-    Ln = math.hypot(dx, dy)
-    c = dx / Ln
-    s = dy / Ln
-
-    rigid = math.atan2(dy, dx) - beta0
-    rigid = math.atan2(math.sin(rigid), math.cos(rigid))
-    t1 = d[2] - rigid
-    t2 = d[5] - rigid
-    stretch = Ln - L0
-
-    N = E * A * stretch / L0
-    M1 = E * I / L0 * (4.0 * t1 + 2.0 * t2)
-    M2 = E * I / L0 * (2.0 * t1 + 4.0 * t2)
-
-    r = np.array([-c, -s, 0.0, c, s, 0.0])
-    z = np.array([s, -c, 0.0, -s, c, 0.0])
-    B = np.empty((3, 6))
-    B[0] = r
-    B[1] = np.array([-s / Ln, c / Ln, 1.0, s / Ln, -c / Ln, 0.0])
-    B[2] = np.array([-s / Ln, c / Ln, 0.0, s / Ln, -c / Ln, 1.0])
-
-    f_local = np.array([N, M1, M2])
-    f_int = B.T @ f_local
-
-    C = np.array([[E * A / L0, 0.0, 0.0],
-                  [0.0, 4.0 * E * I / L0, 2.0 * E * I / L0],
-                  [0.0, 2.0 * E * I / L0, 4.0 * E * I / L0]])
-    K = B.T @ C @ B
-    K += N / Ln * np.outer(z, z)
-    K += (M1 + M2) / Ln ** 2 * (np.outer(r, z) + np.outer(z, r))
-
-    energy = (0.5 * E * A / L0 * stretch ** 2
-              + E * I / L0 * (2.0 * t1 ** 2 + 2.0 * t1 * t2 + 2.0 * t2 ** 2))
-    return f_int, K, energy
+    live = (eqs[:, :, None] >= 0) & (eqs[:, None, :] >= 0)
+    return (np.flatnonzero(live),
+            (eqs[:, :, None] * n_eq + eqs[:, None, :])[live])
 
 
 class _System:
-    """Equation numbering, assembly and residual bookkeeping for one model."""
+    """Equation numbering, assembly and residual bookkeeping for one model.
+
+    Everything that depends only on the model is computed once here: the
+    per-element section and chord arrays and the flat scatter indices of
+    the element and spring contributions into the raw force table and the
+    equation tangent, with constrained entries already dropped.  The
+    element work arrays are reused by every assembly, so one instance
+    serves one solve at a time.
+    """
 
     def __init__(self, model: FrameModel):
         self.model = model
@@ -138,52 +124,122 @@ class _System:
         self.free = np.ones(count, dtype=bool)
         self.free[self.prescribed_eqs] = False
         self.free_idx = np.flatnonzero(self.free)
-        # per-element gather indices into the equation vector (-1 = constrained)
-        self._el_eq = [
-            np.array([eq[e.node_i, 0], eq[e.node_i, 1], eq[e.node_i, 2],
-                      eq[e.node_j, 0], eq[e.node_j, 1], eq[e.node_j, 2]])
-            for e in model.elements]
+        self.free_free = np.ix_(self.free_idx, self.free_idx)
+        # flat freedom (3 * node + dof) of each equation, in equation order
+        self._eq_dofs = np.flatnonzero(~model.fixed.ravel())
+
+        els = model.elements
+        ends = np.array([(e.node_i, e.node_j) for e in els],
+                        dtype=int).reshape(-1, 2)
+        E, A, I = np.array([(e.E, e.A, e.I) for e in els],
+                           dtype=float).reshape(-1, 3).T
+        self._EA = E * A
+        self._EI = E * I
+        self._dxy0 = model.nodes[ends[:, 1]] - model.nodes[ends[:, 0]]
+        self._L0 = np.hypot(self._dxy0[:, 0], self._dxy0[:, 1])
+        self._beta0 = np.arctan2(self._dxy0[:, 1], self._dxy0[:, 0])
+        self._el_dofs = (3 * np.repeat(ends, 3, axis=1)
+                         + np.tile([UX, UY, ROT], 2))
+        # Element work arrays.  The rows of G are r (chord stretch), b1 and
+        # b2 (end rotations), which make up B, and the chord normal z; only
+        # their translational entries change between assemblies.  D holds
+        # the local constitutive matrix C (axial bar, cubic Hermitian
+        # bending) on the B rows and the geometric coefficients on the z row
+        # and column, so that G^T D G = B^T C B + N/Ln z z^T
+        # + (M1 + M2)/Ln^2 (r z^T + z r^T).
+        n_el = len(els)
+        k_b = self._EI / self._L0
+        self._G = np.zeros((n_el, 4, 6))
+        self._G[:, 1, ROT] = self._G[:, 2, 3 + ROT] = 1.0
+        self._D = np.zeros((n_el, 4, 4))
+        self._D[:, 0, 0] = self._EA / self._L0
+        self._D[:, 1, 1] = self._D[:, 2, 2] = 4.0 * k_b
+        self._D[:, 1, 2] = self._D[:, 2, 1] = 2.0 * k_b
+        self._f_local = np.zeros((n_el, 1, 3))
+
+        # point springs: freedoms, stiffnesses and their constant tangent
+        springs = model.point_springs
+        self._spring_a = np.array([3 * na + da for na, da, _, _, _ in springs],
+                                  dtype=int)
+        self._spring_b = np.array([3 * nb + db for _, _, nb, db, _ in springs],
+                                  dtype=int)
+        self._spring_k = np.array([k for *_, k in springs], dtype=float)
+
+        # scatter targets: raw forces by flat freedom; tangent entries by
+        # flat (row, column) of the equation matrix, constrained ones dropped
+        self._f_pos = np.concatenate(
+            [self._el_dofs.ravel(), self._spring_a, self._spring_b])
+        self._k_live, k_pos = _live_pairs(eq.ravel()[self._el_dofs], count)
+        spring_live, spring_pos = _live_pairs(eq.ravel()[np.stack(
+            [self._spring_a, self._spring_b], axis=1)], count)
+        self._spring_tangent = (
+            self._spring_k[:, None, None] * [[1.0, -1.0], [-1.0, 1.0]]
+        ).ravel()[spring_live]
+        self._k_pos = np.concatenate([k_pos, spring_pos])
 
     def expand(self, u_eq: np.ndarray) -> np.ndarray:
         """Full (n, 3) displacement table from the equation vector."""
-        full = np.zeros((self.model.n_nodes, 3))
-        mask = self.eq >= 0
-        full[mask] = u_eq[self.eq[mask]]
-        return full
+        full = np.zeros(3 * self.model.n_nodes)
+        full[self._eq_dofs] = u_eq
+        return full.reshape(-1, 3)
+
+    def _elements(self, d: np.ndarray):
+        """Internal forces (n_el, 6), tangents (n_el, 6, 6) and energies.
+
+        d holds each element's (u_i, v_i, r_i, u_j, v_j, r_j).  The local
+        state is the chord stretch and the end rotations measured from the
+        rotated chord; rigid motion therefore produces an exactly zero
+        local state.
+        """
+        dxy = self._dxy0 + d[:, 3:5] - d[:, 0:2]
+        Ln = np.hypot(dxy[:, 0], dxy[:, 1])
+        cs = dxy / Ln[:, None]
+        normal = cs[:, ::-1] * _TURN
+
+        rigid = np.arctan2(dxy[:, 1], dxy[:, 0]) - self._beta0
+        rigid = np.arctan2(np.sin(rigid), np.cos(rigid))
+        t1 = d[:, 2] - rigid
+        t2 = d[:, 5] - rigid
+        stretch = Ln - self._L0
+
+        N = self._EA * stretch / self._L0
+        M1 = self._EI / self._L0 * (4.0 * t1 + 2.0 * t2)
+        M2 = self._EI / self._L0 * (2.0 * t1 + 4.0 * t2)
+
+        G, D, f_local = self._G, self._D, self._f_local
+        G[:, 0, 0:2] = -cs
+        G[:, 1:3, 0:2] = (normal / Ln[:, None])[:, None, :]
+        G[:, 3, 0:2] = -normal
+        G[:, :, 3:5] = -G[:, :, 0:2]
+        D[:, 0, 3] = D[:, 3, 0] = (M1 + M2) / Ln ** 2
+        D[:, 3, 3] = N / Ln
+        f_local[:, 0, 0] = N
+        f_local[:, 0, 1] = M1
+        f_local[:, 0, 2] = M2
+
+        f_int = (f_local @ G[:, :3])[:, 0]
+        K = G.transpose(0, 2, 1) @ (D @ G)
+        # half the local forces times the local deformations
+        energy = 0.5 * (N * stretch + M1 * t1 + M2 * t2)
+        return f_int, K, energy
 
     def assemble(self, u_eq: np.ndarray):
         """Raw internal force per freedom, equation residual, tangent, energy."""
-        model = self.model
-        full = self.expand(u_eq)
-        f_raw = np.zeros((model.n_nodes, 3))
-        K = np.zeros((self.n_eq, self.n_eq))
-        energy = 0.0
-        for e, el_eq in zip(model.elements, self._el_eq):
-            d = np.concatenate([full[e.node_i], full[e.node_j]])
-            fe, Ke, ee = _element_response(
-                model.nodes[e.node_i], model.nodes[e.node_j], d, e.E, e.A, e.I)
-            energy += ee
-            f_raw[e.node_i] += fe[:3]
-            f_raw[e.node_j] += fe[3:]
-            live = el_eq >= 0
-            idx = el_eq[live]
-            K[np.ix_(idx, idx)] += Ke[np.ix_(live, live)]
-        for (na, da, nb, db, k) in model.point_springs:
-            ua = full[na, da]
-            ub = full[nb, db]
-            fs = k * (ua - ub)
-            energy += 0.5 * k * (ua - ub) ** 2
-            f_raw[na, da] += fs
-            f_raw[nb, db] -= fs
-            live = [(e, sign) for e, sign in ((self.eq[na, da], 1.0),
-                                              (self.eq[nb, db], -1.0)) if e >= 0]
-            for ei, si in live:
-                for ej, sj in live:
-                    K[ei, ej] += k * si * sj
-        r_eq = np.zeros(self.n_eq)
-        mask = self.eq >= 0
-        np.add.at(r_eq, self.eq[mask], f_raw[mask])
-        return f_raw, r_eq, K, energy
+        full = self.expand(u_eq).ravel()
+        f_el, K_el, e_el = self._elements(full[self._el_dofs])
+        stretch = full[self._spring_a] - full[self._spring_b]
+        f_spring = self._spring_k * stretch
+        f_flat = np.bincount(
+            self._f_pos, minlength=full.size,
+            weights=np.concatenate([f_el.ravel(), f_spring, -f_spring]))
+        K = np.bincount(
+            self._k_pos, minlength=self.n_eq * self.n_eq,
+            weights=np.concatenate([K_el.ravel()[self._k_live],
+                                    self._spring_tangent]))
+        energy = float(e_el.sum()) + float(
+            (0.5 * self._spring_k * stretch ** 2).sum())
+        return (f_flat.reshape(-1, 3), f_flat[self._eq_dofs],
+                K.reshape(self.n_eq, self.n_eq), energy)
 
     def reactions(self, f_raw: np.ndarray) -> Dict[Tuple[int, int], float]:
         """Constraint forces at every constrained freedom of driven nodes."""
@@ -203,11 +259,21 @@ class _System:
         return float(total)
 
 
-def _newton(system: _System, u_eq, control, tol, max_iters):
-    """Newton iteration at a fixed control; (u, iters, res, f_raw, energy).
+def _stable(K_ff: np.ndarray) -> bool:
+    """Whether a free-free tangent is positive definite (stability index 0)."""
+    try:
+        np.linalg.cholesky(K_ff)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
-    f_raw and energy come from the converged assembly; on failure u, f_raw
-    and energy are None.
+
+def _newton(system: _System, u_eq, control, tol, max_iters):
+    """Newton iteration at a fixed control.
+
+    Returns (u, iters, res, f_raw, energy, stable): f_raw, energy and the
+    stability flag come from the converged assembly; on failure u, f_raw,
+    energy and stable are None.
     """
     u = u_eq.copy()
     u[system.prescribed_eqs] = (
@@ -217,15 +283,15 @@ def _newton(system: _System, u_eq, control, tol, max_iters):
         f_raw, r_eq, K, energy = system.assemble(u)
         r = r_eq[system.free_idx]
         res = float(np.linalg.norm(r))
+        Kff = K[system.free_free]
         if res < tol:
-            return u, it, res, f_raw, energy
-        Kff = K[np.ix_(system.free_idx, system.free_idx)]
+            return u, it, res, f_raw, energy, _stable(Kff)
         try:
             du = np.linalg.solve(Kff, -r)
         except np.linalg.LinAlgError:
-            return None, it, res, None, None
+            return None, it, res, None, None, None
         u[system.free_idx] += du
-    return None, max_iters, res, None, None
+    return None, max_iters, res, None, None, None
 
 
 def _arc_length(system: _System, u_eq, control_from, control_to, tol,
@@ -269,7 +335,7 @@ def _arc_length(system: _System, u_eq, control_from, control_to, tol,
                     and abs(a_res) <= 1e-10 * max(arc2, 1e-30)):
                 converged = True
                 break
-            Kff = K[np.ix_(system.free_idx, system.free_idx)]
+            Kff = K[system.free_free]
             Kfp = K[np.ix_(system.free_idx, system.prescribed_eqs)]
             dfdlam = Kfp @ amp
             n_f = system.free_idx.size
@@ -299,7 +365,7 @@ def _arc_length(system: _System, u_eq, control_from, control_to, tol,
 
 def _record(system: _System, path: EquilibriumPath, control, converged):
     """Append the state _newton converged to as the step at control."""
-    u_eq, iters, res, f_raw, energy = converged
+    u_eq, iters, res, f_raw, energy, stable = converged
     path.steps.append(PathStep(
         control=float(control),
         displacements=system.expand(u_eq),
@@ -308,6 +374,7 @@ def _record(system: _System, path: EquilibriumPath, control, converged):
         iterations=iters,
         residual=res,
         strain_energy=energy,
+        stable=stable,
     ))
 
 
@@ -328,8 +395,9 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
     u = np.zeros(system.n_eq)
 
     if travel_max == 0.0:
-        f_raw, _, _, energy = system.assemble(u)
-        _record(system, path, 0.0, (u, 0, 0.0, f_raw, energy))
+        f_raw, _, K, energy = system.assemble(u)
+        _record(system, path, 0.0,
+                (u, 0, 0.0, f_raw, energy, _stable(K[system.free_free])))
         return path
 
     floor = travel_max / BISECTION_FLOOR_DIV

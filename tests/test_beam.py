@@ -420,6 +420,15 @@ def test_kernel_checks_its_roots(monkeypatch, caplog):
         actuation_force(GEOM, MAT, 1.0)
 
 
+def test_closed_form_at_small_travel_is_not_flagged(caplog):
+    # an untilted beam at 1e-4 mm: the root is ~7e-9 and fixed by the cubic
+    # only to ~1e-6 relative, yet both roots meet the residual bound
+    geom = VBeamGeometry.from_degrees(48.7886, 1.5866, 5.0, 0.0)
+    with caplog.at_level("WARNING", logger="graspsynth.beam"):
+        actuation_force(geom, MAT, np.array([1e-5, 1e-4, 1e-3]))
+    assert caplog.text == ""
+
+
 def test_kernel_accepts_every_state_of_the_domain():
     # 20,000 states, L 10-80 mm, T 0.2-4 mm, tilt 0-30 deg, travel 0-15 mm
     # with zero travel in every batch: the unpolished root holds the

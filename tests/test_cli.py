@@ -123,6 +123,26 @@ def test_parse_requires_boolean_non_bistable_flag(value, tmp_path, capsys):
     assert "require_non_bistable_at_travel" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,value,named", [
+    ("beam", 5, "'beam' must be an object"),
+    ("design", {"grid_density": [3, 3]},
+     "'design.grid_density' must be an object"),
+], ids=["beam", "grid_density"])
+def test_sections_must_be_objects(section, value, named, tmp_path, capsys):
+    doc = json.loads(TABLE1_JSON.read_text())
+    if isinstance(value, dict):
+        doc[section].update(value)
+    else:
+        doc[section] = value
+    with pytest.raises(ConfigError, match=named):
+        parse_config(json.dumps(doc))
+    cfg = tmp_path / "section.json"
+    cfg.write_text(json.dumps(doc))
+    rc = run_command(["design", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+
+
 def test_roundtrip_exact_for_parsed_configs():
     for source in (json.dumps(MINIMAL), TABLE1_JSON.read_text()):
         config = parse_config(source)

@@ -6,14 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from graspsynth import (CantileverSection, ConvergenceError, MaterialModel,
-                        MechanismConfig, ValidationError, VBeamGeometry,
+from graspsynth import (CantileverSection, ConvergenceError, FrameModel,
+                        MaterialModel, MechanismConfig, ValidationError,
+                        VBeamGeometry,
                         build_multibeam_assembly,
                         build_vbeam_mesh, compare_curves, force_curve,
                         peak_force, solve_guided_sweep,
                         solve_multibeam_assembly, solve_vbeam_sweep,
                         sweep_to_curve, write_path_csv)
-from graspsynth.fe.solver import _arc_length, _element_response, _newton, _System
+from graspsynth.fe import BeamElement
+from graspsynth.fe.solver import _arc_length, _newton, _System
 
 GEOM = VBeamGeometry.from_degrees(40, 1.2, 5, 7)
 MAT = MaterialModel(youngs_modulus_E=1800)
@@ -83,6 +85,94 @@ def test_model_validation():
 # element formulation
 # ---------------------------------------------------------------------------
 
+def reference_element(xi, xj, d, E, A, I):
+    """One corotational element, written out per element (Crisfield 1991).
+
+    The scalar form of the solver's batched kernel: internal force,
+    tangent and strain energy for d = (u_i, v_i, r_i, u_j, v_j, r_j).
+    """
+    dx0 = xj[0] - xi[0]
+    dy0 = xj[1] - xi[1]
+    L0 = math.hypot(dx0, dy0)
+    beta0 = math.atan2(dy0, dx0)
+
+    dx = dx0 + d[3] - d[0]
+    dy = dy0 + d[4] - d[1]
+    Ln = math.hypot(dx, dy)
+    c = dx / Ln
+    s = dy / Ln
+
+    rigid = math.atan2(dy, dx) - beta0
+    rigid = math.atan2(math.sin(rigid), math.cos(rigid))
+    t1 = d[2] - rigid
+    t2 = d[5] - rigid
+    stretch = Ln - L0
+
+    N = E * A * stretch / L0
+    M1 = E * I / L0 * (4.0 * t1 + 2.0 * t2)
+    M2 = E * I / L0 * (2.0 * t1 + 4.0 * t2)
+
+    r = np.array([-c, -s, 0.0, c, s, 0.0])
+    z = np.array([s, -c, 0.0, -s, c, 0.0])
+    B = np.empty((3, 6))
+    B[0] = r
+    B[1] = np.array([-s / Ln, c / Ln, 1.0, s / Ln, -c / Ln, 0.0])
+    B[2] = np.array([-s / Ln, c / Ln, 0.0, s / Ln, -c / Ln, 1.0])
+
+    f_int = B.T @ np.array([N, M1, M2])
+    C = np.array([[E * A / L0, 0.0, 0.0],
+                  [0.0, 4.0 * E * I / L0, 2.0 * E * I / L0],
+                  [0.0, 2.0 * E * I / L0, 4.0 * E * I / L0]])
+    K = B.T @ C @ B
+    K += N / Ln * np.outer(z, z)
+    K += (M1 + M2) / Ln ** 2 * (np.outer(r, z) + np.outer(z, r))
+
+    energy = (0.5 * E * A / L0 * stretch ** 2
+              + E * I / L0 * (2.0 * t1 ** 2 + 2.0 * t1 * t2 + 2.0 * t2 ** 2))
+    return f_int, K, energy
+
+
+def reference_assemble(system, u_eq):
+    """_System.assemble as a loop over reference_element and the springs."""
+    model = system.model
+    full = system.expand(u_eq)
+    f_raw = np.zeros((model.n_nodes, 3))
+    K = np.zeros((system.n_eq, system.n_eq))
+    energy = 0.0
+    for e in model.elements:
+        d = np.concatenate([full[e.node_i], full[e.node_j]])
+        fe, Ke, ee = reference_element(model.nodes[e.node_i],
+                                       model.nodes[e.node_j], d, e.E, e.A, e.I)
+        energy += ee
+        f_raw[e.node_i] += fe[:3]
+        f_raw[e.node_j] += fe[3:]
+        el_eq = np.concatenate([system.eq[e.node_i], system.eq[e.node_j]])
+        live = el_eq >= 0
+        K[np.ix_(el_eq[live], el_eq[live])] += Ke[np.ix_(live, live)]
+    for (na, da, nb, db, k) in model.point_springs:
+        stretch = full[na, da] - full[nb, db]
+        energy += 0.5 * k * stretch ** 2
+        f_raw[na, da] += k * stretch
+        f_raw[nb, db] -= k * stretch
+        ends = ((system.eq[na, da], 1.0), (system.eq[nb, db], -1.0))
+        for ei, si in ends:
+            for ej, sj in ends:
+                if ei >= 0 and ej >= 0:
+                    K[ei, ej] += k * si * sj
+    r_eq = np.zeros(system.n_eq)
+    mask = system.eq >= 0
+    np.add.at(r_eq, system.eq[mask], f_raw[mask])
+    return f_raw, r_eq, K, energy
+
+
+def batched_element(xi, xj, d, E, A, I):
+    """The solver's batched kernel on a one-element model."""
+    model = FrameModel(nodes=[xi, xj], elements=[BeamElement(0, 1, E, A, I)],
+                       fixed=[[True, True, True], [False, False, False]])
+    f, K, energy = _System(model)._elements(np.asarray(d)[None, :])
+    return f[0], K[0], energy[0]
+
+
 def test_rigid_rotation_patch_test():
     xi = np.array([0.0, 0.0])
     xj = np.array([10.0, 0.0])
@@ -93,7 +183,7 @@ def test_rigid_rotation_patch_test():
         ui = R @ xi - xi + trans
         uj = R @ xj - xj + trans
         d = np.array([ui[0], ui[1], alpha, uj[0], uj[1], alpha])
-        f, _, energy = _element_response(xi, xj, d, 1800.0, 6.0, 0.72)
+        f, _, energy = batched_element(xi, xj, d, 1800.0, 6.0, 0.72)
         assert np.max(np.abs(f)) < 1e-10
         assert abs(energy) < 1e-10
 
@@ -106,9 +196,27 @@ def test_element_linear_limit_matches_hermitian_stiffness():
     xj = np.array([L, 0.0])
     w = 1e-8
     d = np.array([0.0, 0.0, 0.0, 0.0, w, 0.0])
-    f, _, _ = _element_response(xi, xj, d, E, A, I)
+    f, _, _ = batched_element(xi, xj, d, E, A, I)
     assert f[4] == pytest.approx(12 * E * I / L ** 3 * w, rel=1e-4)
     assert f[5] == pytest.approx(-6 * E * I / L ** 2 * w, rel=1e-4)
+
+
+@pytest.mark.parametrize("model", [
+    build_vbeam_mesh(GEOM, 16, youngs_modulus_E=1800.0),
+    build_multibeam_assembly(make_config(), 8),
+], ids=["vbeam", "multibeam"])
+def test_batched_assembly_matches_per_element_reference(model):
+    # seeded states from small to large rotations, point spring included
+    system = _System(model)
+    rng = np.random.default_rng(17)
+    for scale in (1e-6, 1e-2, 0.3, 2.0):
+        u = scale * rng.standard_normal(system.n_eq)
+        got = system.assemble(u)
+        want = reference_assemble(system, u)
+        for a, b in zip(got[:3], want[:3]):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+        assert got[3] == pytest.approx(want[3], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +306,21 @@ def test_sweep_assembles_each_newton_iteration_once(monkeypatch):
     path = solve_vbeam_sweep(GEOM, MAT, 2.0, n_steps=20, n_elements=8)
     assert len(path.steps) == 20
     assert count[0] == sum(s.iterations for s in path.steps)
+
+
+# verify seed-301 beam: its 800-step path leaves the stable branch after
+# the d1 crossover (0.527 mm) and follows an unstable one
+SEED301_GEOM = VBeamGeometry.from_degrees(45.6372, 1.0602, 4.3125, 9.7371)
+
+
+def test_steps_report_stability_of_the_converged_tangent():
+    for n_steps in (20, 100):
+        path = solve_vbeam_sweep(SEED301_GEOM, MAT, 5.0, n_steps=n_steps)
+        assert all(s.stable for s in path.steps)
+    path = solve_vbeam_sweep(SEED301_GEOM, MAT, 5.0, n_steps=800)
+    first = next(s for s in path.steps if not s.stable)
+    assert first.control == pytest.approx(0.5125, abs=0.02)
+    assert all(s.stable for s in path.steps if s.control < first.control)
 
 
 def test_arc_length_reproduces_newton_path():
