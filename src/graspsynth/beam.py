@@ -26,7 +26,9 @@ The shuttle-direction actuation force is
 
     F = -(4 E I f_o / L^2 cos(theta) + 4 E I p_o / L^2 sin(theta)).
 
-force_curve, branch_loads and actuation_force wrap one array kernel, _loads;
+force_curve, branch_loads and actuation_force wrap one array kernel, _loads,
+which evaluates a block of geometries (rows) at one set of travels (columns)
+in a single pass; a single geometry is the one-row case.
 solve_monostable_cubic and the scalar chain before it are its reference.
 
 All lengths are mm, forces N, moduli MPa (= N/mm^2); angles are radians
@@ -39,7 +41,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -255,12 +257,17 @@ def bistability_margin(geom: VBeamGeometry, delta_y: float) -> Tuple[float, bool
     """
     if np.less(delta_y, 0).any():
         raise ValidationError("delta_y must be non-negative")
+    a, b, c = _d1_terms(geom)
+    d1 = a * delta_y + b * delta_y - c
+    return d1, d1 >= 0.0
+
+
+def _d1_terms(geom: VBeamGeometry) -> Tuple[float, float, float]:
+    """Scalars (a, b, c) of d1 = a dy + b dy - c for a geometry."""
     L = geom.length_L
     th = geom.tilt_theta
-    d1 = (-4.652 * math.cos(th) ** 2 / L ** 2 * delta_y
-          + 6.514 * math.sin(th) / L * delta_y
-          - 21.46 * geom.thickness_T ** 2 / L ** 2)
-    return d1, d1 >= 0.0
+    return (-4.652 * math.cos(th) ** 2 / L ** 2, 6.514 * math.sin(th) / L,
+            21.46 * geom.thickness_T ** 2 / L ** 2)
 
 
 def bistable_crossover(geom: VBeamGeometry) -> float:
@@ -276,10 +283,17 @@ def bistable_crossover(geom: VBeamGeometry) -> float:
     return -b / a if a > 0 else math.inf
 
 
-def _k_coefficients(t, x_o, y_o):
-    k1 = 4.0 * t ** 2 / 675.0 + y_o ** 2 / 42000.0
-    k2 = 16.0 * t ** 2 / 45.0 - 17.0 * y_o ** 2 / 2100.0 - 8.0 * x_o / 225.0
-    k3 = 16.0 * t ** 2 / 3.0 - 96.0 * y_o ** 2 / 175.0 - 32.0 * x_o / 15.0
+def _t_terms(t: float) -> Tuple[float, float, float]:
+    """The thickness terms of k1, k2 and k3."""
+    return 4.0 * t ** 2 / 675.0, 16.0 * t ** 2 / 45.0, 16.0 * t ** 2 / 3.0
+
+
+def _k_coefficients(t_terms, x_o, y_o):
+    """Cubic coefficients k1..k4 from the _t_terms and the state."""
+    t1, t2, t3 = t_terms
+    k1 = t1 + y_o ** 2 / 42000.0
+    k2 = t2 - 17.0 * y_o ** 2 / 2100.0 - 8.0 * x_o / 225.0
+    k3 = t3 - 96.0 * y_o ** 2 / 175.0 - 32.0 * x_o / 15.0
     k4 = -48.0 * y_o ** 2 / 5.0 - 32.0 * x_o
     return k1, k2, k3, k4
 
@@ -326,7 +340,7 @@ def _cardano_root(k1, k2, k3, k4):
 
 def monostable_intermediates(nd: NormalizedDeflection) -> MonostableIntermediates:
     """Build the cubic coefficients and closed-form root data for a state."""
-    k1, k2, k3, k4 = _k_coefficients(nd.t, nd.x_o, nd.y_o)
+    k1, k2, k3, k4 = _k_coefficients(_t_terms(nd.t), nd.x_o, nd.y_o)
     p1, c1, c2 = _cardano_root(k1, k2, k3, k4)
     return MonostableIntermediates(
         k1=k1, k2=k2, k3=k3, k4=k4, c1=c1, c2=float(c2), p1=float(p1),
@@ -394,21 +408,55 @@ def _rational_fo(y_o, p1):
     return y_o / 2.0 * ((12.0 + 6.0 * p1 / 5.0 + p1 ** 2 / 700.0) - num / den)
 
 
-def _loads(geom: VBeamGeometry, dys: np.ndarray):
-    """Normalized loads (f_o, p_o) and the bistable mask at travels dys >= 0.
+class _Columns(NamedTuple):
+    """Per-geometry scalars of the load kernel, each a (G, 1) column.
 
-    The one evaluator of the model.  Bistable samples take the constant
-    axial-load branch and zero travel the unloaded state; every other sample
-    takes the unique real cubic root (no polish), held with the closed-form
-    Cardano root to the residual bound by _check_roots.
+    Every entry is the model's Python scalar expression for its geometry, so
+    a row of a batched pass equals the one-geometry pass bit for bit (numpy's
+    array power can differ from Python's in the last ulp).
     """
-    _, bistable = bistability_margin(geom, dys)
-    L = geom.length_L
-    x_o = -2.0 * dys * math.sin(geom.tilt_theta) / L
-    y_o = -2.0 * dys * math.cos(geom.tilt_theta) / L
+
+    L: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    d1_a: np.ndarray
+    d1_b: np.ndarray
+    d1_c: np.ndarray
+    k1_t: np.ndarray
+    k2_t: np.ndarray
+    k3_t: np.ndarray
+
+
+def _columns(geoms: Sequence[VBeamGeometry]) -> _Columns:
+    rows = [(g.length_L, math.cos(g.tilt_theta), math.sin(g.tilt_theta),
+             *_d1_terms(g), *_t_terms(2.0 * g.thickness_T / g.length_L))
+            for g in geoms]
+    return _Columns(*np.array(rows, dtype=float).T[:, :, None])
+
+
+def _loads(cols: _Columns, dys: np.ndarray):
+    """Normalized loads (f_o, p_o) and the bistable mask, shape (G, n).
+
+    The one evaluator of the model: G geometries (columns from _columns) at
+    travels dys >= 0 of shape (n,), in one pass.  Bistable samples take the
+    constant axial-load branch and zero travel the unloaded state; every
+    other sample takes the unique real cubic root (no polish), held with the
+    closed-form Cardano root to the residual bound by _check_roots.  A
+    sample that fails a check raises for the whole pass.
+    """
+    if np.less(dys, 0).any():
+        raise ValidationError("delta_y must be non-negative")
+    bistable = cols.d1_a * dys + cols.d1_b * dys - cols.d1_c >= 0.0
+    x_o = -2.0 * dys * cols.sin / cols.L
+    y_o = -2.0 * dys * cols.cos / cols.L
     mono = ~bistable & (dys != 0.0)
 
-    ks = _k_coefficients(2.0 * geom.thickness_T / L, x_o[mono], y_o[mono])
+    # the mask takes samples row by row, so each row's terms repeat once per
+    # monostable sample of that row
+    per_row = np.count_nonzero(mono, axis=1)
+    t_terms = [np.repeat(c[:, 0], per_row)
+               for c in (cols.k1_t, cols.k2_t, cols.k3_t)]
+    ks = _k_coefficients(t_terms, x_o[mono], y_o[mono])
     p_mono = _unique_root(*ks)
     _check_roots(ks, p_mono, _cardano_root(*ks)[0])
     f_o = BISTABLE_FO_SLOPE * y_o
@@ -418,18 +466,20 @@ def _loads(geom: VBeamGeometry, dys: np.ndarray):
     return f_o, p_o, bistable
 
 
-def _shuttle_force(geom: VBeamGeometry, mat: MaterialModel, f_o, p_o):
-    stiff = 4.0 * mat.youngs_modulus_E * geom.second_moment / geom.length_L ** 2
-    return -(stiff * f_o * math.cos(geom.tilt_theta)
-             + stiff * p_o * math.sin(geom.tilt_theta))
+def _shuttle_force(geoms: Sequence[VBeamGeometry], cols: _Columns,
+                   mat: MaterialModel, f_o, p_o):
+    stiff = np.array([[4.0 * mat.youngs_modulus_E * g.second_moment
+                       / g.length_L ** 2] for g in geoms])
+    return -(stiff * f_o * cols.cos + stiff * p_o * cols.sin)
 
 
 def branch_loads(geom: VBeamGeometry, delta_y: float) -> BeamLoadState:
     """Guided-end normalized loads at a travel, with branch selection."""
     d1, _ = bistability_margin(geom, delta_y)
-    f_o, p_o, bistable = _loads(geom, np.array([delta_y], dtype=float))
+    f_o, p_o, bistable = _loads(_columns([geom]),
+                                np.array([delta_y], dtype=float))
     return BeamLoadState(f_o=f_o.item(), p_o=p_o.item(),
-                         branch=Branch.tags(bistable)[0], d1_value=d1)
+                         branch=Branch.tags(bistable[0])[0], d1_value=d1)
 
 
 def actuation_force(geom: VBeamGeometry, mat: MaterialModel, delta_y):
@@ -439,23 +489,38 @@ def actuation_force(geom: VBeamGeometry, mat: MaterialModel, delta_y):
     shape.
     """
     dys = np.array(delta_y, dtype=float, ndmin=1)
-    f_o, p_o, _ = _loads(geom, dys)
-    force = _shuttle_force(geom, mat, f_o, p_o)
+    cols = _columns([geom])
+    f_o, p_o, _ = _loads(cols, dys.ravel())
+    force = _shuttle_force([geom], cols, mat, f_o, p_o).reshape(dys.shape)
     return force if np.ndim(delta_y) else force.item()
 
 
-def force_curve(geom: VBeamGeometry, mat: MaterialModel, travel_max: float,
-                n_samples: int = DEFAULT_CURVE_SAMPLES) -> ForceDisplacementCurve:
-    """Uniformly sampled force-displacement curve over (0, travel_max]."""
+def _force_rows(geoms: Sequence[VBeamGeometry], mat: MaterialModel,
+                travel_max: float, n_samples: int):
+    """Sampled force-displacement rows of several geometries in one pass.
+
+    Returns (delta_y, force, f_o, p_o, bistable): the n_samples uniform
+    travels over (0, travel_max], then (len(geoms), n_samples) arrays with
+    one row per geometry.  force_curve is the one-geometry case.
+    """
     if not travel_max > 0:
         raise ValidationError("travel_max must be positive")
     if n_samples < 2:
         raise ValidationError("n_samples must be at least 2")
     dys = travel_max * np.arange(1, n_samples + 1) / n_samples
-    f_o, p_o, bistable = _loads(geom, dys)
+    cols = _columns(geoms)
+    f_o, p_o, bistable = _loads(cols, dys)
+    return dys, _shuttle_force(geoms, cols, mat, f_o, p_o), f_o, p_o, bistable
+
+
+def force_curve(geom: VBeamGeometry, mat: MaterialModel, travel_max: float,
+                n_samples: int = DEFAULT_CURVE_SAMPLES) -> ForceDisplacementCurve:
+    """Uniformly sampled force-displacement curve over (0, travel_max]."""
+    dys, force, f_o, p_o, bistable = _force_rows([geom], mat, travel_max,
+                                                 n_samples)
     return ForceDisplacementCurve(
-        delta_y=dys, force=_shuttle_force(geom, mat, f_o, p_o), f_o=f_o,
-        p_o=p_o, branches=Branch.tags(bistable), geometry=geom, material=mat)
+        delta_y=dys, force=force[0], f_o=f_o[0], p_o=p_o[0],
+        branches=Branch.tags(bistable[0]), geometry=geom, material=mat)
 
 
 def peak_force(curve: ForceDisplacementCurve) -> Tuple[float, float]:
