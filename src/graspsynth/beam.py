@@ -109,7 +109,7 @@ class VBeamGeometry:
 
 @dataclass(frozen=True)
 class MaterialModel:
-    """Linear elastic material; Poisson ratio is carried for the FE solver."""
+    """Linear elastic material; every model reads E alone, not poisson_ratio."""
 
     youngs_modulus_E: float
     poisson_ratio: float = 0.3
@@ -273,14 +273,12 @@ def _d1_terms(geom: VBeamGeometry) -> Tuple[float, float, float]:
 def bistable_crossover(geom: VBeamGeometry) -> float:
     """Travel at which d1 changes sign; inf when d1 stays negative.
 
-    d1(dy) = a dy + b with b < 0, so the crossover is -b/a when the slope a
-    is positive and never occurs otherwise.
+    d1(dy) = (a + b) dy - c with c > 0, so the crossover is c / (a + b) when
+    the slope a + b is positive and never occurs otherwise.
     """
-    L = geom.length_L
-    th = geom.tilt_theta
-    a = -4.652 * math.cos(th) ** 2 / L ** 2 + 6.514 * math.sin(th) / L
-    b = -21.46 * geom.thickness_T ** 2 / L ** 2
-    return -b / a if a > 0 else math.inf
+    a, b, c = _d1_terms(geom)
+    slope = a + b
+    return c / slope if slope > 0 else math.inf
 
 
 def _t_terms(t: float) -> Tuple[float, float, float]:
@@ -495,6 +493,11 @@ def actuation_force(geom: VBeamGeometry, mat: MaterialModel, delta_y):
     return force if np.ndim(delta_y) else force.item()
 
 
+def uniform_travels(travel_max: float, n: int) -> np.ndarray:
+    """The n uniform travels travel_max * k / n, k = 1..n, over (0, travel_max]."""
+    return travel_max * np.arange(1, n + 1) / n
+
+
 def _force_rows(geoms: Sequence[VBeamGeometry], mat: MaterialModel,
                 travel_max: float, n_samples: int):
     """Sampled force-displacement rows of several geometries in one pass.
@@ -507,7 +510,7 @@ def _force_rows(geoms: Sequence[VBeamGeometry], mat: MaterialModel,
         raise ValidationError("travel_max must be positive")
     if n_samples < 2:
         raise ValidationError("n_samples must be at least 2")
-    dys = travel_max * np.arange(1, n_samples + 1) / n_samples
+    dys = uniform_travels(travel_max, n_samples)
     cols = _columns(geoms)
     f_o, p_o, bistable = _loads(cols, dys)
     return dys, _shuttle_force(geoms, cols, mat, f_o, p_o), f_o, p_o, bistable

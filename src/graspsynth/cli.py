@@ -11,10 +11,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .beam import ForceDisplacementCurve, bistability_margin, force_curve
-from .config import RunConfig, SweepSettings, parse_config
+from .beam import (ForceDisplacementCurve, bistability_margin, force_curve,
+                   uniform_travels)
+from .config import RunConfig, parse_config
 from .errors import ConfigError, NumericalError, ValidationError
 from .fe import compare_curves, solve_vbeam_sweep, sweep_to_curve, write_path_csv
 from .mechanism import aggregate_ring_force, grasper_sweep, halved_ring_force
@@ -54,18 +53,10 @@ def _load_config(args) -> RunConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     config = parse_config(path.read_text(encoding="utf-8"))
-    if args.travel is not None or args.samples is not None:
-        sweep = config.sweep
-        config = replace(config, sweep=SweepSettings(
-            travel_max=args.travel if args.travel is not None else sweep.travel_max,
-            n_samples=args.samples if args.samples is not None else sweep.n_samples))
-    return config
-
-
-def _out_dir(args, config: RunConfig) -> Path:
-    out = Path(args.out) if args.out else Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    overrides = {name: value for name, value in (("travel_max", args.travel),
+                                                 ("n_samples", args.samples))
+                 if value is not None}
+    return replace(config, sweep=replace(config.sweep, **overrides))
 
 
 def _say(args, message: str) -> None:
@@ -79,9 +70,7 @@ def _emit(args, dest: Path, lines) -> None:
     _say(args, f"wrote {dest}")
 
 
-def _cmd_curve(args) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
+def _cmd_curve(args, config: RunConfig, out: Path) -> int:
     curve = force_curve(config.mechanism.beam_geometry, config.material,
                         config.sweep.travel_max, config.sweep.n_samples)
     dest = out / "curve.csv"
@@ -90,11 +79,8 @@ def _cmd_curve(args) -> int:
     return 0
 
 
-def _cmd_d1(args) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
-    n = config.sweep.n_samples
-    dys = config.sweep.travel_max * np.arange(1, n + 1) / n
+def _cmd_d1(args, config: RunConfig, out: Path) -> int:
+    dys = uniform_travels(config.sweep.travel_max, config.sweep.n_samples)
     d1, satisfied = bistability_margin(config.mechanism.beam_geometry, dys)
     lines = [D1_CSV_HEADER] + [
         f"{dy:.9g},{d:.9g},{str(ok).lower()}"
@@ -103,11 +89,9 @@ def _cmd_d1(args) -> int:
     return 0
 
 
-def _cmd_design(args) -> int:
-    config = _load_config(args)
+def _cmd_design(args, config: RunConfig, out: Path) -> int:
     if config.design is None:
         raise ConfigError("config has no 'design' block")
-    out = _out_dir(args, config)
     ranked = grid_search(config.design.spec, config.design.grid_density)
     _say(args, f"grid search ranked {len(ranked)} candidates")
     if ranked:
@@ -120,13 +104,10 @@ def _cmd_design(args) -> int:
     return 0
 
 
-def _cmd_grasper(args) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
+def _cmd_grasper(args, config: RunConfig, out: Path) -> int:
     mech = config.mechanism
     top = min(mech.latch_travel, mech.jaw_calibration[-1][0])
-    n = config.sweep.n_samples
-    ring = (top * np.arange(1, n + 1) / n).tolist()
+    ring = uniform_travels(top, config.sweep.n_samples).tolist()
     lines = [GRASPER_CSV_HEADER]
     for d, r in zip(ring, grasper_sweep(mech, ring)):
         lines.append(
@@ -136,9 +117,7 @@ def _cmd_grasper(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
+def _cmd_verify(args, config: RunConfig, out: Path) -> int:
     geom = config.mechanism.beam_geometry
     mat = config.material
     travel = config.sweep.travel_max
@@ -176,13 +155,10 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    rcs = [_cmd_curve(args), _cmd_d1(args), _cmd_grasper(args)]
-    config = _load_config(args)
-    if config.design is not None:
-        rcs.append(_cmd_design(args))
-    rcs.append(_cmd_verify(args))
-    return max(rcs)
+def _cmd_report(args, config: RunConfig, out: Path) -> int:
+    design = [_cmd_design] if config.design is not None else []
+    return max(command(args, config, out) for command in
+               [_cmd_curve, _cmd_d1, _cmd_grasper, *design, _cmd_verify])
 
 
 _COMMANDS = {
@@ -228,7 +204,10 @@ def run_command(argv=None) -> int:
         # argparse exits 0 for --help and 2 for usage problems
         return 0 if exc.code == 0 else 1
     try:
-        return _COMMANDS[args.command](args)
+        config = _load_config(args)
+        out = Path(args.out or config.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.command](args, config, out)
     except (ConfigError, ValidationError) as exc:
         print(f"configuration error in '{args.command}': {exc}", file=sys.stderr)
         return 2

@@ -2,22 +2,25 @@
 
 Units in files: lengths mm, forces N, moduli MPa, stiffness N/mm, angles
 degrees (converted to radians at this boundary).  Unknown keys are rejected
-so typos fail loudly.  Serialization emits degree values that reparse to the
-identical radian doubles, making parse(serialize(config)) an exact identity.
+so typos fail loudly.  One table, _KEYS, names each key once for parsing and
+serialization; defaults live on the dataclasses.  Serialization emits degree
+values that reparse to the identical radian doubles, making
+parse(serialize(config)) an exact identity.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 from .beam import DEFAULT_CURVE_SAMPLES, MaterialModel, VBeamGeometry
 from .errors import ConfigError, ValidationError
+from .fe.model import DEFAULT_ELEMENTS_PER_BEAM
+from .fe.solver import DEFAULT_TOLERANCE
 from .mechanism import CantileverSection, MechanismConfig
-from .search import (DEFAULT_LENGTH_BUDGET, DEFAULT_STRESS_LIMIT, DesignSpec,
-                     PARAM_NAMES)
+from .search import DesignSpec, PARAM_NAMES
 
 
 @dataclass(frozen=True)
@@ -28,15 +31,17 @@ class SweepSettings:
     def __post_init__(self):
         if not self.travel_max > 0:
             raise ValidationError("sweep travel_max must be positive")
+        if not math.isfinite(self.travel_max):
+            raise ValidationError("sweep travel_max must be finite")
         if self.n_samples < 2:
             raise ValidationError("sweep n_samples must be at least 2")
 
 
 @dataclass(frozen=True)
 class FESettings:
-    n_elements: int = 16
+    n_elements: int = DEFAULT_ELEMENTS_PER_BEAM
     n_steps: int = 100
-    tolerance: float = 1e-8
+    tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
         if self.n_elements < 4:
@@ -66,44 +71,6 @@ class RunConfig:
     output_dir: str = "out"
 
 
-_SCHEMA = {
-    "beam": {"length_L", "thickness_T", "width_W", "tilt_theta_deg"},
-    "material": {"youngs_modulus_E", "poisson_ratio"},
-    "mechanism": {"n_beams", "latch_travel", "series_stiffness_ks",
-                  "latch_ramp_factor", "jaw_calibration", "jaw_section",
-                  "overall_length_budget"},
-    "jaw_section": {"out_of_plane_b", "in_plane_h", "jaw_length"},
-    "sweep": {"travel_max", "n_samples"},
-    "design": {"target_force", "target_travel", "bounds", "stress_limit",
-               "length_budget", "require_non_bistable_at_travel",
-               "fixture_allowance", "grid_density", "refine_max_evals"},
-    "fe": {"n_elements", "n_steps", "tolerance"},
-}
-
-_BOUND_KEYS = {"length_L", "thickness_T", "width_W", "tilt_theta_deg", "n_beams"}
-
-_TOP_KEYS = {"beam", "material", "mechanism", "sweep", "design", "fe",
-             "output_dir"}
-_REQUIRED_TOP = ("beam", "material", "mechanism", "sweep")
-
-
-def _reject_unknown(obj, allowed: set, path: str) -> None:
-    """Refuse a section that is not an object or holds an unknown key."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"'{path}' must be an object")
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{path}.{key}'" if path
-                              else f"unknown key '{key}'")
-
-
-def _need(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise ConfigError(f"missing required key '{path}.{key}'" if path
-                          else f"missing required key '{key}'")
-    return obj[key]
-
-
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{path}' must be a number")
@@ -128,14 +95,24 @@ def _boolean(value, path: str) -> bool:
     return value
 
 
-_REQUIRED = object()
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"'{path}' must be a string")
+    return value
 
 
-def _field(obj: dict, path: str, key: str, default=_REQUIRED, parse=_number):
-    """obj[key] via parse, errors naming path.key; required without default."""
-    value = (_need(obj, key, path) if default is _REQUIRED
-             else obj.get(key, default))
-    return parse(value, f"{path}.{key}")
+def _pair(value, path: str) -> tuple:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"'{path}' must be [low, high]")
+    return _number(value[0], path), _number(value[1], path)
+
+
+def _angle(value, path: str) -> float:
+    return math.radians(_number(value, path))
+
+
+def _angle_pair(value, path: str) -> tuple:
+    return tuple(map(math.radians, _pair(value, path)))
 
 
 def degrees_exact(radians: float) -> float:
@@ -158,6 +135,75 @@ def degrees_exact(radians: float) -> float:
     return d
 
 
+_BOUNDS = {"length_L": _pair, "thickness_T": _pair, "width_W": _pair,
+           "tilt_theta_deg": _angle_pair, "n_beams": _pair}
+
+# Plain keys of each section and their readers, keyed by the last part of the
+# section's path ("" is the top level).  A key names the dataclass field (or
+# dict entry) it fills, except tilt_theta_deg, which fills tilt_theta.
+_KEYS = {
+    "": {"output_dir": _string},
+    "beam": {"length_L": _number, "thickness_T": _number, "width_W": _number,
+             "tilt_theta_deg": _angle},
+    "material": {"youngs_modulus_E": _number, "poisson_ratio": _number},
+    "mechanism": {"n_beams": _integer, "latch_travel": _number,
+                  "series_stiffness_ks": _number, "latch_ramp_factor": _number,
+                  "overall_length_budget": _number},
+    "jaw_section": {"out_of_plane_b": _number, "in_plane_h": _number,
+                    "jaw_length": _number},
+    "sweep": {"travel_max": _number, "n_samples": _integer},
+    "design": {"target_force": _number, "target_travel": _number,
+               "stress_limit": _number, "length_budget": _number,
+               "require_non_bistable_at_travel": _boolean,
+               "fixture_allowance": _number, "refine_max_evals": _integer},
+    "bounds": _BOUNDS,
+    "grid_density": dict.fromkeys(_BOUNDS, _integer),
+    "fe": {"n_elements": _integer, "n_steps": _integer, "tolerance": _number},
+}
+_FIELD = {"tilt_theta_deg": "tilt_theta"}
+_KEY = {name: key for key, name in _FIELD.items()}
+_WRITERS = {_angle: degrees_exact,
+            _angle_pair: lambda pair: [degrees_exact(v) for v in pair]}
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _missing(path: str, key: str) -> ConfigError:
+    return ConfigError(f"missing required key '{_join(path, key)}'")
+
+
+def _read(doc, path: str, nested=(), required=()) -> dict:
+    """Field values of the section's plain keys present in doc.
+
+    Refuses a non-object, a key that is neither plain, nested nor required,
+    and a missing required key; the caller reads the keys that are not plain.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"'{path}' must be an object")
+    keys = _KEYS[path.rpartition(".")[2]]
+    for key in doc:
+        if key not in keys and key not in nested and key not in required:
+            raise ConfigError(f"unknown key '{_join(path, key)}'")
+    for key in required:
+        if key not in doc:
+            raise _missing(path, key)
+    return {_FIELD.get(key, key): read(doc[key], _join(path, key))
+            for key, read in keys.items() if key in doc}
+
+
+def _build(cls, values: dict, path: str, **given):
+    """cls from given plus the values of its fields; a field missing from
+    both is a missing key unless the dataclass gives it a default."""
+    for field in fields(cls):
+        if field.name in values:
+            given[field.name] = values[field.name]
+        elif field.name not in given and field.default is MISSING:
+            raise _missing(path, _KEY.get(field.name, field.name))
+    return cls(**given)
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document."""
     try:
@@ -168,183 +214,84 @@ def parse_config(text: str) -> RunConfig:
         ) from exc
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "")
-    for key in _REQUIRED_TOP:
-        _need(doc, key, "")
+    run = _read(doc, "", nested=("design", "fe"),
+                required=("beam", "material", "mechanism", "sweep"))
 
     try:
-        beam = doc["beam"]
-        _reject_unknown(beam, _SCHEMA["beam"], "beam")
-        geometry = VBeamGeometry.from_degrees(*(
-            _field(beam, "beam", key) for key in
-            ("length_L", "thickness_T", "width_W", "tilt_theta_deg")))
-
-        mat_doc = doc["material"]
-        _reject_unknown(mat_doc, _SCHEMA["material"], "material")
-        material = MaterialModel(
-            _field(mat_doc, "material", "youngs_modulus_E"),
-            _field(mat_doc, "material", "poisson_ratio", 0.3))
+        geometry = _build(VBeamGeometry, _read(doc["beam"], "beam"), "beam")
+        material = _build(MaterialModel, _read(doc["material"], "material"),
+                          "material")
 
         mech_doc = doc["mechanism"]
-        _reject_unknown(mech_doc, _SCHEMA["mechanism"], "mechanism")
-        sec_doc = _need(mech_doc, "jaw_section", "mechanism")
-        _reject_unknown(sec_doc, _SCHEMA["jaw_section"], "mechanism.jaw_section")
-        section = CantileverSection(*(
-            _field(sec_doc, "mechanism.jaw_section", key)
-            for key in ("out_of_plane_b", "in_plane_h", "jaw_length")))
-        calibration = _need(mech_doc, "jaw_calibration", "mechanism")
+        mech = _read(mech_doc, "mechanism",
+                     required=("jaw_section", "jaw_calibration"))
+        section = _build(CantileverSection, _read(
+            mech_doc["jaw_section"], "mechanism.jaw_section"),
+            "mechanism.jaw_section")
+        calibration = mech_doc["jaw_calibration"]
         if (not isinstance(calibration, list) or not calibration
                 or not all(isinstance(a, list) and len(a) == 2 for a in calibration)):
             raise ConfigError(
                 "'mechanism.jaw_calibration' must be a non-empty list of "
                 "[trigger_mm, jaw_mm] pairs")
-        anchors = tuple(
-            (_number(a[0], "mechanism.jaw_calibration"),
-             _number(a[1], "mechanism.jaw_calibration")) for a in calibration)
-        mechanism = MechanismConfig(
-            beam_geometry=geometry,
-            n_beams=_field(mech_doc, "mechanism", "n_beams", parse=_integer),
-            material=material,
-            latch_travel=_field(mech_doc, "mechanism", "latch_travel"),
-            jaw_calibration=anchors,
-            jaw_section=section,
-            series_stiffness_ks=_field(
-                mech_doc, "mechanism", "series_stiffness_ks", 10.0),
-            overall_length_budget=_field(
-                mech_doc, "mechanism", "overall_length_budget", 200.0),
-            latch_ramp_factor=_field(
-                mech_doc, "mechanism", "latch_ramp_factor", 1.5))
+        anchors = tuple(_pair(a, "mechanism.jaw_calibration")
+                        for a in calibration)
+        mechanism = _build(MechanismConfig, mech, "mechanism",
+                           beam_geometry=geometry, material=material,
+                           jaw_calibration=anchors, jaw_section=section)
 
-        sweep_doc = doc["sweep"]
-        _reject_unknown(sweep_doc, _SCHEMA["sweep"], "sweep")
-        sweep = SweepSettings(
-            travel_max=_field(sweep_doc, "sweep", "travel_max"),
-            n_samples=_field(sweep_doc, "sweep", "n_samples",
-                             DEFAULT_CURVE_SAMPLES, _integer))
-
-        design = None
-        if "design" in doc:
-            design = _parse_design(doc["design"], material)
-
-        fe = FESettings()
-        if "fe" in doc:
-            fe_doc = doc["fe"]
-            _reject_unknown(fe_doc, _SCHEMA["fe"], "fe")
-            fe = FESettings(
-                n_elements=_field(fe_doc, "fe", "n_elements", 16, _integer),
-                n_steps=_field(fe_doc, "fe", "n_steps", 100, _integer),
-                tolerance=_field(fe_doc, "fe", "tolerance", 1e-8))
-
-        output_dir = doc.get("output_dir", "out")
-        if not isinstance(output_dir, str):
-            raise ConfigError("'output_dir' must be a string")
-
-        return RunConfig(mechanism=mechanism, material=material, sweep=sweep,
-                         design=design, fe=fe, output_dir=output_dir)
+        sweep = _build(SweepSettings, _read(doc["sweep"], "sweep"), "sweep")
+        design = (_parse_design(doc["design"], material) if "design" in doc
+                  else None)
+        fe = _build(FESettings, _read(doc.get("fe", {}), "fe"), "fe")
+        return _build(RunConfig, run, "", mechanism=mechanism,
+                      material=material, sweep=sweep, design=design, fe=fe)
     except ValidationError as exc:
         raise ConfigError(f"invariant violation: {exc}") from exc
 
 
 def _parse_design(doc, material: MaterialModel) -> DesignSettings:
-    _reject_unknown(doc, _SCHEMA["design"], "design")
-    bounds_doc = _need(doc, "bounds", "design")
-    _reject_unknown(bounds_doc, _BOUND_KEYS, "design.bounds")
-    bounds = {}
-    for key in _BOUND_KEYS:
-        pair = _need(bounds_doc, key, "design.bounds")
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ConfigError(f"'design.bounds.{key}' must be [low, high]")
-        lo = _number(pair[0], f"design.bounds.{key}")
-        hi = _number(pair[1], f"design.bounds.{key}")
-        name = "tilt_theta" if key == "tilt_theta_deg" else key
-        if key == "tilt_theta_deg":
-            lo, hi = math.radians(lo), math.radians(hi)
-        bounds[name] = (lo, hi)
-    spec = DesignSpec(
-        target_force=_field(doc, "design", "target_force"),
-        target_travel=_field(doc, "design", "target_travel"),
-        bounds=bounds,
-        material=material,
-        stress_limit=_field(doc, "design", "stress_limit",
-                            DEFAULT_STRESS_LIMIT),
-        length_budget=_field(doc, "design", "length_budget",
-                             DEFAULT_LENGTH_BUDGET),
-        require_non_bistable_at_travel=_field(
-            doc, "design", "require_non_bistable_at_travel", False, _boolean),
-        fixture_allowance=_field(doc, "design", "fixture_allowance", 0.0))
-    density_doc = doc.get("grid_density", {})
-    _reject_unknown(density_doc, _BOUND_KEYS, "design.grid_density")
-    density = {}
-    for key, value in density_doc.items():
-        name = "tilt_theta" if key == "tilt_theta_deg" else key
-        density[name] = _integer(value, f"design.grid_density.{key}")
+    values = _read(doc, "design", nested=("grid_density",),
+                   required=("bounds",))
+    bounds = _read(doc["bounds"], "design.bounds", required=_BOUNDS)
+    density = _read(doc.get("grid_density", {}), "design.grid_density")
     for name in PARAM_NAMES:
         density.setdefault(name, 5)
-    return DesignSettings(
-        spec=spec, grid_density=density,
-        refine_max_evals=_field(doc, "design", "refine_max_evals", 200,
-                                _integer))
+    spec = _build(DesignSpec, values, "design", bounds=bounds,
+                  material=material)
+    return _build(DesignSettings, values, "design", spec=spec,
+                  grid_density=density)
+
+
+def _write(values: dict, section: str) -> dict:
+    """The section's plain keys from field values, as _read reads them."""
+    doc = {}
+    for key, read in _KEYS[section].items():
+        name = _FIELD.get(key, key)
+        if name in values:
+            write = _WRITERS.get(read)
+            doc[key] = write(values[name]) if write else values[name]
+    return doc
 
 
 def serialize_config(config: RunConfig) -> str:
     """Canonical JSON for a RunConfig; parse(serialize(c)) == c exactly."""
     mech = config.mechanism
-    geom = mech.beam_geometry
-    sec = mech.jaw_section
     doc = {
-        "beam": {
-            "length_L": geom.length_L,
-            "thickness_T": geom.thickness_T,
-            "width_W": geom.width_W,
-            "tilt_theta_deg": degrees_exact(geom.tilt_theta),
-        },
-        "material": {
-            "youngs_modulus_E": config.material.youngs_modulus_E,
-            "poisson_ratio": config.material.poisson_ratio,
-        },
-        "mechanism": {
-            "n_beams": mech.n_beams,
-            "latch_travel": mech.latch_travel,
-            "series_stiffness_ks": mech.series_stiffness_ks,
-            "latch_ramp_factor": mech.latch_ramp_factor,
-            "jaw_calibration": [[t, j] for t, j in mech.jaw_calibration],
-            "jaw_section": {
-                "out_of_plane_b": sec.out_of_plane_b,
-                "in_plane_h": sec.in_plane_h,
-                "jaw_length": sec.jaw_length,
-            },
-            "overall_length_budget": mech.overall_length_budget,
-        },
-        "sweep": {
-            "travel_max": config.sweep.travel_max,
-            "n_samples": config.sweep.n_samples,
-        },
+        "beam": _write(vars(mech.beam_geometry), "beam"),
+        "material": _write(vars(config.material), "material"),
+        "mechanism": {**_write(vars(mech), "mechanism"),
+                      "jaw_calibration": mech.jaw_calibration,
+                      "jaw_section": _write(vars(mech.jaw_section),
+                                            "jaw_section")},
+        "sweep": _write(vars(config.sweep), "sweep"),
     }
     if config.design is not None:
-        d = config.design
-        s = d.spec
-        bounds = {name: list(s.bounds[name])
-                  for name in ("length_L", "thickness_T", "width_W")}
-        bounds["tilt_theta_deg"] = [degrees_exact(v)
-                                    for v in s.bounds["tilt_theta"]]
-        bounds["n_beams"] = list(s.bounds["n_beams"])
-        density = {("tilt_theta_deg" if k == "tilt_theta" else k): v
-                   for k, v in d.grid_density.items()}
+        design = config.design
         doc["design"] = {
-            "target_force": s.target_force,
-            "target_travel": s.target_travel,
-            "bounds": bounds,
-            "stress_limit": s.stress_limit,
-            "length_budget": s.length_budget,
-            "require_non_bistable_at_travel": s.require_non_bistable_at_travel,
-            "fixture_allowance": s.fixture_allowance,
-            "grid_density": density,
-            "refine_max_evals": d.refine_max_evals,
-        }
-    doc["fe"] = {
-        "n_elements": config.fe.n_elements,
-        "n_steps": config.fe.n_steps,
-        "tolerance": config.fe.tolerance,
-    }
-    doc["output_dir"] = config.output_dir
+            **_write({**vars(design.spec), **vars(design)}, "design"),
+            "bounds": _write(design.spec.bounds, "bounds"),
+            "grid_density": _write(design.grid_density, "grid_density")}
+    doc["fe"] = _write(vars(config.fe), "fe")
+    doc.update(_write(vars(config), ""))
     return json.dumps(doc, indent=2) + "\n"

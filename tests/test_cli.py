@@ -199,6 +199,52 @@ def test_non_finite_config_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "curve.csv").exists()
 
 
+@pytest.mark.parametrize("command,csv_name", [
+    ("curve", "curve.csv"), ("d1", "d1.csv"), ("grasper", "grasper.csv")])
+@pytest.mark.parametrize("travel", ["inf", "-inf", "nan", "0"])
+def test_travel_override_is_checked_like_file_values(tmp_path, capsys,
+                                                     command, csv_name, travel):
+    rc = run_command([command, "--config", str(TABLE1_JSON),
+                      "--out", str(tmp_path), f"--travel={travel}",
+                      "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"configuration error in '{command}': sweep travel_max must be" in err
+    assert not (tmp_path / csv_name).exists()
+
+
+def test_samples_override_is_checked_like_file_values(tmp_path, capsys):
+    rc = run_command(["d1", "--config", str(TABLE1_JSON),
+                      "--out", str(tmp_path), "--samples", "1", "--quiet"])
+    assert rc == 2
+    assert "sweep n_samples must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("with_design", [False, True])
+def test_report_reads_its_config_once(tmp_path, monkeypatch, with_design):
+    import graspsynth.cli as cli
+    doc = json.loads(TABLE1_JSON.read_text()) if with_design else minimal_doc()
+    doc["fe"] = {"n_steps": 5}
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps(doc))
+    texts = []
+
+    def counted(text):
+        texts.append(text)
+        return parse(text)
+
+    parse = cli.parse_config
+    monkeypatch.setattr(cli, "parse_config", counted)
+    out = tmp_path / "o"
+    assert run_command(["report", "--config", str(cfg), "--out", str(out),
+                        "--samples", "20", "--quiet"]) == 3
+    assert len(texts) == 1
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["curve.csv", "d1.csv", "fe_path.csv", "grasper.csv",
+         "verify_report.csv"] + ["design_candidates.csv"] * with_design)
+    assert len((out / "d1.csv").read_text().splitlines()) == 21
+
+
 def test_curve_command_csv_contract(tmp_path):
     out = tmp_path / "o"
     rc = run_command(["curve", "--config", str(TABLE1_JSON),
