@@ -20,7 +20,8 @@ from .errors import ConfigError, ValidationError
 from .fe.model import DEFAULT_ELEMENTS_PER_BEAM
 from .fe.solver import DEFAULT_TOLERANCE
 from .mechanism import CantileverSection, MechanismConfig
-from .search import DesignSpec, PARAM_NAMES
+from .search import (DEFAULT_GRID_DENSITY, DEFAULT_REFINE_EVALS, DesignSpec,
+                     PARAM_NAMES)
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class DesignSettings:
 
     spec: DesignSpec
     grid_density: dict
-    refine_max_evals: int = 200
+    refine_max_evals: int = DEFAULT_REFINE_EVALS
 
 
 @dataclass(frozen=True)
@@ -256,7 +257,7 @@ def _parse_design(doc, material: MaterialModel) -> DesignSettings:
     bounds = _read(doc["bounds"], "design.bounds", required=_BOUNDS)
     density = _read(doc.get("grid_density", {}), "design.grid_density")
     for name in PARAM_NAMES:
-        density.setdefault(name, 5)
+        density.setdefault(name, DEFAULT_GRID_DENSITY)
     spec = _build(DesignSpec, values, "design", bounds=bounds,
                   material=material)
     return _build(DesignSettings, values, "design", spec=spec,

@@ -15,11 +15,12 @@ indices computed once per model.
 
 Equilibrium paths are traversed under displacement control with Newton
 iteration.  A step that fails to converge is bisected down to a floor and,
-failing that, handed to a spherical arc-length corrector; if everything
-fails a diagnostic error carries the partial path.  Each converged step
-records whether its free-free tangent is positive definite (one Cholesky
-attempt on the tangent Newton assembled last); a step that is not lies on
-an unstable branch, which the sweep reports but does not correct.
+failing that, handed to a spherical arc-length corrector, which gives up
+after a fixed number of increments; if everything fails a diagnostic error
+carries the partial path.  Each converged step records whether its
+free-free tangent is positive definite (one Cholesky attempt on the tangent
+Newton assembled last); a step that is not lies on an unstable branch,
+which the sweep reports but does not correct.
 
 A solver run mutates only local state; independent solves may run
 concurrently.
@@ -45,6 +46,10 @@ PATH_CSV_HEADER = "step,control_mm,reaction_N,iters,residual"
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_MAX_ITERS = 25
 BISECTION_FLOOR_DIV = 4096
+# Nominal increments of the arc-length fallback, and the most it takes
+# before giving up.  Ranges that converge take up to ~60 increments.
+ARC_SUBSTEPS = 8
+ARC_MAX_SUBSTEPS = 128
 # turns a chord direction (c, s), reversed to (s, c), into its normal (-s, c)
 _TURN = np.array([-1.0, 1.0])
 
@@ -295,45 +300,43 @@ def _newton(system: _System, u_eq, control, tol, max_iters):
 
 
 def _arc_length(system: _System, u_eq, control_from, control_to, tol,
-                max_iters, n_substeps=8):
+                max_iters):
     """Spherical arc-length continuation from one control value to another.
 
-    The control parameter joins the unknowns; each increment is constrained
-    to a fixed generalized length and corrected with Newton iterations.
-    Returns _newton's result at control_to, or None.
+    The control parameter joins the unknowns; each of the nominally
+    ARC_SUBSTEPS increments is constrained to a fixed generalized length and
+    corrected with Newton iterations.  The control can advance by less than
+    the nominal increment, or move back, so the continuation gives up after
+    ARC_MAX_SUBSTEPS increments.  Returns _newton's result at control_to, or
+    None.
     """
     u = u_eq.copy()
     lam = control_from
     amp = system.prescribed_amp[system.prescribed_eqs]
-    dlam_target = (control_to - control_from) / n_substeps
+    dlam_target = (control_to - control_from) / ARC_SUBSTEPS
     psi2 = float(np.sum(amp ** 2))
     if psi2 == 0.0:
         return None
 
-    # generalized increment length from a unit predictor at the first substep
+    substeps = 0
     while (control_to - lam) * np.sign(dlam_target) > 1e-12 * abs(control_to or 1.0):
+        substeps += 1
+        if substeps > ARC_MAX_SUBSTEPS:
+            return None
         dlam = np.sign(dlam_target) * min(abs(dlam_target),
                                           abs(control_to - lam))
-        u_pred = u.copy()
-        u_pred[system.prescribed_eqs] = (lam + dlam) * amp
+        # the increment length, fixed by the first predictor of the substep
+        arc2 = psi2 * dlam ** 2
         du_f = np.zeros(system.free_idx.size)
-        arc2 = None
-        converged = False
-        for it in range(1, max_iters + 1):
-            lam_cur = lam + dlam
-            u_cur = u_pred.copy()
+        for _ in range(max_iters):
+            u_cur = u.copy()
             u_cur[system.free_idx] += du_f
-            u_cur[system.prescribed_eqs] = lam_cur * amp
+            u_cur[system.prescribed_eqs] = (lam + dlam) * amp
             _, r_eq, K, _ = system.assemble(u_cur)
             r = r_eq[system.free_idx]
-            if arc2 is None:
-                arc2 = float(du_f @ du_f) + psi2 * dlam ** 2
-                if arc2 == 0.0:
-                    arc2 = psi2 * dlam ** 2
             a_res = float(du_f @ du_f) + psi2 * dlam ** 2 - arc2
             if (np.linalg.norm(r) < tol
                     and abs(a_res) <= 1e-10 * max(arc2, 1e-30)):
-                converged = True
                 break
             Kff = K[system.free_free]
             Kfp = K[np.ix_(system.free_idx, system.prescribed_eqs)]
@@ -348,13 +351,13 @@ def _arc_length(system: _System, u_eq, control_from, control_to, tol,
             try:
                 sol = np.linalg.solve(J, rhs)
             except np.linalg.LinAlgError:
-                break
+                return None
             du_f += sol[:n_f]
             dlam += sol[n_f]
-        if not converged:
+        else:
             return None
         lam = lam + dlam
-        u[system.free_idx] = u_pred[system.free_idx] + du_f
+        u[system.free_idx] += du_f
         u[system.prescribed_eqs] = lam * amp
         if abs(lam - control_to) <= 1e-9 * max(1.0, abs(control_to)):
             break
@@ -405,30 +408,26 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
     for k in range(1, n_steps + 1):
         target = travel_max * k / n_steps
         while control < target - 1e-12 * travel_max:
-            step = target - control
-            attempt = step
-            advanced = False
+            step = attempt = target - control
             while True:
-                trial = _newton(system, u, control + attempt, tol, max_iters)
-                if trial[0] is not None:
-                    converged, u = trial, trial[0]
-                    control += attempt
-                    advanced = True
+                converged = _newton(system, u, control + attempt, tol,
+                                    max_iters)
+                if converged[0] is not None:
                     break
                 attempt /= 2.0
                 if attempt < floor:
+                    converged = _arc_length(system, u, control,
+                                            control + step, tol, max_iters)
+                    if converged is None:
+                        raise ConvergenceError(
+                            f"no equilibrium between control {control:.6g} "
+                            f"and {control + step:.6g} mm after bisection "
+                            f"and arc-length fallback",
+                            last_step=path.last, path=path)
+                    attempt = step
                     break
-            if not advanced:
-                fallback = _arc_length(system, u, control, control + step,
-                                       tol, max_iters)
-                if fallback is not None:
-                    converged, u = fallback, fallback[0]
-                    control += step
-                else:
-                    raise ConvergenceError(
-                        f"no equilibrium between control {control:.6g} and "
-                        f"{control + step:.6g} mm after bisection and "
-                        f"arc-length fallback", last_step=path.last, path=path)
+            u = converged[0]
+            control += attempt
         _record(system, path, target, converged)
     return path
 

@@ -7,6 +7,12 @@ travel.  The stress screen estimates the beam-root bending stress from the
 closed-form end loads (moment of the transverse end load times half the
 length); final designs should be re-checked with the frame solver.
 
+A design point is one tuple in PARAM_NAMES order, (L, T, W, theta,
+n_beams), and one predicate checks it against the bounds with the absolute
+slack BOUNDS_TOL.  The spec refuses an n_beams lower bound below 1, so every
+in-bounds beam count is at least 1.  A grid_density entry that is missing
+means DEFAULT_GRID_DENSITY levels.
+
 The closed-form curve does not depend on the beam count, so a geometry is
 evaluated once for all its beam counts: the grid runs its distinct
 geometries through the load kernel in blocks, one pass per block, and refine
@@ -16,9 +22,9 @@ remembers the geometries it has evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +38,18 @@ PARAM_NAMES = ("length_L", "thickness_T", "width_W", "tilt_theta", "n_beams")
 CANDIDATES_CSV_HEADER = ("rank,L_mm,T_mm,W_mm,theta_deg,n_beams,"
                          "peak_force_N,objective,violations")
 
-DEFAULT_GRID_CAP = 1_000_000
+# Largest grid grid_search evaluates.
+GRID_CAP = 1_000_000
+
+# Grid levels of a parameter missing from grid_density, and refine's
+# evaluation budget.
+DEFAULT_GRID_DENSITY = 5
+DEFAULT_REFINE_EVALS = 200
+
+# Absolute slack of the bounds check.  refine polls at sums of halved steps,
+# which land on a bound only up to rounding; the slack decides which of
+# those polls are evaluated, and so refine's visit order.
+BOUNDS_TOL = 1e-12
 
 # Geometry x travel samples per load-kernel pass of the grid.  The blocks
 # bound the arrays a pass allocates: one pass over a whole 81-geometry grid
@@ -76,6 +93,8 @@ class DesignSpec:
             lo, hi = self.bounds[name]
             if not lo <= hi:
                 raise ValidationError(f"bounds for {name} must be ordered")
+        if self.bounds["n_beams"][0] < 1:
+            raise ValidationError("n_beams bounds must start at 1 or above")
 
 
 @dataclass(frozen=True)
@@ -96,31 +115,27 @@ class Candidate:
     exhausted: bool = False
 
     @property
+    def point(self) -> Tuple[float, float, float, float, int]:
+        """The design point in PARAM_NAMES order."""
+        g = self.geometry
+        return (g.length_L, g.thickness_T, g.width_W, g.tilt_theta,
+                self.n_beams)
+
+    @property
     def feasible(self) -> bool:
         return not self.violations
 
     def sort_key(self):
-        g = self.geometry
+        L, T, W, theta, n_beams = self.point
         if self.feasible:
-            return (0, self.objective, 0.0,
-                    g.length_L, g.thickness_T, g.tilt_theta, g.width_W,
-                    self.n_beams)
+            return (0, self.objective, 0.0, L, T, theta, W, n_beams)
         total = sum(m for _, m in self.violations)
-        return (1, total, self.objective,
-                g.length_L, g.thickness_T, g.tilt_theta, g.width_W,
-                self.n_beams)
+        return (1, total, self.objective, L, T, theta, W, n_beams)
 
 
-def _within_bounds(spec: DesignSpec, geom: VBeamGeometry, n_beams: int) -> None:
-    values = {"length_L": geom.length_L, "thickness_T": geom.thickness_T,
-              "width_W": geom.width_W, "tilt_theta": geom.tilt_theta,
-              "n_beams": float(n_beams)}
-    for name, v in values.items():
-        lo, hi = spec.bounds[name]
-        tol = 1e-9 * max(1.0, abs(hi))
-        if not (lo - tol <= v <= hi + tol):
-            raise ValidationError(
-                f"{name}={v:g} lies outside the search bounds [{lo:g}, {hi:g}]")
+def _in_bounds(spec: DesignSpec, name: str, value: float) -> bool:
+    lo, hi = spec.bounds[name]
+    return lo - BOUNDS_TOL <= value <= hi + BOUNDS_TOL
 
 
 def _screen(spec: DesignSpec, geoms: Sequence[VBeamGeometry]
@@ -173,25 +188,31 @@ def _candidate(spec: DesignSpec, geom: VBeamGeometry, n_beams: int,
                      violations=tuple(violations), peak_force=peak)
 
 
-def _check_n_beams(n_beams: int) -> None:
-    if n_beams < 1:
-        raise ValidationError("n_beams must be at least 1")
+def _check_bounds(spec: DesignSpec, point) -> None:
+    for name, v in zip(PARAM_NAMES, point):
+        if not _in_bounds(spec, name, v):
+            lo, hi = spec.bounds[name]
+            raise ValidationError(
+                f"{name}={v:g} lies outside the search bounds [{lo:g}, {hi:g}]")
 
 
-def _evaluate(spec: DesignSpec, geom: VBeamGeometry, n_beams: int,
+def _evaluate(spec: DesignSpec, point,
               screened: Dict[VBeamGeometry, Tuple[float, float]]) -> Candidate:
-    """Score one design point; screened caches _screen rows by geometry."""
-    _check_n_beams(n_beams)
-    _within_bounds(spec, geom, n_beams)
+    """Score an in-bounds design point; screened caches _screen rows by
+    geometry."""
+    geom = VBeamGeometry(*point[:4])
     if geom not in screened:
         screened[geom] = _screen(spec, [geom])[0]
-    return _candidate(spec, geom, n_beams, *screened[geom])
+    return _candidate(spec, geom, point[4], *screened[geom])
 
 
 def evaluate_candidate(spec: DesignSpec, geom: VBeamGeometry,
                        n_beams: int) -> Candidate:
     """Score one design point against the spec."""
-    return _evaluate(spec, geom, n_beams, {})
+    point = (geom.length_L, geom.thickness_T, geom.width_W, geom.tilt_theta,
+             n_beams)
+    _check_bounds(spec, point)
+    return _evaluate(spec, point, {})
 
 
 def _grid_axis(lo: float, hi: float, count: int) -> np.ndarray:
@@ -201,7 +222,6 @@ def _grid_axis(lo: float, hi: float, count: int) -> np.ndarray:
 
 
 def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
-                cap: int = DEFAULT_GRID_CAP,
                 n_workers: int = 1) -> List[Candidate]:
     """Exhaustively evaluate a Cartesian grid and rank the candidates.
 
@@ -210,30 +230,31 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
     force and stress then score every beam count.  Feasible candidates rank
     by objective, then infeasible ones by total violation; equal keys are
     ordered lexicographically on (L, T, theta, W, n_beams), so the ranking
-    is a deterministic total order.  Every point is validated before the
-    first kernel pass.  n_workers must be at least 1 and has no effect: the
-    grid is evaluated in one thread.
+    is a deterministic total order.  A parameter missing from grid_density
+    gets DEFAULT_GRID_DENSITY levels, and a grid above GRID_CAP points is
+    refused before the first kernel pass.  n_workers must be at least 1 and
+    has no effect: the grid is evaluated in one thread.
     """
     if n_workers < 1:
         raise ValidationError("n_workers must be at least 1")
     axes = {}
     for name in PARAM_NAMES:
         lo, hi = spec.bounds[name]
-        count = int(grid_density.get(name, 1))
+        count = int(grid_density.get(name, DEFAULT_GRID_DENSITY))
         if count < 1:
             raise ValidationError("grid density must be at least 1")
         if name == "n_beams":
             raw = np.linspace(lo, hi, count) if count > 1 else [lo]
             levels = sorted({int(round(v)) for v in raw})
-            axes[name] = [n for n in levels if lo - 1e-9 <= n <= hi + 1e-9]
+            axes[name] = [n for n in levels if _in_bounds(spec, name, n)]
         else:
             axes[name] = list(_grid_axis(lo, hi, count))
 
     total = math.prod(len(vals) for vals in axes.values())
-    if total > cap:
+    if total > GRID_CAP:
         raise ValidationError(
-            f"grid holds {total} points, above the cap of {cap}; "
-            f"raise cap to at least {total} or thin the grid")
+            f"grid holds {total} points, above the cap of {GRID_CAP}; "
+            f"thin the grid")
     if total == 0:
         return []
 
@@ -241,8 +262,6 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
     geoms = [VBeamGeometry(*dims)
              for dims in product(*(axes[name] for name in PARAM_NAMES[:4]))]
     levels = axes["n_beams"]
-    for n in levels:
-        _check_n_beams(n)
     candidates = [_candidate(spec, geom, n, *row)
                   for geom, row in zip(geoms, _screen(spec, geoms))
                   for n in levels]
@@ -250,72 +269,46 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
 
 
 def refine(spec: DesignSpec, start: Candidate,
-           max_evals: int = 200) -> Candidate:
+           max_evals: int = DEFAULT_REFINE_EVALS) -> Candidate:
     """Pattern search around a candidate; never returns a worse one.
 
     Continuous parameters are polled one at a time in the fixed order
     (L, T, W, theta) with step halving on a failed full poll; the beam count
-    is polled to its integer neighbors.  Exhausting max_evals returns the
-    best point found so far flagged as exhausted.  Each evaluation counts
-    against max_evals, but a geometry is screened once per call, whatever
-    its beam counts.
+    is polled to its integer neighbors.  A poll outside the bounds is
+    skipped and not counted; every other poll counts against max_evals,
+    but a geometry is screened once per call, whatever its beam counts.
+    Exhausting max_evals returns the best point found so far flagged as
+    exhausted.
     """
-    _within_bounds(spec, start.geometry, start.n_beams)
-    best = start
-    evals = 0
+    _check_bounds(spec, start.point)
+    spans = [spec.bounds[name][1] - spec.bounds[name][0]
+             for name in PARAM_NAMES[:4]]
+    steps = [span / 8.0 for span in spans]
+    min_steps = [max(span * 1e-4, 1e-12) for span in spans]
+    best, evals = start, 0
     screened: Dict[VBeamGeometry, Tuple[float, float]] = {}
-
-    steps = {name: (spec.bounds[name][1] - spec.bounds[name][0]) / 8.0
-             for name in ("length_L", "thickness_T", "width_W", "tilt_theta")}
-
-    def values_of(c: Candidate):
-        g = c.geometry
-        return {"length_L": g.length_L, "thickness_T": g.thickness_T,
-                "width_W": g.width_W, "tilt_theta": g.tilt_theta,
-                "n_beams": c.n_beams}
-
-    def try_point(vals) -> Optional[Candidate]:
-        nonlocal evals
-        if evals >= max_evals:
-            return None
-        for name in PARAM_NAMES:
-            lo, hi = spec.bounds[name]
-            if not (lo - 1e-12 <= vals[name] <= hi + 1e-12):
-                return None
-        evals += 1
-        geom = VBeamGeometry(vals["length_L"], vals["thickness_T"],
-                             vals["width_W"], vals["tilt_theta"])
-        return _evaluate(spec, geom, int(vals["n_beams"]), screened)
-
-    min_step = {name: max((spec.bounds[name][1] - spec.bounds[name][0]) * 1e-4,
-                          1e-12)
-                for name in steps}
 
     while evals < max_evals:
         improved = False
-        for name in PARAM_NAMES:
-            center = values_of(best)
-            deltas = ((-1, 1) if name == "n_beams"
-                      else (-steps[name], steps[name]))
-            if name != "n_beams" and steps[name] <= 0:
+        # the beam count always steps by one
+        for i, step in enumerate((*steps, 1)):
+            if step <= 0:
                 continue
-            for delta in deltas:
-                trial = dict(center)
-                trial[name] = center[name] + delta
-                cand = try_point(trial)
-                if cand is not None and cand.sort_key() < best.sort_key():
-                    best = cand
-                    improved = True
+            center = best.point
+            for delta in (-step, step):
+                trial = (*center[:i], center[i] + delta, *center[i + 1:])
+                if evals < max_evals and all(
+                        _in_bounds(spec, name, v)
+                        for name, v in zip(PARAM_NAMES, trial)):
+                    evals += 1
+                    cand = _evaluate(spec, trial, screened)
+                    if cand.sort_key() < best.sort_key():
+                        best, improved = cand, True
         if not improved:
-            live = False
-            for name in steps:
-                steps[name] /= 2.0
-                if steps[name] >= min_step[name]:
-                    live = True
-            if not live:
+            steps = [step / 2.0 for step in steps]
+            if all(step < low for step, low in zip(steps, min_steps)):
                 return best
-    return Candidate(best.geometry, best.n_beams, best.objective,
-                     best.violations, best.peak_force, exhausted=True)
+    return replace(best, exhausted=True)
 
 
 def write_candidates_csv(candidates: Sequence[Candidate], destination) -> None:

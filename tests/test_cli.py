@@ -123,6 +123,21 @@ def test_parse_requires_boolean_non_bistable_flag(value, tmp_path, capsys):
     assert "require_non_bistable_at_travel" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["curve", "d1", "design", "verify",
+                                     "grasper", "report"])
+def test_beam_count_bound_below_one_is_refused(command, tmp_path, capsys):
+    doc = json.loads(TABLE1_JSON.read_text())
+    doc["design"]["bounds"]["n_beams"] = [0, 13]
+    with pytest.raises(ConfigError, match="n_beams bounds must start at 1"):
+        parse_config(json.dumps(doc))
+    cfg = tmp_path / "beams.json"
+    cfg.write_text(json.dumps(doc))
+    rc = run_command([command, "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "n_beams bounds" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("section,value,named", [
     ("beam", 5, "'beam' must be an object"),
     ("design", {"grid_density": [3, 3]},

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from graspsynth import ConfigError, parse_config, serialize_config
 from graspsynth.config import _KEYS
+from graspsynth.search import DEFAULT_GRID_DENSITY
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -179,6 +180,14 @@ def test_readme_schema_example_parses_and_names_every_key():
     doc = json.loads(re.sub(r"//[^\n]*", "", block))
     parse_config(json.dumps(doc))
     assert table_keys() <= keys_by_section(doc)
+
+
+def test_missing_grid_density_entry_gets_the_search_default():
+    doc = copy.deepcopy(FULL)
+    del doc["design"]["grid_density"]["width_W"]
+    density = parse_config(json.dumps(doc)).design.grid_density
+    assert density["width_W"] == DEFAULT_GRID_DENSITY
+    assert density["length_L"] == 3
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,24 @@ def test_arc_length_reproduces_newton_path():
     assert np.allclose(arc_u, newton_u, atol=1e-8)
 
 
+def test_arc_length_gives_up_within_its_substep_budget(monkeypatch):
+    # On this beam (a verify input) the fallback's control wanders between
+    # about 0.07 and 0.65 mm and never reaches 1 mm; it must give up rather
+    # than loop.  The bound sits above 128 increments of 25 iterations.
+    geom = VBeamGeometry.from_degrees(45.6372, 1.0602, 4.3125, 9.7371)
+    system = _System(build_vbeam_mesh(geom, 8, youngs_modulus_E=1800.0))
+    assemble, calls = _System.assemble, []
+
+    def counted(self, u):
+        calls.append(None)
+        if len(calls) > 4000:
+            raise AssertionError("the arc-length fallback does not give up")
+        return assemble(self, u)
+
+    monkeypatch.setattr(_System, "assemble", counted)
+    assert _arc_length(system, np.zeros(system.n_eq), 0.0, 1.0, 1e-8, 25) is None
+
+
 # ---------------------------------------------------------------------------
 # curve packaging and closed-form comparison
 # ---------------------------------------------------------------------------

@@ -160,6 +160,27 @@ def test_spec_validation():
                    material=MAT)
 
 
+@pytest.mark.parametrize("low", [0, 0.5, -3])
+def test_spec_refuses_beam_counts_below_one(low):
+    with pytest.raises(ValidationError, match="n_beams bounds"):
+        make_spec(bounds={**BOUNDS, "n_beams": (low, 13)})
+    make_spec(bounds={**BOUNDS, "n_beams": (1, 13)})
+
+
+def test_candidate_point_in_param_order():
+    cand = evaluate_candidate(make_spec(), TABLE1, 12)
+    assert cand.point == (40.0, 1.2, 5.0, math.radians(7.0), 12)
+
+
+def test_bounds_slack_is_absolute():
+    spec = make_spec()
+    hi = BOUNDS["length_L"][1]
+    inside = VBeamGeometry(hi + 0.5 * search.BOUNDS_TOL, 1.2, 5.0, 0.12)
+    assert evaluate_candidate(spec, inside, 12).geometry == inside
+    with pytest.raises(ValidationError, match="length_L"):
+        evaluate_candidate(spec, VBeamGeometry(hi + 1e-10, 1.2, 5.0, 0.12), 12)
+
+
 # ---------------------------------------------------------------------------
 # grid search
 # ---------------------------------------------------------------------------
@@ -285,9 +306,23 @@ def test_grid_worker_count_below_one_is_refused():
         grid_search(make_spec(), DENSITY, n_workers=0)
 
 
-def test_grid_cap_enforced():
+def test_grid_cap_enforced(monkeypatch):
+    dense = dict(DENSITY, **dict.fromkeys(search.PARAM_NAMES[:4], 40))
+    assert 40 ** 4 * 3 > search.GRID_CAP
+    rows = count_kernel_rows(monkeypatch)
     with pytest.raises(ValidationError, match="cap"):
-        grid_search(make_spec(), DENSITY, cap=10)
+        grid_search(make_spec(), dense)
+    assert rows == []
+
+
+def test_grid_missing_density_means_default_levels():
+    # the same 5 levels parse_config fills in for a missing entry
+    spec = make_spec(sweep_samples=20)
+    full = dict.fromkeys(search.PARAM_NAMES, 5)
+    expected = [astuple(c) for c in grid_search(spec, full)]
+    assert [astuple(c) for c in grid_search(spec, {})] == expected
+    partial = {"length_L": 5, "n_beams": 5}
+    assert [astuple(c) for c in grid_search(spec, partial)] == expected
 
 
 def test_ranking_scale_invariant_in_modulus():
