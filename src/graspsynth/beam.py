@@ -494,7 +494,13 @@ def actuation_force(geom: VBeamGeometry, mat: MaterialModel, delta_y):
 
 
 def uniform_travels(travel_max: float, n: int) -> np.ndarray:
-    """The n uniform travels travel_max * k / n, k = 1..n, over (0, travel_max]."""
+    """The n uniform travels travel_max * k / n, k = 1..n, over (0, travel_max].
+
+    A travel_max * n that overflows is refused before the array product.
+    """
+    if not math.isfinite(float(travel_max) * int(n)):
+        raise ValidationError(f"travel_max {float(travel_max)!r} times {n} "
+                              "samples is not finite")
     return travel_max * np.arange(1, n + 1) / n
 
 

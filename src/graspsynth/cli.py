@@ -1,5 +1,8 @@
 """Command-line surface: analysis, sweeps, design search and verification.
 
+The parser is built from one table, _COMMANDS, so each subcommand takes
+only the sweep overrides (--travel, --samples) it reads.
+
 Exit codes: 0 success, 1 usage, 2 configuration error, 3 numerical failure
 (including a failed closed-form versus frame-solver verification).
 """
@@ -11,8 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .beam import (ForceDisplacementCurve, bistability_margin, force_curve,
-                   uniform_travels)
+from ._csv import write_csv
+from .beam import bistability_margin, force_curve, uniform_travels
 from .config import RunConfig, parse_config
 from .errors import ConfigError, NumericalError, ValidationError
 from .fe import compare_curves, solve_vbeam_sweep, sweep_to_curve, write_path_csv
@@ -30,22 +33,10 @@ VERIFY_CSV_HEADER = ("comparison,rms_rel,max_rel,peak_force_rel_diff,"
 VERIFY_RMS_LIMIT = 0.20
 VERIFY_PEAK_LOCATION_LIMIT = 0.5
 
-
-def write_curve_csv(curve: ForceDisplacementCurve, destination,
-                    n_beams: int = 1) -> None:
-    """Write a curve as CSV with per-sample branch tags and ring aggregation.
-
-    Values carry 9 significant digits; line endings are LF.
-    """
-    lines = [CURVE_CSV_HEADER]
-    single = halved_ring_force(curve.force, 1)
-    ring = halved_ring_force(curve.force, n_beams)
-    for sample, single_force, ring_force in zip(curve.samples, single, ring):
-        lines.append(
-            f"{sample.delta_y:.9g},{sample.branch.value},{sample.f_o:.9g},"
-            f"{sample.p_o:.9g},{single_force:.9g},{ring_force:.9g}")
-    with open(destination, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+_OVERRIDES = {
+    "--travel": ("travel_max", float, "override sweep travel [mm]"),
+    "--samples": ("n_samples", int, "override sweep sample count"),
+}
 
 
 def _load_config(args) -> RunConfig:
@@ -53,9 +44,8 @@ def _load_config(args) -> RunConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     config = parse_config(path.read_text(encoding="utf-8"))
-    overrides = {name: value for name, value in (("travel_max", args.travel),
-                                                 ("n_samples", args.samples))
-                 if value is not None}
+    overrides = {field: value for field, _, _ in _OVERRIDES.values()
+                 if (value := getattr(args, field, None)) is not None}
     return replace(config, sweep=replace(config.sweep, **overrides))
 
 
@@ -64,28 +54,38 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _emit(args, dest: Path, lines) -> None:
-    with open(dest, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write(args, dest: Path, header: str, rows) -> None:
+    write_csv(dest, header, rows)
     _say(args, f"wrote {dest}")
 
 
 def _cmd_curve(args, config: RunConfig, out: Path) -> int:
     curve = force_curve(config.mechanism.beam_geometry, config.material,
                         config.sweep.travel_max, config.sweep.n_samples)
-    dest = out / "curve.csv"
-    write_curve_csv(curve, dest, config.mechanism.n_beams)
-    _say(args, f"wrote {dest}")
+    _write(args, out / "curve.csv", CURVE_CSV_HEADER, zip(
+        curve.delta_y.tolist(), [b.value for b in curve.branches],
+        curve.f_o.tolist(), curve.p_o.tolist(),
+        halved_ring_force(curve.force, 1).tolist(),
+        halved_ring_force(curve.force, config.mechanism.n_beams).tolist()))
     return 0
 
 
 def _cmd_d1(args, config: RunConfig, out: Path) -> int:
     dys = uniform_travels(config.sweep.travel_max, config.sweep.n_samples)
     d1, satisfied = bistability_margin(config.mechanism.beam_geometry, dys)
-    lines = [D1_CSV_HEADER] + [
-        f"{dy:.9g},{d:.9g},{str(ok).lower()}"
-        for dy, d, ok in zip(dys.tolist(), d1.tolist(), satisfied.tolist())]
-    _emit(args, out / "d1.csv", lines)
+    _write(args, out / "d1.csv", D1_CSV_HEADER, zip(
+        dys.tolist(), d1.tolist(), [str(ok).lower() for ok in satisfied.tolist()]))
+    return 0
+
+
+def _cmd_grasper(args, config: RunConfig, out: Path) -> int:
+    mech = config.mechanism
+    top = min(mech.latch_travel, mech.jaw_calibration[-1][0])
+    ring = uniform_travels(top, config.sweep.n_samples).tolist()
+    _write(args, out / "grasper.csv", GRASPER_CSV_HEADER, (
+        (d, r.ring_force, r.shuttle_displacement, r.jaw_opening,
+         r.latch.phase.value, r.jaw_root_stress)
+        for d, r in zip(ring, grasper_sweep(mech, ring))))
     return 0
 
 
@@ -104,22 +104,8 @@ def _cmd_design(args, config: RunConfig, out: Path) -> int:
     return 0
 
 
-def _cmd_grasper(args, config: RunConfig, out: Path) -> int:
-    mech = config.mechanism
-    top = min(mech.latch_travel, mech.jaw_calibration[-1][0])
-    ring = uniform_travels(top, config.sweep.n_samples).tolist()
-    lines = [GRASPER_CSV_HEADER]
-    for d, r in zip(ring, grasper_sweep(mech, ring)):
-        lines.append(
-            f"{d:.9g},{r.ring_force:.9g},{r.shuttle_displacement:.9g},"
-            f"{r.jaw_opening:.9g},{r.latch.phase.value},{r.jaw_root_stress:.9g}")
-    _emit(args, out / "grasper.csv", lines)
-    return 0
-
-
 def _cmd_verify(args, config: RunConfig, out: Path) -> int:
-    geom = config.mechanism.beam_geometry
-    mat = config.material
+    geom, mat = config.mechanism.beam_geometry, config.material
     travel = config.sweep.travel_max
 
     tebc_double = force_curve(geom, mat, travel, config.fe.n_steps)
@@ -128,19 +114,18 @@ def _cmd_verify(args, config: RunConfig, out: Path) -> int:
                              n_elements=config.fe.n_elements,
                              tol=config.fe.tolerance)
     fe_curve = sweep_to_curve(path, geom, mat)
-    write_path_csv(path, out / "fe_path.csv")
+    dest = out / "fe_path.csv"
+    write_path_csv(path, dest)
+    _say(args, f"wrote {dest}")
 
     halved = compare_curves(tebc_single, fe_curve)
     unhalved = compare_curves(tebc_double, fe_curve)
-
-    lines = [VERIFY_CSV_HEADER]
-    for name, cmp_ in (("tebc_single_vs_fe", halved),
-                       ("tebc_double_vs_fe", unhalved)):
-        lines.append(f"{name},{cmp_.rms_rel:.9g},{cmp_.max_rel:.9g},"
-                     f"{cmp_.peak_force_rel_diff:.9g},"
-                     f"{cmp_.peak_location_diff:.9g}")
     dest = out / "verify_report.csv"
-    _emit(args, dest, lines)
+    _write(args, dest, VERIFY_CSV_HEADER, (
+        (name, c.rms_rel, c.max_rel, c.peak_force_rel_diff,
+         c.peak_location_diff)
+        for name, c in (("tebc_single_vs_fe", halved),
+                        ("tebc_double_vs_fe", unhalved))))
 
     ok = (halved.rms_rel <= VERIFY_RMS_LIMIT
           and halved.peak_location_diff <= VERIFY_PEAK_LOCATION_LIMIT)
@@ -155,20 +140,30 @@ def _cmd_verify(args, config: RunConfig, out: Path) -> int:
     return 0
 
 
-def _cmd_report(args, config: RunConfig, out: Path) -> int:
-    design = [_cmd_design] if config.design is not None else []
-    return max(command(args, config, out) for command in
-               [_cmd_curve, _cmd_d1, _cmd_grasper, *design, _cmd_verify])
-
-
-_COMMANDS = {
-    "curve": _cmd_curve,
-    "d1": _cmd_d1,
-    "design": _cmd_design,
-    "verify": _cmd_verify,
-    "grasper": _cmd_grasper,
-    "report": _cmd_report,
+# name: (handler, sweep overrides it reads, help), in the order report runs
+_ANALYSES = {
+    "curve": (_cmd_curve, ("--travel", "--samples"),
+              "sample the force-displacement curve to CSV"),
+    "d1": (_cmd_d1, ("--travel", "--samples"),
+           "tabulate the bistability margin over the travel"),
+    "grasper": (_cmd_grasper, ("--samples",),
+                "tabulate the whole-grasper response over ring travel"),
+    "design": (_cmd_design, (), "grid search plus refinement to a ranked CSV"),
+    "verify": (_cmd_verify, ("--travel",),
+               "cross-check the closed-form model against the frame solver"),
 }
+
+
+def _cmd_report(args, config: RunConfig, out: Path) -> int:
+    return max(run(args, config, out) for run, _, _ in _ANALYSES.values()
+               if run is not _cmd_design or config.design is not None)
+
+
+_COMMANDS = {**_ANALYSES, "report": (
+    _cmd_report,
+    tuple(dict.fromkeys(flag for _, flags, _ in _ANALYSES.values()
+                        for flag in flags)),
+    "run every analysis into the output directory")}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -176,20 +171,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="graspsynth",
         description="Bistable V-beam grasper analysis and design toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("curve", "sample the force-displacement curve to CSV"),
-            ("d1", "tabulate the bistability margin over the travel"),
-            ("design", "grid search plus refinement to a ranked CSV"),
-            ("verify", "cross-check the closed-form model against the frame solver"),
-            ("grasper", "tabulate the whole-grasper response over ring travel"),
-            ("report", "run every analysis into the output directory")):
+    for name, (run, flags, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="JSON configuration path")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--samples", type=int, default=None,
-                       help="override sweep sample count")
-        p.add_argument("--travel", type=float, default=None,
-                       help="override sweep travel [mm]")
+        for flag in flags:
+            field, type_, flag_help = _OVERRIDES[flag]
+            p.add_argument(flag, dest=field, type=type_, help=flag_help)
         p.add_argument("--quiet", action="store_true",
                        help="suppress progress output")
     return parser
@@ -207,7 +196,7 @@ def run_command(argv=None) -> int:
         config = _load_config(args)
         out = Path(args.out or config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](args, config, out)
+        return args.run(args, config, out)
     except (ConfigError, ValidationError) as exc:
         print(f"configuration error in '{args.command}': {exc}", file=sys.stderr)
         return 2

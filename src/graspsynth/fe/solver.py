@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .._csv import write_csv
 from ..beam import (Branch, ForceDisplacementCurve, MaterialModel,
                     VBeamGeometry, bistability_margin)
 from ..errors import ConvergenceError, ValidationError
@@ -493,9 +494,6 @@ def solve_vbeam_sweep(geom: VBeamGeometry, mat: MaterialModel,
 
 def write_path_csv(path: EquilibriumPath, destination) -> None:
     """Dump a path as CSV: step,control_mm,reaction_N,iters,residual."""
-    lines = [PATH_CSV_HEADER]
-    for i, s in enumerate(path.steps):
-        lines.append(f"{i},{s.control:.9g},{s.reaction:.9g},"
-                     f"{s.iterations},{s.residual:.9g}")
-    with open(destination, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(destination, PATH_CSV_HEADER, (
+        (i, s.control, s.reaction, s.iterations, s.residual)
+        for i, s in enumerate(path.steps)))

@@ -28,6 +28,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ._csv import NUMBER, write_csv
 from .beam import (DEFAULT_CURVE_SAMPLES, MaterialModel, VBeamGeometry,
                    _force_rows, bistability_margin)
 from .errors import ValidationError
@@ -313,13 +314,8 @@ def refine(spec: DesignSpec, start: Candidate,
 
 def write_candidates_csv(candidates: Sequence[Candidate], destination) -> None:
     """Ranked CSV dump with the documented header."""
-    lines = [CANDIDATES_CSV_HEADER]
-    for rank, c in enumerate(candidates, start=1):
-        g = c.geometry
-        violations = ";".join(f"{name}={mag:.9g}" for name, mag in c.violations)
-        lines.append(
-            f"{rank},{g.length_L:.9g},{g.thickness_T:.9g},{g.width_W:.9g},"
-            f"{math.degrees(g.tilt_theta):.9g},{c.n_beams},"
-            f"{c.peak_force:.9g},{c.objective:.9g},{violations}")
-    with open(destination, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(destination, CANDIDATES_CSV_HEADER, (
+        (rank, *c.point[:3], math.degrees(c.point[3]), c.n_beams,
+         c.peak_force, c.objective,
+         ";".join(f"{name}={NUMBER.format(mag)}" for name, mag in c.violations))
+        for rank, c in enumerate(candidates, start=1)))

@@ -477,3 +477,12 @@ def test_material_validation():
         MaterialModel(-1.0)
     with pytest.raises(ValidationError):
         MaterialModel(1800.0, poisson_ratio=0.5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_travel_is_refused_before_the_array_product():
+    # 1e308 is finite, but five samples of it are not
+    for travel in (1e308, np.float64(1e308)):
+        with pytest.raises(ValidationError, match="1e\\+308 times 5 samples"):
+            force_curve(GEOM, MAT, travel, 5)
+    assert len(force_curve(GEOM, MAT, 1e300, 5)) == 5

@@ -1,13 +1,17 @@
 """Tests for configuration parsing and the command-line surface."""
 
+import argparse
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
-from graspsynth import (ConfigError, parse_config, serialize_config)
+from graspsynth import ConfigError, cli, parse_config, serialize_config
 from graspsynth.cli import run_command
+from graspsynth.fe.solver import PATH_CSV_HEADER
+from graspsynth.search import CANDIDATES_CSV_HEADER
 
 REPO = Path(__file__).resolve().parents[1]
 TABLE1_JSON = REPO / "demos" / "table1.json"
@@ -215,7 +219,7 @@ def test_non_finite_config_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,csv_name", [
-    ("curve", "curve.csv"), ("d1", "d1.csv"), ("grasper", "grasper.csv")])
+    ("curve", "curve.csv"), ("d1", "d1.csv"), ("verify", "verify_report.csv")])
 @pytest.mark.parametrize("travel", ["inf", "-inf", "nan", "0"])
 def test_travel_override_is_checked_like_file_values(tmp_path, capsys,
                                                      command, csv_name, travel):
@@ -235,9 +239,90 @@ def test_samples_override_is_checked_like_file_values(tmp_path, capsys):
     assert "sweep n_samples must be at least 2" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command,extra", [
+    ("curve", ["--samples", "5"]), ("d1", ["--samples", "5"]), ("verify", [])],
+    ids=["curve", "d1", "verify"])
+def test_overflowing_travel_is_a_configuration_error(tmp_path, capsys,
+                                                     command, extra):
+    # 1e308 is finite, but the sweep's samples of it are not
+    rc = run_command([command, "--config", str(TABLE1_JSON),
+                      "--out", str(tmp_path), "--travel", "1e308", *extra,
+                      "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"configuration error in '{command}': travel_max 1e+308 times" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+# ---------------------------------------------------------------------------
+# flag contract: each subcommand takes only the sweep overrides it reads
+# ---------------------------------------------------------------------------
+
+OVERRIDES = ("--travel", "--samples")
+COMMON_FLAGS = {"-h", "--help", "--config", "--out", "--quiet"}
+FLAGS = {
+    "curve": {"--travel", "--samples"},
+    "d1": {"--travel", "--samples"},
+    "grasper": {"--samples"},
+    "design": set(),
+    "verify": {"--travel"},
+    "report": {"--travel", "--samples"},
+}
+# where a run shows its overrides: file, and column holding the travel
+SHOWN_IN = {"curve": ("curve.csv", 0), "d1": ("d1.csv", 0),
+            "grasper": ("grasper.csv", 0), "verify": ("fe_path.csv", 1),
+            "report": ("d1.csv", 0)}
+
+
+def parser_flags():
+    """Option strings of each subcommand of the CLI's parser."""
+    (sub,) = [action for action in cli._build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    return {name: {flag for action in parser._actions
+                   for flag in action.option_strings}
+            for name, parser in sub.choices.items()}
+
+
+def test_parser_flags_are_the_contract():
+    assert parser_flags() == {name: flags | COMMON_FLAGS
+                              for name, flags in FLAGS.items()}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, flags in FLAGS.items()
+    for flag in OVERRIDES if flag not in flags])
+def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, capsys,
+                                                       command, flag):
+    out = tmp_path / "o"
+    rc = run_command([command, "--config", str(TABLE1_JSON),
+                      "--out", str(out), flag, "2"])
+    assert rc == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, flags in FLAGS.items()
+    for flag in OVERRIDES if flag in flags])
+def test_flag_a_command_reads_takes_effect(tmp_path, command, flag):
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps(minimal_doc(fe={"n_steps": 10})))
+    out = tmp_path / "o"
+    rc = run_command([command, "--config", str(cfg), "--out", str(out),
+                      flag, "2", "--quiet"])
+    assert rc in (0, 3)  # verify's halved comparison fails by design
+    csv_name, travel_column = SHOWN_IN[command]
+    rows = [line.split(",")
+            for line in (out / csv_name).read_text().splitlines()[1:]]
+    if flag == "--samples":
+        assert len(rows) == 2
+    else:
+        assert float(rows[-1][travel_column]) == 2.0
+
+
 @pytest.mark.parametrize("with_design", [False, True])
 def test_report_reads_its_config_once(tmp_path, monkeypatch, with_design):
-    import graspsynth.cli as cli
     doc = json.loads(TABLE1_JSON.read_text()) if with_design else minimal_doc()
     doc["fe"] = {"n_steps": 5}
     cfg = tmp_path / "small.json"
@@ -258,6 +343,20 @@ def test_report_reads_its_config_once(tmp_path, monkeypatch, with_design):
         ["curve.csv", "d1.csv", "fe_path.csv", "grasper.csv",
          "verify_report.csv"] + ["design_candidates.csv"] * with_design)
     assert len((out / "d1.csv").read_text().splitlines()) == 21
+
+
+def test_every_file_written_is_reported(tmp_path, capsys):
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps(minimal_doc(fe={"n_steps": 10})))
+    out = tmp_path / "o"
+    assert run_command(["report", "--config", str(cfg), "--out", str(out),
+                        "--samples", "5"]) == 3
+    reported = {Path(line.removeprefix("wrote ")).name
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("wrote ")}
+    assert reported == {p.name for p in out.iterdir()} == {
+        "curve.csv", "d1.csv", "grasper.csv", "fe_path.csv",
+        "verify_report.csv"}
 
 
 def test_curve_command_csv_contract(tmp_path):
@@ -388,3 +487,36 @@ def test_verify_command_reports_and_fails_on_disagreement(tmp_path, capsys):
     assert float(halved[1]) > 0.9            # the factor-two disagreement
     assert float(unhalved[1]) < 0.05         # unhalved closed form agrees
     assert (tmp_path / "fe_path.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# README contract
+# ---------------------------------------------------------------------------
+
+def readme_table(first_column: str):
+    """Rows of the README table whose header starts with first_column."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    match = re.search(rf"^\| {first_column} \|.*\n\|[- |]+\|\n((?:\|.*\n)+)",
+                      text, re.MULTILINE)
+    assert match, f"README has no table headed '{first_column}'"
+    return [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in match.group(1).splitlines()]
+
+
+def test_readme_flag_table_matches_the_parser():
+    documented = {command: set(re.findall(r"--[a-z]+", flags))
+                  for command, flags in readme_table("subcommand")}
+    assert {name: flags | COMMON_FLAGS
+            for name, flags in documented.items()} == parser_flags()
+
+
+def test_readme_output_headers_match_the_code():
+    documented = dict(readme_table("file"))
+    assert documented == {
+        "curve.csv": cli.CURVE_CSV_HEADER,
+        "d1.csv": cli.D1_CSV_HEADER,
+        "grasper.csv": cli.GRASPER_CSV_HEADER,
+        "design_candidates.csv": CANDIDATES_CSV_HEADER,
+        "verify_report.csv": cli.VERIFY_CSV_HEADER,
+        "fe_path.csv": PATH_CSV_HEADER,
+    }

@@ -15,7 +15,8 @@ from graspsynth import (CantileverSection, ConvergenceError, FrameModel,
                         solve_multibeam_assembly, solve_vbeam_sweep,
                         sweep_to_curve, write_path_csv)
 from graspsynth.fe import BeamElement
-from graspsynth.fe.solver import _arc_length, _newton, _System
+from graspsynth.fe.solver import (EquilibriumPath, PathStep, _arc_length,
+                                   _newton, _System)
 
 GEOM = VBeamGeometry.from_degrees(40, 1.2, 5, 7)
 MAT = MaterialModel(youngs_modulus_E=1800)
@@ -480,3 +481,21 @@ def test_path_csv_format(tmp_path):
     assert "\r" not in text
     write_path_csv(path, dest)
     assert dest.read_text() == text
+
+
+def test_path_csv_bytes_on_a_hand_built_path(tmp_path):
+    def step(control, reaction, iterations, residual):
+        return PathStep(control, np.zeros(3), {}, reaction, iterations,
+                        residual, 0.0, True)
+
+    path = EquilibriumPath(build_vbeam_mesh(GEOM, 4), [
+        step(0.0, 0.0, 0, 0.0),
+        step(0.25, -1.0 / 3.0, 4, 1.5e-11),
+        step(1.0, 123456.789012345, 12, 2.0 ** -40)])
+    dest = tmp_path / "path.csv"
+    write_path_csv(path, dest)
+    assert dest.read_bytes() == (
+        b"step,control_mm,reaction_N,iters,residual\n"
+        b"0,0,0,0,0\n"
+        b"1,0.25,-0.333333333,4,1.5e-11\n"
+        b"2,1,123456.789,12,9.09494702e-13\n")

@@ -454,3 +454,18 @@ def test_candidates_csv(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[1]) in (36.0, 44.0)
+
+
+def test_candidates_csv_bytes_on_hand_built_candidates(tmp_path):
+    feasible = Candidate(VBeamGeometry.from_degrees(40, 1.2, 5, 7), 12,
+                         0.0125, (), 21.87)
+    violating = Candidate(
+        VBeamGeometry.from_degrees(36.5, 1.0, 4.25, 5.5), 10, 0.4,
+        (("stress", 3.25), ("length", 1.0 / 3.0)), 12.0 + 1e-12)
+    dest = tmp_path / "ranked.csv"
+    write_candidates_csv([feasible, violating], dest)
+    assert dest.read_bytes() == (
+        b"rank,L_mm,T_mm,W_mm,theta_deg,n_beams,peak_force_N,objective,"
+        b"violations\n"
+        b"1,40,1.2,5,7,12,21.87,0.0125,\n"
+        b"2,36.5,1,4.25,5.5,10,12,0.4,stress=3.25;length=0.333333333\n")
