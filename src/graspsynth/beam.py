@@ -449,10 +449,7 @@ def _loads(cols: _Columns, dys: np.ndarray):
     y_o = -2.0 * dys * cols.cos / cols.L
     mono = ~bistable & (dys != 0.0)
 
-    # the mask takes samples row by row, so each row's terms repeat once per
-    # monostable sample of that row
-    per_row = np.count_nonzero(mono, axis=1)
-    t_terms = [np.repeat(c[:, 0], per_row)
+    t_terms = [np.broadcast_to(c, mono.shape)[mono]
                for c in (cols.k1_t, cols.k2_t, cols.k3_t)]
     ks = _k_coefficients(t_terms, x_o[mono], y_o[mono])
     p_mono = _unique_root(*ks)

@@ -18,7 +18,7 @@ from typing import Optional
 from .beam import DEFAULT_CURVE_SAMPLES, MaterialModel, VBeamGeometry
 from .errors import ConfigError, ValidationError
 from .fe.model import DEFAULT_ELEMENTS_PER_BEAM
-from .fe.solver import DEFAULT_TOLERANCE
+from .fe.solver import DEFAULT_STEPS, DEFAULT_TOLERANCE
 from .mechanism import CantileverSection, MechanismConfig
 from .search import (DEFAULT_GRID_DENSITY, DEFAULT_REFINE_EVALS, DesignSpec,
                      PARAM_NAMES)
@@ -41,7 +41,7 @@ class SweepSettings:
 @dataclass(frozen=True)
 class FESettings:
     n_elements: int = DEFAULT_ELEMENTS_PER_BEAM
-    n_steps: int = 100
+    n_steps: int = DEFAULT_STEPS
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):

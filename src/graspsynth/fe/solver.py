@@ -14,13 +14,14 @@ point springs into the force table and the equation tangent over flat
 indices computed once per model.
 
 Equilibrium paths are traversed under displacement control with Newton
-iteration.  A step that fails to converge is bisected down to a floor and,
-failing that, handed to a spherical arc-length corrector, which gives up
-after a fixed number of increments; if everything fails a diagnostic error
-carries the partial path.  Each converged step records whether its
-free-free tangent is positive definite (one Cholesky attempt on the tangent
-Newton assembled last); a step that is not lies on an unstable branch,
-which the sweep reports but does not correct.
+iteration, on force_curve's uniform travel grid (beam.uniform_travels).  A
+step that fails to converge is bisected down to a floor and, failing that,
+handed to a spherical arc-length corrector, which gives up after a fixed
+number of increments; if everything fails a diagnostic error carries the
+partial path.  Newton returns each converged state as the PathStep of its
+last assembly, whose stable flag says whether the free-free tangent is
+positive definite (one Cholesky attempt); a step that is not lies on an
+unstable branch, which the sweep reports but does not correct.
 
 A solver run mutates only local state; independent solves may run
 concurrently.
@@ -29,14 +30,14 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .._csv import write_csv
 from ..beam import (Branch, ForceDisplacementCurve, MaterialModel,
-                    VBeamGeometry, bistability_margin)
+                    VBeamGeometry, bistability_margin, uniform_travels)
 from ..errors import ConvergenceError, ValidationError
 from ..mechanism import MechanismConfig
 from .model import (DEFAULT_ELEMENTS_PER_BEAM, ROT, UX, UY, FrameModel,
@@ -46,6 +47,8 @@ PATH_CSV_HEADER = "step,control_mm,reaction_N,iters,residual"
 
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_MAX_ITERS = 25
+DEFAULT_STEPS = 100
+DEFAULT_ASSEMBLY_STEPS = 20
 BISECTION_FLOOR_DIV = 4096
 # Nominal increments of the arc-length fallback, and the most it takes
 # before giving up.  Ranges that converge take up to ~60 increments.
@@ -122,15 +125,22 @@ class _System:
         eq[~model.fixed] = np.arange(count)
         self.eq = eq
         self.n_eq = count
-        self.prescribed_eqs = np.array(
-            sorted(eq[node, dof] for (node, dof) in model.prescribed), dtype=int)
-        self.prescribed_amp = np.zeros(count)
-        for (node, dof), amp in model.prescribed.items():
-            self.prescribed_amp[eq[node, dof]] = amp
-        self.free = np.ones(count, dtype=bool)
-        self.free[self.prescribed_eqs] = False
-        self.free_idx = np.flatnonzero(self.free)
+        drive = sorted((eq[node, dof], amp)
+                       for (node, dof), amp in model.prescribed.items())
+        self.prescribed_eqs = np.array([e for e, _ in drive], dtype=int)
+        self.prescribed_amp = np.array([a for _, a in drive], dtype=float)
+        self.free_idx = np.delete(np.arange(count), self.prescribed_eqs)
         self.free_free = np.ix_(self.free_idx, self.free_idx)
+        self.free_prescribed = np.ix_(self.free_idx, self.prescribed_eqs)
+        # a step reports the force at every constrained freedom of a driven
+        # node and along the drive, from its (node, dof, amplitude, norm)
+        self._reported = list(dict.fromkeys(
+            (node, dof) for (node, _) in model.prescribed for dof in range(3)
+            if model.fixed[node, dof] or (node, dof) in model.prescribed))
+        amps = np.array(list(model.prescribed.values()))
+        norm = math.sqrt(float(np.sum(amps ** 2)))
+        self._drive = [(node, dof, a, norm)
+                       for (node, dof), a in model.prescribed.items()]
         # flat freedom (3 * node + dof) of each equation, in equation order
         self._eq_dofs = np.flatnonzero(~model.fixed.ravel())
 
@@ -247,22 +257,16 @@ class _System:
         return (f_flat.reshape(-1, 3), f_flat[self._eq_dofs],
                 K.reshape(self.n_eq, self.n_eq), energy)
 
-    def reactions(self, f_raw: np.ndarray) -> Dict[Tuple[int, int], float]:
-        """Constraint forces at every constrained freedom of driven nodes."""
-        out = {}
-        for (node, _) in self.model.prescribed:
-            for dof in range(3):
-                if self.model.fixed[node, dof] or (node, dof) in self.model.prescribed:
-                    out[(node, dof)] = float(f_raw[node, dof])
-        return out
-
-    def reaction_along_motion(self, f_raw: np.ndarray) -> float:
-        """Constraint force projected on the unit drive direction."""
-        amp = np.array([a for a in self.model.prescribed.values()])
-        norm = math.sqrt(float(np.sum(amp ** 2)))
-        total = sum(f_raw[node, dof] * a / norm
-                    for (node, dof), a in self.model.prescribed.items())
-        return float(total)
+    def path_step(self, control, u_eq, assembled, iterations, residual):
+        """The PathStep at control of state u_eq from its assemble() result."""
+        f_raw, _, K, energy = assembled
+        return PathStep(
+            control=float(control), displacements=self.expand(u_eq),
+            reactions={key: float(f_raw[key]) for key in self._reported},
+            reaction=float(sum(f_raw[node, dof] * a / norm
+                               for node, dof, a, norm in self._drive)),
+            iterations=iterations, residual=residual, strain_energy=energy,
+            stable=_stable(K[self.free_free]))
 
 
 def _stable(K_ff: np.ndarray) -> bool:
@@ -277,32 +281,27 @@ def _stable(K_ff: np.ndarray) -> bool:
 def _newton(system: _System, u_eq, control, tol, max_iters):
     """Newton iteration at a fixed control.
 
-    Returns (u, iters, res, f_raw, energy, stable): f_raw, energy and the
-    stability flag come from the converged assembly; on failure u, f_raw,
-    energy and stable are None.
+    Returns (u, PathStep) of the converged state, or None.
     """
     u = u_eq.copy()
-    u[system.prescribed_eqs] = (
-        control * system.prescribed_amp[system.prescribed_eqs])
-    res = math.inf
+    u[system.prescribed_eqs] = control * system.prescribed_amp
     for it in range(1, max_iters + 1):
-        f_raw, r_eq, K, energy = system.assemble(u)
-        r = r_eq[system.free_idx]
+        assembled = system.assemble(u)
+        r = assembled[1][system.free_idx]
         res = float(np.linalg.norm(r))
-        Kff = K[system.free_free]
         if res < tol:
-            return u, it, res, f_raw, energy, _stable(Kff)
+            return u, system.path_step(control, u, assembled, it, res)
         try:
-            du = np.linalg.solve(Kff, -r)
+            du = np.linalg.solve(assembled[2][system.free_free], -r)
         except np.linalg.LinAlgError:
-            return None, it, res, None, None, None
+            return None
         u[system.free_idx] += du
-    return None, max_iters, res, None, None, None
+    return None
 
 
 def _arc_length(system: _System, u_eq, control_from, control_to, tol,
                 max_iters):
-    """Spherical arc-length continuation from one control value to another.
+    """Spherical arc-length continuation forward to control_to > control_from.
 
     The control parameter joins the unknowns; each of the nominally
     ARC_SUBSTEPS increments is constrained to a fixed generalized length and
@@ -313,19 +312,16 @@ def _arc_length(system: _System, u_eq, control_from, control_to, tol,
     """
     u = u_eq.copy()
     lam = control_from
-    amp = system.prescribed_amp[system.prescribed_eqs]
+    amp = system.prescribed_amp
     dlam_target = (control_to - control_from) / ARC_SUBSTEPS
     psi2 = float(np.sum(amp ** 2))
-    if psi2 == 0.0:
-        return None
 
     substeps = 0
-    while (control_to - lam) * np.sign(dlam_target) > 1e-12 * abs(control_to or 1.0):
+    while control_to - lam > 1e-12 * control_to:
         substeps += 1
         if substeps > ARC_MAX_SUBSTEPS:
             return None
-        dlam = np.sign(dlam_target) * min(abs(dlam_target),
-                                          abs(control_to - lam))
+        dlam = min(dlam_target, control_to - lam)
         # the increment length, fixed by the first predictor of the substep
         arc2 = psi2 * dlam ** 2
         du_f = np.zeros(system.free_idx.size)
@@ -339,22 +335,17 @@ def _arc_length(system: _System, u_eq, control_from, control_to, tol,
             if (np.linalg.norm(r) < tol
                     and abs(a_res) <= 1e-10 * max(arc2, 1e-30)):
                 break
-            Kff = K[system.free_free]
-            Kfp = K[np.ix_(system.free_idx, system.prescribed_eqs)]
-            dfdlam = Kfp @ amp
-            n_f = system.free_idx.size
-            J = np.zeros((n_f + 1, n_f + 1))
-            J[:n_f, :n_f] = Kff
-            J[:n_f, n_f] = dfdlam
-            J[n_f, :n_f] = 2.0 * du_f
-            J[n_f, n_f] = 2.0 * psi2 * dlam
+            # free equations bordered by the load derivative and arc gradient
+            J = np.block([[K[system.free_free],
+                           (K[system.free_prescribed] @ amp)[:, None]],
+                          [2.0 * du_f, 2.0 * psi2 * dlam]])
             rhs = np.concatenate([-r, [-a_res]])
             try:
                 sol = np.linalg.solve(J, rhs)
             except np.linalg.LinAlgError:
                 return None
-            du_f += sol[:n_f]
-            dlam += sol[n_f]
+            du_f += sol[:-1]
+            dlam += sol[-1]
         else:
             return None
         lam = lam + dlam
@@ -363,57 +354,46 @@ def _arc_length(system: _System, u_eq, control_from, control_to, tol,
         if abs(lam - control_to) <= 1e-9 * max(1.0, abs(control_to)):
             break
     # land exactly on the requested control with a plain Newton polish
-    result = _newton(system, u, control_to, tol, max_iters)
-    return result if result[0] is not None else None
-
-
-def _record(system: _System, path: EquilibriumPath, control, converged):
-    """Append the state _newton converged to as the step at control."""
-    u_eq, iters, res, f_raw, energy, stable = converged
-    path.steps.append(PathStep(
-        control=float(control),
-        displacements=system.expand(u_eq),
-        reactions=system.reactions(f_raw),
-        reaction=system.reaction_along_motion(f_raw),
-        iterations=iters,
-        residual=res,
-        strain_energy=energy,
-        stable=stable,
-    ))
+    return _newton(system, u, control_to, tol, max_iters)
 
 
 def solve_guided_sweep(model: FrameModel, travel_max: float,
-                       n_steps: int = 100, tol: float = DEFAULT_TOLERANCE,
+                       n_steps: int = DEFAULT_STEPS,
+                       tol: float = DEFAULT_TOLERANCE,
                        max_iters: int = DEFAULT_MAX_ITERS) -> EquilibriumPath:
     """Displacement-controlled sweep of the model's drive up to travel_max.
 
-    Records the reaction at the driven freedoms per step.  Failed steps are
-    bisected down to travel_max / 4096 and then retried with the arc-length
-    corrector; if that also fails a ConvergenceError carries the partial
-    path and the last converged step.
+    Steps to the n_steps travels of beam.uniform_travels and records the
+    reactions per step.  Failed steps are bisected down to travel_max / 4096
+    and then retried with the arc-length corrector; if that also fails a
+    ConvergenceError carries the partial path and the last converged step.
+    A non-finite travel_max, n_steps < 1 or a model without a non-zero
+    drive raises ValidationError.
     """
     if travel_max < 0:
         raise ValidationError("travel_max must be non-negative")
+    if n_steps < 1:
+        raise ValidationError("n_steps must be at least 1")
+    if not any(model.prescribed.values()):
+        raise ValidationError("model has no non-zero prescribed drive")
+    targets = uniform_travels(travel_max, n_steps).tolist()
     system = _System(model)
     path = EquilibriumPath(model=model)
     u = np.zeros(system.n_eq)
 
     if travel_max == 0.0:
-        f_raw, _, K, energy = system.assemble(u)
-        _record(system, path, 0.0,
-                (u, 0, 0.0, f_raw, energy, _stable(K[system.free_free])))
+        path.steps.append(system.path_step(0.0, u, system.assemble(u), 0, 0.0))
         return path
 
     floor = travel_max / BISECTION_FLOOR_DIV
     control = 0.0
-    for k in range(1, n_steps + 1):
-        target = travel_max * k / n_steps
+    for target in targets:
         while control < target - 1e-12 * travel_max:
             step = attempt = target - control
             while True:
                 converged = _newton(system, u, control + attempt, tol,
                                     max_iters)
-                if converged[0] is not None:
+                if converged is not None:
                     break
                 attempt /= 2.0
                 if attempt < floor:
@@ -427,15 +407,15 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
                             last_step=path.last, path=path)
                     attempt = step
                     break
-            u = converged[0]
+            u, state = converged
             control += attempt
-        _record(system, path, target, converged)
+        path.steps.append(replace(state, control=target))
     return path
 
 
 def solve_multibeam_assembly(config: MechanismConfig, ring_disp: float,
                              n_elements: int = DEFAULT_ELEMENTS_PER_BEAM,
-                             n_steps: int = 20,
+                             n_steps: int = DEFAULT_ASSEMBLY_STEPS,
                              tol: float = DEFAULT_TOLERANCE) -> Tuple[float, float]:
     """(shuttle displacement, ring reaction) at a prescribed ring displacement.
 
@@ -483,7 +463,7 @@ def sweep_to_curve(path: EquilibriumPath, geom: VBeamGeometry,
 
 
 def solve_vbeam_sweep(geom: VBeamGeometry, mat: MaterialModel,
-                      travel_max: float, n_steps: int = 100,
+                      travel_max: float, n_steps: int = DEFAULT_STEPS,
                       n_elements: int = DEFAULT_ELEMENTS_PER_BEAM,
                       tol: float = DEFAULT_TOLERANCE) -> EquilibriumPath:
     """Convenience: mesh one V-beam with the material and sweep it."""

@@ -14,7 +14,9 @@ from graspsynth import (CantileverSection, ConvergenceError, FrameModel,
                         peak_force, solve_guided_sweep,
                         solve_multibeam_assembly, solve_vbeam_sweep,
                         sweep_to_curve, write_path_csv)
-from graspsynth.fe import BeamElement
+from graspsynth.beam import uniform_travels
+from graspsynth.fe import BeamElement, solver
+from graspsynth.fe.model import ROT, UX, UY
 from graspsynth.fe.solver import (EquilibriumPath, PathStep, _arc_length,
                                    _newton, _System)
 
@@ -238,6 +240,9 @@ def test_zero_travel_trivial_path():
     assert len(path.steps) == 1
     assert path.steps[0].reaction == 0.0
     assert np.all(path.steps[0].displacements == 0.0)
+    assert path.steps[0].reactions == {(8, UX): 0.0, (8, UY): 0.0,
+                                       (8, ROT): 0.0}
+    assert path.steps[0].stable and path.steps[0].iterations == 0
 
 
 def test_sweep_shape_single_peak_decline():
@@ -328,11 +333,15 @@ def test_arc_length_reproduces_newton_path():
     model = build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0)
     system = _System(model)
     u0 = np.zeros(system.n_eq)
-    newton_u = _newton(system, u0, 1.0, 1e-10, 25)[0]
+    newton_u, newton_step = _newton(system, u0, 1.0, 1e-10, 25)
     arc = _arc_length(system, u0, 0.0, 1.0, 1e-10, 25)
     assert arc is not None
-    arc_u = arc[0]
+    arc_u, arc_step = arc
     assert np.allclose(arc_u, newton_u, atol=1e-8)
+    assert arc_step.control == 1.0
+    assert np.array_equal(arc_step.displacements, system.expand(arc_u))
+    assert arc_step.residual < 1e-10
+    assert arc_step.reaction == pytest.approx(newton_step.reaction, rel=1e-6)
 
 
 def test_arc_length_gives_up_within_its_substep_budget(monkeypatch):
@@ -351,6 +360,62 @@ def test_arc_length_gives_up_within_its_substep_budget(monkeypatch):
 
     monkeypatch.setattr(_System, "assemble", counted)
     assert _arc_length(system, np.zeros(system.n_eq), 0.0, 1.0, 1e-8, 25) is None
+
+
+def _step_fields(s):
+    return (s.control, s.displacements.tobytes(), s.reactions, s.reaction,
+            s.iterations, s.residual, s.strain_energy, s.stable)
+
+
+@pytest.mark.parametrize("max_iters", [25, 6], ids=["plain", "bisecting"])
+def test_sweep_records_newton_steps_on_the_curve_grid(monkeypatch, max_iters):
+    # each step is the PathStep _newton converged to at its target, and the
+    # targets are force_curve's travel grid bit for bit
+    converged = []
+
+    def recorded(*args):
+        result = _newton(*args)
+        if result is not None:
+            converged.append(result[1])
+        return result
+
+    monkeypatch.setattr(solver, "_newton", recorded)
+    model = build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0)
+    path = solve_guided_sweep(model, 3.0, n_steps=10, max_iters=max_iters)
+    assert path.controls.tobytes() == uniform_travels(3.0, 10).tobytes()
+    assert (len(converged) > len(path.steps)) == (max_iters == 6)
+    for s in path.steps:
+        at_target = [c for c in converged
+                     if c.control == pytest.approx(s.control, rel=1e-12)]
+        assert at_target
+        assert (_step_fields(replace(at_target[-1], control=s.control))
+                == _step_fields(s))
+
+
+@pytest.mark.parametrize("travel", [math.nan, math.inf])
+def test_sweeps_refuse_non_finite_travel(travel):
+    with pytest.raises(ValidationError, match="not finite"):
+        solve_vbeam_sweep(GEOM, MAT, travel, n_steps=5)
+    with pytest.raises(ValidationError, match="not finite"):
+        solve_multibeam_assembly(make_config(), travel)
+
+
+def test_sweeps_refuse_zero_steps():
+    model = build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0)
+    with pytest.raises(ValidationError, match="n_steps"):
+        solve_guided_sweep(model, 1.0, n_steps=0)
+    with pytest.raises(ValidationError, match="n_steps"):
+        solve_multibeam_assembly(make_config(), 1.0, n_steps=0)
+
+
+@pytest.mark.parametrize("prescribed", [{}, {(8, UY): 0.0}],
+                         ids=["no-drive", "zero-amplitude"])
+def test_sweep_refuses_model_without_drive(prescribed):
+    # a driveless model would sweep to all-zero or NaN reactions
+    model = replace(build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0),
+                    prescribed=prescribed)
+    with pytest.raises(ValidationError, match="drive"):
+        solve_guided_sweep(model, 1.0, n_steps=5)
 
 
 # ---------------------------------------------------------------------------
