@@ -16,7 +16,7 @@ Quick start::
     print(peak_force(curve))
 """
 
-from .beam import (BeamLoadState, Branch, CurveSample, ForceDisplacementCurve,
+from .beam import (BeamLoadState, Branch, ForceDisplacementCurve,
                    MaterialModel, MonostableIntermediates,
                    NormalizedDeflection, VBeamGeometry, actuation_force,
                    bistability_margin, bistable_crossover, branch_loads,
@@ -43,7 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "VBeamGeometry", "MaterialModel", "NormalizedDeflection",
-    "MonostableIntermediates", "BeamLoadState", "Branch", "CurveSample",
+    "MonostableIntermediates", "BeamLoadState", "Branch",
     "ForceDisplacementCurve", "normalize_deflection", "bistability_margin",
     "bistable_crossover", "monostable_intermediates", "solve_monostable_cubic",
     "branch_loads", "actuation_force", "force_curve", "peak_force",

@@ -39,9 +39,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -164,25 +165,12 @@ class MonostableIntermediates:
 
 @dataclass(frozen=True)
 class BeamLoadState:
-    """Normalized guided-end loads at one travel.
-
-    m_o is never produced by the load model and stays None rather than being
-    given an invented value.
-    """
+    """Normalized guided-end loads at one travel (the model gives no m_o)."""
 
     f_o: float
     p_o: float
     branch: Branch
     d1_value: float
-    m_o: Optional[float] = None
-
-
-class CurveSample(NamedTuple):
-    delta_y: float
-    force: float
-    branch: Branch
-    f_o: float
-    p_o: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,8 +187,6 @@ class ForceDisplacementCurve:
     f_o: np.ndarray
     p_o: np.ndarray
     branches: Tuple[Branch, ...]
-    geometry: VBeamGeometry
-    material: MaterialModel
 
     def __post_init__(self):
         for name in ("delta_y", "force", "f_o", "p_o"):
@@ -221,19 +207,9 @@ class ForceDisplacementCurve:
     def __len__(self):
         return int(self.delta_y.size)
 
-    @property
-    def samples(self) -> Tuple[CurveSample, ...]:
-        return tuple(
-            CurveSample(float(d), float(f), b, float(fo), float(po))
-            for d, f, b, fo, po in zip(
-                self.delta_y, self.force, self.branches, self.f_o, self.p_o))
-
     def with_force(self, force: np.ndarray) -> "ForceDisplacementCurve":
-        """Copy of the curve with a replaced force array (same grid)."""
-        return ForceDisplacementCurve(
-            self.delta_y.copy(), np.asarray(force, dtype=float),
-            self.f_o.copy(), self.p_o.copy(), self.branches,
-            self.geometry, self.material)
+        """The curve with a replaced force array, sharing its read-only grid."""
+        return replace(self, force=force)
 
 
 def normalize_deflection(geom: VBeamGeometry, delta_y: float) -> NormalizedDeflection:
@@ -493,8 +469,11 @@ def actuation_force(geom: VBeamGeometry, mat: MaterialModel, delta_y):
 def uniform_travels(travel_max: float, n: int) -> np.ndarray:
     """The n uniform travels travel_max * k / n, k = 1..n, over (0, travel_max].
 
-    A travel_max * n that overflows is refused before the array product.
+    A non-integer n, which would step past travel_max, and a travel_max * n
+    that overflows are refused before the array product.
     """
+    if not isinstance(n, numbers.Integral):
+        raise ValidationError(f"sample count {n!r} is not an integer")
     if not math.isfinite(float(travel_max) * int(n)):
         raise ValidationError(f"travel_max {float(travel_max)!r} times {n} "
                               "samples is not finite")
@@ -526,12 +505,10 @@ def force_curve(geom: VBeamGeometry, mat: MaterialModel, travel_max: float,
                                                  n_samples)
     return ForceDisplacementCurve(
         delta_y=dys, force=force[0], f_o=f_o[0], p_o=p_o[0],
-        branches=Branch.tags(bistable[0]), geometry=geom, material=mat)
+        branches=Branch.tags(bistable[0]))
 
 
 def peak_force(curve: ForceDisplacementCurve) -> Tuple[float, float]:
     """(delta_y, force) of the maximal-force sample; equal forces take the smaller travel."""
-    if len(curve) == 0:
-        raise ValidationError("curve is empty")
     i = int(np.argmax(curve.force))
     return float(curve.delta_y[i]), float(curve.force[i])

@@ -65,11 +65,15 @@ class DesignSettings:
 @dataclass(frozen=True)
 class RunConfig:
     mechanism: MechanismConfig
-    material: MaterialModel
     sweep: SweepSettings
     design: Optional[DesignSettings] = None
     fe: FESettings = FESettings()
     output_dir: str = "out"
+
+    @property
+    def material(self) -> MaterialModel:
+        """The mechanism's material, the one material of the run."""
+        return self.mechanism.material
 
 
 def _number(value, path: str) -> float:
@@ -245,8 +249,8 @@ def parse_config(text: str) -> RunConfig:
         design = (_parse_design(doc["design"], material) if "design" in doc
                   else None)
         fe = _build(FESettings, _read(doc.get("fe", {}), "fe"), "fe")
-        return _build(RunConfig, run, "", mechanism=mechanism,
-                      material=material, sweep=sweep, design=design, fe=fe)
+        return _build(RunConfig, run, "", mechanism=mechanism, sweep=sweep,
+                      design=design, fe=fe)
     except ValidationError as exc:
         raise ConfigError(f"invariant violation: {exc}") from exc
 

@@ -459,7 +459,7 @@ def sweep_to_curve(path: EquilibriumPath, geom: VBeamGeometry,
     return ForceDisplacementCurve(
         delta_y=dys, force=np.array([s.reaction for s in steps]),
         f_o=end_loads @ tr * scale, p_o=end_loads @ ax * scale,
-        branches=Branch.tags(bistable), geometry=geom, material=mat)
+        branches=Branch.tags(bistable))
 
 
 def solve_vbeam_sweep(geom: VBeamGeometry, mat: MaterialModel,

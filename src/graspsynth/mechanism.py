@@ -5,12 +5,13 @@ uses single V-beams, so the per-beam force is taken as half of that value and
 the ring-level force as the halved force times the beam count.  This halving
 is the device-level approximation the finite-element oracle is meant to
 falsify, and it is kept in this one place, halved_ring_force, so it stays
-testable.  Every function taking a travel also takes an array of them.
+testable.  Functions taking a travel also take an array of them, except
+latch_step (one event) and grasper_response (one ring displacement;
+grasper_sweep takes many).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple, Union
@@ -126,14 +127,6 @@ class GrasperResponse:
     latch: LatchState
     jaw_root_stress: float
 
-    def __post_init__(self):
-        values = (self.ring_force, self.shuttle_displacement,
-                  self.jaw_opening, self.jaw_root_stress)
-        if not all(math.isfinite(v) for v in values):
-            raise ValidationError("response magnitudes must be finite")
-        if self.jaw_opening < 0:
-            raise ValidationError("jaw_opening must be non-negative")
-
 
 def halved_ring_force(double_beam_force, n_beams: int):
     """Ring-level force: half the double V-beam force times the beam count."""
@@ -145,8 +138,6 @@ def aggregate_ring_force(double_beam_curve: ForceDisplacementCurve,
     """Ring-level curve: halve the double-beam force, times the beam count."""
     if n_beams < 1:
         raise ValidationError("n_beams must be at least 1")
-    if len(double_beam_curve) == 0:
-        raise ValidationError("curve is empty")
     return double_beam_curve.with_force(
         halved_ring_force(double_beam_curve.force, n_beams))
 
@@ -269,9 +260,11 @@ def grasper_sweep(config: MechanismConfig,
     tip_force = (3.0 * config.material.youngs_modulus_E * i_jaw * opening
                  / sec.jaw_length ** 3)
     stress = cantilever_stress(tip_force * sec.jaw_length, sec)
+    columns = (ring, ring_force, shuttle, opening, stress)
+    if not np.isfinite(columns[1:]).all():
+        raise ValidationError("response magnitudes must be finite")
 
     rest = LatchState(LatchPhase.UNSTRESSED, 0.0)
-    columns = (ring, ring_force, shuttle, opening, stress)
     return tuple(
         GrasperResponse(f, s, j, latch_step(rest, PullRing(d),
                                             config.latch_travel), st)
@@ -279,5 +272,8 @@ def grasper_sweep(config: MechanismConfig,
 
 
 def grasper_response(config: MechanismConfig, ring_disp: float) -> GrasperResponse:
-    """grasper_sweep at one ring displacement."""
+    """grasper_sweep at one ring displacement; an array goes to grasper_sweep."""
+    if np.ndim(ring_disp):
+        raise ValidationError("grasper_response takes one ring displacement; "
+                              "use grasper_sweep for several")
     return grasper_sweep(config, [ring_disp])[0]

@@ -7,11 +7,14 @@ L=40, T=1.2, W=5, theta=7 deg with E=1800 MPa unless stated.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from graspsynth import (Branch, MaterialModel, MonostableIntermediates,
+import graspsynth.beam
+from graspsynth import (BeamLoadState, Branch, ForceDisplacementCurve,
+                        MaterialModel, MonostableIntermediates,
                         NumericalError, ValidationError, VBeamGeometry,
                         actuation_force, bistability_margin,
                         bistable_crossover, branch_loads, force_curve,
@@ -264,7 +267,6 @@ def test_branch_loads_bistable_reference():
     assert st.branch is Branch.BISTABLE
     assert st.p_o == -9.8837
     assert st.f_o == pytest.approx(1.2064, abs=5e-5)      # hand: -4.8618 y_o
-    assert st.m_o is None
     assert st.d1_value == pytest.approx(0.0656, abs=5e-5)
 
 
@@ -453,6 +455,31 @@ def test_curve_immutable():
     curve = force_curve(GEOM, MAT, 5.0, 10)
     with pytest.raises(ValueError):
         curve.force[0] = 99.0
+
+
+def test_records_hold_only_what_is_read():
+    assert [f.name for f in fields(ForceDisplacementCurve)] == [
+        "delta_y", "force", "f_o", "p_o", "branches"]
+    assert [f.name for f in fields(BeamLoadState)] == [
+        "f_o", "p_o", "branch", "d1_value"]
+    assert not hasattr(graspsynth.beam, "CurveSample")
+
+
+def test_with_force_shares_the_read_only_grid():
+    curve = force_curve(GEOM, MAT, 5.0, 10)
+    halved = curve.with_force(curve.force / 2.0)
+    for name in ("delta_y", "f_o", "p_o", "branches"):
+        assert getattr(halved, name) is getattr(curve, name)
+    assert halved.force.tolist() == (curve.force / 2.0).tolist()
+    assert not halved.force.flags.writeable
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0)])
+def test_non_integer_sample_count_is_refused(count):
+    # a count of 2.5 used to sample [0.4, 0.8, 1.2], past travel_max = 1
+    with pytest.raises(ValidationError, match="not an integer"):
+        force_curve(GEOM, MAT, 1.0, count)
+    assert force_curve(GEOM, MAT, 1.0, np.int64(3)).delta_y[-1] == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,15 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graspsynth import ConfigError, parse_config, serialize_config
+from graspsynth import (ConfigError, MaterialModel, RunConfig, parse_config,
+                        serialize_config)
 from graspsynth.config import _KEYS
 from graspsynth.search import DEFAULT_GRID_DENSITY
 
@@ -118,6 +120,17 @@ def test_full_document_names_every_key_of_the_table():
     assert table_keys() <= keys_by_section(FULL)
     config = parse_config(json.dumps(FULL))
     assert parse_config(serialize_config(config)) == config
+
+
+def test_run_config_holds_one_material():
+    doc = {key: value for key, value in FULL.items() if key != "design"}
+    config = parse_config(json.dumps(doc))
+    assert "material" not in {f.name for f in fields(RunConfig)}
+    assert config.material is config.mechanism.material
+    stiffer = replace(config, mechanism=replace(
+        config.mechanism, material=MaterialModel(2000.0)))
+    assert stiffer.material.youngs_modulus_E == 2000.0
+    assert parse_config(serialize_config(stiffer)) == stiffer
 
 
 @pytest.mark.parametrize("path", list(paths(FULL)), ids=".".join)

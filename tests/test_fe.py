@@ -400,6 +400,12 @@ def test_sweeps_refuse_non_finite_travel(travel):
         solve_multibeam_assembly(make_config(), travel)
 
 
+def test_sweep_refuses_non_integer_step_count():
+    # a count of 2.5 used to step to [0.4, 0.8, 1.2], past travel_max = 1
+    with pytest.raises(ValidationError, match="not an integer"):
+        solve_vbeam_sweep(GEOM, MAT, 1.0, n_steps=2.5)
+
+
 def test_sweeps_refuse_zero_steps():
     model = build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0)
     with pytest.raises(ValidationError, match="n_steps"):
@@ -471,12 +477,11 @@ def test_compare_disjoint_domains():
     a = force_curve(GEOM, MAT, 1.0, 4)
     full = force_curve(GEOM, MAT, 10.0, 10)
     # samples of b start at 2.0, beyond a's last sample at 1.0
-    b = full.with_force(full.force)
     mask = full.delta_y >= 2.0
     from graspsynth import ForceDisplacementCurve
     b = ForceDisplacementCurve(full.delta_y[mask], full.force[mask],
                                full.f_o[mask], full.p_o[mask],
-                               full.branches[-int(mask.sum()):], GEOM, MAT)
+                               full.branches[-int(mask.sum()):])
     with pytest.raises(ValidationError, match="disjoint"):
         compare_curves(a, b)
 

@@ -12,6 +12,7 @@ from graspsynth import (CantileverSection, LatchPhase, LatchState,
                         grasper_response, grasper_sweep, jaw_opening,
                         latch_step, peak_force, shuttle_transfer_ratio,
                         single_beam_force)
+from graspsynth import mechanism
 from graspsynth.mechanism import beam_tangent_stiffness
 
 GEOM = VBeamGeometry.from_degrees(40, 1.2, 5, 7)
@@ -313,6 +314,28 @@ def test_sweep_rows_equal_single_responses():
     for d, row in zip(ring, rows):
         assert row == grasper_response(config, float(d))
     assert grasper_sweep(config, []) == ()
+
+
+def test_non_finite_response_is_refused(monkeypatch):
+    # unit transfer ratio, so only the shuttle force goes non-finite
+    monkeypatch.setattr(mechanism, "beam_tangent_stiffness",
+                        lambda config, d: np.zeros_like(d))
+    monkeypatch.setattr(mechanism, "actuation_force",
+                        lambda geom, mat, d: np.full_like(d, np.nan))
+    with pytest.raises(ValidationError,
+                       match="response magnitudes must be finite"):
+        grasper_sweep(make_config(), [0.5, 1.0])
+    with pytest.raises(ValidationError,
+                       match="response magnitudes must be finite"):
+        grasper_response(make_config(), 1.0)
+
+
+@pytest.mark.parametrize("ring", [np.array([1.0, 2.0]), [1.0]])
+def test_response_refuses_several_displacements(ring):
+    with pytest.raises(ValidationError, match="use grasper_sweep"):
+        grasper_response(make_config(), ring)
+    assert grasper_response(make_config(), np.float64(1.0)) == \
+        grasper_sweep(make_config(), [1.0])[0]
 
 
 def test_sweep_rejects_negative_input():
