@@ -70,6 +70,10 @@ class RunConfig:
     fe: FESettings = FESettings()
     output_dir: str = "out"
 
+    def __post_init__(self):
+        if self.design and self.design.spec.material != self.material:
+            raise ValidationError("design and mechanism materials differ")
+
     @property
     def material(self) -> MaterialModel:
         """The mechanism's material, the one material of the run."""

@@ -7,8 +7,9 @@ The shuttle travels along -Y, so the direction normal to shuttle travel is
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -32,17 +33,18 @@ class BeamElement:
 
 @dataclass
 class FrameModel:
-    """Mesh, constraints and drive pattern of a planar frame.
+    """Mesh, constraints and drive of a planar frame.
 
-    fixed marks constrained freedoms per node; prescribed maps (node, dof)
-    to the displacement applied per unit of the control parameter;
-    point_springs couple two freedoms through a linear spring.
+    fixed marks constrained freedoms per node; drive (node, dof, amplitude)
+    moves one free freedom by a finite, non-zero amplitude per unit of the
+    control parameter; point_springs couple two freedoms through a linear
+    spring.
     """
 
     nodes: np.ndarray
     elements: List[BeamElement]
     fixed: np.ndarray
-    prescribed: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    drive: Tuple[int, int, float]
     point_springs: List[Tuple[int, int, int, int, float]] = field(default_factory=list)
 
     def __post_init__(self):
@@ -64,12 +66,14 @@ class FrameModel:
         if not np.any(self.fixed.all(axis=1)):
             raise ValidationError(
                 "at least one node must be fully constrained (rigid-body modes)")
-        for (node, dof) in self.prescribed:
-            if not (0 <= node < n and dof in (UX, UY, ROT)):
-                raise ValidationError(f"prescribed freedom ({node}, {dof}) is invalid")
-            if self.fixed[node, dof]:
-                raise ValidationError(
-                    f"freedom ({node}, {dof}) cannot be both fixed and prescribed")
+        node, dof, amplitude = self.drive
+        if not (0 <= node < n and dof in (UX, UY, ROT)):
+            raise ValidationError(f"drive freedom ({node}, {dof}) is invalid")
+        if self.fixed[node, dof]:
+            raise ValidationError(
+                f"freedom ({node}, {dof}) cannot be both fixed and driven")
+        if not (np.isfinite(amplitude) and amplitude != 0):
+            raise ValidationError("drive amplitude must be finite and non-zero")
 
     @property
     def n_nodes(self) -> int:
@@ -82,10 +86,12 @@ def build_vbeam_mesh(geom: VBeamGeometry,
     """Mesh one V-beam: clamped at the origin, guided end driven along -Y.
 
     The guided end keeps rotation and cross-shuttle translation fixed and is
-    flagged for unit prescribed motion along the shuttle axis.  Elements get
-    a unit modulus unless youngs_modulus_E is given (reactions scale linearly
-    with it).
+    the drive, moving by -1 along Y per unit of the control.  Elements get a
+    unit modulus unless youngs_modulus_E is given (reactions scale linearly
+    with it).  n_elements must be an integer of at least 4.
     """
+    if not isinstance(n_elements, numbers.Integral):
+        raise ValidationError(f"n_elements {n_elements!r} is not an integer")
     if n_elements < 4:
         raise ValidationError("n_elements must be at least 4")
     n_nodes = n_elements + 1
@@ -102,9 +108,8 @@ def build_vbeam_mesh(geom: VBeamGeometry,
     guided = n_nodes - 1
     fixed[guided, UX] = True
     fixed[guided, ROT] = True
-    prescribed = {(guided, UY): -1.0}
     return FrameModel(nodes=nodes, elements=elements, fixed=fixed,
-                      prescribed=prescribed)
+                      drive=(guided, UY, -1.0))
 
 
 def build_multibeam_assembly(config: MechanismConfig,
@@ -115,8 +120,7 @@ def build_multibeam_assembly(config: MechanismConfig,
     fixed geometry every reaction of the corotational model is linear in the
     modulus: one beam at N times the modulus stands for all N.  Its guided
     end (node n_elements) is the shuttle; a ring node, joined to it by the
-    series stiffness at the shuttle's position, carries the unit prescribed
-    motion.
+    series stiffness at the shuttle's position, is the drive.
     """
     model = build_vbeam_mesh(
         config.beam_geometry, n_elements,
@@ -127,4 +131,4 @@ def build_multibeam_assembly(config: MechanismConfig,
     return FrameModel(nodes=np.vstack([model.nodes, model.nodes[shuttle]]),
                       elements=model.elements,
                       fixed=np.vstack([model.fixed, [True, False, True]]),
-                      prescribed={(ring, UY): -1.0}, point_springs=springs)
+                      drive=(ring, UY, -1.0), point_springs=springs)

@@ -30,6 +30,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -125,22 +126,13 @@ class _System:
         eq[~model.fixed] = np.arange(count)
         self.eq = eq
         self.n_eq = count
-        drive = sorted((eq[node, dof], amp)
-                       for (node, dof), amp in model.prescribed.items())
-        self.prescribed_eqs = np.array([e for e, _ in drive], dtype=int)
-        self.prescribed_amp = np.array([a for _, a in drive], dtype=float)
-        self.free_idx = np.delete(np.arange(count), self.prescribed_eqs)
+        node, dof, self.amp = model.drive
+        self.drive_eq = int(eq[node, dof])
+        self.free_idx = np.delete(np.arange(count), self.drive_eq)
         self.free_free = np.ix_(self.free_idx, self.free_idx)
-        self.free_prescribed = np.ix_(self.free_idx, self.prescribed_eqs)
-        # a step reports the force at every constrained freedom of a driven
-        # node and along the drive, from its (node, dof, amplitude, norm)
-        self._reported = list(dict.fromkeys(
-            (node, dof) for (node, _) in model.prescribed for dof in range(3)
-            if model.fixed[node, dof] or (node, dof) in model.prescribed))
-        amps = np.array(list(model.prescribed.values()))
-        norm = math.sqrt(float(np.sum(amps ** 2)))
-        self._drive = [(node, dof, a, norm)
-                       for (node, dof), a in model.prescribed.items()]
+        # a step reports the driven node's constrained freedoms and the drive
+        self._reported = [(node, d) for d in range(3)
+                          if model.fixed[node, d] or d == dof]
         # flat freedom (3 * node + dof) of each equation, in equation order
         self._eq_dofs = np.flatnonzero(~model.fixed.ravel())
 
@@ -260,11 +252,11 @@ class _System:
     def path_step(self, control, u_eq, assembled, iterations, residual):
         """The PathStep at control of state u_eq from its assemble() result."""
         f_raw, _, K, energy = assembled
+        node, dof, amp = self.model.drive
         return PathStep(
             control=float(control), displacements=self.expand(u_eq),
             reactions={key: float(f_raw[key]) for key in self._reported},
-            reaction=float(sum(f_raw[node, dof] * a / norm
-                               for node, dof, a, norm in self._drive)),
+            reaction=float(f_raw[node, dof] * amp / abs(amp)),
             iterations=iterations, residual=residual, strain_energy=energy,
             stable=_stable(K[self.free_free]))
 
@@ -284,7 +276,7 @@ def _newton(system: _System, u_eq, control, tol, max_iters):
     Returns (u, PathStep) of the converged state, or None.
     """
     u = u_eq.copy()
-    u[system.prescribed_eqs] = control * system.prescribed_amp
+    u[system.drive_eq] = control * system.amp
     for it in range(1, max_iters + 1):
         assembled = system.assemble(u)
         r = assembled[1][system.free_idx]
@@ -312,9 +304,9 @@ def _arc_length(system: _System, u_eq, control_from, control_to, tol,
     """
     u = u_eq.copy()
     lam = control_from
-    amp = system.prescribed_amp
+    amp = system.amp
     dlam_target = (control_to - control_from) / ARC_SUBSTEPS
-    psi2 = float(np.sum(amp ** 2))
+    psi2 = amp ** 2
 
     substeps = 0
     while control_to - lam > 1e-12 * control_to:
@@ -328,7 +320,7 @@ def _arc_length(system: _System, u_eq, control_from, control_to, tol,
         for _ in range(max_iters):
             u_cur = u.copy()
             u_cur[system.free_idx] += du_f
-            u_cur[system.prescribed_eqs] = (lam + dlam) * amp
+            u_cur[system.drive_eq] = (lam + dlam) * amp
             _, r_eq, K, _ = system.assemble(u_cur)
             r = r_eq[system.free_idx]
             a_res = float(du_f @ du_f) + psi2 * dlam ** 2 - arc2
@@ -337,7 +329,7 @@ def _arc_length(system: _System, u_eq, control_from, control_to, tol,
                 break
             # free equations bordered by the load derivative and arc gradient
             J = np.block([[K[system.free_free],
-                           (K[system.free_prescribed] @ amp)[:, None]],
+                           K[system.free_idx, system.drive_eq][:, None] * amp],
                           [2.0 * du_f, 2.0 * psi2 * dlam]])
             rhs = np.concatenate([-r, [-a_res]])
             try:
@@ -350,7 +342,7 @@ def _arc_length(system: _System, u_eq, control_from, control_to, tol,
             return None
         lam = lam + dlam
         u[system.free_idx] += du_f
-        u[system.prescribed_eqs] = lam * amp
+        u[system.drive_eq] = lam * amp
         if abs(lam - control_to) <= 1e-9 * max(1.0, abs(control_to)):
             break
     # land exactly on the requested control with a plain Newton polish
@@ -367,15 +359,18 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
     reactions per step.  Failed steps are bisected down to travel_max / 4096
     and then retried with the arc-length corrector; if that also fails a
     ConvergenceError carries the partial path and the last converged step.
-    A non-finite travel_max, n_steps < 1 or a model without a non-zero
-    drive raises ValidationError.
+    A negative or non-finite travel_max, n_steps < 1, a tol that is not
+    positive and finite or a max_iters that is not an integer of at least 1
+    raises ValidationError.
     """
     if travel_max < 0:
         raise ValidationError("travel_max must be non-negative")
     if n_steps < 1:
         raise ValidationError("n_steps must be at least 1")
-    if not any(model.prescribed.values()):
-        raise ValidationError("model has no non-zero prescribed drive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tol {tol!r} must be positive and finite")
+    if not (isinstance(max_iters, numbers.Integral) and max_iters >= 1):
+        raise ValidationError(f"max_iters {max_iters!r} must be an integer >= 1")
     targets = uniform_travels(travel_max, n_steps).tolist()
     system = _System(model)
     path = EquilibriumPath(model=model)
@@ -426,13 +421,9 @@ def solve_multibeam_assembly(config: MechanismConfig, ring_disp: float,
     """
     if ring_disp < 0:
         raise ValidationError("ring_disp must be non-negative")
-    if ring_disp == 0.0:
-        return 0.0, 0.0
     model = build_multibeam_assembly(config, n_elements)
-    path = solve_guided_sweep(model, ring_disp, n_steps=n_steps, tol=tol)
-    last = path.last
-    shuttle_disp = -float(last.displacements[n_elements, UY])
-    return shuttle_disp, float(last.reaction)
+    last = solve_guided_sweep(model, ring_disp, n_steps=n_steps, tol=tol).last
+    return -float(last.displacements[n_elements, UY]), float(last.reaction)
 
 
 def sweep_to_curve(path: EquilibriumPath, geom: VBeamGeometry,
@@ -446,7 +437,7 @@ def sweep_to_curve(path: EquilibriumPath, geom: VBeamGeometry,
     steps = [s for s in path.steps if s.control > 0.0]
     if not steps:
         raise ValidationError("path holds no positive-travel steps")
-    (node, dof) = next(iter(path.model.prescribed))
+    node = path.model.drive[0]
     th = geom.tilt_theta
     ax = np.array([math.cos(th), math.sin(th)])
     tr = np.array([-math.sin(th), math.cos(th)])

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graspsynth import (ConfigError, MaterialModel, RunConfig, parse_config,
-                        serialize_config)
+from graspsynth import (ConfigError, MaterialModel, RunConfig,
+                        ValidationError, parse_config, serialize_config)
 from graspsynth.config import _KEYS
 from graspsynth.search import DEFAULT_GRID_DENSITY
 
@@ -131,6 +131,21 @@ def test_run_config_holds_one_material():
         config.mechanism, material=MaterialModel(2000.0)))
     assert stiffer.material.youngs_modulus_E == 2000.0
     assert parse_config(serialize_config(stiffer)) == stiffer
+
+
+def test_run_config_refuses_two_materials():
+    # a design block carries the material its search evaluates with; it
+    # must be the mechanism's, or a round trip would change the config
+    config = parse_config(json.dumps(FULL))
+    stiff = MaterialModel(2000.0)
+    with pytest.raises(ValidationError, match="material"):
+        replace(config, mechanism=replace(config.mechanism, material=stiff))
+    both = replace(
+        config, mechanism=replace(config.mechanism, material=stiff),
+        design=replace(config.design,
+                       spec=replace(config.design.spec, material=stiff)))
+    assert both.material is stiff
+    assert parse_config(serialize_config(both)) == both
 
 
 @pytest.mark.parametrize("path", list(paths(FULL)), ids=".".join)

@@ -72,7 +72,7 @@ def test_mesh_boundary_conditions():
     guided = model.n_nodes - 1
     assert model.fixed[guided, 0] and model.fixed[guided, 2]
     assert not model.fixed[guided, 1]
-    assert model.prescribed == {(guided, 1): -1.0}
+    assert model.drive == (guided, UY, -1.0)
 
 
 def test_model_validation():
@@ -171,7 +171,8 @@ def reference_assemble(system, u_eq):
 def batched_element(xi, xj, d, E, A, I):
     """The solver's batched kernel on a one-element model."""
     model = FrameModel(nodes=[xi, xj], elements=[BeamElement(0, 1, E, A, I)],
-                       fixed=[[True, True, True], [False, False, False]])
+                       fixed=[[True, True, True], [False, False, False]],
+                       drive=(1, UY, -1.0))
     f, K, energy = _System(model)._elements(np.asarray(d)[None, :])
     return f[0], K[0], energy[0]
 
@@ -406,6 +407,46 @@ def test_sweep_refuses_non_integer_step_count():
         solve_vbeam_sweep(GEOM, MAT, 1.0, n_steps=2.5)
 
 
+def _no_assembly(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("assembled before the settings were checked")
+    monkeypatch.setattr(_System, "assemble", refuse)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_sweeps_refuse_bad_tolerance(tol, monkeypatch):
+    # a NaN, zero or negative tolerance used to fail every Newton solve
+    # and end in ConvergenceError; an infinite one accepted any state
+    _no_assembly(monkeypatch)
+    model = build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0)
+    with pytest.raises(ValidationError, match="tol"):
+        solve_guided_sweep(model, 1.0, n_steps=5, tol=tol)
+    with pytest.raises(ValidationError, match="tol"):
+        solve_vbeam_sweep(GEOM, MAT, 1.0, n_steps=5, tol=tol)
+    with pytest.raises(ValidationError, match="tol"):
+        solve_multibeam_assembly(make_config(), 1.0, n_steps=5, tol=tol)
+
+
+@pytest.mark.parametrize("max_iters", [0, -1, 1.5, 2.0])
+def test_sweep_refuses_bad_iteration_limit(max_iters, monkeypatch):
+    # 0 used to end in ConvergenceError, 1.5 in a TypeError from range()
+    _no_assembly(monkeypatch)
+    model = build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0)
+    with pytest.raises(ValidationError, match="max_iters"):
+        solve_guided_sweep(model, 1.0, n_steps=5, max_iters=max_iters)
+
+
+@pytest.mark.parametrize("n_elements", [8.5, 8.0])
+def test_meshes_refuse_non_integer_element_count(n_elements):
+    # both used to raise numpy's TypeError from np.linspace
+    with pytest.raises(ValidationError, match="not an integer"):
+        build_vbeam_mesh(GEOM, n_elements)
+    with pytest.raises(ValidationError, match="not an integer"):
+        solve_vbeam_sweep(GEOM, MAT, 1.0, n_steps=5, n_elements=n_elements)
+    with pytest.raises(ValidationError, match="not an integer"):
+        solve_multibeam_assembly(make_config(), 1.0, n_elements=n_elements)
+
+
 def test_sweeps_refuse_zero_steps():
     model = build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0)
     with pytest.raises(ValidationError, match="n_steps"):
@@ -414,14 +455,20 @@ def test_sweeps_refuse_zero_steps():
         solve_multibeam_assembly(make_config(), 1.0, n_steps=0)
 
 
-@pytest.mark.parametrize("prescribed", [{}, {(8, UY): 0.0}],
-                         ids=["no-drive", "zero-amplitude"])
-def test_sweep_refuses_model_without_drive(prescribed):
-    # a driveless model would sweep to all-zero or NaN reactions
-    model = replace(build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0),
-                    prescribed=prescribed)
-    with pytest.raises(ValidationError, match="drive"):
-        solve_guided_sweep(model, 1.0, n_steps=5)
+@pytest.mark.parametrize("drive, match", [
+    ((8, UY, 0.0), "non-zero"),
+    ((8, UY, math.nan), "finite"),
+    ((8, UX, -1.0), "fixed and driven"),
+    ((9, UY, -1.0), "invalid"),
+    ((8, 3, -1.0), "invalid"),
+], ids=["zero-amplitude", "nan-amplitude", "fixed-freedom", "missing-node",
+        "unknown-dof"])
+def test_model_refuses_bad_drive(drive, match):
+    # a zero drive would sweep to all-zero reactions and a NaN one ends in
+    # ConvergenceError; the others name no free freedom to move
+    model = build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0)
+    with pytest.raises(ValidationError, match=match):
+        replace(model, drive=drive)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +560,7 @@ def test_multibeam_assembly_structure():
     assert len(model.elements) == 8
     assert all(el.E == 3 * 1800.0 for el in model.elements)
     assert len(model.point_springs) == 1
-    assert list(model.prescribed) == [(model.n_nodes - 1, 1)]
+    assert model.drive == (model.n_nodes - 1, UY, -1.0)
 
 
 # (config, ring mm, n_steps, shuttle, reaction) from the assembly that meshed
