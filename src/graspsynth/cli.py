@@ -97,7 +97,10 @@ def _cmd_design(args, config: RunConfig, out: Path) -> int:
     if ranked:
         best = refine(config.design.spec, ranked[0],
                       config.design.refine_max_evals)
-        ranked = sorted(set(ranked) | {best}, key=lambda c: c.sort_key())
+        # one row per design point: the refined candidate replaces its twin
+        merged = {c.point: c for c in ranked}
+        merged[best.point] = best
+        ranked = sorted(merged.values(), key=lambda c: c.sort_key())
     dest = out / "design_candidates.csv"
     write_candidates_csv(ranked, dest)
     _say(args, f"wrote {dest}")

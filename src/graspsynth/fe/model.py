@@ -22,52 +22,66 @@ UX, UY, ROT = 0, 1, 2
 DEFAULT_ELEMENTS_PER_BEAM = 16
 
 
-@dataclass(frozen=True)
-class BeamElement:
-    node_i: int
-    node_j: int
-    E: float
-    A: float
-    I: float
-
-
 @dataclass
 class FrameModel:
     """Mesh, constraints and drive of a planar frame.
 
-    fixed marks constrained freedoms per node; drive (node, dof, amplitude)
-    moves one free freedom by a finite, non-zero amplitude per unit of the
-    control parameter; point_springs couple two freedoms through a linear
-    spring.
+    elements is the integer (m, 2) array of each element's end nodes and
+    section the (E, A, I) every element shares; fixed marks constrained
+    freedoms per node; drive (node, dof, amplitude) moves one free freedom
+    by a finite, non-zero amplitude per unit of the control parameter;
+    point_springs (node_a, dof_a, node_b, dof_b, k) couple two freedoms
+    through a linear spring of stiffness k.  Every index, the section and
+    each stiffness are checked when the model is built: section values and
+    stiffnesses must be positive and finite.
     """
 
     nodes: np.ndarray
-    elements: List[BeamElement]
+    elements: np.ndarray
+    section: Tuple[float, float, float]
     fixed: np.ndarray
     drive: Tuple[int, int, float]
     point_springs: List[Tuple[int, int, int, int, float]] = field(default_factory=list)
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
+        self.elements = np.asarray(self.elements, dtype=int)
         self.fixed = np.asarray(self.fixed, dtype=bool)
         n = self.nodes.shape[0]
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
             raise ValidationError("nodes must be an (n, 2) coordinate array")
+        if self.elements.ndim != 2 or self.elements.shape[1] != 2:
+            raise ValidationError("elements must be an (m, 2) node index array")
         if self.fixed.shape != (n, 3):
             raise ValidationError("fixed flags must be an (n, 3) bool array")
-        for el in self.elements:
-            if not (0 <= el.node_i < n and 0 <= el.node_j < n):
-                raise ValidationError(
-                    f"element ({el.node_i}, {el.node_j}) references a missing node")
-            length = float(np.hypot(*(self.nodes[el.node_j] - self.nodes[el.node_i])))
-            if length < 1e-12:
-                raise ValidationError(
-                    f"element ({el.node_i}, {el.node_j}) has zero length")
+        if not np.all((self.elements >= 0) & (self.elements < n)):
+            raise ValidationError("an element references a missing node")
+        chord = self.nodes[self.elements[:, 1]] - self.nodes[self.elements[:, 0]]
+        if np.any(np.hypot(chord[:, 0], chord[:, 1]) < 1e-12):
+            raise ValidationError("an element has zero length")
+        section = np.asarray(self.section, dtype=float)
+        if section.shape != (3,) or not np.all(np.isfinite(section)
+                                               & (section > 0)):
+            raise ValidationError(
+                f"section (E, A, I) {self.section!r} must be three positive, "
+                "finite values")
+        self.section = tuple(section.tolist())
         if not np.any(self.fixed.all(axis=1)):
             raise ValidationError(
                 "at least one node must be fully constrained (rigid-body modes)")
+
+        def is_freedom(node, dof):
+            return 0 <= node < n and dof in (UX, UY, ROT)
+
+        for spring in self.point_springs:
+            na, da, nb, db, k = spring
+            if not (is_freedom(na, da) and is_freedom(nb, db)):
+                raise ValidationError(f"spring {spring} couples an invalid freedom")
+            if not (np.isfinite(k) and k > 0):
+                raise ValidationError(
+                    f"spring {spring} stiffness must be positive and finite")
         node, dof, amplitude = self.drive
-        if not (0 <= node < n and dof in (UX, UY, ROT)):
+        if not is_freedom(node, dof):
             raise ValidationError(f"drive freedom ({node}, {dof}) is invalid")
         if self.fixed[node, dof]:
             raise ValidationError(
@@ -86,9 +100,10 @@ def build_vbeam_mesh(geom: VBeamGeometry,
     """Mesh one V-beam: clamped at the origin, guided end driven along -Y.
 
     The guided end keeps rotation and cross-shuttle translation fixed and is
-    the drive, moving by -1 along Y per unit of the control.  Elements get a
-    unit modulus unless youngs_modulus_E is given (reactions scale linearly
-    with it).  n_elements must be an integer of at least 4.
+    the drive, moving by -1 along Y per unit of the control.  Every element
+    shares the section (E, W T, W T^3 / 12), with a unit modulus E unless
+    youngs_modulus_E is given (reactions scale linearly with it).
+    n_elements must be an integer of at least 4.
     """
     if not isinstance(n_elements, numbers.Integral):
         raise ValidationError(f"n_elements {n_elements!r} is not an integer")
@@ -99,17 +114,15 @@ def build_vbeam_mesh(geom: VBeamGeometry,
     direction = np.array([np.cos(geom.tilt_theta), np.sin(geom.tilt_theta)])
     nodes = np.outer(s, direction)
 
-    elements = [BeamElement(i, i + 1, youngs_modulus_E, geom.area,
-                            geom.second_moment)
-                for i in range(n_elements)]
-
     fixed = np.zeros((n_nodes, 3), dtype=bool)
     fixed[0, :] = True
     guided = n_nodes - 1
     fixed[guided, UX] = True
     fixed[guided, ROT] = True
-    return FrameModel(nodes=nodes, elements=elements, fixed=fixed,
-                      drive=(guided, UY, -1.0))
+    elements = np.arange(n_elements)[:, None] + [0, 1]
+    return FrameModel(nodes=nodes, elements=elements,
+                      section=(youngs_modulus_E, geom.area, geom.second_moment),
+                      fixed=fixed, drive=(guided, UY, -1.0))
 
 
 def build_multibeam_assembly(config: MechanismConfig,
@@ -129,6 +142,6 @@ def build_multibeam_assembly(config: MechanismConfig,
     ring = shuttle + 1
     springs = [(ring, UY, shuttle, UY, config.series_stiffness_ks)]
     return FrameModel(nodes=np.vstack([model.nodes, model.nodes[shuttle]]),
-                      elements=model.elements,
+                      elements=model.elements, section=model.section,
                       fixed=np.vstack([model.fixed, [True, False, True]]),
                       drive=(ring, UY, -1.0), point_springs=springs)

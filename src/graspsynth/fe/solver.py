@@ -111,11 +111,11 @@ class _System:
     """Equation numbering, assembly and residual bookkeeping for one model.
 
     Everything that depends only on the model is computed once here: the
-    per-element section and chord arrays and the flat scatter indices of
-    the element and spring contributions into the raw force table and the
-    equation tangent, with constrained entries already dropped.  The
-    element work arrays are reused by every assembly, so one instance
-    serves one solve at a time.
+    shared section's E A and E I, the per-element chord arrays and the flat
+    scatter indices of the element and spring contributions into the raw
+    force table and the equation tangent, with constrained entries already
+    dropped.  The element work arrays are reused by every assembly, so one
+    instance serves one solve at a time.
     """
 
     def __init__(self, model: FrameModel):
@@ -136,11 +136,8 @@ class _System:
         # flat freedom (3 * node + dof) of each equation, in equation order
         self._eq_dofs = np.flatnonzero(~model.fixed.ravel())
 
-        els = model.elements
-        ends = np.array([(e.node_i, e.node_j) for e in els],
-                        dtype=int).reshape(-1, 2)
-        E, A, I = np.array([(e.E, e.A, e.I) for e in els],
-                           dtype=float).reshape(-1, 3).T
+        ends = model.elements
+        E, A, I = model.section
         self._EA = E * A
         self._EI = E * I
         self._dxy0 = model.nodes[ends[:, 1]] - model.nodes[ends[:, 0]]
@@ -155,7 +152,7 @@ class _System:
         # bending) on the B rows and the geometric coefficients on the z row
         # and column, so that G^T D G = B^T C B + N/Ln z z^T
         # + (M1 + M2)/Ln^2 (r z^T + z r^T).
-        n_el = len(els)
+        n_el = len(ends)
         k_b = self._EI / self._L0
         self._G = np.zeros((n_el, 4, 6))
         self._G[:, 1, ROT] = self._G[:, 2, 3 + ROT] = 1.0

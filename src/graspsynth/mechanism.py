@@ -12,6 +12,7 @@ grasper_sweep takes many).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple, Union
@@ -72,6 +73,14 @@ class PressTrigger:
 LatchEvent = Union[PullRing, PressTrigger]
 
 
+def _check_beam_count(n_beams) -> None:
+    """Refuse a beam count that is not an integer (bool excluded) of at least 1."""
+    if (isinstance(n_beams, bool) or not isinstance(n_beams, numbers.Integral)
+            or n_beams < 1):
+        raise ValidationError(
+            f"n_beams {n_beams!r} must be an integer of at least 1")
+
+
 @dataclass(frozen=True)
 class MechanismConfig:
     """Whole-grasper description.
@@ -96,8 +105,7 @@ class MechanismConfig:
     latch_ramp_factor: float = 1.5
 
     def __post_init__(self):
-        if self.n_beams < 1:
-            raise ValidationError("n_beams must be at least 1")
+        _check_beam_count(self.n_beams)
         if not self.latch_travel > 0:
             raise ValidationError("latch_travel must be positive")
         if not self.series_stiffness_ks > 0:
@@ -136,8 +144,7 @@ def halved_ring_force(double_beam_force, n_beams: int):
 def aggregate_ring_force(double_beam_curve: ForceDisplacementCurve,
                          n_beams: int) -> ForceDisplacementCurve:
     """Ring-level curve: halve the double-beam force, times the beam count."""
-    if n_beams < 1:
-        raise ValidationError("n_beams must be at least 1")
+    _check_beam_count(n_beams)
     return double_beam_curve.with_force(
         halved_ring_force(double_beam_curve.force, n_beams))
 

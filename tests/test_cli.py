@@ -462,6 +462,21 @@ def test_design_command(tmp_path):
     assert objectives == sorted(objectives)
 
 
+@pytest.mark.parametrize("max_evals", [1, 2, 3, 5])
+def test_design_writes_each_point_once(tmp_path, max_evals):
+    # refine spends these budgets without improving on the best grid point;
+    # its exhausted copy used to be written next to the grid twin
+    doc = json.loads(TABLE1_JSON.read_text())
+    doc["design"]["refine_max_evals"] = max_evals
+    cfg = tmp_path / "design.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_command(["design", "--config", str(cfg),
+                        "--out", str(tmp_path), "--quiet"]) == 0
+    rows = (tmp_path / "design_candidates.csv").read_text().strip().split("\n")
+    points = [tuple(r.split(",")[1:6]) for r in rows[1:]]
+    assert len(points) == len(set(points)) == 243
+
+
 def test_design_requires_block(tmp_path):
     cfg = tmp_path / "min.json"
     cfg.write_text(json.dumps(MINIMAL))

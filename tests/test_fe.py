@@ -15,7 +15,7 @@ from graspsynth import (CantileverSection, ConvergenceError, FrameModel,
                         solve_multibeam_assembly, solve_vbeam_sweep,
                         sweep_to_curve, write_path_csv)
 from graspsynth.beam import uniform_travels
-from graspsynth.fe import BeamElement, solver
+from graspsynth.fe import solver
 from graspsynth.fe.model import ROT, UX, UY
 from graspsynth.fe.solver import (EquilibriumPath, PathStep, _arc_length,
                                    _newton, _System)
@@ -42,7 +42,8 @@ def make_config(**overrides):
 def test_mesh_counts_and_span():
     model = build_vbeam_mesh(GEOM, 16)
     assert model.n_nodes == 17
-    assert len(model.elements) == 16
+    assert model.elements.shape == (16, 2)
+    assert model.elements.dtype.kind == "i"
     span = np.linalg.norm(model.nodes[-1] - model.nodes[0])
     assert span == pytest.approx(40.0, rel=1e-12)
 
@@ -60,10 +61,10 @@ def test_mesh_untilted_is_collinear():
 
 def test_mesh_section_properties():
     model = build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0)
-    el = model.elements[0]
-    assert el.A == pytest.approx(5 * 1.2)
-    assert el.I == pytest.approx(5 * 1.2 ** 3 / 12)
-    assert el.E == 1800.0
+    E, A, I = model.section
+    assert A == pytest.approx(5 * 1.2)
+    assert I == pytest.approx(5 * 1.2 ** 3 / 12)
+    assert E == 1800.0
 
 
 def test_mesh_boundary_conditions():
@@ -142,14 +143,14 @@ def reference_assemble(system, u_eq):
     f_raw = np.zeros((model.n_nodes, 3))
     K = np.zeros((system.n_eq, system.n_eq))
     energy = 0.0
-    for e in model.elements:
-        d = np.concatenate([full[e.node_i], full[e.node_j]])
-        fe, Ke, ee = reference_element(model.nodes[e.node_i],
-                                       model.nodes[e.node_j], d, e.E, e.A, e.I)
+    for i, j in model.elements:
+        d = np.concatenate([full[i], full[j]])
+        fe, Ke, ee = reference_element(model.nodes[i], model.nodes[j], d,
+                                       *model.section)
         energy += ee
-        f_raw[e.node_i] += fe[:3]
-        f_raw[e.node_j] += fe[3:]
-        el_eq = np.concatenate([system.eq[e.node_i], system.eq[e.node_j]])
+        f_raw[i] += fe[:3]
+        f_raw[j] += fe[3:]
+        el_eq = np.concatenate([system.eq[i], system.eq[j]])
         live = el_eq >= 0
         K[np.ix_(el_eq[live], el_eq[live])] += Ke[np.ix_(live, live)]
     for (na, da, nb, db, k) in model.point_springs:
@@ -170,7 +171,7 @@ def reference_assemble(system, u_eq):
 
 def batched_element(xi, xj, d, E, A, I):
     """The solver's batched kernel on a one-element model."""
-    model = FrameModel(nodes=[xi, xj], elements=[BeamElement(0, 1, E, A, I)],
+    model = FrameModel(nodes=[xi, xj], elements=[(0, 1)], section=(E, A, I),
                        fixed=[[True, True, True], [False, False, False]],
                        drive=(1, UY, -1.0))
     f, K, energy = _System(model)._elements(np.asarray(d)[None, :])
@@ -471,6 +472,47 @@ def test_model_refuses_bad_drive(drive, match):
         replace(model, drive=drive)
 
 
+@pytest.mark.parametrize("change, match", [
+    ({"elements": [(0, 1), (1, 9)]}, "missing node"),
+    ({"elements": [(0, 1), (-1, 1)]}, "missing node"),
+    ({"elements": [(0, 1), (1, 1)]}, "zero length"),
+    ({"elements": [0, 1]}, "elements must be"),
+    ({"section": (0.0, 6.0, 0.72)}, "section"),
+    ({"section": (-1800.0, 6.0, 0.72)}, "section"),
+    ({"section": (math.nan, 6.0, 0.72)}, "section"),
+    ({"section": (math.inf, 6.0, 0.72)}, "section"),
+    ({"section": (1800.0, 0.0, 0.72)}, "section"),
+    ({"section": (1800.0, 6.0, -0.72)}, "section"),
+    ({"section": (1800.0, 6.0)}, "section"),
+    ({"point_springs": [(99, UY, 8, UY, 10.0)]}, "invalid freedom"),
+    ({"point_springs": [(3, UY, -1, UY, 10.0)]}, "invalid freedom"),
+    ({"point_springs": [(3, 5, 8, UY, 10.0)]}, "invalid freedom"),
+    ({"point_springs": [(3, UY, 8, 3, 10.0)]}, "invalid freedom"),
+    ({"point_springs": [(3, UY, 8, UY, 0.0)]}, "stiffness"),
+    ({"point_springs": [(3, UY, 8, UY, -10.0)]}, "stiffness"),
+    ({"point_springs": [(3, UY, 8, UY, math.nan)]}, "stiffness"),
+    ({"point_springs": [(3, UY, 8, UY, math.inf)]}, "stiffness"),
+], ids=["element-missing-node", "element-negative-node", "zero-length",
+        "flat-elements", "zero-modulus", "negative-modulus", "nan-modulus",
+        "inf-modulus", "zero-area", "negative-inertia", "two-values",
+        "spring-missing-node", "spring-negative-node", "spring-dof-5",
+        "spring-dof-3", "spring-zero-k", "spring-negative-k", "spring-nan-k",
+        "spring-inf-k"])
+def test_model_refuses_bad_mesh(change, match):
+    # a spring on node 99 used to end in numpy's IndexError, and dof 5 on
+    # node 3 silently tied node 4's rotation; a zero or negative modulus
+    # swept to a zero or sign-flipped reaction
+    model = build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0)
+    with pytest.raises(ValidationError, match=match):
+        replace(model, **change)
+
+
+@pytest.mark.parametrize("modulus", [0.0, -1800.0, math.nan, math.inf])
+def test_mesh_refuses_bad_modulus(modulus):
+    with pytest.raises(ValidationError, match="section"):
+        build_vbeam_mesh(GEOM, 8, youngs_modulus_E=modulus)
+
+
 # ---------------------------------------------------------------------------
 # curve packaging and closed-form comparison
 # ---------------------------------------------------------------------------
@@ -558,7 +600,7 @@ def test_multibeam_assembly_structure():
     # one beam of 9 nodes standing for all 3, plus the ring node
     assert model.n_nodes == 8 + 2
     assert len(model.elements) == 8
-    assert all(el.E == 3 * 1800.0 for el in model.elements)
+    assert model.section[0] == 3 * 1800.0
     assert len(model.point_springs) == 1
     assert model.drive == (model.n_nodes - 1, UY, -1.0)
 

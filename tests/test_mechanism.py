@@ -1,6 +1,7 @@
 """Tests for the whole-grasper mechanism layer."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -86,6 +87,33 @@ def test_aggregate_rejects_zero_beams():
     curve = force_curve(GEOM, MAT, 5.0, 10)
     with pytest.raises(ValidationError):
         aggregate_ring_force(curve, 0)
+
+
+BAD_BEAM_COUNTS = [2.5, 3.0, True, math.nan, 0, -2]
+BAD_BEAM_COUNT_IDS = ["fraction", "integral-float", "bool", "nan", "zero",
+                      "negative"]
+
+
+@pytest.mark.parametrize("n_beams", BAD_BEAM_COUNTS, ids=BAD_BEAM_COUNT_IDS)
+def test_config_refuses_non_integer_beam_count(n_beams):
+    # 2.5 used to report a response for "2.5 beams", True counted as 1 and
+    # NaN failed deep in the kernel with "cubic discriminant nan"
+    with pytest.raises(ValidationError, match="n_beams"):
+        make_config(n_beams=n_beams)
+
+
+@pytest.mark.parametrize("n_beams", BAD_BEAM_COUNTS, ids=BAD_BEAM_COUNT_IDS)
+def test_aggregate_refuses_non_integer_beam_count(n_beams):
+    curve = force_curve(GEOM, MAT, 5.0, 10)
+    with pytest.raises(ValidationError, match="n_beams"):
+        aggregate_ring_force(curve, n_beams)
+
+
+def test_numpy_integer_beam_count_is_accepted():
+    curve = force_curve(GEOM, MAT, 5.0, 10)
+    assert make_config(n_beams=np.int64(12)).n_beams == 12
+    assert np.array_equal(aggregate_ring_force(curve, np.int32(12)).force,
+                          aggregate_ring_force(curve, 12).force)
 
 
 def test_reference_ring_peak_near_reported_value():
