@@ -30,12 +30,12 @@ from .fe import (CurveComparison, EquilibriumPath, FrameModel,
                  build_multibeam_assembly, build_vbeam_mesh, compare_curves,
                  solve_guided_sweep, solve_multibeam_assembly,
                  solve_vbeam_sweep, sweep_to_curve, write_path_csv)
-from .mechanism import (CantileverSection, GrasperResponse, LatchPhase,
-                        LatchState, MechanismConfig, PressTrigger, PullRing,
-                        aggregate_ring_force, cantilever_stress,
+from .mechanism import (CantileverSection, GrasperResponse, GrasperSweep,
+                        LatchPhase, LatchState, MechanismConfig, PressTrigger,
+                        PullRing, aggregate_ring_force, cantilever_stress,
                         grasper_response, grasper_sweep, jaw_opening,
-                        latch_step,
-                        shuttle_transfer_ratio, single_beam_force)
+                        latch_step, shuttle_transfer_ratio,
+                        single_beam_force)
 from .search import (Candidate, DesignSpec, evaluate_candidate, grid_search,
                      refine, write_candidates_csv)
 
@@ -48,7 +48,8 @@ __all__ = [
     "bistable_crossover", "monostable_intermediates", "solve_monostable_cubic",
     "branch_loads", "actuation_force", "force_curve", "peak_force",
     "MechanismConfig", "CantileverSection", "LatchPhase", "LatchState",
-    "PullRing", "PressTrigger", "GrasperResponse", "aggregate_ring_force",
+    "PullRing", "PressTrigger", "GrasperResponse", "GrasperSweep",
+    "aggregate_ring_force",
     "single_beam_force", "shuttle_transfer_ratio", "jaw_opening",
     "cantilever_stress", "latch_step", "grasper_response", "grasper_sweep",
     "FrameModel", "build_vbeam_mesh", "build_multibeam_assembly",

@@ -1,7 +1,8 @@
 """Command-line surface: analysis, sweeps, design search and verification.
 
-The parser is built from one table, _COMMANDS, so each subcommand takes
-only the sweep overrides (--travel, --samples) it reads.
+The parser is built once per process from one table, _COMMANDS, so each
+subcommand takes only the sweep overrides (--travel, --samples) it reads;
+every call parses into a fresh namespace.
 
 Exit codes: 0 success, 1 usage, 2 configuration error, 3 numerical failure
 (including a failed closed-form versus frame-solver verification).
@@ -10,6 +11,7 @@ Exit codes: 0 success, 1 usage, 2 configuration error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +21,8 @@ from .beam import bistability_margin, force_curve, uniform_travels
 from .config import RunConfig, parse_config
 from .errors import ConfigError, NumericalError, ValidationError
 from .fe import compare_curves, solve_vbeam_sweep, sweep_to_curve, write_path_csv
-from .mechanism import aggregate_ring_force, grasper_sweep, halved_ring_force
+from .mechanism import (LatchPhase, aggregate_ring_force, grasper_sweep,
+                        halved_ring_force)
 from .search import grid_search, refine, write_candidates_csv
 
 CURVE_CSV_HEADER = "delta_y_mm,branch,f_o,p_o,force_single_N,force_ring_N"
@@ -81,11 +84,14 @@ def _cmd_d1(args, config: RunConfig, out: Path) -> int:
 def _cmd_grasper(args, config: RunConfig, out: Path) -> int:
     mech = config.mechanism
     top = min(mech.latch_travel, mech.jaw_calibration[-1][0])
-    ring = uniform_travels(top, config.sweep.n_samples).tolist()
-    _write(args, out / "grasper.csv", GRASPER_CSV_HEADER, (
-        (d, r.ring_force, r.shuttle_displacement, r.jaw_opening,
-         r.latch.phase.value, r.jaw_root_stress)
-        for d, r in zip(ring, grasper_sweep(mech, ring))))
+    sweep = grasper_sweep(mech, uniform_travels(top, config.sweep.n_samples))
+    phases = [LatchPhase.STRESSED_LATCHED.value if latched
+              else LatchPhase.UNSTRESSED.value
+              for latched in sweep.latched.tolist()]
+    _write(args, out / "grasper.csv", GRASPER_CSV_HEADER, zip(
+        sweep.ring.tolist(), sweep.ring_force.tolist(),
+        sweep.shuttle.tolist(), sweep.opening.tolist(), phases,
+        sweep.stress.tolist()))
     return 0
 
 
@@ -169,7 +175,9 @@ _COMMANDS = {**_ANALYSES, "report": (
     "run every analysis into the output directory")}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process from the fixed _COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="graspsynth",
         description="Bistable V-beam grasper analysis and design toolkit")

@@ -6,12 +6,15 @@ the ring-level force as the halved force times the beam count.  This halving
 is the device-level approximation the finite-element oracle is meant to
 falsify, and it is kept in this one place, halved_ring_force, so it stays
 testable.  Functions taking a travel also take an array of them, except
-latch_step (one event) and grasper_response (one ring displacement;
-grasper_sweep takes many).
+latch_step (one event) and grasper_response (one ring displacement).
+grasper_sweep takes many and returns a GrasperSweep: one read-only column
+each of ring displacement, ring force, shuttle travel, jaw opening, jaw-root
+stress and the boolean latched, with row i the pull from rest to ring[i].
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -30,6 +33,13 @@ STIFFNESS_FD_STEP = 1e-3
 LATCH_RAMP_SPAN = 0.05
 
 
+def _check_positive(record, names) -> None:
+    """Refuse a named field of record that is not positive and finite."""
+    for name in names:
+        if not 0.0 < getattr(record, name) < math.inf:
+            raise ValidationError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class CantileverSection:
     """Rectangular jaw cross-section and cantilever length."""
@@ -39,12 +49,7 @@ class CantileverSection:
     jaw_length: float
 
     def __post_init__(self):
-        if not self.out_of_plane_b > 0:
-            raise ValidationError("out_of_plane_b must be positive")
-        if not self.in_plane_h > 0:
-            raise ValidationError("in_plane_h must be positive")
-        if not self.jaw_length > 0:
-            raise ValidationError("jaw_length must be positive")
+        _check_positive(self, ("out_of_plane_b", "in_plane_h", "jaw_length"))
 
 
 class LatchPhase(Enum):
@@ -106,24 +111,22 @@ class MechanismConfig:
 
     def __post_init__(self):
         _check_beam_count(self.n_beams)
-        if not self.latch_travel > 0:
-            raise ValidationError("latch_travel must be positive")
-        if not self.series_stiffness_ks > 0:
-            raise ValidationError("series_stiffness_ks must be positive")
-        if not self.overall_length_budget > 0:
-            raise ValidationError("overall_length_budget must be positive")
-        if self.latch_ramp_factor < 1.0:
-            raise ValidationError("latch_ramp_factor must be at least 1")
+        _check_positive(self, ("latch_travel", "series_stiffness_ks",
+                               "overall_length_budget"))
+        if not 1.0 <= self.latch_ramp_factor < math.inf:
+            raise ValidationError("latch_ramp_factor must be finite and at "
+                                  "least 1")
         anchors = tuple((float(t), float(j)) for t, j in self.jaw_calibration)
         object.__setattr__(self, "jaw_calibration", anchors)
         prev = (0.0, 0.0)
         if not anchors:
             raise ValidationError("jaw_calibration needs at least one anchor")
         for t, j in anchors:
-            if not (t > prev[0] and j > prev[1]):
+            if not (prev[0] < t < math.inf and prev[1] < j < math.inf):
                 raise ValidationError(
-                    "jaw_calibration anchors must increase strictly in both "
-                    "coordinates starting from the implicit (0, 0)")
+                    "jaw_calibration anchors must be finite and increase "
+                    "strictly in both coordinates starting from the implicit "
+                    "(0, 0)")
             prev = (t, j)
 
 
@@ -134,6 +137,38 @@ class GrasperResponse:
     jaw_opening: float
     latch: LatchState
     jaw_root_stress: float
+
+
+@dataclass(frozen=True)
+class GrasperSweep:
+    """Whole-grasper response over a ring sweep, one read-only column each.
+
+    Row i is a pull from rest to ring[i] [mm]: ring_force [N], shuttle
+    travel [mm], jaw opening [mm], jaw-root stress [MPa], and latched, which
+    is ring >= latch_travel, the phase latch_step gives such a pull.
+    """
+
+    ring: np.ndarray
+    ring_force: np.ndarray
+    shuttle: np.ndarray
+    opening: np.ndarray
+    stress: np.ndarray
+    latched: np.ndarray
+
+    def __post_init__(self):
+        for name in ("ring", "ring_force", "shuttle", "opening", "stress",
+                     "latched"):
+            arr = np.asarray(getattr(self, name),
+                             dtype=bool if name == "latched" else float)
+            if arr.ndim != 1 or arr.shape != np.shape(self.ring):
+                raise ValidationError(
+                    "sweep columns must be one-dimensional and share one "
+                    "length")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __len__(self):
+        return int(self.ring.size)
 
 
 def halved_ring_force(double_beam_force, n_beams: int):
@@ -241,8 +276,7 @@ def _latch_ramp(config: MechanismConfig, ring_disp):
     return 1.0 + (config.latch_ramp_factor - 1.0) * smooth
 
 
-def grasper_sweep(config: MechanismConfig,
-                  ring_disps) -> Tuple[GrasperResponse, ...]:
+def grasper_sweep(config: MechanismConfig, ring_disps) -> GrasperSweep:
     """Full response of the grasper at each ring displacement of a sequence.
 
     The ring displacement splits between beam travel and handle compliance
@@ -267,20 +301,25 @@ def grasper_sweep(config: MechanismConfig,
     tip_force = (3.0 * config.material.youngs_modulus_E * i_jaw * opening
                  / sec.jaw_length ** 3)
     stress = cantilever_stress(tip_force * sec.jaw_length, sec)
-    columns = (ring, ring_force, shuttle, opening, stress)
-    if not np.isfinite(columns[1:]).all():
+    if not np.isfinite((ring_force, shuttle, opening, stress)).all():
         raise ValidationError("response magnitudes must be finite")
-
-    rest = LatchState(LatchPhase.UNSTRESSED, 0.0)
-    return tuple(
-        GrasperResponse(f, s, j, latch_step(rest, PullRing(d),
-                                            config.latch_travel), st)
-        for d, f, s, j, st in zip(*(c.tolist() for c in columns)))
+    return GrasperSweep(ring, ring_force, shuttle, opening, stress,
+                        ring >= config.latch_travel)
 
 
 def grasper_response(config: MechanismConfig, ring_disp: float) -> GrasperResponse:
-    """grasper_sweep at one ring displacement; an array goes to grasper_sweep."""
+    """grasper_sweep at one ring displacement; an array goes to grasper_sweep.
+
+    The latch state comes from latch_step, the reference for the sweep's
+    latched column.
+    """
     if np.ndim(ring_disp):
         raise ValidationError("grasper_response takes one ring displacement; "
                               "use grasper_sweep for several")
-    return grasper_sweep(config, [ring_disp])[0]
+    sweep = grasper_sweep(config, [ring_disp])
+    d, f, s, j, st = (float(c[0]) for c in (
+        sweep.ring, sweep.ring_force, sweep.shuttle, sweep.opening,
+        sweep.stress))
+    latch = latch_step(LatchState(LatchPhase.UNSTRESSED, 0.0), PullRing(d),
+                       config.latch_travel)
+    return GrasperResponse(f, s, j, latch, st)

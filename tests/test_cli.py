@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from graspsynth import ConfigError, cli, parse_config, serialize_config
+from graspsynth import (ConfigError, cli, mechanism, parse_config,
+                        serialize_config)
 from graspsynth.cli import run_command
 from graspsynth.fe.solver import PATH_CSV_HEADER
 from graspsynth.search import CANDIDATES_CSV_HEADER
@@ -438,6 +439,18 @@ def test_grasper_model_evaluations_do_not_depend_on_samples(tmp_path,
 
     kernel = beam._loads
     monkeypatch.setattr(beam, "_loads", counted)
+    # the sweep builds no per-row object: no latch step, no response record
+    rows = []
+
+    def counted_as(name, fn):
+        def count(*args, **kwargs):
+            rows.append(name)
+            return fn(*args, **kwargs)
+        return count
+
+    for name in ("latch_step", "GrasperResponse"):
+        monkeypatch.setattr(mechanism, name,
+                            counted_as(name, getattr(mechanism, name)))
     passes = {}
     for samples in (5, 40, 400):
         calls.clear()
@@ -447,6 +460,30 @@ def test_grasper_model_evaluations_do_not_depend_on_samples(tmp_path,
         passes[samples] = list(calls)
     # the tangent pass takes two points per sample, the force pass one
     assert passes == {n: [2 * n, n] for n in (5, 40, 400)}
+    assert rows == []
+    # the counters see a one-point response, which does build its records
+    mechanism.grasper_response(parse_config(TABLE1_JSON.read_text()).mechanism,
+                               1.0)
+    assert rows == ["latch_step", "GrasperResponse"]
+
+
+def test_cached_parser_parses_each_call_afresh(tmp_path, capsys):
+    def grasper_rows(*extra):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        rc = run_command(["grasper", "--config", str(TABLE1_JSON),
+                          "--out", str(out), "--quiet", *extra])
+        csv = out / "grasper.csv"
+        return rc, (len(csv.read_text().splitlines()) - 1
+                    if csv.exists() else None)
+
+    n_samples = parse_config(TABLE1_JSON.read_text()).sweep.n_samples
+    assert n_samples != 7
+    assert cli._build_parser() is cli._build_parser()
+    assert grasper_rows("--samples", "7") == (0, 7)
+    assert grasper_rows() == (0, n_samples)
+    assert grasper_rows("--travel", "2") == (1, None)
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert grasper_rows() == (0, n_samples)
 
 
 def test_design_command(tmp_path):

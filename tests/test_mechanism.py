@@ -49,6 +49,39 @@ def test_config_validation():
         make_config(jaw_calibration=((0.0, 0.0), (3.2, 7.13)))
 
 
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("field", ["latch_travel", "series_stiffness_ks",
+                                   "overall_length_budget",
+                                   "latch_ramp_factor"])
+def test_config_refuses_non_finite_values(field, value):
+    # an infinite ks, latch travel or ramp factor, and a NaN ramp factor,
+    # used to be accepted and fail later in the sweep; an infinite length
+    # budget was accepted silently
+    with pytest.raises(ValidationError, match=field):
+        make_config(**{field: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("anchor", [0, 1])
+def test_config_refuses_non_finite_calibration(anchor, value):
+    point = [3.2, 7.13]
+    point[anchor] = value
+    with pytest.raises(ValidationError, match="anchors must be finite"):
+        make_config(jaw_calibration=(tuple(point),))
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("field", ["out_of_plane_b", "in_plane_h",
+                                   "jaw_length"])
+def test_section_refuses_non_finite_values(field, value):
+    dims = dict(out_of_plane_b=3.0, in_plane_h=1.5, jaw_length=45.0)
+    with pytest.raises(ValidationError, match=field):
+        CantileverSection(**{**dims, field: value})
+
+
 # ---------------------------------------------------------------------------
 # force aggregation
 # ---------------------------------------------------------------------------
@@ -333,15 +366,48 @@ def test_response_rejects_negative_input():
         grasper_response(make_config(), -1.0)
 
 
-def test_sweep_rows_equal_single_responses():
-    # the rest state, the rising and declining branches and the latch ramp
+SWEEP_COLUMNS = ("ring", "ring_force", "shuttle", "opening", "stress",
+                 "latched")
+
+
+def test_sweep_columns_equal_single_responses():
+    # the rest state, the rising and declining branches, the latch ramp and
+    # a ring exactly at the latch travel
     config = make_config()
-    ring = [0.0, 1e-4] + list(np.linspace(0.05, 8.0, 37))
-    rows = grasper_sweep(config, ring)
-    assert len(rows) == len(ring)
-    for d, row in zip(ring, rows):
-        assert row == grasper_response(config, float(d))
-    assert grasper_sweep(config, []) == ()
+    ring = [0.0, 1e-4] + list(np.linspace(0.05, 7.9, 37)) + [8.0]
+    sweep = grasper_sweep(config, ring)
+    assert len(sweep) == len(ring)
+    assert sweep.ring.tolist() == ring
+    assert sweep.latched.dtype == bool
+    rest = LatchState(U, 0.0)
+    for i, d in enumerate(ring):
+        r = grasper_response(config, d)
+        assert (sweep.ring_force[i], sweep.shuttle[i], sweep.opening[i],
+                sweep.stress[i]) == (r.ring_force, r.shuttle_displacement,
+                                     r.jaw_opening, r.jaw_root_stress)
+        assert r.latch == latch_step(rest, PullRing(d), config.latch_travel)
+        assert sweep.latched[i] == (r.latch.phase is S)
+    assert sweep.latched.tolist() == [False] * 39 + [True]
+
+
+def test_empty_sweep_has_zero_length_columns():
+    sweep = grasper_sweep(make_config(), [])
+    assert len(sweep) == 0
+    for name in SWEEP_COLUMNS:
+        assert getattr(sweep, name).shape == (0,)
+
+
+@pytest.mark.parametrize("name", SWEEP_COLUMNS)
+def test_sweep_columns_are_read_only(name):
+    column = getattr(grasper_sweep(make_config(), [0.5, 8.0]), name)
+    with pytest.raises(ValueError, match="read-only"):
+        column[0] = column[1]
+
+
+def test_sweep_refuses_ragged_columns():
+    with pytest.raises(ValidationError, match="share one length"):
+        mechanism.GrasperSweep([0.0, 1.0], [0.0], [0.0, 1.0], [0.0, 1.0],
+                               [0.0, 1.0], [False, False])
 
 
 def test_non_finite_response_is_refused(monkeypatch):
@@ -362,8 +428,12 @@ def test_non_finite_response_is_refused(monkeypatch):
 def test_response_refuses_several_displacements(ring):
     with pytest.raises(ValidationError, match="use grasper_sweep"):
         grasper_response(make_config(), ring)
-    assert grasper_response(make_config(), np.float64(1.0)) == \
-        grasper_sweep(make_config(), [1.0])[0]
+    sweep = grasper_sweep(make_config(), [1.0])
+    r = grasper_response(make_config(), np.float64(1.0))
+    assert (r.ring_force, r.shuttle_displacement, r.jaw_opening,
+            r.jaw_root_stress, r.latch) == (
+        sweep.ring_force[0], sweep.shuttle[0], sweep.opening[0],
+        sweep.stress[0], LatchState(U, 1.0))
 
 
 def test_sweep_rejects_negative_input():
