@@ -16,12 +16,16 @@ means DEFAULT_GRID_DENSITY levels.
 The closed-form curve does not depend on the beam count, so a geometry is
 evaluated once for all its beam counts: the grid runs its distinct
 geometries through the load kernel in blocks, one pass per block, and refine
-remembers the geometries it has evaluated.
+remembers the geometries it has evaluated.  A refine poll's outcome does not
+depend on the polls beside it, so whenever a sweep starts or its center moves,
+refine screens in one pass every geometry the rest of that sweep would poll
+from the center, then scores the polls one at a time in the sequential order.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Dict, List, Sequence, Tuple
@@ -31,8 +35,8 @@ import numpy as np
 from ._csv import NUMBER, write_csv
 from .beam import (DEFAULT_CURVE_SAMPLES, MaterialModel, VBeamGeometry,
                    _force_rows, bistability_margin)
-from .errors import ValidationError
-from .mechanism import halved_ring_force
+from .errors import NumericalError, ValidationError
+from .mechanism import _check_positive, halved_ring_force
 
 PARAM_NAMES = ("length_L", "thickness_T", "width_W", "tilt_theta", "n_beams")
 
@@ -64,6 +68,12 @@ DEFAULT_STRESS_LIMIT = 50.0
 DEFAULT_LENGTH_BUDGET = 200.0
 
 
+def _check_integer(name: str, value) -> None:
+    """Refuse a value that is not an integer (bool excluded)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} {value!r} must be an integer")
+
+
 @dataclass(frozen=True)
 class DesignSpec:
     """Target and constraint set for the geometry search.
@@ -84,14 +94,19 @@ class DesignSpec:
     sweep_samples: int = DEFAULT_CURVE_SAMPLES
 
     def __post_init__(self):
-        if not self.target_force > 0:
-            raise ValidationError("target_force must be positive")
-        if not self.target_travel > 0:
-            raise ValidationError("target_travel must be positive")
+        _check_positive(self, ("target_force", "target_travel"))
+        for name in ("stress_limit", "length_budget", "fixture_allowance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
+        _check_integer("sweep_samples", self.sweep_samples)
+        if self.sweep_samples < 2:
+            raise ValidationError("sweep_samples must be at least 2")
         for name in PARAM_NAMES:
             if name not in self.bounds:
                 raise ValidationError(f"bounds must include {name}")
             lo, hi = self.bounds[name]
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValidationError(f"bounds for {name} must be finite")
             if not lo <= hi:
                 raise ValidationError(f"bounds for {name} must be ordered")
         if self.bounds["n_beams"][0] < 1:
@@ -269,6 +284,38 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
     return sorted(candidates, key=Candidate.sort_key)
 
 
+def _polls(spec: DesignSpec, center, axes) -> Dict[int, list]:
+    """The in-bounds polls center -/+ step along each (axis, step), by axis."""
+    polls = {}
+    for i, step in axes:
+        trials = [(*center[:i], center[i] + delta, *center[i + 1:])
+                  for delta in (-step, step)]
+        polls[i] = [trial for trial in trials if all(
+            _in_bounds(spec, name, v) for name, v in zip(PARAM_NAMES, trial))]
+    return polls
+
+
+def _screen_ahead(spec: DesignSpec, points,
+                  screened: Dict[VBeamGeometry, Tuple[float, float]]) -> None:
+    """Screen the geometries of points that screened lacks, in one pass.
+
+    The points are polls the sweep makes only if its center holds, so a
+    geometry that cannot be built or screened stores nothing: _evaluate
+    screens it on its own, and raises for it, if and when it is polled.
+    """
+    try:
+        geoms = [VBeamGeometry(*p[:4]) for p in points]
+    except ValidationError:
+        return
+    fresh = list(dict.fromkeys(g for g in geoms if g not in screened))
+    if fresh:
+        try:
+            rows = _screen(spec, fresh)
+        except NumericalError:
+            return
+        screened.update(zip(fresh, rows))
+
+
 def refine(spec: DesignSpec, start: Candidate,
            max_evals: int = DEFAULT_REFINE_EVALS) -> Candidate:
     """Pattern search around a candidate; never returns a worse one.
@@ -279,8 +326,17 @@ def refine(spec: DesignSpec, start: Candidate,
     skipped and not counted; every other poll counts against max_evals,
     but a geometry is screened once per call, whatever its beam counts.
     Exhausting max_evals returns the best point found so far flagged as
-    exhausted.
+    exhausted.  A max_evals that is not an integer is refused.
+
+    The polls around one center are independent, so whenever a sweep
+    starts or the center moves, every poll the rest of the sweep would make
+    from that center, up to the remaining budget, is screened in one kernel
+    pass before the first of them is scored.  A batched row equals the
+    one-geometry pass bit for bit, so the visits, the evaluation count and
+    the result are those of polling one geometry at a time; a batch that
+    fails is dropped and each of its polls is screened alone when made.
     """
+    _check_integer("max_evals", max_evals)
     _check_bounds(spec, start.point)
     spans = [spec.bounds[name][1] - spec.bounds[name][0]
              for name in PARAM_NAMES[:4]]
@@ -292,15 +348,17 @@ def refine(spec: DesignSpec, start: Candidate,
     while evals < max_evals:
         improved = False
         # the beam count always steps by one
-        for i, step in enumerate((*steps, 1)):
-            if step <= 0:
-                continue
-            center = best.point
-            for delta in (-step, step):
-                trial = (*center[:i], center[i] + delta, *center[i + 1:])
-                if evals < max_evals and all(
-                        _in_bounds(spec, name, v)
-                        for name, v in zip(PARAM_NAMES, trial)):
+        axes = [(i, step) for i, step in enumerate((*steps, 1)) if step > 0]
+        center = None
+        for k, (i, _) in enumerate(axes):
+            if best.point != center:
+                center = best.point
+                polls = _polls(spec, center, axes[k:])
+                ahead = [trial for trials in polls.values()
+                         for trial in trials]
+                _screen_ahead(spec, ahead[:max_evals - evals], screened)
+            for trial in polls[i]:
+                if evals < max_evals:
                     evals += 1
                     cand = _evaluate(spec, trial, screened)
                     if cand.sort_key() < best.sort_key():

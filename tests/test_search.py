@@ -100,6 +100,26 @@ def count_kernel_rows(monkeypatch):
     return rows
 
 
+def record_kernel_geometries(monkeypatch):
+    """Geometries of every load-kernel pass from now on, one list per pass."""
+    columns, passes = beam._columns, []
+
+    def recorded(geoms):
+        passes.append(list(geoms))
+        return columns(geoms)
+
+    monkeypatch.setattr(beam, "_columns", recorded)
+    return passes
+
+
+def outcome(fn, *args):
+    """fn's result, or the type of the NumericalError it raised."""
+    try:
+        return fn(*args)
+    except NumericalError as exc:
+        return type(exc)
+
+
 # ---------------------------------------------------------------------------
 # candidate evaluation
 # ---------------------------------------------------------------------------
@@ -158,6 +178,33 @@ def test_spec_validation():
         DesignSpec(target_force=20, target_travel=5,
                    bounds={k: v for k, v in BOUNDS.items() if k != "n_beams"},
                    material=MAT)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("target_force", math.inf), ("target_force", math.nan),
+    ("target_travel", math.inf), ("target_travel", math.nan),
+    ("stress_limit", math.nan), ("stress_limit", math.inf),
+    ("length_budget", math.nan), ("length_budget", -math.inf),
+    ("fixture_allowance", math.nan), ("fixture_allowance", math.inf),
+])
+def test_spec_refuses_non_finite_values(field, value):
+    with pytest.raises(ValidationError, match=field):
+        make_spec(**{field: value})
+
+
+@pytest.mark.parametrize("name", search.PARAM_NAMES)
+@pytest.mark.parametrize("pair", [(1.0, math.inf), (-math.inf, 1.0),
+                                  (math.nan, 1.0)])
+def test_spec_refuses_non_finite_bounds(name, pair):
+    with pytest.raises(ValidationError, match=f"bounds for {name}"):
+        make_spec(bounds={**BOUNDS, name: pair})
+
+
+@pytest.mark.parametrize("samples", [1, 0, -5, 2.5, 500.0, True])
+def test_spec_refuses_bad_sweep_samples(samples):
+    with pytest.raises(ValidationError, match="sweep_samples"):
+        make_spec(sweep_samples=samples)
+    assert make_spec(sweep_samples=np.int64(2)).sweep_samples == 2
 
 
 @pytest.mark.parametrize("low", [0, 0.5, -3])
@@ -379,6 +426,15 @@ def test_refine_never_worse_monotone():
         assert out.sort_key() <= start.sort_key()
 
 
+@pytest.mark.parametrize("budget", [2.5, 20.0, True, "20"])
+def test_refine_refuses_non_integer_budgets(budget):
+    spec = make_spec()
+    start = evaluate_candidate(spec, TABLE1, 12)
+    with pytest.raises(ValidationError, match="max_evals"):
+        refine(spec, start, max_evals=budget)
+    assert refine(spec, start, max_evals=np.int64(3)).exhausted
+
+
 def reference_refine(spec, start, max_evals):
     """refine's pattern search, scoring every evaluation on its own.
 
@@ -432,9 +488,90 @@ def test_refine_screens_each_geometry_once(budget, monkeypatch):
     spec = make_spec()
     start = evaluate_candidate(spec, TABLE1, 12)
     expected, visited = reference_refine(spec, start, budget)
-    rows = count_kernel_rows(monkeypatch)
+    passes = record_kernel_geometries(monkeypatch)
     assert refine(spec, start, max_evals=budget) == expected
-    assert rows == [1] * len(set(visited))
+    screened = [g for geoms in passes for g in geoms]
+    assert set(visited) <= set(screened)
+    # no geometry twice, in one pass or across passes
+    assert len(screened) == len(set(screened))
+    # no pass looks past the evaluation budget
+    assert all(len(geoms) <= budget for geoms in passes)
+    if budget == 100:
+        # the polls of a sweep share passes: 77 distinct geometries, and
+        # one pass each when polled one at a time
+        assert 3 * len(passes) <= len(set(visited))
+
+
+def test_refine_failing_lookahead_raises_like_sequential_search(monkeypatch):
+    # the near-rest spec of the grid test, where some rows raise: a batch
+    # holding such a row fails, yet refine raises only when the sequential
+    # search reaches that row
+    spec = make_spec(target_travel=4e-7, sweep_samples=2,
+                     bounds={**BOUNDS, "tilt_theta": (math.radians(7.0),) * 2,
+                             "width_W": (5.0, 5.0)})
+    screen, failed = search._screen, []
+
+    def watched(spec_, geoms):
+        try:
+            return screen(spec_, geoms)
+        except NumericalError:
+            failed.append(len(geoms))
+            raise
+
+    kinds = set()
+    for L, T in product(np.linspace(36.0, 44.0, 5), (1.0, 1.2, 1.4)):
+        start = outcome(evaluate_candidate, spec,
+                        VBeamGeometry(L, T, 5.0, math.radians(7.0)), 12)
+        if not isinstance(start, Candidate):
+            continue
+        for budget in (5, 20):
+            expected = outcome(lambda: reference_refine(spec, start, budget)[0])
+            failed.clear()
+            monkeypatch.setattr(search, "_screen", watched)
+            assert outcome(refine, spec, start, budget) == expected
+            monkeypatch.undo()
+            kinds.add((isinstance(expected, Candidate),
+                       any(size > 1 for size in failed)))
+    # a failed batch both where the search goes on to raise and where it
+    # never polls the bad row
+    assert {(True, True), (False, True)} <= kinds
+
+
+def test_lookahead_stores_nothing_from_a_batch_it_cannot_build():
+    spec = make_spec()
+    good, screened = (40.0, 1.2, 5.0, 0.12, 12), {}
+    # a zero thickness is no geometry: the poll raises only if it is made
+    search._screen_ahead(spec, [good, (40.0, 0.0, 5.0, 0.12, 12)], screened)
+    assert screened == {}
+    search._screen_ahead(spec, [good, good[:4] + (11,)], screened)
+    assert list(screened) == [VBeamGeometry(*good[:4])]
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0),
+                          st.just(0.0) | st.floats(0.0, 1.0),
+                          st.floats(0.0, 1.0)), min_size=5, max_size=5),
+       st.floats(8.0, 35.0), st.integers(0, 120))
+def test_refine_matches_sequential_search(axes, target, budget):
+    # per axis: where the low bound sits, the span, and the start's place
+    ranges = {"length_L": (34.0, 8.0, 10.0), "thickness_T": (0.8, 0.5, 0.5),
+              "width_W": (3.5, 1.5, 2.5),
+              "tilt_theta": (math.radians(3.0), math.radians(5.0),
+                             math.radians(5.0)),
+              "n_beams": (8, 4, 4)}
+    bounds, point = {}, []
+    for (name, (base, shift, width)), (a, b, c) in zip(ranges.items(), axes):
+        lo, span = base + a * shift, b * width
+        if name == "n_beams":
+            lo, span = round(lo), round(span)
+            point.append(lo + round(c * span))
+        else:
+            point.append(lo + c * span)
+        bounds[name] = (lo, lo + span)
+    spec = make_spec(target_force=target, bounds=bounds)
+    start = evaluate_candidate(spec, VBeamGeometry(*point[:4]), point[4])
+    expected = outcome(lambda: reference_refine(spec, start, budget)[0])
+    assert outcome(refine, spec, start, budget) == expected
 
 
 # ---------------------------------------------------------------------------
