@@ -39,14 +39,14 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NumericalError, SingularityError, ValidationError
+from .errors import (NumericalError, SingularityError, ValidationError,
+                     check_count, check_non_negative, check_positive)
 
 log = logging.getLogger(__name__)
 
@@ -81,12 +81,8 @@ class VBeamGeometry:
     tilt_theta: float
 
     def __post_init__(self):
-        if not self.length_L > 0:
-            raise ValidationError("length_L must be positive")
-        if not self.thickness_T > 0:
-            raise ValidationError("thickness_T must be positive")
-        if not self.width_W > 0:
-            raise ValidationError("width_W must be positive")
+        for name in ("length_L", "thickness_T", "width_W"):
+            check_positive(name, getattr(self, name))
         if not (0 <= self.tilt_theta < math.pi / 2):
             raise ValidationError("tilt_theta must lie in [0, pi/2)")
         if not self.thickness_T < self.length_L:
@@ -116,8 +112,7 @@ class MaterialModel:
     poisson_ratio: float = 0.3
 
     def __post_init__(self):
-        if not self.youngs_modulus_E > 0:
-            raise ValidationError("youngs_modulus_E must be positive")
+        check_positive("youngs_modulus_E", self.youngs_modulus_E)
         if not (0 <= self.poisson_ratio < 0.5):
             raise ValidationError("poisson_ratio must lie in [0, 0.5)")
 
@@ -156,8 +151,7 @@ class MonostableIntermediates:
     y_o: float = 0.0
 
     def __post_init__(self):
-        if not self.k1 > 0:
-            raise ValidationError("k1 must be positive")
+        check_positive("k1", self.k1)
 
     def cubic(self, p: float) -> float:
         return ((self.k1 * p + self.k2) * p + self.k3) * p + self.k4
@@ -214,8 +208,7 @@ class ForceDisplacementCurve:
 
 def normalize_deflection(geom: VBeamGeometry, delta_y: float) -> NormalizedDeflection:
     """Convert a shuttle travel into the non-dimensional deflection state."""
-    if delta_y < 0:
-        raise ValidationError("delta_y must be non-negative")
+    check_non_negative("delta_y", delta_y)
     return NormalizedDeflection(
         x_o=-2.0 * delta_y * math.sin(geom.tilt_theta) / geom.length_L,
         y_o=-2.0 * delta_y * math.cos(geom.tilt_theta) / geom.length_L,
@@ -231,8 +224,7 @@ def bistability_margin(geom: VBeamGeometry, delta_y: float) -> Tuple[float, bool
     delta_y with a strictly negative value at delta_y = 0.  delta_y may be an
     array, in which case d1 and satisfied are arrays of its shape.
     """
-    if np.less(delta_y, 0).any():
-        raise ValidationError("delta_y must be non-negative")
+    check_non_negative("delta_y", delta_y)
     a, b, c = _d1_terms(geom)
     d1 = a * delta_y + b * delta_y - c
     return d1, d1 >= 0.0
@@ -328,7 +320,7 @@ def solve_monostable_cubic(inter: MonostableIntermediates) -> float:
     path calls.  On that branch the cubic has exactly one real root,
     continuous with p = 0 at rest.  It is taken from _unique_root, polished
     by one Newton step on the exact coefficients, then held, with the
-    closed-form root p1, to the residual bound (_check_roots).  A cubic
+    closed-form root p1, to the residual bound (_verify_roots).  A cubic
     with more than one real root raises NumericalError.
     """
     if inter.x_o == 0.0 and inter.y_o == 0.0 and inter.k4 == 0.0:
@@ -341,12 +333,12 @@ def solve_monostable_cubic(inter: MonostableIntermediates) -> float:
     if deriv != 0.0:
         p -= inter.cubic(p) / deriv
 
-    _check_roots((inter.k1, inter.k2, inter.k3, inter.k4), np.array([p]),
-                 np.array([inter.p1]))
+    _verify_roots((inter.k1, inter.k2, inter.k3, inter.k4), np.array([p]),
+                  np.array([inter.p1]))
     return p
 
 
-def _check_roots(ks, p, closed):
+def _verify_roots(ks, p, closed):
     """Hold real cubic roots p and their closed forms to the residual bound.
 
     A residual of the cubics ks at or above 1e-9 max(1, |k4|) raises for p
@@ -415,11 +407,10 @@ def _loads(cols: _Columns, dys: np.ndarray):
     travels dys >= 0 of shape (n,), in one pass.  Bistable samples take the
     constant axial-load branch and zero travel the unloaded state; every
     other sample takes the unique real cubic root (no polish), held with the
-    closed-form Cardano root to the residual bound by _check_roots.  A
+    closed-form Cardano root to the residual bound by _verify_roots.  A
     sample that fails a check raises for the whole pass.
     """
-    if np.less(dys, 0).any():
-        raise ValidationError("delta_y must be non-negative")
+    check_non_negative("delta_y", dys)
     bistable = cols.d1_a * dys + cols.d1_b * dys - cols.d1_c >= 0.0
     x_o = -2.0 * dys * cols.sin / cols.L
     y_o = -2.0 * dys * cols.cos / cols.L
@@ -429,7 +420,7 @@ def _loads(cols: _Columns, dys: np.ndarray):
                for c in (cols.k1_t, cols.k2_t, cols.k3_t)]
     ks = _k_coefficients(t_terms, x_o[mono], y_o[mono])
     p_mono = _unique_root(*ks)
-    _check_roots(ks, p_mono, _cardano_root(*ks)[0])
+    _verify_roots(ks, p_mono, _cardano_root(*ks)[0])
     f_o = BISTABLE_FO_SLOPE * y_o
     f_o[mono] = _rational_fo(y_o[mono], p_mono)
     p_o = np.where(bistable, BISTABLE_PO, 0.0)
@@ -469,11 +460,11 @@ def actuation_force(geom: VBeamGeometry, mat: MaterialModel, delta_y):
 def uniform_travels(travel_max: float, n: int) -> np.ndarray:
     """The n uniform travels travel_max * k / n, k = 1..n, over (0, travel_max].
 
-    A non-integer n, which would step past travel_max, and a travel_max * n
-    that overflows are refused before the array product.
+    An n that is not an integer of at least 1 (a non-integer n would step
+    past travel_max) and a travel_max * n that overflows are refused before
+    the array product.
     """
-    if not isinstance(n, numbers.Integral):
-        raise ValidationError(f"sample count {n!r} is not an integer")
+    check_count("sample count", n, 1)
     if not math.isfinite(float(travel_max) * int(n)):
         raise ValidationError(f"travel_max {float(travel_max)!r} times {n} "
                               "samples is not finite")
@@ -488,10 +479,8 @@ def _force_rows(geoms: Sequence[VBeamGeometry], mat: MaterialModel,
     travels over (0, travel_max], then (len(geoms), n_samples) arrays with
     one row per geometry.  force_curve is the one-geometry case.
     """
-    if not travel_max > 0:
-        raise ValidationError("travel_max must be positive")
-    if n_samples < 2:
-        raise ValidationError("n_samples must be at least 2")
+    check_positive("travel_max", travel_max)
+    check_count("n_samples", n_samples, 2)
     dys = uniform_travels(travel_max, n_samples)
     cols = _columns(geoms)
     f_o, p_o, bistable = _loads(cols, dys)

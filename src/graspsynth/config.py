@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 from .beam import DEFAULT_CURVE_SAMPLES, MaterialModel, VBeamGeometry
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, check_count, check_positive
 from .fe.model import DEFAULT_ELEMENTS_PER_BEAM
 from .fe.solver import DEFAULT_STEPS, DEFAULT_TOLERANCE
 from .mechanism import CantileverSection, MechanismConfig
@@ -30,12 +30,8 @@ class SweepSettings:
     n_samples: int = DEFAULT_CURVE_SAMPLES
 
     def __post_init__(self):
-        if not self.travel_max > 0:
-            raise ValidationError("sweep travel_max must be positive")
-        if not math.isfinite(self.travel_max):
-            raise ValidationError("sweep travel_max must be finite")
-        if self.n_samples < 2:
-            raise ValidationError("sweep n_samples must be at least 2")
+        check_positive("sweep travel_max", self.travel_max)
+        check_count("sweep n_samples", self.n_samples, 2)
 
 
 @dataclass(frozen=True)
@@ -45,12 +41,9 @@ class FESettings:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
-        if self.n_elements < 4:
-            raise ValidationError("fe n_elements must be at least 4")
-        if self.n_steps < 1:
-            raise ValidationError("fe n_steps must be at least 1")
-        if not self.tolerance > 0:
-            raise ValidationError("fe tolerance must be positive")
+        check_count("fe n_elements", self.n_elements, 4)
+        check_count("fe n_steps", self.n_steps, 1)
+        check_positive("fe tolerance", self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -60,6 +53,9 @@ class DesignSettings:
     spec: DesignSpec
     grid_density: dict
     refine_max_evals: int = DEFAULT_REFINE_EVALS
+
+    def __post_init__(self):
+        check_count("refine_max_evals", self.refine_max_evals, 0)
 
 
 @dataclass(frozen=True)

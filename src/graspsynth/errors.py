@@ -1,4 +1,15 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the three input rules.
+
+Every layer refuses a bad count, positive quantity or travel through one of
+check_count, check_positive and check_non_negative, so the config and the
+library entry points apply the same rules with the same messages, and each
+raises ValidationError.
+"""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -28,3 +39,31 @@ class ConvergenceError(NumericalError):
         super().__init__(message)
         self.last_step = last_step
         self.path = path
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Refuse a count that is not an integer of at least minimum.
+
+    bool is refused; numpy integers pass.
+    """
+    rule = f"{name} must be at least {minimum}"
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{rule}; {value!r} is not an integer")
+    if value < minimum:
+        raise ValidationError(f"{rule}, not {value!r}")
+
+
+def check_positive(name: str, value) -> None:
+    """Refuse a quantity that is not positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise ValidationError(
+            f"{name} must be positive and finite, not {value!r}")
+
+
+def check_non_negative(name: str, value) -> None:
+    """Refuse a travel, or an array of travels, with a value that is
+    negative or not finite (NaN included)."""
+    values = np.asarray(value, dtype=float)
+    if not ((values >= 0.0) & (values < math.inf)).all():
+        raise ValidationError(
+            f"{name} must be non-negative: a value is negative or not finite")

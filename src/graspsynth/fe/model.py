@@ -7,14 +7,13 @@ The shuttle travels along -Y, so the direction normal to shuttle travel is
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
 
 from ..beam import VBeamGeometry
-from ..errors import ValidationError
+from ..errors import ValidationError, check_count, check_positive
 from ..mechanism import MechanismConfig
 
 UX, UY, ROT = 0, 1, 2
@@ -77,9 +76,7 @@ class FrameModel:
             na, da, nb, db, k = spring
             if not (is_freedom(na, da) and is_freedom(nb, db)):
                 raise ValidationError(f"spring {spring} couples an invalid freedom")
-            if not (np.isfinite(k) and k > 0):
-                raise ValidationError(
-                    f"spring {spring} stiffness must be positive and finite")
+            check_positive(f"spring {spring} stiffness", k)
         node, dof, amplitude = self.drive
         if not is_freedom(node, dof):
             raise ValidationError(f"drive freedom ({node}, {dof}) is invalid")
@@ -105,10 +102,7 @@ def build_vbeam_mesh(geom: VBeamGeometry,
     youngs_modulus_E is given (reactions scale linearly with it).
     n_elements must be an integer of at least 4.
     """
-    if not isinstance(n_elements, numbers.Integral):
-        raise ValidationError(f"n_elements {n_elements!r} is not an integer")
-    if n_elements < 4:
-        raise ValidationError("n_elements must be at least 4")
+    check_count("n_elements", n_elements, 4)
     n_nodes = n_elements + 1
     s = np.linspace(0.0, geom.length_L, n_nodes)
     direction = np.array([np.cos(geom.tilt_theta), np.sin(geom.tilt_theta)])

@@ -30,7 +30,6 @@ concurrently.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -39,7 +38,8 @@ import numpy as np
 from .._csv import write_csv
 from ..beam import (Branch, ForceDisplacementCurve, MaterialModel,
                     VBeamGeometry, bistability_margin, uniform_travels)
-from ..errors import ConvergenceError, ValidationError
+from ..errors import (ConvergenceError, ValidationError, check_count,
+                      check_non_negative, check_positive)
 from ..mechanism import MechanismConfig
 from .model import (DEFAULT_ELEMENTS_PER_BEAM, ROT, UX, UY, FrameModel,
                     build_multibeam_assembly, build_vbeam_mesh)
@@ -356,18 +356,14 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
     reactions per step.  Failed steps are bisected down to travel_max / 4096
     and then retried with the arc-length corrector; if that also fails a
     ConvergenceError carries the partial path and the last converged step.
-    A negative or non-finite travel_max, n_steps < 1, a tol that is not
-    positive and finite or a max_iters that is not an integer of at least 1
+    A negative or non-finite travel_max, a tol that is not positive and
+    finite, or an n_steps or max_iters that is not an integer of at least 1
     raises ValidationError.
     """
-    if travel_max < 0:
-        raise ValidationError("travel_max must be non-negative")
-    if n_steps < 1:
-        raise ValidationError("n_steps must be at least 1")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValidationError(f"tol {tol!r} must be positive and finite")
-    if not (isinstance(max_iters, numbers.Integral) and max_iters >= 1):
-        raise ValidationError(f"max_iters {max_iters!r} must be an integer >= 1")
+    check_non_negative("travel_max", travel_max)
+    check_count("n_steps", n_steps, 1)
+    check_positive("tol", tol)
+    check_count("max_iters", max_iters, 1)
     targets = uniform_travels(travel_max, n_steps).tolist()
     system = _System(model)
     path = EquilibriumPath(model=model)
@@ -416,8 +412,7 @@ def solve_multibeam_assembly(config: MechanismConfig, ring_disp: float,
     ring couples to the shuttle through the configured series stiffness and
     is swept to ring_disp in n_steps.
     """
-    if ring_disp < 0:
-        raise ValidationError("ring_disp must be non-negative")
+    check_non_negative("ring_disp", ring_disp)
     model = build_multibeam_assembly(config, n_elements)
     last = solve_guided_sweep(model, ring_disp, n_steps=n_steps, tol=tol).last
     return -float(last.displacements[n_elements, UY]), float(last.reaction)

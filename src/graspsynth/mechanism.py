@@ -15,7 +15,6 @@ stress and the boolean latched, with row i the pull from rest to ring[i].
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple, Union
@@ -24,20 +23,14 @@ import numpy as np
 
 from .beam import (ForceDisplacementCurve, MaterialModel, VBeamGeometry,
                    actuation_force)
-from .errors import NumericalError, ValidationError
+from .errors import (NumericalError, ValidationError, check_count,
+                     check_non_negative, check_positive)
 
 # Finite-difference step for the single-beam tangent stiffness [mm].
 STIFFNESS_FD_STEP = 1e-3
 
 # Fraction of the latch travel over which the engagement ramp acts.
 LATCH_RAMP_SPAN = 0.05
-
-
-def _check_positive(record, names) -> None:
-    """Refuse a named field of record that is not positive and finite."""
-    for name in names:
-        if not 0.0 < getattr(record, name) < math.inf:
-            raise ValidationError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -49,7 +42,8 @@ class CantileverSection:
     jaw_length: float
 
     def __post_init__(self):
-        _check_positive(self, ("out_of_plane_b", "in_plane_h", "jaw_length"))
+        for name in ("out_of_plane_b", "in_plane_h", "jaw_length"):
+            check_positive(name, getattr(self, name))
 
 
 class LatchPhase(Enum):
@@ -78,14 +72,6 @@ class PressTrigger:
 LatchEvent = Union[PullRing, PressTrigger]
 
 
-def _check_beam_count(n_beams) -> None:
-    """Refuse a beam count that is not an integer (bool excluded) of at least 1."""
-    if (isinstance(n_beams, bool) or not isinstance(n_beams, numbers.Integral)
-            or n_beams < 1):
-        raise ValidationError(
-            f"n_beams {n_beams!r} must be an integer of at least 1")
-
-
 @dataclass(frozen=True)
 class MechanismConfig:
     """Whole-grasper description.
@@ -110,9 +96,10 @@ class MechanismConfig:
     latch_ramp_factor: float = 1.5
 
     def __post_init__(self):
-        _check_beam_count(self.n_beams)
-        _check_positive(self, ("latch_travel", "series_stiffness_ks",
-                               "overall_length_budget"))
+        check_count("n_beams", self.n_beams, 1)
+        for name in ("latch_travel", "series_stiffness_ks",
+                     "overall_length_budget"):
+            check_positive(name, getattr(self, name))
         if not 1.0 <= self.latch_ramp_factor < math.inf:
             raise ValidationError("latch_ramp_factor must be finite and at "
                                   "least 1")
@@ -179,7 +166,7 @@ def halved_ring_force(double_beam_force, n_beams: int):
 def aggregate_ring_force(double_beam_curve: ForceDisplacementCurve,
                          n_beams: int) -> ForceDisplacementCurve:
     """Ring-level curve: halve the double-beam force, times the beam count."""
-    _check_beam_count(n_beams)
+    check_count("n_beams", n_beams, 1)
     return double_beam_curve.with_force(
         halved_ring_force(double_beam_curve.force, n_beams))
 
@@ -252,8 +239,7 @@ def latch_step(state: LatchState, event: LatchEvent,
     unlatched one.
     """
     if isinstance(event, PullRing):
-        if event.d < 0:
-            raise ValidationError("ring displacement must be non-negative")
+        check_non_negative("ring displacement", event.d)
         if state.phase is LatchPhase.UNSTRESSED:
             if event.d >= latch_travel:
                 return LatchState(LatchPhase.STRESSED_LATCHED, event.d)
@@ -288,8 +274,7 @@ def grasper_sweep(config: MechanismConfig, ring_disps) -> GrasperSweep:
     kernel (tangent stiffness, then shuttle force) serve the whole sweep.
     """
     ring = np.array(ring_disps, dtype=float, ndmin=1)
-    if not np.all(ring >= 0.0):
-        raise ValidationError("ring_disp must be non-negative")
+    check_non_negative("ring_disp", ring)
     shuttle = shuttle_transfer_ratio(config, ring) * ring
     ring_force = halved_ring_force(
         actuation_force(config.beam_geometry, config.material, shuttle),

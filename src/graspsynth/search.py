@@ -25,7 +25,6 @@ from the center, then scores the polls one at a time in the sequential order.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Dict, List, Sequence, Tuple
@@ -35,8 +34,9 @@ import numpy as np
 from ._csv import NUMBER, write_csv
 from .beam import (DEFAULT_CURVE_SAMPLES, MaterialModel, VBeamGeometry,
                    _force_rows, bistability_margin)
-from .errors import NumericalError, ValidationError
-from .mechanism import _check_positive, halved_ring_force
+from .errors import (NumericalError, ValidationError, check_count,
+                     check_positive)
+from .mechanism import halved_ring_force
 
 PARAM_NAMES = ("length_L", "thickness_T", "width_W", "tilt_theta", "n_beams")
 
@@ -68,12 +68,6 @@ DEFAULT_STRESS_LIMIT = 50.0
 DEFAULT_LENGTH_BUDGET = 200.0
 
 
-def _check_integer(name: str, value) -> None:
-    """Refuse a value that is not an integer (bool excluded)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} {value!r} must be an integer")
-
-
 @dataclass(frozen=True)
 class DesignSpec:
     """Target and constraint set for the geometry search.
@@ -94,13 +88,12 @@ class DesignSpec:
     sweep_samples: int = DEFAULT_CURVE_SAMPLES
 
     def __post_init__(self):
-        _check_positive(self, ("target_force", "target_travel"))
+        check_positive("target_force", self.target_force)
+        check_positive("target_travel", self.target_travel)
         for name in ("stress_limit", "length_budget", "fixture_allowance"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
-        _check_integer("sweep_samples", self.sweep_samples)
-        if self.sweep_samples < 2:
-            raise ValidationError("sweep_samples must be at least 2")
+        check_count("sweep_samples", self.sweep_samples, 2)
         for name in PARAM_NAMES:
             if name not in self.bounds:
                 raise ValidationError(f"bounds must include {name}")
@@ -204,7 +197,7 @@ def _candidate(spec: DesignSpec, geom: VBeamGeometry, n_beams: int,
                      violations=tuple(violations), peak_force=peak)
 
 
-def _check_bounds(spec: DesignSpec, point) -> None:
+def _require_in_bounds(spec: DesignSpec, point) -> None:
     for name, v in zip(PARAM_NAMES, point):
         if not _in_bounds(spec, name, v):
             lo, hi = spec.bounds[name]
@@ -227,7 +220,7 @@ def evaluate_candidate(spec: DesignSpec, geom: VBeamGeometry,
     """Score one design point against the spec."""
     point = (geom.length_L, geom.thickness_T, geom.width_W, geom.tilt_theta,
              n_beams)
-    _check_bounds(spec, point)
+    _require_in_bounds(spec, point)
     return _evaluate(spec, point, {})
 
 
@@ -247,18 +240,17 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
     by objective, then infeasible ones by total violation; equal keys are
     ordered lexicographically on (L, T, theta, W, n_beams), so the ranking
     is a deterministic total order.  A parameter missing from grid_density
-    gets DEFAULT_GRID_DENSITY levels, and a grid above GRID_CAP points is
-    refused before the first kernel pass.  n_workers must be at least 1 and
-    has no effect: the grid is evaluated in one thread.
+    gets DEFAULT_GRID_DENSITY levels, a density that is not an integer of at
+    least 1 is refused, and so is a grid above GRID_CAP points, before the
+    first kernel pass.  n_workers must be an integer of at least 1 and has
+    no effect: the grid is evaluated in one thread.
     """
-    if n_workers < 1:
-        raise ValidationError("n_workers must be at least 1")
+    check_count("n_workers", n_workers, 1)
     axes = {}
     for name in PARAM_NAMES:
         lo, hi = spec.bounds[name]
-        count = int(grid_density.get(name, DEFAULT_GRID_DENSITY))
-        if count < 1:
-            raise ValidationError("grid density must be at least 1")
+        count = grid_density.get(name, DEFAULT_GRID_DENSITY)
+        check_count("grid density", count, 1)
         if name == "n_beams":
             raw = np.linspace(lo, hi, count) if count > 1 else [lo]
             levels = sorted({int(round(v)) for v in raw})
@@ -326,7 +318,7 @@ def refine(spec: DesignSpec, start: Candidate,
     skipped and not counted; every other poll counts against max_evals,
     but a geometry is screened once per call, whatever its beam counts.
     Exhausting max_evals returns the best point found so far flagged as
-    exhausted.  A max_evals that is not an integer is refused.
+    exhausted.  A max_evals that is not an integer of at least 0 is refused.
 
     The polls around one center are independent, so whenever a sweep
     starts or the center moves, every poll the rest of the sweep would make
@@ -336,8 +328,8 @@ def refine(spec: DesignSpec, start: Candidate,
     the result are those of polling one geometry at a time; a batch that
     fails is dropped and each of its polls is screened alone when made.
     """
-    _check_integer("max_evals", max_evals)
-    _check_bounds(spec, start.point)
+    check_count("max_evals", max_evals, 0)
+    _require_in_bounds(spec, start.point)
     spans = [spec.bounds[name][1] - spec.bounds[name][0]
              for name in PARAM_NAMES[:4]]
     steps = [span / 8.0 for span in spans]

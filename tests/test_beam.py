@@ -102,6 +102,11 @@ def test_geometry_validation():
         VBeamGeometry(40, 1.2, 5, math.pi / 2)
     with pytest.raises(ValidationError, match="slender"):
         VBeamGeometry(1.0, 1.2, 5, 0.1)
+    # infinite dimensions used to pass, and force_curve then returned NaN
+    with pytest.raises(ValidationError, match="length_L"):
+        VBeamGeometry(math.inf, 1.2, 5, 0.1)
+    with pytest.raises(ValidationError, match="width_W"):
+        VBeamGeometry(40, 1.2, math.inf, 0.1)
 
 
 def test_normalize_reference_travel():
@@ -504,6 +509,8 @@ def test_material_validation():
         MaterialModel(-1.0)
     with pytest.raises(ValidationError):
         MaterialModel(1800.0, poisson_ratio=0.5)
+    with pytest.raises(ValidationError, match="youngs_modulus_E"):
+        MaterialModel(math.inf)
 
 
 @pytest.mark.filterwarnings("error")

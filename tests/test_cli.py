@@ -514,6 +514,19 @@ def test_design_writes_each_point_once(tmp_path, max_evals):
     assert len(points) == len(set(points)) == 243
 
 
+def test_design_refuses_negative_refine_budget(tmp_path, capsys):
+    # a budget of -3 used to exit 0 and skip refinement silently
+    doc = json.loads(TABLE1_JSON.read_text())
+    doc["design"]["refine_max_evals"] = -3
+    cfg = tmp_path / "design.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_command(["design", "--config", str(cfg),
+                        "--out", str(tmp_path), "--quiet"]) == 2
+    assert ("invariant violation: refine_max_evals"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "design_candidates.csv").exists()
+
+
 def test_design_requires_block(tmp_path):
     cfg = tmp_path / "min.json"
     cfg.write_text(json.dumps(MINIMAL))

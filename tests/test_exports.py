@@ -1,13 +1,26 @@
-"""Tests of the package surface: export lists and runtime dependencies."""
+"""Tests of the package surface: export lists, runtime dependencies and the
+shared input rules."""
 
+import ast
+import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import graspsynth
 import graspsynth.fe
+from graspsynth import (FESettings, LatchPhase, LatchState, MaterialModel,
+                        PullRing, SweepSettings, ValidationError,
+                        VBeamGeometry, actuation_force, bistability_margin,
+                        branch_loads, latch_step, normalize_deflection,
+                        solve_vbeam_sweep)
+
+GEOM = VBeamGeometry.from_degrees(40, 1.2, 5, 7)
+MAT = MaterialModel(youngs_modulus_E=1800)
+NAN = math.nan
 
 
 @pytest.mark.parametrize("module", [graspsynth, graspsynth.fe],
@@ -32,3 +45,44 @@ def test_runtime_imports_only_numpy():
     out = subprocess.run([sys.executable, "-c", probe], check=True, env=env,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: bistability_margin(GEOM, NAN), "delta_y must be non-negative"),
+    (lambda: normalize_deflection(GEOM, NAN), "delta_y must be non-negative"),
+    (lambda: actuation_force(GEOM, MAT, NAN), "delta_y must be non-negative"),
+    (lambda: branch_loads(GEOM, NAN), "delta_y must be non-negative"),
+    (lambda: latch_step(LatchState(LatchPhase.UNSTRESSED, 0.0), PullRing(NAN),
+                        8.0), "ring displacement must be non-negative"),
+    (lambda: FESettings(n_steps=2.5), "fe n_steps .*not an integer"),
+    (lambda: FESettings(n_elements=4.5), "fe n_elements .*not an integer"),
+    (lambda: FESettings(tolerance=math.inf), "fe tolerance must be positive"),
+    (lambda: SweepSettings(5.0, 2.5), "sweep n_samples .*not an integer"),
+    (lambda: solve_vbeam_sweep(GEOM, MAT, 1.0, n_steps=True),
+     "n_steps .*True is not an integer"),
+], ids=["margin-nan", "normalize-nan", "force-nan", "loads-nan", "latch-nan",
+        "fe-steps-2.5", "fe-elements-4.5", "fe-tolerance-inf",
+        "sweep-samples-2.5", "sweep-steps-true"])
+def test_library_refuses_nan_travels_and_non_integer_counts(call, match):
+    # the NaN travels used to return NaN states, or a NumericalError naming
+    # the cubic; the counts and the infinite tolerance used to be accepted
+    with pytest.raises(ValidationError, match=match):
+        call()
+
+
+def test_only_the_errors_module_imports_numbers():
+    # errors.check_count holds the one integer rule; another module that
+    # imports numbers is growing a local variant of it
+    src = Path(graspsynth.__file__).parent
+    importers = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numbers" for name in names):
+                importers.add(path.relative_to(src).as_posix())
+    assert importers == {"errors.py"}

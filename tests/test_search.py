@@ -342,7 +342,7 @@ def test_single_point_grid():
 
 
 @pytest.mark.parametrize("name", ["n_beams", "length_L"])
-@pytest.mark.parametrize("count", [0, -2])
+@pytest.mark.parametrize("count", [0, -2, 2.7, True])
 def test_grid_density_below_one_is_refused(name, count):
     with pytest.raises(ValidationError, match="grid density must be at least 1"):
         grid_search(make_spec(), dict(DENSITY, **{name: count}))
@@ -433,6 +433,16 @@ def test_refine_refuses_non_integer_budgets(budget):
     with pytest.raises(ValidationError, match="max_evals"):
         refine(spec, start, max_evals=budget)
     assert refine(spec, start, max_evals=np.int64(3)).exhausted
+
+
+def test_refine_refuses_negative_budget():
+    # -3 used to skip refinement and return the start flagged exhausted
+    spec = make_spec()
+    start = evaluate_candidate(spec, TABLE1, 12)
+    with pytest.raises(ValidationError, match="max_evals must be at least 0"):
+        refine(spec, start, max_evals=-3)
+    out = refine(spec, start, max_evals=0)
+    assert out.exhausted and out.point == start.point
 
 
 def reference_refine(spec, start, max_evals):
