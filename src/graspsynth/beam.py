@@ -132,9 +132,9 @@ class MonostableIntermediates:
     """Cubic coefficients and closed-form root data for the d1 < 0 branch.
 
     k1..k4 are the cubic coefficients in p; c1, c2 the nested radicals of the
-    closed-form (Cardano) solution; p1 the closed-form real root, against
-    which solve_monostable_cubic checks its root.  c2 and p1 are NaN when the
-    cubic has three real roots (the casus irreducibilis), which
+    closed-form (Cardano) solution; p1 the closed-form real root, the root
+    the kernel's root is checked against (_monostable_root).  c2 and p1 are
+    NaN when the cubic has three real roots (the casus irreducibilis), which
     solve_monostable_cubic refuses.  The generating state (t, x_o, y_o) is
     kept for reference; x_o = y_o = k4 = 0 marks the undeformed state.
     """
@@ -318,23 +318,22 @@ def solve_monostable_cubic(inter: MonostableIntermediates) -> float:
 
     The scalar reference for the load kernel (_loads), which no evaluation
     path calls.  On that branch the cubic has exactly one real root,
-    continuous with p = 0 at rest.  It is taken from _unique_root, polished
-    by one Newton step on the exact coefficients, then held, with the
-    closed-form root p1, to the residual bound (_verify_roots).  A cubic
-    with more than one real root raises NumericalError.
+    continuous with p = 0 at rest.  It is the root the kernel takes for the
+    same state: _monostable_root on one-element arrays, whose numpy powers
+    can differ from Python's in the last ulp.  A cubic with more than one
+    real root raises NumericalError.
     """
     if inter.x_o == 0.0 and inter.y_o == 0.0 and inter.k4 == 0.0:
         return 0.0
+    ks = np.array([[inter.k1], [inter.k2], [inter.k3], [inter.k4]])
+    return _monostable_root(ks).item()
 
-    p = float(_unique_root(inter.k1, inter.k2, inter.k3, inter.k4))
 
-    # one Newton polish on the exact coefficients
-    deriv = (3.0 * inter.k1 * p + 2.0 * inter.k2) * p + inter.k3
-    if deriv != 0.0:
-        p -= inter.cubic(p) / deriv
-
-    _verify_roots((inter.k1, inter.k2, inter.k3, inter.k4), np.array([p]),
-                  np.array([inter.p1]))
+def _monostable_root(ks):
+    """The unique real root of the cubics ks (no polish), held with the
+    closed-form Cardano root to the residual bound by _verify_roots."""
+    p = _unique_root(*ks)
+    _verify_roots(ks, p, _cardano_root(*ks)[0])
     return p
 
 
@@ -406,8 +405,7 @@ def _loads(cols: _Columns, dys: np.ndarray):
     The one evaluator of the model: G geometries (columns from _columns) at
     travels dys >= 0 of shape (n,), in one pass.  Bistable samples take the
     constant axial-load branch and zero travel the unloaded state; every
-    other sample takes the unique real cubic root (no polish), held with the
-    closed-form Cardano root to the residual bound by _verify_roots.  A
+    other sample takes the unique real cubic root (_monostable_root).  A
     sample that fails a check raises for the whole pass.
     """
     check_non_negative("delta_y", dys)
@@ -418,9 +416,7 @@ def _loads(cols: _Columns, dys: np.ndarray):
 
     t_terms = [np.broadcast_to(c, mono.shape)[mono]
                for c in (cols.k1_t, cols.k2_t, cols.k3_t)]
-    ks = _k_coefficients(t_terms, x_o[mono], y_o[mono])
-    p_mono = _unique_root(*ks)
-    _verify_roots(ks, p_mono, _cardano_root(*ks)[0])
+    p_mono = _monostable_root(_k_coefficients(t_terms, x_o[mono], y_o[mono]))
     f_o = BISTABLE_FO_SLOPE * y_o
     f_o[mono] = _rational_fo(y_o[mono], p_mono)
     p_o = np.where(bistable, BISTABLE_PO, 0.0)

@@ -42,7 +42,7 @@ class FESettings:
 
     def __post_init__(self):
         check_count("fe n_elements", self.n_elements, 4)
-        check_count("fe n_steps", self.n_steps, 1)
+        check_count("fe n_steps", self.n_steps, 2)
         check_positive("fe tolerance", self.tolerance)
 
 
@@ -56,6 +56,8 @@ class DesignSettings:
 
     def __post_init__(self):
         check_count("refine_max_evals", self.refine_max_evals, 0)
+        for name, count in self.grid_density.items():
+            check_count(f"grid density {name}", count, 1)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,12 @@ in-bounds beam count is at least 1.  A grid_density entry that is missing
 means DEFAULT_GRID_DENSITY levels.
 
 The closed-form curve does not depend on the beam count, so a geometry is
-evaluated once for all its beam counts: the grid runs its distinct
-geometries through the load kernel in blocks, one pass per block, and refine
-remembers the geometries it has evaluated.  A refine poll's outcome does not
-depend on the polls beside it, so whenever a sweep starts or its center moves,
-refine screens in one pass every geometry the rest of that sweep would poll
-from the center, then scores the polls one at a time in the sequential order.
+screened once for all its beam counts, and only by _screen, which runs the
+geometries its cache lacks through the load kernel in blocks, one pass per
+block.  A refine poll's outcome does not depend on the polls beside it, so
+whenever a sweep starts or its center moves, refine screens every geometry
+the rest of that sweep would poll from the center in one call, then scores
+the polls one at a time in the sequential order.
 """
 
 from __future__ import annotations
@@ -104,6 +104,16 @@ class DesignSpec:
                 raise ValidationError(f"bounds for {name} must be ordered")
         if self.bounds["n_beams"][0] < 1:
             raise ValidationError("n_beams bounds must start at 1 or above")
+        # every in-bounds geometry builds if these corners do (the lowest L
+        # and W, the largest T on the lowest L, and both tilt limits)
+        (L, _), (T_lo, T_hi), (W, _), (th_lo, th_hi) = (
+            self.bounds[name] for name in PARAM_NAMES[:4])
+        try:
+            VBeamGeometry(L, T_hi, W, th_hi)
+            VBeamGeometry(L, T_lo, W, th_lo)
+        except ValidationError as exc:
+            raise ValidationError(
+                f"bounds hold a geometry that cannot be built: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -147,19 +157,22 @@ def _in_bounds(spec: DesignSpec, name: str, value: float) -> bool:
     return lo - BOUNDS_TOL <= value <= hi + BOUNDS_TOL
 
 
-def _screen(spec: DesignSpec, geoms: Sequence[VBeamGeometry]
+def _screen(spec: DesignSpec, geoms: Sequence[VBeamGeometry],
+            screened: Dict[VBeamGeometry, Tuple[float, float]]
             ) -> List[Tuple[float, float]]:
     """(peak double-beam force, peak root stress) of each geometry.
 
-    The geometries go through the load kernel in blocks of at most
-    BLOCK_SAMPLES samples, one pass per block.  The stress is the beam-root
-    bending screen: the transverse end load F_o over half the length.
+    screened caches the rows by geometry: the distinct geometries it lacks
+    go through the load kernel in blocks of at most BLOCK_SAMPLES samples,
+    one pass per block, whose rows are stored as the pass returns.  The
+    stress is the beam-root bending screen: the transverse end load F_o
+    over half the length.
     """
     mat, n = spec.material, spec.sweep_samples
     per_block = max(1, BLOCK_SAMPLES // n)
-    screened = []
-    for i in range(0, len(geoms), per_block):
-        block = geoms[i:i + per_block]
+    fresh = [g for g in dict.fromkeys(geoms) if g not in screened]
+    for i in range(0, len(fresh), per_block):
+        block = fresh[i:i + per_block]
         _, force, f_o, _, _ = _force_rows(block, mat, spec.target_travel, n)
         end_load_scale, length, section = np.array(
             [(4.0 * mat.youngs_modulus_E * g.second_moment / g.length_L ** 2,
@@ -167,9 +180,9 @@ def _screen(spec: DesignSpec, geoms: Sequence[VBeamGeometry]
         ).T[:, :, None]
         moment = np.abs(f_o) * end_load_scale * length / 2.0
         stress = 6.0 * moment / section
-        screened += zip(force.max(axis=1).tolist(),
-                        stress.max(axis=1).tolist())
-    return screened
+        screened.update(zip(block, zip(force.max(axis=1).tolist(),
+                                       stress.max(axis=1).tolist())))
+    return [screened[g] for g in geoms]
 
 
 def _candidate(spec: DesignSpec, geom: VBeamGeometry, n_beams: int,
@@ -210,9 +223,8 @@ def _evaluate(spec: DesignSpec, point,
     """Score an in-bounds design point; screened caches _screen rows by
     geometry."""
     geom = VBeamGeometry(*point[:4])
-    if geom not in screened:
-        screened[geom] = _screen(spec, [geom])[0]
-    return _candidate(spec, geom, point[4], *screened[geom])
+    [row] = _screen(spec, [geom], screened)
+    return _candidate(spec, geom, point[4], *row)
 
 
 def evaluate_candidate(spec: DesignSpec, geom: VBeamGeometry,
@@ -271,7 +283,7 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
              for dims in product(*(axes[name] for name in PARAM_NAMES[:4]))]
     levels = axes["n_beams"]
     candidates = [_candidate(spec, geom, n, *row)
-                  for geom, row in zip(geoms, _screen(spec, geoms))
+                  for geom, row in zip(geoms, _screen(spec, geoms, {}))
                   for n in levels]
     return sorted(candidates, key=Candidate.sort_key)
 
@@ -285,27 +297,6 @@ def _polls(spec: DesignSpec, center, axes) -> Dict[int, list]:
         polls[i] = [trial for trial in trials if all(
             _in_bounds(spec, name, v) for name, v in zip(PARAM_NAMES, trial))]
     return polls
-
-
-def _screen_ahead(spec: DesignSpec, points,
-                  screened: Dict[VBeamGeometry, Tuple[float, float]]) -> None:
-    """Screen the geometries of points that screened lacks, in one pass.
-
-    The points are polls the sweep makes only if its center holds, so a
-    geometry that cannot be built or screened stores nothing: _evaluate
-    screens it on its own, and raises for it, if and when it is polled.
-    """
-    try:
-        geoms = [VBeamGeometry(*p[:4]) for p in points]
-    except ValidationError:
-        return
-    fresh = list(dict.fromkeys(g for g in geoms if g not in screened))
-    if fresh:
-        try:
-            rows = _screen(spec, fresh)
-        except NumericalError:
-            return
-        screened.update(zip(fresh, rows))
 
 
 def refine(spec: DesignSpec, start: Candidate,
@@ -322,11 +313,11 @@ def refine(spec: DesignSpec, start: Candidate,
 
     The polls around one center are independent, so whenever a sweep
     starts or the center moves, every poll the rest of the sweep would make
-    from that center, up to the remaining budget, is screened in one kernel
-    pass before the first of them is scored.  A batched row equals the
-    one-geometry pass bit for bit, so the visits, the evaluation count and
-    the result are those of polling one geometry at a time; a batch that
-    fails is dropped and each of its polls is screened alone when made.
+    from that center, up to the remaining budget, is screened in one
+    _screen call before the first of them is scored.  A batched row equals
+    the one-geometry pass bit for bit, so the visits, the evaluation count
+    and the result are those of polling one geometry at a time, also when
+    the look-ahead fails: a poll it left unscreened is screened when made.
     """
     check_count("max_evals", max_evals, 0)
     _require_in_bounds(spec, start.point)
@@ -347,8 +338,14 @@ def refine(spec: DesignSpec, start: Candidate,
                 center = best.point
                 polls = _polls(spec, center, axes[k:])
                 ahead = [trial for trials in polls.values()
-                         for trial in trials]
-                _screen_ahead(spec, ahead[:max_evals - evals], screened)
+                         for trial in trials][:max_evals - evals]
+                # these polls are made only if the center holds, and a poll
+                # that cannot be built or screened raises when it is made
+                try:
+                    _screen(spec, [VBeamGeometry(*p[:4]) for p in ahead],
+                            screened)
+                except (ValidationError, NumericalError):
+                    pass
             for trial in polls[i]:
                 if evals < max_evals:
                     evals += 1

@@ -253,6 +253,13 @@ def test_cubic_vs_independent_rootfinder_random():
         assert abs(p - ref) <= 1e-8 * max(abs(ref), 1e-12)
 
 
+def test_reference_root_is_the_kernel_root():
+    # the root criterion 4 measures is the one every force is built from
+    for geom, dy in random_monostable_states(1000, seed=101):
+        inter = monostable_intermediates(normalize_deflection(geom, dy))
+        assert solve_monostable_cubic(inter) == branch_loads(geom, dy).p_o
+
+
 def test_closed_form_root_matches_continuation():
     # the closed-form expression stored in the intermediates is the same
     # root the solver returns
@@ -366,7 +373,7 @@ def reference_loads(geom, dy):
     """(branch, f_o, p_o) from the public scalar reference chain.
 
     normalize_deflection -> monostable_intermediates -> solve_monostable_cubic
-    (with its Newton polish), then the rational f_o relation written out
+    (the kernel's own root), then the rational f_o relation written out
     here; the bistable branch takes its two constants.
     """
     nd = normalize_deflection(geom, dy)

@@ -143,6 +143,32 @@ def test_beam_count_bound_below_one_is_refused(command, tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("path,value,named", [
+    (("fe", "n_steps"), 1, "fe n_steps must be at least 2"),
+    (("design", "grid_density", "width_W"), 0, "grid density width_W must"),
+    (("design", "bounds", "tilt_theta_deg"), [5, 95], "tilt_theta must"),
+    (("design", "bounds", "length_L"), [-1, 44], "length_L must be"),
+    (("design", "bounds", "thickness_T"), [1.0, 40], "thickness_T must be"),
+], ids=["fe_steps", "grid_density", "tilt", "length", "thickness"])
+def test_config_a_command_cannot_run_is_refused_at_parse(path, value, named,
+                                                          tmp_path, capsys):
+    doc = json.loads(TABLE1_JSON.read_text())
+    *sections, key = path
+    section = doc
+    for name in sections:
+        section = section[name]
+    section[key] = value
+    with pytest.raises(ConfigError, match=named):
+        parse_config(json.dumps(doc))
+    cfg, out = tmp_path / "edited.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    for command in ("curve", "report"):
+        rc = run_command([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("section,value,named", [
     ("beam", 5, "'beam' must be an object"),
     ("design", {"grid_density": [3, 3]},

@@ -267,10 +267,13 @@ def valid_documents(draw):
         "sweep": {"n_samples": st.integers(2, 10_000)},
     }
     if draw(st.booleans()):
+        # every in-bounds beam is slender: thickness stays below the length
+        lengths = draw(ordered(positive))
         doc["design"] = {
             "target_force": draw(positive), "target_travel": draw(positive),
-            "bounds": {"length_L": draw(ordered(positive)),
-                       "thickness_T": draw(ordered(positive)),
+            "bounds": {"length_L": lengths,
+                       "thickness_T": [lengths[0] * f for f in draw(
+                           ordered(st.floats(0.001, 0.99)))],
                        "width_W": draw(ordered(positive)),
                        "tilt_theta_deg": draw(ordered(angle)),
                        "n_beams": draw(ordered(st.integers(1, 40)))},
@@ -284,7 +287,7 @@ def valid_documents(draw):
     if draw(st.booleans()):
         doc["fe"] = {}
         optional["fe"] = {"n_elements": st.integers(4, 64),
-                          "n_steps": st.integers(1, 500),
+                          "n_steps": st.integers(2, 500),
                           "tolerance": st.floats(1e-12, 1e-3)}
     for section, keys in optional.items():
         for key, values in keys.items():

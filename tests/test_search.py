@@ -138,10 +138,14 @@ def test_self_consistent_target_gives_zero_objective():
 
 
 def test_invalid_geometry_raises_not_candidate():
-    spec = make_spec(bounds={**BOUNDS, "thickness_T": (1.0, 100.0),
-                             "length_L": (0.5, 44.0)})
-    with pytest.raises(ValidationError):
-        evaluate_candidate(spec, VBeamGeometry(1.0, 50.0, 5.0, 0.1), 12)
+    # bounds that hold a geometry that cannot be built refuse the spec, so
+    # no search reaches such a geometry
+    for name, pair in [("thickness_T", (1.0, 40.0)),
+                       ("length_L", (-1.0, 44.0)),
+                       ("tilt_theta", (0.1, math.radians(95.0))),
+                       ("width_W", (0.0, 6.0))]:
+        with pytest.raises(ValidationError, match="cannot be built"):
+            make_spec(bounds={**BOUNDS, name: pair})
 
 
 def test_out_of_bounds_rejected():
@@ -312,7 +316,7 @@ def test_batched_screen_matches_one_geometry_curves(dims, travel):
     for g in geoms:
         curve, stress = reference_screen(spec, g)
         expected.append((float(np.max(curve.force)), stress))
-    assert search._screen(spec, geoms) == expected
+    assert search._screen(spec, geoms, {}) == expected
 
 
 def test_grid_infeasible_ranking_is_total():
@@ -521,11 +525,12 @@ def test_refine_failing_lookahead_raises_like_sequential_search(monkeypatch):
                              "width_W": (5.0, 5.0)})
     screen, failed = search._screen, []
 
-    def watched(spec_, geoms):
+    def watched(spec_, geoms, screened):
+        fresh = set(geoms) - set(screened)
         try:
-            return screen(spec_, geoms)
+            return screen(spec_, geoms, screened)
         except NumericalError:
-            failed.append(len(geoms))
+            failed.append(len(fresh))
             raise
 
     kinds = set()
@@ -547,14 +552,59 @@ def test_refine_failing_lookahead_raises_like_sequential_search(monkeypatch):
     assert {(True, True), (False, True)} <= kinds
 
 
-def test_lookahead_stores_nothing_from_a_batch_it_cannot_build():
-    spec = make_spec()
-    good, screened = (40.0, 1.2, 5.0, 0.12, 12), {}
-    # a zero thickness is no geometry: the poll raises only if it is made
-    search._screen_ahead(spec, [good, (40.0, 0.0, 5.0, 0.12, 12)], screened)
+def test_screen_stores_the_rows_of_each_block_that_passes(monkeypatch):
+    spec, screened = make_spec(), {}
+    geom = VBeamGeometry(40.0, 1.2, 5.0, 0.12)
+    rows = count_kernel_rows(monkeypatch)
+    # two points that share a geometry: one row in one pass
+    first, second = search._screen(spec, [geom, geom], screened)
+    assert first == second and rows == [1] and list(screened) == [geom]
+    assert search._screen(spec, [geom], screened) == [first] and rows == [1]
+    # near rest some rows raise: a block whose pass raises stores nothing,
+    # and the blocks screened before it keep their rows
+    near = make_spec(target_travel=4e-7, sweep_samples=2)
+    geoms = [VBeamGeometry(L, T, 5.0, math.radians(7.0))
+             for L, T in product(np.linspace(36.0, 44.0, 5), (1.0, 1.2, 1.4))]
+    builds = [isinstance(outcome(reference_screen, near, g), tuple)
+              for g in geoms]
+    good, bad = geoms[builds.index(True)], geoms[builds.index(False)]
+    screened = {}
+    with pytest.raises(NumericalError):
+        search._screen(near, [good, bad], screened)
     assert screened == {}
-    search._screen_ahead(spec, [good, good[:4] + (11,)], screened)
-    assert list(screened) == [VBeamGeometry(*good[:4])]
+    monkeypatch.setattr(search, "BLOCK_SAMPLES", near.sweep_samples)
+    with pytest.raises(NumericalError):
+        search._screen(near, [good, bad], screened)
+    assert list(screened) == [good]
+
+
+def test_refine_with_an_unbuildable_lookahead_matches_sequential_search(
+        monkeypatch):
+    spec, budget = make_spec(), 100
+    start = evaluate_candidate(spec, TABLE1, 12)
+    expected, visited = reference_refine(spec, start, budget)
+    screen, seen = search._screen, []
+
+    def recorded(spec_, geoms, screened):
+        seen.extend(geoms)
+        return screen(spec_, geoms, screened)
+
+    monkeypatch.setattr(search, "_screen", recorded)
+    refine(spec, start, budget)
+    monkeypatch.undo()
+    # a look-ahead geometry the sequential search never polls
+    never = next(g for g in seen if g not in set(visited))
+    build, refused = search.VBeamGeometry, []
+
+    def unbuildable(*dims):
+        if dims == astuple(never):
+            refused.append(dims)
+            raise ValidationError("no such beam")
+        return build(*dims)
+
+    monkeypatch.setattr(search, "VBeamGeometry", unbuildable)
+    assert refine(spec, start, budget) == expected
+    assert refused
 
 
 @settings(derandomize=True, deadline=None, max_examples=10)
