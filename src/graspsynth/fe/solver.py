@@ -7,11 +7,16 @@ Hermitian bending stiffness plus a linear axial bar; shear deformation is
 neglected, which is appropriate for the slender flexures this solver
 verifies (T/L of order 0.03).
 
-Assembly is one array pass over all elements: chord geometry, the
-strain-displacement rows, local forces, internal forces, tangents and
-energies are (n_el, ...) arrays, and np.bincount scatters them and the
-point springs into the force table and the equation tangent over flat
-indices computed once per model.
+The free freedoms are numbered in node order with the driven one last, so
+the free-free tangent, the free residual and the Newton update are the
+leading block and slices of the equation arrays.  Assembly is one array
+pass over all elements: it gathers each element's freedoms from the
+equation vector, evaluates chord geometry, the strain-displacement rows,
+local forces, internal forces and tangents as (n_el, ...) arrays, and
+np.bincount scatters them and the point springs into the force table and
+the equation tangent; every gather and scatter index is computed once per
+model.  Strain energy is evaluated once per converged step, from the local
+state of its last assembly.
 
 Equilibrium paths are traversed under displacement control with Newton
 iteration, on force_curve's uniform travel grid (beam.uniform_travels).  A
@@ -110,41 +115,46 @@ def _live_pairs(eqs: np.ndarray, n_eq: int):
 class _System:
     """Equation numbering, assembly and residual bookkeeping for one model.
 
+    The free freedoms are numbered in node order with the driven one last:
+    the free-free tangent is the leading block K[:-1, :-1] of the equation
+    tangent, the free residual r_eq[:-1] and the drive u_eq[-1].
     Everything that depends only on the model is computed once here: the
-    shared section's E A and E I, the per-element chord arrays and the flat
-    scatter indices of the element and spring contributions into the raw
-    force table and the equation tangent, with constrained entries already
-    dropped.  The element work arrays are reused by every assembly, so one
-    instance serves one solve at a time.
+    shared section's E A, the per-element chord arrays and E I / L0, the
+    positions that gather each element's and spring's freedoms from the
+    equation vector (padded with one zero for the constrained ones) and the
+    flat scatter indices of their contributions into the raw force table
+    and the equation tangent, with constrained entries already dropped.
+    The padded equation vector and the element work arrays are reused by
+    every assembly, so one instance serves one solve at a time.
     """
 
     def __init__(self, model: FrameModel):
         self.model = model
         n = model.n_nodes
-        eq = -np.ones((n, 3), dtype=int)
-        count = int(np.count_nonzero(~model.fixed))
-        eq[~model.fixed] = np.arange(count)
-        self.eq = eq
-        self.n_eq = count
         node, dof, self.amp = model.drive
-        self.drive_eq = int(eq[node, dof])
-        self.free_idx = np.delete(np.arange(count), self.drive_eq)
-        self.free_free = np.ix_(self.free_idx, self.free_idx)
+        free = np.flatnonzero(~model.fixed.ravel())
+        driven = 3 * node + dof
+        # flat freedom (3 * node + dof) of each equation, in equation order:
+        # the free ones in node order, the driven one last
+        self._eq_dofs = np.append(free[free != driven], driven)
+        count = free.size
+        eq = -np.ones(3 * n, dtype=int)
+        eq[self._eq_dofs] = np.arange(count)
+        self.eq = eq.reshape(n, 3)
+        self.n_eq = count
         # a step reports the driven node's constrained freedoms and the drive
         self._reported = [(node, d) for d in range(3)
                           if model.fixed[node, d] or d == dof]
-        # flat freedom (3 * node + dof) of each equation, in equation order
-        self._eq_dofs = np.flatnonzero(~model.fixed.ravel())
 
         ends = model.elements
         E, A, I = model.section
         self._EA = E * A
-        self._EI = E * I
         self._dxy0 = model.nodes[ends[:, 1]] - model.nodes[ends[:, 0]]
         self._L0 = np.hypot(self._dxy0[:, 0], self._dxy0[:, 1])
+        self._k_b = E * I / self._L0
         self._beta0 = np.arctan2(self._dxy0[:, 1], self._dxy0[:, 0])
-        self._el_dofs = (3 * np.repeat(ends, 3, axis=1)
-                         + np.tile([UX, UY, ROT], 2))
+        el_dofs = (3 * np.repeat(ends, 3, axis=1)
+                   + np.tile([UX, UY, ROT], 2))
         # Element work arrays.  The rows of G are r (chord stretch), b1 and
         # b2 (end rotations), which make up B, and the chord normal z; only
         # their translational entries change between assemblies.  D holds
@@ -153,30 +163,35 @@ class _System:
         # and column, so that G^T D G = B^T C B + N/Ln z z^T
         # + (M1 + M2)/Ln^2 (r z^T + z r^T).
         n_el = len(ends)
-        k_b = self._EI / self._L0
         self._G = np.zeros((n_el, 4, 6))
         self._G[:, 1, ROT] = self._G[:, 2, 3 + ROT] = 1.0
         self._D = np.zeros((n_el, 4, 4))
         self._D[:, 0, 0] = self._EA / self._L0
-        self._D[:, 1, 1] = self._D[:, 2, 2] = 4.0 * k_b
-        self._D[:, 1, 2] = self._D[:, 2, 1] = 2.0 * k_b
+        self._D[:, 1, 1] = self._D[:, 2, 2] = 4.0 * self._k_b
+        self._D[:, 1, 2] = self._D[:, 2, 1] = 2.0 * self._k_b
         self._f_local = np.zeros((n_el, 1, 3))
 
         # point springs: freedoms, stiffnesses and their constant tangent
         springs = model.point_springs
-        self._spring_a = np.array([3 * na + da for na, da, _, _, _ in springs],
-                                  dtype=int)
-        self._spring_b = np.array([3 * nb + db for _, _, nb, db, _ in springs],
-                                  dtype=int)
+        spring_a = np.array([3 * na + da for na, da, _, _, _ in springs],
+                            dtype=int)
+        spring_b = np.array([3 * nb + db for _, _, nb, db, _ in springs],
+                            dtype=int)
         self._spring_k = np.array([k for *_, k in springs], dtype=float)
 
+        # gather positions into the equation vector padded with one zero: a
+        # constrained freedom reads the trailing zero at position n_eq
+        self._padded = np.zeros(count + 1)
+        gather = np.where(eq < 0, count, eq)
+        self._el_pos = gather[el_dofs]
+        self._spring_a_pos = gather[spring_a]
+        self._spring_b_pos = gather[spring_b]
         # scatter targets: raw forces by flat freedom; tangent entries by
         # flat (row, column) of the equation matrix, constrained ones dropped
-        self._f_pos = np.concatenate(
-            [self._el_dofs.ravel(), self._spring_a, self._spring_b])
-        self._k_live, k_pos = _live_pairs(eq.ravel()[self._el_dofs], count)
-        spring_live, spring_pos = _live_pairs(eq.ravel()[np.stack(
-            [self._spring_a, self._spring_b], axis=1)], count)
+        self._f_pos = np.concatenate([el_dofs.ravel(), spring_a, spring_b])
+        self._k_live, k_pos = _live_pairs(eq[el_dofs], count)
+        spring_live, spring_pos = _live_pairs(
+            eq[np.stack([spring_a, spring_b], axis=1)], count)
         self._spring_tangent = (
             self._spring_k[:, None, None] * [[1.0, -1.0], [-1.0, 1.0]]
         ).ravel()[spring_live]
@@ -189,12 +204,13 @@ class _System:
         return full.reshape(-1, 3)
 
     def _elements(self, d: np.ndarray):
-        """Internal forces (n_el, 6), tangents (n_el, 6, 6) and energies.
+        """Internal forces (n_el, 6), tangents (n_el, 6, 6) and local state.
 
         d holds each element's (u_i, v_i, r_i, u_j, v_j, r_j).  The local
         state is the chord stretch and the end rotations measured from the
         rotated chord; rigid motion therefore produces an exactly zero
-        local state.
+        local state.  It is returned with the local forces as the arrays
+        (N, stretch, M1, t1, M2, t2) that _element_energy takes.
         """
         dxy = self._dxy0 + d[:, 3:5] - d[:, 0:2]
         Ln = np.hypot(dxy[:, 0], dxy[:, 1])
@@ -208,14 +224,14 @@ class _System:
         stretch = Ln - self._L0
 
         N = self._EA * stretch / self._L0
-        M1 = self._EI / self._L0 * (4.0 * t1 + 2.0 * t2)
-        M2 = self._EI / self._L0 * (2.0 * t1 + 4.0 * t2)
+        M1 = self._k_b * (4.0 * t1 + 2.0 * t2)
+        M2 = self._k_b * (2.0 * t1 + 4.0 * t2)
 
         G, D, f_local = self._G, self._D, self._f_local
         G[:, 0, 0:2] = -cs
         G[:, 1:3, 0:2] = (normal / Ln[:, None])[:, None, :]
         G[:, 3, 0:2] = -normal
-        G[:, :, 3:5] = -G[:, :, 0:2]
+        np.negative(G[:, :, 0:2], out=G[:, :, 3:5])
         D[:, 0, 3] = D[:, 3, 0] = (M1 + M2) / Ln ** 2
         D[:, 3, 3] = N / Ln
         f_local[:, 0, 0] = N
@@ -224,38 +240,46 @@ class _System:
 
         f_int = (f_local @ G[:, :3])[:, 0]
         K = G.transpose(0, 2, 1) @ (D @ G)
-        # half the local forces times the local deformations
-        energy = 0.5 * (N * stretch + M1 * t1 + M2 * t2)
-        return f_int, K, energy
+        return f_int, K, (N, stretch, M1, t1, M2, t2)
 
     def assemble(self, u_eq: np.ndarray):
-        """Raw internal force per freedom, equation residual, tangent, energy."""
-        full = self.expand(u_eq).ravel()
-        f_el, K_el, e_el = self._elements(full[self._el_dofs])
-        stretch = full[self._spring_a] - full[self._spring_b]
+        """Raw internal force per freedom, equation residual, tangent, state.
+
+        The state holds the elements' local state and the spring stretches,
+        from which path_step evaluates the strain energy.
+        """
+        padded = self._padded
+        padded[:-1] = u_eq
+        f_el, K_el, local = self._elements(padded[self._el_pos])
+        stretch = padded[self._spring_a_pos] - padded[self._spring_b_pos]
         f_spring = self._spring_k * stretch
         f_flat = np.bincount(
-            self._f_pos, minlength=full.size,
+            self._f_pos, minlength=3 * self.model.n_nodes,
             weights=np.concatenate([f_el.ravel(), f_spring, -f_spring]))
         K = np.bincount(
             self._k_pos, minlength=self.n_eq * self.n_eq,
             weights=np.concatenate([K_el.ravel()[self._k_live],
                                     self._spring_tangent]))
-        energy = float(e_el.sum()) + float(
-            (0.5 * self._spring_k * stretch ** 2).sum())
         return (f_flat.reshape(-1, 3), f_flat[self._eq_dofs],
-                K.reshape(self.n_eq, self.n_eq), energy)
+                K.reshape(self.n_eq, self.n_eq), (local, stretch))
 
     def path_step(self, control, u_eq, assembled, iterations, residual):
         """The PathStep at control of state u_eq from its assemble() result."""
-        f_raw, _, K, energy = assembled
+        f_raw, _, K, (local, stretch) = assembled
         node, dof, amp = self.model.drive
+        energy = float(_element_energy(*local).sum()) + float(
+            (0.5 * self._spring_k * stretch ** 2).sum())
         return PathStep(
             control=float(control), displacements=self.expand(u_eq),
             reactions={key: float(f_raw[key]) for key in self._reported},
             reaction=float(f_raw[node, dof] * amp / abs(amp)),
             iterations=iterations, residual=residual, strain_energy=energy,
-            stable=_stable(K[self.free_free]))
+            stable=_stable(K[:-1, :-1]))
+
+
+def _element_energy(N, stretch, M1, t1, M2, t2) -> np.ndarray:
+    """Strain energy per element: half the local forces times deformations."""
+    return 0.5 * (N * stretch + M1 * t1 + M2 * t2)
 
 
 def _stable(K_ff: np.ndarray) -> bool:
@@ -273,18 +297,18 @@ def _newton(system: _System, u_eq, control, tol, max_iters):
     Returns (u, PathStep) of the converged state, or None.
     """
     u = u_eq.copy()
-    u[system.drive_eq] = control * system.amp
+    u[-1] = control * system.amp
     for it in range(1, max_iters + 1):
         assembled = system.assemble(u)
-        r = assembled[1][system.free_idx]
-        res = float(np.linalg.norm(r))
+        r = assembled[1][:-1]
+        res = math.sqrt(r @ r)
         if res < tol:
             return u, system.path_step(control, u, assembled, it, res)
         try:
-            du = np.linalg.solve(assembled[2][system.free_free], -r)
+            du = np.linalg.solve(assembled[2][:-1, :-1], -r)
         except np.linalg.LinAlgError:
             return None
-        u[system.free_idx] += du
+        u[:-1] += du
     return None
 
 
@@ -313,22 +337,23 @@ def _arc_length(system: _System, u_eq, control_from, control_to, tol,
         dlam = min(dlam_target, control_to - lam)
         # the increment length, fixed by the first predictor of the substep
         arc2 = psi2 * dlam ** 2
-        du_f = np.zeros(system.free_idx.size)
+        du_f = np.zeros(system.n_eq - 1)
         for _ in range(max_iters):
             u_cur = u.copy()
-            u_cur[system.free_idx] += du_f
-            u_cur[system.drive_eq] = (lam + dlam) * amp
-            _, r_eq, K, _ = system.assemble(u_cur)
-            r = r_eq[system.free_idx]
+            u_cur[:-1] += du_f
+            u_cur[-1] = (lam + dlam) * amp
+            _, r_eq, J, _ = system.assemble(u_cur)
+            r = r_eq[:-1]
             a_res = float(du_f @ du_f) + psi2 * dlam ** 2 - arc2
-            if (np.linalg.norm(r) < tol
+            if (math.sqrt(r @ r) < tol
                     and abs(a_res) <= 1e-10 * max(arc2, 1e-30)):
                 break
-            # free equations bordered by the load derivative and arc gradient
-            J = np.block([[K[system.free_free],
-                           K[system.free_idx, system.drive_eq][:, None] * amp],
-                          [2.0 * du_f, 2.0 * psi2 * dlam]])
-            rhs = np.concatenate([-r, [-a_res]])
+            # the tangent with its drive column scaled to the load derivative
+            # and its drive row replaced by the arc gradient
+            J[:-1, -1] *= amp
+            J[-1, :-1] = 2.0 * du_f
+            J[-1, -1] = 2.0 * psi2 * dlam
+            rhs = np.append(-r, -a_res)
             try:
                 sol = np.linalg.solve(J, rhs)
             except np.linalg.LinAlgError:
@@ -338,8 +363,8 @@ def _arc_length(system: _System, u_eq, control_from, control_to, tol,
         else:
             return None
         lam = lam + dlam
-        u[system.free_idx] += du_f
-        u[system.drive_eq] = lam * amp
+        u[:-1] += du_f
+        u[-1] = lam * amp
         if abs(lam - control_to) <= 1e-9 * max(1.0, abs(control_to)):
             break
     # land exactly on the requested control with a plain Newton polish
@@ -397,7 +422,8 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
                     break
             u, state = converged
             control += attempt
-        path.steps.append(replace(state, control=target))
+        path.steps.append(state if state.control == target
+                          else replace(state, control=target))
     return path
 
 

@@ -252,12 +252,17 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
     by objective, then infeasible ones by total violation; equal keys are
     ordered lexicographically on (L, T, theta, W, n_beams), so the ranking
     is a deterministic total order.  A parameter missing from grid_density
-    gets DEFAULT_GRID_DENSITY levels, a density that is not an integer of at
-    least 1 is refused, and so is a grid above GRID_CAP points, before the
-    first kernel pass.  n_workers must be an integer of at least 1 and has
+    gets DEFAULT_GRID_DENSITY levels; a key outside PARAM_NAMES, a density
+    that is not an integer of at least 1 and a grid above GRID_CAP points
+    are refused before the first kernel pass.  n_workers must be an integer of at least 1 and has
     no effect: the grid is evaluated in one thread.
     """
     check_count("n_workers", n_workers, 1)
+    unknown = sorted(set(grid_density) - set(PARAM_NAMES), key=str)
+    if unknown:
+        raise ValidationError(
+            f"grid density names unknown parameter(s) "
+            f"{', '.join(map(repr, unknown))}; expected {PARAM_NAMES}")
     axes = {}
     for name in PARAM_NAMES:
         lo, hi = spec.bounds[name]

@@ -18,7 +18,7 @@ from graspsynth.beam import uniform_travels
 from graspsynth.fe import solver
 from graspsynth.fe.model import ROT, UX, UY
 from graspsynth.fe.solver import (EquilibriumPath, PathStep, _arc_length,
-                                   _newton, _System)
+                                   _element_energy, _newton, _System)
 
 GEOM = VBeamGeometry.from_degrees(40, 1.2, 5, 7)
 MAT = MaterialModel(youngs_modulus_E=1800)
@@ -174,8 +174,8 @@ def batched_element(xi, xj, d, E, A, I):
     model = FrameModel(nodes=[xi, xj], elements=[(0, 1)], section=(E, A, I),
                        fixed=[[True, True, True], [False, False, False]],
                        drive=(1, UY, -1.0))
-    f, K, energy = _System(model)._elements(np.asarray(d)[None, :])
-    return f[0], K[0], energy[0]
+    f, K, local = _System(model)._elements(np.asarray(d)[None, :])
+    return f[0], K[0], _element_energy(*local)[0]
 
 
 def test_rigid_rotation_patch_test():
@@ -211,7 +211,8 @@ def test_element_linear_limit_matches_hermitian_stiffness():
     build_multibeam_assembly(make_config(), 8),
 ], ids=["vbeam", "multibeam"])
 def test_batched_assembly_matches_per_element_reference(model):
-    # seeded states from small to large rotations, point spring included
+    # seeded states from small to large rotations, point spring included;
+    # the strain energy is evaluated from the assembly by path_step
     system = _System(model)
     rng = np.random.default_rng(17)
     for scale in (1e-6, 1e-2, 0.3, 2.0):
@@ -221,7 +222,39 @@ def test_batched_assembly_matches_per_element_reference(model):
         for a, b in zip(got[:3], want[:3]):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-        assert got[3] == pytest.approx(want[3], rel=1e-12)
+        energy = system.path_step(0.0, u, got, 0, 0.0).strain_energy
+        assert energy == pytest.approx(want[3], rel=1e-12)
+
+
+def reversed_vbeam_mesh(model):
+    """The V-beam mesh with its node order reversed: clamped at the last
+    node and driven at node 0, so the drive is the first free freedom."""
+    last = model.n_nodes - 1
+    return FrameModel(nodes=model.nodes[::-1], elements=last - model.elements,
+                      section=model.section, fixed=model.fixed[::-1],
+                      drive=(last - model.drive[0], *model.drive[1:]))
+
+
+def test_drive_numbered_last_whatever_the_node_order():
+    model = build_vbeam_mesh(GEOM, 16, youngs_modulus_E=1800.0)
+    flipped = reversed_vbeam_mesh(model)
+    assert flipped.drive[0] == 0 and flipped.fixed[-1].all()
+    system = _System(flipped)
+    assert system.eq[flipped.drive[:2]] == system.n_eq - 1
+    a = solve_guided_sweep(model, 5.0, n_steps=50)
+    b = solve_guided_sweep(flipped, 5.0, n_steps=50)
+    assert [s.iterations for s in b.steps] == [s.iterations for s in a.steps]
+    assert [s.stable for s in b.steps] == [s.stable for s in a.steps]
+    assert np.allclose(b.reactions, a.reactions, rtol=1e-9, atol=0.0)
+    for sa, sb in zip(a.steps, b.steps):
+        assert sorted(sb.reactions) == [(0, UX), (0, UY), (0, ROT)]
+        for dof in (UX, UY, ROT):
+            assert sb.reactions[0, dof] == pytest.approx(
+                sa.reactions[16, dof], rel=1e-9,
+                abs=1e-9 * abs(sa.reaction))
+        assert np.allclose(sb.displacements[::-1], sa.displacements,
+                           rtol=1e-9, atol=1e-9 * np.abs(sa.displacements).max())
+        assert sb.strain_energy == pytest.approx(sa.strain_energy, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,22 @@ def test_grid_density_below_one_is_refused(name, count):
         grid_search(make_spec(), dict(DENSITY, **{name: count}))
 
 
+@pytest.mark.parametrize("density, named", [
+    (dict(DENSITY, length=2), "'length'"),
+    (dict(DENSITY, tilt_theta_deg=2), "'tilt_theta_deg'"),
+    ({"length": 0, "tilt_theta_deg": 2, "n_beams": 1},
+     "'length', 'tilt_theta_deg'"),
+], ids=["length", "tilt_theta_deg", "both"])
+def test_grid_density_refuses_unknown_keys(density, named, monkeypatch):
+    # these used to be ignored: "length" hid its zero density and the config
+    # spelling of the tilt fell back to the default 5 levels
+    rows = count_kernel_rows(monkeypatch)
+    with pytest.raises(ValidationError,
+                       match=f"unknown parameter\\(s\\) {named}; expected"):
+        grid_search(make_spec(), density)
+    assert rows == []
+
+
 def test_grid_worker_count_below_one_is_refused():
     with pytest.raises(ValidationError, match="n_workers must be at least 1"):
         grid_search(make_spec(), DENSITY, n_workers=0)
