@@ -85,8 +85,9 @@ def _cmd_grasper(args, config: RunConfig, out: Path) -> int:
     mech = config.mechanism
     top = min(mech.latch_travel, mech.jaw_calibration[-1][0])
     sweep = grasper_sweep(mech, uniform_travels(top, config.sweep.n_samples))
-    phases = [LatchPhase.STRESSED_LATCHED.value if latched
-              else LatchPhase.UNSTRESSED.value
+    latched_tag = LatchPhase.STRESSED_LATCHED.value
+    free_tag = LatchPhase.UNSTRESSED.value
+    phases = [latched_tag if latched else free_tag
               for latched in sweep.latched.tolist()]
     _write(args, out / "grasper.csv", GRASPER_CSV_HEADER, zip(
         sweep.ring.tolist(), sweep.ring_force.tolist(),

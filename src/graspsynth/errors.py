@@ -62,8 +62,17 @@ def check_positive(name: str, value) -> None:
 
 def check_non_negative(name: str, value) -> None:
     """Refuse a travel, or an array of travels, with a value that is
-    negative or not finite (NaN included)."""
-    values = np.asarray(value, dtype=float)
-    if not ((values >= 0.0) & (values < math.inf)).all():
+    negative or not finite (NaN included).
+
+    A Python float or int is compared directly, without the array round
+    trip (an int too large for a float raises OverflowError on both
+    paths); bool, numpy scalars and arrays take the array path.
+    """
+    if type(value) in (float, int):
+        ok = 0.0 <= float(value) < math.inf
+    else:
+        values = np.asarray(value, dtype=float)
+        ok = ((values >= 0.0) & (values < math.inf)).all()
+    if not ok:
         raise ValidationError(
             f"{name} must be non-negative: a value is negative or not finite")

@@ -1,0 +1,83 @@
+"""One sha256 over the CLI's CSV outputs on the bench inputs.
+
+    PYTHONPATH=src python3 tests/csv_digest.py [seed ...]
+
+For the bench inputs of the given seeds (301, 302 and 303 by default),
+generated by bench/workloads.generate, this runs, in process through
+cli.run_command:
+
+- ``design`` on every design input;
+- ``grasper --samples 500`` on every grasper input (the bench workload);
+- ``curve`` on every grasper and every verify input, and ``curve --samples
+  n_steps`` on every verify input (the sampling of verify's closed form).
+
+That is 1,008 outputs for the three default seeds.  The digest covers, per
+output and in a fixed order, the command's exit code and the bytes of every
+CSV it wrote.  Two trees print the same digest only if every one of these
+CSVs is byte-identical, so a change to a numerical kernel can show that the
+CSV contracts did not move.  Configs and outputs go to a temporary
+directory that is removed afterwards, and bytecode is not cached, so bench/
+stays untouched.  It is not a pytest module.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import struct
+import sys
+import tempfile
+from pathlib import Path
+
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import workloads  # noqa: E402
+
+from graspsynth.cli import run_command  # noqa: E402
+
+SEEDS = (301, 302, 303)
+
+
+def _runs(seed: int):
+    """(workload, input, extra CLI arguments) of every output of a seed."""
+    samples = ["--samples", str(workloads.GRASPER_SAMPLES)]
+    for inp in workloads.generate("design", seed):
+        yield "design", "design", inp, []
+    for inp in workloads.generate("grasper", seed):
+        yield "grasper", "grasper", inp, samples
+        yield "grasper", "curve", inp, []
+    for inp in workloads.generate("verify", seed):
+        yield "verify", "curve", inp, []
+        yield "verify", "curve", inp, [
+            "--samples", str(inp.config["fe"]["n_steps"])]
+
+
+def main(seeds) -> None:
+    digest = hashlib.sha256()
+    n_outputs = n_files = 0
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for seed in seeds:
+            for workload, command, inp, extra in _runs(seed):
+                out = root / f"out_{n_outputs:04d}"
+                config = root / f"{workload}_{seed}_{inp.index:03d}.json"
+                if not config.exists():
+                    config.write_text(json.dumps(inp.config), encoding="utf-8")
+                code = run_command([command, "--config", str(config),
+                                    "--out", str(out), "--quiet", *extra])
+                digest.update(struct.pack("<i", code))
+                codes[code] = codes.get(code, 0) + 1
+                for csv in sorted(out.glob("*.csv")):
+                    digest.update(csv.name.encode() + b"\0")
+                    digest.update(csv.read_bytes())
+                    n_files += 1
+                n_outputs += 1
+    exits = ", ".join(f"exit {c}: {n}" for c, n in sorted(codes.items()))
+    print(f"{digest.hexdigest()}  {n_outputs} outputs, {n_files} CSV files "
+          f"({exits})")
+
+
+if __name__ == "__main__":
+    main([int(s) for s in sys.argv[1:]] or SEEDS)

@@ -11,6 +11,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import graspsynth.beam
 from graspsynth import (BeamLoadState, Branch, ForceDisplacementCurve,
@@ -454,6 +456,46 @@ def test_kernel_accepts_every_state_of_the_domain():
                                           rng.uniform(0.0, 30.0))
         dys = np.append(rng.uniform(0.0, 15.0, 9), 0.0)
         assert np.all(np.isfinite(actuation_force(geom, MAT, dys)))
+
+
+def test_cube_is_the_array_power_on_positive_values():
+    # |x| ** 3 is the vector loop of x ** 3, so positive values keep its bits
+    x = np.geomspace(1e-100, 1e100, 613)
+    assert np.array_equal(graspsynth.beam._cube(x).view(np.int64),
+                          (x ** 3).view(np.int64))
+
+
+def test_cube_is_within_one_ulp_on_negative_values():
+    x = -np.geomspace(1e-100, 1e100, 613)
+    cube, power = graspsynth.beam._cube(x), x ** 3
+    assert np.all(cube < 0.0)
+    assert np.all(np.abs(cube - power) <= np.spacing(np.abs(power)))
+
+
+def test_cube_keeps_signed_zeros_nan_and_infinities():
+    x = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf])
+    cube = graspsynth.beam._cube(x)
+    assert np.array_equal(np.signbit(cube), [True, False, False, False, True])
+    assert np.array_equal(cube, x ** 3, equal_nan=True)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.floats(30.0, 50.0), st.floats(0.8, 1.6), st.floats(0.0, 10.0),
+       st.floats(1e-3, 5.0), st.integers(2, 60))
+def test_force_paths_agree_over_the_bench_envelope(caplog, L, T, tilt,
+                                                   travel, n):
+    # the bench's beam ranges: the curve and the pointwise force agree, and
+    # the closed-form root never leaves its residual bound
+    geom = VBeamGeometry.from_degrees(L, T, 5.0, tilt)
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="graspsynth.beam"):
+        curve = force_curve(geom, MAT, travel, n)
+        pointwise = actuation_force(geom, MAT, curve.delta_y)
+        last = actuation_force(geom, MAT, float(curve.delta_y[-1]))
+    np.testing.assert_allclose(pointwise, curve.force, rtol=1e-9, atol=0.0)
+    assert math.isclose(last, curve.force[-1], rel_tol=1e-9)
+    assert "closed-form cubic roots deviate" not in caplog.text
 
 
 def test_curve_validation():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import graspsynth
@@ -17,6 +18,7 @@ from graspsynth import (FESettings, LatchPhase, LatchState, MaterialModel,
                         VBeamGeometry, actuation_force, bistability_margin,
                         branch_loads, latch_step, normalize_deflection,
                         solve_vbeam_sweep)
+from graspsynth.errors import check_non_negative
 
 GEOM = VBeamGeometry.from_degrees(40, 1.2, 5, 7)
 MAT = MaterialModel(youngs_modulus_E=1800)
@@ -68,6 +70,26 @@ def test_library_refuses_nan_travels_and_non_integer_counts(call, match):
     # the cubic; the counts and the infinite tolerance used to be accepted
     with pytest.raises(ValidationError, match=match):
         call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -1,
+                                 np.float64(math.nan), np.float64(math.inf),
+                                 np.float64(-math.inf), np.float64(-1.0),
+                                 np.int64(-1)],
+                         ids=repr)
+def test_check_non_negative_refuses_python_and_numpy_scalars(bad):
+    # Python floats and ints skip the array path; numpy scalars take it,
+    # and both give the same refusal
+    with pytest.raises(ValidationError, match=(
+            "^travel must be non-negative: a value is negative or not "
+            "finite$")):
+        check_non_negative("travel", bad)
+
+
+@pytest.mark.parametrize("good", [0, 0.0, 3, 2.5, True, False,
+                                  np.float64(2.5), np.int64(3)], ids=repr)
+def test_check_non_negative_accepts_finite_travels(good):
+    check_non_negative("travel", good)
 
 
 def test_only_the_errors_module_imports_numbers():
