@@ -462,6 +462,7 @@ def actuation_force(geom: VBeamGeometry, mat: MaterialModel, delta_y):
     delta_y may be an array, in which case the force is an array of its
     shape.
     """
+    check_non_negative("delta_y", delta_y)
     dys = np.array(delta_y, dtype=float, ndmin=1)
     cols = _columns([geom])
     f_o, p_o, _ = _loads(cols, dys.ravel())

@@ -65,14 +65,17 @@ def check_non_negative(name: str, value) -> None:
     negative or not finite (NaN included).
 
     A Python float or int is compared directly, without the array round
-    trip (an int too large for a float raises OverflowError on both
-    paths); bool, numpy scalars and arrays take the array path.
+    trip; bool, numpy scalars and arrays take the array path.  An int too
+    large for a float is refused like an infinite value.
     """
-    if type(value) in (float, int):
-        ok = 0.0 <= float(value) < math.inf
-    else:
-        values = np.asarray(value, dtype=float)
-        ok = ((values >= 0.0) & (values < math.inf)).all()
+    try:
+        if type(value) in (float, int):
+            ok = 0.0 <= float(value) < math.inf
+        else:
+            values = np.asarray(value, dtype=float)
+            ok = ((values >= 0.0) & (values < math.inf)).all()
+    except OverflowError:
+        ok = False
     if not ok:
         raise ValidationError(
             f"{name} must be non-negative: a value is negative or not finite")

@@ -20,13 +20,12 @@ state of its last assembly.
 
 Equilibrium paths are traversed under displacement control with Newton
 iteration, on force_curve's uniform travel grid (beam.uniform_travels).  A
-step that fails to converge is bisected down to a floor and, failing that,
-handed to a spherical arc-length corrector, which gives up after a fixed
-number of increments; if everything fails a diagnostic error carries the
-partial path.  Newton returns each converged state as the PathStep of its
-last assembly, whose stable flag says whether the free-free tangent is
-positive definite (one Cholesky attempt); a step that is not lies on an
-unstable branch, which the sweep reports but does not correct.
+step that fails to converge is bisected down to a floor; if Newton fails
+there too, a ConvergenceError carries the partial path.  Newton returns
+each converged state as the PathStep of its last assembly, whose stable
+flag says whether the free-free tangent is positive definite (one Cholesky
+attempt); a step that is not lies on an unstable branch, which the sweep
+reports but does not correct.
 
 A solver run mutates only local state; independent solves may run
 concurrently.
@@ -56,10 +55,6 @@ DEFAULT_MAX_ITERS = 25
 DEFAULT_STEPS = 100
 DEFAULT_ASSEMBLY_STEPS = 20
 BISECTION_FLOOR_DIV = 4096
-# Nominal increments of the arc-length fallback, and the most it takes
-# before giving up.  Ranges that converge take up to ~60 increments.
-ARC_SUBSTEPS = 8
-ARC_MAX_SUBSTEPS = 128
 # turns a chord direction (c, s), reversed to (s, c), into its normal (-s, c)
 _TURN = np.array([-1.0, 1.0])
 
@@ -312,65 +307,6 @@ def _newton(system: _System, u_eq, control, tol, max_iters):
     return None
 
 
-def _arc_length(system: _System, u_eq, control_from, control_to, tol,
-                max_iters):
-    """Spherical arc-length continuation forward to control_to > control_from.
-
-    The control parameter joins the unknowns; each of the nominally
-    ARC_SUBSTEPS increments is constrained to a fixed generalized length and
-    corrected with Newton iterations.  The control can advance by less than
-    the nominal increment, or move back, so the continuation gives up after
-    ARC_MAX_SUBSTEPS increments.  Returns _newton's result at control_to, or
-    None.
-    """
-    u = u_eq.copy()
-    lam = control_from
-    amp = system.amp
-    dlam_target = (control_to - control_from) / ARC_SUBSTEPS
-    psi2 = amp ** 2
-
-    substeps = 0
-    while control_to - lam > 1e-12 * control_to:
-        substeps += 1
-        if substeps > ARC_MAX_SUBSTEPS:
-            return None
-        dlam = min(dlam_target, control_to - lam)
-        # the increment length, fixed by the first predictor of the substep
-        arc2 = psi2 * dlam ** 2
-        du_f = np.zeros(system.n_eq - 1)
-        for _ in range(max_iters):
-            u_cur = u.copy()
-            u_cur[:-1] += du_f
-            u_cur[-1] = (lam + dlam) * amp
-            _, r_eq, J, _ = system.assemble(u_cur)
-            r = r_eq[:-1]
-            a_res = float(du_f @ du_f) + psi2 * dlam ** 2 - arc2
-            if (math.sqrt(r @ r) < tol
-                    and abs(a_res) <= 1e-10 * max(arc2, 1e-30)):
-                break
-            # the tangent with its drive column scaled to the load derivative
-            # and its drive row replaced by the arc gradient
-            J[:-1, -1] *= amp
-            J[-1, :-1] = 2.0 * du_f
-            J[-1, -1] = 2.0 * psi2 * dlam
-            rhs = np.append(-r, -a_res)
-            try:
-                sol = np.linalg.solve(J, rhs)
-            except np.linalg.LinAlgError:
-                return None
-            du_f += sol[:-1]
-            dlam += sol[-1]
-        else:
-            return None
-        lam = lam + dlam
-        u[:-1] += du_f
-        u[-1] = lam * amp
-        if abs(lam - control_to) <= 1e-9 * max(1.0, abs(control_to)):
-            break
-    # land exactly on the requested control with a plain Newton polish
-    return _newton(system, u, control_to, tol, max_iters)
-
-
 def solve_guided_sweep(model: FrameModel, travel_max: float,
                        n_steps: int = DEFAULT_STEPS,
                        tol: float = DEFAULT_TOLERANCE,
@@ -378,8 +314,8 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
     """Displacement-controlled sweep of the model's drive up to travel_max.
 
     Steps to the n_steps travels of beam.uniform_travels and records the
-    reactions per step.  Failed steps are bisected down to travel_max / 4096
-    and then retried with the arc-length corrector; if that also fails a
+    reactions per step.  A step whose Newton iteration fails is halved and
+    retried, down to travel_max / 4096; if that also fails a
     ConvergenceError carries the partial path and the last converged step.
     A negative or non-finite travel_max, a tol that is not positive and
     finite, or an n_steps or max_iters that is not an integer of at least 1
@@ -402,24 +338,16 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
     control = 0.0
     for target in targets:
         while control < target - 1e-12 * travel_max:
-            step = attempt = target - control
-            while True:
-                converged = _newton(system, u, control + attempt, tol,
-                                    max_iters)
-                if converged is not None:
-                    break
+            attempt = target - control
+            while (converged := _newton(system, u, control + attempt, tol,
+                                        max_iters)) is None:
                 attempt /= 2.0
                 if attempt < floor:
-                    converged = _arc_length(system, u, control,
-                                            control + step, tol, max_iters)
-                    if converged is None:
-                        raise ConvergenceError(
-                            f"no equilibrium between control {control:.6g} "
-                            f"and {control + step:.6g} mm after bisection "
-                            f"and arc-length fallback",
-                            last_step=path.last, path=path)
-                    attempt = step
-                    break
+                    raise ConvergenceError(
+                        f"no equilibrium between control {control:.6g} and "
+                        f"{target:.6g} mm: Newton fails at every step down "
+                        f"to the bisection floor {floor:.6g} mm",
+                        last_step=path.last, path=path)
             u, state = converged
             control += attempt
         path.steps.append(state if state.control == target

@@ -4,7 +4,8 @@
 
 For every verify input of the given seeds (301, 302 and 303 by default),
 generated by bench/workloads.generate, this runs the single-beam sweep and
-the tied assembly that the verify workload runs, and hashes every PathStep
+the multi-beam assembly (its beams condensed into one) that the verify
+workload runs, and hashes every PathStep
 field (control, displacements, reactions, reaction, Newton iterations,
 residual, strain energy, stable) and every (shuttle, reaction) tuple of
 solve_multibeam_assembly.  Two trees print the same digest only if their

@@ -163,27 +163,24 @@ def test_criterion_08_latch_state_machine_exhaustive():
     events = [PressTrigger(), PullRing(0.0), PullRing(4.0), PullRing(7.99),
               PullRing(8.0), PullRing(11.0)]
     travel = 8.0
+    U, S = LatchPhase.UNSTRESSED, LatchPhase.STRESSED_LATCHED
     checked = 0
-    ok = True
     for length in range(1, 7):
         for seq in itertools.product(events, repeat=length):
-            state = LatchState(LatchPhase.UNSTRESSED, 0.0)
+            state = LatchState(U, 0.0)
             for ev in seq:
                 prev = state
                 state = latch_step(state, ev, travel)
-                ok &= state.phase in (LatchPhase.UNSTRESSED,
-                                      LatchPhase.STRESSED_LATCHED)
-                if state.phase is LatchPhase.STRESSED_LATCHED:
-                    ok &= state.ring_displacement >= travel
-                if (isinstance(ev, PullRing)
-                        and prev.phase is LatchPhase.UNSTRESSED):
-                    ok &= state.phase is (
-                        LatchPhase.STRESSED_LATCHED if ev.d >= travel
-                        else LatchPhase.UNSTRESSED)
-                if (isinstance(ev, PressTrigger)
-                        and prev.phase is LatchPhase.UNSTRESSED):
-                    ok &= state == prev
+                assert state.phase in (U, S), seq
+                if state.phase is S:
+                    assert state.ring_displacement >= travel, seq
+                if isinstance(ev, PullRing) and prev.phase is U:
+                    assert state.phase is (S if ev.d >= travel else U), seq
+                if isinstance(ev, PressTrigger) and prev.phase is U:
+                    assert state == prev, seq
             checked += 1
+    # every sequence of the six events, of each length 1..6, was walked
+    ok = checked == sum(len(events) ** n for n in range(1, 7))
     assert report(
         8, ok,
         f"{checked} event sequences up to length 6: two phases only, "

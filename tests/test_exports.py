@@ -86,6 +86,24 @@ def test_check_non_negative_refuses_python_and_numpy_scalars(bad):
         check_non_negative("travel", bad)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: check_non_negative("delta_y", 10 ** 400),
+    lambda: check_non_negative("delta_y", [1.0, 10 ** 400]),
+    lambda: normalize_deflection(GEOM, 10 ** 400),
+    lambda: bistability_margin(GEOM, 10 ** 400),
+    lambda: actuation_force(GEOM, MAT, 10 ** 400),
+    lambda: actuation_force(GEOM, MAT, [1.0, 10 ** 400]),
+], ids=["check", "check-list", "normalize", "margin", "force",
+        "force-list"])
+def test_travel_too_large_for_a_float_is_refused(call):
+    # such an int used to escape as a bare OverflowError ("int too large
+    # to convert to float"), which no CLI handler maps to an exit code
+    with pytest.raises(ValidationError, match=(
+            "^delta_y must be non-negative: a value is negative or not "
+            "finite$")):
+        call()
+
+
 @pytest.mark.parametrize("good", [0, 0.0, 3, 2.5, True, False,
                                   np.float64(2.5), np.int64(3)], ids=repr)
 def test_check_non_negative_accepts_finite_travels(good):

@@ -17,7 +17,7 @@ from graspsynth import (CantileverSection, ConvergenceError, FrameModel,
 from graspsynth.beam import uniform_travels
 from graspsynth.fe import solver
 from graspsynth.fe.model import ROT, UX, UY
-from graspsynth.fe.solver import (EquilibriumPath, PathStep, _arc_length,
+from graspsynth.fe.solver import (EquilibriumPath, PathStep,
                                    _element_energy, _newton, _System)
 
 GEOM = VBeamGeometry.from_degrees(40, 1.2, 5, 7)
@@ -364,42 +364,50 @@ def test_steps_report_stability_of_the_converged_tangent():
     assert all(s.stable for s in path.steps if s.control < first.control)
 
 
-def test_arc_length_reproduces_newton_path():
-    model = build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0)
-    system = _System(model)
-    u0 = np.zeros(system.n_eq)
-    newton_u, newton_step = _newton(system, u0, 1.0, 1e-10, 25)
-    arc = _arc_length(system, u0, 0.0, 1.0, 1e-10, 25)
-    assert arc is not None
-    arc_u, arc_step = arc
-    assert np.allclose(arc_u, newton_u, atol=1e-8)
-    assert arc_step.control == 1.0
-    assert np.array_equal(arc_step.displacements, system.expand(arc_u))
-    assert arc_step.residual < 1e-10
-    assert arc_step.reaction == pytest.approx(newton_step.reaction, rel=1e-6)
-
-
-def test_arc_length_gives_up_within_its_substep_budget(monkeypatch):
-    # On this beam (a verify input) the fallback's control wanders between
-    # about 0.07 and 0.65 mm and never reaches 1 mm; it must give up rather
-    # than loop.  The bound sits above 128 increments of 25 iterations.
-    geom = VBeamGeometry.from_degrees(45.6372, 1.0602, 4.3125, 9.7371)
-    system = _System(build_vbeam_mesh(geom, 8, youngs_modulus_E=1800.0))
-    assemble, calls = _System.assemble, []
-
-    def counted(self, u):
-        calls.append(None)
-        if len(calls) > 4000:
-            raise AssertionError("the arc-length fallback does not give up")
-        return assemble(self, u)
-
-    monkeypatch.setattr(_System, "assemble", counted)
-    assert _arc_length(system, np.zeros(system.n_eq), 0.0, 1.0, 1e-8, 25) is None
-
-
 def _step_fields(s):
     return (s.control, s.displacements.tobytes(), s.reactions, s.reaction,
             s.iterations, s.residual, s.strain_energy, s.stable)
+
+
+def test_sweep_raises_after_one_bisection_ladder(monkeypatch):
+    # Newton fails at every control from the step after 1.2 mm on.  The
+    # 0.3 mm step to 1.5 mm is tried at 0.3 / 2**k mm for k = 0..8, since
+    # 0.3 / 2**9 is below the 3 / 4096 mm floor, and then the sweep raises
+    # with no other attempt and no assembly outside Newton.
+    converged, failed, inside, outside = [], [], [False], [0]
+
+    def flaky(system, u_eq, control, tol, max_iters):
+        if failed or control > 1.25:
+            failed.append(control)
+            return None
+        inside[0] = True
+        result = _newton(system, u_eq, control, tol, max_iters)
+        inside[0] = False
+        converged.append(result[1])
+        return result
+
+    assemble = _System.assemble
+
+    def counted(self, u_eq):
+        if not inside[0]:
+            outside[0] += 1
+        return assemble(self, u_eq)
+
+    monkeypatch.setattr(solver, "_newton", flaky)
+    monkeypatch.setattr(_System, "assemble", counted)
+    model = build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0)
+    with pytest.raises(ConvergenceError, match="bisection floor") as info:
+        solve_guided_sweep(model, 3.0, n_steps=10)
+    assert len(failed) == 9
+    assert failed[0] == pytest.approx(1.5)
+    assert failed[-1] == pytest.approx(1.2 + 0.3 / 2 ** 8)
+    assert outside[0] == 0
+    err = info.value
+    last = err.path.last
+    assert err.last_step is last
+    assert last.control == uniform_travels(3.0, 10)[3]
+    assert (_step_fields(replace(converged[-1], control=last.control))
+            == _step_fields(last))
 
 
 @pytest.mark.parametrize("max_iters", [25, 6], ids=["plain", "bisecting"])

@@ -1,6 +1,5 @@
 """Tests for the whole-grasper mechanism layer."""
 
-import itertools
 import math
 
 import numpy as np
@@ -282,27 +281,6 @@ def test_latch_pull_while_latched_keeps_at_least_travel():
 def test_latch_rejects_negative_pull():
     with pytest.raises(ValidationError):
         latch_step(LatchState(U, 0.0), PullRing(-1.0), 8.0)
-
-
-def test_latch_exhaustive_sequences():
-    """Every event sequence up to length 6 obeys the two-phase contract."""
-    events = [PressTrigger(), PullRing(0.0), PullRing(4.0), PullRing(7.99),
-              PullRing(8.0), PullRing(11.0)]
-    travel = 8.0
-    for length in range(1, 7):
-        for seq in itertools.product(events, repeat=length):
-            state = LatchState(U, 0.0)
-            for ev in seq:
-                prev = state
-                state = latch_step(state, ev, travel)
-                assert state.phase in (U, S)
-                if state.phase is S:
-                    assert state.ring_displacement >= travel
-                if isinstance(ev, PullRing) and prev.phase is U:
-                    expect = S if ev.d >= travel else U
-                    assert state.phase is expect
-                if isinstance(ev, PressTrigger) and prev.phase is U:
-                    assert state == prev
 
 
 # ---------------------------------------------------------------------------
