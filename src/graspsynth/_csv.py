@@ -3,14 +3,14 @@ first, LF line endings, strings verbatim, numbers to 9 significant digits."""
 
 from typing import Iterable, Sequence
 
-NUMBER = "{:.9g}"
+NUMBER = "%.9g"
 
 
 def write_csv(destination, header: str, rows: Iterable[Sequence]) -> None:
     """Write header and rows; the first row's field types fix every row's."""
     rows = list(rows)
-    template = ",".join("{}" if isinstance(field, str) else NUMBER
+    template = ",".join("%s" if isinstance(field, str) else NUMBER
                         for field in (rows[0] if rows else ()))
-    lines = [header] + [template.format(*row) for row in rows]
+    lines = [header] + [template % tuple(row) for row in rows]
     with open(destination, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage, 2 configuration error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import sys
 from dataclasses import replace
@@ -23,7 +24,7 @@ from .errors import ConfigError, NumericalError, ValidationError
 from .fe import compare_curves, solve_vbeam_sweep, sweep_to_curve, write_path_csv
 from .mechanism import (LatchPhase, aggregate_ring_force, grasper_sweep,
                         halved_ring_force)
-from .search import grid_search, refine, write_candidates_csv
+from .search import Candidate, grid_search, refine, write_candidates_csv
 
 CURVE_CSV_HEADER = "delta_y_mm,branch,f_o,p_o,force_single_N,force_ring_N"
 D1_CSV_HEADER = "delta_y_mm,d1,satisfied"
@@ -105,9 +106,8 @@ def _cmd_design(args, config: RunConfig, out: Path) -> int:
         best = refine(config.design.spec, ranked[0],
                       config.design.refine_max_evals)
         # one row per design point: the refined candidate replaces its twin
-        merged = {c.point: c for c in ranked}
-        merged[best.point] = best
-        ranked = sorted(merged.values(), key=lambda c: c.sort_key())
+        ranked = [c for c in ranked if c.point != best.point]
+        bisect.insort(ranked, best, key=Candidate.sort_key)
     dest = out / "design_candidates.csv"
     write_candidates_csv(ranked, dest)
     _say(args, f"wrote {dest}")

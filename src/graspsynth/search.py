@@ -13,13 +13,23 @@ slack BOUNDS_TOL.  The spec refuses an n_beams lower bound below 1, so every
 in-bounds beam count is at least 1.  A grid_density entry that is missing
 means DEFAULT_GRID_DENSITY levels.
 
-The closed-form curve does not depend on the beam count, so a geometry is
-screened once for all its beam counts, and only by _screen, which runs the
+Work that depends only on the geometry is done once per geometry, and work
+that depends on the point once per point.  Per geometry: _screen runs the
 geometries its cache lacks through the load kernel in blocks, one pass per
-block.  A refine poll's outcome does not depend on the polls beside it, so
-whenever a sweep starts or its center moves, refine screens every geometry
-the rest of that sweep would poll from the center in one call, then scores
-the polls one at a time in the sequential order.
+block, for the peak force and stress that every beam count shares; the
+stress, length and bistable_at_travel violations come from _violations,
+which grid_search calls once per geometry; and refine builds each geometry
+it polls once per call.  Per point: the ring peak, the objective and the
+ranking key, of which refine keeps the best candidate's rather than
+recomputing it per poll.  A refine poll's outcome does not depend on the
+polls beside it, so whenever a sweep starts or its center moves, refine
+screens every geometry the rest of that sweep would poll from the center in
+one call, then scores the polls one at a time in the sequential order.
+
+The bound invariant: every refine center lies inside the bounds, since
+refine checks its start and every later center is a poll that passed the
+bounds check.  A poll moves one coordinate of its center, so its bounds
+check looks at that coordinate alone.
 """
 
 from __future__ import annotations
@@ -166,7 +176,10 @@ def _screen(spec: DesignSpec, geoms: Sequence[VBeamGeometry],
     go through the load kernel in blocks of at most BLOCK_SAMPLES samples,
     one pass per block, whose rows are stored as the pass returns.  The
     stress is the beam-root bending screen: the transverse end load F_o
-    over half the length.
+    over half the length.  Each step from |F_o| to the stress multiplies
+    or divides by a positive per-geometry constant, and IEEE rounding keeps
+    such a step monotone, so scaling a row's peak |F_o| gives the peak of
+    the scaled row bit for bit.
     """
     mat, n = spec.material, spec.sweep_samples
     per_block = max(1, BLOCK_SAMPLES // n)
@@ -176,22 +189,18 @@ def _screen(spec: DesignSpec, geoms: Sequence[VBeamGeometry],
         _, force, f_o, _, _ = _force_rows(block, mat, spec.target_travel, n)
         end_load_scale, length, section = np.array(
             [(4.0 * mat.youngs_modulus_E * g.second_moment / g.length_L ** 2,
-              g.length_L, g.width_W * g.thickness_T ** 2) for g in block]
-        ).T[:, :, None]
-        moment = np.abs(f_o) * end_load_scale * length / 2.0
+              g.length_L, g.width_W * g.thickness_T ** 2) for g in block]).T
+        moment = np.abs(f_o).max(axis=1) * end_load_scale * length / 2.0
         stress = 6.0 * moment / section
         screened.update(zip(block, zip(force.max(axis=1).tolist(),
-                                       stress.max(axis=1).tolist())))
+                                       stress.tolist())))
     return [screened[g] for g in geoms]
 
 
-def _candidate(spec: DesignSpec, geom: VBeamGeometry, n_beams: int,
-               force_max: float, stress: float) -> Candidate:
-    """Score a design point from its geometry's _screen row."""
-    # the ring scaling is monotone, so it maps the curve's peak to the ring's
-    peak = halved_ring_force(force_max, n_beams)
-    objective = abs(peak - spec.target_force) / spec.target_force
-
+def _violations(spec: DesignSpec, geom: VBeamGeometry,
+                stress: float) -> Tuple[Tuple[str, float], ...]:
+    """The constraint violations of a geometry whose _screen row has this
+    stress; none depends on the beam count."""
     violations: List[Tuple[str, float]] = []
     if stress > spec.stress_limit:
         violations.append(("stress", stress - spec.stress_limit))
@@ -205,9 +214,19 @@ def _candidate(spec: DesignSpec, geom: VBeamGeometry, n_beams: int,
         d1, satisfied = bistability_margin(geom, spec.target_travel)
         if satisfied:
             violations.append(("bistable_at_travel", d1))
+    return tuple(violations)
 
+
+def _candidate(spec: DesignSpec, geom: VBeamGeometry, n_beams: int,
+               force_max: float,
+               violations: Tuple[Tuple[str, float], ...]) -> Candidate:
+    """Score a design point from its geometry's _screen peak force and
+    _violations."""
+    # the ring scaling is monotone, so it maps the curve's peak to the ring's
+    peak = halved_ring_force(force_max, n_beams)
+    objective = abs(peak - spec.target_force) / spec.target_force
     return Candidate(geometry=geom, n_beams=n_beams, objective=objective,
-                     violations=tuple(violations), peak_force=peak)
+                     violations=violations, peak_force=peak)
 
 
 def _require_in_bounds(spec: DesignSpec, point) -> None:
@@ -218,22 +237,15 @@ def _require_in_bounds(spec: DesignSpec, point) -> None:
                 f"{name}={v:g} lies outside the search bounds [{lo:g}, {hi:g}]")
 
 
-def _evaluate(spec: DesignSpec, point,
-              screened: Dict[VBeamGeometry, Tuple[float, float]]) -> Candidate:
-    """Score an in-bounds design point; screened caches _screen rows by
-    geometry."""
-    geom = VBeamGeometry(*point[:4])
-    [row] = _screen(spec, [geom], screened)
-    return _candidate(spec, geom, point[4], *row)
-
-
 def evaluate_candidate(spec: DesignSpec, geom: VBeamGeometry,
                        n_beams: int) -> Candidate:
     """Score one design point against the spec."""
     point = (geom.length_L, geom.thickness_T, geom.width_W, geom.tilt_theta,
              n_beams)
     _require_in_bounds(spec, point)
-    return _evaluate(spec, point, {})
+    [(force_max, stress)] = _screen(spec, [geom], {})
+    return _candidate(spec, geom, n_beams, force_max,
+                      _violations(spec, geom, stress))
 
 
 def _grid_axis(lo: float, hi: float, count: int) -> np.ndarray:
@@ -251,11 +263,13 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
     force and stress then score every beam count.  Feasible candidates rank
     by objective, then infeasible ones by total violation; equal keys are
     ordered lexicographically on (L, T, theta, W, n_beams), so the ranking
-    is a deterministic total order.  A parameter missing from grid_density
-    gets DEFAULT_GRID_DENSITY levels; a key outside PARAM_NAMES, a density
-    that is not an integer of at least 1 and a grid above GRID_CAP points
-    are refused before the first kernel pass.  n_workers must be an integer of at least 1 and has
-    no effect: the grid is evaluated in one thread.
+    is a deterministic total order.  Levels that round to one value count
+    once, so the candidates are distinct design points.  A parameter
+    missing from grid_density gets DEFAULT_GRID_DENSITY levels; a key
+    outside PARAM_NAMES, a density that is not an integer of at least 1 and
+    a grid above GRID_CAP points are refused before the first kernel pass.
+    n_workers must be an integer of at least 1 and has no effect: the grid
+    is evaluated in one thread.
     """
     check_count("n_workers", n_workers, 1)
     unknown = sorted(set(grid_density) - set(PARAM_NAMES), key=str)
@@ -273,7 +287,8 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
             levels = sorted({int(round(v)) for v in raw})
             axes[name] = [n for n in levels if _in_bounds(spec, name, n)]
         else:
-            axes[name] = list(_grid_axis(lo, hi, count))
+            # levels closer than the float spacing round together: keep one
+            axes[name] = list(dict.fromkeys(_grid_axis(lo, hi, count)))
 
     total = math.prod(len(vals) for vals in axes.values())
     if total > GRID_CAP:
@@ -287,20 +302,26 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
     geoms = [VBeamGeometry(*dims)
              for dims in product(*(axes[name] for name in PARAM_NAMES[:4]))]
     levels = axes["n_beams"]
-    candidates = [_candidate(spec, geom, n, *row)
-                  for geom, row in zip(geoms, _screen(spec, geoms, {}))
-                  for n in levels]
+    candidates = []
+    for geom, (force_max, stress) in zip(geoms, _screen(spec, geoms, {})):
+        violations = _violations(spec, geom, stress)
+        candidates.extend(_candidate(spec, geom, n, force_max, violations)
+                          for n in levels)
     return sorted(candidates, key=Candidate.sort_key)
 
 
 def _polls(spec: DesignSpec, center, axes) -> Dict[int, list]:
-    """The in-bounds polls center -/+ step along each (axis, step), by axis."""
+    """The in-bounds polls center -/+ step along each (axis, step), by axis.
+
+    center must lie inside the bounds, as every refine center does, so only
+    the moved coordinate is checked.
+    """
     polls = {}
     for i, step in axes:
-        trials = [(*center[:i], center[i] + delta, *center[i + 1:])
-                  for delta in (-step, step)]
-        polls[i] = [trial for trial in trials if all(
-            _in_bounds(spec, name, v) for name, v in zip(PARAM_NAMES, trial))]
+        name, head, tail = PARAM_NAMES[i], center[:i], center[i + 1:]
+        polls[i] = [(*head, v, *tail)
+                    for v in (center[i] - step, center[i] + step)
+                    if _in_bounds(spec, name, v)]
     return polls
 
 
@@ -312,7 +333,8 @@ def refine(spec: DesignSpec, start: Candidate,
     (L, T, W, theta) with step halving on a failed full poll; the beam count
     is polled to its integer neighbors.  A poll outside the bounds is
     skipped and not counted; every other poll counts against max_evals,
-    but a geometry is screened once per call, whatever its beam counts.
+    but a geometry is built and screened once per call, whatever its beam
+    counts.  The start must lie inside the bounds, so every center does.
     Exhausting max_evals returns the best point found so far flagged as
     exhausted.  A max_evals that is not an integer of at least 0 is refused.
 
@@ -330,8 +352,16 @@ def refine(spec: DesignSpec, start: Candidate,
              for name in PARAM_NAMES[:4]]
     steps = [span / 8.0 for span in spans]
     min_steps = [max(span * 1e-4, 1e-12) for span in spans]
-    best, evals = start, 0
+    best, best_key, evals = start, start.sort_key(), 0
     screened: Dict[VBeamGeometry, Tuple[float, float]] = {}
+    built = {start.point[:4]: start.geometry}
+
+    def geometry(point) -> VBeamGeometry:
+        """The poll's geometry, built on its first poll in this call."""
+        geom = built.get(point[:4])
+        if geom is None:
+            geom = built[point[:4]] = VBeamGeometry(*point[:4])
+        return geom
 
     while evals < max_evals:
         improved = False
@@ -347,16 +377,22 @@ def refine(spec: DesignSpec, start: Candidate,
                 # these polls are made only if the center holds, and a poll
                 # that cannot be built or screened raises when it is made
                 try:
-                    _screen(spec, [VBeamGeometry(*p[:4]) for p in ahead],
-                            screened)
+                    _screen(spec, [geometry(p) for p in ahead], screened)
                 except (ValidationError, NumericalError):
                     pass
             for trial in polls[i]:
                 if evals < max_evals:
                     evals += 1
-                    cand = _evaluate(spec, trial, screened)
-                    if cand.sort_key() < best.sort_key():
-                        best, improved = cand, True
+                    geom = geometry(trial)
+                    row = screened.get(geom)
+                    if row is None:
+                        [row] = _screen(spec, [geom], screened)
+                    force_max, stress = row
+                    cand = _candidate(spec, geom, trial[4], force_max,
+                                      _violations(spec, geom, stress))
+                    key = cand.sort_key()
+                    if key < best_key:
+                        best, best_key, improved = cand, key, True
         if not improved:
             steps = [step / 2.0 for step in steps]
             if all(step < low for step, low in zip(steps, min_steps)):
@@ -369,5 +405,5 @@ def write_candidates_csv(candidates: Sequence[Candidate], destination) -> None:
     write_csv(destination, CANDIDATES_CSV_HEADER, (
         (rank, *c.point[:3], math.degrees(c.point[3]), c.n_beams,
          c.peak_force, c.objective,
-         ";".join(f"{name}={NUMBER.format(mag)}" for name, mag in c.violations))
+         ";".join(f"{name}={NUMBER % mag}" for name, mag in c.violations))
         for rank, c in enumerate(candidates, start=1)))

@@ -15,9 +15,11 @@ That is 1,008 outputs for the three default seeds.  The digest covers, per
 output and in a fixed order, the command's exit code and the bytes of every
 CSV it wrote.  Two trees print the same digest only if every one of these
 CSVs is byte-identical, so a change to a numerical kernel can show that the
-CSV contracts did not move.  Configs and outputs go to a temporary
-directory that is removed afterwards, and bytecode is not cached, so bench/
-stays untouched.  It is not a pytest module.
+CSV contracts did not move.  Under that total, one line per command gives
+the digest of that command's outputs alone, in the same order, so a moved
+total shows which command's CSVs moved.  Configs and outputs go to a
+temporary directory that is removed afterwards, and bytecode is not cached,
+so bench/ stays untouched.  It is not a pytest module.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ def _runs(seed: int):
 
 def main(seeds) -> None:
     digest = hashlib.sha256()
+    by_command, per_command = {}, {}
     n_outputs = n_files = 0
     codes = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -67,16 +70,22 @@ def main(seeds) -> None:
                     config.write_text(json.dumps(inp.config), encoding="utf-8")
                 code = run_command([command, "--config", str(config),
                                     "--out", str(out), "--quiet", *extra])
-                digest.update(struct.pack("<i", code))
+                own = by_command.setdefault(command, hashlib.sha256())
+                per_command[command] = per_command.get(command, 0) + 1
+                chunks = [struct.pack("<i", code)]
                 codes[code] = codes.get(code, 0) + 1
                 for csv in sorted(out.glob("*.csv")):
-                    digest.update(csv.name.encode() + b"\0")
-                    digest.update(csv.read_bytes())
+                    chunks += [csv.name.encode() + b"\0", csv.read_bytes()]
                     n_files += 1
+                for chunk in chunks:
+                    digest.update(chunk)
+                    own.update(chunk)
                 n_outputs += 1
     exits = ", ".join(f"exit {c}: {n}" for c, n in sorted(codes.items()))
     print(f"{digest.hexdigest()}  {n_outputs} outputs, {n_files} CSV files "
           f"({exits})")
+    for command, own in by_command.items():
+        print(f"{own.hexdigest()}  {per_command[command]} {command} outputs")
 
 
 if __name__ == "__main__":

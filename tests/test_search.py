@@ -285,6 +285,31 @@ def test_grid_matches_per_point_scoring(overrides, kinds, feasibility,
     assert {c.feasible for c in ranked} == feasibility
 
 
+def test_grid_checks_each_geometry_once(monkeypatch):
+    # the violations depend on the geometry alone: every beam count of a
+    # geometry shares one bistability check
+    spec = make_spec(require_non_bistable_at_travel=True)
+    margin, checked = search.bistability_margin, []
+
+    def counted(geom, travel):
+        checked.append(geom)
+        return margin(geom, travel)
+
+    monkeypatch.setattr(search, "bistability_margin", counted)
+    ranked = grid_search(spec, DENSITY)
+    assert len(ranked) == 3 * len(checked) == 243
+    assert set(checked) == {c.geometry for c in ranked}
+
+
+def test_grid_levels_that_round_together_count_once():
+    # five levels over a span below two float spacings hold two values
+    spec = make_spec(bounds={**BOUNDS, "length_L": (36.0, 36.0 + 1e-14)},
+                     sweep_samples=20)
+    ranked = grid_search(spec, dict(DENSITY, length_L=5))
+    assert len({c.geometry.length_L for c in ranked}) == 2
+    assert len({c.point for c in ranked}) == len(ranked) == 2 * 27 * 3
+
+
 def test_grid_failing_row_raises_like_per_point_scoring():
     # near rest the cubic's discriminant loses its digits on some rows only
     spec = make_spec(target_travel=4e-7, sweep_samples=2,
@@ -532,6 +557,25 @@ def test_refine_screens_each_geometry_once(budget, monkeypatch):
         assert 3 * len(passes) <= len(set(visited))
 
 
+@pytest.mark.parametrize("budget", [5, 100])
+def test_refine_builds_each_geometry_once(budget, monkeypatch):
+    # the look-ahead and the scoring share a poll's geometry, and the beam
+    # count polls share their center's
+    spec = make_spec()
+    start = evaluate_candidate(spec, TABLE1, 12)
+    expected, visited = reference_refine(spec, start, budget)
+    build, built = search.VBeamGeometry, []
+
+    def counted(*dims):
+        built.append(dims)
+        return build(*dims)
+
+    monkeypatch.setattr(search, "VBeamGeometry", counted)
+    assert refine(spec, start, max_evals=budget) == expected
+    assert len(built) == len(set(built))
+    assert set(visited) - {start.geometry} <= {build(*d) for d in built}
+
+
 def test_refine_failing_lookahead_raises_like_sequential_search(monkeypatch):
     # the near-rest spec of the grid test, where some rows raise: a batch
     # holding such a row fails, yet refine raises only when the sequential
@@ -621,6 +665,39 @@ def test_refine_with_an_unbuildable_lookahead_matches_sequential_search(
     monkeypatch.setattr(search, "VBeamGeometry", unbuildable)
     assert refine(spec, start, budget) == expected
     assert refused
+
+
+def on_or_inside(lo, hi):
+    """Floats in [lo, hi], the bounds themselves, and the bounds moved out
+    by up to the bounds slack."""
+    tol = search.BOUNDS_TOL
+    return st.floats(lo, hi) | st.sampled_from(
+        (lo, hi, lo - tol, hi + tol, lo - tol / 2.0, hi + tol / 2.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.tuples(*(on_or_inside(*BOUNDS[name])
+                   for name in search.PARAM_NAMES[:4]),
+                 st.integers(*BOUNDS["n_beams"])),
+       st.lists(st.floats(0.0, 1.5) | st.sampled_from((0.0, 0.5, 1.0)),
+                min_size=4, max_size=4),
+       st.integers(0, 4))
+def test_polls_equal_the_five_bound_filter(center, fractions, first):
+    # a center inside the bounds, up to their slack, needs no check of the
+    # coordinates a poll keeps
+    spec, tol = make_spec(), search.BOUNDS_TOL
+    steps = [f * (BOUNDS[name][1] - BOUNDS[name][0])
+             for f, name in zip(fractions, search.PARAM_NAMES)]
+    axes = [(i, step) for i, step in enumerate((*steps, 1)) if step > 0]
+    axes = axes[min(first, len(axes) - 1):]
+    expected = {}
+    for i, step in axes:
+        trials = [(*center[:i], center[i] + delta, *center[i + 1:])
+                  for delta in (-step, step)]
+        expected[i] = [trial for trial in trials if all(
+            BOUNDS[name][0] - tol <= v <= BOUNDS[name][1] + tol
+            for name, v in zip(search.PARAM_NAMES, trial))]
+    assert search._polls(spec, center, axes) == expected
 
 
 @settings(derandomize=True, deadline=None, max_examples=10)
