@@ -32,13 +32,16 @@ def compare_curves(a: ForceDisplacementCurve,
     """Compare curve b against reference a on a's grid.
 
     b is linearly resampled onto the samples of a that fall inside the
-    overlap of the two travel domains; disjoint domains are an error.
+    overlap of the two travel domains; disjoint domains, and an overlap
+    that holds no sample of a, are an error.
     """
     lo = max(float(a.delta_y[0]), float(b.delta_y[0]))
     hi = min(float(a.delta_y[-1]), float(b.delta_y[-1]))
-    if lo > hi:
-        raise ValidationError("curves have disjoint travel domains")
     mask = (a.delta_y >= lo) & (a.delta_y <= hi)
+    if not mask.any():
+        raise ValidationError(
+            "curves have disjoint travel domains, or no sample of the "
+            "reference lies in their overlap")
     dy = a.delta_y[mask]
     fa = a.force[mask]
     fb = np.interp(dy, b.delta_y, b.force)

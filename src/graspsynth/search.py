@@ -14,17 +14,18 @@ in-bounds beam count is at least 1.  A grid_density entry that is missing
 means DEFAULT_GRID_DENSITY levels.
 
 Work that depends only on the geometry is done once per geometry, and work
-that depends on the point once per point.  Per geometry: _screen runs the
-geometries its cache lacks through the load kernel in blocks, one pass per
-block, for the peak force and stress that every beam count shares; the
-stress, length and bistable_at_travel violations come from _violations,
-which grid_search calls once per geometry; and refine builds each geometry
-it polls once per call.  Per point: the ring peak, the objective and the
-ranking key, of which refine keeps the best candidate's rather than
-recomputing it per poll.  A refine poll's outcome does not depend on the
-polls beside it, so whenever a sweep starts or its center moves, refine
-screens every geometry the rest of that sweep would poll from the center in
-one call, then scores the polls one at a time in the sequential order.
+that depends on the point once per point.  Per geometry: _screen turns the
+(L, T, W, theta) its cache lacks into records, in blocks with one load
+kernel pass each; a record holds the geometry, the peak force that every
+beam count shares and the stress, length and bistable_at_travel violations,
+which _violations computes once per record.  grid_search screens its grid
+in one call, and refine keeps one cache of records per call, keyed by
+dims.  Per point: the ring peak, the objective and the ranking key, of
+which refine keeps the best candidate's rather than recomputing it per
+poll.  A refine poll's outcome does not depend on the polls beside it, so
+whenever a sweep starts or its center moves, refine screens every geometry
+the rest of that sweep would poll from the center in one call, then scores
+the polls one at a time in the sequential order.
 
 The bound invariant: every refine center lies inside the bounds, since
 refine checks its start and every later center is a poll that passed the
@@ -167,14 +168,19 @@ def _in_bounds(spec: DesignSpec, name: str, value: float) -> bool:
     return lo - BOUNDS_TOL <= value <= hi + BOUNDS_TOL
 
 
-def _screen(spec: DesignSpec, geoms: Sequence[VBeamGeometry],
-            screened: Dict[VBeamGeometry, Tuple[float, float]]
-            ) -> List[Tuple[float, float]]:
-    """(peak double-beam force, peak root stress) of each geometry.
+Record = Tuple[VBeamGeometry, float, Tuple[Tuple[str, float], ...]]
 
-    screened caches the rows by geometry: the distinct geometries it lacks
-    go through the load kernel in blocks of at most BLOCK_SAMPLES samples,
-    one pass per block, whose rows are stored as the pass returns.  The
+
+def _screen(spec: DesignSpec, dims: Sequence[Tuple[float, ...]],
+            screened: Dict[Tuple[float, ...], Record]) -> List[Record]:
+    """The record (geometry, peak double-beam force, violations) of each
+    (L, T, W, theta).
+
+    screened caches the records by dims: the distinct dims it lacks are
+    built and go through the load kernel in blocks of at most BLOCK_SAMPLES
+    samples, one pass per block, whose records are stored as the pass
+    returns, so a block that fails to build or pass stores nothing and the
+    blocks before it keep theirs.  _violations runs once per record.  The
     stress is the beam-root bending screen: the transverse end load F_o
     over half the length.  Each step from |F_o| to the stress multiplies
     or divides by a positive per-geometry constant, and IEEE rounding keeps
@@ -183,23 +189,25 @@ def _screen(spec: DesignSpec, geoms: Sequence[VBeamGeometry],
     """
     mat, n = spec.material, spec.sweep_samples
     per_block = max(1, BLOCK_SAMPLES // n)
-    fresh = [g for g in dict.fromkeys(geoms) if g not in screened]
+    fresh = [d for d in dict.fromkeys(dims) if d not in screened]
     for i in range(0, len(fresh), per_block):
-        block = fresh[i:i + per_block]
+        keys = fresh[i:i + per_block]
+        block = [VBeamGeometry(*d) for d in keys]
         _, force, f_o, _, _ = _force_rows(block, mat, spec.target_travel, n)
         end_load_scale, length, section = np.array(
             [(4.0 * mat.youngs_modulus_E * g.second_moment / g.length_L ** 2,
               g.length_L, g.width_W * g.thickness_T ** 2) for g in block]).T
         moment = np.abs(f_o).max(axis=1) * end_load_scale * length / 2.0
         stress = 6.0 * moment / section
-        screened.update(zip(block, zip(force.max(axis=1).tolist(),
-                                       stress.tolist())))
-    return [screened[g] for g in geoms]
+        screened.update([
+            (d, (g, f, _violations(spec, g, s))) for d, g, f, s in zip(
+                keys, block, force.max(axis=1).tolist(), stress.tolist())])
+    return [screened[d] for d in dims]
 
 
 def _violations(spec: DesignSpec, geom: VBeamGeometry,
                 stress: float) -> Tuple[Tuple[str, float], ...]:
-    """The constraint violations of a geometry whose _screen row has this
+    """The constraint violations of a geometry whose peak root stress is
     stress; none depends on the beam count."""
     violations: List[Tuple[str, float]] = []
     if stress > spec.stress_limit:
@@ -217,11 +225,9 @@ def _violations(spec: DesignSpec, geom: VBeamGeometry,
     return tuple(violations)
 
 
-def _candidate(spec: DesignSpec, geom: VBeamGeometry, n_beams: int,
-               force_max: float,
-               violations: Tuple[Tuple[str, float], ...]) -> Candidate:
-    """Score a design point from its geometry's _screen peak force and
-    _violations."""
+def _candidate(spec: DesignSpec, record: Record, n_beams: int) -> Candidate:
+    """Score a design point from its geometry's _screen record."""
+    geom, force_max, violations = record
     # the ring scaling is monotone, so it maps the curve's peak to the ring's
     peak = halved_ring_force(force_max, n_beams)
     objective = abs(peak - spec.target_force) / spec.target_force
@@ -239,13 +245,14 @@ def _require_in_bounds(spec: DesignSpec, point) -> None:
 
 def evaluate_candidate(spec: DesignSpec, geom: VBeamGeometry,
                        n_beams: int) -> Candidate:
-    """Score one design point against the spec."""
+    """Score one design point against the spec; n_beams must be an
+    integer."""
+    check_count("n_beams", n_beams, 1)
     point = (geom.length_L, geom.thickness_T, geom.width_W, geom.tilt_theta,
              n_beams)
     _require_in_bounds(spec, point)
-    [(force_max, stress)] = _screen(spec, [geom], {})
-    return _candidate(spec, geom, n_beams, force_max,
-                      _violations(spec, geom, stress))
+    [record] = _screen(spec, [point[:4]], {})
+    return _candidate(spec, record, n_beams)
 
 
 def _grid_axis(lo: float, hi: float, count: int) -> np.ndarray:
@@ -299,15 +306,10 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
         return []
 
     # grid values lie inside the bounds by construction
-    geoms = [VBeamGeometry(*dims)
-             for dims in product(*(axes[name] for name in PARAM_NAMES[:4]))]
-    levels = axes["n_beams"]
-    candidates = []
-    for geom, (force_max, stress) in zip(geoms, _screen(spec, geoms, {})):
-        violations = _violations(spec, geom, stress)
-        candidates.extend(_candidate(spec, geom, n, force_max, violations)
-                          for n in levels)
-    return sorted(candidates, key=Candidate.sort_key)
+    records = _screen(spec, list(product(
+        *(axes[name] for name in PARAM_NAMES[:4]))), {})
+    return sorted((_candidate(spec, record, n) for record in records
+                   for n in axes["n_beams"]), key=Candidate.sort_key)
 
 
 def _polls(spec: DesignSpec, center, axes) -> Dict[int, list]:
@@ -333,18 +335,20 @@ def refine(spec: DesignSpec, start: Candidate,
     (L, T, W, theta) with step halving on a failed full poll; the beam count
     is polled to its integer neighbors.  A poll outside the bounds is
     skipped and not counted; every other poll counts against max_evals,
-    but a geometry is built and screened once per call, whatever its beam
-    counts.  The start must lie inside the bounds, so every center does.
-    Exhausting max_evals returns the best point found so far flagged as
-    exhausted.  A max_evals that is not an integer of at least 0 is refused.
+    but a geometry is screened once per call, whatever its beam counts.
+    The start must lie inside the bounds, so every center does.  Exhausting
+    max_evals returns the best point found so far flagged as exhausted.  A
+    max_evals that is not an integer of at least 0 is refused.
 
     The polls around one center are independent, so whenever a sweep
     starts or the center moves, every poll the rest of the sweep would make
     from that center, up to the remaining budget, is screened in one
-    _screen call before the first of them is scored.  A batched row equals
-    the one-geometry pass bit for bit, so the visits, the evaluation count
-    and the result are those of polling one geometry at a time, also when
-    the look-ahead fails: a poll it left unscreened is screened when made.
+    _screen call before the first of them is scored.  A batched record
+    equals the one-geometry record bit for bit, so the visits, the
+    evaluation count and the result are those of polling one geometry at a
+    time, also when the look-ahead fails: a look-ahead block that cannot be
+    built or passed stores nothing, the blocks before it keep their
+    records, and a poll left unscreened is screened when made.
     """
     check_count("max_evals", max_evals, 0)
     _require_in_bounds(spec, start.point)
@@ -353,16 +357,7 @@ def refine(spec: DesignSpec, start: Candidate,
     steps = [span / 8.0 for span in spans]
     min_steps = [max(span * 1e-4, 1e-12) for span in spans]
     best, best_key, evals = start, start.sort_key(), 0
-    screened: Dict[VBeamGeometry, Tuple[float, float]] = {}
-    built = {start.point[:4]: start.geometry}
-
-    def geometry(point) -> VBeamGeometry:
-        """The poll's geometry, built on its first poll in this call."""
-        geom = built.get(point[:4])
-        if geom is None:
-            geom = built[point[:4]] = VBeamGeometry(*point[:4])
-        return geom
-
+    screened: Dict[Tuple[float, ...], Record] = {}
     while evals < max_evals:
         improved = False
         # the beam count always steps by one
@@ -377,19 +372,14 @@ def refine(spec: DesignSpec, start: Candidate,
                 # these polls are made only if the center holds, and a poll
                 # that cannot be built or screened raises when it is made
                 try:
-                    _screen(spec, [geometry(p) for p in ahead], screened)
+                    _screen(spec, [p[:4] for p in ahead], screened)
                 except (ValidationError, NumericalError):
                     pass
             for trial in polls[i]:
                 if evals < max_evals:
                     evals += 1
-                    geom = geometry(trial)
-                    row = screened.get(geom)
-                    if row is None:
-                        [row] = _screen(spec, [geom], screened)
-                    force_max, stress = row
-                    cand = _candidate(spec, geom, trial[4], force_max,
-                                      _violations(spec, geom, stress))
+                    [record] = _screen(spec, [trial[:4]], screened)
+                    cand = _candidate(spec, record, trial[4])
                     key = cand.sort_key()
                     if key < best_key:
                         best, best_key, improved = cand, key, True

@@ -17,9 +17,12 @@ CSV it wrote.  Two trees print the same digest only if every one of these
 CSVs is byte-identical, so a change to a numerical kernel can show that the
 CSV contracts did not move.  Under that total, one line per command gives
 the digest of that command's outputs alone, in the same order, so a moved
-total shows which command's CSVs moved.  Configs and outputs go to a
-temporary directory that is removed afterwards, and bytecode is not cached,
-so bench/ stays untouched.  It is not a pytest module.
+total shows which command's CSVs moved.  A last line, outside the total,
+gives the digest of ``design`` on the same design inputs with
+``require_non_bistable_at_travel`` set to true, which no bench input sets,
+in the same chunk format.  Configs and outputs go to a temporary directory
+that is removed afterwards, and bytecode is not cached, so bench/ stays
+untouched.  It is not a pytest module.
 """
 
 from __future__ import annotations
@@ -55,37 +58,57 @@ def _runs(seed: int):
             "--samples", str(inp.config["fe"]["n_steps"])]
 
 
+def _chunks(root: Path, name: str, config: dict, command: str, extra,
+            codes: dict):
+    """The exit code and CSV bytes of one in-process CLI run, in order."""
+    path = root / f"{name}.json"
+    if not path.exists():
+        path.write_text(json.dumps(config), encoding="utf-8")
+    out = root / f"out_{sum(codes.values()):04d}_{name}"
+    code = run_command([command, "--config", str(path), "--out", str(out),
+                        "--quiet", *extra])
+    codes[code] = codes.get(code, 0) + 1
+    chunks = [struct.pack("<i", code)]
+    for csv in sorted(out.glob("*.csv")):
+        chunks += [csv.name.encode() + b"\0", csv.read_bytes()]
+    return chunks
+
+
 def main(seeds) -> None:
-    digest = hashlib.sha256()
+    digest, flagged = hashlib.sha256(), hashlib.sha256()
     by_command, per_command = {}, {}
     n_outputs = n_files = 0
-    codes = {}
+    codes, flagged_codes = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for seed in seeds:
             for workload, command, inp, extra in _runs(seed):
-                out = root / f"out_{n_outputs:04d}"
-                config = root / f"{workload}_{seed}_{inp.index:03d}.json"
-                if not config.exists():
-                    config.write_text(json.dumps(inp.config), encoding="utf-8")
-                code = run_command([command, "--config", str(config),
-                                    "--out", str(out), "--quiet", *extra])
+                chunks = _chunks(root, f"{workload}_{seed}_{inp.index:03d}",
+                                 inp.config, command, extra, codes)
                 own = by_command.setdefault(command, hashlib.sha256())
                 per_command[command] = per_command.get(command, 0) + 1
-                chunks = [struct.pack("<i", code)]
-                codes[code] = codes.get(code, 0) + 1
-                for csv in sorted(out.glob("*.csv")):
-                    chunks += [csv.name.encode() + b"\0", csv.read_bytes()]
-                    n_files += 1
+                n_files += (len(chunks) - 1) // 2
                 for chunk in chunks:
                     digest.update(chunk)
                     own.update(chunk)
                 n_outputs += 1
+            for inp in workloads.generate("design", seed):
+                config = {**inp.config, "design": {
+                    **inp.config["design"],
+                    "require_non_bistable_at_travel": True}}
+                for chunk in _chunks(root, f"flagged_{seed}_{inp.index:03d}",
+                                     config, "design", [], flagged_codes):
+                    flagged.update(chunk)
     exits = ", ".join(f"exit {c}: {n}" for c, n in sorted(codes.items()))
     print(f"{digest.hexdigest()}  {n_outputs} outputs, {n_files} CSV files "
           f"({exits})")
     for command, own in by_command.items():
         print(f"{own.hexdigest()}  {per_command[command]} {command} outputs")
+    exits = ", ".join(f"exit {c}: {n}"
+                      for c, n in sorted(flagged_codes.items()))
+    print(f"{flagged.hexdigest()}  {sum(flagged_codes.values())} design "
+          f"outputs with require_non_bistable_at_travel ({exits}), outside "
+          f"the total")
 
 
 if __name__ == "__main__":

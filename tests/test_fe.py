@@ -616,6 +616,27 @@ def test_compare_disjoint_domains():
         compare_curves(a, b)
 
 
+def test_compare_overlap_without_reference_samples():
+    # a sampled at 1 and 2 mm, b at 1.2 and 1.8 mm: the domains overlap on
+    # [1.2, 1.8], which holds no sample of a
+    from graspsynth import ForceDisplacementCurve
+
+    def samples(curve, lo):
+        mask = curve.delta_y >= lo
+        return ForceDisplacementCurve(
+            curve.delta_y[mask], curve.force[mask], curve.f_o[mask],
+            curve.p_o[mask], curve.branches[-int(mask.sum()):])
+
+    a = samples(force_curve(GEOM, MAT, 2.0, 2), 1.0)
+    b = samples(force_curve(GEOM, MAT, 1.8, 3), 1.2)
+    assert list(a.delta_y) == [1.0, 2.0]
+    assert list(b.delta_y) == pytest.approx([1.2, 1.8])
+    with pytest.raises(ValidationError, match="disjoint travel domains"):
+        compare_curves(a, b)
+    # the other way round both samples of the reference lie in the overlap
+    assert compare_curves(b, a).peak_location_diff >= 0.0
+
+
 # ---------------------------------------------------------------------------
 # multibeam assembly
 # ---------------------------------------------------------------------------

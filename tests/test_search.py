@@ -55,11 +55,8 @@ def reference_screen(spec, geom):
     return curve, float(np.max(6.0 * moment / section))
 
 
-def reference_candidate(spec, geom, n_beams):
-    """Per-point scorer: one force_curve per design point."""
-    curve, stress = reference_screen(spec, geom)
-    peak = float(np.max(halved_ring_force(curve.force, n_beams)))
-    objective = abs(peak - spec.target_force) / spec.target_force
+def reference_violations(spec, geom, stress):
+    """The constraint violations of a geometry with this peak root stress."""
     violations = []
     if stress > spec.stress_limit:
         violations.append(("stress", stress - spec.stress_limit))
@@ -71,8 +68,17 @@ def reference_candidate(spec, geom, n_beams):
         d1, satisfied = bistability_margin(geom, spec.target_travel)
         if satisfied:
             violations.append(("bistable_at_travel", d1))
+    return tuple(violations)
+
+
+def reference_candidate(spec, geom, n_beams):
+    """Per-point scorer: one force_curve per design point."""
+    curve, stress = reference_screen(spec, geom)
+    peak = float(np.max(halved_ring_force(curve.force, n_beams)))
+    objective = abs(peak - spec.target_force) / spec.target_force
     return Candidate(geometry=geom, n_beams=n_beams, objective=objective,
-                     violations=tuple(violations), peak_force=peak)
+                     violations=reference_violations(spec, geom, stress),
+                     peak_force=peak)
 
 
 def reference_grid(spec, density):
@@ -223,6 +229,16 @@ def test_candidate_point_in_param_order():
     assert cand.point == (40.0, 1.2, 5.0, math.radians(7.0), 12)
 
 
+def test_evaluate_candidate_refuses_a_beam_count_that_is_not_an_integer():
+    # 12.5 used to be scored; True was refused only by the bounds
+    spec = make_spec()
+    for n_beams in (12.5, True, "12"):
+        with pytest.raises(ValidationError, match="n_beams"):
+            evaluate_candidate(spec, TABLE1, n_beams)
+    assert (evaluate_candidate(spec, TABLE1, np.int64(12))
+            == evaluate_candidate(spec, TABLE1, 12))
+
+
 def test_bounds_slack_is_absolute():
     spec = make_spec()
     hi = BOUNDS["length_L"][1]
@@ -335,13 +351,14 @@ def test_grid_failing_row_raises_like_per_point_scoring():
                 min_size=2, max_size=40),
        st.floats(1.0, 3.0))
 def test_batched_screen_matches_one_geometry_curves(dims, travel):
-    spec = make_spec(target_travel=travel)
+    spec = make_spec(target_travel=travel, require_non_bistable_at_travel=True)
     geoms = [VBeamGeometry.from_degrees(*d) for d in dims]
     expected = []
     for g in geoms:
         curve, stress = reference_screen(spec, g)
-        expected.append((float(np.max(curve.force)), stress))
-    assert search._screen(spec, geoms, {}) == expected
+        expected.append((g, float(np.max(curve.force)),
+                         reference_violations(spec, g, stress)))
+    assert search._screen(spec, [astuple(g) for g in geoms], {}) == expected
 
 
 def test_grid_infeasible_ranking_is_total():
@@ -614,20 +631,21 @@ def test_refine_failing_lookahead_raises_like_sequential_search(monkeypatch):
 
 def test_screen_stores_the_rows_of_each_block_that_passes(monkeypatch):
     spec, screened = make_spec(), {}
-    geom = VBeamGeometry(40.0, 1.2, 5.0, 0.12)
+    dims = (40.0, 1.2, 5.0, 0.12)
     rows = count_kernel_rows(monkeypatch)
     # two points that share a geometry: one row in one pass
-    first, second = search._screen(spec, [geom, geom], screened)
-    assert first == second and rows == [1] and list(screened) == [geom]
-    assert search._screen(spec, [geom], screened) == [first] and rows == [1]
+    first, second = search._screen(spec, [dims, dims], screened)
+    assert first == second and rows == [1] and list(screened) == [dims]
+    assert first[0] == VBeamGeometry(*dims)
+    assert search._screen(spec, [dims], screened) == [first] and rows == [1]
     # near rest some rows raise: a block whose pass raises stores nothing,
-    # and the blocks screened before it keep their rows
+    # and the blocks screened before it keep their records
     near = make_spec(target_travel=4e-7, sweep_samples=2)
-    geoms = [VBeamGeometry(L, T, 5.0, math.radians(7.0))
-             for L, T in product(np.linspace(36.0, 44.0, 5), (1.0, 1.2, 1.4))]
-    builds = [isinstance(outcome(reference_screen, near, g), tuple)
-              for g in geoms]
-    good, bad = geoms[builds.index(True)], geoms[builds.index(False)]
+    points = [(L, T, 5.0, math.radians(7.0))
+              for L, T in product(np.linspace(36.0, 44.0, 5), (1.0, 1.2, 1.4))]
+    builds = [isinstance(outcome(reference_screen, near, VBeamGeometry(*d)),
+                         tuple) for d in points]
+    good, bad = points[builds.index(True)], points[builds.index(False)]
     screened = {}
     with pytest.raises(NumericalError):
         search._screen(near, [good, bad], screened)
@@ -645,26 +663,64 @@ def test_refine_with_an_unbuildable_lookahead_matches_sequential_search(
     expected, visited = reference_refine(spec, start, budget)
     screen, seen = search._screen, []
 
-    def recorded(spec_, geoms, screened):
-        seen.extend(geoms)
-        return screen(spec_, geoms, screened)
+    def recorded(spec_, dims, screened):
+        seen.extend(dims)
+        return screen(spec_, dims, screened)
 
     monkeypatch.setattr(search, "_screen", recorded)
     refine(spec, start, budget)
     monkeypatch.undo()
     # a look-ahead geometry the sequential search never polls
-    never = next(g for g in seen if g not in set(visited))
-    build, refused = search.VBeamGeometry, []
+    polled = {astuple(g) for g in visited}
+    never = next(d for d in seen if d not in polled)
+    build, refused, kept = search.VBeamGeometry, [], []
 
     def unbuildable(*dims):
-        if dims == astuple(never):
+        if dims == never:
             refused.append(dims)
             raise ValidationError("no such beam")
         return build(*dims)
 
+    def watched(spec_, dims, screened):
+        before = set(screened)
+        try:
+            return screen(spec_, dims, screened)
+        except ValidationError:
+            fresh = [d for d in dict.fromkeys(dims) if d not in before]
+            # the blocks before the one holding the unbuildable geometry
+            per_block = search.BLOCK_SAMPLES // spec.sweep_samples
+            ahead = fresh.index(never) // per_block * per_block
+            kept.append((fresh[:ahead], [d for d in fresh if d in screened]))
+            raise
+
     monkeypatch.setattr(search, "VBeamGeometry", unbuildable)
-    assert refine(spec, start, budget) == expected
-    assert refused
+    monkeypatch.setattr(search, "_screen", watched)
+    # the default blocks, then one geometry per block
+    for block in (search.BLOCK_SAMPLES, spec.sweep_samples):
+        refused.clear()
+        kept.clear()
+        monkeypatch.setattr(search, "BLOCK_SAMPLES", block)
+        assert refine(spec, start, budget) == expected
+        assert refused and kept
+        assert all(ahead == stored for ahead, stored in kept)
+    assert any(ahead for ahead, _ in kept)
+
+
+def test_refine_checks_each_geometry_once_for_bistability(monkeypatch):
+    # the beam-count polls share their center's violations, and a geometry
+    # screened in a look-ahead is not checked again when polled
+    spec = make_spec(require_non_bistable_at_travel=True)
+    start = evaluate_candidate(spec, TABLE1, 12)
+    expected, _ = reference_refine(spec, start, 120)
+    margin, checked = search.bistability_margin, []
+
+    def counted(geom, delta_y):
+        checked.append(geom)
+        return margin(geom, delta_y)
+
+    monkeypatch.setattr(search, "bistability_margin", counted)
+    assert refine(spec, start, max_evals=120) == expected
+    assert checked and len(checked) == len(set(checked))
 
 
 def on_or_inside(lo, hi):
