@@ -26,10 +26,11 @@ The shuttle-direction actuation force is
 
     F = -(4 E I f_o / L^2 cos(theta) + 4 E I p_o / L^2 sin(theta)).
 
-force_curve, branch_loads and actuation_force wrap one array kernel, _loads,
-which evaluates a block of geometries (rows) at one set of travels (columns)
-in a single pass; a single geometry is the one-row case.
-solve_monostable_cubic and the scalar chain before it are its reference.
+One array kernel, _loads, evaluates a block of geometries (rows) at one set
+of travels (columns) in a single pass; branch_loads wraps it.  _force_rows
+is the one force entry (force_curve, actuation_force, the design search) and
+_load_scale the one place the load scale 4 E I / L^2 is computed.
+solve_monostable_cubic and the scalar chain before it are the reference.
 
 All lengths are mm, forces N, moduli MPa (= N/mm^2); angles are radians
 internally and degrees only at interface boundaries.
@@ -56,6 +57,10 @@ BISTABLE_PO = -9.8837
 # Default number of sweep samples; resolves the ~1.1 mm branch crossover of
 # Table-scale geometry at 0.01 mm resolution over a 5 mm travel.
 DEFAULT_CURVE_SAMPLES = 500
+
+# Largest sample or step count of a sweep (uniform_travels).  At the cap a
+# force_curve takes 0.2 s and 55 MB, a frame-solver sweep about 13 minutes.
+SAMPLE_CAP = 1_000_000
 
 
 class Branch(Enum):
@@ -440,11 +445,21 @@ def _loads(cols: _Columns, dys: np.ndarray):
     return f_o, p_o, bistable
 
 
-def _shuttle_force(geoms: Sequence[VBeamGeometry], cols: _Columns,
-                   mat: MaterialModel, f_o, p_o):
-    stiff = np.array([[4.0 * mat.youngs_modulus_E * g.second_moment
-                       / g.length_L ** 2] for g in geoms])
-    return -(stiff * f_o * cols.cos + stiff * p_o * cols.sin)
+def _load_scale(geom: VBeamGeometry, mat: MaterialModel) -> float:
+    """4 E I / L^2 [N], the scale of the normalized loads f_o and p_o."""
+    return 4.0 * mat.youngs_modulus_E * geom.second_moment / geom.length_L ** 2
+
+
+def _force_rows(geoms: Sequence[VBeamGeometry], mat: MaterialModel,
+                dys: np.ndarray):
+    """The one force entry: (force, f_o, p_o, bistable, load) of geometries
+    at travels dys in one pass, one row per geometry; load is the (G, 1)
+    column of their _load_scale."""
+    cols = _columns(geoms)
+    f_o, p_o, bistable = _loads(cols, dys)
+    load = np.array([[_load_scale(g, mat)] for g in geoms])
+    force = -(load * f_o * cols.cos + load * p_o * cols.sin)
+    return force, f_o, p_o, bistable, load
 
 
 def branch_loads(geom: VBeamGeometry, delta_y: float) -> BeamLoadState:
@@ -464,9 +479,7 @@ def actuation_force(geom: VBeamGeometry, mat: MaterialModel, delta_y):
     """
     check_non_negative("delta_y", delta_y)
     dys = np.array(delta_y, dtype=float, ndmin=1)
-    cols = _columns([geom])
-    f_o, p_o, _ = _loads(cols, dys.ravel())
-    force = _shuttle_force([geom], cols, mat, f_o, p_o).reshape(dys.shape)
+    force = _force_rows([geom], mat, dys.ravel())[0].reshape(dys.shape)
     return force if np.ndim(delta_y) else force.item()
 
 
@@ -474,37 +487,25 @@ def uniform_travels(travel_max: float, n: int) -> np.ndarray:
     """The n uniform travels travel_max * k / n, k = 1..n, over (0, travel_max].
 
     An n that is not an integer of at least 1 (a non-integer n would step
-    past travel_max) and a travel_max * n that overflows are refused before
-    the array product.
+    past travel_max), an n above SAMPLE_CAP and a travel_max * n that
+    overflows are refused before numpy allocates.
     """
     check_count("sample count", n, 1)
+    if n > SAMPLE_CAP:
+        raise ValidationError(f"sample count {n} exceeds the cap {SAMPLE_CAP}")
     if not math.isfinite(float(travel_max) * int(n)):
         raise ValidationError(f"travel_max {float(travel_max)!r} times {n} "
                               "samples is not finite")
     return travel_max * np.arange(1, n + 1) / n
 
 
-def _force_rows(geoms: Sequence[VBeamGeometry], mat: MaterialModel,
-                travel_max: float, n_samples: int):
-    """Sampled force-displacement rows of several geometries in one pass.
-
-    Returns (delta_y, force, f_o, p_o, bistable): the n_samples uniform
-    travels over (0, travel_max], then (len(geoms), n_samples) arrays with
-    one row per geometry.  force_curve is the one-geometry case.
-    """
-    check_positive("travel_max", travel_max)
-    check_count("n_samples", n_samples, 2)
-    dys = uniform_travels(travel_max, n_samples)
-    cols = _columns(geoms)
-    f_o, p_o, bistable = _loads(cols, dys)
-    return dys, _shuttle_force(geoms, cols, mat, f_o, p_o), f_o, p_o, bistable
-
-
 def force_curve(geom: VBeamGeometry, mat: MaterialModel, travel_max: float,
                 n_samples: int = DEFAULT_CURVE_SAMPLES) -> ForceDisplacementCurve:
     """Uniformly sampled force-displacement curve over (0, travel_max]."""
-    dys, force, f_o, p_o, bistable = _force_rows([geom], mat, travel_max,
-                                                 n_samples)
+    check_positive("travel_max", travel_max)
+    check_count("n_samples", n_samples, 2)
+    dys = uniform_travels(travel_max, n_samples)
+    force, f_o, p_o, bistable, _ = _force_rows([geom], mat, dys)
     return ForceDisplacementCurve(
         delta_y=dys, force=force[0], f_o=f_o[0], p_o=p_o[0],
         branches=Branch.tags(bistable[0]))

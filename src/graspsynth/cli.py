@@ -47,7 +47,10 @@ def _load_config(args) -> RunConfig:
     path = Path(args.config)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    config = parse_config(path.read_text(encoding="utf-8"))
+    try:
+        config = parse_config(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8: {exc}") from exc
     overrides = {field: value for field, _, _ in _OVERRIDES.values()
                  if (value := getattr(args, field, None)) is not None}
     return replace(config, sweep=replace(config.sweep, **overrides))

@@ -219,6 +219,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"JSON nests too deeply: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
     run = _read(doc, "", nested=("design", "fe"),

@@ -41,7 +41,8 @@ import numpy as np
 
 from .._csv import write_csv
 from ..beam import (Branch, ForceDisplacementCurve, MaterialModel,
-                    VBeamGeometry, bistability_margin, uniform_travels)
+                    VBeamGeometry, _load_scale, bistability_margin,
+                    uniform_travels)
 from ..errors import (ConvergenceError, ValidationError, check_count,
                       check_non_negative, check_positive)
 from ..mechanism import MechanismConfig
@@ -377,7 +378,8 @@ def sweep_to_curve(path: EquilibriumPath, geom: VBeamGeometry,
     """Package a single-beam sweep as a force-displacement curve.
 
     The normalized end loads are recovered by rotating the guided-end
-    reaction into the beam frame; branch tags come from the bistability
+    reaction into the beam frame and dividing it by the load scale
+    4 E I / L^2 (beam._load_scale); branch tags come from the bistability
     margin of the matching travel.
     """
     steps = [s for s in path.steps if s.control > 0.0]
@@ -387,7 +389,7 @@ def sweep_to_curve(path: EquilibriumPath, geom: VBeamGeometry,
     th = geom.tilt_theta
     ax = np.array([math.cos(th), math.sin(th)])
     tr = np.array([-math.sin(th), math.cos(th)])
-    scale = geom.length_L ** 2 / (4.0 * mat.youngs_modulus_E * geom.second_moment)
+    load = _load_scale(geom, mat)
 
     end_loads = np.array([[s.reactions.get((node, UX), 0.0),
                            s.reactions.get((node, UY), 0.0)] for s in steps])
@@ -395,7 +397,7 @@ def sweep_to_curve(path: EquilibriumPath, geom: VBeamGeometry,
     _, bistable = bistability_margin(geom, dys)
     return ForceDisplacementCurve(
         delta_y=dys, force=np.array([s.reaction for s in steps]),
-        f_o=end_loads @ tr * scale, p_o=end_loads @ ax * scale,
+        f_o=end_loads @ tr / load, p_o=end_loads @ ax / load,
         branches=Branch.tags(bistable))
 
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from ._csv import NUMBER, write_csv
 from .beam import (DEFAULT_CURVE_SAMPLES, MaterialModel, VBeamGeometry,
-                   _force_rows, bistability_margin)
+                   _force_rows, bistability_margin, uniform_travels)
 from .errors import (NumericalError, ValidationError, check_count,
                      check_positive)
 from .mechanism import halved_ring_force
@@ -177,14 +177,16 @@ def _screen(spec: DesignSpec, dims: Sequence[Tuple[float, ...]],
     (L, T, W, theta).
 
     screened caches the records by dims: the distinct dims it lacks are
-    built and go through the load kernel in blocks of at most BLOCK_SAMPLES
-    samples, one pass per block, whose records are stored as the pass
-    returns, so a block that fails to build or pass stores nothing and the
-    blocks before it keep theirs.  _violations runs once per record.  The
-    stress is the beam-root bending screen: the transverse end load F_o
-    over half the length.  Each step from |F_o| to the stress multiplies
-    or divides by a positive per-geometry constant, and IEEE rounding keeps
-    such a step monotone, so scaling a row's peak |F_o| gives the peak of
+    built and go through _force_rows, the one force entry, in blocks of at
+    most BLOCK_SAMPLES samples, one pass per block on travels made for that
+    block (a call the cache serves makes none).  A block's records are
+    stored as its pass returns, so a block that fails to build or pass
+    stores nothing and the blocks before it keep theirs.  _violations runs
+    once per record.  The stress is the beam-root bending screen: the
+    transverse end load F_o (f_o times the load column, _load_scale) over
+    half the length.  Each step from |f_o| to the stress multiplies or
+    divides by a positive per-geometry constant, and IEEE rounding keeps
+    such a step monotone, so scaling a row's peak |f_o| gives the peak of
     the scaled row bit for bit.
     """
     mat, n = spec.material, spec.sweep_samples
@@ -193,11 +195,11 @@ def _screen(spec: DesignSpec, dims: Sequence[Tuple[float, ...]],
     for i in range(0, len(fresh), per_block):
         keys = fresh[i:i + per_block]
         block = [VBeamGeometry(*d) for d in keys]
-        _, force, f_o, _, _ = _force_rows(block, mat, spec.target_travel, n)
-        end_load_scale, length, section = np.array(
-            [(4.0 * mat.youngs_modulus_E * g.second_moment / g.length_L ** 2,
-              g.length_L, g.width_W * g.thickness_T ** 2) for g in block]).T
-        moment = np.abs(f_o).max(axis=1) * end_load_scale * length / 2.0
+        force, f_o, _, _, load = _force_rows(
+            block, mat, uniform_travels(spec.target_travel, n))
+        length, section = np.array([(g.length_L, g.width_W * g.thickness_T ** 2)
+                                    for g in block]).T
+        moment = np.abs(f_o).max(axis=1) * load[:, 0] * length / 2.0
         stress = 6.0 * moment / section
         screened.update([
             (d, (g, f, _violations(spec, g, s))) for d, g, f, s in zip(

@@ -13,21 +13,31 @@ cli.run_command:
 
 That is 1,008 outputs for the three default seeds.  The digest covers, per
 output and in a fixed order, the command's exit code and the bytes of every
-CSV it wrote.  Two trees print the same digest only if every one of these
-CSVs is byte-identical, so a change to a numerical kernel can show that the
-CSV contracts did not move.  Under that total, one line per command gives
-the digest of that command's outputs alone, in the same order, so a moved
-total shows which command's CSVs moved.  A last line, outside the total,
-gives the digest of ``design`` on the same design inputs with
-``require_non_bistable_at_travel`` set to true, which no bench input sets,
-in the same chunk format.  Configs and outputs go to a temporary directory
-that is removed afterwards, and bytecode is not cached, so bench/ stays
-untouched.  It is not a pytest module.
+CSV it wrote; what the command prints to stderr is dropped.  Two trees
+print the same digest only if every one of these CSVs is byte-identical, so
+a change to a numerical kernel can show that the CSV contracts did not
+move.  Under that total, one line per command gives the digest of that
+command's outputs alone, in the same order, so a moved total shows which
+command's CSVs moved.  Two last lines, outside the total and in the same
+chunk format, give the digests of:
+
+- ``design`` on the same design inputs with
+  ``require_non_bistable_at_travel`` set to true, which no bench input sets;
+- ``verify`` on every verify input: its exit code and the bytes of
+  ``verify_report.csv`` and ``fe_path.csv``, the CSVs that ``force_curve``
+  and ``fe.sweep_to_curve`` reach.  This runs the frame solver once per
+  input, 180 runs for the three default seeds.
+
+Configs and outputs go to a temporary directory that is removed afterwards,
+and bytecode is not cached, so bench/ stays untouched.  It is not a pytest
+module.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import struct
 import sys
@@ -65,8 +75,9 @@ def _chunks(root: Path, name: str, config: dict, command: str, extra,
     if not path.exists():
         path.write_text(json.dumps(config), encoding="utf-8")
     out = root / f"out_{sum(codes.values()):04d}_{name}"
-    code = run_command([command, "--config", str(path), "--out", str(out),
-                        "--quiet", *extra])
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = run_command([command, "--config", str(path), "--out",
+                            str(out), "--quiet", *extra])
     codes[code] = codes.get(code, 0) + 1
     chunks = [struct.pack("<i", code)]
     for csv in sorted(out.glob("*.csv")):
@@ -74,11 +85,15 @@ def _chunks(root: Path, name: str, config: dict, command: str, extra,
     return chunks
 
 
+def _exits(codes: dict) -> str:
+    return ", ".join(f"exit {c}: {n}" for c, n in sorted(codes.items()))
+
+
 def main(seeds) -> None:
-    digest, flagged = hashlib.sha256(), hashlib.sha256()
+    digest, flagged, oracle = (hashlib.sha256() for _ in range(3))
     by_command, per_command = {}, {}
     n_outputs = n_files = 0
-    codes, flagged_codes = {}, {}
+    codes, flagged_codes, oracle_codes = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for seed in seeds:
@@ -99,16 +114,19 @@ def main(seeds) -> None:
                 for chunk in _chunks(root, f"flagged_{seed}_{inp.index:03d}",
                                      config, "design", [], flagged_codes):
                     flagged.update(chunk)
-    exits = ", ".join(f"exit {c}: {n}" for c, n in sorted(codes.items()))
+            for inp in workloads.generate("verify", seed):
+                for chunk in _chunks(root, f"oracle_{seed}_{inp.index:03d}",
+                                     inp.config, "verify", [], oracle_codes):
+                    oracle.update(chunk)
     print(f"{digest.hexdigest()}  {n_outputs} outputs, {n_files} CSV files "
-          f"({exits})")
+          f"({_exits(codes)})")
     for command, own in by_command.items():
         print(f"{own.hexdigest()}  {per_command[command]} {command} outputs")
-    exits = ", ".join(f"exit {c}: {n}"
-                      for c, n in sorted(flagged_codes.items()))
     print(f"{flagged.hexdigest()}  {sum(flagged_codes.values())} design "
-          f"outputs with require_non_bistable_at_travel ({exits}), outside "
-          f"the total")
+          f"outputs with require_non_bistable_at_travel "
+          f"({_exits(flagged_codes)}), outside the total")
+    print(f"{oracle.hexdigest()}  {sum(oracle_codes.values())} verify "
+          f"outputs ({_exits(oracle_codes)}), outside the total")
 
 
 if __name__ == "__main__":

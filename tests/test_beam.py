@@ -22,6 +22,7 @@ from graspsynth import (BeamLoadState, Branch, ForceDisplacementCurve,
                         bistable_crossover, branch_loads, force_curve,
                         monostable_intermediates, normalize_deflection,
                         peak_force, solve_monostable_cubic)
+from graspsynth.beam import SAMPLE_CAP, uniform_travels
 
 GEOM = VBeamGeometry.from_degrees(40, 1.2, 5, 7)
 MAT = MaterialModel(youngs_modulus_E=1800)
@@ -560,6 +561,14 @@ def test_material_validation():
         MaterialModel(1800.0, poisson_ratio=0.5)
     with pytest.raises(ValidationError, match="youngs_modulus_E"):
         MaterialModel(math.inf)
+
+
+@pytest.mark.parametrize("count", [10 ** 30, SAMPLE_CAP + 1])
+def test_count_above_the_cap_is_refused_before_allocation(count):
+    with pytest.raises(ValidationError, match=f"exceeds the cap {SAMPLE_CAP}"):
+        uniform_travels(1.0, count)
+    with pytest.raises(ValidationError, match=f"exceeds the cap {SAMPLE_CAP}"):
+        force_curve(GEOM, MAT, 1.0, count)
 
 
 @pytest.mark.filterwarnings("error")

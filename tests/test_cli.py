@@ -10,6 +10,7 @@ import pytest
 
 from graspsynth import (ConfigError, cli, mechanism, parse_config,
                         serialize_config)
+from graspsynth.beam import SAMPLE_CAP
 from graspsynth.cli import run_command
 from graspsynth.fe.solver import PATH_CSV_HEADER
 from graspsynth.search import CANDIDATES_CSV_HEADER
@@ -80,6 +81,11 @@ def test_parse_empty_document_lists_missing_key():
 def test_parse_syntax_error_carries_position():
     with pytest.raises(ConfigError, match="line 2, column"):
         parse_config('{\n  "beam": ,\n}')
+
+
+def test_parse_json_nested_past_the_recursion_limit():
+    with pytest.raises(ConfigError, match="nests too deeply"):
+        parse_config("[" * 100_000 + "]" * 100_000)
 
 
 def test_parse_rejects_unknown_keys():
@@ -243,6 +249,34 @@ def test_non_finite_config_is_config_error(tmp_path, capsys):
     assert rc == 2
     assert "must be finite" in capsys.readouterr().err
     assert not (tmp_path / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}", ("[" * 100_000 + "]" * 100_000).encode()],
+    ids=["not-utf8", "nested-past-the-recursion-limit"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    rc = run_command(["curve", "--config", str(bad), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,extra,fe", [
+    ("curve", ["--samples", str(10 ** 30)], {}),
+    ("grasper", ["--samples", str(10 ** 30)], {}),
+    ("verify", [], {"n_steps": 10 ** 30})], ids=["curve", "grasper", "verify"])
+def test_count_above_the_cap_is_config_error(tmp_path, capsys, command, extra,
+                                             fe):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(minimal_doc(fe=fe)))
+    rc = run_command([command, "--config", str(config), "--out",
+                      str(tmp_path), "--quiet", *extra])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"configuration error in '{command}': sample count {10 ** 30} " \
+        f"exceeds the cap {SAMPLE_CAP}" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("command,csv_name", [

@@ -656,6 +656,24 @@ def test_screen_stores_the_rows_of_each_block_that_passes(monkeypatch):
     assert list(screened) == [good]
 
 
+def test_screen_on_cached_dims_makes_no_kernel_pass(monkeypatch):
+    spec, screened = make_spec(), {}
+    dims = [(40.0, 1.2, 5.0, 0.12), (38.0, 1.1, 4.5, 0.1)]
+    records = search._screen(spec, dims, screened)
+    passes = record_kernel_geometries(monkeypatch)
+    travels, uniform_travels = [], beam.uniform_travels
+
+    def counted(*args):
+        travels.append(args)
+        return uniform_travels(*args)
+
+    monkeypatch.setattr(beam, "uniform_travels", counted)
+    monkeypatch.setattr(search, "uniform_travels", counted, raising=False)
+    again = search._screen(spec, dims[::-1] + dims, screened)
+    assert list(map(id, again)) == list(map(id, records[::-1] + records))
+    assert passes == [] and travels == []
+
+
 def test_refine_with_an_unbuildable_lookahead_matches_sequential_search(
         monkeypatch):
     spec, budget = make_spec(), 100
