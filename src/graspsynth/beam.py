@@ -18,11 +18,13 @@ stable equilibrium at travel dy is
 
 On the d1 >= 0 branch the loads are f_o = -4.8618 y_o, p_o = -9.8837 (the
 constant is the fixed-guided buckling scale, ~pi^2).  Otherwise p_o is the
-unique real root of a cubic in p with coefficients k1..k4 built from
-(t, x_o, y_o), cross-checked against the closed-form Cardano expression, and
-f_o follows from a rational expression in that root.  On reachable d1 < 0
-states the cubic has exactly one real root; a cubic with more is refused.
-The shuttle-direction actuation force is
+real root, continuous with p = 0 at rest, of a cubic in p with coefficients
+k1..k4 built from (t, x_o, y_o), cross-checked against the closed-form
+Cardano expression, and f_o follows from a rational expression in that
+root.  On reachable d1 < 0 states the cubic has exactly one real root.  At
+rest it is t1 p (p + 30)^2, so near rest its discriminant is zero to
+rounding and the simple root is taken; a cubic with three distinct real
+roots is refused.  The shuttle-direction actuation force is
 
     F = -(4 E I f_o / L^2 cos(theta) + 4 E I p_o / L^2 sin(theta)).
 
@@ -30,7 +32,11 @@ One array kernel, _loads, evaluates a block of geometries (rows) at one set
 of travels (columns) in a single pass; branch_loads wraps it.  _force_rows
 is the one force entry (force_curve, actuation_force, the design search) and
 _load_scale the one place the load scale 4 E I / L^2 is computed.
-solve_monostable_cubic and the scalar chain before it are the reference.
+_slope_rows is the one slope entry: the exact dF/ds on each sample's
+branch, from one pass's root by implicit differentiation of the cubic and
+the chain rule through the rational expression (at rest it is
+12 E I cos^2(theta) / L^3 + E A sin^2(theta) / L).  solve_monostable_cubic
+and the scalar chain before it are the reference.
 
 All lengths are mm, forces N, moduli MPa (= N/mm^2); angles are radians
 internally and degrees only at interface boundaries.
@@ -58,8 +64,9 @@ BISTABLE_PO = -9.8837
 # Table-scale geometry at 0.01 mm resolution over a 5 mm travel.
 DEFAULT_CURVE_SAMPLES = 500
 
-# Largest sample or step count of a sweep (uniform_travels).  At the cap a
-# force_curve takes 0.2 s and 55 MB, a frame-solver sweep about 13 minutes.
+# Largest sample or step count of a sweep (uniform_travels, and the config's
+# sweep.n_samples and fe.n_steps).  At the cap a force_curve takes 0.2 s and
+# 55 MB, a frame-solver sweep about 13 minutes.
 SAMPLE_CAP = 1_000_000
 
 
@@ -139,9 +146,11 @@ class MonostableIntermediates:
     k1..k4 are the cubic coefficients in p; c1, c2 the nested radicals of the
     closed-form (Cardano) solution; p1 the closed-form real root, the root
     the kernel's root is checked against (_monostable_root).  c2 and p1 are
-    NaN when the cubic has three real roots (the casus irreducibilis), which
-    solve_monostable_cubic refuses.  The generating state (t, x_o, y_o) is
-    kept for reference; x_o = y_o = k4 = 0 marks the undeformed state.
+    NaN when the cubic has three distinct real roots (the casus
+    irreducibilis), which solve_monostable_cubic refuses; a discriminant
+    zero to rounding, as near rest, does not count as one.  The generating
+    state (t, x_o, y_o) is kept for reference; x_o = y_o = k4 = 0 marks the
+    undeformed state.
     """
 
     k1: float
@@ -283,25 +292,45 @@ def _cube(x):
     return np.copysign(np.abs(x) ** 3, x)
 
 
+# A cubic discriminant above -_DISC_ROUNDING times its square term is zero
+# to rounding.  Near rest the cubic tends to t1 p (p + 30)^2, whose double
+# root makes the discriminant cancel: below about 1e-6 mm of travel it comes
+# out within 1.2e-14 of that term, of either sign.
+_DISC_ROUNDING = 1e-12
+
+
+def _radicand(disc, term):
+    """disc, to take the square root of: 0 where it is zero to rounding of
+    its square term term^2 but not positive, NaN where it is negative beyond
+    that."""
+    if np.greater(disc, 0.0).all():
+        return disc
+    return np.where(disc > -_DISC_ROUNDING * term ** 2, np.maximum(disc, 0.0),
+                    np.nan)
+
+
 def _unique_root(k1, k2, k3, k4):
-    """The single real root of k1 p^3 + k2 p^2 + k3 p + k4, k1 > 0.
+    """The real root of k1 p^3 + k2 p^2 + k3 p + k4 continuous with p = 0
+    at rest, k1 > 0.
 
     Coefficients are scalars or arrays of one shape.  With p = q - b/3 the
     cubic becomes q^3 + pp q + qq, whose real root is the Cardano sum of two
     real cube roots wherever the discriminant (qq/2)^2 + (pp/3)^3 is
-    positive.  A discriminant <= 0 means three real roots (or a repeated
-    one), which the monostable branch never reaches; it raises.  The cubes
-    b^3 and (pp/3)^3 go through _cube.
+    positive.  Where it is zero to rounding (_radicand), as near rest, the
+    sum with a zero square root is the simple root, the one away from the
+    double root near -30.  A discriminant negative beyond rounding means
+    three distinct real roots, which the monostable branch never reaches;
+    it raises.  The cubes b^3 and (pp/3)^3 go through _cube.
     """
     b, c, d = k2 / k1, k3 / k1, k4 / k1
     pp = c - b * b / 3.0
     qq = 2.0 * _cube(b) / 27.0 - b * c / 3.0 + d
     disc = (qq / 2.0) ** 2 + _cube(pp / 3.0)
-    if not np.greater(disc, 0.0).all():
+    s = np.sqrt(_radicand(disc, qq / 2.0))
+    if np.isnan(s).any():
         raise NumericalError(
-            f"cubic discriminant {np.min(disc):.3e} is not positive: the "
-            f"cubic has more than one real root")
-    s = np.sqrt(disc)
+            f"cubic discriminant {np.min(disc):.3e} is negative beyond "
+            f"rounding: the cubic has more than one real root")
     return np.cbrt(-qq / 2.0 + s) + np.cbrt(-qq / 2.0 - s) - b / 3.0
 
 
@@ -311,14 +340,16 @@ def _cardano_root(k1, k2, k3, k4):
     Uses the resolvent c1 = -k2^2 + 3 k1 k3 and the cube-root term
     c2 = cbrt(-2 k2^3 + 9 k1 k2 k3 - 27 k1^2 k4 + sqrt(4 c1^3 + (...)^2));
     the root is -k2/(3 k1) - cbrt(2) c1 / (3 k1 c2) + c2 / (3 cbrt(2) k1).
-    The radicand equals 2916 k1^6 times the discriminant of _unique_root, so
-    it is positive wherever that kernel returns; elsewhere c2 and the root
-    are NaN.  Coefficients are scalars or arrays of one shape; the cubes
-    k2^3 and c1^3 go through _cube.
+    The radicand equals 2916 k1^6 times the discriminant of _unique_root,
+    and inner^2 2916 k1^6 times its square term, so both go through
+    _radicand: where that kernel returns, the radicand is positive or zero
+    to rounding; elsewhere c2 and the root are NaN.  Coefficients are scalars
+    or arrays of one shape; the cubes k2^3 and c1^3 go through _cube.
     """
     c1 = -k2 ** 2 + 3.0 * k1 * k3
     inner = -2.0 * _cube(k2) + 9.0 * k1 * k2 * k3 - 27.0 * k1 ** 2 * k4
-    c2 = np.cbrt(inner + np.sqrt(4.0 * _cube(c1) + inner ** 2))
+    c2 = np.cbrt(inner + np.sqrt(_radicand(4.0 * _cube(c1) + inner ** 2,
+                                           inner)))
     cbrt2 = 2.0 ** (1.0 / 3.0)
     root = -k2 / (3.0 * k1) - cbrt2 * c1 / (3.0 * k1 * c2) \
         + c2 / (3.0 * cbrt2 * k1)
@@ -462,6 +493,42 @@ def _force_rows(geoms: Sequence[VBeamGeometry], mat: MaterialModel,
     return force, f_o, p_o, bistable, load
 
 
+def _slope_rows(geoms: Sequence[VBeamGeometry], mat: MaterialModel,
+                dys: np.ndarray):
+    """The one slope entry: dF/ds [N/mm] of geometries at travels dys in one
+    _loads pass, one row per geometry, the exact slope of _force_rows' force
+    on each sample's branch.
+
+    On the bistable branch f_o = -4.8618 y_o and p_o is constant.  On the
+    monostable branch, zero travel included, the pass's root p of the cubic
+    C moves by dp/ds = -(dC/ds at fixed p) / (dC/dp), and f_o follows
+    through _rational_fo.  The travel derivatives evaluate the kernel's own
+    expressions (_k_coefficients, _rational_fo) at the complex travel
+    s + i h, whose imaginary part over h is the derivative to rounding
+    (complex-step differentiation; Squire & Trapp, SIAM Rev. 40(1), 1998).
+    """
+    cols = _columns(geoms)
+    _, p_o, bistable = _loads(cols, dys)
+    x_s, y_s = -2.0 * cols.sin / cols.L, -2.0 * cols.cos / cols.L
+    g, j = np.nonzero(~bistable)
+    h = 2.0 ** -100  # scales exactly; its O(h^2) error is nil in doubles
+    s = dys[j] + 1j * h
+    y_o = s * y_s[g, 0]
+    k1, k2, k3, k4 = _k_coefficients(
+        [c[g, 0] for c in (cols.k1_t, cols.k2_t, cols.k3_t)], s * x_s[g, 0],
+        y_o)
+    p = p_o[g, j]
+    dp_ds = (-(((k1 * p + k2) * p + k3) * p + k4).imag / h
+             / ((3.0 * k1.real * p + 2.0 * k2.real) * p + k3.real))
+
+    df_o = np.broadcast_to(BISTABLE_FO_SLOPE * y_s, bistable.shape).copy()
+    df_o[g, j] = _rational_fo(y_o, p + 1j * h * dp_ds).imag / h
+    dp_o = np.zeros(bistable.shape)
+    dp_o[g, j] = dp_ds
+    load = np.array([[_load_scale(geom, mat)] for geom in geoms])
+    return -(load * df_o * cols.cos + load * dp_o * cols.sin)
+
+
 def branch_loads(geom: VBeamGeometry, delta_y: float) -> BeamLoadState:
     """Guided-end normalized loads at a travel, with branch selection."""
     d1, _ = bistability_margin(geom, delta_y)
@@ -490,9 +557,7 @@ def uniform_travels(travel_max: float, n: int) -> np.ndarray:
     past travel_max), an n above SAMPLE_CAP and a travel_max * n that
     overflows are refused before numpy allocates.
     """
-    check_count("sample count", n, 1)
-    if n > SAMPLE_CAP:
-        raise ValidationError(f"sample count {n} exceeds the cap {SAMPLE_CAP}")
+    check_count("sample count", n, 1, SAMPLE_CAP)
     if not math.isfinite(float(travel_max) * int(n)):
         raise ValidationError(f"travel_max {float(travel_max)!r} times {n} "
                               "samples is not finite")

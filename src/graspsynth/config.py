@@ -15,9 +15,10 @@ import math
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
-from .beam import DEFAULT_CURVE_SAMPLES, MaterialModel, VBeamGeometry
+from .beam import (DEFAULT_CURVE_SAMPLES, SAMPLE_CAP, MaterialModel,
+                   VBeamGeometry)
 from .errors import ConfigError, ValidationError, check_count, check_positive
-from .fe.model import DEFAULT_ELEMENTS_PER_BEAM
+from .fe.model import DEFAULT_ELEMENTS_PER_BEAM, ELEMENT_CAP
 from .fe.solver import DEFAULT_STEPS, DEFAULT_TOLERANCE
 from .mechanism import CantileverSection, MechanismConfig
 from .search import (DEFAULT_GRID_DENSITY, DEFAULT_REFINE_EVALS, DesignSpec,
@@ -31,7 +32,7 @@ class SweepSettings:
 
     def __post_init__(self):
         check_positive("sweep travel_max", self.travel_max)
-        check_count("sweep n_samples", self.n_samples, 2)
+        check_count("sweep n_samples", self.n_samples, 2, SAMPLE_CAP)
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,8 @@ class FESettings:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
-        check_count("fe n_elements", self.n_elements, 4)
-        check_count("fe n_steps", self.n_steps, 2)
+        check_count("fe n_elements", self.n_elements, 4, ELEMENT_CAP)
+        check_count("fe n_steps", self.n_steps, 2, SAMPLE_CAP)
         check_positive("fe tolerance", self.tolerance)
 
 

@@ -41,8 +41,9 @@ class ConvergenceError(NumericalError):
         self.path = path
 
 
-def check_count(name: str, value, minimum: int) -> None:
-    """Refuse a count that is not an integer of at least minimum.
+def check_count(name: str, value, minimum: int, cap=None) -> None:
+    """Refuse a count that is not an integer of at least minimum, or one
+    above cap when a cap is given.
 
     bool is refused; numpy integers pass.
     """
@@ -51,6 +52,8 @@ def check_count(name: str, value, minimum: int) -> None:
         raise ValidationError(f"{rule}; {value!r} is not an integer")
     if value < minimum:
         raise ValidationError(f"{rule}, not {value!r}")
+    if cap is not None and value > cap:
+        raise ValidationError(f"{name} {value} exceeds the cap {cap}")
 
 
 def check_positive(name: str, value) -> None:

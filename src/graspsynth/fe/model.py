@@ -20,6 +20,13 @@ UX, UY, ROT = 0, 1, 2
 
 DEFAULT_ELEMENTS_PER_BEAM = 16
 
+# Largest element count of a mesh (build_vbeam_mesh, the config's
+# fe.n_elements).  A mesh of n elements has at most 3 n equations, and one
+# assembly fills a dense tangent of 8 bytes per entry: about 95 MB at the
+# cap.  The dense solve grows as the cube of the equation count, about 2 s
+# per Newton iteration at the cap (2.6 ms at 128 elements).
+ELEMENT_CAP = 1_150
+
 
 @dataclass
 class FrameModel:
@@ -100,9 +107,9 @@ def build_vbeam_mesh(geom: VBeamGeometry,
     the drive, moving by -1 along Y per unit of the control.  Every element
     shares the section (E, W T, W T^3 / 12), with a unit modulus E unless
     youngs_modulus_E is given (reactions scale linearly with it).
-    n_elements must be an integer of at least 4.
+    n_elements must be an integer of at least 4 and at most ELEMENT_CAP.
     """
-    check_count("n_elements", n_elements, 4)
+    check_count("n_elements", n_elements, 4, ELEMENT_CAP)
     n_nodes = n_elements + 1
     s = np.linspace(0.0, geom.length_L, n_nodes)
     direction = np.array([np.cos(geom.tilt_theta), np.sin(geom.tilt_theta)])

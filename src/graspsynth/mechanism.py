@@ -22,12 +22,9 @@ from typing import Tuple, Union
 import numpy as np
 
 from .beam import (ForceDisplacementCurve, MaterialModel, VBeamGeometry,
-                   actuation_force)
+                   _slope_rows, actuation_force)
 from .errors import (NumericalError, ValidationError, check_count,
                      check_non_negative, check_positive)
-
-# Finite-difference step for the single-beam tangent stiffness [mm].
-STIFFNESS_FD_STEP = 1e-3
 
 # Fraction of the latch travel over which the engagement ramp acts.
 LATCH_RAMP_SPAN = 0.05
@@ -179,17 +176,16 @@ def single_beam_force(geom: VBeamGeometry, mat: MaterialModel, delta_y):
 def beam_tangent_stiffness(config: MechanismConfig, delta_y):
     """Single-beam tangent stiffness dF/d(dy), clamped to >= 0 [N/mm].
 
-    Central finite difference with a fixed step; the lower point is clamped
-    at zero travel.  Negative tangents (the snap region) count as zero
-    resistance for displacement-transfer purposes.  Both points of every
-    travel go through one kernel pass.
+    Half the exact slope of the double V-beam force on the branch of each
+    travel (beam._slope_rows), from one kernel pass at the travels
+    themselves.  Negative tangents (the snap region) count as zero
+    resistance for displacement-transfer purposes; a slope that is not
+    finite raises.
     """
-    h = STIFFNESS_FD_STEP
-    lo = np.maximum(0.0, np.subtract(delta_y, h))
-    hi = np.add(delta_y, h)
-    f_lo, f_hi = single_beam_force(config.beam_geometry, config.material,
-                                   np.stack([lo, hi]))
-    k = (f_hi - f_lo) / (hi - lo)
+    check_non_negative("delta_y", delta_y)
+    dys = np.array(delta_y, dtype=float)
+    slope = _slope_rows([config.beam_geometry], config.material, dys.ravel())
+    k = halved_ring_force(slope.reshape(dys.shape), 1)
     if not np.isfinite(k).all():
         raise NumericalError("tangent stiffness is not finite")
     return np.maximum(0.0, k)
@@ -199,7 +195,8 @@ def shuttle_transfer_ratio(config: MechanismConfig, delta_y):
     """Fraction of ring displacement reaching the shuttle, in (0, 1].
 
     Series-spring split: ratio = ks / (ks + n k_b) with k_b the clamped
-    per-beam tangent stiffness at the given travel.
+    per-beam tangent stiffness at the given travel (beam_tangent_stiffness,
+    exact on the travel's branch).
     """
     k_b = beam_tangent_stiffness(config, delta_y)
     ks = config.series_stiffness_ks
@@ -271,7 +268,9 @@ def grasper_sweep(config: MechanismConfig, ring_disps) -> GrasperSweep:
     declared simplification.  The jaw responds to the ring displacement per
     the calibration, and the jaw root stress follows from the linear
     cantilever tip relation (small-deflection only).  Two passes of the load
-    kernel (tangent stiffness, then shuttle force) serve the whole sweep.
+    kernel, n samples each, serve a sweep of n ring displacements: the exact
+    tangent stiffness at the ring displacements, then the shuttle force at
+    the shuttle travels.
     """
     ring = np.array(ring_disps, dtype=float, ndmin=1)
     check_non_negative("ring_disp", ring)

@@ -22,7 +22,7 @@ from graspsynth import (BeamLoadState, Branch, ForceDisplacementCurve,
                         bistable_crossover, branch_loads, force_curve,
                         monostable_intermediates, normalize_deflection,
                         peak_force, solve_monostable_cubic)
-from graspsynth.beam import SAMPLE_CAP, uniform_travels
+from graspsynth.beam import SAMPLE_CAP, _slope_rows, uniform_travels
 
 GEOM = VBeamGeometry.from_degrees(40, 1.2, 5, 7)
 MAT = MaterialModel(youngs_modulus_E=1800)
@@ -444,6 +444,99 @@ def test_closed_form_at_small_travel_is_not_flagged(caplog):
     with caplog.at_level("WARNING", logger="graspsynth.beam"):
         actuation_force(geom, MAT, np.array([1e-5, 1e-4, 1e-3]))
     assert caplog.text == ""
+
+
+def rest_stiffness(geom, mat):
+    """12 E I cos^2 / L^3 + E A sin^2 / L: the double V-beam's slope at rest."""
+    E, L, th = mat.youngs_modulus_E, geom.length_L, geom.tilt_theta
+    return (12.0 * E * geom.second_moment * math.cos(th) ** 2 / L ** 3
+            + E * geom.area * math.sin(th) ** 2 / L)
+
+
+def slope(geom, dy):
+    return _slope_rows([geom], MAT, np.array([dy]))[0, 0]
+
+
+def test_slope_equals_central_difference_on_monostable_states():
+    h = 1e-6
+    states = random_monostable_states(300, seed=43)
+    for geom, dy in states:
+        if abs(dy - bistable_crossover(geom)) <= h:
+            continue
+        fd = (actuation_force(geom, MAT, dy + h)
+              - actuation_force(geom, MAT, dy - h)) / (2.0 * h)
+        assert slope(geom, dy) == pytest.approx(fd, rel=1e-6)
+
+
+def test_slope_rows_of_a_block_equal_one_geometry_passes():
+    states = random_monostable_states(20, seed=47)
+    geoms = [geom for geom, _ in states]
+    dys = np.array([0.0, 0.01, 0.5, 1.0, 2.0, 4.0])
+    block = _slope_rows(geoms, MAT, dys)
+    assert block.shape == (20, 6)
+    for row, geom in zip(block, geoms):
+        assert np.array_equal(row, _slope_rows([geom], MAT, dys)[0])
+
+
+@pytest.mark.parametrize("dims", [(40, 1.2, 5, 7), (40, 1.2, 5, 0),
+                                  (72.19, 0.694, 5, 11.13), (20, 3.0, 8, 30)])
+def test_slope_at_rest_is_the_linear_stiffness(dims):
+    geom = VBeamGeometry.from_degrees(*dims)
+    assert slope(geom, 0.0) == pytest.approx(rest_stiffness(geom, MAT),
+                                             rel=1e-14)
+
+
+def test_slope_on_each_side_of_the_crossover_is_its_branch_slope():
+    xc = bistable_crossover(GEOM)
+    below, above = xc * (1.0 - 1e-12), xc * (1.0 + 1e-12)
+    assert branch_loads(GEOM, below).branch is Branch.MONOSTABLE
+    assert branch_loads(GEOM, above).branch is Branch.BISTABLE
+    # bistable: f_o = -4.8618 y_o and p_o is constant
+    L, th = GEOM.length_L, GEOM.tilt_theta
+    load = 4.0 * MAT.youngs_modulus_E * GEOM.second_moment / L ** 2
+    assert slope(GEOM, above) == pytest.approx(
+        -load * math.cos(th) * -4.8618 * -2.0 * math.cos(th) / L, rel=1e-14)
+    # monostable: the one-sided difference that stays on its branch
+    h = 1e-6
+    left = (actuation_force(GEOM, MAT, below)
+            - actuation_force(GEOM, MAT, below - h)) / h
+    assert slope(GEOM, below) == pytest.approx(left, rel=1e-5)
+    # per beam, the two branches' slopes of the demo beam
+    assert slope(GEOM, below) / 2 == pytest.approx(0.5337, abs=1e-4)
+    assert slope(GEOM, above) / 2 == pytest.approx(-0.3880, abs=1e-4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_near_rest_travels_take_the_root_continuous_with_rest(caplog):
+    # 80,000 evaluations, 20 blocks of 200 random beams at 20 travels of
+    # 1e-9 to 1e-1 mm: the cubic's discriminant rounds to <= 0 below about
+    # 1e-7 mm, which used to raise NumericalError (or warn from the closed
+    # form's square root)
+    rng = np.random.default_rng(53)
+    with caplog.at_level("WARNING", logger="graspsynth.beam"):
+        for _ in range(20):
+            geoms = [VBeamGeometry.from_degrees(L, T, 5.0, tilt) for L, T, tilt
+                     in rng.uniform((10.0, 0.2, 0.0), (80.0, 4.0, 30.0),
+                                    (200, 3))]
+            dys = 10.0 ** rng.uniform(-9.0, -1.0, 20)
+            force = graspsynth.beam._force_rows(geoms, MAT, dys)[0]
+            assert np.all(np.isfinite(force)) and np.all(force > 0.0)
+            assert np.all(np.isfinite(_slope_rows(geoms, MAT, dys)))
+    assert caplog.text == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dy", [1e-9, 2.3e-9, 1e-8, 1e-7])
+def test_near_rest_root_is_the_small_root(dy):
+    geom = VBeamGeometry.from_degrees(72.19, 0.694, 5, 11.13)
+    nd = normalize_deflection(geom, dy)
+    inter = monostable_intermediates(nd)
+    p = solve_monostable_cubic(inter)
+    assert p == pytest.approx(oracle_cubic_root(nd.t, nd.x_o, nd.y_o),
+                              rel=1e-5)
+    assert math.isfinite(inter.p1) and math.isfinite(inter.c2)
+    assert actuation_force(geom, MAT, dy) == pytest.approx(
+        rest_stiffness(geom, MAT) * dy, rel=1e-6)
 
 
 def test_kernel_accepts_every_state_of_the_domain():

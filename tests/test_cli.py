@@ -262,21 +262,25 @@ def test_unreadable_config_is_config_error(tmp_path, capsys, content):
     assert "configuration error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,extra,fe", [
-    ("curve", ["--samples", str(10 ** 30)], {}),
-    ("grasper", ["--samples", str(10 ** 30)], {}),
-    ("verify", [], {"n_steps": 10 ** 30})], ids=["curve", "grasper", "verify"])
+@pytest.mark.parametrize("command,extra,fe,refusal", [
+    ("curve", ["--samples", str(10 ** 30)], {}, "sweep n_samples"),
+    ("grasper", ["--samples", str(10 ** 30)], {}, "sweep n_samples"),
+    ("verify", [], {"n_steps": 10 ** 30}, "invariant violation: fe n_steps"),
+    ("report", [], {"n_steps": 10 ** 30}, "invariant violation: fe n_steps")],
+    ids=["curve", "grasper", "verify", "report"])
 def test_count_above_the_cap_is_config_error(tmp_path, capsys, command, extra,
-                                             fe):
+                                             fe, refusal):
+    # refused when the config is read, before any command writes a CSV
     config = tmp_path / "config.json"
     config.write_text(json.dumps(minimal_doc(fe=fe)))
-    rc = run_command([command, "--config", str(config), "--out",
-                      str(tmp_path), "--quiet", *extra])
+    out = tmp_path / "out"
+    rc = run_command([command, "--config", str(config), "--out", str(out),
+                      "--quiet", *extra])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"configuration error in '{command}': sample count {10 ** 30} " \
+    assert f"configuration error in '{command}': {refusal} {10 ** 30} " \
         f"exceeds the cap {SAMPLE_CAP}" in err
-    assert not list(tmp_path.glob("*.csv"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,csv_name", [
@@ -518,8 +522,8 @@ def test_grasper_model_evaluations_do_not_depend_on_samples(tmp_path,
                             "--out", str(tmp_path / str(samples)),
                             "--samples", str(samples), "--quiet"]) == 0
         passes[samples] = list(calls)
-    # the tangent pass takes two points per sample, the force pass one
-    assert passes == {n: [2 * n, n] for n in (5, 40, 400)}
+    # the tangent pass and the force pass take one point per sample each
+    assert passes == {n: [n, n] for n in (5, 40, 400)}
     assert rows == []
     # the counters see a one-point response, which does build its records
     mechanism.grasper_response(parse_config(TABLE1_JSON.read_text()).mechanism,

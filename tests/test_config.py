@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from graspsynth import (ConfigError, MaterialModel, RunConfig,
                         ValidationError, parse_config, serialize_config)
+from graspsynth.beam import SAMPLE_CAP
 from graspsynth.config import _KEYS
+from graspsynth.fe.model import ELEMENT_CAP
 from graspsynth.search import DEFAULT_GRID_DENSITY
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -208,6 +210,19 @@ def test_readme_schema_example_parses_and_names_every_key():
     doc = json.loads(re.sub(r"//[^\n]*", "", block))
     parse_config(json.dumps(doc))
     assert table_keys() <= keys_by_section(doc)
+
+
+@pytest.mark.parametrize("section,key,cap", [
+    ("sweep", "n_samples", SAMPLE_CAP), ("fe", "n_steps", SAMPLE_CAP),
+    ("fe", "n_elements", ELEMENT_CAP)])
+def test_counts_above_their_cap_are_refused_at_parse(section, key, cap):
+    for count in (cap + 1, 10 ** 30):
+        doc = copy.deepcopy(FULL)
+        doc[section][key] = count
+        assert refusal(doc) == (f"invariant violation: {section} {key} "
+                                f"{count} exceeds the cap {cap}")
+    doc[section][key] = cap
+    assert getattr(getattr(parse_config(json.dumps(doc)), section), key) == cap
 
 
 def test_missing_grid_density_entry_gets_the_search_default():

@@ -16,7 +16,7 @@ from graspsynth import (CantileverSection, ConvergenceError, FrameModel,
                         sweep_to_curve, write_path_csv)
 from graspsynth.beam import uniform_travels
 from graspsynth.fe import solver
-from graspsynth.fe.model import ROT, UX, UY
+from graspsynth.fe.model import ELEMENT_CAP, ROT, UX, UY
 from graspsynth.fe.solver import (EquilibriumPath, PathStep,
                                    _element_energy, _newton, _System)
 
@@ -52,6 +52,18 @@ def test_mesh_minimal_element_count():
     assert build_vbeam_mesh(GEOM, 4).n_nodes == 5
     with pytest.raises(ValidationError):
         build_vbeam_mesh(GEOM, 3)
+
+
+@pytest.mark.parametrize("count", [ELEMENT_CAP + 1, 10 ** 30])
+def test_mesh_above_the_element_cap_is_refused(count):
+    # refused before any node is placed; the cap itself builds (no assembly)
+    assert build_vbeam_mesh(GEOM, ELEMENT_CAP).elements.shape[0] == ELEMENT_CAP
+    for build, source in ((build_vbeam_mesh, GEOM),
+                          (build_multibeam_assembly, make_config())):
+        with pytest.raises(ValidationError,
+                           match=f"n_elements {count} exceeds the cap "
+                                 f"{ELEMENT_CAP}"):
+            build(source, count)
 
 
 def test_mesh_untilted_is_collinear():

@@ -20,7 +20,7 @@ GOLDEN = {
     ("table1", "d1", "d1.csv"):
         "f25cefd1acafa37ba4e07fc35406547ade85a6c58bdf16636ae55cc5af3a74ca",
     ("table1", "grasper", "grasper.csv"):
-        "8903a2c080f8aeea84329db478a6c82ed84bf6a42c0c83ec41b7d7717085a63a",
+        "d6061944125554cb567f5f715e46dae88839fbb01bec980fc00baeb6b3398321",
     ("table1", "design", "design_candidates.csv"):
         "4f58bed2d7e9f91937ffd70e31beb3dc3f83bc22f5e29f33498ec6be1ee8acc0",
     ("final_prototype", "curve", "curve.csv"):
@@ -28,7 +28,7 @@ GOLDEN = {
     ("final_prototype", "d1", "d1.csv"):
         "f25cefd1acafa37ba4e07fc35406547ade85a6c58bdf16636ae55cc5af3a74ca",
     ("final_prototype", "grasper", "grasper.csv"):
-        "6852ed903c7a35cd72b850001018d5c1a70b6f4fcf62c2f6995cf951bae6eb09",
+        "1074f981d04294ab1b4fed07de3620783bd6541d45f9b6086ea822a01d8f84ca",
 }
 
 

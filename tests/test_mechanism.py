@@ -8,7 +8,8 @@ import pytest
 from graspsynth import (CantileverSection, LatchPhase, LatchState,
                         MaterialModel, MechanismConfig, PressTrigger,
                         PullRing, ValidationError, VBeamGeometry,
-                        aggregate_ring_force, cantilever_stress, force_curve,
+                        actuation_force, aggregate_ring_force,
+                        bistable_crossover, cantilever_stress, force_curve,
                         grasper_response, grasper_sweep, jaw_opening,
                         latch_step, peak_force, shuttle_transfer_ratio,
                         single_beam_force)
@@ -175,6 +176,38 @@ def test_transfer_ratio_is_one_on_zero_stiffness_plateau():
     # past the crossover the per-beam force declines, the clamped tangent
     # stiffness vanishes and the transfer becomes rigid
     assert shuttle_transfer_ratio(make_config(), 3.0) == 1.0
+
+
+def test_tangent_stiffness_is_half_the_exact_slope_clamped():
+    # the demo beam's per-beam slopes: 12 E I cos^2 / L^3 + E A sin^2 / L,
+    # halved, at rest; each branch's own slope on either side of d1's
+    # crossover (the snap side clamped to 0); no step, so no straddling
+    config = make_config()
+    E, L, th = MAT.youngs_modulus_E, GEOM.length_L, GEOM.tilt_theta
+    rest = (12.0 * E * GEOM.second_moment * math.cos(th) ** 2 / L ** 3
+            + E * GEOM.area * math.sin(th) ** 2 / L) / 2.0
+    xc = bistable_crossover(GEOM)
+    k = beam_tangent_stiffness(config, [0.0, xc * (1 - 1e-12),
+                                        xc * (1 + 1e-12)])
+    assert k[0] == pytest.approx(rest, rel=1e-14)
+    assert k[1] == pytest.approx(0.5337, abs=1e-4)
+    assert k[2] == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dy", [1e-9, 2.3e-9, 1e-8, 1e-7])
+def test_near_rest_travels_raise_and_warn_nothing(dy, caplog):
+    # this beam's cubic discriminant rounds to <= 0 at these travels, which
+    # used to raise NumericalError in actuation_force
+    geom = VBeamGeometry.from_degrees(72.19, 0.694, 5, 11.13)
+    config = make_config(beam_geometry=geom)
+    with caplog.at_level("WARNING", logger="graspsynth.beam"):
+        assert actuation_force(geom, MAT, dy) > 0.0
+        k = beam_tangent_stiffness(config, dy)
+        response = grasper_response(config, dy)
+    assert caplog.text == ""
+    assert k == pytest.approx(1.615869, rel=1e-6)
+    assert 0.0 < response.shuttle_displacement < dy
 
 
 def test_transfer_ratio_in_unit_interval():

@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 
 import graspsynth.beam as beam
 from graspsynth import (Candidate, DesignSpec, MaterialModel, NumericalError,
-                        ValidationError, VBeamGeometry, aggregate_ring_force,
-                        bistability_margin, evaluate_candidate, force_curve,
-                        grid_search, peak_force, refine, write_candidates_csv)
+                        SingularityError, ValidationError, VBeamGeometry,
+                        aggregate_ring_force, bistability_margin,
+                        evaluate_candidate, force_curve, grid_search,
+                        monostable_intermediates, normalize_deflection,
+                        peak_force, refine, solve_monostable_cubic,
+                        write_candidates_csv)
 from graspsynth import search
 from graspsynth.mechanism import halved_ring_force
 
@@ -326,20 +329,44 @@ def test_grid_levels_that_round_together_count_once():
     assert len({c.point for c in ranked}) == len(ranked) == 2 * 27 * 3
 
 
-def test_grid_failing_row_raises_like_per_point_scoring():
-    # near rest the cubic's discriminant loses its digits on some rows only
-    spec = make_spec(target_travel=4e-7, sweep_samples=2,
-                     bounds={**BOUNDS, "tilt_theta": (math.radians(7.0),) * 2,
+POLE_TILT = math.radians(1.0)
+
+
+def pole_spec():
+    """A spec at whose target travel the beam 40 x 1.2 x 5 mm, tilted by
+    POLE_TILT, raises SingularityError.
+
+    At this tilt d1 stays negative and the root grows with the travel; the
+    target travel, found by bisection of the reference root over 10-12 mm,
+    is where it makes the force expression's denominator
+    4 + 2p/15 - 11p^2/6300 vanish to rounding.
+    """
+    def den(dy):
+        p = solve_monostable_cubic(monostable_intermediates(
+            normalize_deflection(VBeamGeometry(40.0, 1.2, 5.0, POLE_TILT),
+                                 dy)))
+        return 4.0 + 2.0 * p / 15.0 - 11.0 * p * p / 6300.0
+
+    lo, hi = 10.0, 12.0
+    assert den(lo) > 0.0 > den(hi)
+    while (mid := (lo + hi) / 2.0) not in (lo, hi):
+        lo, hi = (mid, hi) if den(mid) > 0.0 else (lo, mid)
+    return make_spec(target_travel=lo, sweep_samples=2,
+                     bounds={**BOUNDS, "tilt_theta": (POLE_TILT, POLE_TILT),
                              "width_W": (5.0, 5.0)})
+
+
+def test_grid_failing_row_raises_like_per_point_scoring():
+    spec = pole_spec()
     density = dict(DENSITY, length_L=5, width_W=1, tilt_theta=1)
     outcomes = []
     for L, T in product(np.linspace(36.0, 44.0, 5), np.linspace(1.0, 1.4, 3)):
         try:
-            reference_screen(spec, VBeamGeometry(L, T, 5.0, math.radians(7.0)))
+            reference_screen(spec, VBeamGeometry(L, T, 5.0, POLE_TILT))
             outcomes.append(None)
         except NumericalError as exc:
             outcomes.append(type(exc))
-    assert None in outcomes
+    assert outcomes == [None] * 7 + [SingularityError] + [None] * 7
     expected = next(kind for kind in outcomes if kind is not None)
     with pytest.raises(expected):
         grid_search(spec, density)
@@ -594,12 +621,10 @@ def test_refine_builds_each_geometry_once(budget, monkeypatch):
 
 
 def test_refine_failing_lookahead_raises_like_sequential_search(monkeypatch):
-    # the near-rest spec of the grid test, where some rows raise: a batch
+    # the pole spec of the grid test, where some rows raise: a batch
     # holding such a row fails, yet refine raises only when the sequential
     # search reaches that row
-    spec = make_spec(target_travel=4e-7, sweep_samples=2,
-                     bounds={**BOUNDS, "tilt_theta": (math.radians(7.0),) * 2,
-                             "width_W": (5.0, 5.0)})
+    spec = pole_spec()
     screen, failed = search._screen, []
 
     def watched(spec_, geoms, screened):
@@ -611,9 +636,10 @@ def test_refine_failing_lookahead_raises_like_sequential_search(monkeypatch):
             raise
 
     kinds = set()
-    for L, T in product(np.linspace(36.0, 44.0, 5), (1.0, 1.2, 1.4)):
+    # starts one step of L or T from the bad row
+    for L, T in product(np.linspace(36.0, 44.0, 9), (1.15, 1.2, 1.25)):
         start = outcome(evaluate_candidate, spec,
-                        VBeamGeometry(L, T, 5.0, math.radians(7.0)), 12)
+                        VBeamGeometry(L, T, 5.0, POLE_TILT), 12)
         if not isinstance(start, Candidate):
             continue
         for budget in (5, 20):
@@ -638,21 +664,21 @@ def test_screen_stores_the_rows_of_each_block_that_passes(monkeypatch):
     assert first == second and rows == [1] and list(screened) == [dims]
     assert first[0] == VBeamGeometry(*dims)
     assert search._screen(spec, [dims], screened) == [first] and rows == [1]
-    # near rest some rows raise: a block whose pass raises stores nothing,
-    # and the blocks screened before it keep their records
-    near = make_spec(target_travel=4e-7, sweep_samples=2)
-    points = [(L, T, 5.0, math.radians(7.0))
+    # at the pole spec some rows raise: a block whose pass raises stores
+    # nothing, and the blocks screened before it keep their records
+    pole = pole_spec()
+    points = [(L, T, 5.0, POLE_TILT)
               for L, T in product(np.linspace(36.0, 44.0, 5), (1.0, 1.2, 1.4))]
-    builds = [isinstance(outcome(reference_screen, near, VBeamGeometry(*d)),
+    builds = [isinstance(outcome(reference_screen, pole, VBeamGeometry(*d)),
                          tuple) for d in points]
     good, bad = points[builds.index(True)], points[builds.index(False)]
     screened = {}
     with pytest.raises(NumericalError):
-        search._screen(near, [good, bad], screened)
+        search._screen(pole, [good, bad], screened)
     assert screened == {}
-    monkeypatch.setattr(search, "BLOCK_SAMPLES", near.sweep_samples)
+    monkeypatch.setattr(search, "BLOCK_SAMPLES", pole.sweep_samples)
     with pytest.raises(NumericalError):
-        search._screen(near, [good, bad], screened)
+        search._screen(pole, [good, bad], screened)
     assert list(screened) == [good]
 
 
