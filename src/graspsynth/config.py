@@ -21,8 +21,8 @@ from .errors import ConfigError, ValidationError, check_count, check_positive
 from .fe.model import DEFAULT_ELEMENTS_PER_BEAM, ELEMENT_CAP
 from .fe.solver import DEFAULT_STEPS, DEFAULT_TOLERANCE
 from .mechanism import CantileverSection, MechanismConfig
-from .search import (DEFAULT_GRID_DENSITY, DEFAULT_REFINE_EVALS, DesignSpec,
-                     PARAM_NAMES)
+from .search import (DEFAULT_GRID_DENSITY, DEFAULT_REFINE_EVALS, GRID_CAP,
+                     DesignSpec, PARAM_NAMES)
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class DesignSettings:
     def __post_init__(self):
         check_count("refine_max_evals", self.refine_max_evals, 0)
         for name, count in self.grid_density.items():
-            check_count(f"grid density {name}", count, 1)
+            check_count(f"grid density {name}", count, 1, GRID_CAP)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ in one call, and refine keeps one cache of records per call, keyed by
 dims.  Per point: the ring peak, the objective and the ranking key, of
 which refine keeps the best candidate's rather than recomputing it per
 poll.  A refine poll's outcome does not depend on the polls beside it, so
-whenever a sweep starts or its center moves, refine screens every geometry
-the rest of that sweep would poll from the center in one call, then scores
-the polls one at a time in the sequential order.
+whenever a sweep starts or its center moves, refine screens the center's
+whole neighbourhood, its polls along every axis of the sweep, in one call,
+then scores the polls one at a time in the sequential order.
 
 The bound invariant: every refine center lies inside the bounds, since
 refine checks its start and every later center is a poll that passed the
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import chain, product
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -257,12 +257,6 @@ def evaluate_candidate(spec: DesignSpec, geom: VBeamGeometry,
     return _candidate(spec, record, n_beams)
 
 
-def _grid_axis(lo: float, hi: float, count: int) -> np.ndarray:
-    if count == 1 or lo == hi:
-        return np.array([(lo + hi) / 2.0]) if count == 1 else np.array([lo])
-    return np.linspace(lo, hi, count)
-
-
 def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
                 n_workers: int = 1) -> List[Candidate]:
     """Exhaustively evaluate a Cartesian grid and rank the candidates.
@@ -275,8 +269,9 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
     is a deterministic total order.  Levels that round to one value count
     once, so the candidates are distinct design points.  A parameter
     missing from grid_density gets DEFAULT_GRID_DENSITY levels; a key
-    outside PARAM_NAMES, a density that is not an integer of at least 1 and
-    a grid above GRID_CAP points are refused before the first kernel pass.
+    outside PARAM_NAMES and a density that is not an integer from 1 to
+    GRID_CAP are refused before any axis is built, and a grid above GRID_CAP
+    points before the first kernel pass.
     n_workers must be an integer of at least 1 and has no effect: the grid
     is evaluated in one thread.
     """
@@ -286,18 +281,22 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
         raise ValidationError(
             f"grid density names unknown parameter(s) "
             f"{', '.join(map(repr, unknown))}; expected {PARAM_NAMES}")
+    counts = {name: grid_density.get(name, DEFAULT_GRID_DENSITY)
+              for name in PARAM_NAMES}
+    for count in counts.values():
+        check_count("grid density", count, 1, GRID_CAP)
     axes = {}
-    for name in PARAM_NAMES:
+    for name, count in counts.items():
         lo, hi = spec.bounds[name]
-        count = grid_density.get(name, DEFAULT_GRID_DENSITY)
-        check_count("grid density", count, 1)
         if name == "n_beams":
             raw = np.linspace(lo, hi, count) if count > 1 else [lo]
             levels = sorted({int(round(v)) for v in raw})
             axes[name] = [n for n in levels if _in_bounds(spec, name, n)]
         else:
+            levels = (np.linspace(lo, hi, count) if count > 1
+                      else np.array([(lo + hi) / 2.0]))
             # levels closer than the float spacing round together: keep one
-            axes[name] = list(dict.fromkeys(_grid_axis(lo, hi, count)))
+            axes[name] = list(dict.fromkeys(levels))
 
     total = math.prod(len(vals) for vals in axes.values())
     if total > GRID_CAP:
@@ -343,9 +342,9 @@ def refine(spec: DesignSpec, start: Candidate,
     max_evals that is not an integer of at least 0 is refused.
 
     The polls around one center are independent, so whenever a sweep
-    starts or the center moves, every poll the rest of the sweep would make
-    from that center, up to the remaining budget, is screened in one
-    _screen call before the first of them is scored.  A batched record
+    starts or the center moves, the center's whole neighbourhood, its polls
+    along every axis of the sweep cut to the remaining budget, is screened
+    in one _screen call before the first of them is scored.  A batched record
     equals the one-geometry record bit for bit, so the visits, the
     evaluation count and the result are those of polling one geometry at a
     time, also when the look-ahead fails: a look-ahead block that cannot be
@@ -365,16 +364,15 @@ def refine(spec: DesignSpec, start: Candidate,
         # the beam count always steps by one
         axes = [(i, step) for i, step in enumerate((*steps, 1)) if step > 0]
         center = None
-        for k, (i, _) in enumerate(axes):
+        for i, _ in axes:
             if best.point != center:
                 center = best.point
-                polls = _polls(spec, center, axes[k:])
-                ahead = [trial for trials in polls.values()
-                         for trial in trials][:max_evals - evals]
+                polls = _polls(spec, center, axes)
                 # these polls are made only if the center holds, and a poll
                 # that cannot be built or screened raises when it is made
                 try:
-                    _screen(spec, [p[:4] for p in ahead], screened)
+                    _screen(spec, [p[:4] for p in chain(*polls.values())]
+                            [:max_evals - evals], screened)
                 except (ValidationError, NumericalError):
                     pass
             for trial in polls[i]:

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from graspsynth import (CantileverSection, LatchPhase, LatchState,
-                        MaterialModel, MechanismConfig, PressTrigger,
-                        PullRing, VBeamGeometry, aggregate_ring_force,
+                        PressTrigger, PullRing, VBeamGeometry,
+                        aggregate_ring_force,
                         bistable_crossover, cantilever_stress, compare_curves,
                         force_curve, grasper_response, grid_search,
                         jaw_opening, latch_step, monostable_intermediates,
@@ -26,23 +26,11 @@ from graspsynth import (CantileverSection, LatchPhase, LatchState,
                         shuttle_transfer_ratio, solve_monostable_cubic,
                         solve_multibeam_assembly, solve_vbeam_sweep,
                         sweep_to_curve)
+from common import GEOM, MAT, TABLE2, make_config
 from test_beam import oracle_cubic_root, random_monostable_states
 
-GEOM = VBeamGeometry.from_degrees(40, 1.2, 5, 7)
-MAT = MaterialModel(youngs_modulus_E=1800)
-TABLE2 = ((3.2, 7.13), (6.4, 15.99), (8.0, 20.52))
 REPORTED_RING_FORCE = 21.6
 MEASURED_FULL_ACTUATION = 16.829
-
-
-def make_config(**overrides):
-    base = dict(
-        beam_geometry=GEOM, n_beams=12, material=MAT, latch_travel=8.0,
-        jaw_calibration=TABLE2,
-        jaw_section=CantileverSection(3.0, 1.5, 45.0),
-        series_stiffness_ks=10.0)
-    base.update(overrides)
-    return MechanismConfig(**base)
 
 
 def report(criterion, ok, detail):

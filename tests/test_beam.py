@@ -24,8 +24,7 @@ from graspsynth import (BeamLoadState, Branch, ForceDisplacementCurve,
                         peak_force, solve_monostable_cubic)
 from graspsynth.beam import SAMPLE_CAP, _slope_rows, uniform_travels
 
-GEOM = VBeamGeometry.from_degrees(40, 1.2, 5, 7)
-MAT = MaterialModel(youngs_modulus_E=1800)
+from common import GEOM, MAT
 
 
 # ---------------------------------------------------------------------------

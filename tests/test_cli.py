@@ -13,7 +13,7 @@ from graspsynth import (ConfigError, cli, mechanism, parse_config,
 from graspsynth.beam import SAMPLE_CAP
 from graspsynth.cli import run_command
 from graspsynth.fe.solver import PATH_CSV_HEADER
-from graspsynth.search import CANDIDATES_CSV_HEADER
+from graspsynth.search import CANDIDATES_CSV_HEADER, GRID_CAP
 
 REPO = Path(__file__).resolve().parents[1]
 TABLE1_JSON = REPO / "demos" / "table1.json"
@@ -169,6 +169,24 @@ def test_config_a_command_cannot_run_is_refused_at_parse(path, value, named,
     cfg, out = tmp_path / "edited.json", tmp_path / "out"
     cfg.write_text(json.dumps(doc))
     for command in ("curve", "report"):
+        rc = run_command([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("name", ["length_L", "n_beams"])
+@pytest.mark.parametrize("count", [GRID_CAP + 1, 2 ** 63])
+def test_grid_density_above_the_cap_is_refused_at_parse(name, count, tmp_path,
+                                                         capsys):
+    doc = json.loads(TABLE1_JSON.read_text())
+    doc["design"]["grid_density"][name] = count
+    named = f"grid density {name} {count} exceeds the cap {GRID_CAP}"
+    with pytest.raises(ConfigError, match=named):
+        parse_config(json.dumps(doc))
+    cfg, out = tmp_path / "dense.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    for command in ("design", "report"):
         rc = run_command([command, "--config", str(cfg), "--out", str(out)])
         assert rc == 2
         assert named in capsys.readouterr().err

@@ -13,15 +13,15 @@ import pytest
 
 import graspsynth
 import graspsynth.fe
-from graspsynth import (FESettings, LatchPhase, LatchState, MaterialModel,
-                        PullRing, SweepSettings, ValidationError,
-                        VBeamGeometry, actuation_force, bistability_margin,
+from graspsynth import (FESettings, LatchPhase, LatchState, PullRing,
+                        SweepSettings, ValidationError, actuation_force,
+                        bistability_margin,
                         branch_loads, latch_step, normalize_deflection,
                         solve_vbeam_sweep)
 from graspsynth.errors import check_non_negative
 
-GEOM = VBeamGeometry.from_degrees(40, 1.2, 5, 7)
-MAT = MaterialModel(youngs_modulus_E=1800)
+from common import GEOM, MAT
+
 NAN = math.nan
 
 

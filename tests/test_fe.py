@@ -6,9 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from graspsynth import (CantileverSection, ConvergenceError, FrameModel,
-                        MaterialModel, MechanismConfig, ValidationError,
-                        VBeamGeometry,
+from graspsynth import (ConvergenceError, FrameModel, MaterialModel,
+                        ValidationError, VBeamGeometry,
                         build_multibeam_assembly,
                         build_vbeam_mesh, compare_curves, force_curve,
                         peak_force, solve_guided_sweep,
@@ -20,19 +19,7 @@ from graspsynth.fe.model import ELEMENT_CAP, ROT, UX, UY
 from graspsynth.fe.solver import (EquilibriumPath, PathStep,
                                    _element_energy, _newton, _System)
 
-GEOM = VBeamGeometry.from_degrees(40, 1.2, 5, 7)
-MAT = MaterialModel(youngs_modulus_E=1800)
-TABLE2 = ((3.2, 7.13), (6.4, 15.99), (8.0, 20.52))
-
-
-def make_config(**overrides):
-    base = dict(
-        beam_geometry=GEOM, n_beams=12, material=MAT, latch_travel=8.0,
-        jaw_calibration=TABLE2,
-        jaw_section=CantileverSection(3.0, 1.5, 45.0),
-        series_stiffness_ks=10.0)
-    base.update(overrides)
-    return MechanismConfig(**base)
+from common import GEOM, MAT, make_config
 
 
 # ---------------------------------------------------------------------------

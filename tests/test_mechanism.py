@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from graspsynth import (CantileverSection, LatchPhase, LatchState,
-                        MaterialModel, MechanismConfig, PressTrigger,
-                        PullRing, ValidationError, VBeamGeometry,
+                        PressTrigger, PullRing, ValidationError,
+                        VBeamGeometry,
                         actuation_force, aggregate_ring_force,
                         bistable_crossover, cantilever_stress, force_curve,
                         grasper_response, grasper_sweep, jaw_opening,
@@ -16,20 +16,7 @@ from graspsynth import (CantileverSection, LatchPhase, LatchState,
 from graspsynth import mechanism
 from graspsynth.mechanism import beam_tangent_stiffness
 
-GEOM = VBeamGeometry.from_degrees(40, 1.2, 5, 7)
-MAT = MaterialModel(youngs_modulus_E=1800)
-TABLE2 = ((3.2, 7.13), (6.4, 15.99), (8.0, 20.52))
-
-
-def make_config(**overrides):
-    base = dict(
-        beam_geometry=GEOM, n_beams=12, material=MAT, latch_travel=8.0,
-        jaw_calibration=TABLE2,
-        jaw_section=CantileverSection(out_of_plane_b=3.0, in_plane_h=1.5,
-                                      jaw_length=45.0),
-        series_stiffness_ks=10.0)
-    base.update(overrides)
-    return MechanismConfig(**base)
+from common import GEOM, MAT, make_config
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ from graspsynth import (Candidate, DesignSpec, MaterialModel, NumericalError,
 from graspsynth import search
 from graspsynth.mechanism import halved_ring_force
 
-MAT = MaterialModel(youngs_modulus_E=1800)
-TABLE1 = VBeamGeometry.from_degrees(40, 1.2, 5, 7)
+from common import GEOM as TABLE1, MAT
 
 BOUNDS = {
     "length_L": (36.0, 44.0),
@@ -451,6 +450,18 @@ def test_grid_cap_enforced(monkeypatch):
     assert rows == []
 
 
+@pytest.mark.parametrize("name", ["n_beams", "length_L"])
+@pytest.mark.parametrize("count", [search.GRID_CAP + 1, 2 ** 63])
+def test_grid_density_above_the_cap_is_refused(name, count, monkeypatch):
+    # a density is refused before its axis is built: 2**63 levels used to
+    # raise IndexError inside np.linspace, and 2**31 to ask for 16 GiB
+    rows = count_kernel_rows(monkeypatch)
+    with pytest.raises(ValidationError,
+                       match=f"grid density {count} exceeds the cap"):
+        grid_search(make_spec(), dict(DENSITY, **{name: count}))
+    assert rows == []
+
+
 def test_grid_missing_density_means_default_levels():
     # the same 5 levels parse_config fills in for a missing entry
     spec = make_spec(sweep_samples=20)
@@ -599,6 +610,55 @@ def test_refine_screens_each_geometry_once(budget, monkeypatch):
         # the polls of a sweep share passes: 77 distinct geometries, and
         # one pass each when polled one at a time
         assert 3 * len(passes) <= len(set(visited))
+
+
+@pytest.mark.parametrize("budget", [20, 100])
+def test_refine_looks_ahead_over_the_whole_neighbourhood(budget, monkeypatch):
+    # a look-ahead starts at the first axis, also when the center moves
+    # mid-sweep, and holds the center's polls up to the remaining budget
+    spec = make_spec()
+    start = evaluate_candidate(spec, TABLE1, 12)
+    expected, _ = reference_refine(spec, start, budget)
+    passes = record_kernel_geometries(monkeypatch)
+    screen, candidate, events = search._screen, search._candidate, []
+
+    def screened(spec_, dims, cache):
+        events.append(("screen", list(dims)))
+        return screen(spec_, dims, cache)
+
+    def scored(spec_, record, n_beams):
+        events.append(("score", candidate(spec_, record, n_beams)))
+        return events[-1][1]
+
+    monkeypatch.setattr(search, "_screen", screened)
+    monkeypatch.setattr(search, "_candidate", scored)
+    assert refine(spec, start, max_evals=budget) == expected
+    best, evals, moved, mid_sweep = start, 0, None, 0
+    # a poll's screen is the one event right before its score
+    for (kind, value), (after, _) in zip(events, events[1:] + [(None, None)]):
+        if kind == "score":
+            evals += 1
+            if value.sort_key() < best.sort_key():
+                moved = next(i for i, (a, b) in enumerate(
+                    zip(best.point, value.point)) if a != b)
+                best = value
+        elif after != "score":
+            center = best.point[:4]
+            axes = [next((i for i, (a, b) in enumerate(zip(center, dims))
+                          if a != b), 4) for dims in value]
+            assert all(sum(a != b for a, b in zip(center, dims)) <= 1
+                       for dims in value)
+            assert axes == sorted(axes)
+            assert axes[:1] == [0] or evals == budget
+            assert len(value) == budget - evals or value[-1] == center
+            # a move along a continuous axis is mid-sweep: the beam-count
+            # polls follow it
+            mid_sweep += moved is not None and moved < 4
+            moved = None
+    assert mid_sweep
+    screened_geoms = [g for geoms in passes for g in geoms]
+    assert len(screened_geoms) == len(set(screened_geoms))
+    assert all(len(geoms) <= budget for geoms in passes)
 
 
 @pytest.mark.parametrize("budget", [5, 100])
