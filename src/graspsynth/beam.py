@@ -29,9 +29,15 @@ roots is refused.  The shuttle-direction actuation force is
     F = -(4 E I f_o / L^2 cos(theta) + 4 E I p_o / L^2 sin(theta)).
 
 One array kernel, _loads, evaluates a block of geometries (rows) at one set
-of travels (columns) in a single pass; branch_loads wraps it.  _force_rows
-is the one force entry (force_curve, actuation_force, the design search) and
-_load_scale the one place the load scale 4 E I / L^2 is computed.
+of travels (columns) in a single pass (_kernel_pass); branch_loads wraps
+it.  The loads f_o and p_o depend on (L, T, theta) and the travel, not on
+W, which enters through the load scale 4 E I / L^2 alone.  _load_scale is
+the one place that scale is computed, and _load_column refuses one that
+overflows, once per pass.  _force is the one force expression: _force_rows,
+the force entry of force_curve and actuation_force, applies it to a pass's
+rows, _slope_rows to their travel derivatives, and the design search's
+screen (search._screen) to the rows of each beam shape at each width's
+load scale.
 _slope_rows is the one slope entry: the exact dF/ds on each sample's
 branch, from one pass's root by implicit differentiation of the cubic and
 the chain rule through the rational expression (at rest it is
@@ -100,6 +106,12 @@ class VBeamGeometry:
         if not self.thickness_T < self.length_L:
             raise ValidationError(
                 "thickness_T must be smaller than length_L (slender beam)")
+        # the model's per-geometry scales, L^2 and the second moment W T^3
+        L, T = float(self.length_L), float(self.thickness_T)
+        if not (L * L < math.inf and T * T * T * float(self.width_W) < math.inf):
+            raise ValidationError(
+                "beam dimensions overflow the model: L^2 and W T^3 must be "
+                "finite")
 
     @classmethod
     def from_degrees(cls, length_L, thickness_T, width_W, tilt_deg):
@@ -466,8 +478,8 @@ def _loads(cols: _Columns, dys: np.ndarray):
     y_o = -2.0 * dys * cols.cos / cols.L
     mono = ~bistable & (dys != 0.0)
 
-    t_terms = [np.broadcast_to(c, mono.shape)[mono]
-               for c in (cols.k1_t, cols.k2_t, cols.k3_t)]
+    rows = mono.nonzero()[0]
+    t_terms = [c[rows, 0] for c in (cols.k1_t, cols.k2_t, cols.k3_t)]
     p_mono = _monostable_root(_k_coefficients(t_terms, x_o[mono], y_o[mono]))
     f_o = BISTABLE_FO_SLOPE * y_o
     f_o[mono] = _rational_fo(y_o[mono], p_mono)
@@ -481,16 +493,39 @@ def _load_scale(geom: VBeamGeometry, mat: MaterialModel) -> float:
     return 4.0 * mat.youngs_modulus_E * geom.second_moment / geom.length_L ** 2
 
 
+def _load_column(geoms: Sequence[VBeamGeometry], mat: MaterialModel):
+    """The (G, 1) column of the geometries' _load_scale; a scale that
+    overflows is refused, once per kernel pass."""
+    load = np.array([[_load_scale(g, mat)] for g in geoms])
+    if not np.isfinite(load).all():
+        raise ValidationError(
+            "the load scale 4 E I / L^2 overflows: the beam's width, "
+            "thickness or Young's modulus is too large for its length")
+    return load
+
+
+def _force(load, f_o, p_o, cos, sin):
+    """The one force expression: the shuttle-direction force
+    -(load f_o cos(theta) + load p_o sin(theta)) of normalized loads at the
+    load scale load, elementwise over broadcast arrays."""
+    return -(load * f_o * cos + load * p_o * sin)
+
+
+def _kernel_pass(geoms: Sequence[VBeamGeometry], dys: np.ndarray):
+    """One load-kernel pass: the geometries' _columns and their _loads
+    (f_o, p_o, bistable) at travels dys, one row per geometry."""
+    cols = _columns(geoms)
+    return (cols, *_loads(cols, dys))
+
+
 def _force_rows(geoms: Sequence[VBeamGeometry], mat: MaterialModel,
                 dys: np.ndarray):
-    """The one force entry: (force, f_o, p_o, bistable, load) of geometries
-    at travels dys in one pass, one row per geometry; load is the (G, 1)
-    column of their _load_scale."""
-    cols = _columns(geoms)
-    f_o, p_o, bistable = _loads(cols, dys)
-    load = np.array([[_load_scale(g, mat)] for g in geoms])
-    force = -(load * f_o * cols.cos + load * p_o * cols.sin)
-    return force, f_o, p_o, bistable, load
+    """The force entry of force_curve and actuation_force: (force, f_o, p_o,
+    bistable) of geometries at travels dys in one pass, one row per
+    geometry."""
+    cols, f_o, p_o, bistable = _kernel_pass(geoms, dys)
+    force = _force(_load_column(geoms, mat), f_o, p_o, cols.cos, cols.sin)
+    return force, f_o, p_o, bistable
 
 
 def _slope_rows(geoms: Sequence[VBeamGeometry], mat: MaterialModel,
@@ -506,9 +541,10 @@ def _slope_rows(geoms: Sequence[VBeamGeometry], mat: MaterialModel,
     expressions (_k_coefficients, _rational_fo) at the complex travel
     s + i h, whose imaginary part over h is the derivative to rounding
     (complex-step differentiation; Squire & Trapp, SIAM Rev. 40(1), 1998).
+    The force expression is linear in (f_o, p_o), so _force of their
+    derivatives is the slope.
     """
-    cols = _columns(geoms)
-    _, p_o, bistable = _loads(cols, dys)
+    cols, _, p_o, bistable = _kernel_pass(geoms, dys)
     x_s, y_s = -2.0 * cols.sin / cols.L, -2.0 * cols.cos / cols.L
     g, j = np.nonzero(~bistable)
     h = 2.0 ** -100  # scales exactly; its O(h^2) error is nil in doubles
@@ -525,15 +561,14 @@ def _slope_rows(geoms: Sequence[VBeamGeometry], mat: MaterialModel,
     df_o[g, j] = _rational_fo(y_o, p + 1j * h * dp_ds).imag / h
     dp_o = np.zeros(bistable.shape)
     dp_o[g, j] = dp_ds
-    load = np.array([[_load_scale(geom, mat)] for geom in geoms])
-    return -(load * df_o * cols.cos + load * dp_o * cols.sin)
+    return _force(_load_column(geoms, mat), df_o, dp_o, cols.cos, cols.sin)
 
 
 def branch_loads(geom: VBeamGeometry, delta_y: float) -> BeamLoadState:
     """Guided-end normalized loads at a travel, with branch selection."""
     d1, _ = bistability_margin(geom, delta_y)
-    f_o, p_o, bistable = _loads(_columns([geom]),
-                                np.array([delta_y], dtype=float))
+    _, f_o, p_o, bistable = _kernel_pass([geom],
+                                         np.array([delta_y], dtype=float))
     return BeamLoadState(f_o=f_o.item(), p_o=p_o.item(),
                          branch=Branch.tags(bistable[0])[0], d1_value=d1)
 
@@ -570,7 +605,7 @@ def force_curve(geom: VBeamGeometry, mat: MaterialModel, travel_max: float,
     check_positive("travel_max", travel_max)
     check_count("n_samples", n_samples, 2)
     dys = uniform_travels(travel_max, n_samples)
-    force, f_o, p_o, bistable, _ = _force_rows([geom], mat, dys)
+    force, f_o, p_o, bistable = _force_rows([geom], mat, dys)
     return ForceDisplacementCurve(
         delta_y=dys, force=force[0], f_o=f_o[0], p_o=p_o[0],
         branches=Branch.tags(bistable[0]))

@@ -275,16 +275,20 @@ def grasper_sweep(config: MechanismConfig, ring_disps) -> GrasperSweep:
     ring = np.array(ring_disps, dtype=float, ndmin=1)
     check_non_negative("ring_disp", ring)
     shuttle = shuttle_transfer_ratio(config, ring) * ring
-    ring_force = halved_ring_force(
-        actuation_force(config.beam_geometry, config.material, shuttle),
-        config.n_beams) * _latch_ramp(config, ring)
+    force = actuation_force(config.beam_geometry, config.material, shuttle)
     opening = jaw_opening(config, ring)
 
     sec = config.jaw_section
-    i_jaw = sec.out_of_plane_b * sec.in_plane_h ** 3 / 12.0
-    tip_force = (3.0 * config.material.youngs_modulus_E * i_jaw * opening
-                 / sec.jaw_length ** 3)
-    stress = cantilever_stress(tip_force * sec.jaw_length, sec)
+    # extreme mechanisms make these products inf or NaN (a latch travel
+    # whose ramp span underflows to zero, a huge latch_ramp_factor, a jaw
+    # section whose h^2 underflows); the finite check below refuses them
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ring_force = (halved_ring_force(force, config.n_beams)
+                      * _latch_ramp(config, ring))
+        i_jaw = sec.out_of_plane_b * sec.in_plane_h ** 3 / 12.0
+        tip_force = (3.0 * config.material.youngs_modulus_E * i_jaw * opening
+                     / sec.jaw_length ** 3)
+        stress = cantilever_stress(tip_force * sec.jaw_length, sec)
     if not np.isfinite((ring_force, shuttle, opening, stress)).all():
         raise ValidationError("response magnitudes must be finite")
     return GrasperSweep(ring, ring_force, shuttle, opening, stress,

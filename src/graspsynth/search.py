@@ -13,15 +13,21 @@ slack BOUNDS_TOL.  The spec refuses an n_beams lower bound below 1, so every
 in-bounds beam count is at least 1.  A grid_density entry that is missing
 means DEFAULT_GRID_DENSITY levels.
 
-Work that depends only on the geometry is done once per geometry, and work
-that depends on the point once per point.  Per geometry: _screen turns the
-(L, T, W, theta) its cache lacks into records, in blocks with one load
-kernel pass each; a record holds the geometry, the peak force that every
-beam count shares and the stress, length and bistable_at_travel violations,
-which _violations computes once per record.  grid_search screens its grid
-in one call, and refine keeps one cache of records per call, keyed by
-dims.  Per point: the ring peak, the objective and the ranking key, of
-which refine keeps the best candidate's rather than recomputing it per
+Work that depends only on the beam shape is done once per shape, work that
+depends only on the geometry once per geometry, and work that depends on
+the point once per point.  The normalized end loads depend on the shape
+(L, T, theta) and the travel, not on the width W, which scales them
+through the load scale 4 E I / L^2 alone (Awtar, Slocum & Sevincer,
+J. Mech. Des. 129(6), 2007).  Per shape: one load-kernel row, in blocks
+with one pass each.  Per geometry: _screen derives a record from its
+shape's rows at the geometry's own load scale; a record holds the
+geometry, the peak force that every beam count shares and the stress,
+length and bistable_at_travel violations, which _violations computes once
+per record.  grid_search screens its grid in one call, and refine keeps
+one _ScreenCache per call: the records by dims and the shape rows by
+shape, so a later width of a known shape, such as a width poll, makes no
+kernel pass.  Per point: the ring peak, the objective and the ranking key,
+of which refine keeps the best candidate's rather than recomputing it per
 poll.  A refine poll's outcome does not depend on the polls beside it, so
 whenever a sweep starts or its center moves, refine screens the center's
 whole neighbourhood, its polls along every axis of the sweep, in one call,
@@ -38,13 +44,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import chain, product
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from ._csv import NUMBER, write_csv
 from .beam import (DEFAULT_CURVE_SAMPLES, MaterialModel, VBeamGeometry,
-                   _force_rows, bistability_margin, uniform_travels)
+                   _force, _kernel_pass, _load_column, _load_scale,
+                   bistability_margin, uniform_travels)
 from .errors import (NumericalError, ValidationError, check_count,
                      check_positive)
 from .mechanism import halved_ring_force
@@ -67,10 +74,10 @@ DEFAULT_REFINE_EVALS = 200
 # those polls are evaluated, and so refine's visit order.
 BOUNDS_TOL = 1e-12
 
-# Geometry x travel samples per load-kernel pass of the grid.  The blocks
+# Shape x travel samples per load-kernel pass of the screen.  The blocks
 # bound the arrays a pass allocates: one pass over a whole 81-geometry grid
 # of 500-sample curves raised the peak RSS of a design run by ~2.5 MB (6 %);
-# blocks of 16 geometries left it unchanged, at the same speed.
+# blocks of 16 rows left it unchanged, at the same speed.
 BLOCK_SAMPLES = 8192
 
 # Screening defaults; the stress bound is a printed-polymer yield proxy, not
@@ -115,13 +122,16 @@ class DesignSpec:
                 raise ValidationError(f"bounds for {name} must be ordered")
         if self.bounds["n_beams"][0] < 1:
             raise ValidationError("n_beams bounds must start at 1 or above")
-        # every in-bounds geometry builds if these corners do (the lowest L
-        # and W, the largest T on the lowest L, and both tilt limits)
-        (L, _), (T_lo, T_hi), (W, _), (th_lo, th_hi) = (
+        # every in-bounds geometry builds, with a finite load scale, if these
+        # corners do: the lows, the largest T and W on the lowest L (the
+        # largest W T^3 and load scale), the largest L, and both tilt limits
+        (L_lo, L_hi), (T_lo, T_hi), (W_lo, W_hi), (th_lo, th_hi) = (
             self.bounds[name] for name in PARAM_NAMES[:4])
         try:
-            VBeamGeometry(L, T_hi, W, th_hi)
-            VBeamGeometry(L, T_lo, W, th_lo)
+            VBeamGeometry(L_lo, T_lo, W_lo, th_lo)
+            _load_column([VBeamGeometry(L_lo, T_hi, W_hi, th_hi)],
+                         self.material)
+            VBeamGeometry(L_hi, T_hi, W_hi, th_hi)
         except ValidationError as exc:
             raise ValidationError(
                 f"bounds hold a geometry that cannot be built: {exc}") from exc
@@ -169,41 +179,91 @@ def _in_bounds(spec: DesignSpec, name: str, value: float) -> bool:
 
 
 Record = Tuple[VBeamGeometry, float, Tuple[Tuple[str, float], ...]]
+Shape = Tuple[float, float, float]
+
+
+class _ShapeRows(NamedTuple):
+    """One beam shape's kernel rows at the spec's travels: the normalized
+    loads f_o and p_o, the tilt's cos and sin, and the peak |f_o|."""
+
+    f_o: np.ndarray
+    p_o: np.ndarray
+    cos: float
+    sin: float
+    peak: float
+
+
+class _ScreenCache(dict):
+    """_screen's records by dims, and in shapes the _ShapeRows of each beam
+    shape (L, T, theta) by shape; one cache serves one spec."""
+
+    def __init__(self):
+        super().__init__()
+        self.shapes: Dict[Shape, _ShapeRows] = {}
+
+
+def _shape_rows(spec: DesignSpec,
+                geoms: Sequence[VBeamGeometry]) -> List[_ShapeRows]:
+    """The _ShapeRows of the geometries' shapes from one kernel pass."""
+    cols, f_o, p_o, _ = _kernel_pass(
+        geoms, uniform_travels(spec.target_travel, spec.sweep_samples))
+    return list(map(_ShapeRows, f_o, p_o, cols.cos[:, 0].tolist(),
+                    cols.sin[:, 0].tolist(),
+                    np.abs(f_o).max(axis=1).tolist()))
 
 
 def _screen(spec: DesignSpec, dims: Sequence[Tuple[float, ...]],
-            screened: Dict[Tuple[float, ...], Record]) -> List[Record]:
+            screened: _ScreenCache) -> List[Record]:
     """The record (geometry, peak double-beam force, violations) of each
     (L, T, W, theta).
 
-    screened caches the records by dims: the distinct dims it lacks are
-    built and go through _force_rows, the one force entry, in blocks of at
-    most BLOCK_SAMPLES samples, one pass per block on travels made for that
-    block (a call the cache serves makes none).  A block's records are
-    stored as its pass returns, so a block that fails to build or pass
-    stores nothing and the blocks before it keep theirs.  _violations runs
-    once per record.  The stress is the beam-root bending screen: the
-    transverse end load F_o (f_o times the load column, _load_scale) over
-    half the length.  Each step from |f_o| to the stress multiplies or
+    The normalized loads depend on the shape (L, T, theta) and not on the
+    width W, which scales the loads through the load scale 4 E I / L^2
+    alone (_load_scale).  So the distinct dims the cache lacks are grouped
+    by shape in first-seen order and screened in blocks of at most
+    BLOCK_SAMPLES samples' worth of shapes: a block builds each of its
+    geometries once, and its shapes without cached rows go through one
+    kernel pass, on travels made for that pass, which evaluates the first
+    fresh dims of each shape (a call the cache serves makes none).  A
+    block's rows and records are stored as it ends, so a block that fails
+    to build or pass stores neither and the blocks before it keep theirs.
+    Each record is derived from its shape's rows at its own load scale:
+    the force of all widths of a shape as one (widths, samples) array of
+    the force expression (_force), and the stress, the beam-root bending
+    screen, as the transverse end load F_o over half the length, from the
+    shape's peak |f_o|.  Each step from |f_o| to the stress multiplies or
     divides by a positive per-geometry constant, and IEEE rounding keeps
-    such a step monotone, so scaling a row's peak |f_o| gives the peak of
-    the scaled row bit for bit.
+    such a step monotone, so scaling the peak |f_o| gives the peak of the
+    scaled row bit for bit; every element is computed by the operations of
+    a one-geometry pass, so a record does not depend on the dims screened
+    with it.  _violations runs once per record.
     """
-    mat, n = spec.material, spec.sweep_samples
-    per_block = max(1, BLOCK_SAMPLES // n)
-    fresh = [d for d in dict.fromkeys(dims) if d not in screened]
-    for i in range(0, len(fresh), per_block):
-        keys = fresh[i:i + per_block]
-        block = [VBeamGeometry(*d) for d in keys]
-        force, f_o, _, _, load = _force_rows(
-            block, mat, uniform_travels(spec.target_travel, n))
-        length, section = np.array([(g.length_L, g.width_W * g.thickness_T ** 2)
-                                    for g in block]).T
-        moment = np.abs(f_o).max(axis=1) * load[:, 0] * length / 2.0
-        stress = 6.0 * moment / section
-        screened.update([
-            (d, (g, f, _violations(spec, g, s))) for d, g, f, s in zip(
-                keys, block, force.max(axis=1).tolist(), stress.tolist())])
+    mat = spec.material
+    per_block = max(1, BLOCK_SAMPLES // spec.sweep_samples)
+    groups: Dict[Shape, list] = {}
+    for d in dict.fromkeys(dims):
+        if d not in screened:
+            groups.setdefault((d[0], d[1], d[3]), []).append(d)
+    shapes = list(groups)
+    for i in range(0, len(shapes), per_block):
+        block = {s: [VBeamGeometry(*d) for d in groups[s]]
+                 for s in shapes[i:i + per_block]}
+        rows = {s: screened.shapes.get(s) for s in block}
+        new = [s for s, r in rows.items() if r is None]
+        if new:
+            rows.update(zip(new, _shape_rows(spec, [block[s][0] for s in new])))
+        records = []
+        for s, geoms in block.items():
+            f_o, p_o, cos, sin, peak = rows[s]
+            loads = [_load_scale(g, mat) for g in geoms]
+            forces = _force(np.array(loads)[:, None], f_o, p_o, cos, sin)
+            for d, g, load, force in zip(groups[s], geoms, loads,
+                                         forces.max(axis=1).tolist()):
+                moment = peak * load * g.length_L / 2.0
+                stress = float(6.0 * moment / (g.width_W * g.thickness_T ** 2))
+                records.append((d, (g, force, _violations(spec, g, stress))))
+        screened.shapes.update(rows)
+        screened.update(records)
     return [screened[d] for d in dims]
 
 
@@ -253,7 +313,7 @@ def evaluate_candidate(spec: DesignSpec, geom: VBeamGeometry,
     point = (geom.length_L, geom.thickness_T, geom.width_W, geom.tilt_theta,
              n_beams)
     _require_in_bounds(spec, point)
-    [record] = _screen(spec, [point[:4]], {})
+    [record] = _screen(spec, [point[:4]], _ScreenCache())
     return _candidate(spec, record, n_beams)
 
 
@@ -261,9 +321,10 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
                 n_workers: int = 1) -> List[Candidate]:
     """Exhaustively evaluate a Cartesian grid and rank the candidates.
 
-    The grid's distinct geometries go through the load kernel in blocks of
-    at most BLOCK_SAMPLES samples, one pass per block; each geometry's peak
-    force and stress then score every beam count.  Feasible candidates rank
+    The grid's distinct shapes (L, T, theta) go through the load kernel in
+    blocks of at most BLOCK_SAMPLES samples, one pass per block; each
+    geometry's peak force and stress, at its width's load scale, then score
+    every beam count.  Feasible candidates rank
     by objective, then infeasible ones by total violation; equal keys are
     ordered lexicographically on (L, T, theta, W, n_beams), so the ranking
     is a deterministic total order.  Levels that round to one value count
@@ -308,7 +369,7 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
 
     # grid values lie inside the bounds by construction
     records = _screen(spec, list(product(
-        *(axes[name] for name in PARAM_NAMES[:4]))), {})
+        *(axes[name] for name in PARAM_NAMES[:4]))), _ScreenCache())
     return sorted((_candidate(spec, record, n) for record in records
                    for n in axes["n_beams"]), key=Candidate.sort_key)
 
@@ -358,7 +419,7 @@ def refine(spec: DesignSpec, start: Candidate,
     steps = [span / 8.0 for span in spans]
     min_steps = [max(span * 1e-4, 1e-12) for span in spans]
     best, best_key, evals = start, start.sort_key(), 0
-    screened: Dict[Tuple[float, ...], Record] = {}
+    screened = _ScreenCache()
     while evals < max_evals:
         improved = False
         # the beam count always steps by one

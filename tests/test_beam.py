@@ -670,3 +670,28 @@ def test_overflowing_travel_is_refused_before_the_array_product():
         with pytest.raises(ValidationError, match="1e\\+308 times 5 samples"):
             force_curve(GEOM, MAT, travel, 5)
     assert len(force_curve(GEOM, MAT, 1e300, 5)) == 5
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_dimensions_are_refused():
+    # L = 1e308 used to raise OverflowError from L ** 2 in the d1 terms
+    for dims in [(1e308, 1.2, 5.0, 0.1), (np.float64(1e200), 1.2, 5.0, 0.1),
+                 (1e150, 1e110, 5.0, 0.1), (1e150, 1e100, 1e10, 0.1),
+                 (1e150, 1e110, 1e-300, 0.1)]:
+        with pytest.raises(ValidationError, match="L\\^2 and W T\\^3"):
+            VBeamGeometry(*dims)
+    VBeamGeometry(1e150, 1e100, 1e7, 0.1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("geom, mat", [
+    (VBeamGeometry(40.0, 1.2, 1e308, 0.12), MAT),
+    (GEOM, MaterialModel(1e308)),
+], ids=["width", "modulus"])
+def test_overflowing_load_scale_is_refused_once_per_pass(geom, mat):
+    # these used to give NaN forces under an "invalid value" RuntimeWarning
+    for evaluate in (lambda: force_curve(geom, mat, 5.0, 50),
+                     lambda: actuation_force(geom, mat, 1.0),
+                     lambda: _slope_rows([geom], mat, np.array([1.0]))):
+        with pytest.raises(ValidationError, match="load scale .* overflows"):
+            evaluate()

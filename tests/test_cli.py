@@ -338,6 +338,43 @@ def test_overflowing_travel_is_a_configuration_error(tmp_path, capsys,
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command,path,value,named", [
+    ("curve", ("beam", "width_W"), 1e308, "load scale 4 E I / L^2 overflows"),
+    ("curve", ("material", "youngs_modulus_E"), 1e308,
+     "load scale 4 E I / L^2 overflows"),
+    ("curve", ("beam", "length_L"), 1e308, "L^2 and W T^3 must be finite"),
+    ("design", ("design", "bounds", "length_L"), [36, 1e308],
+     "L^2 and W T^3 must be finite"),
+    ("report", ("design", "bounds", "length_L"), [36, 1e308],
+     "L^2 and W T^3 must be finite"),
+    ("grasper", ("mechanism", "latch_travel"), 5e-324,
+     "response magnitudes must be finite"),
+    ("grasper", ("mechanism", "latch_ramp_factor"), 1e308,
+     "response magnitudes must be finite"),
+    ("grasper", ("mechanism", "jaw_section", "in_plane_h"), 1e-308,
+     "response magnitudes must be finite"),
+], ids=["width", "modulus", "length", "design_length", "report_length",
+        "latch_travel", "latch_ramp_factor", "jaw_h"])
+def test_extreme_values_are_refused_without_warnings(command, path, value,
+                                                     named, tmp_path, capsys):
+    # the beam and design values used to write NaN or inf, or raise
+    # OverflowError; the grasper values reached the finite check only after
+    # a numpy divide, overflow or invalid-value warning
+    doc = json.loads(TABLE1_JSON.read_text())
+    *sections, key = path
+    section = doc
+    for name in sections:
+        section = section[name]
+    section[key] = value
+    cfg, out = tmp_path / "extreme.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    rc = run_command([command, "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # flag contract: each subcommand takes only the sweep overrides it reads
 # ---------------------------------------------------------------------------

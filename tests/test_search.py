@@ -120,6 +120,11 @@ def record_kernel_geometries(monkeypatch):
     return passes
 
 
+def shape(geom):
+    """The beam shape (L, T, theta) of a geometry, which the kernel sees."""
+    return geom.length_L, geom.thickness_T, geom.tilt_theta
+
+
 def outcome(fn, *args):
     """fn's result, or the type of the NumericalError it raised."""
     try:
@@ -154,6 +159,18 @@ def test_invalid_geometry_raises_not_candidate():
                        ("width_W", (0.0, 6.0))]:
         with pytest.raises(ValidationError, match="cannot be built"):
             make_spec(bounds={**BOUNDS, name: pair})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, pair, named", [
+    ("length_L", (36.0, 1e308), "L\\^2 and W T\\^3 must be finite"),
+    ("width_W", (4.0, 1e306), "load scale 4 E I / L\\^2 overflows"),
+])
+def test_bounds_whose_loads_overflow_are_refused(name, pair, named):
+    # only the low-length corners were built: [36, 1e308] used to be
+    # searched and rank inf
+    with pytest.raises(ValidationError, match=f"cannot be built: .*{named}"):
+        make_spec(bounds={**BOUNDS, name: pair})
 
 
 def test_out_of_bounds_rejected():
@@ -288,19 +305,32 @@ ALL_VIOLATIONS = {"stress", "length", "bistable_at_travel"}
 ], ids=["feasible", "violations", "short-travel"])
 def test_grid_matches_per_point_scoring(overrides, kinds, feasibility,
                                         monkeypatch):
-    # bit for bit, in rank order, with one kernel pass per block; at 500
-    # samples the 81-geometry grid spans several blocks, the last one partial
+    # bit for bit, in rank order, with one kernel pass per block and one
+    # row per shape; at 500 samples the 27 shapes of the 81-geometry grid
+    # span several blocks, the last one partial
     spec = make_spec(**overrides)
     expected = reference_grid(spec, DENSITY)
     rows = count_kernel_rows(monkeypatch)
     ranked = grid_search(spec, DENSITY)
     assert [astuple(c) for c in ranked] == [astuple(c) for c in expected]
     per_block = search.BLOCK_SAMPLES // spec.sweep_samples
-    assert rows == [min(per_block, 81 - i) for i in range(0, 81, per_block)]
+    assert rows == [min(per_block, 27 - i) for i in range(0, 27, per_block)]
     if spec.sweep_samples == 500:
-        assert len(rows) > 1 and 81 % per_block
+        assert len(rows) > 1 and 27 % per_block
     assert {name for c in ranked for name, _ in c.violations} == kinds
     assert {c.feasible for c in ranked} == feasibility
+
+
+@pytest.mark.parametrize("samples, expected", [(500, [16, 11]), (60, [27])])
+def test_grid_passes_each_shape_once(samples, expected, monkeypatch):
+    # the 81 geometries hold 27 shapes (L, T, theta); the width enters
+    # through the load scale alone, so each shape is one kernel row
+    spec = make_spec(sweep_samples=samples)
+    rows = count_kernel_rows(monkeypatch)
+    ranked = grid_search(spec, DENSITY)
+    geoms = {c.geometry for c in ranked}
+    assert len(geoms) == 81 and len({shape(g) for g in geoms}) == 27
+    assert rows == expected
 
 
 def test_grid_checks_each_geometry_once(monkeypatch):
@@ -384,7 +414,8 @@ def test_batched_screen_matches_one_geometry_curves(dims, travel):
         curve, stress = reference_screen(spec, g)
         expected.append((g, float(np.max(curve.force)),
                          reference_violations(spec, g, stress)))
-    assert search._screen(spec, [astuple(g) for g in geoms], {}) == expected
+    assert search._screen(spec, [astuple(g) for g in geoms],
+                          search._ScreenCache()) == expected
 
 
 def test_grid_infeasible_ranking_is_total():
@@ -601,15 +632,44 @@ def test_refine_screens_each_geometry_once(budget, monkeypatch):
     passes = record_kernel_geometries(monkeypatch)
     assert refine(spec, start, max_evals=budget) == expected
     screened = [g for geoms in passes for g in geoms]
-    assert set(visited) <= set(screened)
-    # no geometry twice, in one pass or across passes
+    assert {shape(g) for g in visited} <= {shape(g) for g in screened}
+    # no geometry twice, in one pass or across passes, and no shape either
     assert len(screened) == len(set(screened))
+    assert len(screened) == len({shape(g) for g in screened})
     # no pass looks past the evaluation budget
     assert all(len(geoms) <= budget for geoms in passes)
     if budget == 100:
         # the polls of a sweep share passes: 77 distinct geometries, and
         # one pass each when polled one at a time
         assert 3 * len(passes) <= len(set(visited))
+
+
+def test_refine_passes_each_shape_once(monkeypatch):
+    # within one call no shape goes through the kernel twice, and a poll
+    # of a shape known to the cache, a width poll of its center, makes no
+    # kernel pass
+    spec = make_spec()
+    start = evaluate_candidate(spec, TABLE1, 12)
+    expected, _ = reference_refine(spec, start, 100)
+    passes = record_kernel_geometries(monkeypatch)
+    screen, calls = search._screen, []
+
+    def watched(spec_, dims, cache):
+        known, fresh = set(cache.shapes), [d for d in dims if d not in cache]
+        first = len(passes)
+        out = screen(spec_, dims, cache)
+        calls.append((known, fresh, passes[first:]))
+        return out
+
+    monkeypatch.setattr(search, "_screen", watched)
+    assert refine(spec, start, max_evals=100) == expected
+    shapes = [shape(g) for geoms in passes for g in geoms]
+    assert len(shapes) == len(set(shapes))
+    widths = 0
+    for known, fresh, made in calls:
+        assert not known & {shape(g) for geoms in made for g in geoms}
+        widths += sum((d[0], d[1], d[3]) in known for d in fresh)
+    assert widths
 
 
 @pytest.mark.parametrize("budget", [20, 100])
@@ -716,7 +776,7 @@ def test_refine_failing_lookahead_raises_like_sequential_search(monkeypatch):
 
 
 def test_screen_stores_the_rows_of_each_block_that_passes(monkeypatch):
-    spec, screened = make_spec(), {}
+    spec, screened = make_spec(), search._ScreenCache()
     dims = (40.0, 1.2, 5.0, 0.12)
     rows = count_kernel_rows(monkeypatch)
     # two points that share a geometry: one row in one pass
@@ -732,7 +792,7 @@ def test_screen_stores_the_rows_of_each_block_that_passes(monkeypatch):
     builds = [isinstance(outcome(reference_screen, pole, VBeamGeometry(*d)),
                          tuple) for d in points]
     good, bad = points[builds.index(True)], points[builds.index(False)]
-    screened = {}
+    screened = search._ScreenCache()
     with pytest.raises(NumericalError):
         search._screen(pole, [good, bad], screened)
     assert screened == {}
@@ -742,8 +802,29 @@ def test_screen_stores_the_rows_of_each_block_that_passes(monkeypatch):
     assert list(screened) == [good]
 
 
+def test_width_variant_record_equals_the_one_geometry_record(monkeypatch):
+    # a width of a known shape is derived from its shape's rows at its own
+    # load scale, and equals the record of a one-geometry pass bit for bit
+    spec = make_spec(require_non_bistable_at_travel=True, stress_limit=50.0)
+    screened, theta = search._ScreenCache(), math.radians(7.0)
+    widths = [(40.0, 1.2, W, theta) for W in (4.0, 4.75, 5.25, 6.0)]
+    expected = []
+    for d in widths:
+        geom = VBeamGeometry(*d)
+        curve, stress = reference_screen(spec, geom)
+        expected.append((geom, float(np.max(curve.force)),
+                         reference_violations(spec, geom, stress)))
+    search._screen(spec, [(40.0, 1.2, 5.0, theta)], screened)
+    rows = count_kernel_rows(monkeypatch)
+    records = search._screen(spec, widths, screened)
+    assert rows == []
+    assert records == expected
+    assert [r[1].hex() for r in records] == [e[1].hex() for e in expected]
+    assert {kind for r in records for kind, _ in r[2]} >= {"stress"}
+
+
 def test_screen_on_cached_dims_makes_no_kernel_pass(monkeypatch):
-    spec, screened = make_spec(), {}
+    spec, screened = make_spec(), search._ScreenCache()
     dims = [(40.0, 1.2, 5.0, 0.12), (38.0, 1.1, 4.5, 0.1)]
     records = search._screen(spec, dims, screened)
     passes = record_kernel_geometries(monkeypatch)
