@@ -14,6 +14,7 @@ import argparse
 import bisect
 import functools
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -146,7 +147,7 @@ def _cmd_verify(args, config: RunConfig, out: Path) -> int:
         print(f"verification failed: closed-form single-beam vs frame solver "
               f"rms_rel={halved.rms_rel:.4f} (limit {VERIFY_RMS_LIMIT}), "
               f"peak_location_diff={halved.peak_location_diff:.4f} mm "
-              f"(limit {VERIFY_PEAK_LOCATION_LIMIT}); report at {dest}",
+              f"(limit {VERIFY_PEAK_LOCATION_LIMIT}); report in {dest.name}",
               file=sys.stderr)
         return 3
     _say(args, f"verification passed: rms_rel={halved.rms_rel:.4f}")
@@ -167,9 +168,30 @@ _ANALYSES = {
 }
 
 
+def _publish(args, stage: Path, out: Path) -> None:
+    """Move the staged CSVs into out, naming each."""
+    for staged in sorted(stage.iterdir()):
+        dest = out / staged.name
+        staged.replace(dest)
+        _say(args, f"wrote {dest}")
+
+
 def _cmd_report(args, config: RunConfig, out: Path) -> int:
-    return max(run(args, config, out) for run, _, _ in _ANALYSES.values()
-               if run is not _cmd_design or config.design is not None)
+    """Run every analysis, quietly, into a staging directory in out, and move
+    the CSVs into out only when the run ends with exit 0 or 3: a
+    configuration error (exit 2) leaves none of them."""
+    quiet = argparse.Namespace(**{**vars(args), "quiet": True})
+    with tempfile.TemporaryDirectory(dir=out, prefix=".report-") as name:
+        stage = Path(name)
+        try:
+            code = max(run(quiet, config, stage)
+                       for run, _, _ in _ANALYSES.values()
+                       if run is not _cmd_design or config.design is not None)
+        except NumericalError:
+            _publish(args, stage, out)
+            raise
+        _publish(args, stage, out)
+    return code
 
 
 _COMMANDS = {**_ANALYSES, "report": (

@@ -21,7 +21,7 @@ UX, UY, ROT = 0, 1, 2
 DEFAULT_ELEMENTS_PER_BEAM = 16
 
 # Largest element count of a mesh (build_vbeam_mesh, the config's
-# fe.n_elements).  A mesh of n elements has at most 3 n equations, and one
+# fe.n_elements).  A mesh of n elements has at most 3 n unknowns, and one
 # assembly fills a dense tangent of 8 bytes per entry: about 95 MB at the
 # cap.  The dense solve grows as the cube of the equation count, about 2 s
 # per Newton iteration at the cap (2.6 ms at 128 elements).

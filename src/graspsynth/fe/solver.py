@@ -7,16 +7,17 @@ Hermitian bending stiffness plus a linear axial bar; shear deformation is
 neglected, which is appropriate for the slender flexures this solver
 verifies (T/L of order 0.03).
 
-The free freedoms are numbered in node order with the driven one last, so
-the free-free tangent, the free residual and the Newton update are the
-leading block and slices of the equation arrays.  Assembly is one array
-pass over all elements: it gathers each element's freedoms from the
-equation vector, evaluates chord geometry, the strain-displacement rows,
-local forces, internal forces and tangents as (n_el, ...) arrays, and
+Newton iterates on the flat displacement table: fixed freedoms stay 0, the
+driven one holds the prescribed value and one index array, the unknowns,
+names the other free freedoms in node order (Crisfield, Non-linear Finite
+Element Analysis of Solids and Structures, vol. 1, 1991).  Assembly is one
+array pass over all elements: it gathers each element's freedoms from the
+table, evaluates chord geometry, the strain-displacement rows, local
+forces, internal forces and tangents as (n_el, ...) arrays, and
 np.bincount scatters them and the point springs into the force table and
-the equation tangent; every gather and scatter index is computed once per
-model.  Strain energy is evaluated once per converged step, from the local
-state of its last assembly.
+the unknowns x unknowns tangent; every gather and scatter index is
+computed once per model.  Strain energy is evaluated once per converged
+step, from the local state of its last assembly.
 
 Equilibrium paths are traversed under displacement control with Newton
 iteration, on force_curve's uniform travel grid (beam.uniform_travels).  A
@@ -97,47 +98,43 @@ class EquilibriumPath:
         return self.steps[-1] if self.steps else None
 
 
-def _live_pairs(eqs: np.ndarray, n_eq: int):
-    """Live entries of per-member equation numbers eqs (m, k); -1 is fixed.
+def _live_pairs(idx: np.ndarray, n: int):
+    """Live entries of per-member unknown numbers idx (m, k); -1 is none.
 
     Returns the flat positions of the live entries in an (m, k, k) stack
-    and their flat (row, column) positions in the n_eq x n_eq matrix.
+    and their flat (row, column) positions in the n x n tangent.
     """
-    live = (eqs[:, :, None] >= 0) & (eqs[:, None, :] >= 0)
+    live = (idx[:, :, None] >= 0) & (idx[:, None, :] >= 0)
     return (np.flatnonzero(live),
-            (eqs[:, :, None] * n_eq + eqs[:, None, :])[live])
+            (idx[:, :, None] * n + idx[:, None, :])[live])
 
 
 class _System:
-    """Equation numbering, assembly and residual bookkeeping for one model.
+    """Assembly and residual bookkeeping for one model.
 
-    The free freedoms are numbered in node order with the driven one last:
-    the free-free tangent is the leading block K[:-1, :-1] of the equation
-    tangent, the free residual r_eq[:-1] and the drive u_eq[-1].
-    Everything that depends only on the model is computed once here: the
-    shared section's E A, the per-element chord arrays and E I / L0, the
-    positions that gather each element's and spring's freedoms from the
-    equation vector (padded with one zero for the constrained ones) and the
-    flat scatter indices of their contributions into the raw force table
-    and the equation tangent, with constrained entries already dropped.
-    The padded equation vector and the element work arrays are reused by
-    every assembly, so one instance serves one solve at a time.
+    The Newton state is the flat displacement table u (3 per node, flat
+    freedom 3 * node + dof): fixed freedoms stay 0, the driven one holds
+    control * amplitude, and the index array unknowns names the other free
+    freedoms in node order.  Elements and springs gather their freedoms
+    straight from u; the residual is the force table at the unknowns and
+    the tangent is the unknowns x unknowns block, the only block the
+    Newton solve and the stability test read.  Everything that depends
+    only on the model is computed once here: the shared section's E A, the
+    per-element chord arrays and E I / L0, each element's and spring's flat
+    freedoms, and the flat scatter indices of their contributions into the
+    raw force table and the tangent block, entries outside it dropped.
+    The element work arrays are reused by every assembly, so one instance
+    serves one solve at a time.
     """
 
     def __init__(self, model: FrameModel):
         self.model = model
-        n = model.n_nodes
         node, dof, self.amp = model.drive
-        free = np.flatnonzero(~model.fixed.ravel())
-        driven = 3 * node + dof
-        # flat freedom (3 * node + dof) of each equation, in equation order:
-        # the free ones in node order, the driven one last
-        self._eq_dofs = np.append(free[free != driven], driven)
-        count = free.size
-        eq = -np.ones(3 * n, dtype=int)
-        eq[self._eq_dofs] = np.arange(count)
-        self.eq = eq.reshape(n, 3)
-        self.n_eq = count
+        self.driven = 3 * node + dof
+        free = ~model.fixed.ravel()
+        free[self.driven] = False
+        self.unknowns = np.flatnonzero(free)
+        count = self.unknowns.size
         # a step reports the driven node's constrained freedoms and the drive
         self._reported = [(node, d) for d in range(3)
                           if model.fixed[node, d] or d == dof]
@@ -149,8 +146,8 @@ class _System:
         self._L0 = np.hypot(self._dxy0[:, 0], self._dxy0[:, 1])
         self._k_b = E * I / self._L0
         self._beta0 = np.arctan2(self._dxy0[:, 1], self._dxy0[:, 0])
-        el_dofs = (3 * np.repeat(ends, 3, axis=1)
-                   + np.tile([UX, UY, ROT], 2))
+        self._el_dofs = (3 * np.repeat(ends, 3, axis=1)
+                         + np.tile([UX, UY, ROT], 2))
         # Element work arrays.  The rows of G are r (chord stretch), b1 and
         # b2 (end rotations), which make up B, and the chord normal z; only
         # their translational entries change between assemblies.  D holds
@@ -167,37 +164,26 @@ class _System:
         self._D[:, 1, 2] = self._D[:, 2, 1] = 2.0 * self._k_b
         self._f_local = np.zeros((n_el, 1, 3))
 
-        # point springs: freedoms, stiffnesses and their constant tangent
+        # point springs: (a, b) freedoms, stiffnesses and constant tangent
         springs = model.point_springs
-        spring_a = np.array([3 * na + da for na, da, _, _, _ in springs],
-                            dtype=int)
-        spring_b = np.array([3 * nb + db for _, _, nb, db, _ in springs],
-                            dtype=int)
+        self._spring_ends = np.array(
+            [(3 * na + da, 3 * nb + db) for na, da, nb, db, _ in springs],
+            dtype=int).reshape(-1, 2)
         self._spring_k = np.array([k for *_, k in springs], dtype=float)
 
-        # gather positions into the equation vector padded with one zero: a
-        # constrained freedom reads the trailing zero at position n_eq
-        self._padded = np.zeros(count + 1)
-        gather = np.where(eq < 0, count, eq)
-        self._el_pos = gather[el_dofs]
-        self._spring_a_pos = gather[spring_a]
-        self._spring_b_pos = gather[spring_b]
         # scatter targets: raw forces by flat freedom; tangent entries by
-        # flat (row, column) of the equation matrix, constrained ones dropped
-        self._f_pos = np.concatenate([el_dofs.ravel(), spring_a, spring_b])
-        self._k_live, k_pos = _live_pairs(eq[el_dofs], count)
-        spring_live, spring_pos = _live_pairs(
-            eq[np.stack([spring_a, spring_b], axis=1)], count)
+        # flat (row, column) of the unknowns block, the others dropped
+        self._f_pos = np.concatenate([self._el_dofs.ravel(),
+                                      self._spring_ends.T.ravel()])
+        # the unknown number of each flat freedom; -1 if fixed or driven
+        index = np.full(free.size, -1)
+        index[self.unknowns] = np.arange(count)
+        self._k_live, k_pos = _live_pairs(index[self._el_dofs], count)
+        spring_live, spring_pos = _live_pairs(index[self._spring_ends], count)
         self._spring_tangent = (
             self._spring_k[:, None, None] * [[1.0, -1.0], [-1.0, 1.0]]
         ).ravel()[spring_live]
         self._k_pos = np.concatenate([k_pos, spring_pos])
-
-    def expand(self, u_eq: np.ndarray) -> np.ndarray:
-        """Full (n, 3) displacement table from the equation vector."""
-        full = np.zeros(3 * self.model.n_nodes)
-        full[self._eq_dofs] = u_eq
-        return full.reshape(-1, 3)
 
     def _elements(self, d: np.ndarray):
         """Internal forces (n_el, 6), tangents (n_el, 6, 6) and local state.
@@ -238,39 +224,41 @@ class _System:
         K = G.transpose(0, 2, 1) @ (D @ G)
         return f_int, K, (N, stretch, M1, t1, M2, t2)
 
-    def assemble(self, u_eq: np.ndarray):
-        """Raw internal force per freedom, equation residual, tangent, state.
+    def assemble(self, u: np.ndarray):
+        """Raw internal force table, residual, tangent and state at u.
 
-        The state holds the elements' local state and the spring stretches,
-        from which path_step evaluates the strain energy.
+        The residual is the force at the unknowns and the tangent the
+        unknowns x unknowns block.  The state holds the elements' local
+        state and the spring stretches, from which path_step evaluates the
+        strain energy.
         """
-        padded = self._padded
-        padded[:-1] = u_eq
-        f_el, K_el, local = self._elements(padded[self._el_pos])
-        stretch = padded[self._spring_a_pos] - padded[self._spring_b_pos]
+        f_el, K_el, local = self._elements(u[self._el_dofs])
+        a, b = u[self._spring_ends].T
+        stretch = a - b
         f_spring = self._spring_k * stretch
         f_flat = np.bincount(
-            self._f_pos, minlength=3 * self.model.n_nodes,
+            self._f_pos, minlength=u.size,
             weights=np.concatenate([f_el.ravel(), f_spring, -f_spring]))
+        count = self.unknowns.size
         K = np.bincount(
-            self._k_pos, minlength=self.n_eq * self.n_eq,
+            self._k_pos, minlength=count * count,
             weights=np.concatenate([K_el.ravel()[self._k_live],
                                     self._spring_tangent]))
-        return (f_flat.reshape(-1, 3), f_flat[self._eq_dofs],
-                K.reshape(self.n_eq, self.n_eq), (local, stretch))
+        return (f_flat.reshape(-1, 3), f_flat[self.unknowns],
+                K.reshape(count, count), (local, stretch))
 
-    def path_step(self, control, u_eq, assembled, iterations, residual):
-        """The PathStep at control of state u_eq from its assemble() result."""
+    def path_step(self, control, u, assembled, iterations, residual):
+        """The PathStep at control of table u from its assemble() result."""
         f_raw, _, K, (local, stretch) = assembled
         node, dof, amp = self.model.drive
         energy = float(_element_energy(*local).sum()) + float(
             (0.5 * self._spring_k * stretch ** 2).sum())
         return PathStep(
-            control=float(control), displacements=self.expand(u_eq),
+            control=float(control), displacements=u.reshape(-1, 3).copy(),
             reactions={key: float(f_raw[key]) for key in self._reported},
             reaction=float(f_raw[node, dof] * amp / abs(amp)),
             iterations=iterations, residual=residual, strain_energy=energy,
-            stable=_stable(K[:-1, :-1]))
+            stable=_stable(K))
 
 
 def _element_energy(N, stretch, M1, t1, M2, t2) -> np.ndarray:
@@ -287,24 +275,24 @@ def _stable(K_ff: np.ndarray) -> bool:
     return True
 
 
-def _newton(system: _System, u_eq, control, tol, max_iters):
-    """Newton iteration at a fixed control.
+def _newton(system: _System, u_start, control, tol, max_iters):
+    """Newton iteration at a fixed control, from the table u_start.
 
     Returns (u, PathStep) of the converged state, or None.
     """
-    u = u_eq.copy()
-    u[-1] = control * system.amp
+    u = u_start.copy()
+    u[system.driven] = control * system.amp
     for it in range(1, max_iters + 1):
         assembled = system.assemble(u)
-        r = assembled[1][:-1]
+        r = assembled[1]
         res = math.sqrt(r @ r)
         if res < tol:
             return u, system.path_step(control, u, assembled, it, res)
         try:
-            du = np.linalg.solve(assembled[2][:-1, :-1], -r)
+            du = np.linalg.solve(assembled[2], -r)
         except np.linalg.LinAlgError:
             return None
-        u[:-1] += du
+        u[system.unknowns] += du
     return None
 
 
@@ -329,7 +317,7 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
     targets = uniform_travels(travel_max, n_steps).tolist()
     system = _System(model)
     path = EquilibriumPath(model=model)
-    u = np.zeros(system.n_eq)
+    u = np.zeros(3 * model.n_nodes)
 
     if travel_max == 0.0:
         path.steps.append(system.path_step(0.0, u, system.assemble(u), 0, 0.0))

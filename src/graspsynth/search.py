@@ -50,8 +50,8 @@ import numpy as np
 
 from ._csv import NUMBER, write_csv
 from .beam import (DEFAULT_CURVE_SAMPLES, MaterialModel, VBeamGeometry,
-                   _force, _kernel_pass, _load_column, _load_scale,
-                   bistability_margin, uniform_travels)
+                   _finite_forces, _force, _kernel_pass, _load_column,
+                   _load_scale, bistability_margin, uniform_travels)
 from .errors import (NumericalError, ValidationError, check_count,
                      check_positive)
 from .mechanism import halved_ring_force
@@ -236,7 +236,8 @@ def _screen(spec: DesignSpec, dims: Sequence[Tuple[float, ...]],
     such a step monotone, so scaling the peak |f_o| gives the peak of the
     scaled row bit for bit; every element is computed by the operations of
     a one-geometry pass, so a record does not depend on the dims screened
-    with it.  _violations runs once per record.
+    with it.  _violations runs once per record.  A force that overflows its
+    finite load scale refuses the block (beam._finite_forces).
     """
     mat = spec.material
     per_block = max(1, BLOCK_SAMPLES // spec.sweep_samples)
@@ -253,15 +254,18 @@ def _screen(spec: DesignSpec, dims: Sequence[Tuple[float, ...]],
         if new:
             rows.update(zip(new, _shape_rows(spec, [block[s][0] for s in new])))
         records = []
-        for s, geoms in block.items():
-            f_o, p_o, cos, sin, peak = rows[s]
-            loads = [_load_scale(g, mat) for g in geoms]
-            forces = _force(np.array(loads)[:, None], f_o, p_o, cos, sin)
-            for d, g, load, force in zip(groups[s], geoms, loads,
-                                         forces.max(axis=1).tolist()):
-                moment = peak * load * g.length_L / 2.0
-                stress = float(6.0 * moment / (g.width_W * g.thickness_T ** 2))
-                records.append((d, (g, force, _violations(spec, g, stress))))
+        with _finite_forces():
+            for s, geoms in block.items():
+                f_o, p_o, cos, sin, peak = rows[s]
+                loads = [_load_scale(g, mat) for g in geoms]
+                forces = _force(np.array(loads)[:, None], f_o, p_o, cos, sin)
+                for d, g, load, force in zip(groups[s], geoms, loads,
+                                             forces.max(axis=1).tolist()):
+                    moment = peak * load * g.length_L / 2.0
+                    stress = float(6.0 * moment
+                                   / (g.width_W * g.thickness_T ** 2))
+                    records.append(
+                        (d, (g, force, _violations(spec, g, stress))))
         screened.shapes.update(rows)
         screened.update(records)
     return [screened[d] for d in dims]

@@ -2,8 +2,12 @@
 
 GEOM is the reference flexure L=40, T=1.2, W=5, theta=7 deg, MAT its
 E=1800 MPa material, TABLE2 the jaw calibration (opening, tip force) of
-Table 2, and make_config the 12-beam mechanism built on them.
+Table 2, and make_config the 12-beam mechanism built on them.  step_bytes
+is the fixed byte layout of a frame-solver PathStep that the oracle path
+digests hash, and count_force_checks counts a module's overflow checks.
 """
+
+import struct
 
 from graspsynth import (CantileverSection, MaterialModel, MechanismConfig,
                         VBeamGeometry)
@@ -21,3 +25,33 @@ def make_config(**overrides):
         series_stiffness_ks=10.0)
     base.update(overrides)
     return MechanismConfig(**base)
+
+
+def float_bytes(*values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def step_bytes(step) -> bytes:
+    """Every field of a PathStep, in a fixed byte layout."""
+    reactions = sorted(step.reactions.items())
+    return b"".join([
+        float_bytes(step.control, step.reaction, step.residual,
+                step.strain_energy),
+        struct.pack("<i?", step.iterations, step.stable),
+        step.displacements.astype("<f8").tobytes(),
+        struct.pack(f"<{2 * len(reactions)}i",
+                    *(i for key, _ in reactions for i in key)),
+        float_bytes(*(value for _, value in reactions)),
+    ])
+
+
+def count_force_checks(monkeypatch, module):
+    """A list that gains one entry per _finite_forces block of module."""
+    checks, finite_forces = [], module._finite_forces
+
+    def counted():
+        checks.append(1)
+        return finite_forces()
+
+    monkeypatch.setattr(module, "_finite_forces", counted)
+    return checks

@@ -5,10 +5,10 @@
 For every verify input of the given seeds (301, 302 and 303 by default),
 generated by bench/workloads.generate, this runs the single-beam sweep and
 the multi-beam assembly (its beams condensed into one) that the verify
-workload runs, and hashes every PathStep
-field (control, displacements, reactions, reaction, Newton iterations,
-residual, strain energy, stable) and every (shuttle, reaction) tuple of
-solve_multibeam_assembly.  Two trees print the same digest only if their
+workload runs, and hashes every PathStep field (control, displacements,
+reactions, reaction, Newton iterations, residual, strain energy, stable)
+in the byte layout of common.step_bytes, and every (shuttle, reaction)
+tuple of solve_multibeam_assembly.  Two trees print the same digest only if their
 oracle paths are bit-identical.  The script writes no file: bytecode is not
 cached, so bench/ stays untouched.  It is not a pytest module.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 import sys
 from pathlib import Path
 
@@ -26,28 +25,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import workloads  # noqa: E402
 
+from common import float_bytes, step_bytes  # noqa: E402
 from graspsynth import (parse_config, solve_multibeam_assembly,  # noqa: E402
                         solve_vbeam_sweep)
 
 SEEDS = (301, 302, 303)
-
-
-def _floats(*values) -> bytes:
-    return struct.pack(f"<{len(values)}d", *values)
-
-
-def step_bytes(step) -> bytes:
-    """Every field of a PathStep, in a fixed byte layout."""
-    reactions = sorted(step.reactions.items())
-    return b"".join([
-        _floats(step.control, step.reaction, step.residual,
-                step.strain_energy),
-        struct.pack("<i?", step.iterations, step.stable),
-        step.displacements.astype("<f8").tobytes(),
-        struct.pack(f"<{2 * len(reactions)}i",
-                    *(i for key, _ in reactions for i in key)),
-        _floats(*(value for _, value in reactions)),
-    ])
 
 
 def main(seeds) -> None:
@@ -65,7 +47,7 @@ def main(seeds) -> None:
                 digest.update(step_bytes(step))
                 n_iters += step.iterations
             n_steps += len(path.steps)
-            digest.update(_floats(*solve_multibeam_assembly(
+            digest.update(float_bytes(*solve_multibeam_assembly(
                 cfg.mechanism, inp.params["ring_disp"])))
             n_inputs += 1
     print(f"{digest.hexdigest()}  {n_inputs} inputs, {n_steps} steps, "

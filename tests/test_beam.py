@@ -24,7 +24,7 @@ from graspsynth import (BeamLoadState, Branch, ForceDisplacementCurve,
                         peak_force, solve_monostable_cubic)
 from graspsynth.beam import SAMPLE_CAP, _slope_rows, uniform_travels
 
-from common import GEOM, MAT
+from common import GEOM, MAT, count_force_checks
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +681,25 @@ def test_overflowing_dimensions_are_refused():
         with pytest.raises(ValidationError, match="L\\^2 and W T\\^3"):
             VBeamGeometry(*dims)
     VBeamGeometry(1e150, 1e100, 1e7, 0.1)
+
+
+SHORT = VBeamGeometry.from_degrees(2.0, 1.2, 5.0, 7.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_forces_that_overflow_a_finite_load_scale_are_refused(monkeypatch):
+    # the load scale of the 2 mm beam at E 4e307 is finite, its forces are
+    # not: force_curve used to return inf and NaN after a RuntimeWarning
+    mat = MaterialModel(4e307)
+    checks = count_force_checks(monkeypatch, graspsynth.beam)
+    for evaluate in (lambda: force_curve(SHORT, mat, 5.0, 500),
+                     lambda: actuation_force(SHORT, mat, np.linspace(0, 5, 50)),
+                     lambda: _slope_rows([SHORT], mat, np.linspace(0, 5, 50))):
+        with pytest.raises(ValidationError, match="force overflows"):
+            evaluate()
+    assert len(checks) == 3  # one per kernel pass, not one per sample
+    curve = force_curve(SHORT, MaterialModel(1e307), 1.5, 500)
+    assert np.isfinite(curve.force).all()
 
 
 @pytest.mark.filterwarnings("error")

@@ -352,10 +352,13 @@ def test_overflowing_travel_is_a_configuration_error(tmp_path, capsys,
      "response magnitudes must be finite"),
     ("grasper", ("mechanism", "latch_ramp_factor"), 1e308,
      "response magnitudes must be finite"),
+    ("report", ("mechanism", "latch_ramp_factor"), 1e308,
+     "response magnitudes must be finite"),
     ("grasper", ("mechanism", "jaw_section", "in_plane_h"), 1e-308,
      "response magnitudes must be finite"),
 ], ids=["width", "modulus", "length", "design_length", "report_length",
-        "latch_travel", "latch_ramp_factor", "jaw_h"])
+        "latch_travel", "latch_ramp_factor", "report_latch_ramp_factor",
+        "jaw_h"])
 def test_extreme_values_are_refused_without_warnings(command, path, value,
                                                      named, tmp_path, capsys):
     # the beam and design values used to write NaN or inf, or raise
@@ -373,6 +376,61 @@ def test_extreme_values_are_refused_without_warnings(command, path, value,
     assert rc == 2
     assert named in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def short_beam_doc(modulus):
+    """demos/table1.json on a 2 mm beam at Young's modulus modulus; its
+    design bounds hold that beam's shape alone."""
+    doc = json.loads(TABLE1_JSON.read_text())
+    doc["beam"] = {"length_L": 2, "thickness_T": 1.2, "width_W": 5,
+                   "tilt_theta_deg": 7}
+    doc["material"]["youngs_modulus_E"] = modulus
+    doc["design"]["bounds"].update(length_L=[2, 3], thickness_T=[1.2, 1.2],
+                                   width_W=[5, 5], tilt_theta_deg=[7, 7])
+    return doc
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["curve", "grasper", "design", "report"])
+def test_forces_that_overflow_a_finite_load_scale_are_refused(command,
+                                                              tmp_path,
+                                                              capsys):
+    # at E 4e307 the load scale of the 2 mm beam is finite but its forces
+    # are not: curve wrote 434 nan/inf rows and grasper exited 3, each after
+    # a RuntimeWarning
+    cfg, out = tmp_path / "short.json", tmp_path / "out"
+    cfg.write_text(json.dumps(short_beam_doc(4e307)))
+    rc = run_command([command, "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert "force overflows at the load scale" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+def test_forces_below_the_overflow_still_run(tmp_path):
+    doc = short_beam_doc(1e307)
+    doc["sweep"]["travel_max"] = 1.5
+    cfg, out = tmp_path / "short.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    assert run_command(["curve", "--config", str(cfg), "--out", str(out),
+                        "--quiet"]) == 0
+    rows = (out / "curve.csv").read_text().splitlines()[1:]
+    assert len(rows) == 500
+    assert all(math.isfinite(float(v)) for row in rows
+               for v in row.split(",")[2:])
+
+
+def test_failed_report_leaves_the_output_directory_as_it_was(tmp_path):
+    doc = json.loads(TABLE1_JSON.read_text())
+    doc["mechanism"]["latch_ramp_factor"] = 1e308
+    cfg, out = tmp_path / "ramp.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    out.mkdir()
+    (out / "curve.csv").write_text("earlier run\n")
+    assert run_command(["report", "--config", str(cfg), "--out", str(out),
+                        "--quiet"]) == 2
+    assert [p.name for p in out.iterdir()] == ["curve.csv"]
+    assert (out / "curve.csv").read_text() == "earlier run\n"
 
 
 # ---------------------------------------------------------------------------

@@ -135,12 +135,16 @@ def reference_element(xi, xj, d, E, A, I):
     return f_int, K, energy
 
 
-def reference_assemble(system, u_eq):
+def reference_assemble(system, u):
     """_System.assemble as a loop over reference_element and the springs."""
     model = system.model
-    full = system.expand(u_eq)
+    full = u.reshape(-1, 3)
+    n = system.unknowns.size
+    unknown = -np.ones(3 * model.n_nodes, dtype=int)
+    unknown[system.unknowns] = np.arange(n)
+    unknown = unknown.reshape(-1, 3)
     f_raw = np.zeros((model.n_nodes, 3))
-    K = np.zeros((system.n_eq, system.n_eq))
+    K = np.zeros((n, n))
     energy = 0.0
     for i, j in model.elements:
         d = np.concatenate([full[i], full[j]])
@@ -149,23 +153,23 @@ def reference_assemble(system, u_eq):
         energy += ee
         f_raw[i] += fe[:3]
         f_raw[j] += fe[3:]
-        el_eq = np.concatenate([system.eq[i], system.eq[j]])
-        live = el_eq >= 0
-        K[np.ix_(el_eq[live], el_eq[live])] += Ke[np.ix_(live, live)]
+        el = np.concatenate([unknown[i], unknown[j]])
+        live = el >= 0
+        K[np.ix_(el[live], el[live])] += Ke[np.ix_(live, live)]
     for (na, da, nb, db, k) in model.point_springs:
         stretch = full[na, da] - full[nb, db]
         energy += 0.5 * k * stretch ** 2
         f_raw[na, da] += k * stretch
         f_raw[nb, db] -= k * stretch
-        ends = ((system.eq[na, da], 1.0), (system.eq[nb, db], -1.0))
+        ends = ((unknown[na, da], 1.0), (unknown[nb, db], -1.0))
         for ei, si in ends:
             for ej, sj in ends:
                 if ei >= 0 and ej >= 0:
                     K[ei, ej] += k * si * sj
-    r_eq = np.zeros(system.n_eq)
-    mask = system.eq >= 0
-    np.add.at(r_eq, system.eq[mask], f_raw[mask])
-    return f_raw, r_eq, K, energy
+    r = np.zeros(n)
+    mask = unknown >= 0
+    np.add.at(r, unknown[mask], f_raw[mask])
+    return f_raw, r, K, energy
 
 
 def batched_element(xi, xj, d, E, A, I):
@@ -213,9 +217,15 @@ def test_batched_assembly_matches_per_element_reference(model):
     # seeded states from small to large rotations, point spring included;
     # the strain energy is evaluated from the assembly by path_step
     system = _System(model)
+    free = np.flatnonzero(~model.fixed.ravel())
+    assert system.driven in free
+    assert system.unknowns.tolist() == [i for i in free if i != system.driven]
     rng = np.random.default_rng(17)
     for scale in (1e-6, 1e-2, 0.3, 2.0):
-        u = scale * rng.standard_normal(system.n_eq)
+        # random values at the unknowns and the drive; fixed freedoms stay 0
+        u = np.zeros(3 * model.n_nodes)
+        u[system.unknowns] = scale * rng.standard_normal(system.unknowns.size)
+        u[system.driven] = scale * rng.standard_normal()
         got = system.assemble(u)
         want = reference_assemble(system, u)
         for a, b in zip(got[:3], want[:3]):
@@ -234,12 +244,10 @@ def reversed_vbeam_mesh(model):
                       drive=(last - model.drive[0], *model.drive[1:]))
 
 
-def test_drive_numbered_last_whatever_the_node_order():
+def test_reversed_node_order_gives_the_same_path():
     model = build_vbeam_mesh(GEOM, 16, youngs_modulus_E=1800.0)
     flipped = reversed_vbeam_mesh(model)
     assert flipped.drive[0] == 0 and flipped.fixed[-1].all()
-    system = _System(flipped)
-    assert system.eq[flipped.drive[:2]] == system.n_eq - 1
     a = solve_guided_sweep(model, 5.0, n_steps=50)
     b = solve_guided_sweep(flipped, 5.0, n_steps=50)
     assert [s.iterations for s in b.steps] == [s.iterations for s in a.steps]
@@ -332,6 +340,35 @@ def test_convergence_error_carries_path():
     assert err.last_step is err.path.last
 
 
+@pytest.mark.parametrize("model", [
+    build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0),
+    build_multibeam_assembly(make_config(), 8),
+], ids=["vbeam", "multibeam"])
+def test_step_displacements_are_their_own_tables(monkeypatch, model):
+    # each step holds 0 at every fixed freedom and -control at the drive
+    # (amplitude -1), and no later step of the sweep moves an earlier array
+    made = []
+    path_step = _System.path_step
+
+    def recorded(self, *args):
+        step = path_step(self, *args)
+        made.append((step, step.displacements.copy()))
+        return step
+
+    monkeypatch.setattr(_System, "path_step", recorded)
+    path = solve_guided_sweep(model, 3.0, n_steps=10)
+    node, dof, amp = model.drive
+    assert amp == -1.0 and len(made) == len(path.steps)
+    for step, snapshot in made:
+        assert step.displacements.shape == (model.n_nodes, 3)
+        assert np.array_equal(step.displacements, snapshot)
+        assert np.all(step.displacements[model.fixed] == 0.0)
+        assert step.displacements[node, dof] == -step.control
+    arrays = [step.displacements for step, _ in made]
+    assert not any(np.shares_memory(a, b)
+                   for k, a in enumerate(arrays) for b in arrays[k + 1:])
+
+
 def test_sweep_assembles_each_newton_iteration_once(monkeypatch):
     # a converged state is recorded from its last Newton assembly, so a
     # sweep without bisection assembles exactly once per iteration
@@ -375,22 +412,22 @@ def test_sweep_raises_after_one_bisection_ladder(monkeypatch):
     # with no other attempt and no assembly outside Newton.
     converged, failed, inside, outside = [], [], [False], [0]
 
-    def flaky(system, u_eq, control, tol, max_iters):
+    def flaky(system, u, control, tol, max_iters):
         if failed or control > 1.25:
             failed.append(control)
             return None
         inside[0] = True
-        result = _newton(system, u_eq, control, tol, max_iters)
+        result = _newton(system, u, control, tol, max_iters)
         inside[0] = False
         converged.append(result[1])
         return result
 
     assemble = _System.assemble
 
-    def counted(self, u_eq):
+    def counted(self, u):
         if not inside[0]:
             outside[0] += 1
-        return assemble(self, u_eq)
+        return assemble(self, u)
 
     monkeypatch.setattr(solver, "_newton", flaky)
     monkeypatch.setattr(_System, "assemble", counted)

@@ -2,7 +2,9 @@
 
 The README promises byte-reproducible CSV.  A change that alters one of
 these files on purpose updates its hash here and says why in CHANGES.md.
-fe_path.csv is left out: its residual column moves at round-off.
+fe_path.csv is left out: its residual column moves at round-off.  One
+frame-solver path is pinned bit for bit instead, in the byte layout of
+tests/fe_path_digest.py.
 """
 
 import hashlib
@@ -10,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from graspsynth import parse_config, solve_multibeam_assembly, solve_vbeam_sweep
 from graspsynth.cli import run_command
+
+from common import float_bytes, step_bytes
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -40,3 +45,21 @@ def test_csv_bytes_match_golden(demo, command, name, tmp_path):
     assert rc == 0
     digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digest == GOLDEN[demo, command, name]
+
+
+# every PathStep of the demo beam's 16-element, 100-step sweep to 5 mm, then
+# the (shuttle, reaction) of its 12-beam assembly at a 3 mm ring travel
+ORACLE_PATH_GOLDEN = (
+    "992ecd9ecbddf7421c610466fe1bed520acf73e82f1f10aa96c075d41c6a93d3")
+
+
+def test_oracle_path_bytes_match_golden():
+    cfg = parse_config((DEMOS / "table1.json").read_text(encoding="utf-8"))
+    path = solve_vbeam_sweep(cfg.mechanism.beam_geometry, cfg.material, 5.0,
+                             n_steps=100, n_elements=16, tol=1e-8)
+    assert len(path.steps) == 100
+    digest = hashlib.sha256()
+    for step in path.steps:
+        digest.update(step_bytes(step))
+    digest.update(float_bytes(*solve_multibeam_assembly(cfg.mechanism, 3.0)))
+    assert digest.hexdigest() == ORACLE_PATH_GOLDEN

@@ -20,7 +20,7 @@ from graspsynth import (Candidate, DesignSpec, MaterialModel, NumericalError,
 from graspsynth import search
 from graspsynth.mechanism import halved_ring_force
 
-from common import GEOM as TABLE1, MAT
+from common import GEOM as TABLE1, MAT, count_force_checks
 
 BOUNDS = {
     "length_L": (36.0, 44.0),
@@ -331,6 +331,29 @@ def test_grid_passes_each_shape_once(samples, expected, monkeypatch):
     geoms = {c.geometry for c in ranked}
     assert len(geoms) == 81 and len({shape(g) for g in geoms}) == 27
     assert rows == expected
+
+
+def test_grid_checks_the_forces_once_per_block(monkeypatch):
+    # 27 shapes at 500 samples make blocks of 16 and 11 shapes
+    checks = count_force_checks(monkeypatch, search)
+    grid_search(make_spec(sweep_samples=500), DENSITY)
+    assert len(checks) == 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_screen_refuses_forces_that_overflow_a_finite_load_scale():
+    # at E 4e307 the 2 mm beams' load scales are finite, their forces not;
+    # the screen used to rank them from inf and NaN peaks after a
+    # RuntimeWarning, and now refuses the block and caches none of it
+    bounds = dict(length_L=(2.0, 3.0), thickness_T=(1.2, 1.2),
+                  width_W=(5.0, 5.0), tilt_theta=(0.12, 0.12), n_beams=(11, 13))
+    spec = make_spec(bounds=bounds, material=MaterialModel(4e307))
+    with pytest.raises(ValidationError, match="force overflows"):
+        grid_search(spec, DENSITY)
+    cache = search._ScreenCache()
+    with pytest.raises(ValidationError, match="force overflows"):
+        search._screen(spec, [(2.0, 1.2, 5.0, 0.12)], cache)
+    assert not cache and not cache.shapes
 
 
 def test_grid_checks_each_geometry_once(monkeypatch):
