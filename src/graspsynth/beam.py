@@ -19,11 +19,10 @@ stable equilibrium at travel dy is
 On the d1 >= 0 branch the loads are f_o = -4.8618 y_o, p_o = -9.8837 (the
 constant is the fixed-guided buckling scale, ~pi^2).  Otherwise p_o is the
 real root, continuous with p = 0 at rest, of a cubic in p with coefficients
-k1..k4 built from (t, x_o, y_o), cross-checked against the closed-form
-Cardano expression, and f_o follows from a rational expression in that
-root.  On reachable d1 < 0 states the cubic has exactly one real root.  At
-rest it is t1 p (p + 30)^2, so near rest its discriminant is zero to
-rounding and the simple root is taken; a cubic with three distinct real
+k1..k4 built from (t, x_o, y_o), and f_o follows from a rational expression
+in that root.  On reachable d1 < 0 states the cubic has exactly one real
+root.  At rest it is t1 p (p + 30)^2, so near rest its discriminant is zero
+to rounding and the simple root is taken; a cubic with three distinct real
 roots is refused.  The shuttle-direction actuation force is
 
     F = -(4 E I f_o / L^2 cos(theta) + 4 E I p_o / L^2 sin(theta)).
@@ -51,7 +50,6 @@ internally and degrees only at interface boundaries.
 
 from __future__ import annotations
 
-import logging
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -62,8 +60,6 @@ import numpy as np
 
 from .errors import (NumericalError, SingularityError, ValidationError,
                      check_count, check_non_negative, check_positive)
-
-log = logging.getLogger(__name__)
 
 BISTABLE_FO_SLOPE = -4.8618
 BISTABLE_PO = -9.8837
@@ -158,8 +154,8 @@ class MonostableIntermediates:
     """Cubic coefficients and closed-form root data for the d1 < 0 branch.
 
     k1..k4 are the cubic coefficients in p; c1, c2 the nested radicals of the
-    closed-form (Cardano) solution; p1 the closed-form real root, the root
-    the kernel's root is checked against (_monostable_root).  c2 and p1 are
+    closed-form (Cardano) solution; p1 the closed-form real root, a second
+    form of the root the kernel takes (_monostable_root).  c2 and p1 are
     NaN when the cubic has three distinct real roots (the casus
     irreducibilis), which solve_monostable_cubic refuses; a discriminant
     zero to rounding, as near rest, does not count as one.  The generating
@@ -358,7 +354,9 @@ def _cardano_root(k1, k2, k3, k4):
     and inner^2 2916 k1^6 times its square term, so both go through
     _radicand: where that kernel returns, the radicand is positive or zero
     to rounding; elsewhere c2 and the root are NaN.  Coefficients are scalars
-    or arrays of one shape; the cubes k2^3 and c1^3 go through _cube.
+    or arrays of one shape; the cubes k2^3 and c1^3 go through _cube.  No
+    evaluation path calls it: it gives monostable_intermediates its c1, c2
+    and p1.
     """
     c1 = -k2 ** 2 + 3.0 * k1 * k3
     inner = -2.0 * _cube(k2) + 9.0 * k1 * k2 * k3 - 27.0 * k1 ** 2 * k4
@@ -387,7 +385,8 @@ def solve_monostable_cubic(inter: MonostableIntermediates) -> float:
     continuous with p = 0 at rest.  It is the root the kernel takes for the
     same state: _monostable_root on one-element arrays, whose numpy powers
     can differ from Python's in the last ulp.  A cubic with more than one
-    real root raises NumericalError.
+    real root, or a root whose residual misses the bound 1e-9 max(1, |k4|),
+    raises NumericalError.
     """
     if inter.x_o == 0.0 and inter.y_o == 0.0 and inter.k4 == 0.0:
         return 0.0
@@ -396,33 +395,19 @@ def solve_monostable_cubic(inter: MonostableIntermediates) -> float:
 
 
 def _monostable_root(ks):
-    """The unique real root of the cubics ks (no polish), held with the
-    closed-form Cardano root to the residual bound by _verify_roots."""
-    p = _unique_root(*ks)
-    _verify_roots(ks, p, _cardano_root(*ks)[0])
-    return p
+    """The unique real root of the cubics ks (_unique_root, no polish).
 
-
-def _verify_roots(ks, p, closed):
-    """Hold real cubic roots p and their closed forms to the residual bound.
-
-    A residual of the cubics ks at or above 1e-9 max(1, |k4|) raises for p
-    and is logged for the closed-form roots.  Residuals, not distances
-    between the two roots, are compared: at small travel the root is tiny
-    and fixed by the cubic only to about its rounding error, so two correct
-    roots may differ in their leading digits.
+    A residual at or above 1e-9 max(1, |k4|) raises.  The residual, not a
+    distance to another root, is bounded: at small travel the root is tiny
+    and fixed by the cubic only to about its rounding error.
     """
+    p = _unique_root(*ks)
     k1, k2, k3, k4 = ks
     residual = np.abs(((k1 * p + k2) * p + k3) * p + k4)
-    bound = 1e-9 * np.maximum(1.0, np.abs(k4))
-    if not np.all(residual < bound):
+    if not np.all(residual < 1e-9 * np.maximum(1.0, np.abs(k4))):
         raise NumericalError(f"cubic residual {np.max(residual):.3e} exceeds "
                              f"its bound 1e-9 max(1, |k4|)")
-    missed = np.abs(((k1 * closed + k2) * closed + k3) * closed + k4) / bound
-    if not np.all(missed < 1.0):
-        log.warning("closed-form cubic roots deviate from their cubic: "
-                    "residual up to %.3g times the bound 1e-9 max(1, |k4|)",
-                    np.max(missed))
+    return p
 
 
 def _rational_fo(y_o, p1):

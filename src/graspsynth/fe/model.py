@@ -39,7 +39,8 @@ class FrameModel:
     point_springs (node_a, dof_a, node_b, dof_b, k) couple two freedoms
     through a linear spring of stiffness k.  Every index, the section and
     each stiffness are checked when the model is built: section values and
-    stiffnesses must be positive and finite.
+    stiffnesses must be positive and finite, and so must each element's
+    E A / L0 and E I / L0 at its chord length L0.
     """
 
     nodes: np.ndarray
@@ -63,7 +64,8 @@ class FrameModel:
         if not np.all((self.elements >= 0) & (self.elements < n)):
             raise ValidationError("an element references a missing node")
         chord = self.nodes[self.elements[:, 1]] - self.nodes[self.elements[:, 0]]
-        if np.any(np.hypot(chord[:, 0], chord[:, 1]) < 1e-12):
+        length = np.hypot(chord[:, 0], chord[:, 1])
+        if np.any(length < 1e-12):
             raise ValidationError("an element has zero length")
         section = np.asarray(self.section, dtype=float)
         if section.shape != (3,) or not np.all(np.isfinite(section)
@@ -72,6 +74,13 @@ class FrameModel:
                 f"section (E, A, I) {self.section!r} must be three positive, "
                 "finite values")
         self.section = tuple(section.tolist())
+        E, A, I = self.section
+        with np.errstate(over="ignore"):
+            stiffness = np.array([[E * A], [E * I]]) / length
+        if not np.isfinite(stiffness).all():
+            raise ValidationError(
+                "an element's E A / L0 or E I / L0 overflows: the section or "
+                "Young's modulus is too large for the element length")
         if not np.any(self.fixed.all(axis=1)):
             raise ValidationError(
                 "at least one node must be fully constrained (rigid-body modes)")

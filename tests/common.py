@@ -4,11 +4,16 @@ GEOM is the reference flexure L=40, T=1.2, W=5, theta=7 deg, MAT its
 E=1800 MPa material, TABLE2 the jaw calibration (opening, tip force) of
 Table 2, and make_config the 12-beam mechanism built on them.  step_bytes
 is the fixed byte layout of a frame-solver PathStep that the oracle path
-digests hash, and count_force_checks counts a module's overflow checks.
+digests hash, count_force_checks counts a module's overflow checks, and
+cardano_residuals measures the closed-form root of each cubic the load
+kernel solves.
 """
 
 import struct
 
+import numpy as np
+
+import graspsynth.beam
 from graspsynth import (CantileverSection, MaterialModel, MechanismConfig,
                         VBeamGeometry)
 
@@ -55,3 +60,23 @@ def count_force_checks(monkeypatch, module):
 
     monkeypatch.setattr(module, "_finite_forces", counted)
     return checks
+
+
+def cardano_residuals(monkeypatch):
+    """A list that gains, per block of cubics the load kernel solves, the
+    largest residual of their closed-form Cardano roots over the kernel's
+    bound 1e-9 max(1, |k4|): the closed form meets the bound where every
+    entry is below 1 (a NaN root gives NaN)."""
+    beam = graspsynth.beam
+    ratios, monostable_root = [], beam._monostable_root
+
+    def measured(ks):
+        k1, k2, k3, k4 = ks
+        p = beam._cardano_root(*ks)[0]
+        residual = np.abs(((k1 * p + k2) * p + k3) * p + k4)
+        ratios.append(np.max(residual / (1e-9 * np.maximum(1.0, np.abs(k4))),
+                             initial=0.0))
+        return monostable_root(ks)
+
+    monkeypatch.setattr(beam, "_monostable_root", measured)
+    return ratios

@@ -11,7 +11,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graspsynth.beam
@@ -24,7 +24,7 @@ from graspsynth import (BeamLoadState, Branch, ForceDisplacementCurve,
                         peak_force, solve_monostable_cubic)
 from graspsynth.beam import SAMPLE_CAP, _slope_rows, uniform_travels
 
-from common import GEOM, MAT, count_force_checks
+from common import GEOM, MAT, cardano_residuals, count_force_checks
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +264,13 @@ def test_reference_root_is_the_kernel_root():
 
 def test_closed_form_root_matches_continuation():
     # the closed-form expression stored in the intermediates is the same
-    # root the solver returns
+    # root the solver returns, and meets the kernel's residual bound
     for geom, dy in random_monostable_states(100, seed=23):
         nd = normalize_deflection(geom, dy)
         inter = monostable_intermediates(nd)
         p = solve_monostable_cubic(inter)
         assert inter.p1 == pytest.approx(p, rel=1e-9, abs=1e-12)
+        assert abs(inter.cubic(inter.p1)) < 1e-9 * max(1.0, abs(inter.k4))
 
 
 # ---------------------------------------------------------------------------
@@ -421,28 +422,22 @@ def test_actuation_force_accepts_arrays():
         actuation_force(GEOM, MAT, np.array([1.0, -0.1]))
 
 
-def test_kernel_checks_its_roots(monkeypatch, caplog):
-    # a root off its cubic is refused; a closed form off the root is logged
-    import graspsynth.beam as beam
-    unique_root, cardano_root = beam._unique_root, beam._cardano_root
-    monkeypatch.setattr(beam, "_cardano_root", lambda *ks: (
-        cardano_root(*ks)[0] * (1 + 1e-5),) + cardano_root(*ks)[1:])
-    with caplog.at_level("WARNING", logger="graspsynth.beam"):
-        actuation_force(GEOM, MAT, np.array([0.5, 1.0]))
-    assert "closed-form cubic roots deviate" in caplog.text
-    monkeypatch.setattr(beam, "_unique_root",
+def test_kernel_checks_its_roots(monkeypatch):
+    # a root off its cubic is refused
+    unique_root = graspsynth.beam._unique_root
+    monkeypatch.setattr(graspsynth.beam, "_unique_root",
                         lambda *ks: unique_root(*ks) * (1 + 1e-6))
     with pytest.raises(NumericalError, match="cubic residual"):
         actuation_force(GEOM, MAT, 1.0)
 
 
-def test_closed_form_at_small_travel_is_not_flagged(caplog):
+def test_closed_form_at_small_travel_is_not_flagged(monkeypatch):
     # an untilted beam at 1e-4 mm: the root is ~7e-9 and fixed by the cubic
     # only to ~1e-6 relative, yet both roots meet the residual bound
     geom = VBeamGeometry.from_degrees(48.7886, 1.5866, 5.0, 0.0)
-    with caplog.at_level("WARNING", logger="graspsynth.beam"):
-        actuation_force(geom, MAT, np.array([1e-5, 1e-4, 1e-3]))
-    assert caplog.text == ""
+    residuals = cardano_residuals(monkeypatch)
+    actuation_force(geom, MAT, np.array([1e-5, 1e-4, 1e-3]))
+    assert residuals and np.max(residuals) < 1.0
 
 
 def rest_stiffness(geom, mat):
@@ -506,22 +501,22 @@ def test_slope_on_each_side_of_the_crossover_is_its_branch_slope():
 
 
 @pytest.mark.filterwarnings("error")
-def test_near_rest_travels_take_the_root_continuous_with_rest(caplog):
+def test_near_rest_travels_take_the_root_continuous_with_rest(monkeypatch):
     # 80,000 evaluations, 20 blocks of 200 random beams at 20 travels of
     # 1e-9 to 1e-1 mm: the cubic's discriminant rounds to <= 0 below about
     # 1e-7 mm, which used to raise NumericalError (or warn from the closed
-    # form's square root)
+    # form's square root); the closed form meets the residual bound there
     rng = np.random.default_rng(53)
-    with caplog.at_level("WARNING", logger="graspsynth.beam"):
-        for _ in range(20):
-            geoms = [VBeamGeometry.from_degrees(L, T, 5.0, tilt) for L, T, tilt
-                     in rng.uniform((10.0, 0.2, 0.0), (80.0, 4.0, 30.0),
-                                    (200, 3))]
-            dys = 10.0 ** rng.uniform(-9.0, -1.0, 20)
-            force = graspsynth.beam._force_rows(geoms, MAT, dys)[0]
-            assert np.all(np.isfinite(force)) and np.all(force > 0.0)
-            assert np.all(np.isfinite(_slope_rows(geoms, MAT, dys)))
-    assert caplog.text == ""
+    residuals = cardano_residuals(monkeypatch)
+    for _ in range(20):
+        geoms = [VBeamGeometry.from_degrees(L, T, 5.0, tilt) for L, T, tilt
+                 in rng.uniform((10.0, 0.2, 0.0), (80.0, 4.0, 30.0),
+                                (200, 3))]
+        dys = 10.0 ** rng.uniform(-9.0, -1.0, 20)
+        force = graspsynth.beam._force_rows(geoms, MAT, dys)[0]
+        assert np.all(np.isfinite(force)) and np.all(force > 0.0)
+        assert np.all(np.isfinite(_slope_rows(geoms, MAT, dys)))
+    assert residuals and np.max(residuals) < 1.0
 
 
 @pytest.mark.filterwarnings("error")
@@ -572,23 +567,21 @@ def test_cube_keeps_signed_zeros_nan_and_infinities():
     assert np.array_equal(cube, x ** 3, equal_nan=True)
 
 
-@settings(derandomize=True, deadline=None, max_examples=40,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(derandomize=True, deadline=None, max_examples=40)
 @given(st.floats(30.0, 50.0), st.floats(0.8, 1.6), st.floats(0.0, 10.0),
        st.floats(1e-3, 5.0), st.integers(2, 60))
-def test_force_paths_agree_over_the_bench_envelope(caplog, L, T, tilt,
-                                                   travel, n):
+def test_force_paths_agree_over_the_bench_envelope(L, T, tilt, travel, n):
     # the bench's beam ranges: the curve and the pointwise force agree, and
     # the closed-form root never leaves its residual bound
     geom = VBeamGeometry.from_degrees(L, T, 5.0, tilt)
-    caplog.clear()
-    with caplog.at_level("WARNING", logger="graspsynth.beam"):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        residuals = cardano_residuals(monkeypatch)
         curve = force_curve(geom, MAT, travel, n)
         pointwise = actuation_force(geom, MAT, curve.delta_y)
         last = actuation_force(geom, MAT, float(curve.delta_y[-1]))
     np.testing.assert_allclose(pointwise, curve.force, rtol=1e-9, atol=0.0)
     assert math.isclose(last, curve.force[-1], rel_tol=1e-9)
-    assert "closed-form cubic roots deviate" not in caplog.text
+    assert residuals and np.max(residuals) < 1.0
 
 
 def test_curve_validation():

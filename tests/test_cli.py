@@ -420,6 +420,19 @@ def test_forces_below_the_overflow_still_run(tmp_path):
                for v in row.split(",")[2:])
 
 
+@pytest.mark.filterwarnings("error")
+def test_oracle_stiffness_that_overflows_is_refused(tmp_path, capsys):
+    # curve runs this config (above), but the frame solver's element
+    # stiffness E A / L0 overflows: verify used to warn and exit 3
+    doc = short_beam_doc(1e307)
+    doc["sweep"]["travel_max"] = 1.5
+    cfg, out = tmp_path / "short.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    assert run_command(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "E A / L0 or E I / L0 overflows" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_failed_report_leaves_the_output_directory_as_it_was(tmp_path):
     doc = json.loads(TABLE1_JSON.read_text())
     doc["mechanism"]["latch_ramp_factor"] = 1e308

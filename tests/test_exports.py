@@ -36,10 +36,10 @@ def test_every_exported_name_resolves_once(module):
 
 def test_runtime_imports_only_numpy():
     # the package and its CLI run on numpy alone; scipy, hypothesis and
-    # pytest are never imported at run time
+    # pytest are never imported at run time, and nothing loads logging
     probe = ("import sys, graspsynth, graspsynth.cli; "
              "print(sorted({m.split('.')[0] for m in sys.modules} "
-             "& {'scipy', 'hypothesis', 'pytest'}))")
+             "& {'scipy', 'hypothesis', 'pytest', 'logging'}))")
     # the fresh interpreter imports the same package this suite does
     path = [os.path.dirname(os.path.dirname(graspsynth.__file__)),
             os.environ.get("PYTHONPATH", "")]

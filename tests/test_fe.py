@@ -590,6 +590,19 @@ def test_mesh_refuses_bad_modulus(modulus):
         build_vbeam_mesh(GEOM, 8, youngs_modulus_E=modulus)
 
 
+@pytest.mark.filterwarnings("error")
+def test_model_refuses_element_stiffness_that_overflows():
+    # the 16 elements of a 2 mm beam are 0.125 mm long: at E 1e307 its
+    # E A / L0 overflows, which the solver's set-up met as a divide warning
+    # and a sweep as a bisection-floor failure
+    short = VBeamGeometry.from_degrees(2, 1.2, 5, 7)
+    with pytest.raises(ValidationError, match="E A / L0 or E I / L0"):
+        build_vbeam_mesh(short, youngs_modulus_E=1e307)
+    model = build_vbeam_mesh(short, youngs_modulus_E=1e306)
+    with pytest.raises(ValidationError, match="E A / L0 or E I / L0"):
+        replace(model, section=(1e307, 1e-300, 6.0))  # E I / L0 alone
+
+
 # ---------------------------------------------------------------------------
 # curve packaging and closed-form comparison
 # ---------------------------------------------------------------------------
