@@ -106,12 +106,11 @@ def _cmd_design(args, config: RunConfig, out: Path) -> int:
         raise ConfigError("config has no 'design' block")
     ranked = grid_search(config.design.spec, config.design.grid_density)
     _say(args, f"grid search ranked {len(ranked)} candidates")
-    if ranked:
-        best = refine(config.design.spec, ranked[0],
-                      config.design.refine_max_evals)
-        # one row per design point: the refined candidate replaces its twin
-        ranked = [c for c in ranked if c.point != best.point]
-        bisect.insort(ranked, best, key=Candidate.sort_key)
+    best = refine(config.design.spec, ranked[0],
+                  config.design.refine_max_evals)
+    # one row per design point: the refined candidate replaces its twin
+    ranked = [c for c in ranked if c.point != best.point]
+    bisect.insort(ranked, best, key=Candidate.sort_key)
     dest = out / "design_candidates.csv"
     write_candidates_csv(ranked, dest)
     _say(args, f"wrote {dest}")

@@ -9,9 +9,10 @@ length); final designs should be re-checked with the frame solver.
 
 A design point is one tuple in PARAM_NAMES order, (L, T, W, theta,
 n_beams), and one predicate checks it against the bounds with the absolute
-slack BOUNDS_TOL.  The spec refuses an n_beams lower bound below 1, so every
-in-bounds beam count is at least 1.  A grid_density entry that is missing
-means DEFAULT_GRID_DENSITY levels.
+slack BOUNDS_TOL.  The spec refuses an n_beams lower bound below 1 and
+n_beams bounds that hold no integer, so every spec admits a beam count of
+at least 1.  A grid_density entry that is missing means
+DEFAULT_GRID_DENSITY levels.
 
 Work that depends only on the beam shape is done once per shape, work that
 depends only on the geometry once per geometry, and work that depends on
@@ -24,26 +25,17 @@ shape's rows at the geometry's own load scale; a record holds the
 geometry, the peak force that every beam count shares and the stress,
 length and bistable_at_travel violations, which _violations computes once
 per record.  grid_search screens its grid in one call, and refine keeps
-one _ScreenCache per call: the records by dims and the shape rows by
-shape, so a later width of a known shape, such as a width poll, makes no
-kernel pass.  Per point: the ring peak, the objective and the ranking key,
-of which refine keeps the best candidate's rather than recomputing it per
-poll.  A refine poll's outcome does not depend on the polls beside it, so
-whenever a sweep starts or its center moves, refine screens the center's
-whole neighbourhood, its polls along every axis of the sweep, in one call,
-then scores the polls one at a time in the sequential order.
-
-The bound invariant: every refine center lies inside the bounds, since
-refine checks its start and every later center is a poll that passed the
-bounds check.  A poll moves one coordinate of its center, so its bounds
-check looks at that coordinate alone.
+one _ScreenCache per call, which holds the shape rows too.  Per point: the
+ring peak, the objective and the ranking key.  So a shape fixes the peak
+force per mm of width, c, the ring peak of n beams at width W is n W c / 2,
+and refine searches shapes alone, solving each one's W and n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, product
+from itertools import product
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -52,8 +44,7 @@ from ._csv import NUMBER, write_csv
 from .beam import (DEFAULT_CURVE_SAMPLES, MaterialModel, VBeamGeometry,
                    _finite_forces, _force, _kernel_pass, _load_column,
                    _load_scale, bistability_margin, uniform_travels)
-from .errors import (NumericalError, ValidationError, check_count,
-                     check_positive)
+from .errors import ValidationError, check_count, check_positive
 from .mechanism import halved_ring_force
 
 PARAM_NAMES = ("length_L", "thickness_T", "width_W", "tilt_theta", "n_beams")
@@ -69,9 +60,9 @@ GRID_CAP = 1_000_000
 DEFAULT_GRID_DENSITY = 5
 DEFAULT_REFINE_EVALS = 200
 
-# Absolute slack of the bounds check.  refine polls at sums of halved steps,
-# which land on a bound only up to rounding; the slack decides which of
-# those polls are evaluated, and so refine's visit order.
+# Absolute slack of the bounds check.  refine polls shapes at sums of halved
+# steps, which land on a bound only up to rounding; the slack decides which
+# of those polls are evaluated, and so refine's visit order.
 BOUNDS_TOL = 1e-12
 
 # Shape x travel samples per load-kernel pass of the screen.  The blocks
@@ -120,8 +111,11 @@ class DesignSpec:
                 raise ValidationError(f"bounds for {name} must be finite")
             if not lo <= hi:
                 raise ValidationError(f"bounds for {name} must be ordered")
-        if self.bounds["n_beams"][0] < 1:
+        n_lo, n_hi = self.bounds["n_beams"]
+        if n_lo < 1:
             raise ValidationError("n_beams bounds must start at 1 or above")
+        if math.ceil(n_lo) > math.floor(n_hi):
+            raise ValidationError("n_beams bounds must hold an integer")
         # every in-bounds geometry builds, with a finite load scale, if these
         # corners do: the lows, the largest T and W on the lowest L (the
         # largest W T^3 and load scale), the largest L, and both tilt limits
@@ -355,8 +349,9 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
         lo, hi = spec.bounds[name]
         if name == "n_beams":
             raw = np.linspace(lo, hi, count) if count > 1 else [lo]
-            levels = sorted({int(round(v)) for v in raw})
-            axes[name] = [n for n in levels if _in_bounds(spec, name, n)]
+            n_lo, n_hi = math.ceil(lo), math.floor(hi)
+            axes[name] = sorted({min(max(int(round(v)), n_lo), n_hi)
+                                 for v in raw})
         else:
             levels = (np.linspace(lo, hi, count) if count > 1
                       else np.array([(lo + hi) / 2.0]))
@@ -368,8 +363,6 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
         raise ValidationError(
             f"grid holds {total} points, above the cap of {GRID_CAP}; "
             f"thin the grid")
-    if total == 0:
-        return []
 
     # grid values lie inside the bounds by construction
     records = _screen(spec, list(product(
@@ -378,81 +371,87 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
                    for n in axes["n_beams"]), key=Candidate.sort_key)
 
 
-def _polls(spec: DesignSpec, center, axes) -> Dict[int, list]:
-    """The in-bounds polls center -/+ step along each (axis, step), by axis.
-
-    center must lie inside the bounds, as every refine center does, so only
-    the moved coordinate is checked.
-    """
-    polls = {}
-    for i, step in axes:
-        name, head, tail = PARAM_NAMES[i], center[:i], center[i + 1:]
-        polls[i] = [(*head, v, *tail)
-                    for v in (center[i] - step, center[i] + step)
-                    if _in_bounds(spec, name, v)]
-    return polls
-
-
 def refine(spec: DesignSpec, start: Candidate,
            max_evals: int = DEFAULT_REFINE_EVALS) -> Candidate:
-    """Pattern search around a candidate; never returns a worse one.
+    """Pattern search over beam shapes around a candidate; never returns a
+    worse one.
 
-    Continuous parameters are polled one at a time in the fixed order
-    (L, T, W, theta) with step halving on a failed full poll; the beam count
-    is polled to its integer neighbors.  A poll outside the bounds is
-    skipped and not counted; every other poll counts against max_evals,
-    but a geometry is screened once per call, whatever its beam counts.
-    The start must lie inside the bounds, so every center does.  Exhausting
-    max_evals returns the best point found so far flagged as exhausted.  A
-    max_evals that is not an integer of at least 0 is refused.
-
-    The polls around one center are independent, so whenever a sweep
-    starts or the center moves, the center's whole neighbourhood, its polls
-    along every axis of the sweep cut to the remaining budget, is screened
-    in one _screen call before the first of them is scored.  A batched record
-    equals the one-geometry record bit for bit, so the visits, the
-    evaluation count and the result are those of polling one geometry at a
-    time, also when the look-ahead fails: a look-ahead block that cannot be
-    built or passed stores nothing, the blocks before it keep their
-    records, and a poll left unscreened is screened when made.
+    The start's shape is scored first, then the best point's shape
+    (L, T, theta) is polled one coordinate at a time, -/+ its step, with
+    step halving on a failed full sweep.  A poll outside the bounds is
+    skipped; each scored shape counts once against max_evals.  A shape's
+    record at the start's width gives its peak force per mm of width, c,
+    and n beams meet the target at W*(n) = 2 target / (n c), clamped to
+    the width bounds; no clamp binds for n in [2 target / (W_hi c),
+    2 target / (W_lo c)].  The floor and ceiling of each end, clipped to
+    the n_beams bounds, are scored at W* from the shape's cached rows, and
+    the best by sort_key is the shape's candidate.  refine returns once a
+    shape is feasible at an unclamped W*, where the target is met to
+    rounding.  The start must lie inside the bounds.  Exhausting max_evals
+    returns the best point so far flagged as exhausted; a max_evals that
+    is not an integer of at least 0 is refused.
     """
     check_count("max_evals", max_evals, 0)
     _require_in_bounds(spec, start.point)
-    spans = [spec.bounds[name][1] - spec.bounds[name][0]
-             for name in PARAM_NAMES[:4]]
-    steps = [span / 8.0 for span in spans]
-    min_steps = [max(span * 1e-4, 1e-12) for span in spans]
-    best, best_key, evals = start, start.sort_key(), 0
+    target, width = spec.target_force, start.geometry.width_W
+    W_lo, W_hi = spec.bounds["width_W"]
+    n_lo, n_hi = spec.bounds["n_beams"]
+    n_lo, n_hi = math.ceil(n_lo), math.floor(n_hi)
     screened = _ScreenCache()
-    while evals < max_evals:
-        improved = False
-        # the beam count always steps by one
-        axes = [(i, step) for i, step in enumerate((*steps, 1)) if step > 0]
-        center = None
-        for i, _ in axes:
-            if best.point != center:
-                center = best.point
-                polls = _polls(spec, center, axes)
-                # these polls are made only if the center holds, and a poll
-                # that cannot be built or screened raises when it is made
-                try:
-                    _screen(spec, [p[:4] for p in chain(*polls.values())]
-                            [:max_evals - evals], screened)
-                except (ValidationError, NumericalError):
-                    pass
-            for trial in polls[i]:
-                if evals < max_evals:
-                    evals += 1
-                    [record] = _screen(spec, [trial[:4]], screened)
-                    cand = _candidate(spec, record, trial[4])
-                    key = cand.sort_key()
-                    if key < best_key:
-                        best, best_key, improved = cand, key, True
-        if not improved:
-            steps = [step / 2.0 for step in steps]
-            if all(step < low for step, low in zip(steps, min_steps)):
-                return best
-    return replace(best, exhausted=True)
+
+    def score(shape):
+        """The shape's best candidate; is it feasible at an unclamped W*?"""
+        L, T, theta = shape
+        [(_, force, _)] = _screen(spec, [(L, T, width, theta)], screened)
+        c = force / width
+        # below the range W* clamps to W_hi and the ring peak rises with n,
+        # above it W* clamps to W_lo: the nearest count on each side is best
+        ends = (min(max(2.0 * target / (W * c), n_lo), n_hi)
+                for W in (W_hi, W_lo))
+        counts = sorted({f(n) for n in ends for f in (math.floor, math.ceil)})
+        widths = [2.0 * target / (n * c) for n in counts]
+        records = _screen(spec, [(L, T, min(max(W, W_lo), W_hi), theta)
+                                 for W in widths], screened)
+        cands = [_candidate(spec, r, n) for r, n in zip(records, counts)]
+        exact = any(cand.feasible and W_lo <= W <= W_hi
+                    for cand, W in zip(cands, widths))
+        return min(cands, key=Candidate.sort_key), exact
+
+    def shape(cand):
+        L, T, _, theta, _ = cand.point
+        return L, T, theta
+
+    def polls():
+        """The shapes to score, around the best point as refine moves it;
+        a poll moves one coordinate of an in-bounds center, so only that
+        coordinate is checked."""
+        yield shape(best)
+        names = ("length_L", "thickness_T", "tilt_theta")
+        spans = [spec.bounds[name][1] - spec.bounds[name][0] for name in names]
+        steps = [span / 8.0 for span in spans]
+        min_steps = [max(span * 1e-4, 1e-12) for span in spans]
+        while True:
+            before = best
+            for i, step in enumerate(steps):
+                center = shape(best)
+                for v in (center[i] - step, center[i] + step) if step else ():
+                    if _in_bounds(spec, names[i], v):
+                        yield (*center[:i], v, *center[i + 1:])
+            if best is before:
+                steps = [step / 2.0 for step in steps]
+                if all(step < low for step, low in zip(steps, min_steps)):
+                    return
+
+    best = start
+    for evals, trial in enumerate(polls()):
+        if evals == max_evals:
+            return replace(best, exhausted=True)
+        cand, exact = score(trial)
+        if cand.sort_key() < best.sort_key():
+            best = cand
+        if exact:
+            return best
+    return best
 
 
 def write_candidates_csv(candidates: Sequence[Candidate], destination) -> None:

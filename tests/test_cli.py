@@ -13,7 +13,8 @@ from graspsynth import (ConfigError, cli, mechanism, parse_config,
 from graspsynth.beam import SAMPLE_CAP
 from graspsynth.cli import run_command
 from graspsynth.fe.solver import PATH_CSV_HEADER
-from graspsynth.search import CANDIDATES_CSV_HEADER, GRID_CAP
+from graspsynth.search import (CANDIDATES_CSV_HEADER, GRID_CAP, grid_search,
+                               refine, write_candidates_csv)
 
 REPO = Path(__file__).resolve().parents[1]
 TABLE1_JSON = REPO / "demos" / "table1.json"
@@ -689,10 +690,11 @@ def test_design_command(tmp_path):
     assert objectives == sorted(objectives)
 
 
-@pytest.mark.parametrize("max_evals", [1, 2, 3, 5])
+@pytest.mark.parametrize("max_evals", [0, 1, 2, 3, 5])
 def test_design_writes_each_point_once(tmp_path, max_evals):
-    # refine spends these budgets without improving on the best grid point;
-    # its exhausted copy used to be written next to the grid twin
+    # a budget of 0 returns the best grid point flagged exhausted, whose
+    # copy used to be written next to its grid twin; from a budget of 1
+    # refine solves the winner's width and beam count, a point off the grid
     doc = json.loads(TABLE1_JSON.read_text())
     doc["design"]["refine_max_evals"] = max_evals
     cfg = tmp_path / "design.json"
@@ -701,7 +703,42 @@ def test_design_writes_each_point_once(tmp_path, max_evals):
                         "--out", str(tmp_path), "--quiet"]) == 0
     rows = (tmp_path / "design_candidates.csv").read_text().strip().split("\n")
     points = [tuple(r.split(",")[1:6]) for r in rows[1:]]
-    assert len(points) == len(set(points)) == 243
+    assert len(points) == len(set(points)) == 243 + (max_evals > 0)
+
+
+def test_design_rows_beside_the_refined_one_are_the_grid_ranking(tmp_path):
+    assert run_command(["design", "--config", str(TABLE1_JSON),
+                        "--out", str(tmp_path), "--quiet"]) == 0
+    design = parse_config(TABLE1_JSON.read_text()).design
+    ranked = grid_search(design.spec, design.grid_density)
+    best = refine(design.spec, ranked[0], design.refine_max_evals)
+    write_candidates_csv(ranked, tmp_path / "grid.csv")
+    write_candidates_csv([best], tmp_path / "refined.csv")
+
+    def unranked(name):
+        rows = (tmp_path / name).read_text().splitlines()[1:]
+        return [row.split(",", 1)[1] for row in rows]
+
+    rows = unranked("design_candidates.csv")
+    rows.remove(*unranked("refined.csv"))
+    assert rows == unranked("grid.csv")
+
+
+def test_design_beam_count_bounds(tmp_path, capsys):
+    # [9.4, 10.6] used to round its grid levels out of the bounds and write
+    # a header-only CSV; [9.5, 9.7] holds no beam count at all
+    doc = json.loads(TABLE1_JSON.read_text())
+    for bounds, code in (([9.4, 10.6], 0), ([9.5, 9.7], 2)):
+        doc["design"]["bounds"]["n_beams"] = bounds
+        doc["design"]["grid_density"]["n_beams"] = 2
+        cfg, out = tmp_path / "design.json", tmp_path / str(code)
+        cfg.write_text(json.dumps(doc))
+        assert run_command(["design", "--config", str(cfg),
+                            "--out", str(out), "--quiet"]) == code
+    rows = (tmp_path / "0" / "design_candidates.csv").read_text().splitlines()
+    assert {row.split(",")[5] for row in rows[1:]} == {"10"}
+    assert not (tmp_path / "2").exists()
+    assert "n_beams bounds must hold an integer" in capsys.readouterr().err
 
 
 def test_design_refuses_negative_refine_budget(tmp_path, capsys):

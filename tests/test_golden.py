@@ -27,7 +27,7 @@ GOLDEN = {
     ("table1", "grasper", "grasper.csv"):
         "d6061944125554cb567f5f715e46dae88839fbb01bec980fc00baeb6b3398321",
     ("table1", "design", "design_candidates.csv"):
-        "4f58bed2d7e9f91937ffd70e31beb3dc3f83bc22f5e29f33498ec6be1ee8acc0",
+        "ad664b46bae9e740c45f591f2447ceaf2a8e7ac881869343c86cb5b3df81a343",
     ("final_prototype", "curve", "curve.csv"):
         "2affd84184ec058fe7ee02e78b513c05e32ec7b1c98f978b0a2f06cf65d7a4da",
     ("final_prototype", "d1", "d1.csv"):

@@ -3,6 +3,7 @@
 import math
 from dataclasses import astuple
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from graspsynth import (Candidate, DesignSpec, MaterialModel, NumericalError,
                         aggregate_ring_force, bistability_margin,
                         evaluate_candidate, force_curve, grid_search,
                         monostable_intermediates, normalize_deflection,
-                        peak_force, refine, solve_monostable_cubic,
-                        write_candidates_csv)
+                        parse_config, peak_force, refine,
+                        solve_monostable_cubic, write_candidates_csv)
 from graspsynth import search
 from graspsynth.mechanism import halved_ring_force
 
 from common import GEOM as TABLE1, MAT, count_force_checks
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 BOUNDS = {
     "length_L": (36.0, 44.0),
@@ -381,6 +384,25 @@ def test_grid_levels_that_round_together_count_once():
     assert len({c.point for c in ranked}) == len(ranked) == 2 * 27 * 3
 
 
+
+@pytest.mark.parametrize("density", [1, 2, 3])
+def test_grid_beam_counts_round_into_the_bounds(density):
+    # 9.4 used to round to 9 and 10.6 to 11, both filtered out: an empty
+    # grid, though 10 lies inside the bounds
+    spec = make_spec(bounds={**BOUNDS, "n_beams": (9.4, 10.6)},
+                     sweep_samples=20)
+    ranked = grid_search(spec, dict(DENSITY, n_beams=density))
+    assert {c.n_beams for c in ranked} == {10}
+    assert len(ranked) == 81
+
+
+@pytest.mark.parametrize("pair", [(9.5, 9.7), (1.2, 1.9), (12.01, 12.99)])
+def test_spec_refuses_beam_count_bounds_without_an_integer(pair):
+    with pytest.raises(ValidationError, match="n_beams bounds must hold"):
+        make_spec(bounds={**BOUNDS, "n_beams": pair})
+    make_spec(bounds={**BOUNDS, "n_beams": (pair[0], math.ceil(pair[1]))})
+
+
 POLE_TILT = math.radians(1.0)
 
 
@@ -544,12 +566,69 @@ def test_ranking_scale_invariant_in_modulus():
 # refinement
 # ---------------------------------------------------------------------------
 
+WALK_START = VBeamGeometry.from_degrees(40, 1.2, 5, 7)
+
+
+def walk_spec(**overrides):
+    """A spec whose narrow width bounds make refine walk from WALK_START:
+    it scores 8 shapes before one meets the target at an unclamped width."""
+    return make_spec(bounds={**BOUNDS, "width_W": (5.0, 5.2),
+                             "n_beams": (12, 12)}, **overrides)
+
+
 def test_refine_descends_from_perturbed_start():
     spec = make_spec(target_force=table1_peak())
     start = evaluate_candidate(spec, VBeamGeometry.from_degrees(40, 1.26, 5, 7), 12)
     assert start.objective > 1e-3
     out = refine(spec, start, max_evals=200)
     assert out.objective < start.objective
+
+
+def test_refine_meets_the_target_at_an_exact_width():
+    # the table1 design from its grid winner, and a perturbed start: the
+    # first shape admits an unclamped width, so refine stops there
+    design = parse_config((DEMOS / "table1.json").read_text()).design
+    spec = make_spec(target_force=table1_peak())
+    starts = [(design.spec, grid_search(design.spec, design.grid_density)[0]),
+              (spec, evaluate_candidate(
+                  spec, VBeamGeometry.from_degrees(40, 1.26, 5, 7), 12))]
+    for spec, start in starts:
+        out = refine(spec, start, max_evals=200)
+        assert out.feasible and not out.exhausted
+        assert out.objective <= 1e-15 < start.objective
+
+
+def test_exact_width_of_a_hand_built_shape():
+    # c is the shape's peak double-beam force per mm of width at the
+    # start's width, and n beams meet the target at W* = 2 target / (n c)
+    theta = math.radians(7.0)
+    spec = make_spec(bounds={"length_L": (40.0, 40.0),
+                             "thickness_T": (1.2, 1.2),
+                             "width_W": (1.0, 20.0),
+                             "tilt_theta": (theta, theta),
+                             "n_beams": (11, 13)})
+    start = evaluate_candidate(spec, VBeamGeometry(40.0, 1.2, 5.0, theta), 12)
+    c = float(np.max(force_curve(start.geometry, MAT, 5.0, 500).force)) / 5.0
+    out = refine(spec, start, max_evals=1)
+    assert out.geometry.width_W == 2.0 * spec.target_force / (out.n_beams * c)
+    assert not out.exhausted and out.objective <= 1e-15
+
+
+def test_refine_scores_at_most_four_beam_counts_per_shape(monkeypatch):
+    # the floor and ceiling of each end of the exact range, never the
+    # whole range of beam counts
+    spec = make_spec(bounds={**BOUNDS, "width_W": (5.0, 5.2),
+                             "n_beams": (1, 1e9)})
+    start = evaluate_candidate(spec, WALK_START, 12)
+    candidate, counts = search._candidate, {}
+
+    def counted(spec_, record, n_beams):
+        counts.setdefault(shape(record[0]), set()).add(n_beams)
+        return candidate(spec_, record, n_beams)
+
+    monkeypatch.setattr(search, "_candidate", counted)
+    refine(spec, start, max_evals=50)
+    assert counts and all(1 <= len(n) <= 4 for n in counts.values())
 
 
 def test_refine_zero_budget_flags_exhaustion():
@@ -586,7 +665,7 @@ def test_refine_refuses_non_integer_budgets(budget):
     start = evaluate_candidate(spec, TABLE1, 12)
     with pytest.raises(ValidationError, match="max_evals"):
         refine(spec, start, max_evals=budget)
-    assert refine(spec, start, max_evals=np.int64(3)).exhausted
+    assert refine(spec, start, max_evals=np.int64(0)).exhausted
 
 
 def test_refine_refuses_negative_budget():
@@ -600,79 +679,99 @@ def test_refine_refuses_negative_budget():
 
 
 def reference_refine(spec, start, max_evals):
-    """refine's pattern search, scoring every evaluation on its own.
+    """refine's shape search, scoring every design point on its own.
 
-    Returns the result and the geometries of the evaluations in visit order.
+    A shape's peak force per mm of width, c, comes from its own curve at
+    the start's width; the beam counts at the floor and ceiling of each end
+    of the range where 2 target / (n c) lies inside the width bounds are
+    scored at that width, clamped.  Returns the result and the shapes
+    scored, in visit order.
     """
+    names = ("length_L", "thickness_T", "tilt_theta")
+    spans = {name: spec.bounds[name][1] - spec.bounds[name][0]
+             for name in names}
+    steps = {name: span / 8.0 for name, span in spans.items()}
+    min_step = {name: max(span * 1e-4, 1e-12) for name, span in spans.items()}
+    (W_lo, W_hi), (n_lo, n_hi) = spec.bounds["width_W"], spec.bounds["n_beams"]
+    width, target = start.geometry.width_W, spec.target_force
     best, visited = start, []
-    steps = {name: (spec.bounds[name][1] - spec.bounds[name][0]) / 8.0
-             for name in search.PARAM_NAMES[:4]}
-    min_step = {name: max((spec.bounds[name][1] - spec.bounds[name][0]) * 1e-4,
-                          1e-12) for name in steps}
 
-    def try_point(vals):
-        if len(visited) >= max_evals:
-            return None
-        for name in search.PARAM_NAMES:
-            lo, hi = spec.bounds[name]
-            if not (lo - 1e-12 <= vals[name] <= hi + 1e-12):
-                return None
-        geom = VBeamGeometry(*(vals[name] for name in search.PARAM_NAMES[:4]))
-        visited.append(geom)
-        return reference_candidate(spec, geom, int(vals["n_beams"]))
+    class Stop(Exception):
+        """Raised with True when the budget runs out, False on a hit."""
 
-    while len(visited) < max_evals:
-        improved = False
-        for name in search.PARAM_NAMES:
-            g = best.geometry
-            center = dict(zip(search.PARAM_NAMES,
-                              (g.length_L, g.thickness_T, g.width_W,
-                               g.tilt_theta, best.n_beams)))
-            if name != "n_beams" and steps[name] <= 0:
-                continue
-            deltas = (-1, 1) if name == "n_beams" else (-steps[name],
-                                                        steps[name])
-            for delta in deltas:
-                cand = try_point(dict(center, **{name: center[name] + delta}))
-                if cand is not None and cand.sort_key() < best.sort_key():
-                    best, improved = cand, True
-        if not improved:
-            live = False
-            for name in steps:
-                steps[name] /= 2.0
-                live = live or steps[name] >= min_step[name]
-            if not live:
-                return best, visited
-    return Candidate(best.geometry, best.n_beams, best.objective,
-                     best.violations, best.peak_force, exhausted=True), visited
+    def poll(L, T, theta):
+        nonlocal best
+        if len(visited) == max_evals:
+            raise Stop(True)
+        visited.append((L, T, theta))
+        curve = force_curve(VBeamGeometry(L, T, width, theta), spec.material,
+                            spec.target_travel, spec.sweep_samples)
+        c = float(np.max(curve.force)) / width
+        counts = set()
+        for W in (W_hi, W_lo):
+            end = min(max(2.0 * target / (W * c), math.ceil(n_lo)),
+                      math.floor(n_hi))
+            counts |= {math.floor(end), math.ceil(end)}
+        hit = False
+        for n in sorted(counts):
+            W = 2.0 * target / (n * c)
+            cand = reference_candidate(
+                spec, VBeamGeometry(L, T, min(max(W, W_lo), W_hi), theta), n)
+            hit = hit or (cand.feasible and W_lo <= W <= W_hi)
+            if cand.sort_key() < best.sort_key():
+                best = cand
+        if hit:
+            raise Stop(False)
+
+    def center():
+        g = best.geometry
+        return dict(zip(names, (g.length_L, g.thickness_T, g.tilt_theta)))
+
+    try:
+        poll(*center().values())
+        while True:
+            improved = False
+            for name in names:
+                here = center()
+                for delta in (-steps[name], steps[name]) if steps[name] else ():
+                    lo, hi = spec.bounds[name]
+                    if lo - 1e-12 <= here[name] + delta <= hi + 1e-12:
+                        before = best
+                        poll(*dict(here, **{name: here[name] + delta}).values())
+                        improved = improved or best is not before
+            if not improved:
+                for name in names:
+                    steps[name] /= 2.0
+                if all(steps[name] < min_step[name] for name in names):
+                    return best, visited
+    except Stop as stop:
+        if stop.args[0]:
+            best = Candidate(best.geometry, best.n_beams, best.objective,
+                             best.violations, best.peak_force, exhausted=True)
+        return best, visited
 
 
 @pytest.mark.parametrize("budget", [1, 5, 20, 100])
 def test_refine_screens_each_geometry_once(budget, monkeypatch):
-    spec = make_spec()
-    start = evaluate_candidate(spec, TABLE1, 12)
+    # each scored shape goes through the kernel alone and once, and its
+    # exact widths are derived from its rows
+    spec = walk_spec()
+    start = evaluate_candidate(spec, WALK_START, 12)
     expected, visited = reference_refine(spec, start, budget)
     passes = record_kernel_geometries(monkeypatch)
     assert refine(spec, start, max_evals=budget) == expected
-    screened = [g for geoms in passes for g in geoms]
-    assert {shape(g) for g in visited} <= {shape(g) for g in screened}
-    # no geometry twice, in one pass or across passes, and no shape either
+    screened = [shape(g) for geoms in passes for g in geoms]
+    assert all(len(geoms) == 1 for geoms in passes)
     assert len(screened) == len(set(screened))
-    assert len(screened) == len({shape(g) for g in screened})
-    # no pass looks past the evaluation budget
-    assert all(len(geoms) <= budget for geoms in passes)
-    if budget == 100:
-        # the polls of a sweep share passes: 77 distinct geometries, and
-        # one pass each when polled one at a time
-        assert 3 * len(passes) <= len(set(visited))
+    assert set(screened) == set(visited)
+    assert len(visited) == min(budget, 8)
 
 
 def test_refine_passes_each_shape_once(monkeypatch):
-    # within one call no shape goes through the kernel twice, and a poll
-    # of a shape known to the cache, a width poll of its center, makes no
-    # kernel pass
-    spec = make_spec()
-    start = evaluate_candidate(spec, TABLE1, 12)
+    # within one call no shape goes through the kernel twice, and the
+    # records at a shape's exact widths make no kernel pass
+    spec = walk_spec()
+    start = evaluate_candidate(spec, WALK_START, 12)
     expected, _ = reference_refine(spec, start, 100)
     passes = record_kernel_geometries(monkeypatch)
     screen, calls = search._screen, []
@@ -695,61 +794,11 @@ def test_refine_passes_each_shape_once(monkeypatch):
     assert widths
 
 
-@pytest.mark.parametrize("budget", [20, 100])
-def test_refine_looks_ahead_over_the_whole_neighbourhood(budget, monkeypatch):
-    # a look-ahead starts at the first axis, also when the center moves
-    # mid-sweep, and holds the center's polls up to the remaining budget
-    spec = make_spec()
-    start = evaluate_candidate(spec, TABLE1, 12)
-    expected, _ = reference_refine(spec, start, budget)
-    passes = record_kernel_geometries(monkeypatch)
-    screen, candidate, events = search._screen, search._candidate, []
-
-    def screened(spec_, dims, cache):
-        events.append(("screen", list(dims)))
-        return screen(spec_, dims, cache)
-
-    def scored(spec_, record, n_beams):
-        events.append(("score", candidate(spec_, record, n_beams)))
-        return events[-1][1]
-
-    monkeypatch.setattr(search, "_screen", screened)
-    monkeypatch.setattr(search, "_candidate", scored)
-    assert refine(spec, start, max_evals=budget) == expected
-    best, evals, moved, mid_sweep = start, 0, None, 0
-    # a poll's screen is the one event right before its score
-    for (kind, value), (after, _) in zip(events, events[1:] + [(None, None)]):
-        if kind == "score":
-            evals += 1
-            if value.sort_key() < best.sort_key():
-                moved = next(i for i, (a, b) in enumerate(
-                    zip(best.point, value.point)) if a != b)
-                best = value
-        elif after != "score":
-            center = best.point[:4]
-            axes = [next((i for i, (a, b) in enumerate(zip(center, dims))
-                          if a != b), 4) for dims in value]
-            assert all(sum(a != b for a, b in zip(center, dims)) <= 1
-                       for dims in value)
-            assert axes == sorted(axes)
-            assert axes[:1] == [0] or evals == budget
-            assert len(value) == budget - evals or value[-1] == center
-            # a move along a continuous axis is mid-sweep: the beam-count
-            # polls follow it
-            mid_sweep += moved is not None and moved < 4
-            moved = None
-    assert mid_sweep
-    screened_geoms = [g for geoms in passes for g in geoms]
-    assert len(screened_geoms) == len(set(screened_geoms))
-    assert all(len(geoms) <= budget for geoms in passes)
-
-
 @pytest.mark.parametrize("budget", [5, 100])
 def test_refine_builds_each_geometry_once(budget, monkeypatch):
-    # the look-ahead and the scoring share a poll's geometry, and the beam
-    # count polls share their center's
-    spec = make_spec()
-    start = evaluate_candidate(spec, TABLE1, 12)
+    # a shape is built at the start's width and at each exact width once
+    spec = walk_spec()
+    start = evaluate_candidate(spec, WALK_START, 12)
     expected, visited = reference_refine(spec, start, budget)
     build, built = search.VBeamGeometry, []
 
@@ -760,26 +809,14 @@ def test_refine_builds_each_geometry_once(budget, monkeypatch):
     monkeypatch.setattr(search, "VBeamGeometry", counted)
     assert refine(spec, start, max_evals=budget) == expected
     assert len(built) == len(set(built))
-    assert set(visited) - {start.geometry} <= {build(*d) for d in built}
+    assert set(visited) <= {(d[0], d[1], d[3]) for d in built}
 
 
-def test_refine_failing_lookahead_raises_like_sequential_search(monkeypatch):
-    # the pole spec of the grid test, where some rows raise: a batch
-    # holding such a row fails, yet refine raises only when the sequential
-    # search reaches that row
+def test_refine_raises_where_the_reference_search_raises():
+    # at the pole spec some shapes raise: refine raises, or returns, as the
+    # reference search does from the same start
     spec = pole_spec()
-    screen, failed = search._screen, []
-
-    def watched(spec_, geoms, screened):
-        fresh = set(geoms) - set(screened)
-        try:
-            return screen(spec_, geoms, screened)
-        except NumericalError:
-            failed.append(len(fresh))
-            raise
-
     kinds = set()
-    # starts one step of L or T from the bad row
     for L, T in product(np.linspace(36.0, 44.0, 9), (1.15, 1.2, 1.25)):
         start = outcome(evaluate_candidate, spec,
                         VBeamGeometry(L, T, 5.0, POLE_TILT), 12)
@@ -787,15 +824,9 @@ def test_refine_failing_lookahead_raises_like_sequential_search(monkeypatch):
             continue
         for budget in (5, 20):
             expected = outcome(lambda: reference_refine(spec, start, budget)[0])
-            failed.clear()
-            monkeypatch.setattr(search, "_screen", watched)
             assert outcome(refine, spec, start, budget) == expected
-            monkeypatch.undo()
-            kinds.add((isinstance(expected, Candidate),
-                       any(size > 1 for size in failed)))
-    # a failed batch both where the search goes on to raise and where it
-    # never polls the bad row
-    assert {(True, True), (False, True)} <= kinds
+            kinds.add(isinstance(expected, Candidate))
+    assert kinds == {True, False}
 
 
 def test_screen_stores_the_rows_of_each_block_that_passes(monkeypatch):
@@ -864,61 +895,12 @@ def test_screen_on_cached_dims_makes_no_kernel_pass(monkeypatch):
     assert passes == [] and travels == []
 
 
-def test_refine_with_an_unbuildable_lookahead_matches_sequential_search(
-        monkeypatch):
-    spec, budget = make_spec(), 100
-    start = evaluate_candidate(spec, TABLE1, 12)
-    expected, visited = reference_refine(spec, start, budget)
-    screen, seen = search._screen, []
-
-    def recorded(spec_, dims, screened):
-        seen.extend(dims)
-        return screen(spec_, dims, screened)
-
-    monkeypatch.setattr(search, "_screen", recorded)
-    refine(spec, start, budget)
-    monkeypatch.undo()
-    # a look-ahead geometry the sequential search never polls
-    polled = {astuple(g) for g in visited}
-    never = next(d for d in seen if d not in polled)
-    build, refused, kept = search.VBeamGeometry, [], []
-
-    def unbuildable(*dims):
-        if dims == never:
-            refused.append(dims)
-            raise ValidationError("no such beam")
-        return build(*dims)
-
-    def watched(spec_, dims, screened):
-        before = set(screened)
-        try:
-            return screen(spec_, dims, screened)
-        except ValidationError:
-            fresh = [d for d in dict.fromkeys(dims) if d not in before]
-            # the blocks before the one holding the unbuildable geometry
-            per_block = search.BLOCK_SAMPLES // spec.sweep_samples
-            ahead = fresh.index(never) // per_block * per_block
-            kept.append((fresh[:ahead], [d for d in fresh if d in screened]))
-            raise
-
-    monkeypatch.setattr(search, "VBeamGeometry", unbuildable)
-    monkeypatch.setattr(search, "_screen", watched)
-    # the default blocks, then one geometry per block
-    for block in (search.BLOCK_SAMPLES, spec.sweep_samples):
-        refused.clear()
-        kept.clear()
-        monkeypatch.setattr(search, "BLOCK_SAMPLES", block)
-        assert refine(spec, start, budget) == expected
-        assert refused and kept
-        assert all(ahead == stored for ahead, stored in kept)
-    assert any(ahead for ahead, _ in kept)
-
 
 def test_refine_checks_each_geometry_once_for_bistability(monkeypatch):
-    # the beam-count polls share their center's violations, and a geometry
-    # screened in a look-ahead is not checked again when polled
-    spec = make_spec(require_non_bistable_at_travel=True)
-    start = evaluate_candidate(spec, TABLE1, 12)
+    # the beam counts of a width share its violations, and a geometry is
+    # not checked again when a shape is scored twice
+    spec = walk_spec(require_non_bistable_at_travel=True)
+    start = evaluate_candidate(spec, WALK_START, 12)
     expected, _ = reference_refine(spec, start, 120)
     margin, checked = search.bistability_margin, []
 
@@ -929,39 +911,6 @@ def test_refine_checks_each_geometry_once_for_bistability(monkeypatch):
     monkeypatch.setattr(search, "bistability_margin", counted)
     assert refine(spec, start, max_evals=120) == expected
     assert checked and len(checked) == len(set(checked))
-
-
-def on_or_inside(lo, hi):
-    """Floats in [lo, hi], the bounds themselves, and the bounds moved out
-    by up to the bounds slack."""
-    tol = search.BOUNDS_TOL
-    return st.floats(lo, hi) | st.sampled_from(
-        (lo, hi, lo - tol, hi + tol, lo - tol / 2.0, hi + tol / 2.0))
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(st.tuples(*(on_or_inside(*BOUNDS[name])
-                   for name in search.PARAM_NAMES[:4]),
-                 st.integers(*BOUNDS["n_beams"])),
-       st.lists(st.floats(0.0, 1.5) | st.sampled_from((0.0, 0.5, 1.0)),
-                min_size=4, max_size=4),
-       st.integers(0, 4))
-def test_polls_equal_the_five_bound_filter(center, fractions, first):
-    # a center inside the bounds, up to their slack, needs no check of the
-    # coordinates a poll keeps
-    spec, tol = make_spec(), search.BOUNDS_TOL
-    steps = [f * (BOUNDS[name][1] - BOUNDS[name][0])
-             for f, name in zip(fractions, search.PARAM_NAMES)]
-    axes = [(i, step) for i, step in enumerate((*steps, 1)) if step > 0]
-    axes = axes[min(first, len(axes) - 1):]
-    expected = {}
-    for i, step in axes:
-        trials = [(*center[:i], center[i] + delta, *center[i + 1:])
-                  for delta in (-step, step)]
-        expected[i] = [trial for trial in trials if all(
-            BOUNDS[name][0] - tol <= v <= BOUNDS[name][1] + tol
-            for name, v in zip(search.PARAM_NAMES, trial))]
-    assert search._polls(spec, center, axes) == expected
 
 
 @settings(derandomize=True, deadline=None, max_examples=10)
