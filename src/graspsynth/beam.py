@@ -32,12 +32,13 @@ of travels (columns) in a single pass (_kernel_pass); branch_loads wraps
 it.  The loads f_o and p_o depend on (L, T, theta) and the travel, not on
 W, which enters through the load scale 4 E I / L^2 alone.  _load_scale is
 the one place that scale is computed, and _load_column refuses one that
-overflows, once per pass; _finite_forces refuses a force that overflows a
-finite scale, once per pass.  _force is the one force expression: _force_rows,
-the force entry of force_curve and actuation_force, applies it to a pass's
-rows, _slope_rows to their travel derivatives, and the design search's
-screen (search._screen) to the rows of each beam shape at each width's
-load scale.
+overflows or underflows to 0, once per pass; _finite_forces refuses a force
+that overflows a finite scale, once per pass.  _force is the one force
+expression: _force_rows, the force entry of force_curve and
+actuation_force, applies it to a pass's rows, _slope_rows to their travel
+derivatives, and the design search (search._records, and search.refine for
+a shape's peak force per mm of width) to the rows of each beam shape at
+each width's load scale.
 _slope_rows is the one slope entry: the exact dF/ds on each sample's
 branch, from one pass's root by implicit differentiation of the cubic and
 the chain rule through the rational expression (at rest it is
@@ -482,12 +483,16 @@ def _load_scale(geom: VBeamGeometry, mat: MaterialModel) -> float:
 
 def _load_column(geoms: Sequence[VBeamGeometry], mat: MaterialModel):
     """The (G, 1) column of the geometries' _load_scale; a scale that
-    overflows is refused, once per kernel pass."""
+    overflows, or underflows to 0, is refused, once per kernel pass."""
     load = np.array([[_load_scale(g, mat)] for g in geoms])
     if not np.isfinite(load).all():
         raise ValidationError(
             "the load scale 4 E I / L^2 overflows: the beam's width, "
             "thickness or Young's modulus is too large for its length")
+    if not load.all():
+        raise ValidationError(
+            "the load scale 4 E I / L^2 underflows to 0: the beam's width, "
+            "thickness or Young's modulus is too small for its length")
     return load
 
 

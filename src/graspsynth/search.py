@@ -19,20 +19,17 @@ depends only on the geometry once per geometry, and work that depends on
 the point once per point.  The normalized end loads depend on the shape
 (L, T, theta) and the travel, not on the width W, which scales them
 through the load scale 4 E I / L^2 alone (Awtar, Slocum & Sevincer,
-J. Mech. Des. 129(6), 2007).  Per shape: one load-kernel row, in blocks
-with one pass each.  Per geometry: _screen derives a record from its
-shape's rows at the geometry's own load scale; a record holds the
-geometry, the peak force that every beam count shares and the stress,
-length and bistable_at_travel violations, which _violations computes once
-per record.  grid_search screens its grid in one call, and refine keeps
-one _ScreenCache per call, which holds the shape rows too.  Per point: the
-ring peak, the objective and the ranking key.  So a shape fixes the peak
-force per mm of width, c, the ring peak of n beams at width W is n W c / 2,
-and refine searches shapes alone, solving each one's W and n.
+J. Mech. Des. 129(6), 2007).  Per shape: one load-kernel row.  Per
+geometry: one record (_records), from its shape's rows at its own load
+scale.  Per point: the ring peak, the objective and the ranking key.  No
+row or record is kept between calls.  So a shape fixes the peak force per
+mm of width, c, the ring peak of n beams at width W is n W c / 2, and
+refine searches shapes alone, solving each one's W and n.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import product
@@ -187,15 +184,6 @@ class _ShapeRows(NamedTuple):
     peak: float
 
 
-class _ScreenCache(dict):
-    """_screen's records by dims, and in shapes the _ShapeRows of each beam
-    shape (L, T, theta) by shape; one cache serves one spec."""
-
-    def __init__(self):
-        super().__init__()
-        self.shapes: Dict[Shape, _ShapeRows] = {}
-
-
 def _shape_rows(spec: DesignSpec,
                 geoms: Sequence[VBeamGeometry]) -> List[_ShapeRows]:
     """The _ShapeRows of the geometries' shapes from one kernel pass."""
@@ -206,63 +194,64 @@ def _shape_rows(spec: DesignSpec,
                     np.abs(f_o).max(axis=1).tolist()))
 
 
-def _screen(spec: DesignSpec, dims: Sequence[Tuple[float, ...]],
-            screened: _ScreenCache) -> List[Record]:
-    """The record (geometry, peak double-beam force, violations) of each
-    (L, T, W, theta).
+def _positive_force(force: float) -> float:
+    """force, refused if it is not positive: the rest slope is positive, so
+    a peak force at or below 0 has underflowed its load scale."""
+    if not force > 0.0:
+        raise ValidationError(
+            "the force underflows at the load scale 4 E I / L^2: the beam's "
+            "width, thickness or Young's modulus is too small for its length")
+    return force
 
-    The normalized loads depend on the shape (L, T, theta) and not on the
-    width W, which scales the loads through the load scale 4 E I / L^2
-    alone (_load_scale).  So the distinct dims the cache lacks are grouped
-    by shape in first-seen order and screened in blocks of at most
-    BLOCK_SAMPLES samples' worth of shapes: a block builds each of its
-    geometries once, and its shapes without cached rows go through one
-    kernel pass, on travels made for that pass, which evaluates the first
-    fresh dims of each shape (a call the cache serves makes none).  A
-    block's rows and records are stored as it ends, so a block that fails
-    to build or pass stores neither and the blocks before it keep theirs.
-    Each record is derived from its shape's rows at its own load scale:
-    the force of all widths of a shape as one (widths, samples) array of
-    the force expression (_force), and the stress, the beam-root bending
-    screen, as the transverse end load F_o over half the length, from the
-    shape's peak |f_o|.  Each step from |f_o| to the stress multiplies or
-    divides by a positive per-geometry constant, and IEEE rounding keeps
-    such a step monotone, so scaling the peak |f_o| gives the peak of the
-    scaled row bit for bit; every element is computed by the operations of
-    a one-geometry pass, so a record does not depend on the dims screened
-    with it.  _violations runs once per record.  A force that overflows its
-    finite load scale refuses the block (beam._finite_forces).
+
+def _records(spec: DesignSpec, rows: _ShapeRows,
+             geoms: Sequence[VBeamGeometry]) -> List[Record]:
+    """The (geometry, peak double-beam force, violations) record of each
+    of one shape's geometries, from the shape's rows at each geometry's
+    load scale: the force as one (geometries, samples) array of _force, and
+    the stress, the beam-root bending screen, as the transverse end load
+    F_o over half the length, from the shape's peak |f_o|.  Each step from
+    |f_o| to the stress multiplies or divides by a positive per-geometry
+    constant, which IEEE rounding keeps monotone, so each record equals a
+    one-geometry pass's bit for bit.  A peak force at or below 0 is
+    refused; the caller checks for overflow (beam._finite_forces)."""
+    f_o, p_o, cos, sin, peak = rows
+    loads = [_load_scale(g, spec.material) for g in geoms]
+    forces = _force(np.array(loads)[:, None], f_o, p_o, cos, sin)
+    records = []
+    for g, load, force in zip(geoms, loads, forces.max(axis=1).tolist()):
+        moment = peak * load * g.length_L / 2.0
+        stress = float(6.0 * moment / (g.width_W * g.thickness_T ** 2))
+        records.append((g, _positive_force(force),
+                        _violations(spec, g, stress)))
+    return records
+
+
+def _screen(spec: DesignSpec,
+            dims: Sequence[Tuple[float, ...]]) -> List[Record]:
+    """The record of each (L, T, W, theta).
+
+    The distinct dims are grouped by shape in first-seen order and screened
+    in blocks of at most BLOCK_SAMPLES samples' worth of shapes: a block
+    builds each of its geometries once, passes its shapes' first geometries
+    through one kernel pass, on travels made for it, and derives the records
+    from the rows (_records) under one overflow check (beam._finite_forces).
+    A block that fails raises; nothing outlives the call.
     """
-    mat = spec.material
     per_block = max(1, BLOCK_SAMPLES // spec.sweep_samples)
     groups: Dict[Shape, list] = {}
     for d in dict.fromkeys(dims):
-        if d not in screened:
-            groups.setdefault((d[0], d[1], d[3]), []).append(d)
+        groups.setdefault((d[0], d[1], d[3]), []).append(d)
     shapes = list(groups)
+    records: Dict[Tuple[float, ...], Record] = {}
     for i in range(0, len(shapes), per_block):
-        block = {s: [VBeamGeometry(*d) for d in groups[s]]
-                 for s in shapes[i:i + per_block]}
-        rows = {s: screened.shapes.get(s) for s in block}
-        new = [s for s, r in rows.items() if r is None]
-        if new:
-            rows.update(zip(new, _shape_rows(spec, [block[s][0] for s in new])))
-        records = []
+        block = [[VBeamGeometry(*d) for d in groups[s]]
+                 for s in shapes[i:i + per_block]]
+        rows = _shape_rows(spec, [geoms[0] for geoms in block])
         with _finite_forces():
-            for s, geoms in block.items():
-                f_o, p_o, cos, sin, peak = rows[s]
-                loads = [_load_scale(g, mat) for g in geoms]
-                forces = _force(np.array(loads)[:, None], f_o, p_o, cos, sin)
-                for d, g, load, force in zip(groups[s], geoms, loads,
-                                             forces.max(axis=1).tolist()):
-                    moment = peak * load * g.length_L / 2.0
-                    stress = float(6.0 * moment
-                                   / (g.width_W * g.thickness_T ** 2))
-                    records.append(
-                        (d, (g, force, _violations(spec, g, stress))))
-        screened.shapes.update(rows)
-        screened.update(records)
-    return [screened[d] for d in dims]
+            for s, r, geoms in zip(shapes[i:i + per_block], rows, block):
+                records.update(zip(groups[s], _records(spec, r, geoms)))
+    return [records[d] for d in dims]
 
 
 def _violations(spec: DesignSpec, geom: VBeamGeometry,
@@ -311,7 +300,7 @@ def evaluate_candidate(spec: DesignSpec, geom: VBeamGeometry,
     point = (geom.length_L, geom.thickness_T, geom.width_W, geom.tilt_theta,
              n_beams)
     _require_in_bounds(spec, point)
-    [record] = _screen(spec, [point[:4]], _ScreenCache())
+    [record] = _screen(spec, [point[:4]])
     return _candidate(spec, record, n_beams)
 
 
@@ -366,7 +355,7 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
 
     # grid values lie inside the bounds by construction
     records = _screen(spec, list(product(
-        *(axes[name] for name in PARAM_NAMES[:4]))), _ScreenCache())
+        *(axes[name] for name in PARAM_NAMES[:4]))))
     return sorted((_candidate(spec, record, n) for record in records
                    for n in axes["n_beams"]), key=Candidate.sort_key)
 
@@ -379,13 +368,14 @@ def refine(spec: DesignSpec, start: Candidate,
     The start's shape is scored first, then the best point's shape
     (L, T, theta) is polled one coordinate at a time, -/+ its step, with
     step halving on a failed full sweep.  A poll outside the bounds is
-    skipped; each scored shape counts once against max_evals.  A shape's
-    record at the start's width gives its peak force per mm of width, c,
-    and n beams meet the target at W*(n) = 2 target / (n c), clamped to
-    the width bounds; no clamp binds for n in [2 target / (W_hi c),
-    2 target / (W_lo c)].  The floor and ceiling of each end, clipped to
-    the n_beams bounds, are scored at W* from the shape's cached rows, and
-    the best by sort_key is the shape's candidate.  refine returns once a
+    skipped; each scored shape counts once against max_evals, and one
+    polled again reuses its score.  A shape's one kernel pass, at the
+    start's width, gives its peak force per mm of width, c, and n beams
+    meet the target at W*(n) = 2 target / (n c), clamped to the width
+    bounds; no clamp binds for n in [2 target / (W_hi c), 2 target /
+    (W_lo c)].  The floor and ceiling of each end, clipped to the n_beams
+    bounds, are scored at W* from the shape's rows with no further pass,
+    and the best by sort_key is the shape's candidate.  refine returns once a
     shape is feasible at an unclamped W*, where the target is met to
     rounding.  The start must lie inside the bounds.  Exhausting max_evals
     returns the best point so far flagged as exhausted; a max_evals that
@@ -394,25 +384,36 @@ def refine(spec: DesignSpec, start: Candidate,
     check_count("max_evals", max_evals, 0)
     _require_in_bounds(spec, start.point)
     target, width = spec.target_force, start.geometry.width_W
-    W_lo, W_hi = spec.bounds["width_W"]
+    W_lo, W_hi = map(float, spec.bounds["width_W"])
     n_lo, n_hi = spec.bounds["n_beams"]
     n_lo, n_hi = math.ceil(n_lo), math.floor(n_hi)
-    screened = _ScreenCache()
 
+    @functools.cache
     def score(shape):
         """The shape's best candidate; is it feasible at an unclamped W*?"""
         L, T, theta = shape
-        [(_, force, _)] = _screen(spec, [(L, T, width, theta)], screened)
-        c = force / width
-        # below the range W* clamps to W_hi and the ring peak rises with n,
-        # above it W* clamps to W_lo: the nearest count on each side is best
-        ends = (min(max(2.0 * target / (W * c), n_lo), n_hi)
-                for W in (W_hi, W_lo))
-        counts = sorted({f(n) for n in ends for f in (math.floor, math.ceil)})
-        widths = [2.0 * target / (n * c) for n in counts]
-        records = _screen(spec, [(L, T, min(max(W, W_lo), W_hi), theta)
-                                 for W in widths], screened)
-        cands = [_candidate(spec, r, n) for r, n in zip(records, counts)]
+        geom = VBeamGeometry(L, T, width, theta)
+        [rows] = _shape_rows(spec, [geom])
+        with _finite_forces():
+            # a record's force expression and peak, in Python floats: a c
+            # too small for 2 target / (W c) gives inf, which the clamps map
+            force = _force(_load_scale(geom, spec.material), *rows[:4]).max()
+            c = float(force) / float(width)
+            _positive_force(W_lo * c)
+            # below the range W* clamps to W_hi and the ring peak rises with
+            # n, above it W* clamps to W_lo: the nearest count on each side
+            # is best
+            ends = (min(max(2.0 * target / (W * c), n_lo), n_hi)
+                    for W in (W_hi, W_lo))
+            counts = sorted({f(n) for n in ends
+                             for f in (math.floor, math.ceil)})
+            widths = [2.0 * target / (n * c) for n in counts]
+            clamped = [min(max(W, W_lo), W_hi) for W in widths]
+            geoms = {W: geom if W == width else VBeamGeometry(L, T, W, theta)
+                     for W in dict.fromkeys(clamped)}
+            records = dict(zip(geoms, _records(spec, rows, [*geoms.values()])))
+        cands = [_candidate(spec, records[W], n)
+                 for W, n in zip(clamped, counts)]
         exact = any(cand.feasible and W_lo <= W <= W_hi
                     for cand, W in zip(cands, widths))
         return min(cands, key=Candidate.sort_key), exact

@@ -696,14 +696,16 @@ def test_forces_that_overflow_a_finite_load_scale_are_refused(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("geom, mat", [
-    (VBeamGeometry(40.0, 1.2, 1e308, 0.12), MAT),
-    (GEOM, MaterialModel(1e308)),
-], ids=["width", "modulus"])
-def test_overflowing_load_scale_is_refused_once_per_pass(geom, mat):
-    # these used to give NaN forces under an "invalid value" RuntimeWarning
+@pytest.mark.parametrize("geom, mat, named", [
+    (VBeamGeometry(40.0, 1.2, 1e308, 0.12), MAT, "overflows"),
+    (GEOM, MaterialModel(1e308), "overflows"),
+    (GEOM, MaterialModel(5e-324), "underflows to 0"),
+], ids=["width", "modulus", "underflow"])
+def test_overflowing_load_scale_is_refused_once_per_pass(geom, mat, named):
+    # these used to give NaN forces under an "invalid value" RuntimeWarning,
+    # and the underflow -0 forces
     for evaluate in (lambda: force_curve(geom, mat, 5.0, 50),
                      lambda: actuation_force(geom, mat, 1.0),
                      lambda: _slope_rows([geom], mat, np.array([1.0]))):
-        with pytest.raises(ValidationError, match="load scale .* overflows"):
+        with pytest.raises(ValidationError, match=f"load scale .* {named}"):
             evaluate()

@@ -357,14 +357,18 @@ def test_overflowing_travel_is_a_configuration_error(tmp_path, capsys,
      "response magnitudes must be finite"),
     ("grasper", ("mechanism", "jaw_section", "in_plane_h"), 1e-308,
      "response magnitudes must be finite"),
+    *((command, ("material", "youngs_modulus_E"), 5e-324,
+       "load scale 4 E I / L^2 underflows to 0")
+      for command in ("curve", "grasper", "design")),
 ], ids=["width", "modulus", "length", "design_length", "report_length",
         "latch_travel", "latch_ramp_factor", "report_latch_ramp_factor",
-        "jaw_h"])
+        "jaw_h", "curve_underflow", "grasper_underflow", "design_underflow"])
 def test_extreme_values_are_refused_without_warnings(command, path, value,
                                                      named, tmp_path, capsys):
     # the beam and design values used to write NaN or inf, or raise
     # OverflowError; the grasper values reached the finite check only after
-    # a numpy divide, overflow or invalid-value warning
+    # a numpy divide, overflow or invalid-value warning; at E 5e-324 curve
+    # and grasper wrote -0 forces and design divided by zero
     doc = json.loads(TABLE1_JSON.read_text())
     *sections, key = path
     section = doc
@@ -377,6 +381,24 @@ def test_extreme_values_are_refused_without_warnings(command, path, value,
     assert rc == 2
     assert named in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("modulus", [1e-304, 1e-310])
+def test_design_whose_exact_widths_overflow_runs(modulus, tmp_path):
+    # refine's 2 target / (W c) overflows at these moduli: it used to stop
+    # design with an "overflow in scalar divide" warning, and is now inf,
+    # which clamps to the upper width bound
+    doc = json.loads(TABLE1_JSON.read_text())
+    doc["material"]["youngs_modulus_E"] = modulus
+    cfg, out = tmp_path / "tiny.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    assert run_command(["design", "--config", str(cfg), "--out", str(out),
+                        "--quiet"]) == 0
+    rows = (out / "design_candidates.csv").read_text().splitlines()[1:]
+    # the refined candidate ties its grid twin at objective 1
+    assert len(rows) == 243
+    assert all(0.0 < float(row.split(",")[6]) < 1e-300 for row in rows)
 
 
 def short_beam_doc(modulus):

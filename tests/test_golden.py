@@ -8,6 +8,7 @@ tests/fe_path_digest.py.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,40 @@ def test_csv_bytes_match_golden(demo, command, name, tmp_path):
     assert rc == 0
     digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digest == GOLDEN[demo, command, name]
+
+
+# table1's design_candidates.csv at three target forces, with
+# require_non_bistable_at_travel unset and set, pins the row that refine,
+# not the grid, decides in six searches instead of one
+REFINED_GOLDEN = {
+    (12, False):
+        "97987830dc3ab69e85e9aba70a63a948dc9932380448d68c454cf238f2844172",
+    (20, False):
+        "ad664b46bae9e740c45f591f2447ceaf2a8e7ac881869343c86cb5b3df81a343",
+    (28, False):
+        "352faf2c758fd304ed74ebc8d9ff54a4b3e763e46f1c483b3fcd5dc6418b74ad",
+    (12, True):
+        "735c1e91ec66f5a26e9f9e6e6308775b157d85b8df3369da4eaf429d6e2e3256",
+    (20, True):
+        "37f6dcc2130ca7872abd420540fe45a53f78819a16dfd7f2ce5b8c6aff9b2896",
+    (28, True):
+        "a99c7270132463d4699d89234c1c3fe005f26ab3faf4769f650883edea39a0ea",
+}
+
+
+@pytest.mark.parametrize("target, flagged", list(REFINED_GOLDEN),
+                         ids=lambda part: str(part))
+def test_refined_design_bytes_match_golden(target, flagged, tmp_path):
+    doc = json.loads((DEMOS / "table1.json").read_text(encoding="utf-8"))
+    doc["design"].update(target_force=target,
+                         require_non_bistable_at_travel=flagged)
+    cfg = tmp_path / "design.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    rc = run_command(["design", "--config", str(cfg), "--out",
+                      str(tmp_path / "out"), "--quiet"])
+    assert rc == 0
+    csv = (tmp_path / "out" / "design_candidates.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == REFINED_GOLDEN[target, flagged]
 
 
 # every PathStep of the demo beam's 16-element, 100-step sweep to 5 mm, then

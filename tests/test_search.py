@@ -347,16 +347,38 @@ def test_grid_checks_the_forces_once_per_block(monkeypatch):
 def test_screen_refuses_forces_that_overflow_a_finite_load_scale():
     # at E 4e307 the 2 mm beams' load scales are finite, their forces not;
     # the screen used to rank them from inf and NaN peaks after a
-    # RuntimeWarning, and now refuses the block and caches none of it
+    # RuntimeWarning, and now refuses the block
     bounds = dict(length_L=(2.0, 3.0), thickness_T=(1.2, 1.2),
                   width_W=(5.0, 5.0), tilt_theta=(0.12, 0.12), n_beams=(11, 13))
     spec = make_spec(bounds=bounds, material=MaterialModel(4e307))
     with pytest.raises(ValidationError, match="force overflows"):
         grid_search(spec, DENSITY)
-    cache = search._ScreenCache()
     with pytest.raises(ValidationError, match="force overflows"):
-        search._screen(spec, [(2.0, 1.2, 5.0, 0.12)], cache)
-    assert not cache and not cache.shapes
+        search._screen(spec, [(2.0, 1.2, 5.0, 0.12)])
+    start = Candidate(VBeamGeometry(2.0, 1.2, 5.0, 0.12), 12, 1.0, (), 1.0)
+    with pytest.raises(ValidationError, match="force overflows"):
+        refine(spec, start)
+
+
+@pytest.mark.filterwarnings("error")
+def test_forces_that_underflow_are_refused_and_tiny_ones_run():
+    # at E 1e-321 the largest load scale is 5e-324 and the least ones are
+    # 0: the grid ranked -0 forces, and refine divided by zero
+    geom = VBeamGeometry(40.0, 1.2, 5.0, 0.12)
+    start = Candidate(geom, 12, 1.0, (), 0.0)
+    spec = make_spec(material=MaterialModel(1e-321))
+    for search_ in (lambda: grid_search(spec, DENSITY),
+                    lambda: refine(spec, start, 20)):
+        with pytest.raises(ValidationError, match="force underflows"):
+            search_()
+    # at E 1e-310 every force is positive and 2 target / (W c) overflows
+    # to inf, which the width clamp maps to the upper bound; a grid start's
+    # width is a numpy float, whose division warned
+    spec = make_spec(material=MaterialModel(1e-310))
+    start = evaluate_candidate(
+        spec, VBeamGeometry(40.0, 1.2, np.float64(5.0), 0.12), 12)
+    best = refine(spec, start, 20)
+    assert 0.0 < best.peak_force < 1e-300 and best.exhausted
 
 
 def test_grid_checks_each_geometry_once(monkeypatch):
@@ -459,8 +481,7 @@ def test_batched_screen_matches_one_geometry_curves(dims, travel):
         curve, stress = reference_screen(spec, g)
         expected.append((g, float(np.max(curve.force)),
                          reference_violations(spec, g, stress)))
-    assert search._screen(spec, [astuple(g) for g in geoms],
-                          search._ScreenCache()) == expected
+    assert search._screen(spec, [astuple(g) for g in geoms]) == expected
 
 
 def test_grid_infeasible_ranking_is_total():
@@ -774,24 +795,24 @@ def test_refine_passes_each_shape_once(monkeypatch):
     start = evaluate_candidate(spec, WALK_START, 12)
     expected, _ = reference_refine(spec, start, 100)
     passes = record_kernel_geometries(monkeypatch)
-    screen, calls = search._screen, []
+    records, derived = search._records, []
 
-    def watched(spec_, dims, cache):
-        known, fresh = set(cache.shapes), [d for d in dims if d not in cache]
+    def watched(spec_, rows, geoms):
         first = len(passes)
-        out = screen(spec_, dims, cache)
-        calls.append((known, fresh, passes[first:]))
+        out = records(spec_, rows, geoms)
+        assert len(passes) == first
+        derived.extend(geoms)
         return out
 
-    monkeypatch.setattr(search, "_screen", watched)
+    monkeypatch.setattr(search, "_records", watched)
     assert refine(spec, start, max_evals=100) == expected
-    shapes = [shape(g) for geoms in passes for g in geoms]
+    passed = [g for geoms in passes for g in geoms]
+    shapes = [shape(g) for g in passed]
     assert len(shapes) == len(set(shapes))
-    widths = 0
-    for known, fresh, made in calls:
-        assert not known & {shape(g) for geoms in made for g in geoms}
-        widths += sum((d[0], d[1], d[3]) in known for d in fresh)
-    assert widths
+    # every record is derived from a passed shape's rows, some at widths
+    # that went through no pass
+    assert {shape(g) for g in derived} <= set(shapes)
+    assert set(derived) - set(passed)
 
 
 @pytest.mark.parametrize("budget", [5, 100])
@@ -829,58 +850,63 @@ def test_refine_raises_where_the_reference_search_raises():
     assert kinds == {True, False}
 
 
-def test_screen_stores_the_rows_of_each_block_that_passes(monkeypatch):
-    spec, screened = make_spec(), search._ScreenCache()
-    dims = (40.0, 1.2, 5.0, 0.12)
+def test_screen_passes_each_shape_once_and_a_failing_block_raises(
+        monkeypatch):
+    spec, dims = make_spec(), (40.0, 1.2, 5.0, 0.12)
     rows = count_kernel_rows(monkeypatch)
-    # two points that share a geometry: one row in one pass
-    first, second = search._screen(spec, [dims, dims], screened)
-    assert first == second and rows == [1] and list(screened) == [dims]
+    # two points that share a geometry: one row in one pass, one record
+    first, second = search._screen(spec, [dims, dims])
+    assert first is second and rows == [1]
     assert first[0] == VBeamGeometry(*dims)
-    assert search._screen(spec, [dims], screened) == [first] and rows == [1]
-    # at the pole spec some rows raise: a block whose pass raises stores
-    # nothing, and the blocks screened before it keep their records
+    # a call keeps nothing: the next one passes the shape again
+    assert search._screen(spec, [dims]) == [first] and rows == [1, 1]
+    # at the pole spec some rows raise: a block whose pass raises raises,
+    # whether it is the first block or follows one that passed
     pole = pole_spec()
     points = [(L, T, 5.0, POLE_TILT)
               for L, T in product(np.linspace(36.0, 44.0, 5), (1.0, 1.2, 1.4))]
     builds = [isinstance(outcome(reference_screen, pole, VBeamGeometry(*d)),
                          tuple) for d in points]
     good, bad = points[builds.index(True)], points[builds.index(False)]
-    screened = search._ScreenCache()
+    rows.clear()
     with pytest.raises(NumericalError):
-        search._screen(pole, [good, bad], screened)
-    assert screened == {}
+        search._screen(pole, [good, bad])
+    assert rows == []
     monkeypatch.setattr(search, "BLOCK_SAMPLES", pole.sweep_samples)
     with pytest.raises(NumericalError):
-        search._screen(pole, [good, bad], screened)
-    assert list(screened) == [good]
+        search._screen(pole, [good, bad])
+    assert rows == [1]
 
 
 def test_width_variant_record_equals_the_one_geometry_record(monkeypatch):
-    # a width of a known shape is derived from its shape's rows at its own
-    # load scale, and equals the record of a one-geometry pass bit for bit
+    # a width of a shape is derived from the shape's rows at its own load
+    # scale, with no kernel pass, and equals the record of a one-geometry
+    # pass bit for bit
     spec = make_spec(require_non_bistable_at_travel=True, stress_limit=50.0)
-    screened, theta = search._ScreenCache(), math.radians(7.0)
-    widths = [(40.0, 1.2, W, theta) for W in (4.0, 4.75, 5.25, 6.0)]
+    theta = math.radians(7.0)
+    geoms = [VBeamGeometry(40.0, 1.2, W, theta)
+             for W in (4.0, 4.75, 5.25, 6.0)]
     expected = []
-    for d in widths:
-        geom = VBeamGeometry(*d)
+    for geom in geoms:
         curve, stress = reference_screen(spec, geom)
         expected.append((geom, float(np.max(curve.force)),
                          reference_violations(spec, geom, stress)))
-    search._screen(spec, [(40.0, 1.2, 5.0, theta)], screened)
+    [shape_rows] = search._shape_rows(
+        spec, [VBeamGeometry(40.0, 1.2, 5.0, theta)])
     rows = count_kernel_rows(monkeypatch)
-    records = search._screen(spec, widths, screened)
+    records = search._records(spec, shape_rows, geoms)
     assert rows == []
     assert records == expected
     assert [r[1].hex() for r in records] == [e[1].hex() for e in expected]
     assert {kind for r in records for kind, _ in r[2]} >= {"stress"}
+    assert [search._screen(spec, [astuple(g)])[0][1].hex() for g in geoms] == [
+        e[1].hex() for e in expected]
 
 
-def test_screen_on_cached_dims_makes_no_kernel_pass(monkeypatch):
-    spec, screened = make_spec(), search._ScreenCache()
+def test_screen_on_repeated_dims_makes_one_pass(monkeypatch):
+    # a call screens each distinct dims once, on travels made once
+    spec = make_spec()
     dims = [(40.0, 1.2, 5.0, 0.12), (38.0, 1.1, 4.5, 0.1)]
-    records = search._screen(spec, dims, screened)
     passes = record_kernel_geometries(monkeypatch)
     travels, uniform_travels = [], beam.uniform_travels
 
@@ -890,9 +916,11 @@ def test_screen_on_cached_dims_makes_no_kernel_pass(monkeypatch):
 
     monkeypatch.setattr(beam, "uniform_travels", counted)
     monkeypatch.setattr(search, "uniform_travels", counted, raising=False)
-    again = search._screen(spec, dims[::-1] + dims, screened)
-    assert list(map(id, again)) == list(map(id, records[::-1] + records))
-    assert passes == [] and travels == []
+    records = search._screen(spec, dims[::-1] + dims)
+    b, a = records[:2]
+    assert list(map(id, records)) == list(map(id, [b, a, a, b]))
+    assert [list(map(astuple, geoms)) for geoms in passes] == [dims[::-1]]
+    assert len(travels) == 1
 
 
 
