@@ -458,7 +458,8 @@ def _loads(cols: _Columns, dys: np.ndarray):
     travels dys >= 0 of shape (n,), in one pass.  Bistable samples take the
     constant axial-load branch and zero travel the unloaded state; every
     other sample takes the unique real cubic root (_monostable_root).  A
-    sample that fails a check raises for the whole pass.
+    sample that fails a check raises for the whole pass, and so does a
+    travel so large that the cubic's coefficients overflow.
     """
     check_non_negative("delta_y", dys)
     bistable = cols.d1_a * dys + cols.d1_b * dys - cols.d1_c >= 0.0
@@ -468,7 +469,15 @@ def _loads(cols: _Columns, dys: np.ndarray):
 
     rows = mono.nonzero()[0]
     t_terms = [c[rows, 0] for c in (cols.k1_t, cols.k2_t, cols.k3_t)]
-    p_mono = _monostable_root(_k_coefficients(t_terms, x_o[mono], y_o[mono]))
+    try:
+        with np.errstate(over="raise"):
+            ks = _k_coefficients(t_terms, x_o[mono], y_o[mono])
+    except FloatingPointError as exc:
+        raise ValidationError(
+            f"the cubic's coefficients overflow at travels up to "
+            f"{np.max(dys):g}: the travel is too large for the beam's "
+            f"length") from exc
+    p_mono = _monostable_root(ks)
     f_o = BISTABLE_FO_SLOPE * y_o
     f_o[mono] = _rational_fo(y_o[mono], p_mono)
     p_o = np.where(bistable, BISTABLE_PO, 0.0)

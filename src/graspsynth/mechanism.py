@@ -22,7 +22,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from .beam import (ForceDisplacementCurve, MaterialModel, VBeamGeometry,
-                   _slope_rows, actuation_force)
+                   _load_column, _slope_rows, actuation_force)
 from .errors import (NumericalError, ValidationError, check_count,
                      check_non_negative, check_positive)
 
@@ -79,7 +79,8 @@ class MechanismConfig:
     10 N/mm is an uncalibrated placeholder: quantitative transfer claims need
     a measured value.  latch_ramp_factor scales the ring force at full latch
     engagement; only the existence of the stiffening is documented, not its
-    magnitude.
+    magnitude.  The beam's load scale must neither overflow nor underflow
+    to 0 (beam._load_column).
     """
 
     beam_geometry: VBeamGeometry
@@ -94,6 +95,7 @@ class MechanismConfig:
 
     def __post_init__(self):
         check_count("n_beams", self.n_beams, 1)
+        _load_column([self.beam_geometry], self.material)
         for name in ("latch_travel", "series_stiffness_ks",
                      "overall_length_budget"):
             check_positive(name, getattr(self, name))

@@ -22,9 +22,10 @@ through the load scale 4 E I / L^2 alone (Awtar, Slocum & Sevincer,
 J. Mech. Des. 129(6), 2007).  Per shape: one load-kernel row.  Per
 geometry: one record (_records), from its shape's rows at its own load
 scale.  Per point: the ring peak, the objective and the ranking key.  No
-row or record is kept between calls.  So a shape fixes the peak force per
-mm of width, c, the ring peak of n beams at width W is n W c / 2, and
-refine searches shapes alone, solving each one's W and n.
+row or record is kept between calls.  So the screen (_screen) takes shapes
+and widths, a shape fixes the peak force per mm of width, c, the ring peak
+of n beams at width W is n W c / 2, and refine searches shapes alone,
+solving each one's W and n.
 """
 
 from __future__ import annotations
@@ -62,11 +63,11 @@ DEFAULT_REFINE_EVALS = 200
 # of those polls are evaluated, and so refine's visit order.
 BOUNDS_TOL = 1e-12
 
-# Shape x travel samples per load-kernel pass of the screen.  The blocks
-# bound the arrays a pass allocates: one pass over a whole 81-geometry grid
-# of 500-sample curves raised the peak RSS of a design run by ~2.5 MB (6 %);
+# Beam shapes per load-kernel pass of the screen.  The blocks bound the
+# arrays a pass allocates: one pass over a whole 81-geometry grid of
+# 500-sample curves raised the peak RSS of a design run by ~2.5 MB (6 %);
 # blocks of 16 rows left it unchanged, at the same speed.
-BLOCK_SAMPLES = 8192
+BLOCK_SHAPES = 16
 
 # Screening defaults; the stress bound is a printed-polymer yield proxy, not
 # a device-documented allowable.
@@ -91,7 +92,6 @@ class DesignSpec:
     length_budget: float = DEFAULT_LENGTH_BUDGET
     require_non_bistable_at_travel: bool = False
     fixture_allowance: float = 0.0
-    sweep_samples: int = DEFAULT_CURVE_SAMPLES
 
     def __post_init__(self):
         check_positive("target_force", self.target_force)
@@ -99,7 +99,6 @@ class DesignSpec:
         for name in ("stress_limit", "length_budget", "fixture_allowance"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
-        check_count("sweep_samples", self.sweep_samples, 2)
         for name in PARAM_NAMES:
             if name not in self.bounds:
                 raise ValidationError(f"bounds must include {name}")
@@ -186,9 +185,10 @@ class _ShapeRows(NamedTuple):
 
 def _shape_rows(spec: DesignSpec,
                 geoms: Sequence[VBeamGeometry]) -> List[_ShapeRows]:
-    """The _ShapeRows of the geometries' shapes from one kernel pass."""
+    """The _ShapeRows of the geometries' shapes from one kernel pass over
+    DEFAULT_CURVE_SAMPLES travels."""
     cols, f_o, p_o, _ = _kernel_pass(
-        geoms, uniform_travels(spec.target_travel, spec.sweep_samples))
+        geoms, uniform_travels(spec.target_travel, DEFAULT_CURVE_SAMPLES))
     return list(map(_ShapeRows, f_o, p_o, cols.cos[:, 0].tolist(),
                     cols.sin[:, 0].tolist(),
                     np.abs(f_o).max(axis=1).tolist()))
@@ -227,31 +227,26 @@ def _records(spec: DesignSpec, rows: _ShapeRows,
     return records
 
 
-def _screen(spec: DesignSpec,
-            dims: Sequence[Tuple[float, ...]]) -> List[Record]:
-    """The record of each (L, T, W, theta).
+def _screen(spec: DesignSpec, shapes: Sequence[Shape],
+            widths: Sequence[float]) -> List[Record]:
+    """The records of the distinct shapes (L, T, theta) at each of the
+    distinct widths, shape-major.
 
-    The distinct dims are grouped by shape in first-seen order and screened
-    in blocks of at most BLOCK_SAMPLES samples' worth of shapes: a block
-    builds each of its geometries once, passes its shapes' first geometries
-    through one kernel pass, on travels made for it, and derives the records
-    from the rows (_records) under one overflow check (beam._finite_forces).
-    A block that fails raises; nothing outlives the call.
+    The shapes are screened in blocks of BLOCK_SHAPES: a block builds each
+    of its geometries once, passes one geometry per shape through one
+    kernel pass, and derives the records from the rows (_records) under one
+    overflow check (beam._finite_forces).  A block that fails raises;
+    nothing outlives the call.
     """
-    per_block = max(1, BLOCK_SAMPLES // spec.sweep_samples)
-    groups: Dict[Shape, list] = {}
-    for d in dict.fromkeys(dims):
-        groups.setdefault((d[0], d[1], d[3]), []).append(d)
-    shapes = list(groups)
-    records: Dict[Tuple[float, ...], Record] = {}
-    for i in range(0, len(shapes), per_block):
-        block = [[VBeamGeometry(*d) for d in groups[s]]
-                 for s in shapes[i:i + per_block]]
+    records: List[Record] = []
+    for i in range(0, len(shapes), BLOCK_SHAPES):
+        block = [[VBeamGeometry(L, T, W, theta) for W in widths]
+                 for L, T, theta in shapes[i:i + BLOCK_SHAPES]]
         rows = _shape_rows(spec, [geoms[0] for geoms in block])
         with _finite_forces():
-            for s, r, geoms in zip(shapes[i:i + per_block], rows, block):
-                records.update(zip(groups[s], _records(spec, r, geoms)))
-    return [records[d] for d in dims]
+            for r, geoms in zip(rows, block):
+                records += _records(spec, r, geoms)
+    return records
 
 
 def _violations(spec: DesignSpec, geom: VBeamGeometry,
@@ -300,7 +295,8 @@ def evaluate_candidate(spec: DesignSpec, geom: VBeamGeometry,
     point = (geom.length_L, geom.thickness_T, geom.width_W, geom.tilt_theta,
              n_beams)
     _require_in_bounds(spec, point)
-    [record] = _screen(spec, [point[:4]])
+    [record] = _screen(spec, [(geom.length_L, geom.thickness_T,
+                               geom.tilt_theta)], [geom.width_W])
     return _candidate(spec, record, n_beams)
 
 
@@ -308,13 +304,13 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
                 n_workers: int = 1) -> List[Candidate]:
     """Exhaustively evaluate a Cartesian grid and rank the candidates.
 
-    The grid's distinct shapes (L, T, theta) go through the load kernel in
-    blocks of at most BLOCK_SAMPLES samples, one pass per block; each
-    geometry's peak force and stress, at its width's load scale, then score
-    every beam count.  Feasible candidates rank
-    by objective, then infeasible ones by total violation; equal keys are
-    ordered lexicographically on (L, T, theta, W, n_beams), so the ranking
-    is a deterministic total order.  Levels that round to one value count
+    The grid's shapes (L, T, theta) go through the load kernel in blocks of
+    BLOCK_SHAPES, one pass per block; each geometry's peak force and
+    stress, at its width's load scale, then score every beam count.
+    Feasible candidates rank by objective, then infeasible ones by total
+    violation; equal keys are ordered lexicographically on (L, T, theta, W,
+    n_beams), so the ranking is a deterministic total order, whatever the
+    order the candidates are built in.  Levels that round to one value count
     once, so the candidates are distinct design points.  A parameter
     missing from grid_density gets DEFAULT_GRID_DENSITY levels; a key
     outside PARAM_NAMES and a density that is not an integer from 1 to
@@ -355,7 +351,8 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
 
     # grid values lie inside the bounds by construction
     records = _screen(spec, list(product(
-        *(axes[name] for name in PARAM_NAMES[:4]))))
+        axes["length_L"], axes["thickness_T"], axes["tilt_theta"])),
+        axes["width_W"])
     return sorted((_candidate(spec, record, n) for record in records
                    for n in axes["n_beams"]), key=Candidate.sort_key)
 
@@ -369,10 +366,10 @@ def refine(spec: DesignSpec, start: Candidate,
     (L, T, theta) is polled one coordinate at a time, -/+ its step, with
     step halving on a failed full sweep.  A poll outside the bounds is
     skipped; each scored shape counts once against max_evals, and one
-    polled again reuses its score.  A shape's one kernel pass, at the
-    start's width, gives its peak force per mm of width, c, and n beams
-    meet the target at W*(n) = 2 target / (n c), clamped to the width
-    bounds; no clamp binds for n in [2 target / (W_hi c), 2 target /
+    polled again reuses its score.  A shape's one kernel pass gives its
+    record at the start's width, whose peak force per mm of width is c, and
+    n beams meet the target at W*(n) = 2 target / (n c), clamped to the
+    width bounds; no clamp binds for n in [2 target / (W_hi c), 2 target /
     (W_lo c)].  The floor and ceiling of each end, clipped to the n_beams
     bounds, are scored at W* from the shape's rows with no further pass,
     and the best by sort_key is the shape's candidate.  refine returns once a
@@ -395,10 +392,10 @@ def refine(spec: DesignSpec, start: Candidate,
         geom = VBeamGeometry(L, T, width, theta)
         [rows] = _shape_rows(spec, [geom])
         with _finite_forces():
-            # a record's force expression and peak, in Python floats: a c
-            # too small for 2 target / (W c) gives inf, which the clamps map
-            force = _force(_load_scale(geom, spec.material), *rows[:4]).max()
-            c = float(force) / float(width)
+            # c from the start width's record, in Python floats: a c too
+            # small for 2 target / (W c) gives inf, which the clamps map
+            [record] = _records(spec, rows, [geom])
+            c = record[1] / float(width)
             _positive_force(W_lo * c)
             # below the range W* clamps to W_hi and the ring peak rises with
             # n, above it W* clamps to W_lo: the nearest count on each side
@@ -409,9 +406,10 @@ def refine(spec: DesignSpec, start: Candidate,
                              for f in (math.floor, math.ceil)})
             widths = [2.0 * target / (n * c) for n in counts]
             clamped = [min(max(W, W_lo), W_hi) for W in widths]
-            geoms = {W: geom if W == width else VBeamGeometry(L, T, W, theta)
-                     for W in dict.fromkeys(clamped)}
-            records = dict(zip(geoms, _records(spec, rows, [*geoms.values()])))
+            new = [W for W in dict.fromkeys(clamped) if W != width]
+            records = dict(zip(new, _records(
+                spec, rows, [VBeamGeometry(L, T, W, theta) for W in new])))
+            records[width] = record
         cands = [_candidate(spec, records[W], n)
                  for W, n in zip(clamped, counts)]
         exact = any(cand.feasible and W_lo <= W <= W_hi

@@ -23,6 +23,9 @@ chunk format, give the digests of:
 
 - ``design`` on the same design inputs with
   ``require_non_bistable_at_travel`` set to true, which no bench input sets;
+  a line after it gives the load-kernel passes (``search._kernel_pass``
+  calls) that the grid and ``refine`` make in the ``design`` runs without
+  and with that flag;
 - ``verify`` on every verify input: its exit code and the bytes of
   ``verify_report.csv`` and ``fe_path.csv``, the CSVs that ``force_curve``
   and ``fe.sweep_to_curve`` reach.  This runs the frame solver once per
@@ -49,6 +52,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import workloads  # noqa: E402
 
+from graspsynth import search  # noqa: E402
 from graspsynth.cli import run_command  # noqa: E402
 
 SEEDS = (301, 302, 303)
@@ -89,8 +93,22 @@ def _exits(codes: dict) -> str:
     return ", ".join(f"exit {c}: {n}" for c, n in sorted(codes.items()))
 
 
+def _count_passes() -> list:
+    """Count every search._kernel_pass call from now on in the list's one
+    entry; only ``design`` reaches it, through the grid and ``refine``."""
+    kernel, calls = search._kernel_pass, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    search._kernel_pass = counted
+    return calls
+
+
 def main(seeds) -> None:
     digest, flagged, oracle = (hashlib.sha256() for _ in range(3))
+    calls, passes = _count_passes(), {"design": 0, "flagged": 0}
     by_command, per_command = {}, {}
     n_outputs = n_files = 0
     codes, flagged_codes, oracle_codes = {}, {}, {}
@@ -107,6 +125,8 @@ def main(seeds) -> None:
                     digest.update(chunk)
                     own.update(chunk)
                 n_outputs += 1
+            passes["design"] += calls[0]
+            calls[0] = 0
             for inp in workloads.generate("design", seed):
                 config = {**inp.config, "design": {
                     **inp.config["design"],
@@ -114,6 +134,8 @@ def main(seeds) -> None:
                 for chunk in _chunks(root, f"flagged_{seed}_{inp.index:03d}",
                                      config, "design", [], flagged_codes):
                     flagged.update(chunk)
+            passes["flagged"] += calls[0]
+            calls[0] = 0
             for inp in workloads.generate("verify", seed):
                 for chunk in _chunks(root, f"oracle_{seed}_{inp.index:03d}",
                                      inp.config, "verify", [], oracle_codes):
@@ -125,6 +147,9 @@ def main(seeds) -> None:
     print(f"{flagged.hexdigest()}  {sum(flagged_codes.values())} design "
           f"outputs with require_non_bistable_at_travel "
           f"({_exits(flagged_codes)}), outside the total")
+    print(f"{passes['design']} and {passes['flagged']} grid + refine kernel "
+          f"passes in the design outputs without and with "
+          f"require_non_bistable_at_travel")
     print(f"{oracle.hexdigest()}  {sum(oracle_codes.values())} verify "
           f"outputs ({_exits(oracle_codes)}), outside the total")
 

@@ -33,6 +33,18 @@ MINIMAL = {
 }
 
 
+def changed_table1(changes):
+    """demos/table1.json with each dotted key path set to its value."""
+    doc = json.loads(TABLE1_JSON.read_text())
+    for path, value in changes.items():
+        *sections, key = path.split(".")
+        section = doc
+        for name in sections:
+            section = section[name]
+        section[key] = value
+    return doc
+
+
 def minimal_doc(**updates):
     doc = json.loads(json.dumps(MINIMAL))
     for key, value in updates.items():
@@ -159,12 +171,7 @@ def test_beam_count_bound_below_one_is_refused(command, tmp_path, capsys):
 ], ids=["fe_steps", "grid_density", "tilt", "length", "thickness"])
 def test_config_a_command_cannot_run_is_refused_at_parse(path, value, named,
                                                           tmp_path, capsys):
-    doc = json.loads(TABLE1_JSON.read_text())
-    *sections, key = path
-    section = doc
-    for name in sections:
-        section = section[name]
-    section[key] = value
+    doc = changed_table1({".".join(path): value})
     with pytest.raises(ConfigError, match=named):
         parse_config(json.dumps(doc))
     cfg, out = tmp_path / "edited.json", tmp_path / "out"
@@ -339,42 +346,46 @@ def test_overflowing_travel_is_a_configuration_error(tmp_path, capsys,
     assert not list(tmp_path.glob("*.csv"))
 
 
+BEAM_UNDERFLOWS = "invariant violation: the load scale 4 E I / L^2 underflows"
+KERNEL_OVERFLOWS = "the cubic's coefficients overflow at travels up to 1e+160"
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command,path,value,named", [
-    ("curve", ("beam", "width_W"), 1e308, "load scale 4 E I / L^2 overflows"),
-    ("curve", ("material", "youngs_modulus_E"), 1e308,
+@pytest.mark.parametrize("command,changes,named", [
+    ("curve", {"beam.width_W": 1e308}, "load scale 4 E I / L^2 overflows"),
+    ("curve", {"material.youngs_modulus_E": 1e308},
      "load scale 4 E I / L^2 overflows"),
-    ("curve", ("beam", "length_L"), 1e308, "L^2 and W T^3 must be finite"),
-    ("design", ("design", "bounds", "length_L"), [36, 1e308],
+    ("curve", {"beam.length_L": 1e308}, "L^2 and W T^3 must be finite"),
+    ("design", {"design.bounds.length_L": [36, 1e308]},
      "L^2 and W T^3 must be finite"),
-    ("report", ("design", "bounds", "length_L"), [36, 1e308],
+    ("report", {"design.bounds.length_L": [36, 1e308]},
      "L^2 and W T^3 must be finite"),
-    ("grasper", ("mechanism", "latch_travel"), 5e-324,
+    ("grasper", {"mechanism.latch_travel": 5e-324},
      "response magnitudes must be finite"),
-    ("grasper", ("mechanism", "latch_ramp_factor"), 1e308,
+    ("grasper", {"mechanism.latch_ramp_factor": 1e308},
      "response magnitudes must be finite"),
-    ("report", ("mechanism", "latch_ramp_factor"), 1e308,
+    ("report", {"mechanism.latch_ramp_factor": 1e308},
      "response magnitudes must be finite"),
-    ("grasper", ("mechanism", "jaw_section", "in_plane_h"), 1e-308,
+    ("grasper", {"mechanism.jaw_section.in_plane_h": 1e-308},
      "response magnitudes must be finite"),
-    *((command, ("material", "youngs_modulus_E"), 5e-324,
-       "load scale 4 E I / L^2 underflows to 0")
+    *((command, {"material.youngs_modulus_E": 5e-324}, BEAM_UNDERFLOWS)
       for command in ("curve", "grasper", "design")),
+    *((command, {"beam.tilt_theta_deg": 0, "sweep.travel_max": 1e160},
+       KERNEL_OVERFLOWS) for command in ("curve", "verify")),
+    ("design", {"design.target_travel": 1e160,
+                "design.bounds.tilt_theta_deg": [0, 0]}, KERNEL_OVERFLOWS),
 ], ids=["width", "modulus", "length", "design_length", "report_length",
         "latch_travel", "latch_ramp_factor", "report_latch_ramp_factor",
-        "jaw_h", "curve_underflow", "grasper_underflow", "design_underflow"])
-def test_extreme_values_are_refused_without_warnings(command, path, value,
-                                                     named, tmp_path, capsys):
+        "jaw_h", "curve_underflow", "grasper_underflow", "design_underflow",
+        "curve_travel", "verify_travel", "design_travel"])
+def test_extreme_values_are_refused_without_warnings(command, changes, named,
+                                                     tmp_path, capsys):
     # the beam and design values used to write NaN or inf, or raise
     # OverflowError; the grasper values reached the finite check only after
     # a numpy divide, overflow or invalid-value warning; at E 5e-324 curve
-    # and grasper wrote -0 forces and design divided by zero
-    doc = json.loads(TABLE1_JSON.read_text())
-    *sections, key = path
-    section = doc
-    for name in sections:
-        section = section[name]
-    section[key] = value
+    # and grasper wrote -0 forces and design divided by zero; an untilted
+    # travel of 1e160 overflowed the cubic's coefficients with a warning
+    doc = changed_table1(changes)
     cfg, out = tmp_path / "extreme.json", tmp_path / "out"
     cfg.write_text(json.dumps(doc))
     rc = run_command([command, "--config", str(cfg), "--out", str(out)])
@@ -384,13 +395,32 @@ def test_extreme_values_are_refused_without_warnings(command, path, value,
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("design", [True, False], ids=["design", "no_design"])
+@pytest.mark.parametrize("command", ["curve", "d1", "design", "verify",
+                                     "grasper", "report"])
+def test_beam_load_scale_that_underflows_is_refused_at_parse(
+        command, design, tmp_path, capsys):
+    # the mechanism refuses its beam's load scale and is parsed before the
+    # design block, so every command names the beam: with a design block
+    # the design bounds used to be named, and without one d1 exited 0
+    doc = changed_table1({"material.youngs_modulus_E": 5e-324})
+    if not design:
+        del doc["design"]
+    cfg, out = tmp_path / "tiny.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    assert run_command([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error in '{command}': {BEAM_UNDERFLOWS}" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("modulus", [1e-304, 1e-310])
 def test_design_whose_exact_widths_overflow_runs(modulus, tmp_path):
     # refine's 2 target / (W c) overflows at these moduli: it used to stop
     # design with an "overflow in scalar divide" warning, and is now inf,
     # which clamps to the upper width bound
-    doc = json.loads(TABLE1_JSON.read_text())
-    doc["material"]["youngs_modulus_E"] = modulus
+    doc = changed_table1({"material.youngs_modulus_E": modulus})
     cfg, out = tmp_path / "tiny.json", tmp_path / "out"
     cfg.write_text(json.dumps(doc))
     assert run_command(["design", "--config", str(cfg), "--out", str(out),

@@ -19,6 +19,7 @@ from graspsynth import (Candidate, DesignSpec, MaterialModel, NumericalError,
                         parse_config, peak_force, refine,
                         solve_monostable_cubic, write_candidates_csv)
 from graspsynth import search
+from graspsynth.beam import DEFAULT_CURVE_SAMPLES
 from graspsynth.mechanism import halved_ring_force
 
 from common import GEOM as TABLE1, MAT, count_force_checks
@@ -52,7 +53,7 @@ def table1_peak() -> float:
 def reference_screen(spec, geom):
     """The geometry's double-beam curve and its peak root stress."""
     curve = force_curve(geom, spec.material, spec.target_travel,
-                        spec.sweep_samples)
+                        DEFAULT_CURVE_SAMPLES)
     end_load_scale = (4.0 * spec.material.youngs_modulus_E
                       * geom.second_moment / geom.length_L ** 2)
     moment = np.abs(curve.f_o) * end_load_scale * geom.length_L / 2.0
@@ -232,13 +233,6 @@ def test_spec_refuses_non_finite_bounds(name, pair):
         make_spec(bounds={**BOUNDS, name: pair})
 
 
-@pytest.mark.parametrize("samples", [1, 0, -5, 2.5, 500.0, True])
-def test_spec_refuses_bad_sweep_samples(samples):
-    with pytest.raises(ValidationError, match="sweep_samples"):
-        make_spec(sweep_samples=samples)
-    assert make_spec(sweep_samples=np.int64(2)).sweep_samples == 2
-
-
 @pytest.mark.parametrize("low", [0, 0.5, -3])
 def test_spec_refuses_beam_counts_below_one(low):
     with pytest.raises(ValidationError, match="n_beams bounds"):
@@ -302,33 +296,33 @@ ALL_VIOLATIONS = {"stress", "length", "bistable_at_travel"}
     (dict(), set(), {True}),
     (dict(stress_limit=65.0, length_budget=79.5,
           require_non_bistable_at_travel=True), ALL_VIOLATIONS, {False}),
-    (dict(target_travel=1.5, sweep_samples=60, stress_limit=16.0,
-          length_budget=80.0, require_non_bistable_at_travel=True),
+    (dict(target_travel=1.5, stress_limit=16.0, length_budget=80.0,
+          require_non_bistable_at_travel=True),
      ALL_VIOLATIONS, {True, False}),
 ], ids=["feasible", "violations", "short-travel"])
 def test_grid_matches_per_point_scoring(overrides, kinds, feasibility,
                                         monkeypatch):
     # bit for bit, in rank order, with one kernel pass per block and one
-    # row per shape; at 500 samples the 27 shapes of the 81-geometry grid
-    # span several blocks, the last one partial
+    # row per shape; the 27 shapes of the 81-geometry grid span several
+    # blocks, the last one partial
     spec = make_spec(**overrides)
     expected = reference_grid(spec, DENSITY)
     rows = count_kernel_rows(monkeypatch)
     ranked = grid_search(spec, DENSITY)
     assert [astuple(c) for c in ranked] == [astuple(c) for c in expected]
-    per_block = search.BLOCK_SAMPLES // spec.sweep_samples
+    per_block = search.BLOCK_SHAPES
     assert rows == [min(per_block, 27 - i) for i in range(0, 27, per_block)]
-    if spec.sweep_samples == 500:
-        assert len(rows) > 1 and 27 % per_block
+    assert len(rows) > 1 and 27 % per_block
     assert {name for c in ranked for name, _ in c.violations} == kinds
     assert {c.feasible for c in ranked} == feasibility
 
 
-@pytest.mark.parametrize("samples, expected", [(500, [16, 11]), (60, [27])])
-def test_grid_passes_each_shape_once(samples, expected, monkeypatch):
+@pytest.mark.parametrize("block, expected", [(16, [16, 11]), (27, [27])])
+def test_grid_passes_each_shape_once(block, expected, monkeypatch):
     # the 81 geometries hold 27 shapes (L, T, theta); the width enters
     # through the load scale alone, so each shape is one kernel row
-    spec = make_spec(sweep_samples=samples)
+    spec = make_spec()
+    monkeypatch.setattr(search, "BLOCK_SHAPES", block)
     rows = count_kernel_rows(monkeypatch)
     ranked = grid_search(spec, DENSITY)
     geoms = {c.geometry for c in ranked}
@@ -337,9 +331,9 @@ def test_grid_passes_each_shape_once(samples, expected, monkeypatch):
 
 
 def test_grid_checks_the_forces_once_per_block(monkeypatch):
-    # 27 shapes at 500 samples make blocks of 16 and 11 shapes
+    # 27 shapes make blocks of 16 and 11 shapes
     checks = count_force_checks(monkeypatch, search)
-    grid_search(make_spec(sweep_samples=500), DENSITY)
+    grid_search(make_spec(), DENSITY)
     assert len(checks) == 2
 
 
@@ -354,7 +348,7 @@ def test_screen_refuses_forces_that_overflow_a_finite_load_scale():
     with pytest.raises(ValidationError, match="force overflows"):
         grid_search(spec, DENSITY)
     with pytest.raises(ValidationError, match="force overflows"):
-        search._screen(spec, [(2.0, 1.2, 5.0, 0.12)])
+        search._screen(spec, [(2.0, 1.2, 0.12)], [5.0])
     start = Candidate(VBeamGeometry(2.0, 1.2, 5.0, 0.12), 12, 1.0, (), 1.0)
     with pytest.raises(ValidationError, match="force overflows"):
         refine(spec, start)
@@ -399,8 +393,7 @@ def test_grid_checks_each_geometry_once(monkeypatch):
 
 def test_grid_levels_that_round_together_count_once():
     # five levels over a span below two float spacings hold two values
-    spec = make_spec(bounds={**BOUNDS, "length_L": (36.0, 36.0 + 1e-14)},
-                     sweep_samples=20)
+    spec = make_spec(bounds={**BOUNDS, "length_L": (36.0, 36.0 + 1e-14)})
     ranked = grid_search(spec, dict(DENSITY, length_L=5))
     assert len({c.geometry.length_L for c in ranked}) == 2
     assert len({c.point for c in ranked}) == len(ranked) == 2 * 27 * 3
@@ -411,8 +404,7 @@ def test_grid_levels_that_round_together_count_once():
 def test_grid_beam_counts_round_into_the_bounds(density):
     # 9.4 used to round to 9 and 10.6 to 11, both filtered out: an empty
     # grid, though 10 lies inside the bounds
-    spec = make_spec(bounds={**BOUNDS, "n_beams": (9.4, 10.6)},
-                     sweep_samples=20)
+    spec = make_spec(bounds={**BOUNDS, "n_beams": (9.4, 10.6)})
     ranked = grid_search(spec, dict(DENSITY, n_beams=density))
     assert {c.n_beams for c in ranked} == {10}
     assert len(ranked) == 81
@@ -447,7 +439,7 @@ def pole_spec():
     assert den(lo) > 0.0 > den(hi)
     while (mid := (lo + hi) / 2.0) not in (lo, hi):
         lo, hi = (mid, hi) if den(mid) > 0.0 else (lo, mid)
-    return make_spec(target_travel=lo, sweep_samples=2,
+    return make_spec(target_travel=lo,
                      bounds={**BOUNDS, "tilt_theta": (POLE_TILT, POLE_TILT),
                              "width_W": (5.0, 5.0)})
 
@@ -470,18 +462,23 @@ def test_grid_failing_row_raises_like_per_point_scoring():
 
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(st.lists(st.tuples(st.floats(30.0, 60.0), st.floats(0.6, 2.0),
-                          st.floats(3.0, 7.0), st.floats(0.0, 15.0)),
-                min_size=2, max_size=40),
+                          st.floats(0.0, 15.0)),
+                min_size=2, max_size=40, unique=True),
+       st.lists(st.floats(3.0, 7.0), min_size=1, max_size=3, unique=True),
        st.floats(1.0, 3.0))
-def test_batched_screen_matches_one_geometry_curves(dims, travel):
+def test_batched_screen_matches_one_geometry_curves(dims, widths, travel):
+    # every shape at every width, shape-major, bit for bit
     spec = make_spec(target_travel=travel, require_non_bistable_at_travel=True)
-    geoms = [VBeamGeometry.from_degrees(*d) for d in dims]
+    shapes = [(L, T, math.radians(tilt)) for L, T, tilt in dims]
     expected = []
-    for g in geoms:
+    for (L, T, theta), W in product(shapes, widths):
+        g = VBeamGeometry(L, T, W, theta)
         curve, stress = reference_screen(spec, g)
         expected.append((g, float(np.max(curve.force)),
                          reference_violations(spec, g, stress)))
-    assert search._screen(spec, [astuple(g) for g in geoms]) == expected
+    records = search._screen(spec, shapes, widths)
+    assert records == expected
+    assert [r[1].hex() for r in records] == [e[1].hex() for e in expected]
 
 
 def test_grid_infeasible_ranking_is_total():
@@ -561,7 +558,7 @@ def test_grid_density_above_the_cap_is_refused(name, count, monkeypatch):
 
 def test_grid_missing_density_means_default_levels():
     # the same 5 levels parse_config fills in for a missing entry
-    spec = make_spec(sweep_samples=20)
+    spec = make_spec()
     full = dict.fromkeys(search.PARAM_NAMES, 5)
     expected = [astuple(c) for c in grid_search(spec, full)]
     assert [astuple(c) for c in grid_search(spec, {})] == expected
@@ -726,7 +723,7 @@ def reference_refine(spec, start, max_evals):
             raise Stop(True)
         visited.append((L, T, theta))
         curve = force_curve(VBeamGeometry(L, T, width, theta), spec.material,
-                            spec.target_travel, spec.sweep_samples)
+                            spec.target_travel, DEFAULT_CURVE_SAMPLES)
         c = float(np.max(curve.force)) / width
         counts = set()
         for W in (W_hi, W_lo):
@@ -852,29 +849,46 @@ def test_refine_raises_where_the_reference_search_raises():
 
 def test_screen_passes_each_shape_once_and_a_failing_block_raises(
         monkeypatch):
-    spec, dims = make_spec(), (40.0, 1.2, 5.0, 0.12)
-    rows = count_kernel_rows(monkeypatch)
-    # two points that share a geometry: one row in one pass, one record
-    first, second = search._screen(spec, [dims, dims])
-    assert first is second and rows == [1]
-    assert first[0] == VBeamGeometry(*dims)
+    # two shapes at two widths: one pass of the shapes' geometries at the
+    # first width, in order, on travels made once, and the records
+    # shape-major
+    spec = make_spec()
+    shapes, widths = [(38.0, 1.1, 0.1), (40.0, 1.2, 0.12)], [4.5, 5.0]
+    passes = record_kernel_geometries(monkeypatch)
+    travels, uniform_travels = [], beam.uniform_travels
+
+    def counted(*args):
+        travels.append(args)
+        return uniform_travels(*args)
+
+    monkeypatch.setattr(search, "uniform_travels", counted)
+    records = search._screen(spec, shapes, widths)
+    assert [astuple(r[0]) for r in records] == [
+        (L, T, W, theta) for (L, T, theta), W in product(shapes, widths)]
+    assert [list(map(shape, geoms)) for geoms in passes] == [shapes]
+    assert [g.width_W for g in passes[0]] == [4.5, 4.5]
+    assert len(travels) == 1
     # a call keeps nothing: the next one passes the shape again
-    assert search._screen(spec, [dims]) == [first] and rows == [1, 1]
+    rows = count_kernel_rows(monkeypatch)
+    assert search._screen(spec, shapes[1:], [5.0]) == [records[3]]
+    assert search._screen(spec, shapes[1:], [5.0]) == [records[3]]
+    assert rows == [1, 1]
     # at the pole spec some rows raise: a block whose pass raises raises,
     # whether it is the first block or follows one that passed
     pole = pole_spec()
-    points = [(L, T, 5.0, POLE_TILT)
+    points = [(L, T, POLE_TILT)
               for L, T in product(np.linspace(36.0, 44.0, 5), (1.0, 1.2, 1.4))]
-    builds = [isinstance(outcome(reference_screen, pole, VBeamGeometry(*d)),
-                         tuple) for d in points]
+    builds = [isinstance(outcome(reference_screen, pole,
+                                 VBeamGeometry(L, T, 5.0, theta)), tuple)
+              for L, T, theta in points]
     good, bad = points[builds.index(True)], points[builds.index(False)]
     rows.clear()
     with pytest.raises(NumericalError):
-        search._screen(pole, [good, bad])
+        search._screen(pole, [good, bad], [5.0])
     assert rows == []
-    monkeypatch.setattr(search, "BLOCK_SAMPLES", pole.sweep_samples)
+    monkeypatch.setattr(search, "BLOCK_SHAPES", 1)
     with pytest.raises(NumericalError):
-        search._screen(pole, [good, bad])
+        search._screen(pole, [good, bad], [5.0])
     assert rows == [1]
 
 
@@ -899,29 +913,10 @@ def test_width_variant_record_equals_the_one_geometry_record(monkeypatch):
     assert records == expected
     assert [r[1].hex() for r in records] == [e[1].hex() for e in expected]
     assert {kind for r in records for kind, _ in r[2]} >= {"stress"}
-    assert [search._screen(spec, [astuple(g)])[0][1].hex() for g in geoms] == [
-        e[1].hex() for e in expected]
-
-
-def test_screen_on_repeated_dims_makes_one_pass(monkeypatch):
-    # a call screens each distinct dims once, on travels made once
-    spec = make_spec()
-    dims = [(40.0, 1.2, 5.0, 0.12), (38.0, 1.1, 4.5, 0.1)]
-    passes = record_kernel_geometries(monkeypatch)
-    travels, uniform_travels = [], beam.uniform_travels
-
-    def counted(*args):
-        travels.append(args)
-        return uniform_travels(*args)
-
-    monkeypatch.setattr(beam, "uniform_travels", counted)
-    monkeypatch.setattr(search, "uniform_travels", counted, raising=False)
-    records = search._screen(spec, dims[::-1] + dims)
-    b, a = records[:2]
-    assert list(map(id, records)) == list(map(id, [b, a, a, b]))
-    assert [list(map(astuple, geoms)) for geoms in passes] == [dims[::-1]]
-    assert len(travels) == 1
-
+    screened = [search._screen(spec, [shape(g)], [g.width_W])[0]
+                for g in geoms]
+    assert screened == expected
+    assert [r[1].hex() for r in screened] == [e[1].hex() for e in expected]
 
 
 def test_refine_checks_each_geometry_once_for_bistability(monkeypatch):
