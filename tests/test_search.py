@@ -919,6 +919,31 @@ def test_width_variant_record_equals_the_one_geometry_record(monkeypatch):
     assert [r[1].hex() for r in screened] == [e[1].hex() for e in expected]
 
 
+def test_screen_on_repeated_dims_makes_one_pass(monkeypatch):
+    # a shape's widths add no pass, even when a width repeats: a call
+    # screens each shape once, in order, on travels made once, and equal
+    # dims get equal records
+    spec = make_spec()
+    shapes, widths = [(40.0, 1.2, 0.12), (38.0, 1.1, 0.1)], [4.5, 5.0, 5.0,
+                                                             4.5]
+    passes = record_kernel_geometries(monkeypatch)
+    travels, uniform_travels = [], beam.uniform_travels
+
+    def counted(*args):
+        travels.append(args)
+        return uniform_travels(*args)
+
+    monkeypatch.setattr(search, "uniform_travels", counted)
+    records = search._screen(spec, shapes, widths)
+    assert [astuple(r[0]) for r in records] == [
+        (L, T, W, theta) for (L, T, theta), W in product(shapes, widths)]
+    for i in (0, 4):
+        a, b = records[i:i + 2]
+        assert records[i:i + 4] == [a, b, b, a]
+    assert [list(map(shape, geoms)) for geoms in passes] == [shapes]
+    assert len(travels) == 1
+
+
 def test_refine_checks_each_geometry_once_for_bistability(monkeypatch):
     # the beam counts of a width share its violations, and a geometry is
     # not checked again when a shape is scored twice
