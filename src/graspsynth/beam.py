@@ -32,13 +32,12 @@ of travels (columns) in a single pass (_kernel_pass); branch_loads wraps
 it.  The loads f_o and p_o depend on (L, T, theta) and the travel, not on
 W, which enters through the load scale 4 E I / L^2 alone.  _load_scale is
 the one place that scale is computed, and _load_column refuses one that
-overflows or underflows to 0, once per pass; _finite_forces refuses a force
-that overflows a finite scale, once per pass.  _force is the one force
-expression: _force_rows, the force entry of force_curve and
-actuation_force, applies it to a pass's rows, _slope_rows to their travel
-derivatives, and the design search (search._records, and search.refine for
-a shape's peak force per mm of width) to the rows of each beam shape at
-each width's load scale.
+overflows or underflows to 0, once per pass.  _force is the one force
+expression, and refuses a force that overflows a finite scale, once per
+call: _force_rows, the force entry of force_curve and actuation_force,
+applies it to a pass's rows, _slope_rows to their travel derivatives, and
+the design search (search._records) to the rows of each beam shape at each
+width's load scale.
 _slope_rows is the one slope entry: the exact dF/ds on each sample's
 branch, from one pass's root by implicit differentiation of the cubic and
 the chain rule through the rational expression (at rest it is
@@ -52,7 +51,6 @@ internally and degrees only at interface boundaries.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Sequence, Tuple
@@ -505,27 +503,21 @@ def _load_column(geoms: Sequence[VBeamGeometry], mat: MaterialModel):
     return load
 
 
-@contextmanager
-def _finite_forces():
-    """Refuse, for the whole block, a force that overflows a finite load
-    scale: numpy raises at the first overflowing or invalid operation, so
-    one errstate per kernel pass or screen block checks every sample and
-    no RuntimeWarning is emitted."""
+def _force(load, f_o, p_o, cos, sin):
+    """The one force expression: the shuttle-direction force
+    -(load f_o cos(theta) + load p_o sin(theta)) of normalized loads at the
+    load scale load, elementwise over broadcast arrays.  A force that
+    overflows a finite load scale is refused for the whole call: numpy
+    raises at the first overflowing or invalid operation, so one errstate
+    checks every sample and no RuntimeWarning is emitted."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            yield
+            return -(load * f_o * cos + load * p_o * sin)
     except FloatingPointError as exc:
         raise ValidationError(
             "the force overflows at the load scale 4 E I / L^2: the beam's "
             "width, thickness or Young's modulus is too large for its "
             "length") from exc
-
-
-def _force(load, f_o, p_o, cos, sin):
-    """The one force expression: the shuttle-direction force
-    -(load f_o cos(theta) + load p_o sin(theta)) of normalized loads at the
-    load scale load, elementwise over broadcast arrays."""
-    return -(load * f_o * cos + load * p_o * sin)
 
 
 def _kernel_pass(geoms: Sequence[VBeamGeometry], dys: np.ndarray):
@@ -541,9 +533,7 @@ def _force_rows(geoms: Sequence[VBeamGeometry], mat: MaterialModel,
     bistable) of geometries at travels dys in one pass, one row per
     geometry."""
     cols, f_o, p_o, bistable = _kernel_pass(geoms, dys)
-    load = _load_column(geoms, mat)
-    with _finite_forces():
-        force = _force(load, f_o, p_o, cols.cos, cols.sin)
+    force = _force(_load_column(geoms, mat), f_o, p_o, cols.cos, cols.sin)
     return force, f_o, p_o, bistable
 
 
@@ -580,9 +570,7 @@ def _slope_rows(geoms: Sequence[VBeamGeometry], mat: MaterialModel,
     df_o[g, j] = _rational_fo(y_o, p + 1j * h * dp_ds).imag / h
     dp_o = np.zeros(bistable.shape)
     dp_o[g, j] = dp_ds
-    load = _load_column(geoms, mat)
-    with _finite_forces():
-        return _force(load, df_o, dp_o, cols.cos, cols.sin)
+    return _force(_load_column(geoms, mat), df_o, dp_o, cols.cos, cols.sin)
 
 
 def branch_loads(geom: VBeamGeometry, delta_y: float) -> BeamLoadState:

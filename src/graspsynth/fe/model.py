@@ -21,10 +21,11 @@ UX, UY, ROT = 0, 1, 2
 DEFAULT_ELEMENTS_PER_BEAM = 16
 
 # Largest element count of a mesh (build_vbeam_mesh, the config's
-# fe.n_elements).  A mesh of n elements has at most 3 n unknowns, and one
-# assembly fills a dense tangent of 8 bytes per entry: about 95 MB at the
-# cap.  The dense solve grows as the cube of the equation count, about 2 s
-# per Newton iteration at the cap (2.6 ms at 128 elements).
+# fe.n_elements).  A mesh of n elements has at most 3 n unknowns.  The
+# tangent block's flat positions, an assembly's full tangent table and the
+# block hold 8 bytes per entry, ~95 MB each at the cap, where a Newton
+# iteration peaks near 410 MB and takes about 2 s, the dense solve growing
+# as the cube of the equation count (2.6 ms at 128 elements).
 ELEMENT_CAP = 1_150
 
 

@@ -14,16 +14,18 @@ Element Analysis of Solids and Structures, vol. 1, 1991).  Assembly is one
 array pass over all elements: it gathers each element's freedoms from the
 table, evaluates chord geometry, the strain-displacement rows, local
 forces, internal forces and tangents as (n_el, ...) arrays, and
-np.bincount scatters them and the point springs into the force table and
-the unknowns x unknowns tangent; every gather and scatter index is
-computed once per model.  Strain energy is evaluated once per converged
-step, from the local state of its last assembly.
+np.bincount scatters them and the point springs into the full force and
+tangent tables, from which the residual and the tangent are gathered at the
+unknowns alike; every gather and scatter index is computed once per model.
+Strain energy is evaluated once per converged step, from the local state
+of its last assembly.
 
 Equilibrium paths are traversed under displacement control with Newton
 iteration, on force_curve's uniform travel grid (beam.uniform_travels).  A
-step that fails to converge is bisected down to a floor; if Newton fails
-there too, a ConvergenceError carries the partial path.  Newton returns
-each converged state as the PathStep of its last assembly, whose stable
+step that fails to converge, a singular tangent or a floating-point
+overflow included, is bisected down to a floor; if Newton fails there too,
+a ConvergenceError carries the partial path.  Newton returns each
+converged state as the PathStep of its last assembly, whose stable
 flag says whether the free-free tangent is positive definite (one Cholesky
 attempt); a step that is not lies on an unstable branch, which the sweep
 reports but does not correct.
@@ -98,17 +100,6 @@ class EquilibriumPath:
         return self.steps[-1] if self.steps else None
 
 
-def _live_pairs(idx: np.ndarray, n: int):
-    """Live entries of per-member unknown numbers idx (m, k); -1 is none.
-
-    Returns the flat positions of the live entries in an (m, k, k) stack
-    and their flat (row, column) positions in the n x n tangent.
-    """
-    live = (idx[:, :, None] >= 0) & (idx[:, None, :] >= 0)
-    return (np.flatnonzero(live),
-            (idx[:, :, None] * n + idx[:, None, :])[live])
-
-
 class _System:
     """Assembly and residual bookkeeping for one model.
 
@@ -116,15 +107,16 @@ class _System:
     freedom 3 * node + dof): fixed freedoms stay 0, the driven one holds
     control * amplitude, and the index array unknowns names the other free
     freedoms in node order.  Elements and springs gather their freedoms
-    straight from u; the residual is the force table at the unknowns and
-    the tangent is the unknowns x unknowns block, the only block the
-    Newton solve and the stability test read.  Everything that depends
-    only on the model is computed once here: the shared section's E A, the
+    straight from u and scatter into the full force and tangent tables;
+    the residual is the force table at the unknowns and the tangent the
+    unknowns x unknowns block of its table, the only block the Newton
+    solve and the stability test read.  Everything that depends only on
+    the model is computed once here: the shared section's E A, the
     per-element chord arrays and E I / L0, each element's and spring's flat
-    freedoms, and the flat scatter indices of their contributions into the
-    raw force table and the tangent block, entries outside it dropped.
-    The element work arrays are reused by every assembly, so one instance
-    serves one solve at a time.
+    freedoms, the flat scatter indices of their contributions into both
+    tables, and the flat positions of the block.  The element work arrays
+    are reused by every assembly, so one instance serves one solve at a
+    time.
     """
 
     def __init__(self, model: FrameModel):
@@ -134,7 +126,6 @@ class _System:
         free = ~model.fixed.ravel()
         free[self.driven] = False
         self.unknowns = np.flatnonzero(free)
-        count = self.unknowns.size
         # a step reports the driven node's constrained freedoms and the drive
         self._reported = [(node, d) for d in range(3)
                           if model.fixed[node, d] or d == dof]
@@ -171,19 +162,17 @@ class _System:
             dtype=int).reshape(-1, 2)
         self._spring_k = np.array([k for *_, k in springs], dtype=float)
 
-        # scatter targets: raw forces by flat freedom; tangent entries by
-        # flat (row, column) of the unknowns block, the others dropped
+        # scatter targets in the full tables, by flat freedom and flat (row,
+        # column), and the flat positions of the unknowns x unknowns block
+        n = free.size
         self._f_pos = np.concatenate([self._el_dofs.ravel(),
                                       self._spring_ends.T.ravel()])
-        # the unknown number of each flat freedom; -1 if fixed or driven
-        index = np.full(free.size, -1)
-        index[self.unknowns] = np.arange(count)
-        self._k_live, k_pos = _live_pairs(index[self._el_dofs], count)
-        spring_live, spring_pos = _live_pairs(index[self._spring_ends], count)
+        self._k_pos = np.concatenate([
+            (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
+            for dofs in (self._el_dofs, self._spring_ends)])
+        self._block = self.unknowns[:, None] * n + self.unknowns
         self._spring_tangent = (
-            self._spring_k[:, None, None] * [[1.0, -1.0], [-1.0, 1.0]]
-        ).ravel()[spring_live]
-        self._k_pos = np.concatenate([k_pos, spring_pos])
+            self._spring_k[:, None, None] * [[1.0, -1.0], [-1.0, 1.0]]).ravel()
 
     def _elements(self, d: np.ndarray):
         """Internal forces (n_el, 6), tangents (n_el, 6, 6) and local state.
@@ -227,10 +216,10 @@ class _System:
     def assemble(self, u: np.ndarray):
         """Raw internal force table, residual, tangent and state at u.
 
-        The residual is the force at the unknowns and the tangent the
-        unknowns x unknowns block.  The state holds the elements' local
-        state and the spring stretches, from which path_step evaluates the
-        strain energy.
+        The residual is the force table at the unknowns and the tangent the
+        unknowns x unknowns block of the tangent table.  The state holds the
+        elements' local state and the spring stretches, from which path_step
+        evaluates the strain energy.
         """
         f_el, K_el, local = self._elements(u[self._el_dofs])
         a, b = u[self._spring_ends].T
@@ -239,13 +228,11 @@ class _System:
         f_flat = np.bincount(
             self._f_pos, minlength=u.size,
             weights=np.concatenate([f_el.ravel(), f_spring, -f_spring]))
-        count = self.unknowns.size
         K = np.bincount(
-            self._k_pos, minlength=count * count,
-            weights=np.concatenate([K_el.ravel()[self._k_live],
-                                    self._spring_tangent]))
-        return (f_flat.reshape(-1, 3), f_flat[self.unknowns],
-                K.reshape(count, count), (local, stretch))
+            self._k_pos, minlength=u.size ** 2,
+            weights=np.concatenate([K_el.ravel(), self._spring_tangent]))
+        return (f_flat.reshape(-1, 3), f_flat[self.unknowns], K[self._block],
+                (local, stretch))
 
     def path_step(self, control, u, assembled, iterations, residual):
         """The PathStep at control of table u from its assemble() result."""
@@ -278,21 +265,24 @@ def _stable(K_ff: np.ndarray) -> bool:
 def _newton(system: _System, u_start, control, tol, max_iters):
     """Newton iteration at a fixed control, from the table u_start.
 
-    Returns (u, PathStep) of the converged state, or None.
+    Returns (u, PathStep) of the converged state, or None.  A singular
+    tangent fails the attempt, and so does a floating-point overflow,
+    invalid value or division by zero: the oracle cannot tell a diverged
+    iterate from an input too large for it, so the sweep bisects either.
     """
     u = u_start.copy()
     u[system.driven] = control * system.amp
-    for it in range(1, max_iters + 1):
-        assembled = system.assemble(u)
-        r = assembled[1]
-        res = math.sqrt(r @ r)
-        if res < tol:
-            return u, system.path_step(control, u, assembled, it, res)
-        try:
-            du = np.linalg.solve(assembled[2], -r)
-        except np.linalg.LinAlgError:
-            return None
-        u[system.unknowns] += du
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for it in range(1, max_iters + 1):
+                assembled = system.assemble(u)
+                r = assembled[1]
+                res = math.sqrt(r @ r)
+                if res < tol:
+                    return u, system.path_step(control, u, assembled, it, res)
+                u[system.unknowns] += np.linalg.solve(assembled[2], -r)
+    except (np.linalg.LinAlgError, FloatingPointError):
+        return None
     return None
 
 

@@ -40,8 +40,8 @@ import numpy as np
 
 from ._csv import NUMBER, write_csv
 from .beam import (DEFAULT_CURVE_SAMPLES, MaterialModel, VBeamGeometry,
-                   _finite_forces, _force, _kernel_pass, _load_column,
-                   _load_scale, bistability_margin, uniform_travels)
+                   _force, _kernel_pass, _load_column, _load_scale,
+                   bistability_margin, uniform_travels)
 from .errors import ValidationError, check_count, check_positive
 from .mechanism import halved_ring_force
 
@@ -195,8 +195,13 @@ def _shape_rows(spec: DesignSpec,
 
 
 def _positive_force(force: float) -> float:
-    """force, refused if it is not positive: the rest slope is positive, so
-    a peak force at or below 0 has underflowed its load scale."""
+    """force, refused if it is not positive.  Rounding keeps a force's sign,
+    so a negative peak is real: the force is negative at every sample.  A
+    peak of 0 has underflowed its load scale."""
+    if force < 0.0:
+        raise ValidationError(
+            f"the force is negative at every sampled travel (peak {force:.6g}"
+            f" N): the target travel is too long for a beam in the bounds")
     if not force > 0.0:
         raise ValidationError(
             "the force underflows at the load scale 4 E I / L^2: the beam's "
@@ -213,8 +218,8 @@ def _records(spec: DesignSpec, rows: _ShapeRows,
     F_o over half the length, from the shape's peak |f_o|.  Each step from
     |f_o| to the stress multiplies or divides by a positive per-geometry
     constant, which IEEE rounding keeps monotone, so each record equals a
-    one-geometry pass's bit for bit.  A peak force at or below 0 is
-    refused; the caller checks for overflow (beam._finite_forces)."""
+    one-geometry pass's bit for bit.  A force that overflows (_force) and
+    a peak force at or below 0 (_positive_force) are refused."""
     f_o, p_o, cos, sin, peak = rows
     loads = [_load_scale(g, spec.material) for g in geoms]
     forces = _force(np.array(loads)[:, None], f_o, p_o, cos, sin)
@@ -234,18 +239,17 @@ def _screen(spec: DesignSpec, shapes: Sequence[Shape],
 
     The shapes are screened in blocks of BLOCK_SHAPES: a block builds each
     of its geometries once, passes one geometry per shape through one
-    kernel pass, and derives the records from the rows (_records) under one
-    overflow check (beam._finite_forces).  A block that fails raises;
-    nothing outlives the call.
+    kernel pass, and derives the records from the rows (_records), whose
+    one _force call per shape refuses a force that overflows.  A block that
+    fails raises; nothing outlives the call.
     """
     records: List[Record] = []
     for i in range(0, len(shapes), BLOCK_SHAPES):
         block = [[VBeamGeometry(L, T, W, theta) for W in widths]
                  for L, T, theta in shapes[i:i + BLOCK_SHAPES]]
         rows = _shape_rows(spec, [geoms[0] for geoms in block])
-        with _finite_forces():
-            for r, geoms in zip(rows, block):
-                records += _records(spec, r, geoms)
+        for r, geoms in zip(rows, block):
+            records += _records(spec, r, geoms)
     return records
 
 
@@ -391,25 +395,22 @@ def refine(spec: DesignSpec, start: Candidate,
         L, T, theta = shape
         geom = VBeamGeometry(L, T, width, theta)
         [rows] = _shape_rows(spec, [geom])
-        with _finite_forces():
-            # c from the start width's record, in Python floats: a c too
-            # small for 2 target / (W c) gives inf, which the clamps map
-            [record] = _records(spec, rows, [geom])
-            c = record[1] / float(width)
-            _positive_force(W_lo * c)
-            # below the range W* clamps to W_hi and the ring peak rises with
-            # n, above it W* clamps to W_lo: the nearest count on each side
-            # is best
-            ends = (min(max(2.0 * target / (W * c), n_lo), n_hi)
-                    for W in (W_hi, W_lo))
-            counts = sorted({f(n) for n in ends
-                             for f in (math.floor, math.ceil)})
-            widths = [2.0 * target / (n * c) for n in counts]
-            clamped = [min(max(W, W_lo), W_hi) for W in widths]
-            new = [W for W in dict.fromkeys(clamped) if W != width]
-            records = dict(zip(new, _records(
-                spec, rows, [VBeamGeometry(L, T, W, theta) for W in new])))
-            records[width] = record
+        # c from the start width's record, in Python floats: a c too small
+        # for 2 target / (W c) gives inf, which the clamps map
+        [record] = _records(spec, rows, [geom])
+        c = record[1] / float(width)
+        _positive_force(W_lo * c)
+        # below the range W* clamps to W_hi and the ring peak rises with n,
+        # above it W* clamps to W_lo: the nearest count on each side is best
+        ends = (min(max(2.0 * target / (W * c), n_lo), n_hi)
+                for W in (W_hi, W_lo))
+        counts = sorted({f(n) for n in ends for f in (math.floor, math.ceil)})
+        widths = [2.0 * target / (n * c) for n in counts]
+        clamped = [min(max(W, W_lo), W_hi) for W in widths]
+        new = [W for W in dict.fromkeys(clamped) if W != width]
+        records = dict(zip(new, _records(
+            spec, rows, [VBeamGeometry(L, T, W, theta) for W in new])))
+        records[width] = record
         cands = [_candidate(spec, records[W], n)
                  for W, n in zip(clamped, counts)]
         exact = any(cand.feasible and W_lo <= W <= W_hi

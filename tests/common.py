@@ -4,7 +4,7 @@ GEOM is the reference flexure L=40, T=1.2, W=5, theta=7 deg, MAT its
 E=1800 MPa material, TABLE2 the jaw calibration (opening, tip force) of
 Table 2, and make_config the 12-beam mechanism built on them.  step_bytes
 is the fixed byte layout of a frame-solver PathStep that the oracle path
-digests hash, count_force_checks counts a module's overflow checks, and
+digests hash, count_force_checks counts the force overflow checks, and
 cardano_residuals measures the closed-form root of each cubic the load
 kernel solves.
 """
@@ -14,6 +14,7 @@ import struct
 import numpy as np
 
 import graspsynth.beam
+import graspsynth.search
 from graspsynth import (CantileverSection, MaterialModel, MechanismConfig,
                         VBeamGeometry)
 
@@ -50,15 +51,17 @@ def step_bytes(step) -> bytes:
     ])
 
 
-def count_force_checks(monkeypatch, module):
-    """A list that gains one entry per _finite_forces block of module."""
-    checks, finite_forces = [], module._finite_forces
+def count_force_checks(monkeypatch):
+    """A list that gains one entry per _force call, each one overflow check
+    of its forces: beam._force and search's binding of it."""
+    checks, force = [], graspsynth.beam._force
 
-    def counted():
+    def counted(*args):
         checks.append(1)
-        return finite_forces()
+        return force(*args)
 
-    monkeypatch.setattr(module, "_finite_forces", counted)
+    for module in (graspsynth.beam, graspsynth.search):
+        monkeypatch.setattr(module, "_force", counted)
     return checks
 
 

@@ -9,8 +9,11 @@ workload runs, and hashes every PathStep field (control, displacements,
 reactions, reaction, Newton iterations, residual, strain energy, stable)
 in the byte layout of common.step_bytes, and every (shuttle, reaction)
 tuple of solve_multibeam_assembly.  Two trees print the same digest only if their
-oracle paths are bit-identical.  The script writes no file: bytecode is not
-cached, so bench/ stays untouched.  It is not a pytest module.
+oracle paths are bit-identical.  A second line gives the oracle's work over
+every sweep and assembly it runs: the Newton solves (fe.solver._newton
+calls) and the assemblies (_System.assemble calls), bisected attempts
+included.  The script writes no file: bytecode is not cached, so bench/
+stays untouched.  It is not a pytest module.
 """
 
 from __future__ import annotations
@@ -28,12 +31,27 @@ import workloads  # noqa: E402
 from common import float_bytes, step_bytes  # noqa: E402
 from graspsynth import (parse_config, solve_multibeam_assembly,  # noqa: E402
                         solve_vbeam_sweep)
+from graspsynth.fe import solver  # noqa: E402
 
 SEEDS = (301, 302, 303)
 
 
+def _count_calls(owner, name: str, calls: dict) -> None:
+    """Count every call of owner.name from now on in calls[name]."""
+    function = getattr(owner, name)
+    calls[name] = 0
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return function(*args, **kwargs)
+
+    setattr(owner, name, counted)
+
+
 def main(seeds) -> None:
-    digest = hashlib.sha256()
+    digest, calls = hashlib.sha256(), {}
+    _count_calls(solver, "_newton", calls)
+    _count_calls(solver._System, "assemble", calls)
     n_inputs = n_steps = n_iters = 0
     for seed in seeds:
         for inp in workloads.generate("verify", seed):
@@ -52,6 +70,8 @@ def main(seeds) -> None:
             n_inputs += 1
     print(f"{digest.hexdigest()}  {n_inputs} inputs, {n_steps} steps, "
           f"{n_iters} Newton iterations")
+    print(f"{calls['_newton']} Newton solves and {calls['assemble']} "
+          f"assemblies over every sweep and assembly")
 
 
 if __name__ == "__main__":

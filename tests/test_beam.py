@@ -684,7 +684,7 @@ def test_forces_that_overflow_a_finite_load_scale_are_refused(monkeypatch):
     # the load scale of the 2 mm beam at E 4e307 is finite, its forces are
     # not: force_curve used to return inf and NaN after a RuntimeWarning
     mat = MaterialModel(4e307)
-    checks = count_force_checks(monkeypatch, graspsynth.beam)
+    checks = count_force_checks(monkeypatch)
     for evaluate in (lambda: force_curve(SHORT, mat, 5.0, 500),
                      lambda: actuation_force(SHORT, mat, np.linspace(0, 5, 50)),
                      lambda: _slope_rows([SHORT], mat, np.linspace(0, 5, 50))):

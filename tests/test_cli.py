@@ -394,6 +394,46 @@ def test_extreme_values_are_refused_without_warnings(command, changes, named,
     assert not out.exists() or not any(out.iterdir())
 
 
+SHORT_BEAM = {"beam.length_L": 2, "sweep.travel_max": 1.5}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("changes", [
+    {**SHORT_BEAM, "material.youngs_modulus_E": 1e150},
+    {**SHORT_BEAM, "material.youngs_modulus_E": 1e160},
+    {**SHORT_BEAM, "material.youngs_modulus_E": 1e300},
+    {"sweep.travel_max": 1e300},
+], ids=["short_1e150", "short_1e160", "short_1e300", "travel_1e300"])
+def test_verify_whose_oracle_overflows_stops_at_the_bisection_floor(
+        changes, tmp_path, capsys):
+    # all but E 1e150 used to stop on a RuntimeWarning raised in Newton
+    # (an overflow in r @ r, or in Ln ** 2 at the tilted 1e300 travel);
+    # Newton now fails such an attempt and the sweep bisects to its floor
+    cfg, out = tmp_path / "overflow.json", tmp_path / "out"
+    cfg.write_text(json.dumps(changed_table1(changes)))
+    assert run_command(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure in 'verify'" in err and "bisection floor" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("travel, peak", [(2000, "-0.390318"),
+                                          (1e300, "-9.92771e+296")])
+def test_design_whose_force_is_negative_at_every_travel_is_refused(
+        travel, peak, tmp_path, capsys):
+    # every sample of every shape lies past the snap: the negative peak was
+    # reported as an underflow of the load scale
+    cfg, out = tmp_path / "long.json", tmp_path / "out"
+    cfg.write_text(json.dumps(changed_table1({"design.target_travel": travel})))
+    assert run_command(["design", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (f"the force is negative at every sampled travel (peak {peak} N): "
+            f"the target travel is too long for a beam in the bounds") in err
+    assert "underflows" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("design", [True, False], ids=["design", "no_design"])
 @pytest.mark.parametrize("command", ["curve", "d1", "design", "verify",

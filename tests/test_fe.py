@@ -603,6 +603,18 @@ def test_model_refuses_element_stiffness_that_overflows():
         replace(model, section=(1e307, 1e-300, 6.0))  # E I / L0 alone
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("modulus", [1e150, 1e160])
+def test_newton_overflow_fails_the_attempt_down_to_the_floor(modulus):
+    # at E 1e160 the 2 mm beam's residual overflowed in r @ r with a
+    # RuntimeWarning; an overflow now fails the attempt like a singular
+    # tangent, so the sweep bisects and stops at the floor, as at E 1e150
+    model = build_vbeam_mesh(VBeamGeometry.from_degrees(2, 1.2, 5, 7),
+                             youngs_modulus_E=modulus)
+    with pytest.raises(ConvergenceError, match="bisection floor"):
+        solve_guided_sweep(model, 1.5)
+
+
 # ---------------------------------------------------------------------------
 # curve packaging and closed-form comparison
 # ---------------------------------------------------------------------------

@@ -330,11 +330,12 @@ def test_grid_passes_each_shape_once(block, expected, monkeypatch):
     assert rows == expected
 
 
-def test_grid_checks_the_forces_once_per_block(monkeypatch):
-    # 27 shapes make blocks of 16 and 11 shapes
-    checks = count_force_checks(monkeypatch, search)
+def test_grid_checks_the_forces_once_per_shape(monkeypatch):
+    # each of the 27 shapes checks the forces of its 3 widths in one _force
+    # call, never one per sample
+    checks = count_force_checks(monkeypatch)
     grid_search(make_spec(), DENSITY)
-    assert len(checks) == 2
+    assert len(checks) == 27
 
 
 @pytest.mark.filterwarnings("error")
@@ -373,6 +374,20 @@ def test_forces_that_underflow_are_refused_and_tiny_ones_run():
         spec, VBeamGeometry(40.0, 1.2, np.float64(5.0), 0.12), 12)
     best = refine(spec, start, 20)
     assert 0.0 < best.peak_force < 1e-300 and best.exhausted
+
+
+@pytest.mark.parametrize("force", [0.0, -0.0, -1e-320, -0.39])
+def test_a_peak_force_at_or_below_zero_is_refused_by_its_sign(force):
+    # rounding keeps a force's sign: a negative peak is a real one, and
+    # used to be reported as an underflow; 0 and -0 are the underflow's
+    if force < 0.0:
+        with pytest.raises(ValidationError, match=f"negative at every "
+                           f"sampled travel \\(peak {force:.6g} N\\)"):
+            search._positive_force(force)
+    else:
+        with pytest.raises(ValidationError, match="force underflows"):
+            search._positive_force(force)
+    assert search._positive_force(5e-324) == 5e-324
 
 
 def test_grid_checks_each_geometry_once(monkeypatch):
