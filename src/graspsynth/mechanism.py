@@ -32,7 +32,13 @@ LATCH_RAMP_SPAN = 0.05
 
 @dataclass(frozen=True)
 class CantileverSection:
-    """Rectangular jaw cross-section and cantilever length."""
+    """Rectangular jaw cross-section and cantilever length.
+
+    grasper_sweep's b h^3 / 12 and jaw_length^3 must be finite; h^2 and
+    b h^2 then are too.  Python's float ** raises where * gives inf, so
+    each power is taken as the sweep takes it, in Python floats, and one
+    that overflows is refused.
+    """
 
     out_of_plane_b: float
     in_plane_h: float
@@ -41,6 +47,16 @@ class CantileverSection:
     def __post_init__(self):
         for name in ("out_of_plane_b", "in_plane_h", "jaw_length"):
             check_positive(name, getattr(self, name))
+        b, h, length = map(float, (self.out_of_plane_b, self.in_plane_h,
+                                   self.jaw_length))
+        try:
+            finite = (math.isfinite(b * h ** 3 / 12.0)
+                      and math.isfinite(length ** 3))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValidationError(
+                "the jaw section's b h^3 / 12 and jaw_length^3 must be finite")
 
 
 class LatchPhase(Enum):

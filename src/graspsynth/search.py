@@ -24,13 +24,12 @@ geometry: one record (_records), from its shape's rows at its own load
 scale.  Per point: the ring peak, the objective and the ranking key.  No
 row or record is kept between calls.  So the screen (_screen) takes shapes
 and widths, a shape fixes the peak force per mm of width, c, the ring peak
-of n beams at width W is n W c / 2, and refine searches shapes alone,
-solving each one's W and n.
+of n beams at width W is halved_ring_force(W c, n), and refine searches
+shapes alone, solving each one's W and n by inverting that convention.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import product
@@ -225,10 +224,10 @@ def _records(spec: DesignSpec, rows: _ShapeRows,
     forces = _force(np.array(loads)[:, None], f_o, p_o, cos, sin)
     records = []
     for g, load, force in zip(geoms, loads, forces.max(axis=1).tolist()):
+        force = _positive_force(force)
         moment = peak * load * g.length_L / 2.0
         stress = float(6.0 * moment / (g.width_W * g.thickness_T ** 2))
-        records.append((g, _positive_force(force),
-                        _violations(spec, g, stress)))
+        records.append((g, force, _violations(spec, g, stress)))
     return records
 
 
@@ -368,19 +367,18 @@ def refine(spec: DesignSpec, start: Candidate,
 
     The start's shape is scored first, then the best point's shape
     (L, T, theta) is polled one coordinate at a time, -/+ its step, with
-    step halving on a failed full sweep.  A poll outside the bounds is
-    skipped; each scored shape counts once against max_evals, and one
-    polled again reuses its score.  A shape's one kernel pass gives its
-    record at the start's width, whose peak force per mm of width is c, and
-    n beams meet the target at W*(n) = 2 target / (n c), clamped to the
-    width bounds; no clamp binds for n in [2 target / (W_hi c), 2 target /
-    (W_lo c)].  The floor and ceiling of each end, clipped to the n_beams
-    bounds, are scored at W* from the shape's rows with no further pass,
-    and the best by sort_key is the shape's candidate.  refine returns once a
-    shape is feasible at an unclamped W*, where the target is met to
-    rounding.  The start must lie inside the bounds.  Exhausting max_evals
-    returns the best point so far flagged as exhausted; a max_evals that
-    is not an integer of at least 0 is refused.
+    step halving on a failed full sweep; a poll outside the bounds is
+    skipped.  Each poll scored is one evaluation against max_evals and one
+    kernel pass, at the start's width; nothing is kept between polls.  The
+    pass's peak force per mm of width, c, gives the width at which n beams
+    meet the target, W*(n) = target / halved_ring_force(c, n), clamped to
+    the width bounds.  The floor and ceiling of each end of the unclamped
+    range, target / halved_ring_force(W c, 1) at W_hi and at W_lo, clipped
+    to the n_beams bounds, are scored at W* from the pass's rows; the best
+    by sort_key is the shape's candidate.  refine returns once a shape is
+    feasible at an unclamped W*, where the target is met to rounding, and
+    flags the best so far exhausted when max_evals runs out.  The start
+    must lie inside the bounds, and max_evals be an integer of at least 0.
     """
     check_count("max_evals", max_evals, 0)
     _require_in_bounds(spec, start.point)
@@ -389,30 +387,28 @@ def refine(spec: DesignSpec, start: Candidate,
     n_lo, n_hi = spec.bounds["n_beams"]
     n_lo, n_hi = math.ceil(n_lo), math.floor(n_hi)
 
-    @functools.cache
+    def over(force):
+        """target / force: inf where it overflows or force is 0."""
+        return target / force if force else math.inf
+
     def score(shape):
         """The shape's best candidate; is it feasible at an unclamped W*?"""
         L, T, theta = shape
         geom = VBeamGeometry(L, T, width, theta)
         [rows] = _shape_rows(spec, [geom])
-        # c from the start width's record, in Python floats: a c too small
-        # for 2 target / (W c) gives inf, which the clamps map
-        [record] = _records(spec, rows, [geom])
-        c = record[1] / float(width)
+        # c from the start width's record, in Python floats
+        c = _records(spec, rows, [geom])[0][1] / float(width)
         _positive_force(W_lo * c)
         # below the range W* clamps to W_hi and the ring peak rises with n,
         # above it W* clamps to W_lo: the nearest count on each side is best
-        ends = (min(max(2.0 * target / (W * c), n_lo), n_hi)
+        ends = (min(max(over(halved_ring_force(W * c, 1)), n_lo), n_hi)
                 for W in (W_hi, W_lo))
         counts = sorted({f(n) for n in ends for f in (math.floor, math.ceil)})
-        widths = [2.0 * target / (n * c) for n in counts]
-        clamped = [min(max(W, W_lo), W_hi) for W in widths]
-        new = [W for W in dict.fromkeys(clamped) if W != width]
-        records = dict(zip(new, _records(
-            spec, rows, [VBeamGeometry(L, T, W, theta) for W in new])))
-        records[width] = record
-        cands = [_candidate(spec, records[W], n)
-                 for W, n in zip(clamped, counts)]
+        widths = [over(halved_ring_force(c, n)) for n in counts]
+        geoms = [VBeamGeometry(L, T, min(max(W, W_lo), W_hi), theta)
+                 for W in widths]
+        cands = [_candidate(spec, r, n)
+                 for r, n in zip(_records(spec, rows, geoms), counts)]
         exact = any(cand.feasible and W_lo <= W <= W_hi
                     for cand, W in zip(cands, widths))
         return min(cands, key=Candidate.sort_key), exact
@@ -447,8 +443,7 @@ def refine(spec: DesignSpec, start: Candidate,
         if evals == max_evals:
             return replace(best, exhausted=True)
         cand, exact = score(trial)
-        if cand.sort_key() < best.sort_key():
-            best = cand
+        best = min(best, cand, key=Candidate.sort_key)
         if exact:
             return best
     return best

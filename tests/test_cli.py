@@ -4,9 +4,12 @@ import argparse
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graspsynth import (ConfigError, cli, mechanism, parse_config,
                         serialize_config)
@@ -15,6 +18,8 @@ from graspsynth.cli import run_command
 from graspsynth.fe.solver import PATH_CSV_HEADER
 from graspsynth.search import (CANDIDATES_CSV_HEADER, GRID_CAP, grid_search,
                                refine, write_candidates_csv)
+
+import hostile_configs
 
 REPO = Path(__file__).resolve().parents[1]
 TABLE1_JSON = REPO / "demos" / "table1.json"
@@ -394,6 +399,58 @@ def test_extreme_values_are_refused_without_warnings(command, changes, named,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key", ["in_plane_h", "jaw_length"])
+@pytest.mark.parametrize("command", ["grasper", "report"])
+def test_jaw_section_whose_cube_overflows_is_refused_at_parse(
+        command, key, tmp_path, capsys):
+    # h ** 3 and jaw_length ** 3 raised OverflowError in grasper_sweep,
+    # which ended grasper and report in a traceback
+    doc = changed_table1({f"mechanism.jaw_section.{key}": 1e103})
+    cfg, out = tmp_path / "jaw.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    assert run_command([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert ("invariant violation: the jaw section's b h^3 / 12 and "
+            "jaw_length^3 must be finite") in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("low", [1e-320, 5e-324])
+def test_design_bound_whose_force_underflows_is_refused_without_warning(
+        low, tmp_path, capsys):
+    # the stress divided 0 by 0, with a RuntimeWarning, before the force
+    # that underflowed was refused
+    doc = changed_table1({"design.bounds.thickness_T": [low, 1.4]})
+    cfg, out = tmp_path / "thin.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    rc = run_command(["design", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert "the force underflows at the load scale" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+HOSTILE_BASE = hostile_configs.base_config()
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.sampled_from(hostile_configs.changes(HOSTILE_BASE)),
+       st.sampled_from(hostile_configs.COMMANDS))
+@example(change=(("mechanism", "jaw_section", "in_plane_h"), 1e307),
+         command="grasper")
+@example(change=(("mechanism", "jaw_section", "jaw_length"), 1e308),
+         command="report")
+@example(change=(("design", "bounds", "thickness_T", 0), 1e-320),
+         command="design")
+def test_one_hostile_leaf_never_reaches_a_traceback(change, command):
+    # a reduced table1 with one leaf set to a hostile value exits 0, 2 or
+    # 3, lets no exception or RuntimeWarning escape, and leaves no CSV on
+    # exit 2; tests/hostile_configs.py runs every such change
+    doc = hostile_configs.changed(HOSTILE_BASE, *change)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert hostile_configs.bad_run(Path(tmp), doc, command) is None
+
+
 SHORT_BEAM = {"beam.length_L": 2, "sweep.travel_max": 1.5}
 
 
@@ -457,8 +514,8 @@ def test_beam_load_scale_that_underflows_is_refused_at_parse(
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("modulus", [1e-304, 1e-310])
 def test_design_whose_exact_widths_overflow_runs(modulus, tmp_path):
-    # refine's 2 target / (W c) overflows at these moduli: it used to stop
-    # design with an "overflow in scalar divide" warning, and is now inf,
+    # refine's W* quotients overflow at these moduli: they used to stop
+    # design with an "overflow in scalar divide" warning, and are now inf,
     # which clamps to the upper width bound
     doc = changed_table1({"material.youngs_modulus_E": modulus})
     cfg, out = tmp_path / "tiny.json", tmp_path / "out"

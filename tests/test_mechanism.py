@@ -69,6 +69,25 @@ def test_section_refuses_non_finite_values(field, value):
         CantileverSection(**{**dims, field: value})
 
 
+@pytest.mark.parametrize("dims", [
+    (3.0, 1e103, 45.0), (3.0, 1.5, 1e103), (3.0, 5e102, 45.0),
+    (1e308, 1.5, 45.0), (1e-10, 1e103, 45.0)],
+    ids=["h", "jaw_length", "b_h3", "b", "small_b_h"])
+def test_section_whose_powers_overflow_is_refused(dims):
+    # grasper_sweep's h ** 3 and jaw_length ** 3 raised OverflowError, and
+    # b h^3 / 12 was inf; with b first, b h h h stays finite at b 1e-10,
+    # h 1e103, where h ** 3 raises
+    with pytest.raises(ValidationError, match="must be finite"):
+        CantileverSection(*dims)
+
+
+def test_section_just_inside_the_overflow_runs():
+    # a jaw length of 5e102 has a finite cube, and the sweep runs
+    config = make_config(jaw_section=CantileverSection(3.0, 1.5, 5e102))
+    sweep = grasper_sweep(config, [0.0, 4.0, 8.0])
+    assert np.isfinite(sweep.stress).all()
+
+
 # ---------------------------------------------------------------------------
 # force aggregation
 # ---------------------------------------------------------------------------

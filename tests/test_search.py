@@ -1,6 +1,7 @@
 """Tests for the derivative-free design search."""
 
 import math
+import re
 from dataclasses import astuple
 from itertools import product
 from pathlib import Path
@@ -366,7 +367,7 @@ def test_forces_that_underflow_are_refused_and_tiny_ones_run():
                     lambda: refine(spec, start, 20)):
         with pytest.raises(ValidationError, match="force underflows"):
             search_()
-    # at E 1e-310 every force is positive and 2 target / (W c) overflows
+    # at E 1e-310 every force is positive and the W* quotients overflow
     # to inf, which the width clamp maps to the upper bound; a grid start's
     # width is a numpy float, whose division warned
     spec = make_spec(material=MaterialModel(1e-310))
@@ -374,6 +375,26 @@ def test_forces_that_underflow_are_refused_and_tiny_ones_run():
         spec, VBeamGeometry(40.0, 1.2, np.float64(5.0), 0.12), 12)
     best = refine(spec, start, 20)
     assert 0.0 < best.peak_force < 1e-300 and best.exhausted
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_ring_force_per_mm_that_halves_to_zero_clamps_to_the_upper_width(
+        monkeypatch):
+    # at E 7.5e-321 some shapes' c is 5e-324, whose halved ring force is 0:
+    # W* is then inf, not a ZeroDivisionError, and clamps to the upper
+    # width bound, as the quotient that overflowed did
+    zeros, halve = [], search.halved_ring_force
+
+    def watched(force, n_beams):
+        zeros.append(halve(force, n_beams) == 0.0)
+        return halve(force, n_beams)
+
+    monkeypatch.setattr(search, "halved_ring_force", watched)
+    spec = make_spec(material=MaterialModel(7.5e-321))
+    start = evaluate_candidate(spec, TABLE1, 12)
+    best = refine(spec, start, 5)
+    assert any(zeros) and best.exhausted
+    assert best.geometry.width_W == 6.0 and 0.0 < best.peak_force < 1e-320
 
 
 @pytest.mark.parametrize("force", [0.0, -0.0, -1e-320, -0.39])
@@ -801,8 +822,8 @@ def test_refine_screens_each_geometry_once(budget, monkeypatch):
 
 
 def test_refine_passes_each_shape_once(monkeypatch):
-    # within one call no shape goes through the kernel twice, and the
-    # records at a shape's exact widths make no kernel pass
+    # the walk polls no shape twice, so no shape goes through the kernel
+    # twice, and the records at a shape's exact widths make no kernel pass
     spec = walk_spec()
     start = evaluate_candidate(spec, WALK_START, 12)
     expected, _ = reference_refine(spec, start, 100)
@@ -828,21 +849,46 @@ def test_refine_passes_each_shape_once(monkeypatch):
 
 
 @pytest.mark.parametrize("budget", [5, 100])
-def test_refine_builds_each_geometry_once(budget, monkeypatch):
-    # a shape is built at the start's width and at each exact width once
+def test_refine_poll_builds_its_start_and_one_geometry_per_count(
+        budget, monkeypatch):
+    # a poll builds its shape at the start's width, passes it through the
+    # kernel, then builds one geometry per beam count it scores, at the
+    # count's clamped W*; nothing is kept from one poll to the next
     spec = walk_spec()
     start = evaluate_candidate(spec, WALK_START, 12)
     expected, visited = reference_refine(spec, start, budget)
-    build, built = search.VBeamGeometry, []
+    build, candidate, kernel = (search.VBeamGeometry, search._candidate,
+                                search._kernel_pass)
+    events = []
 
-    def counted(*dims):
-        built.append(dims)
+    def built(*dims):
+        events.append(("b", dims))
         return build(*dims)
 
-    monkeypatch.setattr(search, "VBeamGeometry", counted)
+    def scored(spec_, record, n_beams):
+        events.append(("c", astuple(record[0])))
+        return candidate(spec_, record, n_beams)
+
+    def passed(geoms, dys):
+        events.append(("p", None))
+        return kernel(geoms, dys)
+
+    monkeypatch.setattr(search, "VBeamGeometry", built)
+    monkeypatch.setattr(search, "_candidate", scored)
+    monkeypatch.setattr(search, "_kernel_pass", passed)
     assert refine(spec, start, max_evals=budget) == expected
-    assert len(built) == len(set(built))
-    assert set(visited) <= {(d[0], d[1], d[3]) for d in built}
+    kinds = "".join(kind for kind, _ in events)
+    polls = list(re.finditer("bp(b+)(c+)", kinds))
+    assert "".join(m.group() for m in polls) == kinds
+    assert len(polls) == len(visited) == min(budget, 8)
+    for m, polled in zip(polls, visited):
+        dims = [d for _, d in events[m.start():m.end()]]
+        L, T, W, theta = dims[0]
+        assert (L, T, theta) == polled and W == start.geometry.width_W
+        widths = dims[2:m.end(1) - m.start()]
+        assert len(widths) == m.end(2) - m.start(2) <= 4
+        assert dims[m.end(1) - m.start():] == widths
+        assert all((d[0], d[1], d[3]) == polled for d in widths)
 
 
 def test_refine_raises_where_the_reference_search_raises():
@@ -960,20 +1006,64 @@ def test_screen_on_repeated_dims_makes_one_pass(monkeypatch):
 
 
 def test_refine_checks_each_geometry_once_for_bistability(monkeypatch):
-    # the beam counts of a width share its violations, and a geometry is
-    # not checked again when a shape is scored twice
+    # a poll checks each geometry it builds once, in build order: its
+    # shape at the start's width, then one geometry per beam count; a
+    # shape polled again is checked again, since nothing is kept
     spec = walk_spec(require_non_bistable_at_travel=True)
     start = evaluate_candidate(spec, WALK_START, 12)
-    expected, _ = reference_refine(spec, start, 120)
+    expected, visited = reference_refine(spec, start, 120)
+    build, built = search.VBeamGeometry, []
     margin, checked = search.bistability_margin, []
+
+    def counted_build(*dims):
+        built.append(build(*dims))
+        return built[-1]
 
     def counted(geom, delta_y):
         checked.append(geom)
         return margin(geom, delta_y)
 
+    monkeypatch.setattr(search, "VBeamGeometry", counted_build)
     monkeypatch.setattr(search, "bistability_margin", counted)
     assert refine(spec, start, max_evals=120) == expected
-    assert checked and len(checked) == len(set(checked))
+    assert checked and [id(g) for g in checked] == [id(g) for g in built]
+    assert len(visited) > len(set(visited))
+
+
+@pytest.mark.parametrize("flag,budget,polls", [(False, 100, 8),
+                                               (True, 60, 60),
+                                               (True, 120, 89)])
+def test_refine_makes_one_kernel_pass_per_poll(flag, budget, polls,
+                                               monkeypatch):
+    # each poll scored is one kernel pass, a shape polled again included:
+    # the flagged walk polls 79 shapes 89 times before its steps converge,
+    # and a run that uses its whole budget makes max_evals passes
+    spec = walk_spec(require_non_bistable_at_travel=flag)
+    start = evaluate_candidate(spec, WALK_START, 12)
+    expected, visited = reference_refine(spec, start, budget)
+    kernel, passes = search._kernel_pass, []
+
+    def counted(geoms, dys):
+        passes.append(len(geoms))
+        return kernel(geoms, dys)
+
+    monkeypatch.setattr(search, "_kernel_pass", counted)
+    out = refine(spec, start, max_evals=budget)
+    assert out == expected and out.exhausted == (polls == budget)
+    assert passes == [1] * len(visited) and len(visited) == polls
+
+
+def test_refine_follows_the_ring_convention(monkeypatch):
+    # W* and the beam-count range invert mechanism.halved_ring_force, so a
+    # changed convention still meets the target; a restated 2 target /
+    # (n c) missed it by 4e-4 on table1
+    monkeypatch.setattr(search, "halved_ring_force",
+                        lambda force, n_beams: force / 3.0 * n_beams)
+    design = parse_config((DEMOS / "table1.json").read_text()).design
+    start = grid_search(design.spec, design.grid_density)[0]
+    out = refine(design.spec, start, design.refine_max_evals)
+    assert out.feasible and not out.exhausted
+    assert out.objective <= 1e-15 < start.objective
 
 
 @settings(derandomize=True, deadline=None, max_examples=10)
