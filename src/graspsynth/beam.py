@@ -553,24 +553,22 @@ def _slope_rows(geoms: Sequence[VBeamGeometry], mat: MaterialModel,
     The force expression is linear in (f_o, p_o), so _force of their
     derivatives is the slope.
     """
-    cols, _, p_o, bistable = _kernel_pass(geoms, dys)
+    cols, _, p, bistable = _kernel_pass(geoms, dys)
     x_s, y_s = -2.0 * cols.sin / cols.L, -2.0 * cols.cos / cols.L
-    g, j = np.nonzero(~bistable)
     h = 2.0 ** -100  # scales exactly; its O(h^2) error is nil in doubles
-    s = dys[j] + 1j * h
-    y_o = s * y_s[g, 0]
-    k1, k2, k3, k4 = _k_coefficients(
-        [c[g, 0] for c in (cols.k1_t, cols.k2_t, cols.k3_t)], s * x_s[g, 0],
-        y_o)
-    p = p_o[g, j]
-    dp_ds = (-(((k1 * p + k2) * p + k3) * p + k4).imag / h
-             / ((3.0 * k1.real * p + 2.0 * k2.real) * p + k3.real))
-
-    df_o = np.broadcast_to(BISTABLE_FO_SLOPE * y_s, bistable.shape).copy()
-    df_o[g, j] = _rational_fo(y_o, p + 1j * h * dp_ds).imag / h
-    dp_o = np.zeros(bistable.shape)
-    dp_o[g, j] = dp_ds
-    return _force(_load_column(geoms, mat), df_o, dp_o, cols.cos, cols.sin)
+    s = dys + 1j * h
+    y_o = s * y_s
+    # every sample is differentiated and np.where keeps the monostable
+    # ones; a bistable sample's cubic terms may divide by 0 or overflow
+    with np.errstate(all="ignore"):
+        k1, k2, k3, k4 = _k_coefficients((cols.k1_t, cols.k2_t, cols.k3_t),
+                                         s * x_s, y_o)
+        dp_ds = (-(((k1 * p + k2) * p + k3) * p + k4).imag / h
+                 / ((3.0 * k1.real * p + 2.0 * k2.real) * p + k3.real))
+        df_o = np.where(bistable, BISTABLE_FO_SLOPE * y_s,
+                        _rational_fo(y_o, p + 1j * h * dp_ds).imag / h)
+    return _force(_load_column(geoms, mat), df_o,
+                  np.where(bistable, 0.0, dp_ds), cols.cos, cols.sin)
 
 
 def branch_loads(geom: VBeamGeometry, delta_y: float) -> BeamLoadState:

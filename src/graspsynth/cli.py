@@ -109,7 +109,8 @@ def _cmd_design(args, config: RunConfig, out: Path) -> int:
     best = refine(config.design.spec, ranked[0],
                   config.design.refine_max_evals)
     # one row per design point: the refined candidate replaces its twin
-    ranked = [c for c in ranked if c.point != best.point]
+    point = best.point
+    ranked = [c for c in ranked if c.point != point]
     bisect.insort(ranked, best, key=Candidate.sort_key)
     dest = out / "design_candidates.csv"
     write_candidates_csv(ranked, dest)

@@ -24,7 +24,7 @@ geometry: one record (_records), from its shape's rows at its own load
 scale.  Per point: the ring peak, the objective and the ranking key.  No
 row or record is kept between calls.  So the screen (_screen) takes shapes
 and widths, a shape fixes the peak force per mm of width, c, the ring peak
-of n beams at width W is halved_ring_force(W c, n), and refine searches
+of n beams at width W is halved_ring_force(W c, n), and refine polls
 shapes alone, solving each one's W and n by inverting that convention.
 """
 
@@ -362,23 +362,24 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
 
 def refine(spec: DesignSpec, start: Candidate,
            max_evals: int = DEFAULT_REFINE_EVALS) -> Candidate:
-    """Pattern search over beam shapes around a candidate; never returns a
-    worse one.
+    """Complete pattern search over beam shapes around a candidate; never
+    returns a worse one.
 
-    The start's shape is scored first, then the best point's shape
-    (L, T, theta) is polled one coordinate at a time, -/+ its step, with
-    step halving on a failed full sweep; a poll outside the bounds is
-    skipped.  Each poll scored is one evaluation against max_evals and one
-    kernel pass, at the start's width; nothing is kept between polls.  The
-    pass's peak force per mm of width, c, gives the width at which n beams
-    meet the target, W*(n) = target / halved_ring_force(c, n), clamped to
-    the width bounds.  The floor and ceiling of each end of the unclamped
-    range, target / halved_ring_force(W c, 1) at W_hi and at W_lo, clipped
-    to the n_beams bounds, are scored at W* from the pass's rows; the best
-    by sort_key is the shape's candidate.  refine returns once a shape is
-    feasible at an unclamped W*, where the target is met to rounding, and
-    flags the best so far exhausted when max_evals runs out.  The start
-    must lie inside the bounds, and max_evals be an integer of at least 0.
+    The start's shape (L, T, theta) is scored first.  Each iteration then
+    scores the in-bounds polls of the best point's shape, each coordinate
+    -/+ its step (at most 6 shapes), from one kernel pass at the start's
+    width, and moves to the best by sort_key or halves the steps.  Each
+    shape scored is one evaluation against max_evals; a poll set the budget
+    cuts is scored in poll order up to it, and the best so far is flagged
+    exhausted.  A shape's peak force per mm of width, c, gives the width
+    at which n beams meet the target, W*(n) = target / halved_ring_force(c,
+    n), clamped to the width bounds.  The floor and ceiling of each end of
+    the unclamped range, target / halved_ring_force(W c, 1) at W_hi and at
+    W_lo, clipped to the n_beams bounds, are scored at W* from the shape's
+    rows; the best by sort_key is the shape's candidate.  refine returns
+    once a shape is feasible at an unclamped W*, where the target is met
+    to rounding.  The start must lie inside the bounds, and max_evals be
+    an integer of at least 0.
     """
     check_count("max_evals", max_evals, 0)
     _require_in_bounds(spec, start.point)
@@ -391,11 +392,10 @@ def refine(spec: DesignSpec, start: Candidate,
         """target / force: inf where it overflows or force is 0."""
         return target / force if force else math.inf
 
-    def score(shape):
-        """The shape's best candidate; is it feasible at an unclamped W*?"""
-        L, T, theta = shape
-        geom = VBeamGeometry(L, T, width, theta)
-        [rows] = _shape_rows(spec, [geom])
+    def score(geom, rows):
+        """The best candidate of geom's shape, from its rows; is it
+        feasible at an unclamped W*?"""
+        L, T, theta = geom.length_L, geom.thickness_T, geom.tilt_theta
         # c from the start width's record, in Python floats
         c = _records(spec, rows, [geom])[0][1] / float(width)
         _positive_force(W_lo * c)
@@ -413,46 +413,44 @@ def refine(spec: DesignSpec, start: Candidate,
                     for cand, W in zip(cands, widths))
         return min(cands, key=Candidate.sort_key), exact
 
-    def shape(cand):
-        L, T, _, theta, _ = cand.point
-        return L, T, theta
-
-    def polls():
-        """The shapes to score, around the best point as refine moves it;
-        a poll moves one coordinate of an in-bounds center, so only that
-        coordinate is checked."""
-        yield shape(best)
-        names = ("length_L", "thickness_T", "tilt_theta")
-        spans = [spec.bounds[name][1] - spec.bounds[name][0] for name in names]
-        steps = [span / 8.0 for span in spans]
-        min_steps = [max(span * 1e-4, 1e-12) for span in spans]
-        while True:
-            before = best
-            for i, step in enumerate(steps):
-                center = shape(best)
-                for v in (center[i] - step, center[i] + step) if step else ():
-                    if _in_bounds(spec, names[i], v):
-                        yield (*center[:i], v, *center[i + 1:])
-            if best is before:
-                steps = [step / 2.0 for step in steps]
-                if all(step < low for step, low in zip(steps, min_steps)):
-                    return
-
-    best = start
-    for evals, trial in enumerate(polls()):
-        if evals == max_evals:
-            return replace(best, exhausted=True)
-        cand, exact = score(trial)
-        best = min(best, cand, key=Candidate.sort_key)
-        if exact:
+    names = ("length_L", "thickness_T", "tilt_theta")
+    spans = [spec.bounds[name][1] - spec.bounds[name][0] for name in names]
+    steps = [span / 8.0 for span in spans]
+    min_steps = [max(span * 1e-4, 1e-12) for span in spans]
+    g, best, evals, center = start.geometry, start, 0, None
+    polls = [(g.length_L, g.thickness_T, g.tilt_theta)]
+    while True:
+        cut = polls[:max_evals - evals]
+        evals += len(cut)
+        geoms = [VBeamGeometry(L, T, width, theta) for L, T, theta in cut]
+        rows = _shape_rows(spec, geoms) if geoms else []
+        scored = list(map(score, geoms, rows))
+        before, best = best, min([best, *(cand for cand, _ in scored)],
+                                 key=Candidate.sort_key)
+        if any(exact for _, exact in scored):
             return best
-    return best
+        if len(cut) < len(polls):
+            return replace(best, exhausted=True)
+        # the start's set is no sweep: only a sweep that fails halves
+        if center and best is before:
+            steps = [step / 2.0 for step in steps]
+            if all(step < low for step, low in zip(steps, min_steps)):
+                return best
+        # a poll moves one coordinate of an in-bounds center, so only that
+        # coordinate is checked
+        g = best.geometry
+        center = (g.length_L, g.thickness_T, g.tilt_theta)
+        polls = [(*center[:i], v, *center[i + 1:])
+                 for i, step in enumerate(steps) if step
+                 for v in (center[i] - step, center[i] + step)
+                 if _in_bounds(spec, names[i], v)]
 
 
 def write_candidates_csv(candidates: Sequence[Candidate], destination) -> None:
     """Ranked CSV dump with the documented header."""
     write_csv(destination, CANDIDATES_CSV_HEADER, (
-        (rank, *c.point[:3], math.degrees(c.point[3]), c.n_beams,
-         c.peak_force, c.objective,
+        (rank, L, T, W, math.degrees(theta), n_beams, c.peak_force,
+         c.objective,
          ";".join(f"{name}={NUMBER % mag}" for name, mag in c.violations))
-        for rank, c in enumerate(candidates, start=1)))
+        for rank, c in enumerate(candidates, start=1)
+        for L, T, W, theta, n_beams in [c.point]))

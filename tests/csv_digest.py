@@ -25,7 +25,8 @@ chunk format, give the digests of:
   ``require_non_bistable_at_travel`` set to true, which no bench input sets;
   a line after it gives the load-kernel passes (``search._kernel_pass``
   calls) that the grid and ``refine`` make in the ``design`` runs without
-  and with that flag;
+  and with that flag, and the median of ``refine``'s own passes per
+  ``design`` run;
 - ``verify`` on every verify input: its exit code and the bytes of
   ``verify_report.csv`` and ``fe_path.csv``, the CSVs that ``force_curve``
   and ``fe.sweep_to_curve`` reach.  This runs the frame solver once per
@@ -42,6 +43,7 @@ import contextlib
 import hashlib
 import io
 import json
+import statistics
 import struct
 import sys
 import tempfile
@@ -52,8 +54,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import workloads  # noqa: E402
 
-from graspsynth import search  # noqa: E402
-from graspsynth.cli import run_command  # noqa: E402
+from graspsynth import cli, search  # noqa: E402
 
 SEEDS = (301, 302, 303)
 
@@ -80,7 +81,7 @@ def _chunks(root: Path, name: str, config: dict, command: str, extra,
         path.write_text(json.dumps(config), encoding="utf-8")
     out = root / f"out_{sum(codes.values()):04d}_{name}"
     with contextlib.redirect_stderr(io.StringIO()):
-        code = run_command([command, "--config", str(path), "--out",
+        code = cli.run_command([command, "--config", str(path), "--out",
                             str(out), "--quiet", *extra])
     codes[code] = codes.get(code, 0) + 1
     chunks = [struct.pack("<i", code)]
@@ -93,22 +94,30 @@ def _exits(codes: dict) -> str:
     return ", ".join(f"exit {c}: {n}" for c, n in sorted(codes.items()))
 
 
-def _count_passes() -> list:
-    """Count every search._kernel_pass call from now on in the list's one
-    entry; only ``design`` reaches it, through the grid and ``refine``."""
-    kernel, calls = search._kernel_pass, [0]
+def _count_passes():
+    """Count every search._kernel_pass call from now on in the first list's
+    one entry, and append the passes of each ``refine`` the CLI runs to the
+    second; only ``design`` reaches them, through the grid and ``refine``."""
+    kernel, refine, calls, refines = search._kernel_pass, cli.refine, [0], []
 
     def counted(*args):
         calls[0] += 1
         return kernel(*args)
 
-    search._kernel_pass = counted
-    return calls
+    def refined(*args):
+        first = calls[0]
+        out = refine(*args)
+        refines.append(calls[0] - first)
+        return out
+
+    search._kernel_pass, cli.refine = counted, refined
+    return calls, refines
 
 
 def main(seeds) -> None:
     digest, flagged, oracle = (hashlib.sha256() for _ in range(3))
-    calls, passes = _count_passes(), {"design": 0, "flagged": 0}
+    (calls, refines), passes = _count_passes(), {"design": 0, "flagged": 0}
+    refined = {"design": [], "flagged": []}
     by_command, per_command = {}, {}
     n_outputs = n_files = 0
     codes, flagged_codes, oracle_codes = {}, {}, {}
@@ -126,7 +135,9 @@ def main(seeds) -> None:
                     own.update(chunk)
                 n_outputs += 1
             passes["design"] += calls[0]
+            refined["design"] += refines
             calls[0] = 0
+            refines.clear()
             for inp in workloads.generate("design", seed):
                 config = {**inp.config, "design": {
                     **inp.config["design"],
@@ -135,7 +146,9 @@ def main(seeds) -> None:
                                      config, "design", [], flagged_codes):
                     flagged.update(chunk)
             passes["flagged"] += calls[0]
+            refined["flagged"] += refines
             calls[0] = 0
+            refines.clear()
             for inp in workloads.generate("verify", seed):
                 for chunk in _chunks(root, f"oracle_{seed}_{inp.index:03d}",
                                      inp.config, "verify", [], oracle_codes):
@@ -149,7 +162,9 @@ def main(seeds) -> None:
           f"({_exits(flagged_codes)}), outside the total")
     print(f"{passes['design']} and {passes['flagged']} grid + refine kernel "
           f"passes in the design outputs without and with "
-          f"require_non_bistable_at_travel")
+          f"require_non_bistable_at_travel; refine's median per output "
+          f"{statistics.median(refined['design']):g} and "
+          f"{statistics.median(refined['flagged']):g}")
     print(f"{oracle.hexdigest()}  {sum(oracle_codes.values())} verify "
           f"outputs ({_exits(oracle_codes)}), outside the total")
 

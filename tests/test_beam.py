@@ -490,6 +490,8 @@ def test_slope_on_each_side_of_the_crossover_is_its_branch_slope():
     load = 4.0 * MAT.youngs_modulus_E * GEOM.second_moment / L ** 2
     assert slope(GEOM, above) == pytest.approx(
         -load * math.cos(th) * -4.8618 * -2.0 * math.cos(th) / L, rel=1e-14)
+    # far out, where the cubic's terms overflow, a bistable sample keeps it
+    assert slope(GEOM, 1e300) == slope(GEOM, above)
     # monostable: the one-sided difference that stays on its branch
     h = 1e-6
     left = (actuation_force(GEOM, MAT, below)

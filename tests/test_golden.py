@@ -53,7 +53,7 @@ def test_csv_bytes_match_golden(demo, command, name, tmp_path):
 # not the grid, decides in six searches instead of one
 REFINED_GOLDEN = {
     (12, False):
-        "97987830dc3ab69e85e9aba70a63a948dc9932380448d68c454cf238f2844172",
+        "b0e7f85fcd7fa2309a4c5e63c1dc8b1f1df06c7ae4c85278522b078df091ba98",
     (20, False):
         "ad664b46bae9e740c45f591f2447ceaf2a8e7ac881869343c86cb5b3df81a343",
     (28, False):

@@ -382,7 +382,9 @@ def test_a_ring_force_per_mm_that_halves_to_zero_clamps_to_the_upper_width(
         monkeypatch):
     # at E 7.5e-321 some shapes' c is 5e-324, whose halved ring force is 0:
     # W* is then inf, not a ZeroDivisionError, and clamps to the upper
-    # width bound, as the quotient that overflowed did
+    # width bound, as the quotient that overflowed did.  A budget of 3
+    # scores the start and the first two polls of its set; at 5 the set
+    # holds a thinner shape whose force underflows, which refuses the set
     zeros, halve = [], search.halved_ring_force
 
     def watched(force, n_beams):
@@ -392,9 +394,11 @@ def test_a_ring_force_per_mm_that_halves_to_zero_clamps_to_the_upper_width(
     monkeypatch.setattr(search, "halved_ring_force", watched)
     spec = make_spec(material=MaterialModel(7.5e-321))
     start = evaluate_candidate(spec, TABLE1, 12)
-    best = refine(spec, start, 5)
+    best = refine(spec, start, 3)
     assert any(zeros) and best.exhausted
     assert best.geometry.width_W == 6.0 and 0.0 < best.peak_force < 1e-320
+    with pytest.raises(ValidationError, match="force underflows"):
+        refine(spec, start, 5)
 
 
 @pytest.mark.parametrize("force", [0.0, -0.0, -1e-320, -0.39])
@@ -624,8 +628,9 @@ WALK_START = VBeamGeometry.from_degrees(40, 1.2, 5, 7)
 
 
 def walk_spec(**overrides):
-    """A spec whose narrow width bounds make refine walk from WALK_START:
-    it scores 8 shapes before one meets the target at an unclamped width."""
+    """A spec whose narrow width bounds make refine search from WALK_START:
+    it scores 13 shapes, in three poll sets, before one meets the target
+    at an unclamped width."""
     return make_spec(bounds={**BOUNDS, "width_W": (5.0, 5.2),
                              "n_beams": (12, 12)}, **overrides)
 
@@ -733,13 +738,16 @@ def test_refine_refuses_negative_budget():
 
 
 def reference_refine(spec, start, max_evals):
-    """refine's shape search, scoring every design point on its own.
+    """refine's shape search by complete polling, scoring every design
+    point on its own.
 
     A shape's peak force per mm of width, c, comes from its own curve at
     the start's width; the beam counts at the floor and ceiling of each end
     of the range where 2 target / (n c) lies inside the width bounds are
-    scored at that width, clamped.  Returns the result and the shapes
-    scored, in visit order.
+    scored at that width, clamped.  The start's shape is scored first; then
+    every in-bounds poll of the best point's shape, each coordinate -/+ its
+    step, before the search moves to the best or halves the steps.  Returns
+    the result and the shape sets scored, in visit order.
     """
     names = ("length_L", "thickness_T", "tilt_theta")
     spans = {name: spec.bounds[name][1] - spec.bounds[name][0]
@@ -750,14 +758,8 @@ def reference_refine(spec, start, max_evals):
     width, target = start.geometry.width_W, spec.target_force
     best, visited = start, []
 
-    class Stop(Exception):
-        """Raised with True when the budget runs out, False on a hit."""
-
-    def poll(L, T, theta):
-        nonlocal best
-        if len(visited) == max_evals:
-            raise Stop(True)
-        visited.append((L, T, theta))
+    def score(L, T, theta):
+        """The shape's best candidate, and whether it is exact."""
         curve = force_curve(VBeamGeometry(L, T, width, theta), spec.material,
                             spec.target_travel, DEFAULT_CURVE_SAMPLES)
         c = float(np.max(curve.force)) / width
@@ -766,67 +768,75 @@ def reference_refine(spec, start, max_evals):
             end = min(max(2.0 * target / (W * c), math.ceil(n_lo)),
                       math.floor(n_hi))
             counts |= {math.floor(end), math.ceil(end)}
-        hit = False
+        shape_best, hit = None, False
         for n in sorted(counts):
             W = 2.0 * target / (n * c)
             cand = reference_candidate(
                 spec, VBeamGeometry(L, T, min(max(W, W_lo), W_hi), theta), n)
             hit = hit or (cand.feasible and W_lo <= W <= W_hi)
+            if shape_best is None or cand.sort_key() < shape_best.sort_key():
+                shape_best = cand
+        return shape_best, hit
+
+    def poll(shapes):
+        """Score the shapes the budget leaves, all of them before any is
+        taken; "hit", "exhausted" or None."""
+        nonlocal best
+        cut = shapes[:max_evals - sum(map(len, visited))]
+        if cut:
+            visited.append(cut)
+        scored = [score(*shape_) for shape_ in cut]
+        for cand, _ in scored:
             if cand.sort_key() < best.sort_key():
                 best = cand
-        if hit:
-            raise Stop(False)
+        if any(hit for _, hit in scored):
+            return "hit"
+        return "exhausted" if len(cut) < len(shapes) else None
 
-    def center():
-        g = best.geometry
-        return dict(zip(names, (g.length_L, g.thickness_T, g.tilt_theta)))
-
-    try:
-        poll(*center().values())
-        while True:
-            improved = False
+    g = start.geometry
+    stop = poll([(g.length_L, g.thickness_T, g.tilt_theta)])
+    while stop is None:
+        g, before = best.geometry, best
+        here = dict(zip(names, (g.length_L, g.thickness_T, g.tilt_theta)))
+        shapes = []
+        for name in names:
+            lo, hi = spec.bounds[name]
+            for delta in (-steps[name], steps[name]) if steps[name] else ():
+                if lo - 1e-12 <= here[name] + delta <= hi + 1e-12:
+                    shapes.append(tuple(
+                        dict(here, **{name: here[name] + delta}).values()))
+        stop = poll(shapes)
+        if stop is None and best is before:
             for name in names:
-                here = center()
-                for delta in (-steps[name], steps[name]) if steps[name] else ():
-                    lo, hi = spec.bounds[name]
-                    if lo - 1e-12 <= here[name] + delta <= hi + 1e-12:
-                        before = best
-                        poll(*dict(here, **{name: here[name] + delta}).values())
-                        improved = improved or best is not before
-            if not improved:
-                for name in names:
-                    steps[name] /= 2.0
-                if all(steps[name] < min_step[name] for name in names):
-                    return best, visited
-    except Stop as stop:
-        if stop.args[0]:
-            best = Candidate(best.geometry, best.n_beams, best.objective,
-                             best.violations, best.peak_force, exhausted=True)
-        return best, visited
+                steps[name] /= 2.0
+            if all(steps[name] < min_step[name] for name in names):
+                return best, visited
+    if stop == "exhausted":
+        best = Candidate(best.geometry, best.n_beams, best.objective,
+                         best.violations, best.peak_force, exhausted=True)
+    return best, visited
 
 
 @pytest.mark.parametrize("budget", [1, 5, 20, 100])
 def test_refine_screens_each_geometry_once(budget, monkeypatch):
-    # each scored shape goes through the kernel alone and once, and its
-    # exact widths are derived from its rows
+    # each poll set goes through the kernel in one pass, each of its shapes
+    # once and in poll order, and its exact widths are derived from its rows
     spec = walk_spec()
     start = evaluate_candidate(spec, WALK_START, 12)
     expected, visited = reference_refine(spec, start, budget)
     passes = record_kernel_geometries(monkeypatch)
     assert refine(spec, start, max_evals=budget) == expected
-    screened = [shape(g) for geoms in passes for g in geoms]
-    assert all(len(geoms) == 1 for geoms in passes)
-    assert len(screened) == len(set(screened))
-    assert set(screened) == set(visited)
-    assert len(visited) == min(budget, 8)
+    assert [list(map(shape, geoms)) for geoms in passes] == visited
+    assert all(len(set(polled)) == len(polled) for polled in visited)
+    assert sum(map(len, visited)) == min(budget, 13)
 
 
 def test_refine_passes_each_shape_once(monkeypatch):
-    # the walk polls no shape twice, so no shape goes through the kernel
+    # a poll set holds no shape twice, so no shape goes through its pass
     # twice, and the records at a shape's exact widths make no kernel pass
     spec = walk_spec()
     start = evaluate_candidate(spec, WALK_START, 12)
-    expected, _ = reference_refine(spec, start, 100)
+    expected, visited = reference_refine(spec, start, 100)
     passes = record_kernel_geometries(monkeypatch)
     records, derived = search._records, []
 
@@ -839,21 +849,23 @@ def test_refine_passes_each_shape_once(monkeypatch):
 
     monkeypatch.setattr(search, "_records", watched)
     assert refine(spec, start, max_evals=100) == expected
+    assert len(passes) == len(visited) > 1
+    for geoms in passes:
+        assert len(set(map(shape, geoms))) == len(geoms)
     passed = [g for geoms in passes for g in geoms]
-    shapes = [shape(g) for g in passed]
-    assert len(shapes) == len(set(shapes))
     # every record is derived from a passed shape's rows, some at widths
     # that went through no pass
-    assert {shape(g) for g in derived} <= set(shapes)
+    assert {shape(g) for g in derived} <= {shape(g) for g in passed}
     assert set(derived) - set(passed)
 
 
 @pytest.mark.parametrize("budget", [5, 100])
 def test_refine_poll_builds_its_start_and_one_geometry_per_count(
         budget, monkeypatch):
-    # a poll builds its shape at the start's width, passes it through the
-    # kernel, then builds one geometry per beam count it scores, at the
-    # count's clamped W*; nothing is kept from one poll to the next
+    # a poll set builds its shapes at the start's width, passes them
+    # through the kernel at once, then, shape by shape, builds one geometry
+    # per beam count it scores, at the count's clamped W*; nothing is kept
+    # from one poll set to the next
     spec = walk_spec()
     start = evaluate_candidate(spec, WALK_START, 12)
     expected, visited = reference_refine(spec, start, budget)
@@ -878,17 +890,24 @@ def test_refine_poll_builds_its_start_and_one_geometry_per_count(
     monkeypatch.setattr(search, "_kernel_pass", passed)
     assert refine(spec, start, max_evals=budget) == expected
     kinds = "".join(kind for kind, _ in events)
-    polls = list(re.finditer("bp(b+)(c+)", kinds))
-    assert "".join(m.group() for m in polls) == kinds
-    assert len(polls) == len(visited) == min(budget, 8)
-    for m, polled in zip(polls, visited):
+    sets = list(re.finditer("(b+)p((?:b+c+)+)", kinds))
+    assert "".join(m.group() for m in sets) == kinds
+    assert len(sets) == len(visited)
+    for m, polled in zip(sets, visited):
         dims = [d for _, d in events[m.start():m.end()]]
-        L, T, W, theta = dims[0]
-        assert (L, T, theta) == polled and W == start.geometry.width_W
-        widths = dims[2:m.end(1) - m.start()]
-        assert len(widths) == m.end(2) - m.start(2) <= 4
-        assert dims[m.end(1) - m.start():] == widths
-        assert all((d[0], d[1], d[3]) == polled for d in widths)
+        starts = dims[:len(m.group(1))]
+        assert [(L, T, theta) for L, T, _, theta in starts] == polled
+        assert {W for _, _, W, _ in starts} == {start.geometry.width_W}
+        groups = re.findall("b+c+", m.group(2))
+        assert len(groups) == len(polled)
+        i = m.start(2) - m.start()
+        for group, (L, T, theta) in zip(groups, polled):
+            n = group.count("b")
+            assert n == group.count("c") <= 4
+            widths, cands = dims[i:i + n], dims[i + n:i + 2 * n]
+            assert cands == widths
+            assert all((d[0], d[1], d[3]) == (L, T, theta) for d in widths)
+            i += 2 * n
 
 
 def test_refine_raises_where_the_reference_search_raises():
@@ -901,7 +920,7 @@ def test_refine_raises_where_the_reference_search_raises():
                         VBeamGeometry(L, T, 5.0, POLE_TILT), 12)
         if not isinstance(start, Candidate):
             continue
-        for budget in (5, 20):
+        for budget in (5, 20, 200):
             expected = outcome(lambda: reference_refine(spec, start, budget)[0])
             assert outcome(refine, spec, start, budget) == expected
             kinds.add(isinstance(expected, Candidate))
@@ -1006,9 +1025,9 @@ def test_screen_on_repeated_dims_makes_one_pass(monkeypatch):
 
 
 def test_refine_checks_each_geometry_once_for_bistability(monkeypatch):
-    # a poll checks each geometry it builds once, in build order: its
-    # shape at the start's width, then one geometry per beam count; a
-    # shape polled again is checked again, since nothing is kept
+    # a poll set checks each geometry it builds once: each shape at the
+    # start's width, then that shape's geometry per beam count; a shape
+    # polled again in a later set is checked again, since nothing is kept
     spec = walk_spec(require_non_bistable_at_travel=True)
     start = evaluate_candidate(spec, WALK_START, 12)
     expected, visited = reference_refine(spec, start, 120)
@@ -1026,18 +1045,20 @@ def test_refine_checks_each_geometry_once_for_bistability(monkeypatch):
     monkeypatch.setattr(search, "VBeamGeometry", counted_build)
     monkeypatch.setattr(search, "bistability_margin", counted)
     assert refine(spec, start, max_evals=120) == expected
-    assert checked and [id(g) for g in checked] == [id(g) for g in built]
-    assert len(visited) > len(set(visited))
+    assert checked and sorted(map(id, checked)) == sorted(map(id, built))
+    polled = [s for shapes in visited for s in shapes]
+    assert len(polled) > len(set(polled))
 
 
-@pytest.mark.parametrize("flag,budget,polls", [(False, 100, 8),
+@pytest.mark.parametrize("flag,budget,polls", [(False, 100, 13),
                                                (True, 60, 60),
-                                               (True, 120, 89)])
+                                               (True, 120, 94)])
 def test_refine_makes_one_kernel_pass_per_poll(flag, budget, polls,
                                                monkeypatch):
-    # each poll scored is one kernel pass, a shape polled again included:
-    # the flagged walk polls 79 shapes 89 times before its steps converge,
-    # and a run that uses its whole budget makes max_evals passes
+    # each poll set scored is one kernel pass of its shapes, a shape polled
+    # again in a later set included: the flagged search polls 80 shapes 94
+    # times in 24 passes before its steps converge, and a run that uses its
+    # whole budget scores max_evals shapes
     spec = walk_spec(require_non_bistable_at_travel=flag)
     start = evaluate_candidate(spec, WALK_START, 12)
     expected, visited = reference_refine(spec, start, budget)
@@ -1050,7 +1071,48 @@ def test_refine_makes_one_kernel_pass_per_poll(flag, budget, polls,
     monkeypatch.setattr(search, "_kernel_pass", counted)
     out = refine(spec, start, max_evals=budget)
     assert out == expected and out.exhausted == (polls == budget)
-    assert passes == [1] * len(visited) and len(visited) == polls
+    assert passes == list(map(len, visited)) and sum(passes) == polls
+
+
+def test_refine_passes_each_poll_set_at_once(monkeypatch):
+    # the start's shape is one pass, then each poll set one pass of at
+    # most 6 shapes, the in-bounds -/+ steps of the center's L, T and theta
+    spec = make_spec(require_non_bistable_at_travel=True)
+    start = evaluate_candidate(spec, TABLE1, 12)
+    kernel, passes = search._kernel_pass, []
+
+    def counted(geoms, dys):
+        passes.append(len(geoms))
+        return kernel(geoms, dys)
+
+    monkeypatch.setattr(search, "_kernel_pass", counted)
+    refine(spec, start, max_evals=200)
+    assert passes[0] == 1 and max(passes[1:]) == 6
+    assert all(1 <= n <= 6 for n in passes)
+
+
+@pytest.mark.parametrize("budget", [3, 6])
+def test_a_budget_that_ends_inside_a_poll_set_cuts_it_in_poll_order(
+        budget, monkeypatch):
+    # with the flag no shape is exact, so the start's set is followed by
+    # the start's six polls; the budget cuts them in poll order, L -/+,
+    # T -/+, theta -/+, scores those it keeps in one pass and flags the
+    # best exhausted
+    spec = make_spec(require_non_bistable_at_travel=True)
+    start = evaluate_candidate(spec, TABLE1, 12)
+    L, T, theta = shape(start.geometry)
+    dL, dT, dtheta = ((hi - lo) / 8.0 for lo, hi in map(
+        spec.bounds.get, ("length_L", "thickness_T", "tilt_theta")))
+    polls = [(L - dL, T, theta), (L + dL, T, theta), (L, T - dT, theta),
+             (L, T + dT, theta), (L, T, theta - dtheta),
+             (L, T, theta + dtheta)]
+    passes = record_kernel_geometries(monkeypatch)
+    out = refine(spec, start, max_evals=budget)
+    assert [list(map(shape, geoms)) for geoms in passes] == [
+        [(L, T, theta)], polls[:budget - 1]]
+    expected, visited = reference_refine(spec, start, budget)
+    assert visited == [[(L, T, theta)], polls[:budget - 1]]
+    assert out == expected and out.exhausted
 
 
 def test_refine_follows_the_ring_convention(monkeypatch):
