@@ -312,8 +312,6 @@ def _radicand(disc, term):
     """disc, to take the square root of: 0 where it is zero to rounding of
     its square term term^2 but not positive, NaN where it is negative beyond
     that."""
-    if np.greater(disc, 0.0).all():
-        return disc
     return np.where(disc > -_DISC_ROUNDING * term ** 2, np.maximum(disc, 0.0),
                     np.nan)
 

@@ -21,8 +21,7 @@ from .errors import ConfigError, ValidationError, check_count, check_positive
 from .fe.model import DEFAULT_ELEMENTS_PER_BEAM, ELEMENT_CAP
 from .fe.solver import DEFAULT_STEPS, DEFAULT_TOLERANCE
 from .mechanism import CantileverSection, MechanismConfig
-from .search import (DEFAULT_GRID_DENSITY, DEFAULT_REFINE_EVALS, GRID_CAP,
-                     DesignSpec, PARAM_NAMES)
+from .search import DEFAULT_REFINE_EVALS, DesignSpec, grid_counts
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,8 @@ class DesignSettings:
 
     def __post_init__(self):
         check_count("refine_max_evals", self.refine_max_evals, 0)
-        for name, count in self.grid_density.items():
-            check_count(f"grid density {name}", count, 1, GRID_CAP)
+        object.__setattr__(self, "grid_density",
+                           grid_counts(self.grid_density))
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,7 @@ _KEYS = {
     "design": {"target_force": _number, "target_travel": _number,
                "stress_limit": _number, "length_budget": _number,
                "require_non_bistable_at_travel": _boolean,
-               "fixture_allowance": _number, "refine_max_evals": _integer},
+               "refine_max_evals": _integer},
     "bounds": _BOUNDS,
     "grid_density": dict.fromkeys(_BOUNDS, _integer),
     "fe": {"n_elements": _integer, "n_steps": _integer, "tolerance": _number},
@@ -265,8 +264,6 @@ def _parse_design(doc, material: MaterialModel) -> DesignSettings:
                    required=("bounds",))
     bounds = _read(doc["bounds"], "design.bounds", required=_BOUNDS)
     density = _read(doc.get("grid_density", {}), "design.grid_density")
-    for name in PARAM_NAMES:
-        density.setdefault(name, DEFAULT_GRID_DENSITY)
     spec = _build(DesignSpec, values, "design", bounds=bounds,
                   material=material)
     return _build(DesignSettings, values, "design", spec=spec,

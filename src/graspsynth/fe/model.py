@@ -35,8 +35,8 @@ class FrameModel:
 
     elements is the integer (m, 2) array of each element's end nodes and
     section the (E, A, I) every element shares; fixed marks constrained
-    freedoms per node; drive (node, dof, amplitude) moves one free freedom
-    by a finite, non-zero amplitude per unit of the control parameter;
+    freedoms per node; drive (node, dof) names the free freedom that moves
+    by -1 per unit of the control parameter (the shuttle travels along -Y);
     point_springs (node_a, dof_a, node_b, dof_b, k) couple two freedoms
     through a linear spring of stiffness k.  Every index, the section and
     each stiffness are checked when the model is built: section values and
@@ -48,7 +48,7 @@ class FrameModel:
     elements: np.ndarray
     section: Tuple[float, float, float]
     fixed: np.ndarray
-    drive: Tuple[int, int, float]
+    drive: Tuple[int, int]
     point_springs: List[Tuple[int, int, int, int, float]] = field(default_factory=list)
 
     def __post_init__(self):
@@ -94,14 +94,13 @@ class FrameModel:
             if not (is_freedom(na, da) and is_freedom(nb, db)):
                 raise ValidationError(f"spring {spring} couples an invalid freedom")
             check_positive(f"spring {spring} stiffness", k)
-        node, dof, amplitude = self.drive
-        if not is_freedom(node, dof):
-            raise ValidationError(f"drive freedom ({node}, {dof}) is invalid")
+        if np.shape(self.drive) != (2,) or not is_freedom(*self.drive):
+            raise ValidationError(f"drive {self.drive!r} is invalid: it must "
+                                  "be a (node, dof) pair naming a freedom")
+        node, dof = self.drive
         if self.fixed[node, dof]:
             raise ValidationError(
                 f"freedom ({node}, {dof}) cannot be both fixed and driven")
-        if not (np.isfinite(amplitude) and amplitude != 0):
-            raise ValidationError("drive amplitude must be finite and non-zero")
 
     @property
     def n_nodes(self) -> int:
@@ -133,7 +132,7 @@ def build_vbeam_mesh(geom: VBeamGeometry,
     elements = np.arange(n_elements)[:, None] + [0, 1]
     return FrameModel(nodes=nodes, elements=elements,
                       section=(youngs_modulus_E, geom.area, geom.second_moment),
-                      fixed=fixed, drive=(guided, UY, -1.0))
+                      fixed=fixed, drive=(guided, UY))
 
 
 def build_multibeam_assembly(config: MechanismConfig,
@@ -155,4 +154,4 @@ def build_multibeam_assembly(config: MechanismConfig,
     return FrameModel(nodes=np.vstack([model.nodes, model.nodes[shuttle]]),
                       elements=model.elements, section=model.section,
                       fixed=np.vstack([model.fixed, [True, False, True]]),
-                      drive=(ring, UY, -1.0), point_springs=springs)
+                      drive=(ring, UY), point_springs=springs)

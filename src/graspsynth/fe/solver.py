@@ -55,7 +55,7 @@ from .model import (DEFAULT_ELEMENTS_PER_BEAM, ROT, UX, UY, FrameModel,
 PATH_CSV_HEADER = "step,control_mm,reaction_N,iters,residual"
 
 DEFAULT_TOLERANCE = 1e-8
-DEFAULT_MAX_ITERS = 25
+MAX_ITERS = 25
 DEFAULT_STEPS = 100
 DEFAULT_ASSEMBLY_STEPS = 20
 BISECTION_FLOOR_DIV = 4096
@@ -105,7 +105,7 @@ class _System:
 
     The Newton state is the flat displacement table u (3 per node, flat
     freedom 3 * node + dof): fixed freedoms stay 0, the driven one holds
-    control * amplitude, and the index array unknowns names the other free
+    -control, and the index array unknowns names the other free
     freedoms in node order.  Elements and springs gather their freedoms
     straight from u and scatter into the full force and tangent tables;
     the residual is the force table at the unknowns and the tangent the
@@ -121,7 +121,7 @@ class _System:
 
     def __init__(self, model: FrameModel):
         self.model = model
-        node, dof, self.amp = model.drive
+        node, dof = model.drive
         self.driven = 3 * node + dof
         free = ~model.fixed.ravel()
         free[self.driven] = False
@@ -237,13 +237,12 @@ class _System:
     def path_step(self, control, u, assembled, iterations, residual):
         """The PathStep at control of table u from its assemble() result."""
         f_raw, _, K, (local, stretch) = assembled
-        node, dof, amp = self.model.drive
         energy = float(_element_energy(*local).sum()) + float(
             (0.5 * self._spring_k * stretch ** 2).sum())
         return PathStep(
             control=float(control), displacements=u.reshape(-1, 3).copy(),
             reactions={key: float(f_raw[key]) for key in self._reported},
-            reaction=float(f_raw[node, dof] * amp / abs(amp)),
+            reaction=-float(f_raw.flat[self.driven]),
             iterations=iterations, residual=residual, strain_energy=energy,
             stable=_stable(K))
 
@@ -262,8 +261,8 @@ def _stable(K_ff: np.ndarray) -> bool:
     return True
 
 
-def _newton(system: _System, u_start, control, tol, max_iters):
-    """Newton iteration at a fixed control, from the table u_start.
+def _newton(system: _System, u_start, control, tol):
+    """Up to MAX_ITERS Newton iterations at a fixed control from u_start.
 
     Returns (u, PathStep) of the converged state, or None.  A singular
     tangent fails the attempt, and so does a floating-point overflow,
@@ -271,10 +270,10 @@ def _newton(system: _System, u_start, control, tol, max_iters):
     iterate from an input too large for it, so the sweep bisects either.
     """
     u = u_start.copy()
-    u[system.driven] = control * system.amp
+    u[system.driven] = -control
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for it in range(1, max_iters + 1):
+            for it in range(1, MAX_ITERS + 1):
                 assembled = system.assemble(u)
                 r = assembled[1]
                 res = math.sqrt(r @ r)
@@ -288,22 +287,20 @@ def _newton(system: _System, u_start, control, tol, max_iters):
 
 def solve_guided_sweep(model: FrameModel, travel_max: float,
                        n_steps: int = DEFAULT_STEPS,
-                       tol: float = DEFAULT_TOLERANCE,
-                       max_iters: int = DEFAULT_MAX_ITERS) -> EquilibriumPath:
+                       tol: float = DEFAULT_TOLERANCE) -> EquilibriumPath:
     """Displacement-controlled sweep of the model's drive up to travel_max.
 
     Steps to the n_steps travels of beam.uniform_travels and records the
-    reactions per step.  A step whose Newton iteration fails is halved and
-    retried, down to travel_max / 4096; if that also fails a
-    ConvergenceError carries the partial path and the last converged step.
-    A negative or non-finite travel_max, a tol that is not positive and
-    finite, or an n_steps or max_iters that is not an integer of at least 1
-    raises ValidationError.
+    reactions per step.  A step whose Newton iteration fails within
+    MAX_ITERS iterations is halved and retried, down to travel_max / 4096;
+    if that also fails a ConvergenceError carries the partial path and the
+    last converged step.  A negative or non-finite travel_max, a tol that is
+    not positive and finite, or an n_steps that is not an integer of at
+    least 1 raises ValidationError.
     """
     check_non_negative("travel_max", travel_max)
     check_count("n_steps", n_steps, 1)
     check_positive("tol", tol)
-    check_count("max_iters", max_iters, 1)
     targets = uniform_travels(travel_max, n_steps).tolist()
     system = _System(model)
     path = EquilibriumPath(model=model)
@@ -318,8 +315,8 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
     for target in targets:
         while control < target - 1e-12 * travel_max:
             attempt = target - control
-            while (converged := _newton(system, u, control + attempt, tol,
-                                        max_iters)) is None:
+            while (converged := _newton(system, u, control + attempt,
+                                        tol)) is None:
                 attempt /= 2.0
                 if attempt < floor:
                     raise ConvergenceError(
@@ -335,20 +332,20 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
 
 
 def solve_multibeam_assembly(config: MechanismConfig, ring_disp: float,
-                             n_elements: int = DEFAULT_ELEMENTS_PER_BEAM,
-                             n_steps: int = DEFAULT_ASSEMBLY_STEPS,
-                             tol: float = DEFAULT_TOLERANCE) -> Tuple[float, float]:
+                             n_steps: int = DEFAULT_ASSEMBLY_STEPS
+                             ) -> Tuple[float, float]:
     """(shuttle displacement, ring reaction) at a prescribed ring displacement.
 
     The identical beams act in parallel on a common shuttle, condensed into
     one beam at n_beams times the modulus (build_multibeam_assembly); the
     ring couples to the shuttle through the configured series stiffness and
-    is swept to ring_disp in n_steps.
+    is swept to ring_disp in n_steps, on the default mesh and tolerance.
     """
     check_non_negative("ring_disp", ring_disp)
-    model = build_multibeam_assembly(config, n_elements)
-    last = solve_guided_sweep(model, ring_disp, n_steps=n_steps, tol=tol).last
-    return -float(last.displacements[n_elements, UY]), float(last.reaction)
+    last = solve_guided_sweep(build_multibeam_assembly(config), ring_disp,
+                              n_steps=n_steps).last
+    shuttle = DEFAULT_ELEMENTS_PER_BEAM
+    return -float(last.displacements[shuttle, UY]), float(last.reaction)
 
 
 def sweep_to_curve(path: EquilibriumPath, geom: VBeamGeometry,

@@ -11,8 +11,7 @@ A design point is one tuple in PARAM_NAMES order, (L, T, W, theta,
 n_beams), and one predicate checks it against the bounds with the absolute
 slack BOUNDS_TOL.  The spec refuses an n_beams lower bound below 1 and
 n_beams bounds that hold no integer, so every spec admits a beam count of
-at least 1.  A grid_density entry that is missing means
-DEFAULT_GRID_DENSITY levels.
+at least 1.
 
 Work that depends only on the beam shape is done once per shape, work that
 depends only on the geometry once per geometry, and work that depends on
@@ -79,8 +78,7 @@ class DesignSpec:
     """Target and constraint set for the geometry search.
 
     bounds maps each parameter name in PARAM_NAMES to (low, high); tilt_theta
-    bounds are radians.  fixture_allowance adds to the beam footprint when
-    checking the length budget.
+    bounds are radians.
     """
 
     target_force: float
@@ -90,12 +88,11 @@ class DesignSpec:
     stress_limit: float = DEFAULT_STRESS_LIMIT
     length_budget: float = DEFAULT_LENGTH_BUDGET
     require_non_bistable_at_travel: bool = False
-    fixture_allowance: float = 0.0
 
     def __post_init__(self):
         check_positive("target_force", self.target_force)
         check_positive("target_travel", self.target_travel)
-        for name in ("stress_limit", "length_budget", "fixture_allowance"):
+        for name in ("stress_limit", "length_budget"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
         for name in PARAM_NAMES:
@@ -260,8 +257,7 @@ def _violations(spec: DesignSpec, geom: VBeamGeometry,
     if stress > spec.stress_limit:
         violations.append(("stress", stress - spec.stress_limit))
 
-    footprint = (2.0 * geom.length_L * math.cos(geom.tilt_theta)
-                 + spec.fixture_allowance)
+    footprint = 2.0 * geom.length_L * math.cos(geom.tilt_theta)
     if footprint > spec.length_budget:
         violations.append(("length", footprint - spec.length_budget))
 
@@ -303,6 +299,22 @@ def evaluate_candidate(spec: DesignSpec, geom: VBeamGeometry,
     return _candidate(spec, record, n_beams)
 
 
+def grid_counts(grid_density: Dict[str, int]) -> Dict[str, int]:
+    """Each parameter's grid levels, DEFAULT_GRID_DENSITY where grid_density
+    has no entry; a name outside PARAM_NAMES and a count that is not an
+    integer from 1 to GRID_CAP are refused."""
+    unknown = sorted(set(grid_density) - set(PARAM_NAMES), key=str)
+    if unknown:
+        raise ValidationError(
+            f"grid density names unknown parameter(s) "
+            f"{', '.join(map(repr, unknown))}; expected {PARAM_NAMES}")
+    counts = {name: grid_density.get(name, DEFAULT_GRID_DENSITY)
+              for name in PARAM_NAMES}
+    for name, count in counts.items():
+        check_count(f"grid density {name}", count, 1, GRID_CAP)
+    return counts
+
+
 def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
                 n_workers: int = 1) -> List[Candidate]:
     """Exhaustively evaluate a Cartesian grid and rank the candidates.
@@ -314,26 +326,14 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
     violation; equal keys are ordered lexicographically on (L, T, theta, W,
     n_beams), so the ranking is a deterministic total order, whatever the
     order the candidates are built in.  Levels that round to one value count
-    once, so the candidates are distinct design points.  A parameter
-    missing from grid_density gets DEFAULT_GRID_DENSITY levels; a key
-    outside PARAM_NAMES and a density that is not an integer from 1 to
-    GRID_CAP are refused before any axis is built, and a grid above GRID_CAP
-    points before the first kernel pass.
-    n_workers must be an integer of at least 1 and has no effect: the grid
-    is evaluated in one thread.
+    once, so the candidates are distinct design points.  grid_counts reads
+    grid_density before any axis is built, and a grid above GRID_CAP points
+    is refused before the first kernel pass.  n_workers must be an integer
+    of at least 1 and has no effect: the grid is evaluated in one thread.
     """
     check_count("n_workers", n_workers, 1)
-    unknown = sorted(set(grid_density) - set(PARAM_NAMES), key=str)
-    if unknown:
-        raise ValidationError(
-            f"grid density names unknown parameter(s) "
-            f"{', '.join(map(repr, unknown))}; expected {PARAM_NAMES}")
-    counts = {name: grid_density.get(name, DEFAULT_GRID_DENSITY)
-              for name in PARAM_NAMES}
-    for count in counts.values():
-        check_count("grid density", count, 1, GRID_CAP)
     axes = {}
-    for name, count in counts.items():
+    for name, count in grid_counts(grid_density).items():
         lo, hi = spec.bounds[name]
         if name == "n_beams":
             raw = np.linspace(lo, hi, count) if count > 1 else [lo]

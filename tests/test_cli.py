@@ -116,6 +116,23 @@ def test_parse_rejects_unknown_keys():
         parse_config(json.dumps(doc))
 
 
+@pytest.mark.parametrize("command", ["curve", "d1", "design", "verify",
+                                     "grasper", "report"])
+def test_a_fixture_allowance_is_refused_as_an_unknown_key(command, tmp_path,
+                                                          capsys):
+    # the length screen compares 2 L cos(theta) with the length budget
+    # alone, so every command refuses the old allowance key
+    doc = json.loads(TABLE1_JSON.read_text())
+    doc["design"]["fixture_allowance"] = 0
+    cfg, out = tmp_path / "allowance.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    rc = run_command([command, "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert ("unknown key 'design.fixture_allowance'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN",
                                    "1" + "0" * 400],
                          ids=["inf", "-inf", "nan", "huge-int"])

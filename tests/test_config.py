@@ -39,7 +39,7 @@ FULL = {
     "design": {
         "target_force": 20.0, "target_travel": 5.0, "stress_limit": 120.0,
         "length_budget": 200.0, "require_non_bistable_at_travel": False,
-        "fixture_allowance": 0.0, "refine_max_evals": 120,
+        "refine_max_evals": 120,
         "bounds": {"length_L": [36.0, 44.0], "thickness_T": [1.0, 1.4],
                    "width_W": [4.0, 6.0], "tilt_theta_deg": [5.0, 9.0],
                    "n_beams": [10.0, 14.0]},
@@ -297,7 +297,6 @@ def valid_documents(draw):
         optional["design"] = {
             "stress_limit": positive, "length_budget": positive,
             "require_non_bistable_at_travel": st.booleans(),
-            "fixture_allowance": st.floats(0.0, 50.0),
             "refine_max_evals": st.integers(1, 1000)}
     if draw(st.booleans()):
         doc["fe"] = {}

@@ -67,8 +67,7 @@ def reference_violations(spec, geom, stress):
     violations = []
     if stress > spec.stress_limit:
         violations.append(("stress", stress - spec.stress_limit))
-    footprint = (2.0 * geom.length_L * math.cos(geom.tilt_theta)
-                 + spec.fixture_allowance)
+    footprint = 2.0 * geom.length_L * math.cos(geom.tilt_theta)
     if footprint > spec.length_budget:
         violations.append(("length", footprint - spec.length_budget))
     if spec.require_non_bistable_at_travel:
@@ -219,7 +218,7 @@ def test_spec_validation():
     ("target_travel", math.inf), ("target_travel", math.nan),
     ("stress_limit", math.nan), ("stress_limit", math.inf),
     ("length_budget", math.nan), ("length_budget", -math.inf),
-    ("fixture_allowance", math.nan), ("fixture_allowance", math.inf),
+    ("stress_limit", -math.inf), ("length_budget", math.inf),
 ])
 def test_spec_refuses_non_finite_values(field, value):
     with pytest.raises(ValidationError, match=field):
@@ -550,7 +549,8 @@ def test_single_point_grid():
 @pytest.mark.parametrize("name", ["n_beams", "length_L"])
 @pytest.mark.parametrize("count", [0, -2, 2.7, True])
 def test_grid_density_below_one_is_refused(name, count):
-    with pytest.raises(ValidationError, match="grid density must be at least 1"):
+    with pytest.raises(ValidationError,
+                       match=f"grid density {name} must be at least 1"):
         grid_search(make_spec(), dict(DENSITY, **{name: count}))
 
 
@@ -591,7 +591,7 @@ def test_grid_density_above_the_cap_is_refused(name, count, monkeypatch):
     # raise IndexError inside np.linspace, and 2**31 to ask for 16 GiB
     rows = count_kernel_rows(monkeypatch)
     with pytest.raises(ValidationError,
-                       match=f"grid density {count} exceeds the cap"):
+                       match=f"grid density {name} {count} exceeds the cap"):
         grid_search(make_spec(), dict(DENSITY, **{name: count}))
     assert rows == []
 
