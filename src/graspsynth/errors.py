@@ -41,6 +41,11 @@ class ConvergenceError(NumericalError):
         self.path = path
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an integer: numpy integers pass, bool does not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_count(name: str, value, minimum: int, cap=None) -> None:
     """Refuse a count that is not an integer of at least minimum, or one
     above cap when a cap is given.
@@ -48,7 +53,7 @@ def check_count(name: str, value, minimum: int, cap=None) -> None:
     bool is refused; numpy integers pass.
     """
     rule = f"{name} must be at least {minimum}"
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_integer(value):
         raise ValidationError(f"{rule}; {value!r} is not an integer")
     if value < minimum:
         raise ValidationError(f"{rule}, not {value!r}")

@@ -13,7 +13,8 @@ from typing import List, Tuple
 import numpy as np
 
 from ..beam import VBeamGeometry
-from ..errors import ValidationError, check_count, check_positive
+from ..errors import (ValidationError, _is_integer, check_count,
+                      check_positive)
 from ..mechanism import MechanismConfig
 
 UX, UY, ROT = 0, 1, 2
@@ -21,11 +22,12 @@ UX, UY, ROT = 0, 1, 2
 DEFAULT_ELEMENTS_PER_BEAM = 16
 
 # Largest element count of a mesh (build_vbeam_mesh, the config's
-# fe.n_elements).  A mesh of n elements has at most 3 n unknowns.  The
-# tangent block's flat positions, an assembly's full tangent table and the
-# block hold 8 bytes per entry, ~95 MB each at the cap, where a Newton
-# iteration peaks near 410 MB and takes about 2 s, the dense solve growing
-# as the cube of the equation count (2.6 ms at 128 elements).
+# fe.n_elements).  A mesh of n elements has at most 3 n unknowns.  An
+# assembly bincounts the tangent straight into the unknowns x unknowns
+# block, 8 bytes per entry, ~95 MB at the cap, and the dense solve copies
+# it once more: a Newton iteration there peaks near 225 MB of RSS and takes
+# about 0.6 s, the solve growing as the cube of the equation count (2.6 ms
+# at 128 elements); tests/oracle_rss.py measures it.
 ELEMENT_CAP = 1_150
 
 
@@ -39,7 +41,8 @@ class FrameModel:
     by -1 per unit of the control parameter (the shuttle travels along -Y);
     point_springs (node_a, dof_a, node_b, dof_b, k) couple two freedoms
     through a linear spring of stiffness k.  Every index, the section and
-    each stiffness are checked when the model is built: section values and
+    each stiffness are checked when the model is built: node and dof indices
+    must be integers naming an existing freedom, section values and
     stiffnesses must be positive and finite, and so must each element's
     E A / L0 and E I / L0 at its chord length L0.
     """
@@ -87,10 +90,16 @@ class FrameModel:
                 "at least one node must be fully constrained (rigid-body modes)")
 
         def is_freedom(node, dof):
-            return 0 <= node < n and dof in (UX, UY, ROT)
+            return (_is_integer(node) and _is_integer(dof)
+                    and 0 <= node < n and dof in (UX, UY, ROT))
 
         for spring in self.point_springs:
-            na, da, nb, db, k = spring
+            try:
+                na, da, nb, db, k = spring
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"spring {spring!r} is invalid: it must be a (node_a, "
+                    "dof_a, node_b, dof_b, k) tuple") from None
             if not (is_freedom(na, da) and is_freedom(nb, db)):
                 raise ValidationError(f"spring {spring} couples an invalid freedom")
             check_positive(f"spring {spring} stiffness", k)

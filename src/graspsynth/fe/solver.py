@@ -13,12 +13,14 @@ names the other free freedoms in node order (Crisfield, Non-linear Finite
 Element Analysis of Solids and Structures, vol. 1, 1991).  Assembly is one
 array pass over all elements: it gathers each element's freedoms from the
 table, evaluates chord geometry, the strain-displacement rows, local
-forces, internal forces and tangents as (n_el, ...) arrays, and
-np.bincount scatters them and the point springs into the full force and
-tangent tables, from which the residual and the tangent are gathered at the
-unknowns alike; every gather and scatter index is computed once per model.
-Strain energy is evaluated once per converged step, from the local state
-of its last assembly.
+forces, internal forces and tangents as (n_el, ...) arrays written into
+scatter weights allocated once per model, and np.bincount scatters them
+and the point springs into the full force table, whose entries at the
+unknowns are the residual, and straight into the unknowns x unknowns
+tangent block, with one dump bin past its end for every entry that touches
+a fixed or driven freedom; every gather and scatter index is computed once
+per model.  Strain energy is evaluated once per converged step, from the
+local state of its last assembly.
 
 Equilibrium paths are traversed under displacement control with Newton
 iteration, on force_curve's uniform travel grid (beam.uniform_travels).  A
@@ -61,6 +63,8 @@ DEFAULT_ASSEMBLY_STEPS = 20
 BISECTION_FLOOR_DIV = 4096
 # turns a chord direction (c, s), reversed to (s, c), into its normal (-s, c)
 _TURN = np.array([-1.0, 1.0])
+# cubic Hermitian bending: (M1, M2) = E I / L0 (t1, t2) @ _BENDING
+_BENDING = np.array([[4.0, 2.0], [2.0, 4.0]])
 
 
 @dataclass(frozen=True)
@@ -107,16 +111,17 @@ class _System:
     freedom 3 * node + dof): fixed freedoms stay 0, the driven one holds
     -control, and the index array unknowns names the other free
     freedoms in node order.  Elements and springs gather their freedoms
-    straight from u and scatter into the full force and tangent tables;
-    the residual is the force table at the unknowns and the tangent the
-    unknowns x unknowns block of its table, the only block the Newton
-    solve and the stability test read.  Everything that depends only on
-    the model is computed once here: the shared section's E A, the
-    per-element chord arrays and E I / L0, each element's and spring's flat
-    freedoms, the flat scatter indices of their contributions into both
-    tables, and the flat positions of the block.  The element work arrays
-    are reused by every assembly, so one instance serves one solve at a
-    time.
+    straight from u; their forces scatter into the full force table, whose
+    entries at the unknowns are the residual, and their tangents straight
+    into the unknowns x unknowns block, the only block the Newton solve and
+    the stability test read.  Everything that depends only on the model is
+    computed once here: the shared section's E A, the per-element chord
+    arrays and E I / L0, each element's and spring's flat freedoms, the
+    scatter indices of their contributions into the force table and the
+    block, and the scatter weights, elements first and springs after, with
+    the springs' constant tangent already in place.  The work arrays and
+    weights are reused by every assembly, so one instance serves one solve
+    at a time.
     """
 
     def __init__(self, model: FrameModel):
@@ -151,27 +156,44 @@ class _System:
         self._G[:, 1, ROT] = self._G[:, 2, 3 + ROT] = 1.0
         self._D = np.zeros((n_el, 4, 4))
         self._D[:, 0, 0] = self._EA / self._L0
-        self._D[:, 1, 1] = self._D[:, 2, 2] = 4.0 * self._k_b
-        self._D[:, 1, 2] = self._D[:, 2, 1] = 2.0 * self._k_b
+        self._D[:, 1:3, 1:3] = self._k_b[:, None, None] * _BENDING
         self._f_local = np.zeros((n_el, 1, 3))
 
-        # point springs: (a, b) freedoms, stiffnesses and constant tangent
+        # point springs: (a, b) freedoms, stiffnesses with the signs of their
+        # force at a and b, and constant tangent
         springs = model.point_springs
         self._spring_ends = np.array(
             [(3 * na + da, 3 * nb + db) for na, da, nb, db, _ in springs],
             dtype=int).reshape(-1, 2)
         self._spring_k = np.array([k for *_, k in springs], dtype=float)
+        self._spring_k_ab = self._spring_k * [[1.0], [-1.0]]
 
-        # scatter targets in the full tables, by flat freedom and flat (row,
-        # column), and the flat positions of the unknowns x unknowns block
-        n = free.size
+        # scatter targets: flat freedoms in the force table, and places in
+        # the unknowns x unknowns block, n_u**2 (the dump bin past its end)
+        # for an entry whose row or column is not an unknown
+        n_u = self.unknowns.size
+        number = np.full(free.size, n_u)
+        number[self.unknowns] = np.arange(n_u)
+
+        def block_places(dofs):
+            rows = number[dofs][:, :, None]
+            cols = rows.transpose(0, 2, 1)
+            return np.where((rows < n_u) & (cols < n_u), rows * n_u + cols,
+                            n_u * n_u).ravel()
+
         self._f_pos = np.concatenate([self._el_dofs.ravel(),
                                       self._spring_ends.T.ravel()])
-        self._k_pos = np.concatenate([
-            (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
-            for dofs in (self._el_dofs, self._spring_ends)])
-        self._block = self.unknowns[:, None] * n + self.unknowns
-        self._spring_tangent = (
+        self._k_pos = np.concatenate([block_places(self._el_dofs),
+                                      block_places(self._spring_ends)])
+
+        # scatter weights, element entries first; _elements and assemble
+        # write into them through the views below
+        self._f_weights = np.empty(self._f_pos.size)
+        self._f_el = self._f_weights[:6 * n_el].reshape(n_el, 1, 6)
+        self._f_spring = self._f_weights[6 * n_el:].reshape(2, -1)
+        self._k_weights = np.empty(self._k_pos.size)
+        self._K_el = self._k_weights[:36 * n_el].reshape(n_el, 6, 6)
+        self._k_weights[36 * n_el:] = (
             self._spring_k[:, None, None] * [[1.0, -1.0], [-1.0, 1.0]]).ravel()
 
     def _elements(self, d: np.ndarray):
@@ -181,7 +203,9 @@ class _System:
         state is the chord stretch and the end rotations measured from the
         rotated chord; rigid motion therefore produces an exactly zero
         local state.  It is returned with the local forces as the arrays
-        (N, stretch, M1, t1, M2, t2) that _element_energy takes.
+        (N, stretch, M1, t1, M2, t2) that _element_energy takes.  Forces,
+        tangents and local forces are views of the instance's work arrays,
+        valid until the next call.
         """
         dxy = self._dxy0 + d[:, 3:5] - d[:, 0:2]
         Ln = np.hypot(dxy[:, 0], dxy[:, 1])
@@ -190,49 +214,43 @@ class _System:
 
         rigid = np.arctan2(dxy[:, 1], dxy[:, 0]) - self._beta0
         rigid = np.arctan2(np.sin(rigid), np.cos(rigid))
-        t1 = d[:, 2] - rigid
-        t2 = d[:, 5] - rigid
+        t = d[:, 2::3] - rigid[:, None]
+        t1, t2 = t.T
         stretch = Ln - self._L0
 
-        N = self._EA * stretch / self._L0
-        M1 = self._k_b * (4.0 * t1 + 2.0 * t2)
-        M2 = self._k_b * (2.0 * t1 + 4.0 * t2)
-
         G, D, f_local = self._G, self._D, self._f_local
+        N, M1, M2 = f_local[:, 0].T
+        np.divide(self._EA * stretch, self._L0, out=N)
+        np.multiply(self._k_b[:, None], t @ _BENDING, out=f_local[:, 0, 1:])
         G[:, 0, 0:2] = -cs
         G[:, 1:3, 0:2] = (normal / Ln[:, None])[:, None, :]
         G[:, 3, 0:2] = -normal
         np.negative(G[:, :, 0:2], out=G[:, :, 3:5])
         D[:, 0, 3] = D[:, 3, 0] = (M1 + M2) / Ln ** 2
         D[:, 3, 3] = N / Ln
-        f_local[:, 0, 0] = N
-        f_local[:, 0, 1] = M1
-        f_local[:, 0, 2] = M2
 
-        f_int = (f_local @ G[:, :3])[:, 0]
-        K = G.transpose(0, 2, 1) @ (D @ G)
-        return f_int, K, (N, stretch, M1, t1, M2, t2)
+        np.matmul(f_local, G[:, :3], out=self._f_el)
+        np.matmul(G.transpose(0, 2, 1), D @ G, out=self._K_el)
+        return self._f_el[:, 0], self._K_el, (N, stretch, M1, t1, M2, t2)
 
     def assemble(self, u: np.ndarray):
         """Raw internal force table, residual, tangent and state at u.
 
         The residual is the force table at the unknowns and the tangent the
-        unknowns x unknowns block of the tangent table.  The state holds the
-        elements' local state and the spring stretches, from which path_step
-        evaluates the strain energy.
+        unknowns x unknowns block.  The state holds the elements' local
+        state and the spring stretches, from which path_step evaluates the
+        strain energy; the local state is a view of the work arrays, so a
+        result is valid until the next assemble() on the same system.
         """
-        f_el, K_el, local = self._elements(u[self._el_dofs])
+        _, _, local = self._elements(u[self._el_dofs])
         a, b = u[self._spring_ends].T
         stretch = a - b
-        f_spring = self._spring_k * stretch
-        f_flat = np.bincount(
-            self._f_pos, minlength=u.size,
-            weights=np.concatenate([f_el.ravel(), f_spring, -f_spring]))
-        K = np.bincount(
-            self._k_pos, minlength=u.size ** 2,
-            weights=np.concatenate([K_el.ravel(), self._spring_tangent]))
-        return (f_flat.reshape(-1, 3), f_flat[self.unknowns], K[self._block],
-                (local, stretch))
+        np.multiply(self._spring_k_ab, stretch, out=self._f_spring)
+        f_flat = np.bincount(self._f_pos, self._f_weights, u.size)
+        n_u = self.unknowns.size
+        K = np.bincount(self._k_pos, self._k_weights, n_u * n_u + 1)
+        return (f_flat.reshape(-1, 3), f_flat[self.unknowns],
+                K[:-1].reshape(n_u, n_u), (local, stretch))
 
     def path_step(self, control, u, assembled, iterations, residual):
         """The PathStep at control of table u from its assemble() result."""
@@ -279,7 +297,7 @@ def _newton(system: _System, u_start, control, tol):
                 res = math.sqrt(r @ r)
                 if res < tol:
                     return u, system.path_step(control, u, assembled, it, res)
-                u[system.unknowns] += np.linalg.solve(assembled[2], -r)
+                u[system.unknowns] -= np.linalg.solve(assembled[2], r)
     except (np.linalg.LinAlgError, FloatingPointError):
         return None
     return None

@@ -235,6 +235,59 @@ def test_batched_assembly_matches_per_element_reference(model):
         assert energy == pytest.approx(want[3], rel=1e-12)
 
 
+def full_table_assemble(system, u):
+    """_System.assemble through the full (3 nodes)^2 tangent table.
+
+    Element and spring entries are bincounted in the solver's order at
+    their flat freedoms and flat (row, column) positions; the residual and
+    the tangent are then gathered at the unknowns.
+    """
+    model = system.model
+    n = u.size
+    el_dofs = (3 * np.repeat(model.elements, 3, axis=1)
+               + np.tile([UX, UY, ROT], 2))
+    f_el, K_el, _ = system._elements(u[el_dofs])
+    a = np.array([3 * na + da for na, da, *_ in model.point_springs], int)
+    b = np.array([3 * nb + db for _, _, nb, db, _ in model.point_springs],
+                 int)
+    k = np.array([spring[4] for spring in model.point_springs], float)
+    f_spring = k * (u[a] - u[b])
+    f = np.bincount(np.concatenate([el_dofs.ravel(), a, b]),
+                    np.concatenate([f_el.ravel(), f_spring, -f_spring]), n)
+    K = np.bincount(
+        np.concatenate([(dofs[:, :, None] * n + dofs[:, None, :]).ravel()
+                        for dofs in (el_dofs, np.stack([a, b], axis=1))]),
+        np.concatenate([K_el.ravel(), (k[:, None, None]
+                                       * [[1.0, -1.0], [-1.0, 1.0]]).ravel()]),
+        n * n).reshape(n, n)
+    unknowns = system.unknowns
+    return f.reshape(-1, 3), f[unknowns], K[np.ix_(unknowns, unknowns)]
+
+
+@pytest.mark.parametrize("model", [
+    build_vbeam_mesh(GEOM, 16, youngs_modulus_E=1800.0),
+    build_multibeam_assembly(make_config(), 8),
+], ids=["vbeam", "multibeam"])
+def test_assembly_equals_the_full_table_bit_for_bit(model):
+    # the multi-beam unknowns skip the shuttle's fixed UX and ROT and the
+    # driven ring, so the block is no contiguous run of the full table
+    system = _System(model)
+    n_u = system.unknowns.size
+    if model.point_springs:
+        assert np.any(np.diff(system.unknowns) > 1)
+    rng = np.random.default_rng(23)
+    for scale in (1e-3, 0.3):
+        u = np.zeros(3 * model.n_nodes)
+        u[system.unknowns] = scale * rng.standard_normal(n_u)
+        u[system.driven] = scale * rng.standard_normal()
+        got = system.assemble(u)[:3]
+        want = full_table_assemble(system, u)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        K = got[2]
+        assert (K if K.base is None else K.base).size <= n_u * n_u + 1
+
+
 def reversed_vbeam_mesh(model):
     """The V-beam mesh with its node order reversed: clamped at the last
     node and driven at node 0, so the drive is the first free freedom."""
@@ -529,11 +582,14 @@ def test_sweeps_refuse_zero_steps():
      r"drive \(8, 1, -1\.0\) is invalid: it must be a \(node, dof\) pair"),
     ((8,), r"drive \(8,\) is invalid"),
     (8, "drive 8 is invalid"),
+    ((7.5, UY), r"drive \(7\.5, 1\) is invalid"),
+    ((8, 1.0), r"drive \(8, 1\.0\) is invalid"),
 ], ids=["fixed-freedom", "missing-node", "unknown-dof", "three-entries",
-        "one-entry", "no-pair"])
+        "one-entry", "no-pair", "fractional-node", "float-dof"])
 def test_model_refuses_bad_drive(drive, match):
     # none names a free freedom to move; a drive of the wrong length used
-    # to end in Python's bare ValueError from unpacking it
+    # to end in Python's bare ValueError from unpacking it, and one on node
+    # 7.5 in numpy's IndexError
     model = build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0)
     with pytest.raises(ValidationError, match=match):
         replace(model, drive=drive)
@@ -559,16 +615,25 @@ def test_model_refuses_bad_drive(drive, match):
     ({"point_springs": [(3, UY, 8, UY, -10.0)]}, "stiffness"),
     ({"point_springs": [(3, UY, 8, UY, math.nan)]}, "stiffness"),
     ({"point_springs": [(3, UY, 8, UY, math.inf)]}, "stiffness"),
+    ({"point_springs": [(1.5, UY, 2, UY, 30.0)]}, "invalid freedom"),
+    ({"point_springs": [(3, UY, 8, 1.0, 10.0)]}, "invalid freedom"),
+    ({"point_springs": [(1, UY, 2, UY)]},
+     r"spring \(1, 1, 2, 1\) is invalid: it must be a \(node_a, dof_a, "
+     r"node_b, dof_b, k\) tuple"),
+    ({"point_springs": [3]}, r"spring 3 is invalid"),
 ], ids=["element-missing-node", "element-negative-node", "zero-length",
         "flat-elements", "zero-modulus", "negative-modulus", "nan-modulus",
         "inf-modulus", "zero-area", "negative-inertia", "two-values",
         "spring-missing-node", "spring-negative-node", "spring-dof-5",
         "spring-dof-3", "spring-zero-k", "spring-negative-k", "spring-nan-k",
-        "spring-inf-k"])
+        "spring-inf-k", "spring-fractional-node", "spring-float-dof",
+        "spring-four-entries", "spring-not-a-tuple"])
 def test_model_refuses_bad_mesh(change, match):
     # a spring on node 99 used to end in numpy's IndexError, and dof 5 on
     # node 3 silently tied node 4's rotation; a zero or negative modulus
-    # swept to a zero or sign-flipped reaction
+    # swept to a zero or sign-flipped reaction; a spring on node 1.5 tied
+    # node 1's rotation, and one of four entries ended in Python's bare
+    # ValueError from unpacking it
     model = build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0)
     with pytest.raises(ValidationError, match=match):
         replace(model, **change)
