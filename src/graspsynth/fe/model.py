@@ -7,14 +7,13 @@ The shuttle travels along -Y, so the direction normal to shuttle travel is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from ..beam import VBeamGeometry
-from ..errors import (ValidationError, _is_integer, check_count,
-                      check_positive)
+from ..errors import ValidationError, _is_integer, check_count
 from ..mechanism import MechanismConfig
 
 UX, UY, ROT = 0, 1, 2
@@ -38,13 +37,11 @@ class FrameModel:
     elements is the integer (m, 2) array of each element's end nodes and
     section the (E, A, I) every element shares; fixed marks constrained
     freedoms per node; drive (node, dof) names the free freedom that moves
-    by -1 per unit of the control parameter (the shuttle travels along -Y);
-    point_springs (node_a, dof_a, node_b, dof_b, k) couple two freedoms
-    through a linear spring of stiffness k.  Every index, the section and
-    each stiffness are checked when the model is built: node and dof indices
-    must be integers naming an existing freedom, section values and
-    stiffnesses must be positive and finite, and so must each element's
-    E A / L0 and E I / L0 at its chord length L0.
+    by -1 per unit of the control parameter (the shuttle travels along -Y).
+    Every index and the section are checked when the model is built: node
+    and dof indices must be integers naming an existing freedom, section
+    values must be positive and finite, and so must each element's E A / L0
+    and E I / L0 at its chord length L0.
     """
 
     nodes: np.ndarray
@@ -52,7 +49,6 @@ class FrameModel:
     section: Tuple[float, float, float]
     fixed: np.ndarray
     drive: Tuple[int, int]
-    point_springs: List[Tuple[int, int, int, int, float]] = field(default_factory=list)
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -88,25 +84,11 @@ class FrameModel:
         if not np.any(self.fixed.all(axis=1)):
             raise ValidationError(
                 "at least one node must be fully constrained (rigid-body modes)")
-
-        def is_freedom(node, dof):
-            return (_is_integer(node) and _is_integer(dof)
-                    and 0 <= node < n and dof in (UX, UY, ROT))
-
-        for spring in self.point_springs:
-            try:
-                na, da, nb, db, k = spring
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"spring {spring!r} is invalid: it must be a (node_a, "
-                    "dof_a, node_b, dof_b, k) tuple") from None
-            if not (is_freedom(na, da) and is_freedom(nb, db)):
-                raise ValidationError(f"spring {spring} couples an invalid freedom")
-            check_positive(f"spring {spring} stiffness", k)
-        if np.shape(self.drive) != (2,) or not is_freedom(*self.drive):
+        node, dof = self.drive if np.shape(self.drive) == (2,) else (-1, -1)
+        if not (_is_integer(node) and _is_integer(dof) and 0 <= node < n
+                and dof in (UX, UY, ROT)):
             raise ValidationError(f"drive {self.drive!r} is invalid: it must "
                                   "be a (node, dof) pair naming a freedom")
-        node, dof = self.drive
         if self.fixed[node, dof]:
             raise ValidationError(
                 f"freedom ({node}, {dof}) cannot be both fixed and driven")
@@ -146,21 +128,14 @@ def build_vbeam_mesh(geom: VBeamGeometry,
 
 def build_multibeam_assembly(config: MechanismConfig,
                              n_elements: int = DEFAULT_ELEMENTS_PER_BEAM) -> FrameModel:
-    """N identical beams on a common shuttle, driven through a series spring.
+    """N identical beams on a common shuttle, condensed into one beam.
 
     The beams share the shuttle travel, so they carry equal forces, and at
     fixed geometry every reaction of the corotational model is linear in the
     modulus: one beam at N times the modulus stands for all N.  Its guided
-    end (node n_elements) is the shuttle; a ring node, joined to it by the
-    series stiffness at the shuttle's position, is the drive.
+    end (node n_elements) is the shuttle and the drive; the series spring
+    to the ring stays outside the model (solve_multibeam_assembly).
     """
-    model = build_vbeam_mesh(
+    return build_vbeam_mesh(
         config.beam_geometry, n_elements,
         youngs_modulus_E=config.n_beams * config.material.youngs_modulus_E)
-    shuttle = n_elements
-    ring = shuttle + 1
-    springs = [(ring, UY, shuttle, UY, config.series_stiffness_ks)]
-    return FrameModel(nodes=np.vstack([model.nodes, model.nodes[shuttle]]),
-                      elements=model.elements, section=model.section,
-                      fixed=np.vstack([model.fixed, [True, False, True]]),
-                      drive=(ring, UY), point_springs=springs)

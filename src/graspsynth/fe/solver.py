@@ -15,12 +15,12 @@ array pass over all elements: it gathers each element's freedoms from the
 table, evaluates chord geometry, the strain-displacement rows, local
 forces, internal forces and tangents as (n_el, ...) arrays written into
 scatter weights allocated once per model, and np.bincount scatters them
-and the point springs into the full force table, whose entries at the
-unknowns are the residual, and straight into the unknowns x unknowns
-tangent block, with one dump bin past its end for every entry that touches
-a fixed or driven freedom; every gather and scatter index is computed once
-per model.  Strain energy is evaluated once per converged step, from the
-local state of its last assembly.
+into the full force table, whose entries at the unknowns are the
+residual, and straight into the unknowns x unknowns tangent block, with
+one dump bin past its end for every entry that touches a fixed or driven
+freedom; every gather and scatter index is computed once per model.
+Strain energy is evaluated once per converged step, from the local state
+of its last assembly.
 
 Equilibrium paths are traversed under displacement control with Newton
 iteration, on force_curve's uniform travel grid (beam.uniform_travels).  A
@@ -31,6 +31,9 @@ converged state as the PathStep of its last assembly, whose stable
 flag says whether the free-free tangent is positive definite (one Cholesky
 attempt); a step that is not lies on an unstable branch, which the sweep
 reports but does not correct.
+
+The ring-driven multi-beam assembly holds no spring: it steps the shuttle
+and solves the series-spring map r = s + F / ks for the ring travel.
 
 A solver run mutates only local state; independent solves may run
 concurrently.
@@ -110,18 +113,17 @@ class _System:
     The Newton state is the flat displacement table u (3 per node, flat
     freedom 3 * node + dof): fixed freedoms stay 0, the driven one holds
     -control, and the index array unknowns names the other free
-    freedoms in node order.  Elements and springs gather their freedoms
-    straight from u; their forces scatter into the full force table, whose
-    entries at the unknowns are the residual, and their tangents straight
-    into the unknowns x unknowns block, the only block the Newton solve and
-    the stability test read.  Everything that depends only on the model is
+    freedoms in node order.  Elements gather their freedoms straight from
+    u; their forces scatter into the full force table, whose entries at the
+    unknowns are the residual, and their tangents straight into the
+    unknowns x unknowns block, the only block the Newton solve and the
+    stability test read.  Everything that depends only on the model is
     computed once here: the shared section's E A, the per-element chord
-    arrays and E I / L0, each element's and spring's flat freedoms, the
-    scatter indices of their contributions into the force table and the
-    block, and the scatter weights, elements first and springs after, with
-    the springs' constant tangent already in place.  The work arrays and
-    weights are reused by every assembly, so one instance serves one solve
-    at a time.
+    arrays and E I / L0, each element's flat freedoms, the scatter indices
+    of its contributions into the force table and the block, and the work
+    arrays, whose element forces and tangents are the scatter weights.
+    They are reused by every assembly, so one instance serves one solve at
+    a time.
     """
 
     def __init__(self, model: FrameModel):
@@ -158,15 +160,8 @@ class _System:
         self._D[:, 0, 0] = self._EA / self._L0
         self._D[:, 1:3, 1:3] = self._k_b[:, None, None] * _BENDING
         self._f_local = np.zeros((n_el, 1, 3))
-
-        # point springs: (a, b) freedoms, stiffnesses with the signs of their
-        # force at a and b, and constant tangent
-        springs = model.point_springs
-        self._spring_ends = np.array(
-            [(3 * na + da, 3 * nb + db) for na, da, nb, db, _ in springs],
-            dtype=int).reshape(-1, 2)
-        self._spring_k = np.array([k for *_, k in springs], dtype=float)
-        self._spring_k_ab = self._spring_k * [[1.0], [-1.0]]
+        self._f_el = np.empty((n_el, 1, 6))
+        self._K_el = np.empty((n_el, 6, 6))
 
         # scatter targets: flat freedoms in the force table, and places in
         # the unknowns x unknowns block, n_u**2 (the dump bin past its end)
@@ -174,27 +169,11 @@ class _System:
         n_u = self.unknowns.size
         number = np.full(free.size, n_u)
         number[self.unknowns] = np.arange(n_u)
-
-        def block_places(dofs):
-            rows = number[dofs][:, :, None]
-            cols = rows.transpose(0, 2, 1)
-            return np.where((rows < n_u) & (cols < n_u), rows * n_u + cols,
-                            n_u * n_u).ravel()
-
-        self._f_pos = np.concatenate([self._el_dofs.ravel(),
-                                      self._spring_ends.T.ravel()])
-        self._k_pos = np.concatenate([block_places(self._el_dofs),
-                                      block_places(self._spring_ends)])
-
-        # scatter weights, element entries first; _elements and assemble
-        # write into them through the views below
-        self._f_weights = np.empty(self._f_pos.size)
-        self._f_el = self._f_weights[:6 * n_el].reshape(n_el, 1, 6)
-        self._f_spring = self._f_weights[6 * n_el:].reshape(2, -1)
-        self._k_weights = np.empty(self._k_pos.size)
-        self._K_el = self._k_weights[:36 * n_el].reshape(n_el, 6, 6)
-        self._k_weights[36 * n_el:] = (
-            self._spring_k[:, None, None] * [[1.0, -1.0], [-1.0, 1.0]]).ravel()
+        rows = number[self._el_dofs][:, :, None]
+        cols = rows.transpose(0, 2, 1)
+        self._f_pos = self._el_dofs.ravel()
+        self._k_pos = np.where((rows < n_u) & (cols < n_u), rows * n_u + cols,
+                               n_u * n_u).ravel()
 
     def _elements(self, d: np.ndarray):
         """Internal forces (n_el, 6), tangents (n_el, 6, 6) and local state.
@@ -237,26 +216,22 @@ class _System:
         """Raw internal force table, residual, tangent and state at u.
 
         The residual is the force table at the unknowns and the tangent the
-        unknowns x unknowns block.  The state holds the elements' local
-        state and the spring stretches, from which path_step evaluates the
-        strain energy; the local state is a view of the work arrays, so a
-        result is valid until the next assemble() on the same system.
+        unknowns x unknowns block.  The state is the elements' local state,
+        from which path_step evaluates the strain energy; it is a view of
+        the work arrays, so a result is valid until the next assemble() on
+        the same system.
         """
-        _, _, local = self._elements(u[self._el_dofs])
-        a, b = u[self._spring_ends].T
-        stretch = a - b
-        np.multiply(self._spring_k_ab, stretch, out=self._f_spring)
-        f_flat = np.bincount(self._f_pos, self._f_weights, u.size)
+        f_el, K_el, local = self._elements(u[self._el_dofs])
+        f_flat = np.bincount(self._f_pos, f_el.ravel(), u.size)
         n_u = self.unknowns.size
-        K = np.bincount(self._k_pos, self._k_weights, n_u * n_u + 1)
+        K = np.bincount(self._k_pos, K_el.ravel(), n_u * n_u + 1)
         return (f_flat.reshape(-1, 3), f_flat[self.unknowns],
-                K[:-1].reshape(n_u, n_u), (local, stretch))
+                K[:-1].reshape(n_u, n_u), local)
 
     def path_step(self, control, u, assembled, iterations, residual):
         """The PathStep at control of table u from its assemble() result."""
-        f_raw, _, K, (local, stretch) = assembled
-        energy = float(_element_energy(*local).sum()) + float(
-            (0.5 * self._spring_k * stretch ** 2).sum())
+        f_raw, _, K, local = assembled
+        energy = float(_element_energy(*local).sum())
         return PathStep(
             control=float(control), displacements=u.reshape(-1, 3).copy(),
             reactions={key: float(f_raw[key]) for key in self._reported},
@@ -328,25 +303,36 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
         path.steps.append(system.path_step(0.0, u, system.assemble(u), 0, 0.0))
         return path
 
-    floor = travel_max / BISECTION_FLOOR_DIV
-    control = 0.0
-    for target in targets:
-        while control < target - 1e-12 * travel_max:
-            attempt = target - control
-            while (converged := _newton(system, u, control + attempt,
-                                        tol)) is None:
-                attempt /= 2.0
-                if attempt < floor:
-                    raise ConvergenceError(
-                        f"no equilibrium between control {control:.6g} and "
-                        f"{target:.6g} mm: Newton fails at every step down "
-                        f"to the bisection floor {floor:.6g} mm",
-                        last_step=path.last, path=path)
-            u, state = converged
-            control += attempt
-        path.steps.append(state if state.control == target
-                          else replace(state, control=target))
+    for control, target in zip([0.0] + targets, targets):
+        u, state = _advance(system, u, control, target, travel_max, tol, path)
+        path.steps.append(state)
     return path
+
+
+def _advance(system: _System, u, control, target, scale, tol,
+             path: EquilibriumPath):
+    """(u, PathStep recorded at target) stepped from the state u at control.
+
+    Each attempt runs Newton over the rest of the way; a failing one is
+    halved, down to scale / BISECTION_FLOOR_DIV, where a ConvergenceError
+    carries path and its last step.
+    """
+    floor = scale / BISECTION_FLOOR_DIV
+    while control < target - 1e-12 * scale:
+        attempt = target - control
+        while (converged := _newton(system, u, control + attempt,
+                                    tol)) is None:
+            attempt /= 2.0
+            if attempt < floor:
+                raise ConvergenceError(
+                    f"no equilibrium between control {control:.6g} and "
+                    f"{target:.6g} mm: Newton fails at every step down "
+                    f"to the bisection floor {floor:.6g} mm",
+                    last_step=path.last, path=path)
+        u, state = converged
+        control += attempt
+    return u, (state if state.control == target
+               else replace(state, control=target))
 
 
 def solve_multibeam_assembly(config: MechanismConfig, ring_disp: float,
@@ -354,16 +340,54 @@ def solve_multibeam_assembly(config: MechanismConfig, ring_disp: float,
                              ) -> Tuple[float, float]:
     """(shuttle displacement, ring reaction) at a prescribed ring displacement.
 
-    The identical beams act in parallel on a common shuttle, condensed into
-    one beam at n_beams times the modulus (build_multibeam_assembly); the
-    ring couples to the shuttle through the configured series stiffness and
-    is swept to ring_disp in n_steps, on the default mesh and tolerance.
+    The beams, condensed into one (build_multibeam_assembly), sit behind
+    the series stiffness ks: shuttle travel s with beam reaction F(s) is at
+    ring travel r(s) = s + F(s) / ks.  On the default mesh and tolerance the
+    shuttle steps from rest over k ring_disp / n_steps, k = 1, 2, ... (past
+    ring_disp where F < 0), up to the first step whose r reaches ring_disp;
+    a secant on Newton solves, each from the nearer end of that bracket,
+    then meets ks |ring_disp - r(s)| < tolerance within MAX_ITERS solves,
+    or raises ConvergenceError.  That first crossing is the state reached
+    by pulling the ring from rest: past a fold of r(s) the series system
+    snaps to the far branch (Bazant and Cedolin, Stability of Structures,
+    1991), never onto the unstable one between.  The reaction is F(s).
     """
     check_non_negative("ring_disp", ring_disp)
-    last = solve_guided_sweep(build_multibeam_assembly(config), ring_disp,
-                              n_steps=n_steps).last
-    shuttle = DEFAULT_ELEMENTS_PER_BEAM
-    return -float(last.displacements[shuttle, UY]), float(last.reaction)
+    check_count("n_steps", n_steps, 1)
+    if ring_disp == 0.0:
+        return 0.0, 0.0
+    ks, tol = config.series_stiffness_ks, DEFAULT_TOLERANCE
+    system = _System(build_multibeam_assembly(config))
+    path = EquilibriumPath(model=system.model)
+
+    def excess(state):
+        # the beam's reaction over the spring force: ks (r(s) - ring_disp)
+        return state.reaction - ks * (ring_disp - state.control)
+
+    u = np.zeros(3 * system.model.n_nodes)
+    lo = hi = (u, system.path_step(0.0, u, system.assemble(u), 0, 0.0))
+    k = 0
+    while excess(hi[1]) < 0.0:
+        lo, k = hi, k + 1
+        hi = _advance(system, lo[0], lo[1].control, k * ring_disp / n_steps,
+                      ring_disp, tol, path)
+        path.steps.append(hi[1])
+    prev, state, solves = lo[1], hi[1], 0
+    while abs(excess(state)) >= tol:
+        (u_lo, a), (u_hi, b) = lo, hi
+        s = state.control - excess(state) * (state.control - prev.control) / (
+            excess(state) - excess(prev))
+        start = u_lo if s - a.control < b.control - s else u_hi
+        converged = _newton(system, start, s, tol) if solves < MAX_ITERS else None
+        if converged is None:
+            raise ConvergenceError(
+                f"no shuttle travel in [{a.control:.6g}, {b.control:.6g}] mm "
+                f"meets the ring travel {ring_disp:.6g} mm after {solves} "
+                "secant solves", last_step=path.last, path=path)
+        solves += 1
+        prev, state = state, converged[1]
+        lo, hi = (converged, hi) if excess(state) < 0.0 else (lo, converged)
+    return state.control, state.reaction
 
 
 def sweep_to_curve(path: EquilibriumPath, geom: VBeamGeometry,

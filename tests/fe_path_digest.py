@@ -1,18 +1,18 @@
-"""One sha256 over the frame solver's results on the verify bench inputs.
+"""Two sha256 digests of the frame solver's results on the verify bench inputs.
 
     PYTHONPATH=src python3 tests/fe_path_digest.py [seed ...]
 
 For every verify input of the given seeds (301, 302 and 303 by default),
 generated by bench/workloads.generate, this runs the single-beam sweep and
 the multi-beam assembly (its beams condensed into one) that the verify
-workload runs, and hashes every PathStep field (control, displacements,
-reactions, reaction, Newton iterations, residual, strain energy, stable)
-in the byte layout of common.step_bytes, and every (shuttle, reaction)
-tuple of solve_multibeam_assembly.  Two trees print the same digest only if their
-oracle paths are bit-identical.  A second line gives the oracle's work over
-every sweep and assembly it runs: the Newton solves (fe.solver._newton
-calls) and the assemblies (_System.assemble calls), bisected attempts
-included.  The script writes no file: bytecode is not cached, so bench/
+workload runs.  The first line hashes every PathStep field of the sweeps
+(control, displacements, reactions, reaction, Newton iterations,
+residual, strain energy, stable) in the byte layout of common.step_bytes,
+the second every (shuttle, reaction) tuple of solve_multibeam_assembly.
+Two trees print the same line only if those results are bit-identical.
+A third line gives the oracle's work over every sweep and assembly it
+runs: the Newton solves (fe.solver._newton calls) and the assemblies
+(_System.assemble calls), bisected attempts and secant solves included.  The script writes no file: bytecode is not cached, so bench/
 stays untouched.  It is not a pytest module.
 """
 
@@ -49,7 +49,7 @@ def _count_calls(owner, name: str, calls: dict) -> None:
 
 
 def main(seeds) -> None:
-    digest, calls = hashlib.sha256(), {}
+    digest, assembly, calls = hashlib.sha256(), hashlib.sha256(), {}
     _count_calls(solver, "_newton", calls)
     _count_calls(solver._System, "assemble", calls)
     n_inputs = n_steps = n_iters = 0
@@ -65,11 +65,12 @@ def main(seeds) -> None:
                 digest.update(step_bytes(step))
                 n_iters += step.iterations
             n_steps += len(path.steps)
-            digest.update(float_bytes(*solve_multibeam_assembly(
+            assembly.update(float_bytes(*solve_multibeam_assembly(
                 cfg.mechanism, inp.params["ring_disp"])))
             n_inputs += 1
     print(f"{digest.hexdigest()}  {n_inputs} inputs, {n_steps} steps, "
           f"{n_iters} Newton iterations")
+    print(f"{assembly.hexdigest()}  {n_inputs} assembly answers")
     print(f"{calls['_newton']} Newton solves and {calls['assemble']} "
           f"assemblies over every sweep and assembly")
 

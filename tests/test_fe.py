@@ -156,16 +156,6 @@ def reference_assemble(system, u):
         el = np.concatenate([unknown[i], unknown[j]])
         live = el >= 0
         K[np.ix_(el[live], el[live])] += Ke[np.ix_(live, live)]
-    for (na, da, nb, db, k) in model.point_springs:
-        stretch = full[na, da] - full[nb, db]
-        energy += 0.5 * k * stretch ** 2
-        f_raw[na, da] += k * stretch
-        f_raw[nb, db] -= k * stretch
-        ends = ((unknown[na, da], 1.0), (unknown[nb, db], -1.0))
-        for ei, si in ends:
-            for ej, sj in ends:
-                if ei >= 0 and ej >= 0:
-                    K[ei, ej] += k * si * sj
     r = np.zeros(n)
     mask = unknown >= 0
     np.add.at(r, unknown[mask], f_raw[mask])
@@ -209,13 +199,21 @@ def test_element_linear_limit_matches_hermitian_stiffness():
     assert f[5] == pytest.approx(-6 * E * I / L ** 2 * w, rel=1e-4)
 
 
+def interior_fixed(model):
+    """The model with node 4's rotation fixed too: its unknowns skip an
+    interior freedom, so they are no contiguous run of the full table."""
+    fixed = model.fixed.copy()
+    fixed[4, ROT] = True
+    return replace(model, fixed=fixed)
+
+
 @pytest.mark.parametrize("model", [
     build_vbeam_mesh(GEOM, 16, youngs_modulus_E=1800.0),
-    build_multibeam_assembly(make_config(), 8),
+    interior_fixed(build_multibeam_assembly(make_config(), 8)),
 ], ids=["vbeam", "multibeam"])
 def test_batched_assembly_matches_per_element_reference(model):
-    # seeded states from small to large rotations, point spring included;
-    # the strain energy is evaluated from the assembly by path_step
+    # seeded states from small to large rotations; the strain energy is
+    # evaluated from the assembly by path_step
     system = _System(model)
     free = np.flatnonzero(~model.fixed.ravel())
     assert system.driven in free
@@ -238,43 +236,32 @@ def test_batched_assembly_matches_per_element_reference(model):
 def full_table_assemble(system, u):
     """_System.assemble through the full (3 nodes)^2 tangent table.
 
-    Element and spring entries are bincounted in the solver's order at
-    their flat freedoms and flat (row, column) positions; the residual and
-    the tangent are then gathered at the unknowns.
+    Element entries are bincounted in the solver's order at their flat
+    freedoms and flat (row, column) positions; the residual and the tangent
+    are then gathered at the unknowns.
     """
     model = system.model
     n = u.size
     el_dofs = (3 * np.repeat(model.elements, 3, axis=1)
                + np.tile([UX, UY, ROT], 2))
     f_el, K_el, _ = system._elements(u[el_dofs])
-    a = np.array([3 * na + da for na, da, *_ in model.point_springs], int)
-    b = np.array([3 * nb + db for _, _, nb, db, _ in model.point_springs],
-                 int)
-    k = np.array([spring[4] for spring in model.point_springs], float)
-    f_spring = k * (u[a] - u[b])
-    f = np.bincount(np.concatenate([el_dofs.ravel(), a, b]),
-                    np.concatenate([f_el.ravel(), f_spring, -f_spring]), n)
-    K = np.bincount(
-        np.concatenate([(dofs[:, :, None] * n + dofs[:, None, :]).ravel()
-                        for dofs in (el_dofs, np.stack([a, b], axis=1))]),
-        np.concatenate([K_el.ravel(), (k[:, None, None]
-                                       * [[1.0, -1.0], [-1.0, 1.0]]).ravel()]),
-        n * n).reshape(n, n)
+    f = np.bincount(el_dofs.ravel(), f_el.ravel(), n)
+    K = np.bincount((el_dofs[:, :, None] * n + el_dofs[:, None, :]).ravel(),
+                    K_el.ravel(), n * n).reshape(n, n)
     unknowns = system.unknowns
     return f.reshape(-1, 3), f[unknowns], K[np.ix_(unknowns, unknowns)]
 
 
 @pytest.mark.parametrize("model", [
     build_vbeam_mesh(GEOM, 16, youngs_modulus_E=1800.0),
-    build_multibeam_assembly(make_config(), 8),
+    interior_fixed(build_multibeam_assembly(make_config(), 8)),
 ], ids=["vbeam", "multibeam"])
 def test_assembly_equals_the_full_table_bit_for_bit(model):
-    # the multi-beam unknowns skip the shuttle's fixed UX and ROT and the
-    # driven ring, so the block is no contiguous run of the full table
+    # the second mesh's unknowns skip node 4's rotation, so its block is no
+    # contiguous run of the full table
     system = _System(model)
     n_u = system.unknowns.size
-    if model.point_springs:
-        assert np.any(np.diff(system.unknowns) > 1)
+    assert np.any(np.diff(system.unknowns) > 1) == model.fixed[4, ROT]
     rng = np.random.default_rng(23)
     for scale in (1e-3, 0.3):
         u = np.zeros(3 * model.n_nodes)
@@ -607,33 +594,11 @@ def test_model_refuses_bad_drive(drive, match):
     ({"section": (1800.0, 0.0, 0.72)}, "section"),
     ({"section": (1800.0, 6.0, -0.72)}, "section"),
     ({"section": (1800.0, 6.0)}, "section"),
-    ({"point_springs": [(99, UY, 8, UY, 10.0)]}, "invalid freedom"),
-    ({"point_springs": [(3, UY, -1, UY, 10.0)]}, "invalid freedom"),
-    ({"point_springs": [(3, 5, 8, UY, 10.0)]}, "invalid freedom"),
-    ({"point_springs": [(3, UY, 8, 3, 10.0)]}, "invalid freedom"),
-    ({"point_springs": [(3, UY, 8, UY, 0.0)]}, "stiffness"),
-    ({"point_springs": [(3, UY, 8, UY, -10.0)]}, "stiffness"),
-    ({"point_springs": [(3, UY, 8, UY, math.nan)]}, "stiffness"),
-    ({"point_springs": [(3, UY, 8, UY, math.inf)]}, "stiffness"),
-    ({"point_springs": [(1.5, UY, 2, UY, 30.0)]}, "invalid freedom"),
-    ({"point_springs": [(3, UY, 8, 1.0, 10.0)]}, "invalid freedom"),
-    ({"point_springs": [(1, UY, 2, UY)]},
-     r"spring \(1, 1, 2, 1\) is invalid: it must be a \(node_a, dof_a, "
-     r"node_b, dof_b, k\) tuple"),
-    ({"point_springs": [3]}, r"spring 3 is invalid"),
 ], ids=["element-missing-node", "element-negative-node", "zero-length",
         "flat-elements", "zero-modulus", "negative-modulus", "nan-modulus",
-        "inf-modulus", "zero-area", "negative-inertia", "two-values",
-        "spring-missing-node", "spring-negative-node", "spring-dof-5",
-        "spring-dof-3", "spring-zero-k", "spring-negative-k", "spring-nan-k",
-        "spring-inf-k", "spring-fractional-node", "spring-float-dof",
-        "spring-four-entries", "spring-not-a-tuple"])
+        "inf-modulus", "zero-area", "negative-inertia", "two-values"])
 def test_model_refuses_bad_mesh(change, match):
-    # a spring on node 99 used to end in numpy's IndexError, and dof 5 on
-    # node 3 silently tied node 4's rotation; a zero or negative modulus
-    # swept to a zero or sign-flipped reaction; a spring on node 1.5 tied
-    # node 1's rotation, and one of four entries ended in Python's bare
-    # ValueError from unpacking it
+    # a zero or negative modulus swept to a zero or sign-flipped reaction
     model = build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0)
     with pytest.raises(ValidationError, match=match):
         replace(model, **change)
@@ -773,34 +738,72 @@ def test_multibeam_rigid_link_limit():
     assert shuttle == pytest.approx(0.5, rel=1e-3)
 
 
+def test_multibeam_refuses_a_negative_ring_travel():
+    with pytest.raises(ValidationError, match="ring_disp"):
+        solve_multibeam_assembly(make_config(), -1.0)
+
+
 def test_multibeam_assembly_structure():
     model = build_multibeam_assembly(make_config(n_beams=3), n_elements=8)
-    # one beam of 9 nodes standing for all 3, plus the ring node
-    assert model.n_nodes == 8 + 2
+    # one beam of 9 nodes standing for all 3, driven at its guided end
+    assert model.n_nodes == 9
     assert len(model.elements) == 8
     assert model.section[0] == 3 * 1800.0
-    assert len(model.point_springs) == 1
-    assert model.drive == (model.n_nodes - 1, UY)
+    assert model.drive == (8, UY)
+    assert not hasattr(model, "point_springs")
 
 
-# (config, ring mm, n_steps, shuttle, reaction) from the assembly that meshed
-# and tied all N beams; the 2-beam case stays on its branch only if the
-# condensed model follows the same ring-controlled path.
-TIED_REFERENCE = [
+# (config, ring mm, n_steps, shuttle, reaction).  The first row is the
+# answer of an assembly that meshed and tied all N beams.  The second is
+# the stable answer on the seed-301 verify beam, where a ring-driven sweep
+# through a spring converged on unstable states from 1.04 mm on.  With
+# ks = 1 N/mm the beam pushes back (F < 0) at the ring travel, so the
+# shuttle steps past it; 12 beams behind ks = 5 N/mm snap past the fold of
+# r(s) (test_ring_travel_folds_below_the_far_branch); a soft spring pulls
+# one beam far along its travel.
+ASSEMBLY_REFERENCE = [
     (make_config(), 1.5, 8, 0.2661153609026359, 12.338846390973641),
     (make_config(beam_geometry=VBeamGeometry.from_degrees(
         45.6372, 1.0602, 4.3125, 9.7371), n_beams=2),
-     2.9835, 20, 2.544198070520147, 4.39301929479853),
+     2.9835, 20, 2.6504072669629797, 3.3309273291668884),
+    (make_config(n_beams=1, series_stiffness_ks=1.0), 6.0, 20,
+     6.356820532347238, -0.35682053239263833),
+    (make_config(n_beams=12, series_stiffness_ks=5.0), 8.8, 20,
+     7.421947565271325, 6.890262172965234),
+    (make_config(n_beams=1, series_stiffness_ks=0.2), 17.0, 20,
+     8.065209231049167, 1.7869581537552233),
 ]
 
 
-@pytest.mark.parametrize("config,ring,n_steps,shuttle,reaction", TIED_REFERENCE)
-def test_multibeam_matches_tied_reference(config, ring, n_steps, shuttle,
-                                          reaction):
+@pytest.mark.parametrize(
+    "config,ring,n_steps,shuttle,reaction", ASSEMBLY_REFERENCE,
+    ids=["table-12-beams", "seed-301-2-beams", "shuttle-past-ring",
+         "far-branch-past-fold", "soft-spring-long-travel"])
+def test_multibeam_matches_reference(config, ring, n_steps, shuttle,
+                                     reaction):
     s, r = solve_multibeam_assembly(config, ring, n_steps=n_steps)
     assert s == pytest.approx(shuttle, rel=1e-9)
     assert r == pytest.approx(reaction, rel=1e-9)
-    assert r == pytest.approx(config.series_stiffness_ks * (ring - s), rel=1e-9)
+    assert r == pytest.approx(config.series_stiffness_ks * (ring - s),
+                              abs=solver.DEFAULT_TOLERANCE)
+    # a shuttle sweep to the answer ends stable, at the returned reaction
+    last = solve_guided_sweep(build_multibeam_assembly(config), s,
+                              n_steps).last
+    assert last.stable
+    assert last.reaction == pytest.approx(r, abs=1e-7)
+
+
+def test_ring_travel_folds_below_the_far_branch():
+    # r(s) = s + F(s) / ks of 12 beams behind ks = 5 N/mm peaks near
+    # s = 1.2 mm below 8.8 mm, then falls, so the 8.8 mm reference answer
+    # lies on the far branch
+    path = solve_guided_sweep(
+        build_multibeam_assembly(make_config(series_stiffness_ks=5.0)),
+        8.0, 40)
+    ring = path.controls + path.reactions / 5.0
+    fold = int(np.argmax(ring[:10]))
+    assert path.controls[fold] == pytest.approx(1.2)
+    assert ring[fold + 1] < ring[fold] < 8.8
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ The README promises byte-reproducible CSV.  A change that alters one of
 these files on purpose updates its hash here and says why in CHANGES.md.
 fe_path.csv is left out: its residual column moves at round-off.  One
 frame-solver path is pinned bit for bit instead, in the byte layout of
-tests/fe_path_digest.py.
+tests/fe_path_digest.py, and so is one assembly answer.
 """
 
 import hashlib
@@ -16,7 +16,7 @@ import pytest
 from graspsynth import parse_config, solve_multibeam_assembly, solve_vbeam_sweep
 from graspsynth.cli import run_command
 
-from common import float_bytes, step_bytes
+from common import step_bytes
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -82,19 +82,28 @@ def test_refined_design_bytes_match_golden(target, flagged, tmp_path):
     assert hashlib.sha256(csv).hexdigest() == REFINED_GOLDEN[target, flagged]
 
 
-# every PathStep of the demo beam's 16-element, 100-step sweep to 5 mm, then
-# the (shuttle, reaction) of its 12-beam assembly at a 3 mm ring travel
+# every PathStep of the demo beam's 16-element, 100-step sweep to 5 mm
 ORACLE_PATH_GOLDEN = (
-    "992ecd9ecbddf7421c610466fe1bed520acf73e82f1f10aa96c075d41c6a93d3")
+    "64f6360ea9a1a06c3c8e940ce9c5368f247554cdf4641cf197d44d734f335125")
+# the (shuttle, reaction) of its 12-beam assembly at a 3 mm ring travel
+ASSEMBLY_GOLDEN = (0.5918447570118457, 24.081552429884766)
+
+
+def _table1():
+    return parse_config((DEMOS / "table1.json").read_text(encoding="utf-8"))
 
 
 def test_oracle_path_bytes_match_golden():
-    cfg = parse_config((DEMOS / "table1.json").read_text(encoding="utf-8"))
+    cfg = _table1()
     path = solve_vbeam_sweep(cfg.mechanism.beam_geometry, cfg.material, 5.0,
                              n_steps=100, n_elements=16, tol=1e-8)
     assert len(path.steps) == 100
     digest = hashlib.sha256()
     for step in path.steps:
         digest.update(step_bytes(step))
-    digest.update(float_bytes(*solve_multibeam_assembly(cfg.mechanism, 3.0)))
     assert digest.hexdigest() == ORACLE_PATH_GOLDEN
+
+
+def test_assembly_matches_golden():
+    cfg = _table1()
+    assert solve_multibeam_assembly(cfg.mechanism, 3.0) == ASSEMBLY_GOLDEN
