@@ -594,13 +594,19 @@ def uniform_travels(travel_max: float, n: int) -> np.ndarray:
     """The n uniform travels travel_max * k / n, k = 1..n, over (0, travel_max].
 
     An n that is not an integer of at least 1 (a non-integer n would step
-    past travel_max), an n above SAMPLE_CAP and a travel_max * n that
-    overflows are refused before numpy allocates.
+    past travel_max), an n above SAMPLE_CAP, a travel_max * n that
+    overflows and a positive travel_max below n * 5e-324 (math.ulp(0.0)),
+    whose travels would not rise strictly from above 0, are refused before
+    numpy allocates.
     """
     check_count("sample count", n, 1, SAMPLE_CAP)
     if not math.isfinite(float(travel_max) * int(n)):
         raise ValidationError(f"travel_max {float(travel_max)!r} times {n} "
                               "samples is not finite")
+    if 0.0 < travel_max < n * math.ulp(0.0):
+        raise ValidationError(
+            f"travel_max {float(travel_max)!r} is below {n} * 5e-324: its "
+            f"{n} travels would not rise strictly from above 0")
     return travel_max * np.arange(1, n + 1) / n
 
 

@@ -126,16 +126,16 @@ def build_vbeam_mesh(geom: VBeamGeometry,
                       fixed=fixed, drive=(guided, UY))
 
 
-def build_multibeam_assembly(config: MechanismConfig,
-                             n_elements: int = DEFAULT_ELEMENTS_PER_BEAM) -> FrameModel:
+def build_multibeam_assembly(config: MechanismConfig) -> FrameModel:
     """N identical beams on a common shuttle, condensed into one beam.
 
     The beams share the shuttle travel, so they carry equal forces, and at
     fixed geometry every reaction of the corotational model is linear in the
-    modulus: one beam at N times the modulus stands for all N.  Its guided
-    end (node n_elements) is the shuttle and the drive; the series spring
-    to the ring stays outside the model (solve_multibeam_assembly).
+    modulus: one beam at N times the modulus stands for all N, on the
+    default mesh.  Its guided end (node DEFAULT_ELEMENTS_PER_BEAM) is the
+    shuttle and the drive; the series spring to the ring stays outside the
+    model (solve_multibeam_assembly).
     """
     return build_vbeam_mesh(
-        config.beam_geometry, n_elements,
+        config.beam_geometry,
         youngs_modulus_E=config.n_beams * config.material.youngs_modulus_E)

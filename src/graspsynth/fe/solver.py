@@ -22,15 +22,15 @@ freedom; every gather and scatter index is computed once per model.
 Strain energy is evaluated once per converged step, from the local state
 of its last assembly.
 
-Equilibrium paths are traversed under displacement control with Newton
-iteration, on force_curve's uniform travel grid (beam.uniform_travels).  A
-step that fails to converge, a singular tangent or a floating-point
-overflow included, is bisected down to a floor; if Newton fails there too,
-a ConvergenceError carries the partial path.  Newton returns each
-converged state as the PathStep of its last assembly, whose stable
-flag says whether the free-free tangent is positive definite (one Cholesky
-attempt); a step that is not lies on an unstable branch, which the sweep
-reports but does not correct.
+Equilibrium paths are traversed under displacement control on
+force_curve's uniform travel grid (beam.uniform_travels).  Newton returns
+each converged state as the PathStep of its last assembly, and the sweep
+appends the one it reaches at each travel.  A step that fails to converge,
+a singular tangent or a floating-point overflow included, is bisected down
+to a floor, where a ConvergenceError carries the partial path.  A step's
+stable flag says whether the free-free tangent is positive definite (one
+Cholesky attempt); one that is not lies on an unstable branch, which the
+sweep reports but does not correct.
 
 The ring-driven multi-beam assembly holds no spring: it steps the shuttle
 and solves the series-spring map r = s + F / ks for the ring travel.
@@ -110,13 +110,9 @@ class EquilibriumPath:
 class _System:
     """Assembly and residual bookkeeping for one model.
 
-    The Newton state is the flat displacement table u (3 per node, flat
-    freedom 3 * node + dof): fixed freedoms stay 0, the driven one holds
-    -control, and the index array unknowns names the other free
-    freedoms in node order.  Elements gather their freedoms straight from
-    u; their forces scatter into the full force table, whose entries at the
-    unknowns are the residual, and their tangents straight into the
-    unknowns x unknowns block, the only block the Newton solve and the
+    The Newton state is the flat displacement table u of the module
+    docstring (flat freedom 3 * node + dof; the driven one holds -control);
+    the unknowns x unknowns block is the only one the Newton solve and the
     stability test read.  Everything that depends only on the model is
     computed once here: the shared section's E A, the per-element chord
     arrays and E I / L0, each element's flat freedoms, the scatter indices
@@ -229,11 +225,11 @@ class _System:
                 K[:-1].reshape(n_u, n_u), local)
 
     def path_step(self, control, u, assembled, iterations, residual):
-        """The PathStep at control of table u from its assemble() result."""
+        """The PathStep at control from assemble() of table u, which it keeps."""
         f_raw, _, K, local = assembled
         energy = float(_element_energy(*local).sum())
         return PathStep(
-            control=float(control), displacements=u.reshape(-1, 3).copy(),
+            control=float(control), displacements=u.reshape(-1, 3),
             reactions={key: float(f_raw[key]) for key in self._reported},
             reaction=-float(f_raw.flat[self.driven]),
             iterations=iterations, residual=residual, strain_energy=energy,
@@ -257,12 +253,13 @@ def _stable(K_ff: np.ndarray) -> bool:
 def _newton(system: _System, u_start, control, tol):
     """Up to MAX_ITERS Newton iterations at a fixed control from u_start.
 
-    Returns (u, PathStep) of the converged state, or None.  A singular
-    tangent fails the attempt, and so does a floating-point overflow,
-    invalid value or division by zero: the oracle cannot tell a diverged
-    iterate from an input too large for it, so the sweep bisects either.
+    Returns the converged PathStep, whose table is Newton's own flat copy of
+    u_start, or None.  A singular tangent fails the attempt, and so does a
+    floating-point overflow, invalid value or division by zero: the oracle
+    cannot tell a diverged iterate from an input too large for it, so the
+    sweep bisects either.
     """
-    u = u_start.copy()
+    u = u_start.flatten()
     u[system.driven] = -control
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -271,7 +268,7 @@ def _newton(system: _System, u_start, control, tol):
                 r = assembled[1]
                 res = math.sqrt(r @ r)
                 if res < tol:
-                    return u, system.path_step(control, u, assembled, it, res)
+                    return system.path_step(control, u, assembled, it, res)
                 u[system.unknowns] -= np.linalg.solve(assembled[2], r)
     except (np.linalg.LinAlgError, FloatingPointError):
         return None
@@ -297,31 +294,29 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
     targets = uniform_travels(travel_max, n_steps).tolist()
     system = _System(model)
     path = EquilibriumPath(model=model)
-    u = np.zeros(3 * model.n_nodes)
-
     if travel_max == 0.0:
+        u = np.zeros(3 * model.n_nodes)
         path.steps.append(system.path_step(0.0, u, system.assemble(u), 0, 0.0))
         return path
-
-    for control, target in zip([0.0] + targets, targets):
-        u, state = _advance(system, u, control, target, travel_max, tol, path)
-        path.steps.append(state)
+    for target in targets:
+        _advance(system, path, target, travel_max, tol)
     return path
 
 
-def _advance(system: _System, u, control, target, scale, tol,
-             path: EquilibriumPath):
-    """(u, PathStep recorded at target) stepped from the state u at control.
+def _advance(system: _System, path: EquilibriumPath, target, scale, tol):
+    """Append to path the PathStep at target, stepped from path.last.
 
-    Each attempt runs Newton over the rest of the way; a failing one is
-    halved, down to scale / BISECTION_FLOOR_DIV, where a ConvergenceError
-    carries path and its last step.
+    Each attempt runs Newton from the last converged state (rest on an
+    empty path) over the rest of the way; a failing one is halved down to
+    scale / BISECTION_FLOOR_DIV, where a ConvergenceError carries the path.
     """
+    state = path.last
+    u, control = ((state.displacements, state.control) if state else
+                  (np.zeros(3 * system.model.n_nodes), 0.0))
     floor = scale / BISECTION_FLOOR_DIV
     while control < target - 1e-12 * scale:
         attempt = target - control
-        while (converged := _newton(system, u, control + attempt,
-                                    tol)) is None:
+        while (state := _newton(system, u, control + attempt, tol)) is None:
             attempt /= 2.0
             if attempt < floor:
                 raise ConvergenceError(
@@ -329,10 +324,9 @@ def _advance(system: _System, u, control, target, scale, tol,
                     f"{target:.6g} mm: Newton fails at every step down "
                     f"to the bisection floor {floor:.6g} mm",
                     last_step=path.last, path=path)
-        u, state = converged
-        control += attempt
-    return u, (state if state.control == target
-               else replace(state, control=target))
+        u, control = state.displacements, state.control
+    path.steps.append(state if control == target
+                      else replace(state, control=target))
 
 
 def solve_multibeam_assembly(config: MechanismConfig, ring_disp: float,
@@ -344,16 +338,19 @@ def solve_multibeam_assembly(config: MechanismConfig, ring_disp: float,
     the series stiffness ks: shuttle travel s with beam reaction F(s) is at
     ring travel r(s) = s + F(s) / ks.  On the default mesh and tolerance the
     shuttle steps from rest over k ring_disp / n_steps, k = 1, 2, ... (past
-    ring_disp where F < 0), up to the first step whose r reaches ring_disp;
-    a secant on Newton solves, each from the nearer end of that bracket,
-    then meets ks |ring_disp - r(s)| < tolerance within MAX_ITERS solves,
-    or raises ConvergenceError.  That first crossing is the state reached
-    by pulling the ring from rest: past a fold of r(s) the series system
-    snaps to the far branch (Bazant and Cedolin, Stability of Structures,
-    1991), never onto the unstable one between.  The reaction is F(s).
+    ring_disp where F < 0; k <= n_steps is beam.uniform_travels' grid, with
+    its refusals), up to the first step whose r reaches ring_disp.  Secant
+    Newton solves, each from the nearer end of that bracket and strictly
+    inside it (else at its regula-falsi point), then meet ks |ring_disp -
+    r(s)| < tolerance within MAX_ITERS solves, or raise ConvergenceError.
+    That first crossing is the state reached by pulling the ring from rest:
+    past a fold of r(s) the series system snaps to the far branch (Bazant
+    and Cedolin, Stability of Structures, 1991), never onto the unstable
+    one between.  The reaction is F(s).
     """
     check_non_negative("ring_disp", ring_disp)
     check_count("n_steps", n_steps, 1)
+    uniform_travels(ring_disp, n_steps)  # the rule of the first n_steps
     if ring_disp == 0.0:
         return 0.0, 0.0
     ks, tol = config.series_stiffness_ks, DEFAULT_TOLERANCE
@@ -364,29 +361,31 @@ def solve_multibeam_assembly(config: MechanismConfig, ring_disp: float,
         # the beam's reaction over the spring force: ks (r(s) - ring_disp)
         return state.reaction - ks * (ring_disp - state.control)
 
+    def secant(a, b):  # where the line through a and b has no excess
+        return b.control - excess(b) * (b.control - a.control) / (
+            excess(b) - excess(a))
+
     u = np.zeros(3 * system.model.n_nodes)
-    lo = hi = (u, system.path_step(0.0, u, system.assemble(u), 0, 0.0))
-    k = 0
-    while excess(hi[1]) < 0.0:
-        lo, k = hi, k + 1
-        hi = _advance(system, lo[0], lo[1].control, k * ring_disp / n_steps,
-                      ring_disp, tol, path)
-        path.steps.append(hi[1])
-    prev, state, solves = lo[1], hi[1], 0
+    lo = hi = system.path_step(0.0, u, system.assemble(u), 0, 0.0)
+    while excess(hi) < 0.0:
+        _advance(system, path, (len(path.steps) + 1) * ring_disp / n_steps,
+                 ring_disp, tol)
+        lo, hi = hi, path.last
+    prev, state, solves = lo, hi, 0
     while abs(excess(state)) >= tol:
-        (u_lo, a), (u_hi, b) = lo, hi
-        s = state.control - excess(state) * (state.control - prev.control) / (
-            excess(state) - excess(prev))
-        start = u_lo if s - a.control < b.control - s else u_hi
-        converged = _newton(system, start, s, tol) if solves < MAX_ITERS else None
-        if converged is None:
+        s = secant(prev, state) if excess(state) != excess(prev) else math.nan
+        if not lo.control < s < hi.control:
+            s = secant(lo, hi)
+        start = lo if s - lo.control < hi.control - s else hi
+        prev, state = state, (_newton(system, start.displacements, s, tol)
+                              if solves < MAX_ITERS else None)
+        if state is None:
             raise ConvergenceError(
-                f"no shuttle travel in [{a.control:.6g}, {b.control:.6g}] mm "
-                f"meets the ring travel {ring_disp:.6g} mm after {solves} "
+                f"no shuttle travel in [{lo.control:.6g}, {hi.control:.6g}] "
+                f"mm meets the ring travel {ring_disp:.6g} mm after {solves} "
                 "secant solves", last_step=path.last, path=path)
         solves += 1
-        prev, state = state, converged[1]
-        lo, hi = (converged, hi) if excess(state) < 0.0 else (lo, converged)
+        lo, hi = (state, hi) if excess(state) < 0.0 else (lo, state)
     return state.control, state.reaction
 
 

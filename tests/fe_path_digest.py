@@ -12,7 +12,12 @@ the second every (shuttle, reaction) tuple of solve_multibeam_assembly.
 Two trees print the same line only if those results are bit-identical.
 A third line gives the oracle's work over every sweep and assembly it
 runs: the Newton solves (fe.solver._newton calls) and the assemblies
-(_System.assemble calls), bisected attempts and secant solves included.  The script writes no file: bytecode is not cached, so bench/
+(_System.assemble calls), bisected attempts and secant solves included.
+A fourth line hashes the (shuttle, reaction) answers of coarse-step
+assemblies on the table1 mechanism (demos/table1.json at 6 and 12 beams,
+rings COARSE_RINGS, n_steps COARSE_STEPS), an answer that raises
+ConvergenceError hashing as its exception name, and counts those that
+raised.  The script writes no file: bytecode is not cached, so bench/
 stays untouched.  It is not a pytest module.
 """
 
@@ -21,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.dont_write_bytecode = True
@@ -29,11 +35,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
 
 from common import float_bytes, step_bytes  # noqa: E402
-from graspsynth import (parse_config, solve_multibeam_assembly,  # noqa: E402
-                        solve_vbeam_sweep)
+from graspsynth import (ConvergenceError, parse_config,  # noqa: E402
+                        solve_multibeam_assembly, solve_vbeam_sweep)
 from graspsynth.fe import solver  # noqa: E402
 
 SEEDS = (301, 302, 303)
+TABLE1 = Path(__file__).resolve().parent.parent / "demos" / "table1.json"
+COARSE_BEAMS = (6, 12)
+COARSE_RINGS = (0.5, 1.0, 2.0, 3.0, 5.0, 8.0)
+COARSE_STEPS = (1, 2, 3, 5, 8, 20)
 
 
 def _count_calls(owner, name: str, calls: dict) -> None:
@@ -73,6 +83,21 @@ def main(seeds) -> None:
     print(f"{assembly.hexdigest()}  {n_inputs} assembly answers")
     print(f"{calls['_newton']} Newton solves and {calls['assemble']} "
           f"assemblies over every sweep and assembly")
+    coarse, n_coarse, n_raised = hashlib.sha256(), 0, 0
+    table1 = parse_config(TABLE1.read_text()).mechanism
+    for n_beams in COARSE_BEAMS:
+        config = replace(table1, n_beams=n_beams)
+        for ring in COARSE_RINGS:
+            for n_steps in COARSE_STEPS:
+                n_coarse += 1
+                try:
+                    coarse.update(float_bytes(*solve_multibeam_assembly(
+                        config, ring, n_steps=n_steps)))
+                except ConvergenceError as exc:
+                    coarse.update(type(exc).__name__.encode())
+                    n_raised += 1
+    print(f"{coarse.hexdigest()}  {n_coarse} coarse table1 assembly "
+          f"answers, {n_raised} raised ConvergenceError")
 
 
 if __name__ == "__main__":

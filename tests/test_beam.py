@@ -658,6 +658,23 @@ def test_count_above_the_cap_is_refused_before_allocation(count):
         force_curve(GEOM, MAT, 1.0, count)
 
 
+def test_travels_that_underflow_are_refused():
+    # a positive travel_max is refused exactly where its grid would not rise
+    # strictly from above 0: below n samples of the smallest subnormal
+    tiny = math.ulp(0.0)
+    for n in range(1, 40):
+        for m in range(1, 3 * n + 3):
+            if m < n:
+                with pytest.raises(ValidationError, match="would not rise"):
+                    uniform_travels(m * tiny, n)
+                continue
+            grid = uniform_travels(m * tiny, n)
+            assert grid[0] > 0.0 and np.all(np.diff(grid) > 0.0)
+    assert not uniform_travels(0.0, 3).any()
+    with pytest.raises(ValidationError, match="below 500 \\* 5e-324"):
+        force_curve(GEOM, MAT, 1e-321, 500)
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowing_travel_is_refused_before_the_array_product():
     # 1e308 is finite, but five samples of it are not

