@@ -25,12 +25,18 @@ of its last assembly.
 Equilibrium paths are traversed under displacement control on
 force_curve's uniform travel grid (beam.uniform_travels).  Newton returns
 each converged state as the PathStep of its last assembly, and the sweep
-appends the one it reaches at each travel.  A step that fails to converge,
-a singular tangent or a floating-point overflow included, is bisected down
-to a floor, where a ConvergenceError carries the partial path.  A step's
-stable flag says whether the free-free tangent is positive definite (one
-Cholesky attempt); one that is not lies on an unstable branch, which the
-sweep reports but does not correct.
+appends the one it reaches at each travel.  A step's stable flag says
+whether the free-free tangent is positive definite (one Cholesky attempt);
+one that is not lies on an unstable branch.  Once the path holds two
+steps, Newton first starts from their secant, extrapolated to the next
+travel (Crisfield, vol. 1, ch. 9), and that state is kept only if it
+converges and is stable.  Otherwise, as on the first two steps, Newton
+starts from the last state with only the drive moved; a step that fails
+to converge, a singular tangent or a floating-point overflow included, is
+bisected down to a floor, where a ConvergenceError carries the partial
+path, and the state it reaches is kept whatever its flag.  So a predicted
+start never puts a path on an unstable state, but a drive-only start
+still can, and the sweep reports such a state without switching branches.
 
 The ring-driven multi-beam assembly holds no spring: it steps the shuttle
 and solves the series-spring map r = s + F / ks for the ring travel.
@@ -281,8 +287,9 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
     """Displacement-controlled sweep of the model's drive up to travel_max.
 
     Steps to the n_steps travels of beam.uniform_travels and records the
-    reactions per step.  A step whose Newton iteration fails within
-    MAX_ITERS iterations is halved and retried, down to travel_max / 4096;
+    reactions per step, each taken as _advance says.  A step whose
+    drive-only Newton iteration fails within MAX_ITERS iterations is halved
+    and retried, down to travel_max / 4096;
     if that also fails a ConvergenceError carries the partial path and the
     last converged step.  A negative or non-finite travel_max, a tol that is
     not positive and finite, or an n_steps that is not an integer of at
@@ -306,11 +313,24 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
 def _advance(system: _System, path: EquilibriumPath, target, scale, tol):
     """Append to path the PathStep at target, stepped from path.last.
 
-    Each attempt runs Newton from the last converged state (rest on an
-    empty path) over the rest of the way; a failing one is halved down to
+    Once path holds two steps, the first attempt runs Newton from their
+    secant extrapolated to target (Crisfield 1991, ch. 9), and its state is
+    kept only if it converges and is stable.  Otherwise each attempt runs
+    Newton from the last converged state (rest on an empty path), only the
+    drive moved, over the rest of the way; a failing one is halved down to
     scale / BISECTION_FLOOR_DIV, where a ConvergenceError carries the path.
+    A state so reached is kept whatever its stable flag.
     """
     state = path.last
+    if len(path.steps) >= 2:
+        prev = path.steps[-2]
+        u_k, u_prev = state.displacements, prev.displacements
+        guess = u_k + (u_k - u_prev) * ((target - state.control)
+                                        / (state.control - prev.control))
+        predicted = _newton(system, guess, target, tol)
+        if predicted is not None and predicted.stable:
+            path.steps.append(predicted)
+            return
     u, control = ((state.displacements, state.control) if state else
                   (np.zeros(3 * system.model.n_nodes), 0.0))
     floor = scale / BISECTION_FLOOR_DIV

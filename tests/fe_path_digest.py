@@ -1,4 +1,4 @@
-"""Two sha256 digests of the frame solver's results on the verify bench inputs.
+"""sha256 digests and work counts of the frame solver on the verify bench inputs.
 
     PYTHONPATH=src python3 tests/fe_path_digest.py [seed ...]
 
@@ -8,8 +8,9 @@ the multi-beam assembly (its beams condensed into one) that the verify
 workload runs.  The first line hashes every PathStep field of the sweeps
 (control, displacements, reactions, reaction, Newton iterations,
 residual, strain energy, stable) in the byte layout of common.step_bytes,
-the second every (shuttle, reaction) tuple of solve_multibeam_assembly.
-Two trees print the same line only if those results are bit-identical.
+and counts the sweep steps that are not stable; the second hashes every
+(shuttle, reaction) tuple of solve_multibeam_assembly.  Two trees print
+the same hash only if those results are bit-identical.
 A third line gives the oracle's work over every sweep and assembly it
 runs: the Newton solves (fe.solver._newton calls) and the assemblies
 (_System.assemble calls), bisected attempts and secant solves included.
@@ -62,7 +63,7 @@ def main(seeds) -> None:
     digest, assembly, calls = hashlib.sha256(), hashlib.sha256(), {}
     _count_calls(solver, "_newton", calls)
     _count_calls(solver._System, "assemble", calls)
-    n_inputs = n_steps = n_iters = 0
+    n_inputs = n_steps = n_iters = n_unstable = 0
     for seed in seeds:
         for inp in workloads.generate("verify", seed):
             cfg = parse_config(json.dumps(inp.config))
@@ -74,12 +75,13 @@ def main(seeds) -> None:
             for step in path.steps:
                 digest.update(step_bytes(step))
                 n_iters += step.iterations
+                n_unstable += not step.stable
             n_steps += len(path.steps)
             assembly.update(float_bytes(*solve_multibeam_assembly(
                 cfg.mechanism, inp.params["ring_disp"])))
             n_inputs += 1
     print(f"{digest.hexdigest()}  {n_inputs} inputs, {n_steps} steps, "
-          f"{n_iters} Newton iterations")
+          f"{n_iters} Newton iterations, {n_unstable} unstable steps")
     print(f"{assembly.hexdigest()}  {n_inputs} assembly answers")
     print(f"{calls['_newton']} Newton solves and {calls['assemble']} "
           f"assemblies over every sweep and assembly")

@@ -388,8 +388,9 @@ def test_convergence_error_carries_path():
     build_multibeam_assembly(make_config()),
 ], ids=["vbeam", "multibeam"])
 def test_step_displacements_are_their_own_tables(monkeypatch, model):
-    # each step holds 0 at every fixed freedom and -control at the drive,
-    # and no later step of the sweep moves an earlier array
+    # each converged state holds 0 at every fixed freedom and -control at
+    # the drive, and no later state of the sweep moves an earlier array; the
+    # path keeps every state but the predicted ones refused as unstable
     made = []
     path_step = _System.path_step
 
@@ -401,7 +402,10 @@ def test_step_displacements_are_their_own_tables(monkeypatch, model):
     monkeypatch.setattr(_System, "path_step", recorded)
     path = solve_guided_sweep(model, 3.0, n_steps=10)
     node, dof = model.drive
-    assert len(made) == len(path.steps)
+    refused = [step for step, _ in made
+               if not any(step is s for s in path.steps)]
+    assert all(not step.stable for step in refused)
+    assert len(made) == len(path.steps) + len(refused)
     for step, snapshot in made:
         assert step.displacements.shape == (model.n_nodes, 3)
         assert np.array_equal(step.displacements, snapshot)
@@ -414,18 +418,31 @@ def test_step_displacements_are_their_own_tables(monkeypatch, model):
 
 def test_sweep_assembles_each_newton_iteration_once(monkeypatch):
     # a converged state is recorded from its last Newton assembly, so a
-    # sweep without bisection assembles exactly once per iteration
-    count = [0]
+    # sweep without bisection assembles exactly once per iteration of its
+    # steps and of the predicted states it refuses as unstable
+    count, attempts = [0], []
     assemble = _System.assemble
 
     def counted(self, *args, **kwargs):
         count[0] += 1
         return assemble(self, *args, **kwargs)
 
+    def attempt(system, u, control, tol):
+        before = count[0]
+        result = _newton(system, u, control, tol)
+        attempts.append((result, count[0] - before))
+        return result
+
     monkeypatch.setattr(_System, "assemble", counted)
+    monkeypatch.setattr(solver, "_newton", attempt)
     path = solve_vbeam_sweep(GEOM, MAT, 2.0, n_steps=20, n_elements=8)
     assert len(path.steps) == 20
-    assert count[0] == sum(s.iterations for s in path.steps)
+    assert all(result is not None and made == result.iterations
+               for result, made in attempts)
+    refused = [result for result, _ in attempts
+               if not any(result is s for s in path.steps)]
+    assert all(not result.stable for result in refused)
+    assert count[0] == sum(s.iterations for s in path.steps + refused)
 
 
 # verify seed-301 beam: its 800-step path leaves the stable branch after
@@ -443,21 +460,78 @@ def test_steps_report_stability_of_the_converged_tangent():
     assert all(s.stable for s in path.steps if s.control < first.control)
 
 
+def drive_only_advance(system, path, target, scale, tol):
+    """The reference step rule: every attempt runs Newton from the last
+    converged state with only the drive moved, halving a failing one."""
+    state = path.last
+    u, control = ((state.displacements, state.control) if state else
+                  (np.zeros(3 * system.model.n_nodes), 0.0))
+    while control < target - 1e-12 * scale:
+        attempt = target - control
+        while (state := _newton(system, u, control + attempt, tol)) is None:
+            attempt /= 2.0
+            assert attempt >= scale / solver.BISECTION_FLOOR_DIV
+        u, control = state.displacements, state.control
+    path.steps.append(replace(state, control=target))
+
+
+def drive_only_sweep(*args, **kwargs):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_advance", drive_only_advance)
+        return solve_vbeam_sweep(*args, **kwargs)
+
+
+def test_secant_prediction_saves_newton_iterations():
+    # table1's 16-element, 100-step sweep to 5 mm: the same path as the
+    # drive-only steps, in about two thirds of the iterations
+    path = solve_vbeam_sweep(GEOM, MAT, 5.0, n_steps=100)
+    reference = drive_only_sweep(GEOM, MAT, 5.0, n_steps=100)
+    peak = np.max(reference.reactions)
+    assert np.max(np.abs(path.reactions - reference.reactions)) <= 1e-9 * peak
+    assert [s.stable for s in path.steps] == [s.stable for s in reference.steps]
+    assert sum(s.iterations for s in path.steps) == 330
+    assert sum(s.iterations for s in reference.steps) == 506
+
+
+def test_secant_prediction_stays_on_the_stable_branch():
+    # verify seed-301 input 20: from the drive-only start the step to
+    # 3.1111 mm converges to an unstable state (-0.031286 N); the predicted
+    # start reaches a stable one of lower strain energy (-0.020486 N)
+    geom = VBeamGeometry.from_degrees(35.5064, 0.801, 4.6408, 4.9236)
+    path = solve_vbeam_sweep(geom, MAT, 5.0, n_steps=45)
+    reference = drive_only_sweep(geom, MAT, 5.0, n_steps=45)
+    assert all(s.stable for s in path.steps)
+    step, unstable = path.steps[27], reference.steps[27]
+    assert step.control == unstable.control == pytest.approx(28 / 9)
+    assert not unstable.stable
+    assert step.strain_energy < unstable.strain_energy
+
+
 def _step_fields(s):
     return (s.control, s.displacements.tobytes(), s.reactions, s.reaction,
             s.iterations, s.residual, s.strain_energy, s.stable)
 
 
+def _starts_predicted(system, u, control):
+    """Whether a Newton attempt starts from _advance's secant prediction:
+    only that start already holds the drive at -control, where a drive-only
+    start holds it at the last converged control."""
+    return math.isclose(u.flat[system.driven], -control, rel_tol=1e-9)
+
+
 def test_sweep_raises_after_one_bisection_ladder(monkeypatch):
     # Newton fails at every control from the step after 1.2 mm on.  The
-    # 0.3 mm step to 1.5 mm is tried at 0.3 / 2**k mm for k = 0..8, since
-    # 0.3 / 2**9 is below the 3 / 4096 mm floor, and then the sweep raises
-    # with no other attempt and no assembly outside Newton.
+    # 0.3 mm step to 1.5 mm is tried from the secant prediction, then from
+    # the drive-only start at 0.3 / 2**k mm for k = 0..8, since 0.3 / 2**9
+    # is below the 3 / 4096 mm floor, and then the sweep raises with no
+    # other attempt and no assembly outside Newton.
     converged, failed, inside, outside = [], [], [False], [0]
+    predicted = []
 
     def flaky(system, u, control, tol):
         if failed or control > 1.25:
             failed.append(control)
+            predicted.append(_starts_predicted(system, u, control))
             return None
         inside[0] = True
         result = _newton(system, u, control, tol)
@@ -477,8 +551,9 @@ def test_sweep_raises_after_one_bisection_ladder(monkeypatch):
     model = build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0)
     with pytest.raises(ConvergenceError, match="bisection floor") as info:
         solve_guided_sweep(model, 3.0, n_steps=10)
-    assert len(failed) == 9
-    assert failed[0] == pytest.approx(1.5)
+    assert predicted == [True] + 9 * [False]
+    assert len(failed) == 1 + 9
+    assert failed[0] == failed[1] == pytest.approx(1.5)
     assert failed[-1] == pytest.approx(1.2 + 0.3 / 2 ** 8)
     assert outside[0] == 0
     err = info.value
@@ -492,13 +567,16 @@ def test_sweep_raises_after_one_bisection_ladder(monkeypatch):
 @pytest.mark.parametrize("max_iters", [25, 6], ids=["plain", "bisecting"])
 def test_sweep_records_newton_steps_on_the_curve_grid(monkeypatch, max_iters):
     # each step is the PathStep _newton converged to at its target, and the
-    # targets are force_curve's travel grid bit for bit
-    converged = []
+    # targets are force_curve's travel grid bit for bit; only bisection
+    # adds states besides the predicted ones refused as unstable
+    converged, refused = [], []
 
-    def recorded(*args):
-        result = _newton(*args)
+    def recorded(system, u, control, tol):
+        result = _newton(system, u, control, tol)
         if result is not None:
             converged.append(result)
+            if _starts_predicted(system, u, control) and not result.stable:
+                refused.append(result)
         return result
 
     monkeypatch.setattr(solver, "_newton", recorded)
@@ -506,7 +584,9 @@ def test_sweep_records_newton_steps_on_the_curve_grid(monkeypatch, max_iters):
     model = build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0)
     path = solve_guided_sweep(model, 3.0, n_steps=10)
     assert path.controls.tobytes() == uniform_travels(3.0, 10).tobytes()
-    assert (len(converged) > len(path.steps)) == (max_iters == 6)
+    assert not any(r is s for r in refused for s in path.steps)
+    assert ((len(converged) - len(refused) > len(path.steps))
+            == (max_iters == 6))
     for s in path.steps:
         at_target = [c for c in converged
                      if c.control == pytest.approx(s.control, rel=1e-12)]
@@ -763,7 +843,9 @@ def test_multibeam_assembly_structure():
 # ks = 1 N/mm the beam pushes back (F < 0) at the ring travel, so the
 # shuttle steps past it; 12 beams behind ks = 5 N/mm snap past the fold of
 # r(s) (test_ring_travel_folds_below_the_far_branch); a soft spring pulls
-# one beam far along its travel.
+# one beam far along its travel.  On the verify seed-8 beam (input 54)
+# drive-only shuttle steps ended on an unstable state (1.64617 mm,
+# 1.30926 N).
 ASSEMBLY_REFERENCE = [
     (make_config(), 1.5, 8, 0.2661153609026359, 12.338846390973641),
     (make_config(beam_geometry=VBeamGeometry.from_degrees(
@@ -775,13 +857,17 @@ ASSEMBLY_REFERENCE = [
      7.421947565271325, 6.890262172965234),
     (make_config(n_beams=1, series_stiffness_ks=0.2), 17.0, 20,
      8.065209231049167, 1.7869581537552233),
+    (make_config(beam_geometry=VBeamGeometry.from_degrees(
+        44.5267, 1.0153, 5.1379, 4.381), n_beams=2),
+     1.7771, 20, 1.6484889320697405, 1.2861106792679375),
 ]
 
 
 @pytest.mark.parametrize(
     "config,ring,n_steps,shuttle,reaction", ASSEMBLY_REFERENCE,
     ids=["table-12-beams", "seed-301-2-beams", "shuttle-past-ring",
-         "far-branch-past-fold", "soft-spring-long-travel"])
+         "far-branch-past-fold", "soft-spring-long-travel",
+         "seed-8-2-beams"])
 def test_multibeam_matches_reference(config, ring, n_steps, shuttle,
                                      reaction):
     s, r = solve_multibeam_assembly(config, ring, n_steps=n_steps)

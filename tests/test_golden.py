@@ -84,9 +84,9 @@ def test_refined_design_bytes_match_golden(target, flagged, tmp_path):
 
 # every PathStep of the demo beam's 16-element, 100-step sweep to 5 mm
 ORACLE_PATH_GOLDEN = (
-    "64f6360ea9a1a06c3c8e940ce9c5368f247554cdf4641cf197d44d734f335125")
+    "1fa775bba53732a335146f25ae45b0f3645e63b25813fe470368c3c1f55d772e")
 # the (shuttle, reaction) of its 12-beam assembly at a 3 mm ring travel
-ASSEMBLY_GOLDEN = (0.5918447570118457, 24.081552429884766)
+ASSEMBLY_GOLDEN = (0.5918447570117671, 24.081552429879824)
 
 
 def _table1():
