@@ -57,8 +57,9 @@ from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (NumericalError, SingularityError, ValidationError,
-                     check_count, check_non_negative, check_positive)
+from .errors import (FLOAT_MAX, NumericalError, SingularityError,
+                     ValidationError, check_count, check_non_negative,
+                     check_positive)
 
 BISTABLE_FO_SLOPE = -4.8618
 BISTABLE_PO = -9.8837
@@ -594,15 +595,16 @@ def uniform_travels(travel_max: float, n: int) -> np.ndarray:
     """The n uniform travels travel_max * k / n, k = 1..n, over (0, travel_max].
 
     An n that is not an integer of at least 1 (a non-integer n would step
-    past travel_max), an n above SAMPLE_CAP, a travel_max * n that
-    overflows and a positive travel_max below n * 5e-324 (math.ulp(0.0)),
-    whose travels would not rise strictly from above 0, are refused before
-    numpy allocates.
+    past travel_max), an n above SAMPLE_CAP, a travel_max or travel_max * n
+    beyond the float range and a positive travel_max below n * 5e-324
+    (math.ulp(0.0)), whose travels would not rise strictly from above 0,
+    are refused before numpy allocates.
     """
     check_count("sample count", n, 1, SAMPLE_CAP)
-    if not math.isfinite(float(travel_max) * int(n)):
-        raise ValidationError(f"travel_max {float(travel_max)!r} times {n} "
-                              "samples is not finite")
+    if not (abs(travel_max) <= FLOAT_MAX
+            and abs(float(travel_max) * int(n)) <= FLOAT_MAX):
+        raise ValidationError(f"travel_max {travel_max} times {n} samples "
+                              "is not finite")
     if 0.0 < travel_max < n * math.ulp(0.0):
         raise ValidationError(
             f"travel_max {float(travel_max)!r} is below {n} * 5e-324: its "

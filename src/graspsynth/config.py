@@ -17,7 +17,8 @@ from typing import Optional
 
 from .beam import (DEFAULT_CURVE_SAMPLES, SAMPLE_CAP, MaterialModel,
                    VBeamGeometry)
-from .errors import ConfigError, ValidationError, check_count, check_positive
+from .errors import (FLOAT_MAX, ConfigError, ValidationError, check_count,
+                     check_positive)
 from .fe.model import DEFAULT_ELEMENTS_PER_BEAM, ELEMENT_CAP
 from .fe.solver import DEFAULT_STEPS, DEFAULT_TOLERANCE
 from .mechanism import CantileverSection, MechanismConfig
@@ -81,13 +82,9 @@ class RunConfig:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{path}' must be a number")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
+    if not abs(value) <= FLOAT_MAX:
         raise ConfigError(f"'{path}' must be finite")
-    return number
+    return float(value)
 
 
 def _integer(value, path: str) -> int:
@@ -221,6 +218,8 @@ def parse_config(text: str) -> RunConfig:
         ) from exc
     except RecursionError as exc:
         raise ConfigError(f"JSON nests too deeply: {exc}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigError(f"a JSON number cannot be read: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
     run = _read(doc, "", nested=("design", "fe"),

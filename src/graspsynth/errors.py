@@ -3,13 +3,17 @@
 Every layer refuses a bad count, positive quantity or travel through one of
 check_count, check_positive and check_non_negative, so the config and the
 library entry points apply the same rules with the same messages, and each
-raises ValidationError.
+raises ValidationError.  FLOAT_MAX is the one bound of the float range:
+every input check compares the value as given against it, before anything
+converts it, so an int too large for a float is refused like an infinity.
 """
 
-import math
 import numbers
+import sys
 
 import numpy as np
+
+FLOAT_MAX = sys.float_info.max
 
 
 class ValidationError(ValueError):
@@ -46,9 +50,9 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def check_count(name: str, value, minimum: int, cap=None) -> None:
+def check_count(name: str, value, minimum: int, cap=FLOAT_MAX) -> None:
     """Refuse a count that is not an integer of at least minimum, or one
-    above cap when a cap is given.
+    above cap, by default above the float range.
 
     bool is refused; numpy integers pass.
     """
@@ -57,33 +61,21 @@ def check_count(name: str, value, minimum: int, cap=None) -> None:
         raise ValidationError(f"{rule}; {value!r} is not an integer")
     if value < minimum:
         raise ValidationError(f"{rule}, not {value!r}")
-    if cap is not None and value > cap:
+    if value > cap:
         raise ValidationError(f"{name} {value} exceeds the cap {cap}")
 
 
 def check_positive(name: str, value) -> None:
     """Refuse a quantity that is not positive and finite."""
-    if not 0.0 < value < math.inf:
+    if not 0.0 < value <= FLOAT_MAX:
         raise ValidationError(
             f"{name} must be positive and finite, not {value!r}")
 
 
 def check_non_negative(name: str, value) -> None:
     """Refuse a travel, or an array of travels, with a value that is
-    negative or not finite (NaN included).
-
-    A Python float or int is compared directly, without the array round
-    trip; bool, numpy scalars and arrays take the array path.  An int too
-    large for a float is refused like an infinite value.
-    """
-    try:
-        if type(value) in (float, int):
-            ok = 0.0 <= float(value) < math.inf
-        else:
-            values = np.asarray(value, dtype=float)
-            ok = ((values >= 0.0) & (values < math.inf)).all()
-    except OverflowError:
-        ok = False
-    if not ok:
+    negative or not finite (NaN included)."""
+    values = np.asarray(value)
+    if not ((values >= 0.0) & (values <= FLOAT_MAX)).all():
         raise ValidationError(
             f"{name} must be non-negative: a value is negative or not finite")

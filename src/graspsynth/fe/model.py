@@ -13,7 +13,7 @@ from typing import Tuple
 import numpy as np
 
 from ..beam import VBeamGeometry
-from ..errors import ValidationError, _is_integer, check_count
+from ..errors import FLOAT_MAX, ValidationError, _is_integer, check_count
 from ..mechanism import MechanismConfig
 
 UX, UY, ROT = 0, 1, 2
@@ -38,10 +38,10 @@ class FrameModel:
     section the (E, A, I) every element shares; fixed marks constrained
     freedoms per node; drive (node, dof) names the free freedom that moves
     by -1 per unit of the control parameter (the shuttle travels along -Y).
-    Every index and the section are checked when the model is built: node
-    and dof indices must be integers naming an existing freedom, section
-    values must be positive and finite, and so must each element's E A / L0
-    and E I / L0 at its chord length L0.
+    Every value is checked when the model is built: node coordinates must
+    be finite, node and dof indices integers naming an existing freedom,
+    and the section values, and each element's E A / L0 and E I / L0 at
+    its chord length L0, positive and finite.
     """
 
     nodes: np.ndarray
@@ -51,12 +51,15 @@ class FrameModel:
     drive: Tuple[int, int]
 
     def __post_init__(self):
-        self.nodes = np.asarray(self.nodes, dtype=float)
+        nodes = np.asarray(self.nodes)
+        if nodes.ndim != 2 or nodes.shape[1] != 2:
+            raise ValidationError("nodes must be an (n, 2) coordinate array")
+        if not np.all(np.abs(nodes) <= FLOAT_MAX):
+            raise ValidationError("node coordinates must be finite")
+        self.nodes = nodes.astype(float, copy=False)
         self.elements = np.asarray(self.elements, dtype=int)
         self.fixed = np.asarray(self.fixed, dtype=bool)
         n = self.nodes.shape[0]
-        if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
-            raise ValidationError("nodes must be an (n, 2) coordinate array")
         if self.elements.ndim != 2 or self.elements.shape[1] != 2:
             raise ValidationError("elements must be an (m, 2) node index array")
         if self.fixed.shape != (n, 3):
@@ -67,13 +70,13 @@ class FrameModel:
         length = np.hypot(chord[:, 0], chord[:, 1])
         if np.any(length < 1e-12):
             raise ValidationError("an element has zero length")
-        section = np.asarray(self.section, dtype=float)
-        if section.shape != (3,) or not np.all(np.isfinite(section)
-                                               & (section > 0)):
+        section = np.asarray(self.section)
+        if section.shape != (3,) or not np.all((section > 0)
+                                               & (section <= FLOAT_MAX)):
             raise ValidationError(
                 f"section (E, A, I) {self.section!r} must be three positive, "
                 "finite values")
-        self.section = tuple(section.tolist())
+        self.section = tuple(section.astype(float).tolist())
         E, A, I = self.section
         with np.errstate(over="ignore"):
             stiffness = np.array([[E * A], [E * I]]) / length

@@ -23,7 +23,7 @@ import numpy as np
 
 from .beam import (ForceDisplacementCurve, MaterialModel, VBeamGeometry,
                    _load_column, _slope_rows, actuation_force)
-from .errors import (NumericalError, ValidationError, check_count,
+from .errors import (FLOAT_MAX, NumericalError, ValidationError, check_count,
                      check_non_negative, check_positive)
 
 # Fraction of the latch travel over which the engagement ramp acts.
@@ -115,21 +115,22 @@ class MechanismConfig:
         for name in ("latch_travel", "series_stiffness_ks",
                      "overall_length_budget"):
             check_positive(name, getattr(self, name))
-        if not 1.0 <= self.latch_ramp_factor < math.inf:
+        if not 1.0 <= self.latch_ramp_factor <= FLOAT_MAX:
             raise ValidationError("latch_ramp_factor must be finite and at "
                                   "least 1")
-        anchors = tuple((float(t), float(j)) for t, j in self.jaw_calibration)
-        object.__setattr__(self, "jaw_calibration", anchors)
-        prev = (0.0, 0.0)
-        if not anchors:
-            raise ValidationError("jaw_calibration needs at least one anchor")
-        for t, j in anchors:
-            if not (prev[0] < t < math.inf and prev[1] < j < math.inf):
+        prev, anchors = (0.0, 0.0), []
+        for t, j in self.jaw_calibration:  # in range before float() reads it
+            if not (abs(t) <= FLOAT_MAX and abs(j) <= FLOAT_MAX
+                    and prev[0] < float(t) and prev[1] < float(j)):
                 raise ValidationError(
                     "jaw_calibration anchors must be finite and increase "
                     "strictly in both coordinates starting from the implicit "
                     "(0, 0)")
-            prev = (t, j)
+            prev = (float(t), float(j))
+            anchors.append(prev)
+        if not anchors:
+            raise ValidationError("jaw_calibration needs at least one anchor")
+        object.__setattr__(self, "jaw_calibration", tuple(anchors))
 
 
 @dataclass(frozen=True)
@@ -229,14 +230,15 @@ def jaw_opening(config: MechanismConfig, trigger_disp):
     any calibration there.
     """
     t_max = config.jaw_calibration[-1][0]
-    disp = np.asarray(trigger_disp, dtype=float)
+    disp = np.asarray(trigger_disp)
     inside = (0.0 <= disp) & (disp <= t_max)
     if not np.all(inside):
+        bad = disp.flat[np.argmin(inside)]  # as given past the float range
         raise ValidationError(
-            f"trigger_disp {disp.flat[np.argmin(inside)]:g} outside the "
-            f"calibrated span [0, {t_max:g}] mm")
+            f"trigger_disp {bad if abs(bad) > FLOAT_MAX else f'{bad:g}'} "
+            f"outside the calibrated span [0, {t_max:g}] mm")
     ts, js = zip((0.0, 0.0), *config.jaw_calibration)
-    return np.interp(disp, ts, js)
+    return np.interp(disp.astype(float, copy=False), ts, js)
 
 
 def cantilever_stress(moment: float, section: CantileverSection) -> float:
@@ -290,8 +292,8 @@ def grasper_sweep(config: MechanismConfig, ring_disps) -> GrasperSweep:
     tangent stiffness at the ring displacements, then the shuttle force at
     the shuttle travels.
     """
+    check_non_negative("ring_disp", ring_disps)
     ring = np.array(ring_disps, dtype=float, ndmin=1)
-    check_non_negative("ring_disp", ring)
     shuttle = shuttle_transfer_ratio(config, ring) * ring
     force = actuation_force(config.beam_geometry, config.material, shuttle)
     opening = jaw_opening(config, ring)

@@ -41,7 +41,8 @@ TABLE1 = Path(__file__).resolve().parent.parent / "demos" / "table1.json"
 
 COMMANDS = ("curve", "d1", "grasper", "design", "verify", "report")
 
-HOSTILE = (0, -1, 1e307, 1e308, 2 ** 63, 1e-320, 5e-324, True, "x", [], {})
+HOSTILE = (0, -1, 1e307, 1e308, 2 ** 63, 10 ** 400, 1e-320, 5e-324, True,
+           "x", [], {})
 
 # the cap of each capped count, by the leaf's path without list indices
 CAPS = {("sweep", "n_samples"): SAMPLE_CAP, ("fe", "n_steps"): SAMPLE_CAP,

@@ -109,6 +109,11 @@ def test_geometry_validation():
         VBeamGeometry(math.inf, 1.2, 5, 0.1)
     with pytest.raises(ValidationError, match="width_W"):
         VBeamGeometry(40, 1.2, math.inf, 0.1)
+    # an int too large for a float raised OverflowError
+    with pytest.raises(ValidationError, match="length_L"):
+        VBeamGeometry(10 ** 400, 1.2, 5, 0.1)
+    with pytest.raises(ValidationError, match="width_W"):
+        VBeamGeometry(40, 1.2, 10 ** 400, 0.1)
 
 
 def test_normalize_reference_travel():
@@ -648,6 +653,8 @@ def test_material_validation():
         MaterialModel(1800.0, poisson_ratio=0.5)
     with pytest.raises(ValidationError, match="youngs_modulus_E"):
         MaterialModel(math.inf)
+    with pytest.raises(ValidationError, match="youngs_modulus_E"):
+        MaterialModel(10 ** 400)  # used to be accepted
 
 
 @pytest.mark.parametrize("count", [10 ** 30, SAMPLE_CAP + 1])

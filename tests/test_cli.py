@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -104,6 +105,20 @@ def test_parse_syntax_error_carries_position():
 def test_parse_json_nested_past_the_recursion_limit():
     with pytest.raises(ConfigError, match="nests too deeply"):
         parse_config("[" * 100_000 + "]" * 100_000)
+
+
+def test_integer_literal_past_the_digit_limit_is_refused(tmp_path, capsys):
+    # json.loads raises a plain ValueError past Python's int-string digit
+    # limit, which ended even d1 in a traceback
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    text = json.dumps(MINIMAL).replace('"n_beams": 12', f'"n_beams": {digits}')
+    with pytest.raises(ConfigError, match="a JSON number cannot be read"):
+        parse_config(text)
+    cfg, out = tmp_path / "digits.json", tmp_path / "out"
+    cfg.write_text(text)
+    assert run_command(["d1", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "a JSON number cannot be read" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_rejects_unknown_keys():
@@ -385,6 +400,8 @@ def test_travel_whose_samples_underflow_is_a_configuration_error(
 
 
 BEAM_UNDERFLOWS = "invariant violation: the load scale 4 E I / L^2 underflows"
+COUNT_PAST_FLOATS = ("invariant violation: n_beams 1" + "0" * 400
+                     + " exceeds the cap 1.7976931348623157e+308")
 KERNEL_OVERFLOWS = "the cubic's coefficients overflow at travels up to 1e+160"
 
 
@@ -412,10 +429,15 @@ KERNEL_OVERFLOWS = "the cubic's coefficients overflow at travels up to 1e+160"
        KERNEL_OVERFLOWS) for command in ("curve", "verify")),
     ("design", {"design.target_travel": 1e160,
                 "design.bounds.tilt_theta_deg": [0, 0]}, KERNEL_OVERFLOWS),
+    *((command, {"mechanism.n_beams": 10 ** 400}, COUNT_PAST_FLOATS)
+      for command in ("curve", "d1", "grasper", "design", "verify",
+                      "report")),
 ], ids=["width", "modulus", "length", "design_length", "report_length",
         "latch_travel", "latch_ramp_factor", "report_latch_ramp_factor",
         "jaw_h", "curve_underflow", "grasper_underflow", "design_underflow",
-        "curve_travel", "verify_travel", "design_travel"])
+        "curve_travel", "verify_travel", "design_travel", "curve_n_beams",
+        "d1_n_beams", "grasper_n_beams", "design_n_beams", "verify_n_beams",
+        "report_n_beams"])
 def test_extreme_values_are_refused_without_warnings(command, changes, named,
                                                      tmp_path, capsys):
     # the beam and design values used to write NaN or inf, or raise
@@ -423,7 +445,9 @@ def test_extreme_values_are_refused_without_warnings(command, changes, named,
     # a numpy divide, overflow or invalid-value warning (a latch travel of
     # 5e-324 is refused earlier, by the travel grid rule); at E 5e-324 curve
     # and grasper wrote -0 forces and design divided by zero; an untilted
-    # travel of 1e160 overflowed the cubic's coefficients with a warning
+    # travel of 1e160 overflowed the cubic's coefficients with a warning; a
+    # beam count too large for a float was accepted, and curve, grasper and
+    # report then raised OverflowError
     doc = changed_table1(changes)
     cfg, out = tmp_path / "extreme.json", tmp_path / "out"
     cfg.write_text(json.dumps(doc))

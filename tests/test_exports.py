@@ -15,12 +15,13 @@ import graspsynth
 import graspsynth.fe
 from graspsynth import (FESettings, LatchPhase, LatchState, PullRing,
                         SweepSettings, ValidationError, actuation_force,
-                        bistability_margin,
-                        branch_loads, latch_step, normalize_deflection,
-                        solve_vbeam_sweep)
+                        bistability_margin, branch_loads, force_curve,
+                        grasper_response, grasper_sweep, jaw_opening,
+                        latch_step, normalize_deflection, solve_vbeam_sweep)
+from graspsynth.beam import uniform_travels
 from graspsynth.errors import check_non_negative
 
-from common import GEOM, MAT
+from common import GEOM, MAT, make_config
 
 NAN = math.nan
 
@@ -78,29 +79,45 @@ def test_library_refuses_nan_travels_and_non_integer_counts(call, match):
                                  np.int64(-1)],
                          ids=repr)
 def test_check_non_negative_refuses_python_and_numpy_scalars(bad):
-    # Python floats and ints skip the array path; numpy scalars take it,
-    # and both give the same refusal
+    # Python and numpy scalars take the one array path, compared as given,
+    # and give the same refusal
     with pytest.raises(ValidationError, match=(
             "^travel must be non-negative: a value is negative or not "
             "finite$")):
         check_non_negative("travel", bad)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: check_non_negative("delta_y", 10 ** 400),
-    lambda: check_non_negative("delta_y", [1.0, 10 ** 400]),
-    lambda: normalize_deflection(GEOM, 10 ** 400),
-    lambda: bistability_margin(GEOM, 10 ** 400),
-    lambda: actuation_force(GEOM, MAT, 10 ** 400),
-    lambda: actuation_force(GEOM, MAT, [1.0, 10 ** 400]),
+DELTA_Y_RULE = ("^delta_y must be non-negative: a value is negative or not "
+                "finite$")
+RING_RULE = "^ring_disp must be non-negative"
+SPAN_RULE = r"^trigger_disp -?10{400} outside the calibrated span \[0, 8\] mm$"
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: check_non_negative("delta_y", 10 ** 400), DELTA_Y_RULE),
+    (lambda: check_non_negative("delta_y", [1.0, 10 ** 400]), DELTA_Y_RULE),
+    (lambda: normalize_deflection(GEOM, 10 ** 400), DELTA_Y_RULE),
+    (lambda: bistability_margin(GEOM, 10 ** 400), DELTA_Y_RULE),
+    (lambda: actuation_force(GEOM, MAT, 10 ** 400), DELTA_Y_RULE),
+    (lambda: actuation_force(GEOM, MAT, [1.0, 10 ** 400]), DELTA_Y_RULE),
+    (lambda: force_curve(GEOM, MAT, 10 ** 400),
+     "^travel_max must be positive and finite"),
+    (lambda: grasper_sweep(make_config(), 10 ** 400), RING_RULE),
+    (lambda: grasper_sweep(make_config(), [1.0, 10 ** 400]), RING_RULE),
+    (lambda: grasper_response(make_config(), 10 ** 400), RING_RULE),
+    (lambda: jaw_opening(make_config(), 10 ** 400), SPAN_RULE),
+    (lambda: jaw_opening(make_config(), -10 ** 400), SPAN_RULE),
+    (lambda: uniform_travels(10 ** 400, 5),
+     "^travel_max 10{400} times 5 samples is not finite$"),
+    (lambda: uniform_travels(-10 ** 400, 5),
+     "^travel_max -10{400} times 5 samples is not finite$"),
 ], ids=["check", "check-list", "normalize", "margin", "force",
-        "force-list"])
-def test_travel_too_large_for_a_float_is_refused(call):
+        "force-list", "curve", "sweep", "sweep-list", "response", "jaw",
+        "jaw-negative", "travels", "travels-negative"])
+def test_travel_too_large_for_a_float_is_refused(call, match):
     # such an int used to escape as a bare OverflowError ("int too large
     # to convert to float"), which no CLI handler maps to an exit code
-    with pytest.raises(ValidationError, match=(
-            "^delta_y must be non-negative: a value is negative or not "
-            "finite$")):
+    with pytest.raises(ValidationError, match=match):
         call()
 
 

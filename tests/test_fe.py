@@ -615,10 +615,12 @@ def _no_assembly(monkeypatch):
     monkeypatch.setattr(_System, "assemble", refuse)
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0,
+                                 pytest.param(10 ** 400, id="1e400")])
 def test_sweeps_refuse_bad_tolerance(tol, monkeypatch):
     # a NaN, zero or negative tolerance used to fail every Newton solve
-    # and end in ConvergenceError; an infinite one accepted any state
+    # and end in ConvergenceError; an infinite one, or an int too large
+    # for a float, accepted any state
     _no_assembly(monkeypatch)
     model = build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0)
     with pytest.raises(ValidationError, match="tol"):
@@ -677,17 +679,22 @@ def test_model_refuses_bad_drive(drive, match):
     ({"section": (1800.0, 0.0, 0.72)}, "section"),
     ({"section": (1800.0, 6.0, -0.72)}, "section"),
     ({"section": (1800.0, 6.0)}, "section"),
+    ({"section": (10 ** 400, 6.0, 0.72)}, "section"),
+    ({"nodes": [(0.0, 0.0)] * 8 + [(10 ** 400, 0.0)]}, "node coordinates"),
 ], ids=["element-missing-node", "element-negative-node", "zero-length",
         "flat-elements", "zero-modulus", "negative-modulus", "nan-modulus",
-        "inf-modulus", "zero-area", "negative-inertia", "two-values"])
+        "inf-modulus", "zero-area", "negative-inertia", "two-values",
+        "beyond-float-modulus", "beyond-float-node"])
 def test_model_refuses_bad_mesh(change, match):
-    # a zero or negative modulus swept to a zero or sign-flipped reaction
+    # a zero or negative modulus swept to a zero or sign-flipped reaction;
+    # an int too large for a float raised OverflowError
     model = build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0)
     with pytest.raises(ValidationError, match=match):
         replace(model, **change)
 
 
-@pytest.mark.parametrize("modulus", [0.0, -1800.0, math.nan, math.inf])
+@pytest.mark.parametrize("modulus", [0.0, -1800.0, math.nan, math.inf,
+                                     pytest.param(10 ** 400, id="1e400")])
 def test_mesh_refuses_bad_modulus(modulus):
     with pytest.raises(ValidationError, match="section"):
         build_vbeam_mesh(GEOM, 8, youngs_modulus_E=modulus)

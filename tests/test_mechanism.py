@@ -36,10 +36,13 @@ def test_config_validation():
         make_config(jaw_calibration=((0.0, 0.0), (3.2, 7.13)))
 
 
-NON_FINITE = [math.inf, -math.inf, math.nan]
+# 10 ** 400, an int too large for a float, was accepted by these rules or
+# raised OverflowError
+NON_FINITE = [math.inf, -math.inf, math.nan, 10 ** 400]
+NON_FINITE_IDS = ["inf", "-inf", "nan", "1e400"]
 
 
-@pytest.mark.parametrize("value", NON_FINITE, ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
 @pytest.mark.parametrize("field", ["latch_travel", "series_stiffness_ks",
                                    "overall_length_budget",
                                    "latch_ramp_factor"])
@@ -51,7 +54,8 @@ def test_config_refuses_non_finite_values(field, value):
         make_config(**{field: value})
 
 
-@pytest.mark.parametrize("value", NON_FINITE, ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("value", [*NON_FINITE, -10 ** 400],
+                         ids=[*NON_FINITE_IDS, "-1e400"])
 @pytest.mark.parametrize("anchor", [0, 1])
 def test_config_refuses_non_finite_calibration(anchor, value):
     point = [3.2, 7.13]
@@ -60,7 +64,7 @@ def test_config_refuses_non_finite_calibration(anchor, value):
         make_config(jaw_calibration=(tuple(point),))
 
 
-@pytest.mark.parametrize("value", NON_FINITE, ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
 @pytest.mark.parametrize("field", ["out_of_plane_b", "in_plane_h",
                                    "jaw_length"])
 def test_section_refuses_non_finite_values(field, value):
@@ -128,15 +132,16 @@ def test_aggregate_rejects_zero_beams():
         aggregate_ring_force(curve, 0)
 
 
-BAD_BEAM_COUNTS = [2.5, 3.0, True, math.nan, 0, -2]
+BAD_BEAM_COUNTS = [2.5, 3.0, True, math.nan, 0, -2, 10 ** 400]
 BAD_BEAM_COUNT_IDS = ["fraction", "integral-float", "bool", "nan", "zero",
-                      "negative"]
+                      "negative", "beyond-float"]
 
 
 @pytest.mark.parametrize("n_beams", BAD_BEAM_COUNTS, ids=BAD_BEAM_COUNT_IDS)
 def test_config_refuses_non_integer_beam_count(n_beams):
-    # 2.5 used to report a response for "2.5 beams", True counted as 1 and
-    # NaN failed deep in the kernel with "cubic discriminant nan"
+    # 2.5 used to report a response for "2.5 beams", True counted as 1,
+    # NaN failed deep in the kernel with "cubic discriminant nan" and
+    # 10 ** 400 raised OverflowError in the first sweep
     with pytest.raises(ValidationError, match="n_beams"):
         make_config(n_beams=n_beams)
 

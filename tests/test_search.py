@@ -219,6 +219,12 @@ def test_spec_validation():
     ("stress_limit", math.nan), ("stress_limit", math.inf),
     ("length_budget", math.nan), ("length_budget", -math.inf),
     ("stress_limit", -math.inf), ("length_budget", math.inf),
+    pytest.param("target_force", 10 ** 400, id="target_force-1e400"),
+    pytest.param("target_travel", 10 ** 400, id="target_travel-1e400"),
+    pytest.param("stress_limit", 10 ** 400, id="stress_limit-1e400"),
+    pytest.param("stress_limit", -10 ** 400, id="stress_limit--1e400"),
+    pytest.param("length_budget", 10 ** 400, id="length_budget-1e400"),
+    pytest.param("length_budget", -10 ** 400, id="length_budget--1e400"),
 ])
 def test_spec_refuses_non_finite_values(field, value):
     with pytest.raises(ValidationError, match=field):
@@ -227,7 +233,8 @@ def test_spec_refuses_non_finite_values(field, value):
 
 @pytest.mark.parametrize("name", search.PARAM_NAMES)
 @pytest.mark.parametrize("pair", [(1.0, math.inf), (-math.inf, 1.0),
-                                  (math.nan, 1.0)])
+                                  (math.nan, 1.0), (1.0, 10 ** 400),
+                                  (-10 ** 400, 1.0)])
 def test_spec_refuses_non_finite_bounds(name, pair):
     with pytest.raises(ValidationError, match=f"bounds for {name}"):
         make_spec(bounds={**BOUNDS, name: pair})
