@@ -44,6 +44,6 @@ config = MechanismConfig(
     jaw_section=CantileverSection(3.0, 1.5, 45.0), series_stiffness_ks=10.0)
 for n in (10, 12):
     shuttle, ring_force = solve_multibeam_assembly(
-        replace(config, n_beams=n), ring_disp=1.5, n_steps=10)
+        replace(config, n_beams=n), ring_disp=1.5)
     print(f"n = {n}: ring pulled 1.5 mm -> shuttle moves {shuttle:.4f} mm, "
           f"ring force {ring_force:.3f} N")

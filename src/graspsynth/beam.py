@@ -58,7 +58,7 @@ from typing import NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .errors import (FLOAT_MAX, NumericalError, SingularityError,
-                     ValidationError, check_count, check_non_negative,
+                     ValidationError, _shown, check_count, check_non_negative,
                      check_positive)
 
 BISTABLE_FO_SLOPE = -4.8618
@@ -594,22 +594,25 @@ def actuation_force(geom: VBeamGeometry, mat: MaterialModel, delta_y):
 def uniform_travels(travel_max: float, n: int) -> np.ndarray:
     """The n uniform travels travel_max * k / n, k = 1..n, over (0, travel_max].
 
-    An n that is not an integer of at least 1 (a non-integer n would step
-    past travel_max), an n above SAMPLE_CAP, a travel_max or travel_max * n
-    beyond the float range and a positive travel_max below n * 5e-324
-    (math.ulp(0.0)), whose travels would not rise strictly from above 0,
-    are refused before numpy allocates.
+    The last is travel_max itself, which travel_max * n / n can miss by an
+    ulp either way.  An n that is not an integer of at least 1 (a
+    non-integer n would step past travel_max), an n above SAMPLE_CAP, a
+    travel_max or travel_max * n beyond the float range and a positive
+    travel_max below n * 5e-324 (math.ulp(0.0)), whose travels would not
+    rise strictly from above 0, are refused before numpy allocates.
     """
     check_count("sample count", n, 1, SAMPLE_CAP)
     if not (abs(travel_max) <= FLOAT_MAX
             and abs(float(travel_max) * int(n)) <= FLOAT_MAX):
-        raise ValidationError(f"travel_max {travel_max} times {n} samples "
-                              "is not finite")
+        raise ValidationError(f"travel_max {_shown(travel_max)} times {n} "
+                              "samples is not finite")
     if 0.0 < travel_max < n * math.ulp(0.0):
         raise ValidationError(
             f"travel_max {float(travel_max)!r} is below {n} * 5e-324: its "
             f"{n} travels would not rise strictly from above 0")
-    return travel_max * np.arange(1, n + 1) / n
+    travels = travel_max * np.arange(1, n + 1) / n
+    travels[-1] = travel_max
+    return travels
 
 
 def force_curve(geom: VBeamGeometry, mat: MaterialModel, travel_max: float,

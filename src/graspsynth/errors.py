@@ -6,6 +6,8 @@ library entry points apply the same rules with the same messages, and each
 raises ValidationError.  FLOAT_MAX is the one bound of the float range:
 every input check compares the value as given against it, before anything
 converts it, so an int too large for a float is refused like an infinity.
+A refusal prints the value through _shown, which also prints an int too
+long for Python's int-to-string conversion.
 """
 
 import numbers
@@ -50,6 +52,22 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _shown(value, text=str) -> str:
+    """text(value), str or repr, as a refusal prints the value.
+
+    An int past Python's int-to-string digit limit makes str and repr raise
+    ValueError; it shows in scientific notation instead, and a tuple or
+    list holding one shows its items so, in parentheses.
+    """
+    try:
+        return text(value)
+    except ValueError:
+        if isinstance(value, (tuple, list)):
+            return f"({', '.join(_shown(item, repr) for item in value)})"
+        from decimal import Decimal  # here, as it adds 1 ms to the import
+        return f"{Decimal(value):.6e}"
+
+
 def check_count(name: str, value, minimum: int, cap=FLOAT_MAX) -> None:
     """Refuse a count that is not an integer of at least minimum, or one
     above cap, by default above the float range.
@@ -60,16 +78,16 @@ def check_count(name: str, value, minimum: int, cap=FLOAT_MAX) -> None:
     if not _is_integer(value):
         raise ValidationError(f"{rule}; {value!r} is not an integer")
     if value < minimum:
-        raise ValidationError(f"{rule}, not {value!r}")
+        raise ValidationError(f"{rule}, not {_shown(value, repr)}")
     if value > cap:
-        raise ValidationError(f"{name} {value} exceeds the cap {cap}")
+        raise ValidationError(f"{name} {_shown(value)} exceeds the cap {cap}")
 
 
 def check_positive(name: str, value) -> None:
     """Refuse a quantity that is not positive and finite."""
     if not 0.0 < value <= FLOAT_MAX:
         raise ValidationError(
-            f"{name} must be positive and finite, not {value!r}")
+            f"{name} must be positive and finite, not {_shown(value, repr)}")
 
 
 def check_non_negative(name: str, value) -> None:

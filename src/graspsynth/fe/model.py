@@ -13,7 +13,8 @@ from typing import Tuple
 import numpy as np
 
 from ..beam import VBeamGeometry
-from ..errors import FLOAT_MAX, ValidationError, _is_integer, check_count
+from ..errors import (FLOAT_MAX, ValidationError, _is_integer, _shown,
+                      check_count)
 from ..mechanism import MechanismConfig
 
 UX, UY, ROT = 0, 1, 2
@@ -74,8 +75,8 @@ class FrameModel:
         if section.shape != (3,) or not np.all((section > 0)
                                                & (section <= FLOAT_MAX)):
             raise ValidationError(
-                f"section (E, A, I) {self.section!r} must be three positive, "
-                "finite values")
+                f"section (E, A, I) {_shown(self.section, repr)} must be "
+                "three positive, finite values")
         self.section = tuple(section.astype(float).tolist())
         E, A, I = self.section
         with np.errstate(over="ignore"):
@@ -90,8 +91,9 @@ class FrameModel:
         node, dof = self.drive if np.shape(self.drive) == (2,) else (-1, -1)
         if not (_is_integer(node) and _is_integer(dof) and 0 <= node < n
                 and dof in (UX, UY, ROT)):
-            raise ValidationError(f"drive {self.drive!r} is invalid: it must "
-                                  "be a (node, dof) pair naming a freedom")
+            raise ValidationError(f"drive {_shown(self.drive, repr)} is "
+                                  "invalid: it must be a (node, dof) pair "
+                                  "naming a freedom")
         if self.fixed[node, dof]:
             raise ValidationError(
                 f"freedom ({node}, {dof}) cannot be both fixed and driven")

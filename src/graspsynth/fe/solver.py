@@ -68,7 +68,7 @@ PATH_CSV_HEADER = "step,control_mm,reaction_N,iters,residual"
 DEFAULT_TOLERANCE = 1e-8
 MAX_ITERS = 25
 DEFAULT_STEPS = 100
-DEFAULT_ASSEMBLY_STEPS = 20
+ASSEMBLY_STEPS = 20
 BISECTION_FLOOR_DIV = 4096
 # turns a chord direction (c, s), reversed to (s, c), into its normal (-s, c)
 _TURN = np.array([-1.0, 1.0])
@@ -349,28 +349,26 @@ def _advance(system: _System, path: EquilibriumPath, target, scale, tol):
                       else replace(state, control=target))
 
 
-def solve_multibeam_assembly(config: MechanismConfig, ring_disp: float,
-                             n_steps: int = DEFAULT_ASSEMBLY_STEPS
-                             ) -> Tuple[float, float]:
+def solve_multibeam_assembly(config: MechanismConfig,
+                             ring_disp: float) -> Tuple[float, float]:
     """(shuttle displacement, ring reaction) at a prescribed ring displacement.
 
     The beams, condensed into one (build_multibeam_assembly), sit behind
     the series stiffness ks: shuttle travel s with beam reaction F(s) is at
     ring travel r(s) = s + F(s) / ks.  On the default mesh and tolerance the
-    shuttle steps from rest over k ring_disp / n_steps, k = 1, 2, ... (past
-    ring_disp where F < 0; k <= n_steps is beam.uniform_travels' grid, with
-    its refusals), up to the first step whose r reaches ring_disp.  Secant
-    Newton solves, each from the nearer end of that bracket and strictly
-    inside it (else at its regula-falsi point), then meet ks |ring_disp -
-    r(s)| < tolerance within MAX_ITERS solves, or raise ConvergenceError.
-    That first crossing is the state reached by pulling the ring from rest:
-    past a fold of r(s) the series system snaps to the far branch (Bazant
-    and Cedolin, Stability of Structures, 1991), never onto the unstable
-    one between.  The reaction is F(s).
+    shuttle steps from rest over k ring_disp / ASSEMBLY_STEPS, k = 1, 2, ...
+    (past ring_disp where F < 0; the rule of beam.uniform_travels checks
+    k <= ASSEMBLY_STEPS), up to the first step whose r reaches ring_disp.
+    Secant Newton solves, each from the nearer end of that bracket and
+    strictly inside it (else at its regula-falsi point), then meet
+    ks |ring_disp - r(s)| < tolerance within MAX_ITERS solves, or raise
+    ConvergenceError.  That first crossing is the state reached by pulling
+    the ring from rest: past a fold of r(s) the series system snaps to the
+    far branch (Bazant and Cedolin, Stability of Structures, 1991), never
+    onto the unstable one between.  The reaction is F(s).
     """
     check_non_negative("ring_disp", ring_disp)
-    check_count("n_steps", n_steps, 1)
-    uniform_travels(ring_disp, n_steps)  # the rule of the first n_steps
+    uniform_travels(ring_disp, ASSEMBLY_STEPS)  # refuses a grid that underflows
     if ring_disp == 0.0:
         return 0.0, 0.0
     ks, tol = config.series_stiffness_ks, DEFAULT_TOLERANCE
@@ -388,7 +386,8 @@ def solve_multibeam_assembly(config: MechanismConfig, ring_disp: float,
     u = np.zeros(3 * system.model.n_nodes)
     lo = hi = system.path_step(0.0, u, system.assemble(u), 0, 0.0)
     while excess(hi) < 0.0:
-        _advance(system, path, (len(path.steps) + 1) * ring_disp / n_steps,
+        _advance(system, path,
+                 (len(path.steps) + 1) * ring_disp / ASSEMBLY_STEPS,
                  ring_disp, tol)
         lo, hi = hi, path.last
     prev, state, solves = lo, hi, 0

@@ -23,8 +23,8 @@ import numpy as np
 
 from .beam import (ForceDisplacementCurve, MaterialModel, VBeamGeometry,
                    _load_column, _slope_rows, actuation_force)
-from .errors import (FLOAT_MAX, NumericalError, ValidationError, check_count,
-                     check_non_negative, check_positive)
+from .errors import (FLOAT_MAX, NumericalError, ValidationError, _shown,
+                     check_count, check_non_negative, check_positive)
 
 # Fraction of the latch travel over which the engagement ramp acts.
 LATCH_RAMP_SPAN = 0.05
@@ -215,11 +215,15 @@ def shuttle_transfer_ratio(config: MechanismConfig, delta_y):
 
     Series-spring split: ratio = ks / (ks + n k_b) with k_b the clamped
     per-beam tangent stiffness at the given travel (beam_tangent_stiffness,
-    exact on the travel's branch).
+    exact on the travel's branch); a split that overflows is refused.
     """
     k_b = beam_tangent_stiffness(config, delta_y)
     ks = config.series_stiffness_ks
-    return ks / (ks + config.n_beams * k_b)
+    with np.errstate(over="ignore"):
+        split = ks + config.n_beams * k_b
+    if not np.isfinite(split).all():
+        raise ValidationError("the series split ks + n_beams k_b overflows")
+    return ks / split
 
 
 def jaw_opening(config: MechanismConfig, trigger_disp):
@@ -234,9 +238,9 @@ def jaw_opening(config: MechanismConfig, trigger_disp):
     inside = (0.0 <= disp) & (disp <= t_max)
     if not np.all(inside):
         bad = disp.flat[np.argmin(inside)]  # as given past the float range
-        raise ValidationError(
-            f"trigger_disp {bad if abs(bad) > FLOAT_MAX else f'{bad:g}'} "
-            f"outside the calibrated span [0, {t_max:g}] mm")
+        bad = _shown(bad) if abs(bad) > FLOAT_MAX else f"{bad:g}"
+        raise ValidationError(f"trigger_disp {bad} outside the calibrated "
+                              f"span [0, {t_max:g}] mm")
     ts, js = zip((0.0, 0.0), *config.jaw_calibration)
     return np.interp(disp.astype(float, copy=False), ts, js)
 

@@ -16,10 +16,10 @@ runs: the Newton solves (fe.solver._newton calls) and the assemblies
 (_System.assemble calls), bisected attempts and secant solves included.
 A fourth line hashes the (shuttle, reaction) answers of coarse-step
 assemblies on the table1 mechanism (demos/table1.json at 6 and 12 beams,
-rings COARSE_RINGS, n_steps COARSE_STEPS), an answer that raises
-ConvergenceError hashing as its exception name, and counts those that
-raised.  The script writes no file: bytecode is not cached, so bench/
-stays untouched.  It is not a pytest module.
+rings COARSE_RINGS, fe.solver.ASSEMBLY_STEPS set to each of COARSE_STEPS),
+an answer that raises ConvergenceError hashing as its exception name, and
+counts those that raised.  The script writes no file: bytecode is not
+cached, so bench/ stays untouched.  It is not a pytest module.
 """
 
 from __future__ import annotations
@@ -91,10 +91,11 @@ def main(seeds) -> None:
         config = replace(table1, n_beams=n_beams)
         for ring in COARSE_RINGS:
             for n_steps in COARSE_STEPS:
+                solver.ASSEMBLY_STEPS = n_steps
                 n_coarse += 1
                 try:
-                    coarse.update(float_bytes(*solve_multibeam_assembly(
-                        config, ring, n_steps=n_steps)))
+                    coarse.update(float_bytes(
+                        *solve_multibeam_assembly(config, ring)))
                 except ConvergenceError as exc:
                     coarse.update(type(exc).__name__.encode())
                     n_raised += 1

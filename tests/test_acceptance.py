@@ -138,8 +138,8 @@ def test_criterion_06_closed_form_vs_frame_solver():
 def test_criterion_07_beam_count_ordering():
     r10 = shuttle_transfer_ratio(make_config(n_beams=10), 1.0)
     r12 = shuttle_transfer_ratio(make_config(n_beams=12), 1.0)
-    s10, _ = solve_multibeam_assembly(make_config(n_beams=10), 1.5, n_steps=8)
-    s12, _ = solve_multibeam_assembly(make_config(n_beams=12), 1.5, n_steps=8)
+    s10, _ = solve_multibeam_assembly(make_config(n_beams=10), 1.5)
+    s12, _ = solve_multibeam_assembly(make_config(n_beams=12), 1.5)
     ok = r10 > r12 and s10 > s12
     assert report(
         7, ok,

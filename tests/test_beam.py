@@ -665,6 +665,15 @@ def test_count_above_the_cap_is_refused_before_allocation(count):
         force_curve(GEOM, MAT, 1.0, count)
 
 
+@pytest.mark.parametrize("travel_max", [0.1, 0.173])
+def test_grid_ends_at_travel_max(travel_max):
+    # travel_max * 3 / 3 reads 0.10000000000000002 and 0.17299999999999996,
+    # so the last travel used to step past 0.1 and stop short of 0.173
+    grid = uniform_travels(travel_max, 3)
+    assert grid.tolist() == [travel_max / 3, travel_max * 2 / 3, travel_max]
+    assert force_curve(GEOM, MAT, travel_max, 3).delta_y[-1] == travel_max
+
+
 def test_travels_that_underflow_are_refused():
     # a positive travel_max is refused exactly where its grid would not rise
     # strictly from above 0: below n samples of the smallest subnormal

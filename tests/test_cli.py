@@ -403,6 +403,7 @@ BEAM_UNDERFLOWS = "invariant violation: the load scale 4 E I / L^2 underflows"
 COUNT_PAST_FLOATS = ("invariant violation: n_beams 1" + "0" * 400
                      + " exceeds the cap 1.7976931348623157e+308")
 KERNEL_OVERFLOWS = "the cubic's coefficients overflow at travels up to 1e+160"
+SPLIT_OVERFLOWS = "the series split ks + n_beams k_b overflows"
 
 
 @pytest.mark.filterwarnings("error")
@@ -432,12 +433,14 @@ KERNEL_OVERFLOWS = "the cubic's coefficients overflow at travels up to 1e+160"
     *((command, {"mechanism.n_beams": 10 ** 400}, COUNT_PAST_FLOATS)
       for command in ("curve", "d1", "grasper", "design", "verify",
                       "report")),
+    *((command, {"mechanism.n_beams": 10 ** 308}, SPLIT_OVERFLOWS)
+      for command in ("grasper", "report")),
 ], ids=["width", "modulus", "length", "design_length", "report_length",
         "latch_travel", "latch_ramp_factor", "report_latch_ramp_factor",
         "jaw_h", "curve_underflow", "grasper_underflow", "design_underflow",
         "curve_travel", "verify_travel", "design_travel", "curve_n_beams",
         "d1_n_beams", "grasper_n_beams", "design_n_beams", "verify_n_beams",
-        "report_n_beams"])
+        "report_n_beams", "grasper_split", "report_split"])
 def test_extreme_values_are_refused_without_warnings(command, changes, named,
                                                      tmp_path, capsys):
     # the beam and design values used to write NaN or inf, or raise
@@ -447,7 +450,8 @@ def test_extreme_values_are_refused_without_warnings(command, changes, named,
     # and grasper wrote -0 forces and design divided by zero; an untilted
     # travel of 1e160 overflowed the cubic's coefficients with a warning; a
     # beam count too large for a float was accepted, and curve, grasper and
-    # report then raised OverflowError
+    # report then raised OverflowError; 10 ** 308 beams overflowed the series
+    # split with a warning, and grasper wrote -0 ring forces
     doc = changed_table1(changes)
     cfg, out = tmp_path / "extreme.json", tmp_path / "out"
     cfg.write_text(json.dumps(doc))

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +14,14 @@ import pytest
 
 import graspsynth
 import graspsynth.fe
-from graspsynth import (FESettings, LatchPhase, LatchState, PullRing,
-                        SweepSettings, ValidationError, actuation_force,
-                        bistability_margin, branch_loads, force_curve,
-                        grasper_response, grasper_sweep, jaw_opening,
-                        latch_step, normalize_deflection, solve_vbeam_sweep)
+from graspsynth import (FESettings, LatchPhase, LatchState, MaterialModel,
+                        PullRing, SweepSettings, ValidationError,
+                        actuation_force, bistability_margin, branch_loads,
+                        build_vbeam_mesh, force_curve, grasper_response,
+                        grasper_sweep, jaw_opening, latch_step,
+                        normalize_deflection, solve_vbeam_sweep)
 from graspsynth.beam import uniform_travels
-from graspsynth.errors import check_non_negative
+from graspsynth.errors import check_count, check_non_negative
 
 from common import GEOM, MAT, make_config
 
@@ -117,6 +119,33 @@ SPAN_RULE = r"^trigger_disp -?10{400} outside the calibrated span \[0, 8\] mm$"
 def test_travel_too_large_for_a_float_is_refused(call, match):
     # such an int used to escape as a bare OverflowError ("int too large
     # to convert to float"), which no CLI handler maps to an exit code
+    with pytest.raises(ValidationError, match=match):
+        call()
+
+
+LONG = 10 ** 5000  # past Python's 4,300-digit int-to-string limit
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: check_count("n", -LONG, 1),
+     r"^n must be at least 1, not -1\.000000e\+5000$"),
+    (lambda: check_count("n", LONG, 1),
+     r"^n 1\.000000e\+5000 exceeds the cap 1\.7976931348623157e\+308$"),
+    (lambda: MaterialModel(LONG), r"^youngs_modulus_E must be positive and "
+     r"finite, not 1\.000000e\+5000$"),
+    (lambda: uniform_travels(LONG, 2),
+     r"^travel_max 1\.000000e\+5000 times 2 samples is not finite$"),
+    (lambda: jaw_opening(make_config(), LONG),
+     r"^trigger_disp 1\.000000e\+5000 outside the calibrated span"),
+    (lambda: replace(build_vbeam_mesh(GEOM, 8), section=(1.0, LONG, 1.0)),
+     r"^section \(E, A, I\) \(1\.0, 1\.000000e\+5000, 1\.0\) must be"),
+    (lambda: replace(build_vbeam_mesh(GEOM, 8), drive=(LONG, 1)),
+     r"^drive \(1\.000000e\+5000, 1\) is invalid"),
+], ids=["count-below", "count-above", "positive", "travels", "jaw",
+        "section", "drive"])
+def test_int_too_long_to_print_is_refused(call, match):
+    # printing such an int in the message raised Python's plain ValueError
+    # (the int-to-string digit limit) instead of ValidationError
     with pytest.raises(ValidationError, match=match):
         call()
 

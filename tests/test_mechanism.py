@@ -222,6 +222,20 @@ def test_near_rest_travels_raise_and_warn_nothing(dy, monkeypatch):
     assert 0.0 < response.shuttle_displacement < dy
 
 
+@pytest.mark.filterwarnings("error")
+def test_transfer_ratio_whose_split_overflows_is_refused():
+    # 10 ** 308 beams times the rest stiffness used to overflow with a
+    # RuntimeWarning to a ratio of 0, and grasper then wrote -0 forces
+    config = make_config(n_beams=10 ** 308)
+    with pytest.raises(ValidationError,
+                       match=r"series split ks \+ n_beams k_b overflows"):
+        shuttle_transfer_ratio(config, 0.0)
+    with pytest.raises(ValidationError, match="series split"):
+        grasper_sweep(config, [0.0, 1.0])
+    # on the zero-stiffness plateau the split stays ks
+    assert shuttle_transfer_ratio(config, 3.0) == 1.0
+
+
 def test_transfer_ratio_in_unit_interval():
     for dy in np.linspace(0.1, 5.0, 20):
         r = shuttle_transfer_ratio(make_config(), float(dy))
