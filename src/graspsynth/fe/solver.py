@@ -27,11 +27,12 @@ force_curve's uniform travel grid (beam.uniform_travels).  Newton returns
 each converged state as the PathStep of its last assembly, and the sweep
 appends the one it reaches at each travel.  A step's stable flag says
 whether the free-free tangent is positive definite (one Cholesky attempt);
-one that is not lies on an unstable branch.  Once the path holds two
-steps, Newton first starts from their secant, extrapolated to the next
-travel (Crisfield, vol. 1, ch. 9), and that state is kept only if it
-converges and is stable.  Otherwise, as on the first two steps, Newton
-starts from the last state with only the drive moved; a step that fails
+one that is not lies on an unstable branch.  Once the path holds three
+steps, Newton first starts from the quadratic through the last three,
+extrapolated to the next travel; with two it starts from their secant
+(Crisfield, vol. 1, ch. 9).  That state is kept only if it converges and
+is stable.  Otherwise, as on the first two steps, Newton starts from the
+last state with only the drive moved; a step that fails
 to converge, a singular tangent or a floating-point overflow included, is
 bisected down to a floor, where a ConvergenceError carries the partial
 path, and the state it reaches is kept whatever its flag.  So a predicted
@@ -313,21 +314,20 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
 def _advance(system: _System, path: EquilibriumPath, target, scale, tol):
     """Append to path the PathStep at target, stepped from path.last.
 
-    Once path holds two steps, the first attempt runs Newton from their
-    secant extrapolated to target (Crisfield 1991, ch. 9), and its state is
-    kept only if it converges and is stable.  Otherwise each attempt runs
-    Newton from the last converged state (rest on an empty path), only the
-    drive moved, over the rest of the way; a failing one is halved down to
-    scale / BISECTION_FLOOR_DIV, where a ConvergenceError carries the path.
-    A state so reached is kept whatever its stable flag.
+    Once path holds two steps, the first attempt runs Newton from
+    _predicted_start: the quadratic through the last three converged
+    states, or the secant of the last two, extrapolated to target
+    (Crisfield 1991, ch. 9).  Its state is kept only if it converges and is
+    stable.  Otherwise each attempt runs Newton from the last converged
+    state (rest on an empty path), only the drive moved, over the rest of
+    the way; a failing one is halved down to scale / BISECTION_FLOOR_DIV,
+    where a ConvergenceError carries the path.  A state so reached is kept
+    whatever its stable flag.
     """
     state = path.last
     if len(path.steps) >= 2:
-        prev = path.steps[-2]
-        u_k, u_prev = state.displacements, prev.displacements
-        guess = u_k + (u_k - u_prev) * ((target - state.control)
-                                        / (state.control - prev.control))
-        predicted = _newton(system, guess, target, tol)
+        predicted = _newton(system, _predicted_start(path, target), target,
+                            tol)
         if predicted is not None and predicted.stable:
             path.steps.append(predicted)
             return
@@ -347,6 +347,29 @@ def _advance(system: _System, path: EquilibriumPath, target, scale, tol):
         u, control = state.displacements, state.control
     path.steps.append(state if control == target
                       else replace(state, control=target))
+
+
+def _predicted_start(path: EquilibriumPath, target) -> np.ndarray:
+    """The displacement table extrapolated to target from path's last states.
+
+    From three or more steps, the Lagrange quadratic through the last three
+    (control, table) pairs; from two, their secant.  Each Lagrange weight is
+    a product of ratios of control differences, which stays finite where a
+    product of differences of adjacent subnormal controls underflows to 0.
+    """
+    if len(path.steps) == 2:
+        prev, state = path.steps
+        u_k, u_prev = state.displacements, prev.displacements
+        return u_k + (u_k - u_prev) * ((target - state.control)
+                                       / (state.control - prev.control))
+    s0, s1, s2 = path.steps[-3:]
+    c0, c1, c2 = s0.control, s1.control, s2.control
+    return ((target - c1) / (c0 - c1) * ((target - c2) / (c0 - c2))
+            * s0.displacements
+            + (target - c0) / (c1 - c0) * ((target - c2) / (c1 - c2))
+            * s1.displacements
+            + (target - c0) / (c2 - c0) * ((target - c1) / (c2 - c1))
+            * s2.displacements)
 
 
 def solve_multibeam_assembly(config: MechanismConfig,

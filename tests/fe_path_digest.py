@@ -12,8 +12,11 @@ and counts the sweep steps that are not stable; the second hashes every
 (shuttle, reaction) tuple of solve_multibeam_assembly.  Two trees print
 the same hash only if those results are bit-identical.
 A third line gives the oracle's work over every sweep and assembly it
-runs: the Newton solves (fe.solver._newton calls) and the assemblies
-(_System.assemble calls), bisected attempts and secant solves included.
+runs: the Newton solves (fe.solver._newton calls), the assemblies
+(_System.assemble calls), the linear solves (np.linalg.solve calls, which
+the package makes only in _newton, one per Newton update) and the
+stability tests (fe.solver._stable calls, one per converged state),
+bisected attempts and secant solves included.
 A fourth line hashes the (shuttle, reaction) answers of coarse-step
 assemblies on the table1 mechanism (demos/table1.json at 6 and 12 beams,
 rings COARSE_RINGS, fe.solver.ASSEMBLY_STEPS set to each of COARSE_STEPS),
@@ -29,6 +32,8 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -63,6 +68,8 @@ def main(seeds) -> None:
     digest, assembly, calls = hashlib.sha256(), hashlib.sha256(), {}
     _count_calls(solver, "_newton", calls)
     _count_calls(solver._System, "assemble", calls)
+    _count_calls(np.linalg, "solve", calls)
+    _count_calls(solver, "_stable", calls)
     n_inputs = n_steps = n_iters = n_unstable = 0
     for seed in seeds:
         for inp in workloads.generate("verify", seed):
@@ -83,8 +90,9 @@ def main(seeds) -> None:
     print(f"{digest.hexdigest()}  {n_inputs} inputs, {n_steps} steps, "
           f"{n_iters} Newton iterations, {n_unstable} unstable steps")
     print(f"{assembly.hexdigest()}  {n_inputs} assembly answers")
-    print(f"{calls['_newton']} Newton solves and {calls['assemble']} "
-          f"assemblies over every sweep and assembly")
+    print(f"{calls['_newton']} Newton solves, {calls['assemble']} "
+          f"assemblies, {calls['solve']} linear solves and "
+          f"{calls['_stable']} stability tests over every sweep and assembly")
     coarse, n_coarse, n_raised = hashlib.sha256(), 0, 0
     table1 = parse_config(TABLE1.read_text()).mechanism
     for n_beams in COARSE_BEAMS:

@@ -394,23 +394,63 @@ def reference_loads(geom, dy):
     return Branch.MONOSTABLE, f_o, p
 
 
+def reference_rows(geom, travels):
+    """(branch, f_o, p_o, force) of the scalar reference chain per travel."""
+    stiff = 4 * MAT.youngs_modulus_E * geom.second_moment / geom.length_L ** 2
+    rows = []
+    for dy in travels:
+        branch, f_o, p_o = reference_loads(geom, float(dy))
+        rows.append((branch, f_o, p_o,
+                     -stiff * (f_o * math.cos(geom.tilt_theta)
+                               + p_o * math.sin(geom.tilt_theta))))
+    return rows
+
+
+def assert_curve_rows_match(curve, indices, rows):
+    for i, (branch, f_o, p_o, force) in zip(indices, rows):
+        assert curve.branches[i] is branch
+        assert curve.p_o[i] == pytest.approx(p_o, rel=1e-9, abs=1e-12)
+        assert curve.f_o[i] == pytest.approx(f_o, rel=1e-9, abs=1e-12)
+        assert curve.force[i] == pytest.approx(force, rel=1e-9, abs=1e-12)
+
+
 def test_curve_matches_pointwise_chain():
     # the array kernel behind force_curve against the scalar reference chain:
     # the tilted reference beam crosses both branches, the untilted beam and
     # the random states stay on the monostable branch
     cases = [(GEOM, 5.0), (VBeamGeometry.from_degrees(40, 1.2, 5, 0), 5.0)]
     cases += random_monostable_states(20, seed=29)
+    indices = (0, 10, 25, 49)
     for geom, travel in cases:
         curve = force_curve(geom, MAT, travel, 50)
-        stiff = 4 * MAT.youngs_modulus_E * geom.second_moment / geom.length_L ** 2
-        for i in (0, 10, 25, 49):
-            branch, f_o, p_o = reference_loads(geom, float(curve.delta_y[i]))
-            force = -stiff * (f_o * math.cos(geom.tilt_theta)
-                              + p_o * math.sin(geom.tilt_theta))
-            assert curve.branches[i] is branch
-            assert curve.p_o[i] == pytest.approx(p_o, rel=1e-9, abs=1e-12)
-            assert curve.f_o[i] == pytest.approx(f_o, rel=1e-9, abs=1e-12)
-            assert curve.force[i] == pytest.approx(force, rel=1e-9, abs=1e-12)
+        rows = reference_rows(geom, curve.delta_y[list(indices)])
+        assert_curve_rows_match(curve, indices, rows)
+
+
+CHAIN_GEOMETRIES = st.builds(
+    VBeamGeometry.from_degrees, st.floats(30.0, 60.0), st.floats(0.6, 2.0),
+    st.just(5.0), st.one_of(st.just(0.0), st.floats(0.0, 15.0)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.lists(st.tuples(CHAIN_GEOMETRIES, st.floats(1e-9, 5.0),
+                          st.integers(2, 50)), min_size=1, max_size=3))
+def test_batched_kernel_equals_the_scalar_chain(batch):
+    # every row of force_curve against the chain at its travel, on tilted
+    # and untilted beams; a side that raises NumericalError must have its
+    # counterpart raise too
+    for geom, travel, n in batch:
+        try:
+            curve = force_curve(geom, MAT, travel, n)
+        except NumericalError:
+            curve = None
+        try:
+            rows = reference_rows(geom, uniform_travels(travel, n))
+        except NumericalError:
+            rows = None
+        assert (curve is None) == (rows is None)
+        if curve is not None:
+            assert_curve_rows_match(curve, range(n), rows)
 
 
 def test_actuation_force_accepts_arrays():

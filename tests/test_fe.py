@@ -19,7 +19,8 @@ from graspsynth.beam import uniform_travels
 from graspsynth.fe import solver
 from graspsynth.fe.model import ELEMENT_CAP, ROT, UX, UY
 from graspsynth.fe.solver import (EquilibriumPath, PathStep,
-                                   _element_energy, _newton, _System)
+                                   _element_energy, _newton,
+                                   _predicted_start, _System)
 
 from common import GEOM, MAT, make_config
 
@@ -495,16 +496,82 @@ def drive_only_sweep(*args, **kwargs):
         return solve_vbeam_sweep(*args, **kwargs)
 
 
+def secant_only_sweep(*args, **kwargs):
+    """The sweep whose predicted start is always the secant of the last two
+    steps, never the quadratic through three."""
+    def secant_start(path, target):
+        return _predicted_start(
+            EquilibriumPath(model=path.model, steps=path.steps[-2:]), target)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_predicted_start", secant_start)
+        return solve_vbeam_sweep(*args, **kwargs)
+
+
 def test_secant_prediction_saves_newton_iterations():
     # table1's 16-element, 100-step sweep to 5 mm: the same path as the
-    # drive-only steps, in about two thirds of the iterations
+    # drive-only steps in under two thirds of the iterations, and fewer
+    # from the three-state start than from the secant of the last two
     path = solve_vbeam_sweep(GEOM, MAT, 5.0, n_steps=100)
+    secant = secant_only_sweep(GEOM, MAT, 5.0, n_steps=100)
     reference = drive_only_sweep(GEOM, MAT, 5.0, n_steps=100)
     peak = np.max(reference.reactions)
-    assert np.max(np.abs(path.reactions - reference.reactions)) <= 1e-9 * peak
-    assert [s.stable for s in path.steps] == [s.stable for s in reference.steps]
-    assert sum(s.iterations for s in path.steps) == 330
+    for other in (path, secant):
+        assert np.max(np.abs(other.reactions - reference.reactions)) <= (
+            1e-9 * peak)
+        assert [s.stable for s in other.steps] == [
+            s.stable for s in reference.steps]
+    assert sum(s.iterations for s in path.steps) == 299
+    assert sum(s.iterations for s in secant.steps) == 330
     assert sum(s.iterations for s in reference.steps) == 506
+
+
+def synthetic_path(controls, table_at):
+    """A path of hand-built steps holding table_at(control) at controls."""
+    return EquilibriumPath(model=None, steps=[
+        PathStep(control=c, displacements=table_at(c), reactions={},
+                 reaction=0.0, iterations=1, residual=0.0, strain_energy=0.0,
+                 stable=True) for c in controls])
+
+
+def test_predicted_start_extrapolates_the_last_three_states():
+    # tables that are an exact quadratic in control, on an uneven grid: the
+    # start at the next control is that quadratic, whatever came before
+    rng = np.random.default_rng(5)
+    a, b, c = rng.standard_normal((3, 9, 3))
+
+    def quadratic(x):
+        return a + b * x + c * x * x
+
+    path = synthetic_path([0.05, 0.3, 0.55, 0.9], quadratic)
+    path.steps[0] = replace(path.steps[0],
+                            displacements=path.steps[0].displacements + 1.0)
+    want = quadratic(1.2)
+    got = _predicted_start(path, 1.2)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_predicted_start_from_two_steps_is_their_secant():
+    rng = np.random.default_rng(7)
+    tables = iter(rng.standard_normal((2, 9, 3)))
+    path = synthetic_path([0.3, 0.55], lambda x: next(tables))
+    (prev, state), target = path.steps, 0.8
+    u_k, u_prev = state.displacements, prev.displacements
+    want = u_k + (u_k - u_prev) * ((target - state.control)
+                                   / (state.control - prev.control))
+    assert np.array_equal(_predicted_start(path, target), want)
+
+
+def test_predicted_start_at_subnormal_controls_is_finite():
+    # controls 1e-311 apart: a product of two control differences
+    # underflows to 0, a product of their ratios does not
+    controls = [1e-311, 2e-311, 3e-311]
+    assert (controls[2] - controls[0]) * (controls[2] - controls[1]) == 0.0
+    path = synthetic_path(controls, lambda x: np.full((9, 3), x / 1e-310))
+    start = _predicted_start(path, 4e-311)
+    assert np.all(np.isfinite(start))
+    assert np.allclose(start, 0.4, rtol=1e-9)
 
 
 def test_secant_prediction_stays_on_the_stable_branch():
@@ -519,6 +586,27 @@ def test_secant_prediction_stays_on_the_stable_branch():
     assert step.control == unstable.control == pytest.approx(28 / 9)
     assert not unstable.stable
     assert step.strain_energy < unstable.strain_energy
+
+
+IN_ENVELOPE = st.builds(VBeamGeometry.from_degrees, st.floats(30.0, 50.0),
+                        st.floats(0.8, 1.6), st.floats(4.0, 6.0),
+                        st.floats(1.0, 10.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(IN_ENVELOPE, st.integers(40, 100))
+def test_sweep_stays_converged_and_stable_in_the_envelope(geom, n_steps):
+    # every kept state meets the tolerance with stability index 0, and
+    # where the drive-only steps stay stable too the two paths agree
+    path = solve_vbeam_sweep(geom, MAT, 5.0, n_steps=n_steps)
+    assert len(path.steps) == n_steps
+    for step in path.steps:
+        assert step.residual < solver.DEFAULT_TOLERANCE and step.stable
+    reference = drive_only_sweep(geom, MAT, 5.0, n_steps=n_steps)
+    if all(s.stable for s in reference.steps):
+        peak = np.max(reference.reactions)
+        assert np.max(np.abs(path.reactions - reference.reactions)) <= (
+            1e-8 * peak)
 
 
 def _step_fields(s):
