@@ -245,11 +245,13 @@ def bistability_margin(geom: VBeamGeometry, delta_y: float) -> Tuple[float, bool
     """Evaluate the necessary bistability criterion d1 at a travel.
 
     Returns (d1, satisfied) with satisfied <=> d1 >= 0.  d1 is affine in
-    delta_y with a strictly negative value at delta_y = 0.  delta_y may be an
-    array, in which case d1 and satisfied are arrays of its shape.
+    delta_y with a strictly negative value at delta_y = 0.  delta_y may be
+    array-like, in which case d1 and satisfied are arrays of its shape.
     """
     check_non_negative("delta_y", delta_y)
     a, b, c = _d1_terms(geom)
+    if np.ndim(delta_y):
+        delta_y = np.asarray(delta_y)
     d1 = a * delta_y + b * delta_y - c
     return d1, d1 >= 0.0
 
@@ -571,7 +573,10 @@ def _slope_rows(geoms: Sequence[VBeamGeometry], mat: MaterialModel,
 
 
 def branch_loads(geom: VBeamGeometry, delta_y: float) -> BeamLoadState:
-    """Guided-end normalized loads at a travel, with branch selection."""
+    """Guided-end normalized loads at one travel, with branch selection."""
+    if np.ndim(delta_y):
+        raise ValidationError("branch_loads takes one travel; use "
+                              "force_curve for several")
     d1, _ = bistability_margin(geom, delta_y)
     _, f_o, p_o, bistable = _kernel_pass([geom],
                                          np.array([delta_y], dtype=float))

@@ -27,17 +27,19 @@ force_curve's uniform travel grid (beam.uniform_travels).  Newton returns
 each converged state as the PathStep of its last assembly, and the sweep
 appends the one it reaches at each travel.  A step's stable flag says
 whether the free-free tangent is positive definite (one Cholesky attempt);
-one that is not lies on an unstable branch.  Once the path holds three
-steps, Newton first starts from the quadratic through the last three,
-extrapolated to the next travel; with two it starts from their secant
-(Crisfield, vol. 1, ch. 9).  That state is kept only if it converges and
-is stable.  Otherwise, as on the first two steps, Newton starts from the
-last state with only the drive moved; a step that fails
-to converge, a singular tangent or a floating-point overflow included, is
-bisected down to a floor, where a ConvergenceError carries the partial
-path, and the state it reaches is kept whatever its flag.  So a predicted
-start never puts a path on an unstable state, but a drive-only start
-still can, and the sweep reports such a state without switching branches.
+one that is not lies on an unstable branch.  Outside the fallback below,
+every Newton solve starts from one rule: the Lagrange polynomial through the
+last (up to three) states the oracle knows, at the solve's control
+(Crisfield, vol. 1, ch. 9), rest, built once per model, counting as a
+path's first state.  A step's predicted state is kept only if it converges
+and is stable.  Otherwise, and on the first step, where the polynomial
+through rest alone is rest itself, the fallback starts Newton from the last
+state with only the drive moved; a step that fails to converge, a singular
+tangent or a floating-point overflow included, is bisected down to a floor,
+where a ConvergenceError carries the partial path, and the state it reaches
+is kept whatever its flag.  So a predicted start never puts a path on an
+unstable state, but a drive-only start still can, and the sweep reports
+such a state without switching branches.
 
 The ring-driven multi-beam assembly holds no spring: it steps the shuttle
 and solves the series-spring map r = s + F / ks for the ring travel.
@@ -126,7 +128,8 @@ class _System:
     of its contributions into the force table and the block, and the work
     arrays, whose element forces and tangents are the scatter weights.
     They are reused by every assembly, so one instance serves one solve at
-    a time.
+    a time.  rest is the PathStep at control 0, the zero table, assembled
+    once here: every path starts from it.
     """
 
     def __init__(self, model: FrameModel):
@@ -177,6 +180,8 @@ class _System:
         self._f_pos = self._el_dofs.ravel()
         self._k_pos = np.where((rows < n_u) & (cols < n_u), rows * n_u + cols,
                                n_u * n_u).ravel()
+        u = np.zeros(free.size)
+        self.rest = self.path_step(0.0, u, self.assemble(u), 0, 0.0)
 
     def _elements(self, d: np.ndarray):
         """Internal forces (n_el, 6), tangents (n_el, 6, 6) and local state.
@@ -303,8 +308,7 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
     system = _System(model)
     path = EquilibriumPath(model=model)
     if travel_max == 0.0:
-        u = np.zeros(3 * model.n_nodes)
-        path.steps.append(system.path_step(0.0, u, system.assemble(u), 0, 0.0))
+        path.steps.append(system.rest)
         return path
     for target in targets:
         _advance(system, path, target, travel_max, tol)
@@ -312,27 +316,26 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
 
 
 def _advance(system: _System, path: EquilibriumPath, target, scale, tol):
-    """Append to path the PathStep at target, stepped from path.last.
+    """Append to path the PathStep at target, stepped from its last state.
 
-    Once path holds two steps, the first attempt runs Newton from
-    _predicted_start: the quadratic through the last three converged
-    states, or the secant of the last two, extrapolated to target
-    (Crisfield 1991, ch. 9).  Its state is kept only if it converges and is
-    stable.  Otherwise each attempt runs Newton from the last converged
-    state (rest on an empty path), only the drive moved, over the rest of
-    the way; a failing one is halved down to scale / BISECTION_FLOOR_DIV,
-    where a ConvergenceError carries the path.  A state so reached is kept
-    whatever its stable flag.
+    Rest counts as the path's first state.  Once the path holds a step, the
+    first attempt runs Newton from _predicted_start through the last three
+    of those states (rest, then the steps), extrapolated to target.  Its
+    state is kept only if it converges and is stable.  Otherwise, and on
+    the first step, each attempt runs Newton from the last state, only the
+    drive moved, over the rest of the way; a failing one is halved down to
+    scale / BISECTION_FLOOR_DIV, where a ConvergenceError carries the path.
+    A state so reached is kept whatever its stable flag.
     """
-    state = path.last
-    if len(path.steps) >= 2:
-        predicted = _newton(system, _predicted_start(path, target), target,
+    states = [system.rest, *path.steps[-3:]][-3:]
+    if path.steps:
+        predicted = _newton(system, _predicted_start(states, target), target,
                             tol)
         if predicted is not None and predicted.stable:
             path.steps.append(predicted)
             return
-    u, control = ((state.displacements, state.control) if state else
-                  (np.zeros(3 * system.model.n_nodes), 0.0))
+    state = states[-1]
+    u, control = state.displacements, state.control
     floor = scale / BISECTION_FLOOR_DIV
     while control < target - 1e-12 * scale:
         attempt = target - control
@@ -349,27 +352,19 @@ def _advance(system: _System, path: EquilibriumPath, target, scale, tol):
                       else replace(state, control=target))
 
 
-def _predicted_start(path: EquilibriumPath, target) -> np.ndarray:
-    """The displacement table extrapolated to target from path's last states.
+def _predicted_start(states, target) -> np.ndarray:
+    """The displacement table at target of the Lagrange polynomial through
+    the (control, table) pairs of states, whose controls differ.
 
-    From three or more steps, the Lagrange quadratic through the last three
-    (control, table) pairs; from two, their secant.  Each Lagrange weight is
-    a product of ratios of control differences, which stays finite where a
-    product of differences of adjacent subnormal controls underflows to 0.
+    Each weight is a product of ratios of control differences, which stays
+    finite where a product of differences of adjacent subnormal controls
+    underflows to 0.  The terms are summed in order from the first.
     """
-    if len(path.steps) == 2:
-        prev, state = path.steps
-        u_k, u_prev = state.displacements, prev.displacements
-        return u_k + (u_k - u_prev) * ((target - state.control)
-                                       / (state.control - prev.control))
-    s0, s1, s2 = path.steps[-3:]
-    c0, c1, c2 = s0.control, s1.control, s2.control
-    return ((target - c1) / (c0 - c1) * ((target - c2) / (c0 - c2))
-            * s0.displacements
-            + (target - c0) / (c1 - c0) * ((target - c2) / (c1 - c2))
-            * s1.displacements
-            + (target - c0) / (c2 - c0) * ((target - c1) / (c2 - c1))
-            * s2.displacements)
+    terms = [math.prod((target - other.control)
+                       / (state.control - other.control)
+                       for other in states if other is not state)
+             * state.displacements for state in states]
+    return sum(terms[1:], terms[0])
 
 
 def solve_multibeam_assembly(config: MechanismConfig,
@@ -382,8 +377,9 @@ def solve_multibeam_assembly(config: MechanismConfig,
     shuttle steps from rest over k ring_disp / ASSEMBLY_STEPS, k = 1, 2, ...
     (past ring_disp where F < 0; the rule of beam.uniform_travels checks
     k <= ASSEMBLY_STEPS), up to the first step whose r reaches ring_disp.
-    Secant Newton solves, each from the nearer end of that bracket and
-    strictly inside it (else at its regula-falsi point), then meet
+    Secant Newton solves, each strictly inside that bracket (else at its
+    regula-falsi point) and started from the line through its two ends
+    (_predicted_start, rest being the first bracket's lower end), then meet
     ks |ring_disp - r(s)| < tolerance within MAX_ITERS solves, or raise
     ConvergenceError.  That first crossing is the state reached by pulling
     the ring from rest: past a fold of r(s) the series system snaps to the
@@ -406,8 +402,7 @@ def solve_multibeam_assembly(config: MechanismConfig,
         return b.control - excess(b) * (b.control - a.control) / (
             excess(b) - excess(a))
 
-    u = np.zeros(3 * system.model.n_nodes)
-    lo = hi = system.path_step(0.0, u, system.assemble(u), 0, 0.0)
+    lo = hi = system.rest
     while excess(hi) < 0.0:
         _advance(system, path,
                  (len(path.steps) + 1) * ring_disp / ASSEMBLY_STEPS,
@@ -418,8 +413,8 @@ def solve_multibeam_assembly(config: MechanismConfig,
         s = secant(prev, state) if excess(state) != excess(prev) else math.nan
         if not lo.control < s < hi.control:
             s = secant(lo, hi)
-        start = lo if s - lo.control < hi.control - s else hi
-        prev, state = state, (_newton(system, start.displacements, s, tol)
+        start = _predicted_start((lo, hi), s)
+        prev, state = state, (_newton(system, start, s, tol)
                               if solves < MAX_ITERS else None)
         if state is None:
             raise ConvergenceError(

@@ -16,7 +16,9 @@ runs: the Newton solves (fe.solver._newton calls), the assemblies
 (_System.assemble calls), the linear solves (np.linalg.solve calls, which
 the package makes only in _newton, one per Newton update) and the
 stability tests (fe.solver._stable calls, one per converged state),
-bisected attempts and secant solves included.
+bisected attempts and secant solves included, and of the Newton solves,
+those that failed (returned None) and those that converged to a state
+that is not stable.
 A fourth line hashes the (shuttle, reaction) answers of coarse-step
 assemblies on the table1 mechanism (demos/table1.json at 6 and 12 beams,
 rings COARSE_RINGS, fe.solver.ASSEMBLY_STEPS set to each of COARSE_STEPS),
@@ -64,9 +66,25 @@ def _count_calls(owner, name: str, calls: dict) -> None:
     setattr(owner, name, counted)
 
 
+def _count_attempts(calls: dict) -> None:
+    """Count the failed and the unstable converged fe.solver._newton
+    attempts from now on in calls["failed"] and calls["unstable"]."""
+    newton = solver._newton
+    calls["failed"] = calls["unstable"] = 0
+
+    def counted(*args, **kwargs):
+        state = newton(*args, **kwargs)
+        calls["failed"] += state is None
+        calls["unstable"] += state is not None and not state.stable
+        return state
+
+    solver._newton = counted
+
+
 def main(seeds) -> None:
     digest, assembly, calls = hashlib.sha256(), hashlib.sha256(), {}
     _count_calls(solver, "_newton", calls)
+    _count_attempts(calls)
     _count_calls(solver._System, "assemble", calls)
     _count_calls(np.linalg, "solve", calls)
     _count_calls(solver, "_stable", calls)
@@ -92,7 +110,9 @@ def main(seeds) -> None:
     print(f"{assembly.hexdigest()}  {n_inputs} assembly answers")
     print(f"{calls['_newton']} Newton solves, {calls['assemble']} "
           f"assemblies, {calls['solve']} linear solves and "
-          f"{calls['_stable']} stability tests over every sweep and assembly")
+          f"{calls['_stable']} stability tests over every sweep and "
+          f"assembly; {calls['failed']} failed and {calls['unstable']} "
+          "unstable Newton attempts")
     coarse, n_coarse, n_raised = hashlib.sha256(), 0, 0
     table1 = parse_config(TABLE1.read_text()).mechanism
     for n_beams in COARSE_BEAMS:

@@ -169,6 +169,24 @@ def test_margin_reference_values():
     assert ok is False
 
 
+@pytest.mark.parametrize("travels", [[1.0, 5.0], (1.0, 5.0), [1, 5],
+                                     [[0.0, 1.0], [5.0, 2.0]]],
+                         ids=["list", "tuple", "int-list", "nested"])
+def test_margin_takes_any_array_like(travels):
+    # a list used to raise a bare TypeError ("can't multiply sequence by
+    # non-int of type 'float'"); it gives the arrays of np.array of it
+    d1, ok = bistability_margin(GEOM, travels)
+    want_d1, want_ok = bistability_margin(GEOM, np.array(travels))
+    assert d1.shape == ok.shape == np.shape(travels)
+    assert d1.tobytes() == want_d1.tobytes()
+    assert np.array_equal(ok, want_ok)
+
+
+def test_margin_of_a_float_is_a_float_and_a_bool():
+    d1, ok = bistability_margin(GEOM, 5.0)
+    assert type(d1) is float and type(ok) is bool
+
+
 def test_margin_zero_travel_is_negative_constant():
     d1, ok = bistability_margin(GEOM, 0.0)
     assert d1 == pytest.approx(-21.46 * 1.2 ** 2 / 40 ** 2, rel=1e-12)

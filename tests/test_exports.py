@@ -75,6 +75,16 @@ def test_library_refuses_nan_travels_and_non_integer_counts(call, match):
         call()
 
 
+@pytest.mark.parametrize("travel", [np.array([1.0, 2.0]), [1.0, 2.0],
+                                    np.array([1.0])],
+                         ids=["array", "list", "one-element-array"])
+def test_branch_loads_refuses_several_travels(travel):
+    # these used to raise numpy's bare ValueError, a TypeError, and return a
+    # state whose d1_value was an array
+    with pytest.raises(ValidationError, match="takes one travel"):
+        branch_loads(GEOM, travel)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -1,
                                  np.float64(math.nan), np.float64(math.inf),
                                  np.float64(-math.inf), np.float64(-1.0),

@@ -405,7 +405,8 @@ def test_convergence_error_carries_path():
 def test_step_displacements_are_their_own_tables(monkeypatch, model):
     # each converged state holds 0 at every fixed freedom and -control at
     # the drive, and no later state of the sweep moves an earlier array; the
-    # path keeps every state but the predicted ones refused as unstable
+    # first state made is the system's rest, and the path keeps every later
+    # one but the predicted ones refused as unstable
     made = []
     path_step = _System.path_step
 
@@ -417,10 +418,12 @@ def test_step_displacements_are_their_own_tables(monkeypatch, model):
     monkeypatch.setattr(_System, "path_step", recorded)
     path = solve_guided_sweep(model, 3.0, n_steps=10)
     node, dof = model.drive
-    refused = [step for step, _ in made
+    rest = made[0][0]
+    assert (rest.control, rest.iterations, rest.stable) == (0.0, 0, True)
+    refused = [step for step, _ in made[1:]
                if not any(step is s for s in path.steps)]
     assert all(not step.stable for step in refused)
-    assert len(made) == len(path.steps) + len(refused)
+    assert len(made) == 1 + len(path.steps) + len(refused)
     for step, snapshot in made:
         assert step.displacements.shape == (model.n_nodes, 3)
         assert np.array_equal(step.displacements, snapshot)
@@ -434,7 +437,8 @@ def test_step_displacements_are_their_own_tables(monkeypatch, model):
 def test_sweep_assembles_each_newton_iteration_once(monkeypatch):
     # a converged state is recorded from its last Newton assembly, so a
     # sweep without bisection assembles exactly once per iteration of its
-    # steps and of the predicted states it refuses as unstable
+    # steps and of the predicted states it refuses as unstable, plus once
+    # for the rest state at setup
     count, attempts = [0], []
     assemble = _System.assemble
 
@@ -457,7 +461,7 @@ def test_sweep_assembles_each_newton_iteration_once(monkeypatch):
     refused = [result for result, _ in attempts
                if not any(result is s for s in path.steps)]
     assert all(not result.stable for result in refused)
-    assert count[0] == sum(s.iterations for s in path.steps + refused)
+    assert count[0] == 1 + sum(s.iterations for s in path.steps + refused)
 
 
 # verify seed-301 beam: its 800-step path leaves the stable branch after
@@ -498,10 +502,9 @@ def drive_only_sweep(*args, **kwargs):
 
 def secant_only_sweep(*args, **kwargs):
     """The sweep whose predicted start is always the secant of the last two
-    steps, never the quadratic through three."""
-    def secant_start(path, target):
-        return _predicted_start(
-            EquilibriumPath(model=path.model, steps=path.steps[-2:]), target)
+    states, never the quadratic through three."""
+    def secant_start(states, target):
+        return _predicted_start(states[-2:], target)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "_predicted_start", secant_start)
@@ -521,46 +524,63 @@ def test_secant_prediction_saves_newton_iterations():
             1e-9 * peak)
         assert [s.stable for s in other.steps] == [
             s.stable for s in reference.steps]
-    assert sum(s.iterations for s in path.steps) == 299
-    assert sum(s.iterations for s in secant.steps) == 330
+    assert sum(s.iterations for s in path.steps) == 298
+    assert sum(s.iterations for s in secant.steps) == 329
     assert sum(s.iterations for s in reference.steps) == 506
 
 
-def synthetic_path(controls, table_at):
-    """A path of hand-built steps holding table_at(control) at controls."""
-    return EquilibriumPath(model=None, steps=[
-        PathStep(control=c, displacements=table_at(c), reactions={},
-                 reaction=0.0, iterations=1, residual=0.0, strain_energy=0.0,
-                 stable=True) for c in controls])
+def synthetic_states(controls, table_at):
+    """Hand-built steps holding table_at(control) at controls."""
+    return [PathStep(control=c, displacements=table_at(c), reactions={},
+                     reaction=0.0, iterations=1, residual=0.0,
+                     strain_energy=0.0, stable=True) for c in controls]
 
 
 def test_predicted_start_extrapolates_the_last_three_states():
     # tables that are an exact quadratic in control, on an uneven grid: the
-    # start at the next control is that quadratic, whatever came before
+    # start at the next control is that quadratic
     rng = np.random.default_rng(5)
     a, b, c = rng.standard_normal((3, 9, 3))
 
     def quadratic(x):
         return a + b * x + c * x * x
 
-    path = synthetic_path([0.05, 0.3, 0.55, 0.9], quadratic)
-    path.steps[0] = replace(path.steps[0],
-                            displacements=path.steps[0].displacements + 1.0)
+    states = synthetic_states([0.3, 0.55, 0.9], quadratic)
     want = quadratic(1.2)
-    got = _predicted_start(path, 1.2)
+    got = _predicted_start(states, 1.2)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_predicted_start_from_two_steps_is_their_secant():
-    rng = np.random.default_rng(7)
-    tables = iter(rng.standard_normal((2, 9, 3)))
-    path = synthetic_path([0.3, 0.55], lambda x: next(tables))
-    (prev, state), target = path.steps, 0.8
-    u_k, u_prev = state.displacements, prev.displacements
-    want = u_k + (u_k - u_prev) * ((target - state.control)
-                                   / (state.control - prev.control))
-    assert np.array_equal(_predicted_start(path, target), want)
+GAPS = st.lists(st.integers(1, 9), min_size=3, max_size=3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(1, 3), GAPS, st.integers(-9, 9),
+       st.sampled_from([0.05, 1e-311]), st.booleans(), st.integers(0, 2 ** 32))
+def test_predicted_start_reproduces_a_polynomial_of_its_degree(
+        k, gaps, offset, unit, from_rest, seed):
+    # k states on an uneven grid, from rest at 0 or not and with controls
+    # as little as 1e-311 apart, whose tables are a degree k - 1 polynomial
+    # in control: the start at any control is that polynomial
+    coefficients = np.random.default_rng(seed).standard_normal((k, 9, 3))
+
+    def table_at(c):
+        x = c / unit
+        return sum(coefficient * x ** n
+                   for n, coefficient in enumerate(coefficients))
+
+    grid = np.cumsum([0 if from_rest else gaps[-1]] + gaps[:k - 1])
+    controls = [float(n * unit) for n in grid]
+    target = float(max(grid[-1] + offset, 0) * unit)
+    states = synthetic_states(controls, table_at)
+    got, want = _predicted_start(states, target), table_at(target)
+    assert got.shape == want.shape
+    if k == 1:
+        assert np.array_equal(got, want)
+    else:
+        size = max(np.max(np.abs(table_at(c))) for c in controls + [target])
+        assert np.max(np.abs(got - want)) <= 1e-12 * size
 
 
 def test_predicted_start_at_subnormal_controls_is_finite():
@@ -568,8 +588,8 @@ def test_predicted_start_at_subnormal_controls_is_finite():
     # underflows to 0, a product of their ratios does not
     controls = [1e-311, 2e-311, 3e-311]
     assert (controls[2] - controls[0]) * (controls[2] - controls[1]) == 0.0
-    path = synthetic_path(controls, lambda x: np.full((9, 3), x / 1e-310))
-    start = _predicted_start(path, 4e-311)
+    states = synthetic_states(controls, lambda x: np.full((9, 3), x / 1e-310))
+    start = _predicted_start(states, 4e-311)
     assert np.all(np.isfinite(start))
     assert np.allclose(start, 0.4, rtol=1e-9)
 
@@ -615,7 +635,7 @@ def _step_fields(s):
 
 
 def _starts_predicted(system, u, control):
-    """Whether a Newton attempt starts from _advance's secant prediction:
+    """Whether a Newton attempt starts from _advance's predicted start:
     only that start already holds the drive at -control, where a drive-only
     start holds it at the last converged control."""
     return math.isclose(u.flat[system.driven], -control, rel_tol=1e-9)
@@ -623,10 +643,11 @@ def _starts_predicted(system, u, control):
 
 def test_sweep_raises_after_one_bisection_ladder(monkeypatch):
     # Newton fails at every control from the step after 1.2 mm on.  The
-    # 0.3 mm step to 1.5 mm is tried from the secant prediction, then from
+    # 0.3 mm step to 1.5 mm is tried from the predicted start, then from
     # the drive-only start at 0.3 / 2**k mm for k = 0..8, since 0.3 / 2**9
     # is below the 3 / 4096 mm floor, and then the sweep raises with no
-    # other attempt and no assembly outside Newton.
+    # other attempt and no assembly outside Newton but the rest state's at
+    # setup.
     converged, failed, inside, outside = [], [], [False], [0]
     predicted = []
 
@@ -657,7 +678,7 @@ def test_sweep_raises_after_one_bisection_ladder(monkeypatch):
     assert len(failed) == 1 + 9
     assert failed[0] == failed[1] == pytest.approx(1.5)
     assert failed[-1] == pytest.approx(1.2 + 0.3 / 2 ** 8)
-    assert outside[0] == 0
+    assert outside[0] == 1
     err = info.value
     last = err.path.last
     assert err.last_step is last
@@ -943,6 +964,20 @@ def test_multibeam_assembly_structure():
     assert not hasattr(model, "point_springs")
 
 
+def _record_newton(monkeypatch):
+    """The list every converged _newton state is appended to from now on."""
+    solved = []
+
+    def recorded(*args):
+        state = _newton(*args)
+        if state is not None:
+            solved.append(state)
+        return state
+
+    monkeypatch.setattr(solver, "_newton", recorded)
+    return solved
+
+
 # (config, ring mm, n_steps, shuttle, reaction), n_steps being the steps of
 # the shuttle sweep that checks the answer's stability.  The first row is the
 # answer of an assembly that meshed and tied all N beams.  The second is
@@ -977,8 +1012,12 @@ ASSEMBLY_REFERENCE = [
          "far-branch-past-fold", "soft-spring-long-travel",
          "seed-8-2-beams"])
 def test_multibeam_matches_reference(config, ring, n_steps, shuttle,
-                                     reaction):
+                                     reaction, monkeypatch):
+    solved = _record_newton(monkeypatch)
     s, r = solve_multibeam_assembly(config, ring)
+    # the state returned is the last Newton solve's, and it is stable
+    assert (solved[-1].control, solved[-1].reaction) == (s, r)
+    assert solved[-1].stable
     assert s == pytest.approx(shuttle, rel=1e-9)
     assert r == pytest.approx(reaction, rel=1e-9)
     assert r == pytest.approx(config.series_stiffness_ks * (ring - s),
@@ -998,7 +1037,10 @@ def test_coarse_step_secant_stays_inside_its_bracket(ring, n_steps,
     config = make_config(n_beams=12)
     fine, _ = solve_multibeam_assembly(config, ring)
     monkeypatch.setattr(solver, "ASSEMBLY_STEPS", n_steps)
+    solved = _record_newton(monkeypatch)
     s, r = solve_multibeam_assembly(config, ring)
+    assert (solved[-1].control, solved[-1].reaction) == (s, r)
+    assert solved[-1].stable
     assert r == pytest.approx(config.series_stiffness_ks * (ring - s),
                               abs=solver.DEFAULT_TOLERANCE)
     assert s == pytest.approx(fine, abs=1e-8)
