@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import (FLOAT_MAX, NumericalError, SingularityError,
                      ValidationError, _shown, check_count, check_non_negative,
-                     check_positive)
+                     check_positive, travels)
 
 BISTABLE_FO_SLOPE = -4.8618
 BISTABLE_PO = -9.8837
@@ -231,7 +231,8 @@ class ForceDisplacementCurve:
 
 
 def normalize_deflection(geom: VBeamGeometry, delta_y: float) -> NormalizedDeflection:
-    """Convert a shuttle travel into the non-dimensional deflection state."""
+    """Convert one shuttle travel into the non-dimensional deflection state;
+    an array-like is refused (errors.check_non_negative)."""
     check_non_negative("delta_y", delta_y)
     return NormalizedDeflection(
         x_o=-2.0 * delta_y * math.sin(geom.tilt_theta) / geom.length_L,
@@ -246,13 +247,12 @@ def bistability_margin(geom: VBeamGeometry, delta_y: float) -> Tuple[float, bool
 
     Returns (d1, satisfied) with satisfied <=> d1 >= 0.  d1 is affine in
     delta_y with a strictly negative value at delta_y = 0.  delta_y may be
-    array-like, in which case d1 and satisfied are arrays of its shape.
+    array-like (errors.travels), in which case d1 and satisfied are arrays
+    of its shape; a scalar gives a float and a bool.
     """
-    check_non_negative("delta_y", delta_y)
+    dys = travels("delta_y", delta_y)
     a, b, c = _d1_terms(geom)
-    if np.ndim(delta_y):
-        delta_y = np.asarray(delta_y)
-    d1 = a * delta_y + b * delta_y - c
+    d1 = a * dys + b * dys - c
     return d1, d1 >= 0.0
 
 
@@ -460,7 +460,7 @@ def _loads(cols: _Columns, dys: np.ndarray):
     sample that fails a check raises for the whole pass, and so does a
     travel so large that the cubic's coefficients overflow.
     """
-    check_non_negative("delta_y", dys)
+    dys = travels("delta_y", dys)
     bistable = cols.d1_a * dys + cols.d1_b * dys - cols.d1_c >= 0.0
     x_o = -2.0 * dys * cols.sin / cols.L
     y_o = -2.0 * dys * cols.cos / cols.L
@@ -573,13 +573,11 @@ def _slope_rows(geoms: Sequence[VBeamGeometry], mat: MaterialModel,
 
 
 def branch_loads(geom: VBeamGeometry, delta_y: float) -> BeamLoadState:
-    """Guided-end normalized loads at one travel, with branch selection."""
-    if np.ndim(delta_y):
-        raise ValidationError("branch_loads takes one travel; use "
-                              "force_curve for several")
+    """Guided-end normalized loads at one travel, with branch selection;
+    an array-like is refused (errors.check_non_negative)."""
+    check_non_negative("delta_y", delta_y)
     d1, _ = bistability_margin(geom, delta_y)
-    _, f_o, p_o, bistable = _kernel_pass([geom],
-                                         np.array([delta_y], dtype=float))
+    _, f_o, p_o, bistable = _kernel_pass([geom], [delta_y])
     return BeamLoadState(f_o=f_o.item(), p_o=p_o.item(),
                          branch=Branch.tags(bistable[0])[0], d1_value=d1)
 
@@ -587,13 +585,12 @@ def branch_loads(geom: VBeamGeometry, delta_y: float) -> BeamLoadState:
 def actuation_force(geom: VBeamGeometry, mat: MaterialModel, delta_y):
     """Shuttle-direction force of the symmetric double V-beam at a travel [N].
 
-    delta_y may be an array, in which case the force is an array of its
-    shape.
+    delta_y may be array-like (errors.travels), in which case the force is
+    an array of its shape.
     """
-    check_non_negative("delta_y", delta_y)
-    dys = np.array(delta_y, dtype=float, ndmin=1)
-    force = _force_rows([geom], mat, dys.ravel())[0].reshape(dys.shape)
-    return force if np.ndim(delta_y) else force.item()
+    dys = travels("delta_y", delta_y)
+    force = _force_rows([geom], mat, np.ravel(dys))[0]
+    return force.reshape(dys.shape) if np.ndim(dys) else force.item()
 
 
 def uniform_travels(travel_max: float, n: int) -> np.ndarray:
@@ -602,15 +599,18 @@ def uniform_travels(travel_max: float, n: int) -> np.ndarray:
     The last is travel_max itself, which travel_max * n / n can miss by an
     ulp either way.  An n that is not an integer of at least 1 (a
     non-integer n would step past travel_max), an n above SAMPLE_CAP, a
-    travel_max or travel_max * n beyond the float range and a positive
-    travel_max below n * 5e-324 (math.ulp(0.0)), whose travels would not
-    rise strictly from above 0, are refused before numpy allocates.
+    travel_max or travel_max * n beyond the float range, a negative
+    travel_max and a positive travel_max below n * 5e-324 (math.ulp(0.0)),
+    whose travels would not rise strictly from above 0, are refused before
+    numpy allocates.
     """
     check_count("sample count", n, 1, SAMPLE_CAP)
     if not (abs(travel_max) <= FLOAT_MAX
             and abs(float(travel_max) * int(n)) <= FLOAT_MAX):
         raise ValidationError(f"travel_max {_shown(travel_max)} times {n} "
                               "samples is not finite")
+    if travel_max < 0.0:
+        raise ValidationError(f"travel_max {float(travel_max)!r} is negative")
     if 0.0 < travel_max < n * math.ulp(0.0):
         raise ValidationError(
             f"travel_max {float(travel_max)!r} is below {n} * 5e-324: its "

@@ -128,12 +128,13 @@ def _cmd_verify(args, config: RunConfig, out: Path) -> int:
                              n_elements=config.fe.n_elements,
                              tol=config.fe.tolerance)
     fe_curve = sweep_to_curve(path, geom, mat)
+    # compared before any CSV is written, so that a refused comparison
+    # (exit 2) leaves none
+    halved = compare_curves(tebc_single, fe_curve)
+    unhalved = compare_curves(tebc_double, fe_curve)
     dest = out / "fe_path.csv"
     write_path_csv(path, dest)
     _say(args, f"wrote {dest}")
-
-    halved = compare_curves(tebc_single, fe_curve)
-    unhalved = compare_curves(tebc_double, fe_curve)
     dest = out / "verify_report.csv"
     _write(args, dest, VERIFY_CSV_HEADER, (
         (name, c.rms_rel, c.max_rel, c.peak_force_rel_diff,

@@ -1,11 +1,15 @@
-"""Exception types shared across the toolkit, and the three input rules.
+"""Exception types shared across the toolkit, and the input rules.
 
 Every layer refuses a bad count, positive quantity or travel through one of
-check_count, check_positive and check_non_negative, so the config and the
+check_count, check_positive and the travel pair, so the config and the
 library entry points apply the same rules with the same messages, and each
-raises ValidationError.  FLOAT_MAX is the one bound of the float range:
-every input check compares the value as given against it, before anything
-converts it, so an int too large for a float is refused like an infinity.
+raises ValidationError.  The travel pair decides what a travel argument is:
+an entry point that takes one travel calls check_non_negative, which
+refuses an array-like, and one that takes several reads them through
+travels, which returns them as floats.  FLOAT_MAX is the one bound of the
+float range: every input check compares the value as given against it,
+before anything converts it, so an int too large for a float is refused
+like an infinity.
 A refusal prints the value through _shown, which also prints an int too
 long for Python's int-to-string conversion.
 """
@@ -90,10 +94,20 @@ def check_positive(name: str, value) -> None:
             f"{name} must be positive and finite, not {_shown(value, repr)}")
 
 
-def check_non_negative(name: str, value) -> None:
-    """Refuse a travel, or an array of travels, with a value that is
+def travels(name: str, value):
+    """The several-travels rule: value's travels as a float for a scalar or
+    a new float array of its shape for an array-like, refused if one is
     negative or not finite (NaN included)."""
     values = np.asarray(value)
     if not ((values >= 0.0) & (values <= FLOAT_MAX)).all():
         raise ValidationError(
             f"{name} must be non-negative: a value is negative or not finite")
+    return np.array(values, dtype=float) if values.ndim else float(values)
+
+
+def check_non_negative(name: str, value) -> None:
+    """The one-travel rule: refuse an array-like, one element or more, and
+    a travel that travels refuses."""
+    if np.ndim(value):
+        raise ValidationError(f"{name} takes one travel, not an array of them")
+    travels(name, value)

@@ -32,8 +32,10 @@ def compare_curves(a: ForceDisplacementCurve,
     """Compare curve b against reference a on a's grid.
 
     b is linearly resampled onto the samples of a that fall inside the
-    overlap of the two travel domains; disjoint domains, and an overlap
-    that holds no sample of a, are an error.
+    overlap of the two travel domains; disjoint domains, an overlap that
+    holds no sample of a, and a reference whose force norm over the
+    overlap is 0 or underflows to 0, against which no difference is
+    relative, are an error.
     """
     lo = max(float(a.delta_y[0]), float(b.delta_y[0]))
     hi = min(float(a.delta_y[-1]), float(b.delta_y[-1]))
@@ -48,17 +50,19 @@ def compare_curves(a: ForceDisplacementCurve,
 
     diff = fa - fb
     norm_a = float(np.sqrt(np.mean(fa ** 2)))
+    if norm_a == 0.0:
+        raise ValidationError("the reference's force norm over the overlap "
+                              "is 0 or underflows: no difference is "
+                              "relative to it")
     peak_a = float(np.max(fa))
     if peak_a <= 0.0:
         peak_a = float(np.max(np.abs(fa)))
-    denom_l2 = max(norm_a, 1e-30)
-    denom_peak = max(peak_a, 1e-30)
 
     ia = int(np.argmax(fa))
     ib = int(np.argmax(fb))
     return CurveComparison(
-        rms_rel=float(np.sqrt(np.mean(diff ** 2))) / denom_l2,
-        max_rel=float(np.max(np.abs(diff))) / denom_peak,
-        peak_force_rel_diff=(float(np.max(fb)) - float(np.max(fa))) / denom_peak,
+        rms_rel=float(np.sqrt(np.mean(diff ** 2))) / norm_a,
+        max_rel=float(np.max(np.abs(diff))) / peak_a,
+        peak_force_rel_diff=(float(np.max(fb)) - float(np.max(fa))) / peak_a,
         peak_location_diff=abs(float(dy[ia]) - float(dy[ib])),
     )

@@ -297,9 +297,10 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
     drive-only Newton iteration fails within MAX_ITERS iterations is halved
     and retried, down to travel_max / 4096;
     if that also fails a ConvergenceError carries the partial path and the
-    last converged step.  A negative or non-finite travel_max, a tol that is
-    not positive and finite, or an n_steps that is not an integer of at
-    least 1 raises ValidationError.
+    last converged step.  A travel_max that is not one travel (an
+    array-like, or a negative or non-finite value: errors.check_non_negative),
+    a tol that is not positive and finite, or an n_steps that is not an
+    integer of at least 1 raises ValidationError.
     """
     check_non_negative("travel_max", travel_max)
     check_count("n_steps", n_steps, 1)
@@ -384,7 +385,8 @@ def solve_multibeam_assembly(config: MechanismConfig,
     ConvergenceError.  That first crossing is the state reached by pulling
     the ring from rest: past a fold of r(s) the series system snaps to the
     far branch (Bazant and Cedolin, Stability of Structures, 1991), never
-    onto the unstable one between.  The reaction is F(s).
+    onto the unstable one between.  The reaction is F(s).  ring_disp is one
+    travel (errors.check_non_negative).
     """
     check_non_negative("ring_disp", ring_disp)
     uniform_travels(ring_disp, ASSEMBLY_STEPS)  # refuses a grid that underflows

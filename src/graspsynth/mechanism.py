@@ -5,8 +5,9 @@ uses single V-beams, so the per-beam force is taken as half of that value and
 the ring-level force as the halved force times the beam count.  This halving
 is the device-level approximation the finite-element oracle is meant to
 falsify, and it is kept in this one place, halved_ring_force, so it stays
-testable.  Functions taking a travel also take an array of them, except
-latch_step (one event) and grasper_response (one ring displacement).
+testable.  Functions taking a travel also take an array-like of them
+(errors.travels), except latch_step (one event) and grasper_response (one
+ring displacement), which refuse one (errors.check_non_negative).
 grasper_sweep takes many and returns a GrasperSweep: one read-only column
 each of ring displacement, ring force, shuttle travel, jaw opening, jaw-root
 stress and the boolean latched, with row i the pull from rest to ring[i].
@@ -24,7 +25,7 @@ import numpy as np
 from .beam import (ForceDisplacementCurve, MaterialModel, VBeamGeometry,
                    _load_column, _slope_rows, actuation_force)
 from .errors import (FLOAT_MAX, NumericalError, ValidationError, _shown,
-                     check_count, check_non_negative, check_positive)
+                     check_count, check_non_negative, check_positive, travels)
 
 # Fraction of the latch travel over which the engagement ramp acts.
 LATCH_RAMP_SPAN = 0.05
@@ -201,10 +202,9 @@ def beam_tangent_stiffness(config: MechanismConfig, delta_y):
     resistance for displacement-transfer purposes; a slope that is not
     finite raises.
     """
-    check_non_negative("delta_y", delta_y)
-    dys = np.array(delta_y, dtype=float)
-    slope = _slope_rows([config.beam_geometry], config.material, dys.ravel())
-    k = halved_ring_force(slope.reshape(dys.shape), 1)
+    dys = travels("delta_y", delta_y)
+    slope = _slope_rows([config.beam_geometry], config.material, np.ravel(dys))
+    k = halved_ring_force(slope.reshape(np.shape(dys)), 1)
     if not np.isfinite(k).all():
         raise NumericalError("tangent stiffness is not finite")
     return np.maximum(0.0, k)
@@ -284,7 +284,8 @@ def _latch_ramp(config: MechanismConfig, ring_disp):
 
 
 def grasper_sweep(config: MechanismConfig, ring_disps) -> GrasperSweep:
-    """Full response of the grasper at each ring displacement of a sequence.
+    """Full response of the grasper at each ring displacement of a sequence
+    (errors.travels; a scalar is a sequence of one).
 
     The ring displacement splits between beam travel and handle compliance
     through the transfer ratio evaluated at the ring displacement itself; the
@@ -296,8 +297,7 @@ def grasper_sweep(config: MechanismConfig, ring_disps) -> GrasperSweep:
     tangent stiffness at the ring displacements, then the shuttle force at
     the shuttle travels.
     """
-    check_non_negative("ring_disp", ring_disps)
-    ring = np.array(ring_disps, dtype=float, ndmin=1)
+    ring = np.atleast_1d(travels("ring_disp", ring_disps))
     shuttle = shuttle_transfer_ratio(config, ring) * ring
     force = actuation_force(config.beam_geometry, config.material, shuttle)
     opening = jaw_opening(config, ring)
@@ -320,15 +320,14 @@ def grasper_sweep(config: MechanismConfig, ring_disps) -> GrasperSweep:
 
 
 def grasper_response(config: MechanismConfig, ring_disp: float) -> GrasperResponse:
-    """grasper_sweep at one ring displacement; an array goes to grasper_sweep.
+    """grasper_sweep at one ring displacement; an array-like is refused
+    (errors.check_non_negative), as grasper_sweep takes several.
 
     The latch state comes from latch_step, the reference for the sweep's
     latched column.
     """
-    if np.ndim(ring_disp):
-        raise ValidationError("grasper_response takes one ring displacement; "
-                              "use grasper_sweep for several")
-    sweep = grasper_sweep(config, [ring_disp])
+    check_non_negative("ring_disp", ring_disp)
+    sweep = grasper_sweep(config, ring_disp)
     d, f, s, j, st = (float(c[0]) for c in (
         sweep.ring, sweep.ring_force, sweep.shuttle, sweep.opening,
         sweep.stress))

@@ -170,8 +170,10 @@ def test_margin_reference_values():
 
 
 @pytest.mark.parametrize("travels", [[1.0, 5.0], (1.0, 5.0), [1, 5],
-                                     [[0.0, 1.0], [5.0, 2.0]]],
-                         ids=["list", "tuple", "int-list", "nested"])
+                                     [[0.0, 1.0], [5.0, 2.0]],
+                                     ((0.0, 1.0), (5.0, 2.0))],
+                         ids=["list", "tuple", "int-list", "nested",
+                              "nested-tuple"])
 def test_margin_takes_any_array_like(travels):
     # a list used to raise a bare TypeError ("can't multiply sequence by
     # non-int of type 'float'"); it gives the arrays of np.array of it
@@ -747,6 +749,14 @@ def test_travels_that_underflow_are_refused():
     assert not uniform_travels(0.0, 3).any()
     with pytest.raises(ValidationError, match="below 500 \\* 5e-324"):
         force_curve(GEOM, MAT, 1e-321, 500)
+
+
+@pytest.mark.parametrize("travel_max", [-1.0, -1, -math.ulp(0.0)])
+def test_negative_travel_max_is_refused(travel_max):
+    # uniform_travels(-1.0, 3) used to return [-0.333, -0.667, -1.0],
+    # outside its documented (0, travel_max]
+    with pytest.raises(ValidationError, match="^travel_max -.* is negative$"):
+        uniform_travels(travel_max, 3)
 
 
 @pytest.mark.filterwarnings("error")

@@ -504,6 +504,7 @@ HOSTILE_BASE = hostile_configs.base_config()
          command="report")
 @example(change=(("design", "bounds", "thickness_T", 0), 1e-320),
          command="design")
+@example(change=(("beam", "width_W"), 1e-320), command="verify")
 def test_one_hostile_leaf_never_reaches_a_traceback(change, command):
     # a reduced table1 with one leaf set to a hostile value exits 0, 2 or
     # 3, lets no exception or RuntimeWarning escape, and leaves no CSV on

@@ -19,9 +19,10 @@ from graspsynth import (FESettings, LatchPhase, LatchState, MaterialModel,
                         actuation_force, bistability_margin, branch_loads,
                         build_vbeam_mesh, force_curve, grasper_response,
                         grasper_sweep, jaw_opening, latch_step,
-                        normalize_deflection, solve_vbeam_sweep)
+                        normalize_deflection, solve_multibeam_assembly,
+                        solve_vbeam_sweep)
 from graspsynth.beam import uniform_travels
-from graspsynth.errors import check_count, check_non_negative
+from graspsynth.errors import check_count, check_non_negative, travels
 
 from common import GEOM, MAT, make_config
 
@@ -75,14 +76,30 @@ def test_library_refuses_nan_travels_and_non_integer_counts(call, match):
         call()
 
 
-@pytest.mark.parametrize("travel", [np.array([1.0, 2.0]), [1.0, 2.0],
-                                    np.array([1.0])],
-                         ids=["array", "list", "one-element-array"])
-def test_branch_loads_refuses_several_travels(travel):
-    # these used to raise numpy's bare ValueError, a TypeError, and return a
-    # state whose d1_value was an array
+ONE_TRAVEL = {
+    "": lambda d: branch_loads(GEOM, d),
+    "normalize-": lambda d: normalize_deflection(GEOM, d),
+    "sweep-": lambda d: solve_vbeam_sweep(GEOM, MAT, d),
+    "assembly-": lambda d: solve_multibeam_assembly(make_config(), d),
+    "latch-": lambda d: latch_step(LatchState(LatchPhase.UNSTRESSED, 0.0),
+                                   PullRing(d), 8.0),
+    "response-": lambda d: grasper_response(make_config(), d),
+}
+SEVERAL = {"array": np.array([1.0, 2.0]), "list": [1.0, 2.0],
+           "one-element-array": np.array([1.0])}
+
+
+@pytest.mark.parametrize(
+    "call, travel",
+    [(call, travel) for call in ONE_TRAVEL.values()
+     for travel in SEVERAL.values()],
+    ids=[entry + kind for entry in ONE_TRAVEL for kind in SEVERAL])
+def test_branch_loads_refuses_several_travels(call, travel):
+    # every entry point that takes one travel refuses an array-like through
+    # errors.check_non_negative; these used to raise numpy's bare
+    # ValueError or a TypeError, or return a state holding an array
     with pytest.raises(ValidationError, match="takes one travel"):
-        branch_loads(GEOM, travel)
+        call(travel)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -1,
@@ -107,7 +124,7 @@ SPAN_RULE = r"^trigger_disp -?10{400} outside the calibrated span \[0, 8\] mm$"
 
 @pytest.mark.parametrize("call, match", [
     (lambda: check_non_negative("delta_y", 10 ** 400), DELTA_Y_RULE),
-    (lambda: check_non_negative("delta_y", [1.0, 10 ** 400]), DELTA_Y_RULE),
+    (lambda: travels("delta_y", [1.0, 10 ** 400]), DELTA_Y_RULE),
     (lambda: normalize_deflection(GEOM, 10 ** 400), DELTA_Y_RULE),
     (lambda: bistability_margin(GEOM, 10 ** 400), DELTA_Y_RULE),
     (lambda: actuation_force(GEOM, MAT, 10 ** 400), DELTA_Y_RULE),
@@ -182,3 +199,16 @@ def test_only_the_errors_module_imports_numbers():
             if any(name.split(".")[0] == "numbers" for name in names):
                 importers.add(path.relative_to(src).as_posix())
     assert importers == {"errors.py"}
+
+
+def test_only_the_errors_module_refuses_several_travels():
+    # errors.check_non_negative holds the one-travel rule; another module
+    # that spells its refusal is growing a local variant of it
+    src = Path(graspsynth.__file__).parent
+    refusers = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "takes one travel" in node.value):
+                refusers.add(path.relative_to(src).as_posix())
+    assert refusers == {"errors.py"}

@@ -888,6 +888,20 @@ def test_compare_scaled_curve():
     assert cmp_.peak_location_diff == 0.0
 
 
+def test_compare_zero_reference_is_refused():
+    # against an all-zero reference the 1e-30 clamps used to return
+    # rms_rel 1.8e30 and max_rel 2.8e30, and against one whose norm
+    # underflows an rms_rel of 0, instead of refusing
+    curve = force_curve(GEOM, MAT, 5.0, 50)
+    zero = curve.with_force(np.zeros_like(curve.force))
+    tiny = curve.with_force(1e-320 * curve.force)  # squares underflow to 0
+    for reference in (zero, tiny):
+        with pytest.raises(ValidationError,
+                           match="force norm over the overlap is 0"):
+            compare_curves(reference, curve)
+    assert compare_curves(curve, zero).rms_rel == 1.0
+
+
 def test_compare_single_sample_overlap():
     a = force_curve(GEOM, MAT, 5.0, 5)      # samples at 1,2,3,4,5
     b_src = force_curve(GEOM, MAT, 10.0, 2)  # samples at 5,10

@@ -463,7 +463,8 @@ def test_non_finite_response_is_refused(monkeypatch):
 
 @pytest.mark.parametrize("ring", [np.array([1.0, 2.0]), [1.0]])
 def test_response_refuses_several_displacements(ring):
-    with pytest.raises(ValidationError, match="use grasper_sweep"):
+    with pytest.raises(ValidationError,
+                       match="^ring_disp takes one travel"):
         grasper_response(make_config(), ring)
     sweep = grasper_sweep(make_config(), [1.0])
     r = grasper_response(make_config(), np.float64(1.0))
@@ -488,5 +489,6 @@ def test_mechanism_functions_accept_arrays():
         values = fn(dys)
         assert values.shape == dys.shape
         assert [fn(float(d)) for d in dys] == values.tolist()
+        assert fn(tuple(dys)).tobytes() == values.tobytes()
     with pytest.raises(ValidationError, match=r"trigger_disp 8.5 outside"):
         jaw_opening(config, np.array([1.0, 8.5]))
