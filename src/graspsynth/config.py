@@ -111,6 +111,14 @@ def _pair(value, path: str) -> tuple:
     return _number(value[0], path), _number(value[1], path)
 
 
+def _anchors(value, path: str) -> tuple:
+    if isinstance(value, list) and value and all(
+            isinstance(a, list) and len(a) == 2 for a in value):
+        return tuple(_pair(a, path) for a in value)
+    raise ConfigError(f"'{path}' must be a non-empty list of "
+                      "[trigger_mm, jaw_mm] pairs")
+
+
 def _angle(value, path: str) -> float:
     return math.radians(_number(value, path))
 
@@ -152,7 +160,8 @@ _KEYS = {
     "material": {"youngs_modulus_E": _number, "poisson_ratio": _number},
     "mechanism": {"n_beams": _integer, "latch_travel": _number,
                   "series_stiffness_ks": _number, "latch_ramp_factor": _number,
-                  "overall_length_budget": _number},
+                  "overall_length_budget": _number,
+                  "jaw_calibration": _anchors},
     "jaw_section": {"out_of_plane_b": _number, "in_plane_h": _number,
                     "jaw_length": _number},
     "sweep": {"travel_max": _number, "n_samples": _integer},
@@ -231,22 +240,12 @@ def parse_config(text: str) -> RunConfig:
                           "material")
 
         mech_doc = doc["mechanism"]
-        mech = _read(mech_doc, "mechanism",
-                     required=("jaw_section", "jaw_calibration"))
-        section = _build(CantileverSection, _read(
+        mech = _read(mech_doc, "mechanism", required=("jaw_section",))
+        mech["jaw_section"] = _build(CantileverSection, _read(
             mech_doc["jaw_section"], "mechanism.jaw_section"),
             "mechanism.jaw_section")
-        calibration = mech_doc["jaw_calibration"]
-        if (not isinstance(calibration, list) or not calibration
-                or not all(isinstance(a, list) and len(a) == 2 for a in calibration)):
-            raise ConfigError(
-                "'mechanism.jaw_calibration' must be a non-empty list of "
-                "[trigger_mm, jaw_mm] pairs")
-        anchors = tuple(_pair(a, "mechanism.jaw_calibration")
-                        for a in calibration)
         mechanism = _build(MechanismConfig, mech, "mechanism",
-                           beam_geometry=geometry, material=material,
-                           jaw_calibration=anchors, jaw_section=section)
+                           beam_geometry=geometry, material=material)
 
         sweep = _build(SweepSettings, _read(doc["sweep"], "sweep"), "sweep")
         design = (_parse_design(doc["design"], material) if "design" in doc
@@ -287,7 +286,6 @@ def serialize_config(config: RunConfig) -> str:
         "beam": _write(vars(mech.beam_geometry), "beam"),
         "material": _write(vars(config.material), "material"),
         "mechanism": {**_write(vars(mech), "mechanism"),
-                      "jaw_calibration": mech.jaw_calibration,
                       "jaw_section": _write(vars(mech.jaw_section),
                                             "jaw_section")},
         "sweep": _write(vars(config.sweep), "sweep"),

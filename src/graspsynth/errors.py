@@ -6,10 +6,12 @@ library entry points apply the same rules with the same messages, and each
 raises ValidationError.  The travel pair decides what a travel argument is:
 an entry point that takes one travel calls check_non_negative, which
 refuses an array-like, and one that takes several reads them through
-travels, which returns them as floats.  FLOAT_MAX is the one bound of the
-float range: every input check compares the value as given against it,
-before anything converts it, so an int too large for a float is refused
-like an infinity.
+travels, which returns them as floats.  A value that cannot be compared
+or converted (a string, None, a ragged nesting, a complex travel) is
+refused by the same rules with the same messages.  FLOAT_MAX is the one
+bound of the float range: every input check compares the value as given
+against it, before anything converts it, so an int too large for a float
+is refused like an infinity.
 A refusal prints the value through _shown, which also prints an int too
 long for Python's int-to-string conversion.
 """
@@ -88,26 +90,41 @@ def check_count(name: str, value, minimum: int, cap=FLOAT_MAX) -> None:
 
 
 def check_positive(name: str, value) -> None:
-    """Refuse a quantity that is not positive and finite."""
-    if not 0.0 < value <= FLOAT_MAX:
-        raise ValidationError(
-            f"{name} must be positive and finite, not {_shown(value, repr)}")
+    """Refuse a quantity that is not positive and finite, or that cannot be
+    compared with a float (a string, None, a list)."""
+    try:
+        if 0.0 < value <= FLOAT_MAX:
+            return
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(
+        f"{name} must be positive and finite, not {_shown(value, repr)}")
 
 
 def travels(name: str, value):
     """The several-travels rule: value's travels as a float for a scalar or
     a new float array of its shape for an array-like, refused if one is
-    negative or not finite (NaN included)."""
-    values = np.asarray(value)
-    if not ((values >= 0.0) & (values <= FLOAT_MAX)).all():
-        raise ValidationError(
-            f"{name} must be non-negative: a value is negative or not finite")
-    return np.array(values, dtype=float) if values.ndim else float(values)
+    negative or not finite (NaN included), complex, or not a number numpy
+    can compare and convert (a string, None, a ragged nesting)."""
+    try:
+        values = np.asarray(value)
+        if (values.dtype.kind != "c"
+                and ((values >= 0.0) & (values <= FLOAT_MAX)).all()):
+            return (np.array(values, dtype=float) if values.ndim
+                    else float(values))
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(
+        f"{name} must be non-negative: a value is negative or not finite")
 
 
 def check_non_negative(name: str, value) -> None:
-    """The one-travel rule: refuse an array-like, one element or more, and
-    a travel that travels refuses."""
-    if np.ndim(value):
+    """The one-travel rule: refuse an array-like, one element or more (a
+    ragged nesting included), and a travel that travels refuses."""
+    try:
+        several = np.ndim(value)
+    except ValueError:
+        several = True
+    if several:
         raise ValidationError(f"{name} takes one travel, not an array of them")
     travels(name, value)

@@ -31,10 +31,10 @@ one that is not lies on an unstable branch.  Outside the fallback below,
 every Newton solve starts from one rule: the Lagrange polynomial through the
 last (up to three) states the oracle knows, at the solve's control
 (Crisfield, vol. 1, ch. 9), rest, built once per model, counting as a
-path's first state.  A step's predicted state is kept only if it converges
-and is stable.  Otherwise, and on the first step, where the polynomial
-through rest alone is rest itself, the fallback starts Newton from the last
-state with only the drive moved; a step that fails to converge, a singular
+path's first state (through rest alone the polynomial is rest itself).  A
+step's predicted state is kept only if it converges and is stable.
+Otherwise the fallback starts Newton from the last state with only the
+drive moved; a step that fails to converge, a singular
 tangent or a floating-point overflow included, is bisected down to a floor,
 where a ConvergenceError carries the partial path, and the state it reaches
 is kept whatever its flag.  So a predicted start never puts a path on an
@@ -319,22 +319,20 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
 def _advance(system: _System, path: EquilibriumPath, target, scale, tol):
     """Append to path the PathStep at target, stepped from its last state.
 
-    Rest counts as the path's first state.  Once the path holds a step, the
-    first attempt runs Newton from _predicted_start through the last three
-    of those states (rest, then the steps), extrapolated to target.  Its
-    state is kept only if it converges and is stable.  Otherwise, and on
-    the first step, each attempt runs Newton from the last state, only the
-    drive moved, over the rest of the way; a failing one is halved down to
-    scale / BISECTION_FLOOR_DIV, where a ConvergenceError carries the path.
-    A state so reached is kept whatever its stable flag.
+    Rest counts as the path's first state.  The first attempt runs Newton
+    from _predicted_start through the last three of those states (rest,
+    then the steps), extrapolated to target.  Its state is kept only if it
+    converges and is stable.  Otherwise each attempt runs Newton from the
+    last state, only the drive moved, over the rest of the way; a failing
+    one is halved down to scale / BISECTION_FLOOR_DIV, where a
+    ConvergenceError carries the path.  A state so reached is kept
+    whatever its stable flag.
     """
     states = [system.rest, *path.steps[-3:]][-3:]
-    if path.steps:
-        predicted = _newton(system, _predicted_start(states, target), target,
-                            tol)
-        if predicted is not None and predicted.stable:
-            path.steps.append(predicted)
-            return
+    predicted = _newton(system, _predicted_start(states, target), target, tol)
+    if predicted is not None and predicted.stable:
+        path.steps.append(predicted)
+        return
     state = states[-1]
     u, control = state.displacements, state.control
     floor = scale / BISECTION_FLOOR_DIV

@@ -336,7 +336,7 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
     for name, count in grid_counts(grid_density).items():
         lo, hi = spec.bounds[name]
         if name == "n_beams":
-            raw = np.linspace(lo, hi, count) if count > 1 else [lo]
+            raw = np.linspace(lo, hi, count)
             n_lo, n_hi = math.ceil(lo), math.floor(hi)
             axes[name] = sorted({min(max(int(round(v)), n_lo), n_hi)
                                  for v in raw})

@@ -658,6 +658,19 @@ def test_curve_validation():
         force_curve(GEOM, MAT, 5.0, 1)
 
 
+@pytest.mark.parametrize("delta_y, n, match", [
+    ([], 0, "at least one sample"),
+    ([1.0, 1.0], 2, "strictly increasing"),
+    ([0.0, 1.0], 2, "first sample must be at delta_y > 0"),
+    ([1.0, 2.0], 3, "share one length"),
+], ids=["empty", "repeated", "at-zero", "lengths"])
+def test_curve_record_refuses_bad_samples(delta_y, n, match):
+    with pytest.raises(ValidationError, match=match):
+        ForceDisplacementCurve(delta_y=delta_y, force=np.ones(n),
+                               f_o=np.ones(n), p_o=np.ones(n),
+                               branches=(Branch.MONOSTABLE,) * n)
+
+
 def test_curve_immutable():
     curve = force_curve(GEOM, MAT, 5.0, 10)
     with pytest.raises(ValueError):

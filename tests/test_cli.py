@@ -97,6 +97,11 @@ def test_parse_empty_document_lists_missing_key():
         parse_config("{}")
 
 
+def test_parse_refuses_a_document_that_is_not_an_object():
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        parse_config("[]")
+
+
 def test_parse_syntax_error_carries_position():
     with pytest.raises(ConfigError, match="line 2, column"):
         parse_config('{\n  "beam": ,\n}')
@@ -657,6 +662,29 @@ def test_failed_report_leaves_the_output_directory_as_it_was(tmp_path):
                         "--quiet"]) == 2
     assert [p.name for p in out.iterdir()] == ["curve.csv"]
     assert (out / "curve.csv").read_text() == "earlier run\n"
+
+
+def test_report_publishes_the_analyses_run_before_a_numerical_failure(
+        tmp_path, capsys):
+    # verify's sweep cannot meet a 1e-300 tolerance and raises
+    # ConvergenceError: the CSVs of the analyses before it are published,
+    # none of verify's
+    cfg, out = tmp_path / "strict.json", tmp_path / "out"
+    cfg.write_text(json.dumps(changed_table1({"fe.tolerance": 1e-300})))
+    assert run_command(["report", "--config", str(cfg), "--out", str(out),
+                        "--quiet"]) == 3
+    assert "numerical failure in 'report'" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "curve.csv", "d1.csv", "design_candidates.csv", "grasper.csv"]
+
+
+def test_out_naming_an_existing_file_is_an_io_failure(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a file\n")
+    assert run_command(["d1", "--config", str(TABLE1_JSON),
+                        "--out", str(out)]) == 2
+    assert "i/o failure in 'd1'" in capsys.readouterr().err
+    assert out.read_text() == "a file\n"
 
 
 # ---------------------------------------------------------------------------

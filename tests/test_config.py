@@ -85,6 +85,17 @@ def keys_by_section(doc, section=""):
     return pairs
 
 
+def leaf_keys(doc, section=""):
+    """(section, key) for every key of doc whose value is not an object."""
+    pairs = set()
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            pairs |= leaf_keys(value, key)
+        else:
+            pairs.add((section, key))
+    return pairs
+
+
 def value_at(doc, path):
     for key in path:
         doc = doc[key]
@@ -120,6 +131,8 @@ def refusal(doc) -> str:
 
 def test_full_document_names_every_key_of_the_table():
     assert table_keys() <= keys_by_section(FULL)
+    # the table reads every key whose value is not an object
+    assert leaf_keys(FULL) <= table_keys()
     config = parse_config(json.dumps(FULL))
     assert parse_config(serialize_config(config)) == config
 

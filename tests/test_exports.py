@@ -16,13 +16,15 @@ import graspsynth
 import graspsynth.fe
 from graspsynth import (FESettings, LatchPhase, LatchState, MaterialModel,
                         PullRing, SweepSettings, ValidationError,
-                        actuation_force, bistability_margin, branch_loads,
-                        build_vbeam_mesh, force_curve, grasper_response,
+                        VBeamGeometry, actuation_force, bistability_margin,
+                        branch_loads, build_vbeam_mesh, force_curve,
+                        grasper_response,
                         grasper_sweep, jaw_opening, latch_step,
                         normalize_deflection, solve_multibeam_assembly,
                         solve_vbeam_sweep)
 from graspsynth.beam import uniform_travels
-from graspsynth.errors import check_count, check_non_negative, travels
+from graspsynth.errors import (check_count, check_non_negative,
+                              check_positive, travels)
 
 from common import GEOM, MAT, make_config
 
@@ -66,12 +68,31 @@ def test_runtime_imports_only_numpy():
     (lambda: SweepSettings(5.0, 2.5), "sweep n_samples .*not an integer"),
     (lambda: solve_vbeam_sweep(GEOM, MAT, 1.0, n_steps=True),
      "n_steps .*True is not an integer"),
+    (lambda: bistability_margin(GEOM, [[1.0], [1.0, 2.0]]),
+     "delta_y must be non-negative"),
+    (lambda: branch_loads(GEOM, [[1.0], [1.0, 2.0]]),
+     "delta_y takes one travel"),
+    (lambda: bistability_margin(GEOM, "1"), "delta_y must be non-negative"),
+    (lambda: branch_loads(GEOM, None), "delta_y must be non-negative"),
+    (lambda: bistability_margin(GEOM, 1 + 2j), "delta_y must be non-negative"),
+    (lambda: check_positive("x", "1"), "x must be positive and finite"),
+    (lambda: check_positive("x", None), "x must be positive and finite"),
+    (lambda: check_positive("x", [1.0]), "x must be positive and finite"),
+    (lambda: check_positive("x", np.array([1.0, 2.0])),
+     "x must be positive and finite"),
+    (lambda: VBeamGeometry("40", 1.2, 5, 0.1),
+     "length_L must be positive and finite"),
 ], ids=["margin-nan", "normalize-nan", "force-nan", "loads-nan", "latch-nan",
         "fe-steps-2.5", "fe-elements-4.5", "fe-tolerance-inf",
-        "sweep-samples-2.5", "sweep-steps-true"])
+        "sweep-samples-2.5", "sweep-steps-true", "margin-ragged",
+        "loads-ragged", "margin-string", "loads-none", "margin-complex",
+        "positive-string", "positive-none", "positive-list",
+        "positive-array", "geometry-string"])
 def test_library_refuses_nan_travels_and_non_integer_counts(call, match):
     # the NaN travels used to return NaN states, or a NumericalError naming
-    # the cubic; the counts and the infinite tolerance used to be accepted
+    # the cubic; the counts and the infinite tolerance used to be accepted;
+    # a value that is not a number used to end in numpy's or Python's own
+    # ValueError or TypeError
     with pytest.raises(ValidationError, match=match):
         call()
 

@@ -802,10 +802,13 @@ def test_model_refuses_bad_drive(drive, match):
     ({"section": (1800.0, 6.0)}, "section"),
     ({"section": (10 ** 400, 6.0, 0.72)}, "section"),
     ({"nodes": [(0.0, 0.0)] * 8 + [(10 ** 400, 0.0)]}, "node coordinates"),
+    ({"nodes": [0.0] * 9}, "nodes must be an"),
+    ({"fixed": np.zeros((9, 2), dtype=bool)}, "fixed flags must be an"),
 ], ids=["element-missing-node", "element-negative-node", "zero-length",
         "flat-elements", "zero-modulus", "negative-modulus", "nan-modulus",
         "inf-modulus", "zero-area", "negative-inertia", "two-values",
-        "beyond-float-modulus", "beyond-float-node"])
+        "beyond-float-modulus", "beyond-float-node", "flat-nodes",
+        "two-column-fixed"])
 def test_model_refuses_bad_mesh(change, match):
     # a zero or negative modulus swept to a zero or sign-flipped reaction;
     # an int too large for a float raised OverflowError
@@ -858,6 +861,12 @@ def test_sweep_to_curve_branches_and_loads():
     assert curve.branches[-1].value == "Bistable"
     # the frame solver independently lands near the constant axial-load branch
     assert curve.p_o[-1] == pytest.approx(-9.8837, rel=0.02)
+
+
+def test_sweep_to_curve_refuses_a_zero_travel_path():
+    path = solve_vbeam_sweep(GEOM, MAT, 0.0)
+    with pytest.raises(ValidationError, match="no positive-travel steps"):
+        sweep_to_curve(path, GEOM, MAT)
 
 
 def test_frame_solver_agrees_with_unhalved_closed_form():
@@ -1041,6 +1050,28 @@ def test_multibeam_matches_reference(config, ring, n_steps, shuttle,
                               n_steps).last
     assert last.stable
     assert last.reaction == pytest.approx(r, abs=1e-7)
+
+
+def test_assembly_raises_when_a_secant_solve_fails(monkeypatch):
+    # the table mechanism at ring 1.5 mm is bracketed by the shuttle steps
+    # 0.225 and 0.3 mm; Newton fails at every travel strictly between them,
+    # so the first secant solve raises, carrying the stepped path
+    failed = []
+
+    def flaky(system, u, control, tol):
+        if 0.225 < control < 0.3:
+            failed.append(control)
+            return None
+        return _newton(system, u, control, tol)
+
+    monkeypatch.setattr(solver, "_newton", flaky)
+    with pytest.raises(ConvergenceError,
+                       match=r"in \[0.225, 0.3\] mm meets the ring travel 1.5 "
+                             "mm after 0 secant solves") as info:
+        solve_multibeam_assembly(make_config(), 1.5)
+    assert len(failed) == 1
+    assert info.value.last_step is info.value.path.last
+    assert info.value.last_step.control == 0.3
 
 
 @pytest.mark.parametrize("ring,n_steps", [(3.0, 1), (5.0, 1), (5.0, 3)])

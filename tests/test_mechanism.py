@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from graspsynth import (CantileverSection, LatchPhase, LatchState,
-                        PressTrigger, PullRing, ValidationError,
-                        VBeamGeometry,
+                        NumericalError, PressTrigger, PullRing,
+                        ValidationError, VBeamGeometry,
                         actuation_force, aggregate_ring_force,
                         bistable_crossover, cantilever_stress, force_curve,
                         grasper_response, grasper_sweep, jaw_opening,
@@ -34,6 +34,8 @@ def test_config_validation():
         make_config(jaw_calibration=((3.2, 7.13), (3.0, 9.0)))
     with pytest.raises(ValidationError, match="anchors"):
         make_config(jaw_calibration=((0.0, 0.0), (3.2, 7.13)))
+    with pytest.raises(ValidationError, match="at least one anchor"):
+        make_config(jaw_calibration=())
 
 
 # 10 ** 400, an int too large for a float, was accepted by these rules or
@@ -205,6 +207,13 @@ def test_tangent_stiffness_is_half_the_exact_slope_clamped():
     assert k[2] == 0.0
 
 
+def test_tangent_stiffness_refuses_a_slope_that_is_not_finite(monkeypatch):
+    monkeypatch.setattr(mechanism, "_slope_rows",
+                        lambda geoms, mat, dys: np.full(len(dys), np.nan))
+    with pytest.raises(NumericalError, match="tangent stiffness is not finite"):
+        beam_tangent_stiffness(make_config(), [1.0, 2.0])
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("dy", [1e-9, 2.3e-9, 1e-8, 1e-7])
 def test_near_rest_travels_raise_and_warn_nothing(dy, monkeypatch):
@@ -340,6 +349,11 @@ def test_latch_pull_while_latched_keeps_at_least_travel():
 def test_latch_rejects_negative_pull():
     with pytest.raises(ValidationError):
         latch_step(LatchState(U, 0.0), PullRing(-1.0), 8.0)
+
+
+def test_latch_rejects_an_unknown_event():
+    with pytest.raises(ValidationError, match="unknown latch event 'pull'"):
+        latch_step(LatchState(U, 0.0), "pull", 8.0)
 
 
 # ---------------------------------------------------------------------------
