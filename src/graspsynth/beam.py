@@ -57,8 +57,8 @@ from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (FLOAT_MAX, NumericalError, SingularityError,
-                     ValidationError, _shown, check_count, check_non_negative,
+from .errors import (NumericalError, SingularityError, ValidationError,
+                     _finite, _shown, check_count, check_non_negative,
                      check_positive, travels)
 
 BISTABLE_FO_SLOPE = -4.8618
@@ -605,8 +605,7 @@ def uniform_travels(travel_max: float, n: int) -> np.ndarray:
     numpy allocates.
     """
     check_count("sample count", n, 1, SAMPLE_CAP)
-    if not (abs(travel_max) <= FLOAT_MAX
-            and abs(float(travel_max) * int(n)) <= FLOAT_MAX):
+    if not (_finite(travel_max) and _finite(float(travel_max) * int(n))):
         raise ValidationError(f"travel_max {_shown(travel_max)} times {n} "
                               "samples is not finite")
     if travel_max < 0.0:

@@ -17,8 +17,8 @@ from typing import Optional
 
 from .beam import (DEFAULT_CURVE_SAMPLES, SAMPLE_CAP, MaterialModel,
                    VBeamGeometry)
-from .errors import (FLOAT_MAX, ConfigError, ValidationError, check_count,
-                     check_positive)
+from .errors import (ConfigError, ValidationError, _finite, _is_integer,
+                     check_count, check_positive)
 from .fe.model import DEFAULT_ELEMENTS_PER_BEAM, ELEMENT_CAP
 from .fe.solver import DEFAULT_STEPS, DEFAULT_TOLERANCE
 from .mechanism import CantileverSection, MechanismConfig
@@ -82,13 +82,13 @@ class RunConfig:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{path}' must be a number")
-    if not abs(value) <= FLOAT_MAX:
+    if not _finite(value):
         raise ConfigError(f"'{path}' must be finite")
     return float(value)
 
 
 def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_integer(value):
         raise ConfigError(f"'{path}' must be an integer")
     return value
 

@@ -8,10 +8,13 @@ an entry point that takes one travel calls check_non_negative, which
 refuses an array-like, and one that takes several reads them through
 travels, which returns them as floats.  A value that cannot be compared
 or converted (a string, None, a ragged nesting, a complex travel) is
-refused by the same rules with the same messages.  FLOAT_MAX is the one
-bound of the float range: every input check compares the value as given
-against it, before anything converts it, so an int too large for a float
-is refused like an infinity.
+refused by the same rules with the same messages, and so is an array
+given for a positive quantity, one element included.  The fourth rule is
+the float range: every input check that asks whether a value is finite
+asks _finite, which compares the value as given with FLOAT_MAX, before
+anything converts it, so an int too large for a float is refused like an
+infinity.  It widens a float16 or float32 first: numpy would compare one
+at its own precision, in which FLOAT_MAX is inf.
 A refusal prints the value through _shown, which also prints an int too
 long for Python's int-to-string conversion.
 """
@@ -22,6 +25,8 @@ import sys
 import numpy as np
 
 FLOAT_MAX = sys.float_info.max
+
+_NARROW = (np.float16, np.float32)
 
 
 class ValidationError(ValueError):
@@ -58,6 +63,23 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _finite(value) -> bool:
+    """Whether value, a number or every number of an array, lies in the
+    float range.  It is compared with FLOAT_MAX as given, so an int or a
+    longdouble past the range is not; a float16 or float32 is widened
+    first, as numpy would compare it at its own precision, where FLOAT_MAX
+    is inf."""
+    if type(value) is not float:
+        if isinstance(value, np.ndarray):
+            if value.dtype.type in _NARROW:
+                value = value.astype(np.float64)
+            if value.ndim:  # 0-d, object dtype included: compared below
+                return bool((np.abs(value) <= FLOAT_MAX).all())
+        elif type(value) in _NARROW:
+            value = float(value)
+    return abs(value) <= FLOAT_MAX
+
+
 def _shown(value, text=str) -> str:
     """text(value), str or repr, as a refusal prints the value.
 
@@ -90,10 +112,12 @@ def check_count(name: str, value, minimum: int, cap=FLOAT_MAX) -> None:
 
 
 def check_positive(name: str, value) -> None:
-    """Refuse a quantity that is not positive and finite, or that cannot be
-    compared with a float (a string, None, a list)."""
+    """Refuse a quantity that is not positive and finite, that cannot be
+    compared with a float (a string, None, a list), or that is an array, one
+    element included."""
     try:
-        if 0.0 < value <= FLOAT_MAX:
+        if (0.0 < value and _finite(value)
+                and not (isinstance(value, np.ndarray) and value.ndim)):
             return
     except (TypeError, ValueError):
         pass
@@ -108,8 +132,8 @@ def travels(name: str, value):
     can compare and convert (a string, None, a ragged nesting)."""
     try:
         values = np.asarray(value)
-        if (values.dtype.kind != "c"
-                and ((values >= 0.0) & (values <= FLOAT_MAX)).all()):
+        if (values.dtype.kind != "c" and (values >= 0.0).all()
+                and _finite(values)):
             return (np.array(values, dtype=float) if values.ndim
                     else float(values))
     except (TypeError, ValueError):

@@ -13,7 +13,7 @@ from typing import Tuple
 import numpy as np
 
 from ..beam import VBeamGeometry
-from ..errors import (FLOAT_MAX, ValidationError, _is_integer, _shown,
+from ..errors import (ValidationError, _finite, _is_integer, _shown,
                       check_count)
 from ..mechanism import MechanismConfig
 
@@ -55,7 +55,7 @@ class FrameModel:
         nodes = np.asarray(self.nodes)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise ValidationError("nodes must be an (n, 2) coordinate array")
-        if not np.all(np.abs(nodes) <= FLOAT_MAX):
+        if not _finite(nodes):
             raise ValidationError("node coordinates must be finite")
         self.nodes = nodes.astype(float, copy=False)
         self.elements = np.asarray(self.elements, dtype=int)
@@ -72,8 +72,8 @@ class FrameModel:
         if np.any(length < 1e-12):
             raise ValidationError("an element has zero length")
         section = np.asarray(self.section)
-        if section.shape != (3,) or not np.all((section > 0)
-                                               & (section <= FLOAT_MAX)):
+        if not (section.shape == (3,) and np.all(section > 0)
+                and _finite(section)):
             raise ValidationError(
                 f"section (E, A, I) {_shown(self.section, repr)} must be "
                 "three positive, finite values")

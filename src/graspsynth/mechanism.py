@@ -24,7 +24,7 @@ import numpy as np
 
 from .beam import (ForceDisplacementCurve, MaterialModel, VBeamGeometry,
                    _load_column, _slope_rows, actuation_force)
-from .errors import (FLOAT_MAX, NumericalError, ValidationError, _shown,
+from .errors import (NumericalError, ValidationError, _finite, _shown,
                      check_count, check_non_negative, check_positive, travels)
 
 # Fraction of the latch travel over which the engagement ramp acts.
@@ -116,12 +116,13 @@ class MechanismConfig:
         for name in ("latch_travel", "series_stiffness_ks",
                      "overall_length_budget"):
             check_positive(name, getattr(self, name))
-        if not 1.0 <= self.latch_ramp_factor <= FLOAT_MAX:
+        if not (1.0 <= self.latch_ramp_factor
+                and _finite(self.latch_ramp_factor)):
             raise ValidationError("latch_ramp_factor must be finite and at "
                                   "least 1")
         prev, anchors = (0.0, 0.0), []
         for t, j in self.jaw_calibration:  # in range before float() reads it
-            if not (abs(t) <= FLOAT_MAX and abs(j) <= FLOAT_MAX
+            if not (_finite(t) and _finite(j)
                     and prev[0] < float(t) and prev[1] < float(j)):
                 raise ValidationError(
                     "jaw_calibration anchors must be finite and increase "
@@ -238,7 +239,7 @@ def jaw_opening(config: MechanismConfig, trigger_disp):
     inside = (0.0 <= disp) & (disp <= t_max)
     if not np.all(inside):
         bad = disp.flat[np.argmin(inside)]  # as given past the float range
-        bad = _shown(bad) if abs(bad) > FLOAT_MAX else f"{bad:g}"
+        bad = f"{bad:g}" if _finite(bad) else _shown(bad)
         raise ValidationError(f"trigger_disp {bad} outside the calibrated "
                               f"span [0, {t_max:g}] mm")
     ts, js = zip((0.0, 0.0), *config.jaw_calibration)

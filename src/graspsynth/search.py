@@ -40,7 +40,7 @@ from ._csv import NUMBER, write_csv
 from .beam import (DEFAULT_CURVE_SAMPLES, MaterialModel, VBeamGeometry,
                    _force, _kernel_pass, _load_column, _load_scale,
                    bistability_margin, uniform_travels)
-from .errors import FLOAT_MAX, ValidationError, check_count, check_positive
+from .errors import ValidationError, _finite, check_count, check_positive
 from .mechanism import halved_ring_force
 
 PARAM_NAMES = ("length_L", "thickness_T", "width_W", "tilt_theta", "n_beams")
@@ -93,13 +93,13 @@ class DesignSpec:
         check_positive("target_force", self.target_force)
         check_positive("target_travel", self.target_travel)
         for name in ("stress_limit", "length_budget"):
-            if not abs(getattr(self, name)) <= FLOAT_MAX:
+            if not _finite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
         for name in PARAM_NAMES:
             if name not in self.bounds:
                 raise ValidationError(f"bounds must include {name}")
             lo, hi = self.bounds[name]
-            if not (abs(lo) <= FLOAT_MAX and abs(hi) <= FLOAT_MAX):
+            if not (_finite(lo) and _finite(hi)):
                 raise ValidationError(f"bounds for {name} must be finite")
             if not lo <= hi:
                 raise ValidationError(f"bounds for {name} must be ordered")

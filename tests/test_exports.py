@@ -6,16 +6,21 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import from_dtype
 
 import graspsynth
 import graspsynth.fe
-from graspsynth import (FESettings, LatchPhase, LatchState, MaterialModel,
-                        PullRing, SweepSettings, ValidationError,
+from graspsynth import (DesignSpec, FESettings, LatchPhase, LatchState,
+                        MaterialModel, PullRing, SweepSettings, ValidationError,
                         VBeamGeometry, actuation_force, bistability_margin,
                         branch_loads, build_vbeam_mesh, force_curve,
                         grasper_response,
@@ -23,8 +28,8 @@ from graspsynth import (FESettings, LatchPhase, LatchState, MaterialModel,
                         normalize_deflection, solve_multibeam_assembly,
                         solve_vbeam_sweep)
 from graspsynth.beam import uniform_travels
-from graspsynth.errors import (check_count, check_non_negative,
-                              check_positive, travels)
+from graspsynth.errors import (FLOAT_MAX, _finite, check_count,
+                              check_non_negative, check_positive, travels)
 
 from common import GEOM, MAT, make_config
 
@@ -55,6 +60,59 @@ def test_runtime_imports_only_numpy():
     assert out.strip() == "[]"
 
 
+BOUNDS = {"length_L": (36.0, 44.0), "thickness_T": (1.0, 1.4),
+          "width_W": (4.0, 6.0), "tilt_theta": (0.08, 0.16),
+          "n_beams": (11, 13)}
+
+
+def spec(**overrides):
+    return DesignSpec(**{"target_force": 21.6, "target_travel": 5.0,
+                         "bounds": BOUNDS, "material": MAT, **overrides})
+
+
+def frame(**overrides):
+    return replace(build_vbeam_mesh(GEOM, 8), **overrides)
+
+
+def narrow_nodes(inf):
+    nodes = build_vbeam_mesh(GEOM, 8).nodes.astype(type(inf))
+    nodes[-1, 0] = inf
+    return nodes
+
+
+# One call per site of the float-range rule, errors._finite, with an
+# infinity of a float narrower than float64; numpy compared each at its
+# own precision, where errors.FLOAT_MAX is inf too, so all were accepted
+NARROW_INF_CALLS = {
+    "sweep-tol": (lambda inf: solve_vbeam_sweep(GEOM, MAT, 1.0, 10, tol=inf),
+                  "^tol must be positive and finite"),
+    "material": (MaterialModel, "^youngs_modulus_E must be positive"),
+    "ks": (lambda inf: make_config(series_stiffness_ks=inf),
+           "^series_stiffness_ks must be positive"),
+    "margin": (lambda inf: bistability_margin(GEOM, inf),
+               "^delta_y must be non-negative"),
+    "stress-limit": (lambda inf: spec(stress_limit=inf),
+                     "^stress_limit must be finite$"),
+    "length-budget": (lambda inf: spec(length_budget=inf),
+                      "^length_budget must be finite$"),
+    "bounds": (lambda inf: spec(bounds={**BOUNDS, "length_L": (36.0, inf)}),
+               "^bounds for length_L must be finite$"),
+    "travels": (lambda inf: uniform_travels(inf, 5),
+                "^travel_max inf times 5 samples is not finite$"),
+    "ramp": (lambda inf: make_config(latch_ramp_factor=inf),
+             "^latch_ramp_factor must be finite"),
+    "anchor": (lambda inf: make_config(jaw_calibration=((inf, 1.0),)),
+               "^jaw_calibration anchors must be finite"),
+    "jaw": (lambda inf: jaw_opening(make_config(), inf),
+            r"^trigger_disp inf outside the calibrated span \[0, 8\] mm$"),
+    "node": (lambda inf: frame(nodes=narrow_nodes(inf)),
+             "^node coordinates must be finite$"),
+    "section": (lambda inf: frame(section=np.array([1, inf, 1], type(inf))),
+                r"^section \(E, A, I\) .* must be three positive, finite"),
+}
+NARROW_INFS = {"inf32": np.float32(np.inf), "inf16": np.float16(np.inf)}
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda: bistability_margin(GEOM, NAN), "delta_y must be non-negative"),
     (lambda: normalize_deflection(GEOM, NAN), "delta_y must be non-negative"),
@@ -82,19 +140,42 @@ def test_runtime_imports_only_numpy():
      "x must be positive and finite"),
     (lambda: VBeamGeometry("40", 1.2, 5, 0.1),
      "length_L must be positive and finite"),
-], ids=["margin-nan", "normalize-nan", "force-nan", "loads-nan", "latch-nan",
-        "fe-steps-2.5", "fe-elements-4.5", "fe-tolerance-inf",
-        "sweep-samples-2.5", "sweep-steps-true", "margin-ragged",
-        "loads-ragged", "margin-string", "loads-none", "margin-complex",
-        "positive-string", "positive-none", "positive-list",
-        "positive-array", "geometry-string"])
+    (lambda: check_positive("x", np.array([1.0])),
+     r"^x must be positive and finite, not array\(\[1\.\]\)$"),
+    (lambda: MaterialModel(np.array([1800.0])),
+     "^youngs_modulus_E must be positive and finite"),
+    (lambda: VBeamGeometry(np.array([40.0]), 1.2, 5, 0.1),
+     "^length_L must be positive and finite"),
+    (lambda: check_positive("x", np.longdouble(1e400)),
+     "^x must be positive and finite"),
+    (lambda: check_positive("x", np.longdouble("1e400")),
+     "^x must be positive and finite"),
+    (lambda: jaw_opening(make_config(), np.float32(9.0)),
+     r"^trigger_disp 9 outside the calibrated span \[0, 8\] mm$"),
+] + [(lambda call=call, inf=inf: call(inf), match)
+     for call, match in NARROW_INF_CALLS.values()
+     for inf in NARROW_INFS.values()],
+    ids=["margin-nan", "normalize-nan", "force-nan", "loads-nan", "latch-nan",
+         "fe-steps-2.5", "fe-elements-4.5", "fe-tolerance-inf",
+         "sweep-samples-2.5", "sweep-steps-true", "margin-ragged",
+         "loads-ragged", "margin-string", "loads-none", "margin-complex",
+         "positive-string", "positive-none", "positive-list",
+         "positive-array", "geometry-string", "positive-one-element",
+         "material-one-element", "geometry-one-element",
+         "positive-longdouble-inf", "positive-longdouble-1e400",
+         "jaw-finite32"]
+    + [f"{site}-{kind}" for site in NARROW_INF_CALLS for kind in NARROW_INFS])
 def test_library_refuses_nan_travels_and_non_integer_counts(call, match):
     # the NaN travels used to return NaN states, or a NumericalError naming
     # the cubic; the counts and the infinite tolerance used to be accepted;
     # a value that is not a number used to end in numpy's or Python's own
-    # ValueError or TypeError
-    with pytest.raises(ValidationError, match=match):
-        call()
+    # ValueError or TypeError; a one-element array and a float16 or float32
+    # infinity used to be accepted (the latter with a RuntimeWarning from
+    # casting FLOAT_MAX to the value's precision)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=match):
+            call()
 
 
 ONE_TRAVEL = {
@@ -233,3 +314,72 @@ def test_only_the_errors_module_refuses_several_travels():
                     and "takes one travel" in node.value):
                 refusers.add(path.relative_to(src).as_posix())
     assert refusers == {"errors.py"}
+
+
+def test_only_the_errors_module_names_float_max():
+    # errors._finite holds the one float-range rule; another module that
+    # names FLOAT_MAX is growing a local comparison with it, which numpy
+    # makes at a narrow float's own precision, where FLOAT_MAX is inf
+    src = Path(graspsynth.__file__).parent
+    namers = {path.relative_to(src).as_posix() for path in src.rglob("*.py")
+              if "FLOAT_MAX" in path.read_text(encoding="utf-8")}
+    assert namers == {"errors.py"}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_positive("x", np.float32(1.0)),
+    lambda: check_positive("x", np.float16(1.0)),
+    lambda: check_positive("x", np.array(np.float32(1.0))),
+    lambda: MaterialModel(np.float32(1800.0)),
+    lambda: travels("x", np.array([0.0, 1.0], np.float32)),
+    lambda: check_non_negative("x", np.float16(1.0)),
+    lambda: uniform_travels(np.float32(2.0), 4),
+    lambda: make_config(latch_ramp_factor=np.float32(1.5),
+                        jaw_calibration=((np.float32(8.0), 20.52),)),
+    lambda: frame(nodes=build_vbeam_mesh(GEOM, 8).nodes.astype(np.float32),
+                  section=np.array([1800.0, 6.0, 0.72], np.float32)),
+], ids=["positive32", "positive16", "positive32-0d", "material32",
+        "travels32", "one-travel16", "uniform-travels32", "mechanism32",
+        "frame32"])
+def test_finite_narrow_floats_are_accepted_without_warning(call):
+    # comparing one with FLOAT_MAX at its own precision warned "overflow
+    # encountered in cast", which tier-1 turns into an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call()
+
+
+LONG_MAX = np.longdouble(FLOAT_MAX)
+NARROW_OR_WIDE = st.one_of(
+    *(from_dtype(np.dtype(kind)) for kind in (np.float16, np.float32,
+                                              np.float64)),
+    # longdoubles past the float range as well as in it
+    st.builds(lambda m, e: np.ldexp(np.longdouble(m), e), st.floats(),
+              st.integers(-70, 70)))
+
+
+@given(NARROW_OR_WIDE)
+@example(LONG_MAX)
+@example(np.nextafter(LONG_MAX, np.longdouble(np.inf)))
+@example(np.longdouble("1e400"))
+@example(np.float32(np.inf))
+@example(np.float16(-np.inf))
+@example(np.float16(np.nan))
+def test_finite_agrees_with_isfinite_after_an_exact_widening(x):
+    # float16, float32 and float64 widen exactly to a Python float; a
+    # finite longdouble widens exactly to a Fraction, which must also lie
+    # in the float range
+    if isinstance(x, np.longdouble) and np.isfinite(x):
+        expected = abs(Fraction(*x.as_integer_ratio())) <= FLOAT_MAX
+    else:
+        expected = math.isfinite(float(x))
+    assert _finite(x) == expected
+    assert _finite(np.array([x, 0.0], x.dtype)) == expected
+
+
+@given(st.integers(-10 ** 400, 10 ** 400))
+@example(int(FLOAT_MAX))
+@example(int(FLOAT_MAX) + 1)
+def test_finite_compares_an_int_as_given(i):
+    assert _finite(i) == (abs(i) <= FLOAT_MAX)
+    assert _finite(np.array([i], dtype=object)) == (abs(i) <= FLOAT_MAX)
