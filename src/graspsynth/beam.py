@@ -58,7 +58,7 @@ from typing import NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .errors import (NumericalError, SingularityError, ValidationError,
-                     _finite, _shown, check_count, check_non_negative,
+                     _finite, _real, _shown, check_count, check_non_negative,
                      check_positive, travels)
 
 BISTABLE_FO_SLOPE = -4.8618
@@ -99,7 +99,7 @@ class VBeamGeometry:
     def __post_init__(self):
         for name in ("length_L", "thickness_T", "width_W"):
             check_positive(name, getattr(self, name))
-        if not (0 <= self.tilt_theta < math.pi / 2):
+        if not (_real(self.tilt_theta) and 0 <= self.tilt_theta < math.pi / 2):
             raise ValidationError("tilt_theta must lie in [0, pi/2)")
         if not self.thickness_T < self.length_L:
             raise ValidationError(
@@ -135,7 +135,7 @@ class MaterialModel:
 
     def __post_init__(self):
         check_positive("youngs_modulus_E", self.youngs_modulus_E)
-        if not (0 <= self.poisson_ratio < 0.5):
+        if not (_real(self.poisson_ratio) and 0 <= self.poisson_ratio < 0.5):
             raise ValidationError("poisson_ratio must lie in [0, 0.5)")
 
 
@@ -233,7 +233,7 @@ class ForceDisplacementCurve:
 def normalize_deflection(geom: VBeamGeometry, delta_y: float) -> NormalizedDeflection:
     """Convert one shuttle travel into the non-dimensional deflection state;
     an array-like is refused (errors.check_non_negative)."""
-    check_non_negative("delta_y", delta_y)
+    delta_y = check_non_negative("delta_y", delta_y)
     return NormalizedDeflection(
         x_o=-2.0 * delta_y * math.sin(geom.tilt_theta) / geom.length_L,
         y_o=-2.0 * delta_y * math.cos(geom.tilt_theta) / geom.length_L,
@@ -454,13 +454,12 @@ def _loads(cols: _Columns, dys: np.ndarray):
     """Normalized loads (f_o, p_o) and the bistable mask, shape (G, n).
 
     The one evaluator of the model: G geometries (columns from _columns) at
-    travels dys >= 0 of shape (n,), in one pass.  Bistable samples take the
-    constant axial-load branch and zero travel the unloaded state; every
-    other sample takes the unique real cubic root (_monostable_root).  A
-    sample that fails a check raises for the whole pass, and so does a
-    travel so large that the cubic's coefficients overflow.
+    float travels dys >= 0 of shape (n,) its caller checked, in one pass.
+    Bistable samples take the constant axial-load branch and zero travel
+    the unloaded state; every other sample takes the unique real cubic root
+    (_monostable_root).  A sample that fails a check raises for the whole
+    pass, as does a travel so large that the cubic's coefficients overflow.
     """
-    dys = travels("delta_y", dys)
     bistable = cols.d1_a * dys + cols.d1_b * dys - cols.d1_c >= 0.0
     x_o = -2.0 * dys * cols.sin / cols.L
     y_o = -2.0 * dys * cols.cos / cols.L
@@ -575,9 +574,9 @@ def _slope_rows(geoms: Sequence[VBeamGeometry], mat: MaterialModel,
 def branch_loads(geom: VBeamGeometry, delta_y: float) -> BeamLoadState:
     """Guided-end normalized loads at one travel, with branch selection;
     an array-like is refused (errors.check_non_negative)."""
-    check_non_negative("delta_y", delta_y)
+    delta_y = check_non_negative("delta_y", delta_y)
     d1, _ = bistability_margin(geom, delta_y)
-    _, f_o, p_o, bistable = _kernel_pass([geom], [delta_y])
+    _, f_o, p_o, bistable = _kernel_pass([geom], np.array([delta_y]))
     return BeamLoadState(f_o=f_o.item(), p_o=p_o.item(),
                          branch=Branch.tags(bistable[0])[0], d1_value=d1)
 
@@ -602,17 +601,18 @@ def uniform_travels(travel_max: float, n: int) -> np.ndarray:
     travel_max or travel_max * n beyond the float range, a negative
     travel_max and a positive travel_max below n * 5e-324 (math.ulp(0.0)),
     whose travels would not rise strictly from above 0, are refused before
-    numpy allocates.
+    numpy allocates.  They step from float(travel_max): int64 steps wrap.
     """
     check_count("sample count", n, 1, SAMPLE_CAP)
     if not (_finite(travel_max) and _finite(float(travel_max) * int(n))):
         raise ValidationError(f"travel_max {_shown(travel_max)} times {n} "
                               "samples is not finite")
+    travel_max = float(travel_max)
     if travel_max < 0.0:
-        raise ValidationError(f"travel_max {float(travel_max)!r} is negative")
+        raise ValidationError(f"travel_max {travel_max!r} is negative")
     if 0.0 < travel_max < n * math.ulp(0.0):
         raise ValidationError(
-            f"travel_max {float(travel_max)!r} is below {n} * 5e-324: its "
+            f"travel_max {travel_max!r} is below {n} * 5e-324: its "
             f"{n} travels would not rise strictly from above 0")
     travels = travel_max * np.arange(1, n + 1) / n
     travels[-1] = travel_max

@@ -3,10 +3,10 @@
 Every layer refuses a bad count, positive quantity or travel through one of
 check_count, check_positive and the travel pair, so the config and the
 library entry points apply the same rules with the same messages, and each
-raises ValidationError.  The travel pair decides what a travel argument is:
-an entry point that takes one travel calls check_non_negative, which
-refuses an array-like, and one that takes several reads them through
-travels, which returns them as floats.  A value that cannot be compared
+raises ValidationError.  The travel pair decides what a travel argument is
+and returns it as floats, which code past the entry point computes with
+and never checks again: check_non_negative reads one travel and refuses an
+array-like, travels reads several.  A value that cannot be compared
 or converted (a string, None, a ragged nesting, a complex travel) is
 refused by the same rules with the same messages, and so is an array
 given for a positive quantity, one element included.  The fourth rule is
@@ -14,7 +14,8 @@ the float range: every input check that asks whether a value is finite
 asks _finite, which compares the value as given with FLOAT_MAX, before
 anything converts it, so an int too large for a float is refused like an
 infinity.  It widens a float16 or float32 first: numpy would compare one
-at its own precision, in which FLOAT_MAX is inf.
+at its own precision, in which FLOAT_MAX is inf.  _real adds that the
+value is one number that compares with a float.
 A refusal prints the value through _shown, which also prints an int too
 long for Python's int-to-string conversion.
 """
@@ -80,6 +81,18 @@ def _finite(value) -> bool:
     return abs(value) <= FLOAT_MAX
 
 
+def _real(value) -> bool:
+    """Whether value is one number that compares with a float and passes
+    _finite: no array, one element included, string, None or complex."""
+    if isinstance(value, float):  # numpy's float64 included
+        return abs(value) <= FLOAT_MAX
+    try:
+        return bool(not np.ndim(value) and (0.0 <= value or value < 0.0)
+                    and _finite(value))
+    except (TypeError, ValueError):
+        return False
+
+
 def _shown(value, text=str) -> str:
     """text(value), str or repr, as a refusal prints the value.
 
@@ -112,17 +125,11 @@ def check_count(name: str, value, minimum: int, cap=FLOAT_MAX) -> None:
 
 
 def check_positive(name: str, value) -> None:
-    """Refuse a quantity that is not positive and finite, that cannot be
-    compared with a float (a string, None, a list), or that is an array, one
-    element included."""
-    try:
-        if (0.0 < value and _finite(value)
-                and not (isinstance(value, np.ndarray) and value.ndim)):
-            return
-    except (TypeError, ValueError):
-        pass
-    raise ValidationError(
-        f"{name} must be positive and finite, not {_shown(value, repr)}")
+    """Refuse a quantity that is not one positive, finite number (_real): a
+    string, None, a list or an array, one element included, is refused."""
+    if not (_real(value) and 0.0 < value):
+        raise ValidationError(
+            f"{name} must be positive and finite, not {_shown(value, repr)}")
 
 
 def travels(name: str, value):
@@ -142,13 +149,13 @@ def travels(name: str, value):
         f"{name} must be non-negative: a value is negative or not finite")
 
 
-def check_non_negative(name: str, value) -> None:
-    """The one-travel rule: refuse an array-like, one element or more (a
-    ragged nesting included), and a travel that travels refuses."""
+def check_non_negative(name: str, value) -> float:
+    """The one-travel rule: value as a float (travels), refused if it is an
+    array-like (a ragged nesting included) or travels refuses it."""
     try:
         several = np.ndim(value)
     except ValueError:
         several = True
     if several:
         raise ValidationError(f"{name} takes one travel, not an array of them")
-    travels(name, value)
+    return travels(name, value)

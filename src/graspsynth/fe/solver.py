@@ -302,7 +302,7 @@ def solve_guided_sweep(model: FrameModel, travel_max: float,
     a tol that is not positive and finite, or an n_steps that is not an
     integer of at least 1 raises ValidationError.
     """
-    check_non_negative("travel_max", travel_max)
+    travel_max = check_non_negative("travel_max", travel_max)
     check_count("n_steps", n_steps, 1)
     check_positive("tol", tol)
     targets = uniform_travels(travel_max, n_steps).tolist()
@@ -386,7 +386,7 @@ def solve_multibeam_assembly(config: MechanismConfig,
     onto the unstable one between.  The reaction is F(s).  ring_disp is one
     travel (errors.check_non_negative).
     """
-    check_non_negative("ring_disp", ring_disp)
+    ring_disp = check_non_negative("ring_disp", ring_disp)
     uniform_travels(ring_disp, ASSEMBLY_STEPS)  # refuses a grid that underflows
     if ring_disp == 0.0:
         return 0.0, 0.0

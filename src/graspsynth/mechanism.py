@@ -7,10 +7,11 @@ is the device-level approximation the finite-element oracle is meant to
 falsify, and it is kept in this one place, halved_ring_force, so it stays
 testable.  Functions taking a travel also take an array-like of them
 (errors.travels), except latch_step (one event) and grasper_response (one
-ring displacement), which refuse one (errors.check_non_negative).
-grasper_sweep takes many and returns a GrasperSweep: one read-only column
-each of ring displacement, ring force, shuttle travel, jaw opening, jaw-root
-stress and the boolean latched, with row i the pull from rest to ring[i].
+ring displacement), which refuse one (errors.check_non_negative); each
+computes with its rule's floats.  grasper_sweep returns a GrasperSweep, one
+read-only column each of ring, ring force, shuttle travel, jaw opening,
+jaw-root stress and latched, row i the pull from rest to ring[i]; it checks
+the ring travels, not the shuttle travels it makes of them.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Tuple, Union
 import numpy as np
 
 from .beam import (ForceDisplacementCurve, MaterialModel, VBeamGeometry,
-                   _load_column, _slope_rows, actuation_force)
-from .errors import (NumericalError, ValidationError, _finite, _shown,
+                   _force_rows, _load_column, _slope_rows, actuation_force)
+from .errors import (NumericalError, ValidationError, _real, _shown,
                      check_count, check_non_negative, check_positive, travels)
 
 # Fraction of the latch travel over which the engagement ramp acts.
@@ -116,13 +117,13 @@ class MechanismConfig:
         for name in ("latch_travel", "series_stiffness_ks",
                      "overall_length_budget"):
             check_positive(name, getattr(self, name))
-        if not (1.0 <= self.latch_ramp_factor
-                and _finite(self.latch_ramp_factor)):
+        if not (_real(self.latch_ramp_factor)
+                and 1.0 <= self.latch_ramp_factor):
             raise ValidationError("latch_ramp_factor must be finite and at "
                                   "least 1")
         prev, anchors = (0.0, 0.0), []
         for t, j in self.jaw_calibration:  # in range before float() reads it
-            if not (_finite(t) and _finite(j)
+            if not (_real(t) and _real(j)
                     and prev[0] < float(t) and prev[1] < float(j)):
                 raise ValidationError(
                     "jaw_calibration anchors must be finite and increase "
@@ -236,10 +237,13 @@ def jaw_opening(config: MechanismConfig, trigger_disp):
     """
     t_max = config.jaw_calibration[-1][0]
     disp = np.asarray(trigger_disp)
-    inside = (0.0 <= disp) & (disp <= t_max)
+    try:
+        inside = (0.0 <= disp) & (disp <= t_max)
+    except TypeError:  # a string or None compares with no float
+        inside, disp = np.False_, np.array(_shown(trigger_disp, repr))
     if not np.all(inside):
         bad = disp.flat[np.argmin(inside)]  # as given past the float range
-        bad = f"{bad:g}" if _finite(bad) else _shown(bad)
+        bad = f"{bad:g}" if _real(bad) else _shown(bad)
         raise ValidationError(f"trigger_disp {bad} outside the calibrated "
                               f"span [0, {t_max:g}] mm")
     ts, js = zip((0.0, 0.0), *config.jaw_calibration)
@@ -261,13 +265,12 @@ def latch_step(state: LatchState, event: LatchEvent,
     unlatched one.
     """
     if isinstance(event, PullRing):
-        check_non_negative("ring displacement", event.d)
+        d = check_non_negative("ring displacement", event.d)
         if state.phase is LatchPhase.UNSTRESSED:
-            if event.d >= latch_travel:
-                return LatchState(LatchPhase.STRESSED_LATCHED, event.d)
-            return LatchState(LatchPhase.UNSTRESSED, event.d)
-        return LatchState(LatchPhase.STRESSED_LATCHED,
-                          max(event.d, latch_travel))
+            if d >= latch_travel:
+                return LatchState(LatchPhase.STRESSED_LATCHED, d)
+            return LatchState(LatchPhase.UNSTRESSED, d)
+        return LatchState(LatchPhase.STRESSED_LATCHED, max(d, latch_travel))
     if isinstance(event, PressTrigger):
         if state.phase is LatchPhase.STRESSED_LATCHED:
             return LatchState(LatchPhase.UNSTRESSED, 0.0)
@@ -300,7 +303,7 @@ def grasper_sweep(config: MechanismConfig, ring_disps) -> GrasperSweep:
     """
     ring = np.atleast_1d(travels("ring_disp", ring_disps))
     shuttle = shuttle_transfer_ratio(config, ring) * ring
-    force = actuation_force(config.beam_geometry, config.material, shuttle)
+    force = _force_rows([config.beam_geometry], config.material, shuttle)[0][0]
     opening = jaw_opening(config, ring)
 
     sec = config.jaw_section
@@ -327,7 +330,7 @@ def grasper_response(config: MechanismConfig, ring_disp: float) -> GrasperRespon
     The latch state comes from latch_step, the reference for the sweep's
     latched column.
     """
-    check_non_negative("ring_disp", ring_disp)
+    ring_disp = check_non_negative("ring_disp", ring_disp)
     sweep = grasper_sweep(config, ring_disp)
     d, f, s, j, st = (float(c[0]) for c in (
         sweep.ring, sweep.ring_force, sweep.shuttle, sweep.opening,

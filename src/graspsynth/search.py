@@ -40,7 +40,7 @@ from ._csv import NUMBER, write_csv
 from .beam import (DEFAULT_CURVE_SAMPLES, MaterialModel, VBeamGeometry,
                    _force, _kernel_pass, _load_column, _load_scale,
                    bistability_margin, uniform_travels)
-from .errors import ValidationError, _finite, check_count, check_positive
+from .errors import ValidationError, _real, check_count, check_positive
 from .mechanism import halved_ring_force
 
 PARAM_NAMES = ("length_L", "thickness_T", "width_W", "tilt_theta", "n_beams")
@@ -93,13 +93,16 @@ class DesignSpec:
         check_positive("target_force", self.target_force)
         check_positive("target_travel", self.target_travel)
         for name in ("stress_limit", "length_budget"):
-            if not _finite(getattr(self, name)):
+            if not _real(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
+        if not isinstance(self.require_non_bistable_at_travel, bool):
+            raise ValidationError(
+                "require_non_bistable_at_travel must be a boolean")
         for name in PARAM_NAMES:
             if name not in self.bounds:
                 raise ValidationError(f"bounds must include {name}")
             lo, hi = self.bounds[name]
-            if not (_finite(lo) and _finite(hi)):
+            if not (_real(lo) and _real(hi)):
                 raise ValidationError(f"bounds for {name} must be finite")
             if not lo <= hi:
                 raise ValidationError(f"bounds for {name} must be ordered")
@@ -344,7 +347,7 @@ def grid_search(spec: DesignSpec, grid_density: Dict[str, int],
             levels = (np.linspace(lo, hi, count) if count > 1
                       else np.array([(lo + hi) / 2.0]))
             # levels closer than the float spacing round together: keep one
-            axes[name] = list(dict.fromkeys(levels))
+            axes[name] = list(dict.fromkeys(levels.tolist()))
 
     total = math.prod(len(vals) for vals in axes.values())
     if total > GRID_CAP:

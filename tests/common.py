@@ -4,16 +4,18 @@ GEOM is the reference flexure L=40, T=1.2, W=5, theta=7 deg, MAT its
 E=1800 MPa material, TABLE2 the jaw calibration (opening, tip force) of
 Table 2, and make_config the 12-beam mechanism built on them.  step_bytes
 is the fixed byte layout of a frame-solver PathStep that the oracle path
-digests hash, count_force_checks counts the force overflow checks, and
-cardano_residuals measures the closed-form root of each cubic the load
-kernel solves.
+digests hash, count_force_checks counts the force overflow checks,
+count_travel_checks the calls of the travel rule, and cardano_residuals
+measures the closed-form root of each cubic the load kernel solves.
 """
 
 import struct
+import sys
 
 import numpy as np
 
 import graspsynth.beam
+import graspsynth.errors
 import graspsynth.search
 from graspsynth import (CantileverSection, MaterialModel, MechanismConfig,
                         VBeamGeometry)
@@ -62,6 +64,22 @@ def count_force_checks(monkeypatch):
 
     for module in (graspsynth.beam, graspsynth.search):
         monkeypatch.setattr(module, "_force", counted)
+    return checks
+
+
+def count_travel_checks(monkeypatch):
+    """A list that gains one entry per errors.travels call, through every
+    binding of it in the package, check_non_negative's included."""
+    checks, rule = [], graspsynth.errors.travels
+
+    def counted(*args):
+        checks.append(1)
+        return rule(*args)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "graspsynth"
+                and getattr(module, "travels", None) is rule):
+            monkeypatch.setattr(module, "travels", counted)
     return checks
 
 

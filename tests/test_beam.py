@@ -764,6 +764,18 @@ def test_travels_that_underflow_are_refused():
         force_curve(GEOM, MAT, 1e-321, 500)
 
 
+@pytest.mark.parametrize("travel_max", [2 ** 62, 10 ** 19])
+def test_an_int_travel_max_steps_in_floats(travel_max):
+    # an int used to step in int64: 2 ** 62 wrapped to negative travels,
+    # which the kernel's second check refused, and 10 ** 19 raised a bare
+    # OverflowError
+    grid = uniform_travels(travel_max, 4)
+    assert grid.tolist() == [float(travel_max) * k / 4 for k in range(1, 5)]
+    curve = force_curve(GEOM, MAT, travel_max, 4)
+    assert curve.force.tobytes() == force_curve(
+        GEOM, MAT, float(travel_max), 4).force.tobytes()
+
+
 @pytest.mark.parametrize("travel_max", [-1.0, -1, -math.ulp(0.0)])
 def test_negative_travel_max_is_refused(travel_max):
     # uniform_travels(-1.0, 3) used to return [-0.333, -0.667, -1.0],

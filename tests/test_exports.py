@@ -2,6 +2,7 @@
 shared input rules."""
 
 import ast
+import inspect
 import math
 import os
 import subprocess
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import from_dtype
 
 import graspsynth
+import graspsynth.errors
 import graspsynth.fe
 from graspsynth import (DesignSpec, FESettings, LatchPhase, LatchState,
                         MaterialModel, PullRing, SweepSettings, ValidationError,
@@ -31,7 +33,7 @@ from graspsynth.beam import uniform_travels
 from graspsynth.errors import (FLOAT_MAX, _finite, check_count,
                               check_non_negative, check_positive, travels)
 
-from common import GEOM, MAT, make_config
+from common import GEOM, MAT, make_config, step_bytes
 
 NAN = math.nan
 
@@ -152,6 +154,30 @@ NARROW_INFS = {"inf32": np.float32(np.inf), "inf16": np.float16(np.inf)}
      "^x must be positive and finite"),
     (lambda: jaw_opening(make_config(), np.float32(9.0)),
      r"^trigger_disp 9 outside the calibrated span \[0, 8\] mm$"),
+    (lambda: VBeamGeometry(40, 1.2, 5, np.array([0.1])),
+     r"^tilt_theta must lie in \[0, pi/2\)$"),
+    (lambda: VBeamGeometry(40, 1.2, 5, "0.1"), "^tilt_theta must lie in"),
+    (lambda: MaterialModel(1800, np.array([0.3])),
+     r"^poisson_ratio must lie in \[0, 0\.5\)$"),
+    (lambda: MaterialModel(1800, None), "^poisson_ratio must lie in"),
+    (lambda: make_config(latch_ramp_factor=np.array([1.5])),
+     "^latch_ramp_factor must be finite and at least 1$"),
+    (lambda: make_config(latch_ramp_factor="1.5"),
+     "^latch_ramp_factor must be finite"),
+    (lambda: make_config(jaw_calibration=(("8", 20.52),)),
+     "^jaw_calibration anchors must be finite"),
+    (lambda: make_config(jaw_calibration=((8.0, None),)),
+     "^jaw_calibration anchors must be finite"),
+    (lambda: spec(stress_limit="50"), "^stress_limit must be finite$"),
+    (lambda: spec(length_budget=None), "^length_budget must be finite$"),
+    (lambda: spec(bounds={**BOUNDS, "length_L": (None, 44.0)}),
+     "^bounds for length_L must be finite$"),
+    (lambda: spec(require_non_bistable_at_travel="no"),
+     "^require_non_bistable_at_travel must be a boolean$"),
+    (lambda: jaw_opening(make_config(), "1"),
+     r"^trigger_disp '1' outside the calibrated span \[0, 8\] mm$"),
+    (lambda: jaw_opening(make_config(), None),
+     r"^trigger_disp None outside the calibrated span \[0, 8\] mm$"),
 ] + [(lambda call=call, inf=inf: call(inf), match)
      for call, match in NARROW_INF_CALLS.values()
      for inf in NARROW_INFS.values()],
@@ -163,7 +189,11 @@ NARROW_INFS = {"inf32": np.float32(np.inf), "inf16": np.float16(np.inf)}
          "positive-array", "geometry-string", "positive-one-element",
          "material-one-element", "geometry-one-element",
          "positive-longdouble-inf", "positive-longdouble-1e400",
-         "jaw-finite32"]
+         "jaw-finite32", "tilt-one-element", "tilt-string",
+         "poisson-one-element", "poisson-none", "ramp-one-element",
+         "ramp-string", "anchor-string", "anchor-none", "stress-limit-string",
+         "length-budget-none", "bounds-none", "bistable-flag-string",
+         "jaw-string", "jaw-none"]
     + [f"{site}-{kind}" for site in NARROW_INF_CALLS for kind in NARROW_INFS])
 def test_library_refuses_nan_travels_and_non_integer_counts(call, match):
     # the NaN travels used to return NaN states, or a NumericalError naming
@@ -171,7 +201,10 @@ def test_library_refuses_nan_travels_and_non_integer_counts(call, match):
     # a value that is not a number used to end in numpy's or Python's own
     # ValueError or TypeError; a one-element array and a float16 or float32
     # infinity used to be accepted (the latter with a RuntimeWarning from
-    # casting FLOAT_MAX to the value's precision)
+    # casting FLOAT_MAX to the value's precision); a one-element tilt,
+    # Poisson ratio or ramp factor and a string bistability flag were
+    # accepted, and a string or None at a range check ended in a bare
+    # TypeError
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=match):
@@ -280,9 +313,44 @@ def test_int_too_long_to_print_is_refused(call, match):
 
 
 @pytest.mark.parametrize("good", [0, 0.0, 3, 2.5, True, False,
-                                  np.float64(2.5), np.int64(3)], ids=repr)
+                                  np.float64(2.5), np.int64(3),
+                                  np.float16(1.0), np.float32(1.0)],
+                         ids=repr)
 def test_check_non_negative_accepts_finite_travels(good):
-    check_non_negative("travel", good)
+    # the rule hands the travel back as a float, and each one-travel entry
+    # point computes with it; they computed with the caller's type, so a
+    # float16 ring travel of 1 made solve_multibeam_assembly raise
+    # ConvergenceError and latch_step stored a float16
+    travel = check_non_negative("travel", good)
+    assert type(travel) is float and travel == good
+    for call in ONE_TRAVEL.values():
+        assert answer(call(good)) == answer(call(travel))
+
+
+def answer(result):
+    """A one-travel entry point's result as bytes: a path's steps in
+    common.step_bytes, anything else its repr, which tells a float from a
+    numpy scalar."""
+    if hasattr(result, "steps"):
+        return b"".join(map(step_bytes, result.steps))
+    return repr(result).encode()
+
+
+def test_the_load_kernel_calls_no_input_rule():
+    # an input is checked once, where it enters: the kernel's callers pass
+    # it checked float travels, so an errors rule called in the kernel
+    # checks a value a second time
+    rules = {name for name, value in vars(graspsynth.errors).items()
+             if inspect.isfunction(value)}
+    path = Path(graspsynth.__file__).parent / "beam.py"
+    kernel = [node for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, ast.FunctionDef) and node.name in
+              {"_loads", "_kernel_pass", "_force_rows", "_slope_rows"}]
+    assert len(kernel) == 4
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for function in kernel for node in ast.walk(function)
+              if isinstance(node, ast.Call)}
+    assert called & rules == set()
 
 
 def test_only_the_errors_module_imports_numbers():

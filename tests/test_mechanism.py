@@ -16,7 +16,8 @@ from graspsynth import (CantileverSection, LatchPhase, LatchState,
 from graspsynth import mechanism
 from graspsynth.mechanism import beam_tangent_stiffness
 
-from common import GEOM, MAT, cardano_residuals, make_config
+from common import (GEOM, MAT, cardano_residuals, count_travel_checks,
+                    make_config)
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +466,23 @@ def test_non_finite_response_is_refused(monkeypatch):
     # unit transfer ratio, so only the shuttle force goes non-finite
     monkeypatch.setattr(mechanism, "beam_tangent_stiffness",
                         lambda config, d: np.zeros_like(d))
-    monkeypatch.setattr(mechanism, "actuation_force",
-                        lambda geom, mat, d: np.full_like(d, np.nan))
+    monkeypatch.setattr(mechanism, "_force_rows",
+                        lambda geoms, mat, d: (np.full((1, d.size), np.nan),))
     with pytest.raises(ValidationError,
                        match="response magnitudes must be finite"):
         grasper_sweep(make_config(), [0.5, 1.0])
     with pytest.raises(ValidationError,
                        match="response magnitudes must be finite"):
         grasper_response(make_config(), 1.0)
+
+
+def test_a_sweep_checks_its_travels_twice(monkeypatch):
+    # the ring travels where they enter, and again at the public
+    # beam_tangent_stiffness; the shuttle force and both kernel passes take
+    # checked floats.  A sweep used to make five checks.
+    checks = count_travel_checks(monkeypatch)
+    grasper_sweep(make_config(), np.linspace(0.1, 8.0, 50))
+    assert len(checks) == 2
 
 
 @pytest.mark.parametrize("ring", [np.array([1.0, 2.0]), [1.0]])

@@ -23,7 +23,7 @@ from graspsynth import search
 from graspsynth.beam import DEFAULT_CURVE_SAMPLES
 from graspsynth.mechanism import halved_ring_force
 
-from common import GEOM as TABLE1, MAT, count_force_checks
+from common import GEOM as TABLE1, MAT, count_force_checks, count_travel_checks
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -662,6 +662,21 @@ def test_refine_meets_the_target_at_an_exact_width():
         out = refine(spec, start, max_evals=200)
         assert out.feasible and not out.exhausted
         assert out.objective <= 1e-15 < start.objective
+
+
+def test_table1_design_checks_no_travel_and_holds_floats(monkeypatch):
+    # the grid's levels are Python floats, so every geometry and candidate
+    # holds floats, and the screen's kernel passes take the travels
+    # uniform_travels made: no travel is checked again.  The geometries
+    # held numpy float64 levels, and the kernel checked its travels three
+    # times over table1's grid and refine.
+    design = parse_config((DEMOS / "table1.json").read_text()).design
+    checks = count_travel_checks(monkeypatch)
+    ranked = grid_search(design.spec, design.grid_density)
+    out = refine(design.spec, ranked[0], design.refine_max_evals)
+    assert checks == []
+    assert {type(value) for cand in [*ranked, out]
+            for value in astuple(cand.geometry)} == {float}
 
 
 def test_exact_width_of_a_hand_built_shape():
