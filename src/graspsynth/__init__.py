@@ -27,9 +27,9 @@ from .config import (DesignSettings, FESettings, RunConfig, SweepSettings,
 from .errors import (ConfigError, ConvergenceError, NumericalError,
                      SingularityError, ValidationError)
 from .fe import (CurveComparison, EquilibriumPath, FrameModel,
-                 build_multibeam_assembly, build_vbeam_mesh, compare_curves,
-                 solve_guided_sweep, solve_multibeam_assembly,
-                 solve_vbeam_sweep, sweep_to_curve, write_path_csv)
+                 build_vbeam_mesh, compare_curves, solve_guided_sweep,
+                 solve_multibeam_assembly, solve_vbeam_sweep, sweep_to_curve,
+                 write_path_csv)
 from .mechanism import (CantileverSection, GrasperResponse, GrasperSweep,
                         LatchPhase, LatchState, MechanismConfig, PressTrigger,
                         PullRing, aggregate_ring_force, cantilever_stress,
@@ -52,7 +52,7 @@ __all__ = [
     "aggregate_ring_force",
     "single_beam_force", "shuttle_transfer_ratio", "jaw_opening",
     "cantilever_stress", "latch_step", "grasper_response", "grasper_sweep",
-    "FrameModel", "build_vbeam_mesh", "build_multibeam_assembly",
+    "FrameModel", "build_vbeam_mesh",
     "EquilibriumPath", "solve_guided_sweep", "solve_vbeam_sweep",
     "solve_multibeam_assembly", "sweep_to_curve", "write_path_csv",
     "CurveComparison", "compare_curves",

@@ -598,13 +598,14 @@ def uniform_travels(travel_max: float, n: int) -> np.ndarray:
     The last is travel_max itself, which travel_max * n / n can miss by an
     ulp either way.  An n that is not an integer of at least 1 (a
     non-integer n would step past travel_max), an n above SAMPLE_CAP, a
-    travel_max or travel_max * n beyond the float range, a negative
-    travel_max and a positive travel_max below n * 5e-324 (math.ulp(0.0)),
-    whose travels would not rise strictly from above 0, are refused before
-    numpy allocates.  They step from float(travel_max): int64 steps wrap.
+    travel_max that is not one real number (errors._real) or whose product
+    with n lies beyond the float range, a negative travel_max and a
+    positive travel_max below n * 5e-324 (math.ulp(0.0)), whose travels
+    would not rise strictly from above 0, are refused before numpy
+    allocates.  They step from float(travel_max): int64 steps wrap.
     """
     check_count("sample count", n, 1, SAMPLE_CAP)
-    if not (_finite(travel_max) and _finite(float(travel_max) * int(n))):
+    if not (_real(travel_max) and _finite(float(travel_max) * int(n))):
         raise ValidationError(f"travel_max {_shown(travel_max)} times {n} "
                               "samples is not finite")
     travel_max = float(travel_max)

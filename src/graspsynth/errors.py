@@ -86,9 +86,10 @@ def _real(value) -> bool:
     _finite: no array, one element included, string, None or complex."""
     if isinstance(value, float):  # numpy's float64 included
         return abs(value) <= FLOAT_MAX
-    try:
-        return bool(not np.ndim(value) and (0.0 <= value or value < 0.0)
-                    and _finite(value))
+    try:  # numpy orders its complex values: refused by dtype
+        array = np.asarray(value)
+        return bool(array.ndim == 0 and array.dtype.kind != "c"
+                    and (0.0 <= value or value < 0.0) and _finite(value))
     except (TypeError, ValueError):
         return False
 

@@ -2,7 +2,8 @@
 
 Node coordinates are mm; each node carries (u_x, u_y, rotation) freedoms.
 The shuttle travels along -Y, so the direction normal to shuttle travel is
-+X and a V-beam tilted by theta runs along (cos theta, sin theta).
++X and a V-beam tilted by theta runs along (cos theta, sin theta).  Models
+are single beams: solve_multibeam_assembly condenses N beams into one.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from typing import Tuple
 import numpy as np
 
 from ..beam import VBeamGeometry
-from ..errors import (ValidationError, _finite, _is_integer, _shown,
+from ..errors import (ValidationError, _finite, _is_integer, _real, _shown,
                       check_count)
-from ..mechanism import MechanismConfig
 
 UX, UY, ROT = 0, 1, 2
 
@@ -72,8 +72,8 @@ class FrameModel:
         if np.any(length < 1e-12):
             raise ValidationError("an element has zero length")
         section = np.asarray(self.section)
-        if not (section.shape == (3,) and np.all(section > 0)
-                and _finite(section)):
+        if not (section.shape == (3,)
+                and all(_real(value) and 0.0 < value for value in section)):
             raise ValidationError(
                 f"section (E, A, I) {_shown(self.section, repr)} must be "
                 "three positive, finite values")
@@ -130,17 +130,3 @@ def build_vbeam_mesh(geom: VBeamGeometry,
                       section=(youngs_modulus_E, geom.area, geom.second_moment),
                       fixed=fixed, drive=(guided, UY))
 
-
-def build_multibeam_assembly(config: MechanismConfig) -> FrameModel:
-    """N identical beams on a common shuttle, condensed into one beam.
-
-    The beams share the shuttle travel, so they carry equal forces, and at
-    fixed geometry every reaction of the corotational model is linear in the
-    modulus: one beam at N times the modulus stands for all N, on the
-    default mesh.  Its guided end (node DEFAULT_ELEMENTS_PER_BEAM) is the
-    shuttle and the drive; the series spring to the ring stays outside the
-    model (solve_multibeam_assembly).
-    """
-    return build_vbeam_mesh(
-        config.beam_geometry,
-        youngs_modulus_E=config.n_beams * config.material.youngs_modulus_E)

@@ -64,7 +64,7 @@ from ..errors import (ConvergenceError, ValidationError, check_count,
                       check_non_negative, check_positive)
 from ..mechanism import MechanismConfig
 from .model import (DEFAULT_ELEMENTS_PER_BEAM, ROT, UX, UY, FrameModel,
-                    build_multibeam_assembly, build_vbeam_mesh)
+                    build_vbeam_mesh)
 
 PATH_CSV_HEADER = "step,control_mm,reaction_N,iters,residual"
 
@@ -370,7 +370,8 @@ def solve_multibeam_assembly(config: MechanismConfig,
                              ring_disp: float) -> Tuple[float, float]:
     """(shuttle displacement, ring reaction) at a prescribed ring displacement.
 
-    The beams, condensed into one (build_multibeam_assembly), sit behind
+    The N beams move with the shuttle and every reaction is linear in the
+    modulus, so one beam at N times the modulus stands for them, behind
     the series stiffness ks: shuttle travel s with beam reaction F(s) is at
     ring travel r(s) = s + F(s) / ks.  On the default mesh and tolerance the
     shuttle steps from rest over k ring_disp / ASSEMBLY_STEPS, k = 1, 2, ...
@@ -391,7 +392,8 @@ def solve_multibeam_assembly(config: MechanismConfig,
     if ring_disp == 0.0:
         return 0.0, 0.0
     ks, tol = config.series_stiffness_ks, DEFAULT_TOLERANCE
-    system = _System(build_multibeam_assembly(config))
+    system = _System(build_vbeam_mesh(config.beam_geometry, youngs_modulus_E=(
+        config.n_beams * config.material.youngs_modulus_E)))
     path = EquilibriumPath(model=system.model)
 
     def excess(state):

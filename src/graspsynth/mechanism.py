@@ -238,8 +238,10 @@ def jaw_opening(config: MechanismConfig, trigger_disp):
     t_max = config.jaw_calibration[-1][0]
     disp = np.asarray(trigger_disp)
     try:
+        if disp.dtype.kind == "c":  # numpy orders complex values
+            raise TypeError
         inside = (0.0 <= disp) & (disp <= t_max)
-    except TypeError:  # a string or None compares with no float
+    except TypeError:  # a string, None or complex compares with no float
         inside, disp = np.False_, np.array(_shown(trigger_disp, repr))
     if not np.all(inside):
         bad = disp.flat[np.argmin(inside)]  # as given past the float range
@@ -262,8 +264,9 @@ def latch_step(state: LatchState, event: LatchEvent,
     Pulling past the latch travel engages the notch; pulls short of it
     return elastically (modeled as staying unlatched at the pulled position);
     pressing the trigger releases a latched mechanism and is a no-op on an
-    unlatched one.
+    unlatched one.  latch_travel must be positive and finite.
     """
+    check_positive("latch_travel", latch_travel)
     if isinstance(event, PullRing):
         d = check_non_negative("ring displacement", event.d)
         if state.phase is LatchPhase.UNSTRESSED:

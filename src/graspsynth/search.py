@@ -30,6 +30,7 @@ shapes alone, solving each one's W and n by inverting that convention.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Dict, List, NamedTuple, Sequence, Tuple
@@ -40,7 +41,8 @@ from ._csv import NUMBER, write_csv
 from .beam import (DEFAULT_CURVE_SAMPLES, MaterialModel, VBeamGeometry,
                    _force, _kernel_pass, _load_column, _load_scale,
                    bistability_margin, uniform_travels)
-from .errors import ValidationError, _real, check_count, check_positive
+from .errors import (ValidationError, _real, _shown, check_count,
+                     check_positive)
 from .mechanism import halved_ring_force
 
 PARAM_NAMES = ("length_L", "thickness_T", "width_W", "tilt_theta", "n_beams")
@@ -303,9 +305,12 @@ def evaluate_candidate(spec: DesignSpec, geom: VBeamGeometry,
 
 
 def grid_counts(grid_density: Dict[str, int]) -> Dict[str, int]:
-    """Each parameter's grid levels, DEFAULT_GRID_DENSITY where grid_density
-    has no entry; a name outside PARAM_NAMES and a count that is not an
-    integer from 1 to GRID_CAP are refused."""
+    """Each parameter's grid levels, DEFAULT_GRID_DENSITY where grid_density,
+    a mapping, has no entry; another grid_density, a name outside PARAM_NAMES
+    and a count that is not an integer from 1 to GRID_CAP are refused."""
+    if not isinstance(grid_density, Mapping):
+        raise ValidationError(f"grid density {_shown(grid_density, repr)} "
+                              "must map parameter names to level counts")
     unknown = sorted(set(grid_density) - set(PARAM_NAMES), key=str)
     if unknown:
         raise ValidationError(

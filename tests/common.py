@@ -2,7 +2,9 @@
 
 GEOM is the reference flexure L=40, T=1.2, W=5, theta=7 deg, MAT its
 E=1800 MPa material, TABLE2 the jaw calibration (opening, tip force) of
-Table 2, and make_config the 12-beam mechanism built on them.  step_bytes
+Table 2, make_config the 12-beam mechanism built on them, and
+condensed_beam the one beam at N times the modulus that
+solve_multibeam_assembly sweeps for a mechanism's N beams.  step_bytes
 is the fixed byte layout of a frame-solver PathStep that the oracle path
 digests hash, count_force_checks counts the force overflow checks,
 count_travel_checks the calls of the travel rule, and cardano_residuals
@@ -18,7 +20,7 @@ import graspsynth.beam
 import graspsynth.errors
 import graspsynth.search
 from graspsynth import (CantileverSection, MaterialModel, MechanismConfig,
-                        VBeamGeometry)
+                        VBeamGeometry, build_vbeam_mesh)
 
 GEOM = VBeamGeometry.from_degrees(40, 1.2, 5, 7)
 MAT = MaterialModel(youngs_modulus_E=1800)
@@ -33,6 +35,12 @@ def make_config(**overrides):
         series_stiffness_ks=10.0)
     base.update(overrides)
     return MechanismConfig(**base)
+
+
+def condensed_beam(config):
+    return build_vbeam_mesh(
+        config.beam_geometry,
+        youngs_modulus_E=config.n_beams * config.material.youngs_modulus_E)
 
 
 def float_bytes(*values) -> bytes:

@@ -5,6 +5,7 @@ import ast
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -25,8 +26,8 @@ from graspsynth import (DesignSpec, FESettings, LatchPhase, LatchState,
                         MaterialModel, PullRing, SweepSettings, ValidationError,
                         VBeamGeometry, actuation_force, bistability_margin,
                         branch_loads, build_vbeam_mesh, force_curve,
-                        grasper_response,
-                        grasper_sweep, jaw_opening, latch_step,
+                        grasper_response, grasper_sweep, grid_search,
+                        jaw_opening, latch_step,
                         normalize_deflection, solve_multibeam_assembly,
                         solve_vbeam_sweep)
 from graspsynth.beam import uniform_travels
@@ -178,6 +179,22 @@ NARROW_INFS = {"inf32": np.float32(np.inf), "inf16": np.float16(np.inf)}
      r"^trigger_disp '1' outside the calibrated span \[0, 8\] mm$"),
     (lambda: jaw_opening(make_config(), None),
      r"^trigger_disp None outside the calibrated span \[0, 8\] mm$"),
+    (lambda: jaw_opening(make_config(), 1 + 2j),
+     r"^trigger_disp \(1\+2j\) outside the calibrated span \[0, 8\] mm$"),
+    *((lambda v=v: uniform_travels(v, 4),
+       f"^travel_max {re.escape(str(v))} times 4 samples is not finite$")
+      for v in ([1.0, 2.0], np.array([1.0, 2.0]), "8", None, 1 + 2j,
+                np.complex128(1 + 2j))),
+    *((lambda v=v: latch_step(LatchState(LatchPhase.UNSTRESSED, 0.0),
+                              PullRing(1.0), v),
+       f"^latch_travel must be positive and finite, not {re.escape(repr(v))}$")
+      for v in (NAN, 0, -1, "8")),
+    (lambda: grid_search(spec(), None),
+     "^grid density None must map parameter names to level counts$"),
+    (lambda: build_vbeam_mesh(GEOM, 16, "1800"),
+     r"^section \(E, A, I\) \('1800', .* must be three positive, finite"),
+    (lambda: MaterialModel(np.complex128(1800.0)),
+     "^youngs_modulus_E must be positive and finite"),
 ] + [(lambda call=call, inf=inf: call(inf), match)
      for call, match in NARROW_INF_CALLS.values()
      for inf in NARROW_INFS.values()],
@@ -193,7 +210,12 @@ NARROW_INFS = {"inf32": np.float32(np.inf), "inf16": np.float16(np.inf)}
          "poisson-one-element", "poisson-none", "ramp-one-element",
          "ramp-string", "anchor-string", "anchor-none", "stress-limit-string",
          "length-budget-none", "bounds-none", "bistable-flag-string",
-         "jaw-string", "jaw-none"]
+         "jaw-string", "jaw-none", "jaw-complex", "uniform-travels-list",
+         "uniform-travels-array", "uniform-travels-string",
+         "uniform-travels-none", "uniform-travels-complex",
+         "uniform-travels-complex128", "latch-travel-nan", "latch-travel-0",
+         "latch-travel-negative", "latch-travel-string", "grid-density-none",
+         "mesh-modulus-string", "material-complex128"]
     + [f"{site}-{kind}" for site in NARROW_INF_CALLS for kind in NARROW_INFS])
 def test_library_refuses_nan_travels_and_non_integer_counts(call, match):
     # the NaN travels used to return NaN states, or a NumericalError naming
@@ -204,7 +226,10 @@ def test_library_refuses_nan_travels_and_non_integer_counts(call, match):
     # casting FLOAT_MAX to the value's precision); a one-element tilt,
     # Poisson ratio or ramp factor and a string bistability flag were
     # accepted, and a string or None at a range check ended in a bare
-    # TypeError
+    # TypeError; so did a list, string or complex travel_max, a string
+    # latch travel, a None grid density and a string section value, while
+    # a NaN, zero or negative latch travel, a complex trigger displacement
+    # and a numpy complex modulus were accepted
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=match):
@@ -369,6 +394,25 @@ def test_only_the_errors_module_imports_numbers():
             if any(name.split(".")[0] == "numbers" for name in names):
                 importers.add(path.relative_to(src).as_posix())
     assert importers == {"errors.py"}
+
+
+def test_the_frame_model_imports_nothing_from_mechanism():
+    # fe.model builds beams only: solve_multibeam_assembly condenses a
+    # mechanism's beams into one, so the frame-model layer does not depend
+    # on the mechanism layer
+    path = Path(graspsynth.__file__).parent / "fe" / "model.py"
+    imported = set()  # each imported name in full, relative ones resolved
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            package = ["graspsynth", "fe"][:3 - node.level] if node.level else []
+            module = package + ([node.module] if node.module else [])
+            imported.update(".".join(module + [alias.name])
+                            for alias in node.names)
+    assert "graspsynth.beam.VBeamGeometry" in imported
+    assert {name for name in imported
+            if (name + ".").startswith("graspsynth.mechanism.")} == set()
 
 
 def test_only_the_errors_module_refuses_several_travels():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from graspsynth import (ConvergenceError, FrameModel, MaterialModel,
                         NumericalError, ValidationError, VBeamGeometry,
-                        build_multibeam_assembly,
                         build_vbeam_mesh, compare_curves, force_curve,
                         peak_force, solve_guided_sweep,
                         solve_multibeam_assembly, solve_vbeam_sweep,
@@ -22,7 +21,7 @@ from graspsynth.fe.solver import (EquilibriumPath, PathStep,
                                    _element_energy, _newton,
                                    _predicted_start, _System)
 
-from common import GEOM, MAT, make_config
+from common import GEOM, MAT, condensed_beam, make_config
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +223,7 @@ def interior_fixed(model):
     # the mesh solve_multibeam_assembly runs: at the 1e-6 scale the nodal
     # sums of element forces cancel, so each entry is bounded by the
     # magnitudes of the element contributions summed into it
-    (interior_fixed(build_multibeam_assembly(make_config())), True),
+    (interior_fixed(condensed_beam(make_config())), True),
 ], ids=["vbeam", "multibeam", "assembly"])
 def test_batched_assembly_matches_per_element_reference(model, per_entry):
     # seeded states from small to large rotations; the strain energy is
@@ -272,7 +271,7 @@ def full_table_assemble(system, u):
 
 @pytest.mark.parametrize("model", [
     build_vbeam_mesh(GEOM, 16, youngs_modulus_E=1800.0),
-    interior_fixed(build_multibeam_assembly(make_config())),
+    interior_fixed(condensed_beam(make_config())),
 ], ids=["vbeam", "multibeam"])
 def test_assembly_equals_the_full_table_bit_for_bit(model):
     # the second mesh's unknowns skip node 4's rotation, so its block is no
@@ -400,7 +399,7 @@ def test_convergence_error_carries_path():
 
 @pytest.mark.parametrize("model", [
     build_vbeam_mesh(GEOM, 8, youngs_modulus_E=1800.0),
-    build_multibeam_assembly(make_config()),
+    condensed_beam(make_config()),
 ], ids=["vbeam", "multibeam"])
 def test_step_displacements_are_their_own_tables(monkeypatch, model):
     # each converged state holds 0 at every fixed freedom and -control at
@@ -978,7 +977,7 @@ def test_multibeam_refuses_a_negative_ring_travel():
 
 
 def test_multibeam_assembly_structure():
-    model = build_multibeam_assembly(make_config(n_beams=3))
+    model = condensed_beam(make_config(n_beams=3))
     # one beam of 17 nodes standing for all 3, driven at its guided end
     assert model.n_nodes == 17
     assert len(model.elements) == 16
@@ -1046,7 +1045,7 @@ def test_multibeam_matches_reference(config, ring, n_steps, shuttle,
     assert r == pytest.approx(config.series_stiffness_ks * (ring - s),
                               abs=solver.DEFAULT_TOLERANCE)
     # a shuttle sweep to the answer ends stable, at the returned reaction
-    last = solve_guided_sweep(build_multibeam_assembly(config), s,
+    last = solve_guided_sweep(condensed_beam(config), s,
                               n_steps).last
     assert last.stable
     assert last.reaction == pytest.approx(r, abs=1e-7)
@@ -1136,7 +1135,7 @@ def test_ring_travel_folds_below_the_far_branch():
     # s = 1.2 mm below 8.8 mm, then falls, so the 8.8 mm reference answer
     # lies on the far branch
     path = solve_guided_sweep(
-        build_multibeam_assembly(make_config(series_stiffness_ks=5.0)),
+        condensed_beam(make_config(series_stiffness_ks=5.0)),
         8.0, 40)
     ring = path.controls + path.reactions / 5.0
     fold = int(np.argmax(ring[:10]))
