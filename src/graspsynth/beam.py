@@ -250,7 +250,11 @@ def bistability_margin(geom: VBeamGeometry, delta_y: float) -> Tuple[float, bool
     array-like (errors.travels), in which case d1 and satisfied are arrays
     of its shape; a scalar gives a float and a bool.
     """
-    dys = travels("delta_y", delta_y)
+    return _margin(geom, travels("delta_y", delta_y))
+
+
+def _margin(geom: VBeamGeometry, dys):
+    """bistability_margin at travels errors.travels has checked."""
     a, b, c = _d1_terms(geom)
     d1 = a * dys + b * dys - c
     return d1, d1 >= 0.0
@@ -575,7 +579,7 @@ def branch_loads(geom: VBeamGeometry, delta_y: float) -> BeamLoadState:
     """Guided-end normalized loads at one travel, with branch selection;
     an array-like is refused (errors.check_non_negative)."""
     delta_y = check_non_negative("delta_y", delta_y)
-    d1, _ = bistability_margin(geom, delta_y)
+    d1, _ = _margin(geom, delta_y)
     _, f_o, p_o, bistable = _kernel_pass([geom], np.array([delta_y]))
     return BeamLoadState(f_o=f_o.item(), p_o=p_o.item(),
                          branch=Branch.tags(bistable[0])[0], d1_value=d1)

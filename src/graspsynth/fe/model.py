@@ -58,7 +58,10 @@ class FrameModel:
         if not _finite(nodes):
             raise ValidationError("node coordinates must be finite")
         self.nodes = nodes.astype(float, copy=False)
-        self.elements = np.asarray(self.elements, dtype=int)
+        try:
+            self.elements = np.asarray(self.elements, dtype=int)
+        except (TypeError, ValueError):  # a ragged nesting, a string index
+            self.elements = np.empty(0, dtype=int)
         self.fixed = np.asarray(self.fixed, dtype=bool)
         n = self.nodes.shape[0]
         if self.elements.ndim != 2 or self.elements.shape[1] != 2:
@@ -71,7 +74,10 @@ class FrameModel:
         length = np.hypot(chord[:, 0], chord[:, 1])
         if np.any(length < 1e-12):
             raise ValidationError("an element has zero length")
-        section = np.asarray(self.section)
+        try:
+            section = np.asarray(self.section)
+        except ValueError:  # a ragged nesting
+            section = np.empty(0)
         if not (section.shape == (3,)
                 and all(_real(value) and 0.0 < value for value in section)):
             raise ValidationError(

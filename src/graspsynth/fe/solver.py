@@ -28,11 +28,12 @@ each converged state as the PathStep of its last assembly, and the sweep
 appends the one it reaches at each travel.  A step's stable flag says
 whether the free-free tangent is positive definite (one Cholesky attempt);
 one that is not lies on an unstable branch.  Outside the fallback below,
-every Newton solve starts from one rule: the Lagrange polynomial through the
-last (up to three) states the oracle knows, at the solve's control
-(Crisfield, vol. 1, ch. 9), rest, built once per model, counting as a
-path's first state (through rest alone the polynomial is rest itself).  A
-step's predicted state is kept only if it converges and is stable.
+every Newton solve starts from one rule: the Newton-form polynomial through
+the last (up to five) states the oracle knows, at the solve's control, cut
+at its first term that grows (Crisfield, vol. 1, ch. 9; _predicted_start),
+rest, built once per model, counting as a path's first state (through rest
+alone the polynomial is rest itself).  A step's predicted state is kept
+only if it converges and is stable.
 Otherwise the fallback starts Newton from the last state with only the
 drive moved; a step that fails to converge, a singular
 tangent or a floating-point overflow included, is bisected down to a floor,
@@ -73,6 +74,8 @@ MAX_ITERS = 25
 DEFAULT_STEPS = 100
 ASSEMBLY_STEPS = 20
 BISECTION_FLOOR_DIV = 4096
+# the most states, rest included, that a predicted start interpolates
+PREDICTOR_STATES = 5
 # turns a chord direction (c, s), reversed to (s, c), into its normal (-s, c)
 _TURN = np.array([-1.0, 1.0])
 # cubic Hermitian bending: (M1, M2) = E I / L0 (t1, t2) @ _BENDING
@@ -320,15 +323,16 @@ def _advance(system: _System, path: EquilibriumPath, target, scale, tol):
     """Append to path the PathStep at target, stepped from its last state.
 
     Rest counts as the path's first state.  The first attempt runs Newton
-    from _predicted_start through the last three of those states (rest,
-    then the steps), extrapolated to target.  Its state is kept only if it
-    converges and is stable.  Otherwise each attempt runs Newton from the
-    last state, only the drive moved, over the rest of the way; a failing
-    one is halved down to scale / BISECTION_FLOOR_DIV, where a
+    from _predicted_start through the last PREDICTOR_STATES of those states
+    (rest, then the steps), extrapolated to target.  Its state is kept only
+    if it converges and is stable.  Otherwise each attempt runs Newton from
+    the last state, only the drive moved, over the rest of the way; a
+    failing one is halved down to scale / BISECTION_FLOOR_DIV, where a
     ConvergenceError carries the path.  A state so reached is kept
     whatever its stable flag.
     """
-    states = [system.rest, *path.steps[-3:]][-3:]
+    states = [system.rest, *path.steps[-PREDICTOR_STATES:]][
+        -PREDICTOR_STATES:]
     predicted = _newton(system, _predicted_start(states, target), target, tol)
     if predicted is not None and predicted.stable:
         path.steps.append(predicted)
@@ -352,18 +356,39 @@ def _advance(system: _System, path: EquilibriumPath, target, scale, tol):
 
 
 def _predicted_start(states, target) -> np.ndarray:
-    """The displacement table at target of the Lagrange polynomial through
-    the (control, table) pairs of states, whose controls differ.
+    """The displacement table at target of the Newton-form polynomial
+    through the (control, table) pairs of states, whose controls differ,
+    cut at its first term that grows.
 
-    Each weight is a product of ratios of control differences, which stays
-    finite where a product of differences of adjacent subnormal controls
-    underflows to 0.  The terms are summed in order from the first.
+    Latest state first, term j is target's distances from the j latest
+    controls times the divided difference of the j + 1 latest tables.  The
+    line (terms 0 and 1) is always summed, each later term only while it
+    is smaller in max norm than the one before: the variable-order rule of
+    Shampine and Gordon (Computer Solution of Ordinary Differential
+    Equations, 1975).  Each weight is a product of ratios of control
+    differences, which stays finite where a product of differences of
+    adjacent subnormal controls underflows to 0.
     """
-    terms = [math.prod((target - other.control)
-                       / (state.control - other.control)
-                       for other in states if other is not state)
-             * state.displacements for state in states]
-    return sum(terms[1:], terms[0])
+    latest = states[::-1]
+    x = [s.control for s in latest]
+    r = [target - c for c in x]
+    k = len(x)
+    # weights[j * k + m]: the m-th latest table's weight in term j
+    weights = [1.0] + [0.0] * (k * k - 1)
+    for j in range(1, k):
+        xj, lead = x[j], 1.0
+        for m in range(j):
+            weights[j * k + m] = weights[j * k - k + m] * (
+                r[j - 1] / (x[m] - xj))
+            lead *= r[m] / (xj - x[m])
+        weights[j * k + j] = lead
+    tables = np.array([s.displacements for s in latest])
+    terms = np.array(weights).reshape(k, k) @ tables.reshape(k, -1)
+    size = np.maximum.reduce(np.abs(terms), 1).tolist()
+    n = 2
+    while n < k and size[n] < size[n - 1]:
+        n += 1
+    return np.add.reduce(terms[:n]).reshape(tables.shape[1:])
 
 
 def solve_multibeam_assembly(config: MechanismConfig,

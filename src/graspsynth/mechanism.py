@@ -304,7 +304,11 @@ def grasper_sweep(config: MechanismConfig, ring_disps) -> GrasperSweep:
     tangent stiffness at the ring displacements, then the shuttle force at
     the shuttle travels.
     """
-    ring = np.atleast_1d(travels("ring_disp", ring_disps))
+    return _sweep(config, np.atleast_1d(travels("ring_disp", ring_disps)))
+
+
+def _sweep(config: MechanismConfig, ring: np.ndarray) -> GrasperSweep:
+    """grasper_sweep at ring displacements errors.travels has checked."""
     shuttle = shuttle_transfer_ratio(config, ring) * ring
     force = _force_rows([config.beam_geometry], config.material, shuttle)[0][0]
     opening = jaw_opening(config, ring)
@@ -334,7 +338,7 @@ def grasper_response(config: MechanismConfig, ring_disp: float) -> GrasperRespon
     latched column.
     """
     ring_disp = check_non_negative("ring_disp", ring_disp)
-    sweep = grasper_sweep(config, ring_disp)
+    sweep = _sweep(config, np.array([ring_disp]))
     d, f, s, j, st = (float(c[0]) for c in (
         sweep.ring, sweep.ring_force, sweep.shuttle, sweep.opening,
         sweep.stress))

@@ -24,7 +24,8 @@ from graspsynth import (BeamLoadState, Branch, ForceDisplacementCurve,
                         peak_force, solve_monostable_cubic)
 from graspsynth.beam import SAMPLE_CAP, _slope_rows, uniform_travels
 
-from common import GEOM, MAT, cardano_residuals, count_force_checks
+from common import (GEOM, MAT, cardano_residuals, count_force_checks,
+                    count_travel_checks)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +323,14 @@ def test_branch_loads_zero_travel():
     assert st.f_o == 0.0
     assert st.p_o == 0.0
     assert st.branch is Branch.MONOSTABLE
+
+
+def test_branch_loads_checks_its_travel_once(monkeypatch):
+    # where it enters; it used to check it again through the public
+    # bistability_margin
+    checks = count_travel_checks(monkeypatch)
+    branch_loads(GEOM, 1.0)
+    assert len(checks) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,11 @@ NARROW_INFS = {"inf32": np.float32(np.inf), "inf16": np.float16(np.inf)}
      r"^section \(E, A, I\) \('1800', .* must be three positive, finite"),
     (lambda: MaterialModel(np.complex128(1800.0)),
      "^youngs_modulus_E must be positive and finite"),
+    (lambda: frame(section=(1.0, [1.0, 2.0], 1.0)),
+     r"^section \(E, A, I\) \(1.0, \[1.0, 2.0\], 1.0\) must be three "
+     "positive, finite"),
+    (lambda: frame(elements=[["a", "b"]] * 8),
+     r"^elements must be an \(m, 2\) node index array$"),
 ] + [(lambda call=call, inf=inf: call(inf), match)
      for call, match in NARROW_INF_CALLS.values()
      for inf in NARROW_INFS.values()],
@@ -215,7 +220,8 @@ NARROW_INFS = {"inf32": np.float32(np.inf), "inf16": np.float16(np.inf)}
          "uniform-travels-none", "uniform-travels-complex",
          "uniform-travels-complex128", "latch-travel-nan", "latch-travel-0",
          "latch-travel-negative", "latch-travel-string", "grid-density-none",
-         "mesh-modulus-string", "material-complex128"]
+         "mesh-modulus-string", "material-complex128",
+         "frame-ragged-section", "frame-string-elements"]
     + [f"{site}-{kind}" for site in NARROW_INF_CALLS for kind in NARROW_INFS])
 def test_library_refuses_nan_travels_and_non_integer_counts(call, match):
     # the NaN travels used to return NaN states, or a NumericalError naming
@@ -229,7 +235,8 @@ def test_library_refuses_nan_travels_and_non_integer_counts(call, match):
     # TypeError; so did a list, string or complex travel_max, a string
     # latch travel, a None grid density and a string section value, while
     # a NaN, zero or negative latch travel, a complex trigger displacement
-    # and a numpy complex modulus were accepted
+    # and a numpy complex modulus were accepted; a ragged section and
+    # string element indices ended in numpy's bare ValueError
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=match):

@@ -499,33 +499,47 @@ def drive_only_sweep(*args, **kwargs):
         return solve_vbeam_sweep(*args, **kwargs)
 
 
-def secant_only_sweep(*args, **kwargs):
-    """The sweep whose predicted start is always the secant of the last two
-    states, never the quadratic through three."""
-    def secant_start(states, target):
-        return _predicted_start(states[-2:], target)
-
+def start_rule_sweep(rule, *args, **kwargs):
+    """The sweep whose predicted start is rule(states, target), taking the
+    states _advance passes to _predicted_start."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_predicted_start", secant_start)
+        patch.setattr(solver, "_predicted_start", rule)
         return solve_vbeam_sweep(*args, **kwargs)
+
+
+def secant_start(states, target):
+    """The line through the last two states, never a higher order."""
+    return _predicted_start(states[-2:], target)
+
+
+def three_state_start(states, target):
+    """The fixed-order reference: the Lagrange polynomial through the last
+    (up to) three states, whatever the size of its terms."""
+    states = states[-3:]
+    terms = [math.prod((target - other.control)
+                       / (state.control - other.control)
+                       for other in states if other is not state)
+             * state.displacements for state in states]
+    return sum(terms[1:], terms[0])
 
 
 def test_secant_prediction_saves_newton_iterations():
     # table1's 16-element, 100-step sweep to 5 mm: the same path as the
-    # drive-only steps in under two thirds of the iterations, and fewer
-    # from the three-state start than from the secant of the last two
+    # drive-only steps in under half the iterations, fewer from the
+    # variable-order start than from the fixed three-state rule, and fewer
+    # from that than from the secant of the last two
     path = solve_vbeam_sweep(GEOM, MAT, 5.0, n_steps=100)
-    secant = secant_only_sweep(GEOM, MAT, 5.0, n_steps=100)
+    three = start_rule_sweep(three_state_start, GEOM, MAT, 5.0, n_steps=100)
+    secant = start_rule_sweep(secant_start, GEOM, MAT, 5.0, n_steps=100)
     reference = drive_only_sweep(GEOM, MAT, 5.0, n_steps=100)
     peak = np.max(reference.reactions)
-    for other in (path, secant):
+    for other in (path, three, secant):
         assert np.max(np.abs(other.reactions - reference.reactions)) <= (
             1e-9 * peak)
         assert [s.stable for s in other.steps] == [
             s.stable for s in reference.steps]
-    assert sum(s.iterations for s in path.steps) == 298
-    assert sum(s.iterations for s in secant.steps) == 329
-    assert sum(s.iterations for s in reference.steps) == 506
+    assert [sum(s.iterations for s in p.steps)
+            for p in (path, three, secant, reference)] == [243, 298, 329, 506]
 
 
 def synthetic_states(controls, table_at):
@@ -551,27 +565,43 @@ def test_predicted_start_extrapolates_the_last_three_states():
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-GAPS = st.lists(st.integers(1, 9), min_size=3, max_size=3)
+def newton_tables(controls, target, unit, sizes, seed):
+    """table_at(c, n): the sum of the first n (all by default) terms of a
+    polynomial in c / unit whose Newton form on controls, latest first,
+    has at target a term j of max norm sizes[j], or 0 where target is one
+    of the j latest controls."""
+    nodes = [c / unit for c in reversed(controls)]
+    coefficients = np.random.default_rng(seed).standard_normal(
+        (len(sizes), 9, 3))
+    for j, size in enumerate(sizes):
+        at_target = abs(math.prod(target / unit - x for x in nodes[:j]))
+        coefficients[j] *= size / (
+            (at_target or 1.0) * np.max(np.abs(coefficients[j])))
+
+    def table_at(c, n=len(sizes)):
+        return sum(coefficients[j] * math.prod(c / unit - x
+                                               for x in nodes[:j])
+                   for j in range(n))
+    return table_at
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(st.integers(1, 3), GAPS, st.integers(-9, 9),
+GAPS = st.lists(st.integers(1, 9), min_size=5, max_size=5)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.integers(1, 5), GAPS, st.integers(-9, 9),
        st.sampled_from([0.05, 1e-311]), st.booleans(), st.integers(0, 2 ** 32))
 def test_predicted_start_reproduces_a_polynomial_of_its_degree(
         k, gaps, offset, unit, from_rest, seed):
     # k states on an uneven grid, from rest at 0 or not and with controls
     # as little as 1e-311 apart, whose tables are a degree k - 1 polynomial
-    # in control: the start at any control is that polynomial
-    coefficients = np.random.default_rng(seed).standard_normal((k, 9, 3))
-
-    def table_at(c):
-        x = c / unit
-        return sum(coefficient * x ** n
-                   for n, coefficient in enumerate(coefficients))
-
+    # in control with Newton-form terms that shrink at the target: the
+    # start there is that polynomial
     grid = np.cumsum([0 if from_rest else gaps[-1]] + gaps[:k - 1])
     controls = [float(n * unit) for n in grid]
     target = float(max(grid[-1] + offset, 0) * unit)
+    table_at = newton_tables(controls, target, unit,
+                             [4.0 ** -j for j in range(k)], seed)
     states = synthetic_states(controls, table_at)
     got, want = _predicted_start(states, target), table_at(target)
     assert got.shape == want.shape
@@ -582,15 +612,40 @@ def test_predicted_start_reproduces_a_polynomial_of_its_degree(
         assert np.max(np.abs(got - want)) <= 1e-12 * size
 
 
+@pytest.mark.parametrize("after", [0.5, 8.0])
+@pytest.mark.parametrize("j", [2, 3, 4])
+def test_predicted_start_cuts_at_the_first_term_that_grows(j, after):
+    # five states whose Newton-form terms at the target shrink up to term
+    # j - 1 and then grow: the start is the degree j - 1 interpolant
+    # through the last j states (the first j terms), whether the terms
+    # past j shrink again or keep growing
+    controls, target = [0.0, 0.4, 0.7, 1.2, 1.5], 1.9
+    sizes = [4.0 ** -i for i in range(j)] + [2.0 * 4.0 ** (1 - j)]
+    sizes += [sizes[-1] * after ** n for n in range(1, 5 - j)]
+    table_at = newton_tables(controls, target, 1.0, sizes, seed=j)
+    states = synthetic_states(controls, table_at)
+    got, want = _predicted_start(states, target), table_at(target, j)
+    size = max(np.max(np.abs(table_at(c))) for c in controls + [target])
+    assert np.max(np.abs(got - want)) <= 1e-12 * size
+    assert np.max(np.abs(got - table_at(target))) > 1e-3 * size
+
+
+def test_predicted_start_keeps_the_line_where_its_slope_term_grows():
+    # two states and a target far past them: term 1 outgrows term 0, and
+    # the start is still the line through both
+    states = synthetic_states([0.0, 0.1], lambda x: np.full((9, 3), x))
+    assert np.allclose(_predicted_start(states, 5.0), 5.0, rtol=1e-12)
+
+
 def test_predicted_start_at_subnormal_controls_is_finite():
-    # controls 1e-311 apart: a product of two control differences
-    # underflows to 0, a product of their ratios does not
-    controls = [1e-311, 2e-311, 3e-311]
+    # five controls 1e-311 apart: a product of two control differences
+    # already underflows to 0, a product of their ratios does not
+    controls = [1e-311, 2e-311, 3e-311, 4e-311, 5e-311]
     assert (controls[2] - controls[0]) * (controls[2] - controls[1]) == 0.0
     states = synthetic_states(controls, lambda x: np.full((9, 3), x / 1e-310))
-    start = _predicted_start(states, 4e-311)
+    start = _predicted_start(states, 6e-311)
     assert np.all(np.isfinite(start))
-    assert np.allclose(start, 0.4, rtol=1e-9)
+    assert np.allclose(start, 0.6, rtol=1e-9)
 
 
 def test_secant_prediction_stays_on_the_stable_branch():

@@ -485,6 +485,14 @@ def test_a_sweep_checks_its_travels_twice(monkeypatch):
     assert len(checks) == 2
 
 
+def test_a_response_checks_its_travel_three_times(monkeypatch):
+    # where it enters, at the public beam_tangent_stiffness and at
+    # latch_step; it used to check it again through grasper_sweep
+    checks = count_travel_checks(monkeypatch)
+    grasper_response(make_config(), 1.0)
+    assert len(checks) == 3
+
+
 @pytest.mark.parametrize("ring", [np.array([1.0, 2.0]), [1.0]])
 def test_response_refuses_several_displacements(ring):
     with pytest.raises(ValidationError,
